@@ -1,7 +1,8 @@
 """screenopt: Pareto-optimal multi-period screening strategies.
 
 A solver library and CLI built around discrete influence diagrams with
-path-probability semantics, exact augmented-Tchebychev frontier generation,
+path-probability semantics, exact nondominated frontier generation (with
+the augmented-Tchebychev box search kept as a cross-check),
 prevalence-progression recurrences and budget-constrained final selection.
 """
 
@@ -37,6 +38,7 @@ from .pareto import (  # noqa: F401
     FrontierPoint,
     ParetoFrontier,
     ScalarizationParams,
+    box_search_frontier,
     brute_force_frontier,
     compute_frontier,
     compute_utopia_nadir,

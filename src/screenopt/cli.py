@@ -10,8 +10,9 @@ All outputs are deterministic: identical inputs produce identical bytes.
 Every CSV starts with comment lines carrying the tool version and the
 SHA-256 of the parameter file; the manifest carries them as JSON fields.
 
-Exit codes: 0 success, 1 validation failure, 2 infeasible or over capacity,
-3 internal cross-check mismatch.
+Exit codes: 0 success, 1 validation failure, 2 infeasible or over capacity
+(including the box-search iteration limit, reachable only under
+--cross-check), 3 internal cross-check mismatch.
 """
 
 from __future__ import annotations
@@ -119,7 +120,8 @@ def _add_model_flags(p) -> None:
     p.add_argument("--no-incentive", action="store_true",
                    help="disable the incentive decision")
     p.add_argument("--cross-check", action="store_true",
-                   help="verify every frontier against the brute-force reference")
+                   help="verify every frontier against the brute-force "
+                        "filter and the box search")
 
 
 def main(argv=None) -> int:

@@ -484,6 +484,15 @@ def expected_values(diagram: InfluenceDiagram,
 # Vectorized whole-space evaluation
 # ---------------------------------------------------------------------------
 
+def _dense_cpt(table: Mapping[InfoState, tuple[float, ...]],
+               shape: tuple[int, ...]) -> np.ndarray:
+    """A CPT as an array indexed by (information state..., state)."""
+    dense = np.zeros(shape)
+    for info, row in table.items():
+        dense[info] = row
+    return dense
+
+
 class StrategyEvaluator:
     """Evaluates expected values for many strategies of one diagram at once.
 
@@ -492,6 +501,11 @@ class StrategyEvaluator:
     strategy reduces to summing a handful of pre-aggregated rows instead of
     walking every path. Row order of :meth:`objective_matrix` matches
     :func:`enumerate_strategies` exactly.
+
+    Everything that depends only on the diagram's structure (the signature
+    sort, the CPT and value-table gather indices and the per-strategy
+    accumulation indices) is computed once, so :meth:`objective_matrix` can
+    re-evaluate the same structure under replaced chance-node tables.
     """
 
     def __init__(self, diagram: InfluenceDiagram):
@@ -503,33 +517,11 @@ class StrategyEvaluator:
             raise CapacityError(f"{n_paths} paths exceed ceiling {PATH_CEILING}")
 
         # Path grid: one column of state ordinals per chance/decision node.
+        # Only the gather indices derived from it outlive the constructor.
         grid = np.indices(sizes, dtype=np.int64).reshape(len(sizes), n_paths).T
-
         pos = d.path_position
-        prob = np.ones(n_paths)
-        for node in d.chance_nodes:
-            table = d.cpts[node.node_id]
-            pred_sizes = [len(d.by_id[p].states) for p in node.predecessors]
-            dense = np.zeros(pred_sizes + [len(node.states)])
-            for info, row in table.items():
-                dense[info] = row
-            cols = [grid[:, pos[p]] for p in node.predecessors]
-            cols.append(grid[:, pos[node.node_id]])
-            prob *= dense[tuple(cols)]
-
-        utility = np.zeros((n_paths, len(d.value_nodes)))
-        for i, node in enumerate(d.value_nodes):
-            spec = d.values[node.node_id]
-            pred_sizes = [len(d.by_id[p].states) for p in node.predecessors]
-            dense = np.zeros(pred_sizes or [1])
-            for info, value in spec.table.items():
-                dense[info if info else (0,)] = value
-            cols = tuple(grid[:, pos[p]] for p in node.predecessors) or (
-                np.zeros(n_paths, dtype=np.int64),)
-            utility[:, i] = dense[cols]
 
         # Decision signature of every path, mixed-radix combined.
-        self._decision_nodes = d.decision_nodes
         self._info_counts = []
         radix = np.zeros(n_paths, dtype=np.int64)
         self._strides: list[tuple[int, int]] = []  # (stride, action base) per node
@@ -550,12 +542,60 @@ class StrategyEvaluator:
             span *= m * k
 
         order = np.argsort(radix, kind="stable")
-        sig_sorted = radix[order]
-        self._sig_values, starts = np.unique(sig_sorted, return_index=True)
-        weighted = prob[:, None] * utility
-        self._condensed = np.add.reduceat(weighted[order], starts, axis=0)
-        self._condensed_prob = np.add.reduceat(prob[order], starts)
+        self._sig_values, self._starts = np.unique(radix[order],
+                                                   return_index=True)
+
+        # Per chance node, in diagram order: the flat index of every path's
+        # CPT entry (paths in signature order) and the entries it gathers
+        # from the diagram's own table.
+        self._factors: list[tuple[Node, tuple[int, ...], np.ndarray]] = []
+        self._own_factors: list[np.ndarray] = []
+        for node in d.chance_nodes:
+            shape = tuple(len(d.by_id[p].states) for p in node.predecessors) \
+                + (len(node.states),)
+            cols = [grid[:, pos[p]] for p in node.predecessors]
+            cols.append(grid[:, pos[node.node_id]])
+            flat = np.ravel_multi_index(tuple(cols), shape)[order]
+            self._factors.append((node, shape, flat))
+            self._own_factors.append(
+                _dense_cpt(d.cpts[node.node_id], shape).ravel()[flat])
+
+        utility = np.zeros((n_paths, len(d.value_nodes)))
+        for i, node in enumerate(d.value_nodes):
+            spec = d.values[node.node_id]
+            pred_sizes = [len(d.by_id[p].states) for p in node.predecessors]
+            dense = np.zeros(pred_sizes or [1])
+            for info, value in spec.table.items():
+                dense[info if info else (0,)] = value
+            cols = tuple(grid[:, pos[p]] for p in node.predecessors) or (
+                np.zeros(n_paths, dtype=np.int64),)
+            utility[:, i] = dense[cols]
+        self._utility = utility[order]
         self._n_values = len(d.value_nodes)
+        self._plans: dict[tuple, list[np.ndarray]] = {}
+        self._condensed = self._condense(None)
+
+    def _condense(self, cpts: Mapping[int, Mapping[InfoState, tuple[float, ...]]]
+                  | None) -> np.ndarray:
+        """Probability-weighted utility summed per decision signature.
+
+        ``cpts`` replaces the tables of some chance nodes; the diagram's own
+        tables supply the rest.
+        """
+        cpts = cpts or {}
+        unknown = set(cpts) - {node.node_id for node, _, _ in self._factors}
+        if unknown:
+            raise ValueError(f"no chance node with id {min(unknown)}")
+        prob = np.ones(len(self._utility))
+        for (node, shape, flat), own in zip(self._factors, self._own_factors):
+            if node.node_id in cpts:
+                prob *= _dense_cpt(cpts[node.node_id], shape).ravel()[flat]
+            else:
+                prob *= own
+        weighted = prob[:, None] * self._utility
+        condensed = np.add.reduceat(weighted, self._starts, axis=0)
+        # A trailing zero row for strategies with no compatible signature.
+        return np.concatenate([condensed, np.zeros((1, condensed.shape[1]))])
 
     def _slot_layout(self, fixed_ids: set[int]):
         """Slot sizes and index bookkeeping for the free decision nodes."""
@@ -573,26 +613,21 @@ class StrategyEvaluator:
         return math.prod(
             len(self.diagram.by_id[p].states) for p in node.predecessors)
 
-    def _info_index(self, node, info: InfoState) -> int:
-        idx = 0
-        for p, s in zip(node.predecessors, info):
-            idx = idx * len(self.diagram.by_id[p].states) + s
-        return idx
-
-    def _accumulate(self, condensed: np.ndarray,
-                    fixed: Mapping[int, LocalStrategy],
-                    ceiling: int) -> np.ndarray:
-        """Sum condensed rows over compatible signatures, for all strategies.
+    def _accumulation_plan(self, fixed: Mapping[int, LocalStrategy]
+                           ) -> list[np.ndarray]:
+        """Per information-state combination, the condensed row each
+        strategy adds: its compatible signature's row, or the trailing zero
+        row when it has none.
 
         Strategy row order matches :func:`enumerate_strategies`: slot 0 is
-        the most significant digit of the mixed-radix strategy index.
+        the most significant digit of the mixed-radix strategy index. Plans
+        depend only on the fixed rules and are kept per rule set.
         """
+        plan_key = tuple(fixed[nid].key() for nid in sorted(fixed))
+        if plan_key in self._plans:
+            return self._plans[plan_key]
         d = self.diagram
         count = d.strategy_count(fixed=tuple(fixed))
-        if count > ceiling:
-            raise CapacityError(
-                f"{count} strategies exceed the configured ceiling of {ceiling}")
-
         slot_sizes, slot_of = self._slot_layout(set(fixed))
         actions = np.zeros((count, len(slot_sizes)), dtype=np.int64)
         stride = count
@@ -601,9 +636,7 @@ class StrategyEvaluator:
             stride //= size
             actions[:, s] = (idx // stride) % size
 
-        width = condensed.shape[1] if condensed.ndim == 2 else 1
-        out = np.zeros((count, width))
-        rows = condensed if condensed.ndim == 2 else condensed[:, None]
+        plan = []
         info_ranges = [range(m) for m in self._info_counts]
         for combo in itertools.product(*info_ranges):
             sig = np.zeros(count, dtype=np.int64)
@@ -620,16 +653,33 @@ class StrategyEvaluator:
             hit_ok = hit < len(self._sig_values)
             hit_clipped = np.minimum(hit, len(self._sig_values) - 1)
             valid = hit_ok & (self._sig_values[hit_clipped] == sig)
-            out[valid] += rows[hit_clipped[valid]]
-        return out
+            plan.append(np.where(valid, hit_clipped, len(self._sig_values)))
+        self._plans[plan_key] = plan
+        return plan
 
     def objective_matrix(
         self,
         fixed: Mapping[int, LocalStrategy] | None = None,
         ceiling: int = STRATEGY_CEILING,
+        cpts: Mapping[int, Mapping[InfoState, tuple[float, ...]]] | None = None,
     ) -> np.ndarray:
-        """Expected values for every strategy; rows follow enumeration order."""
-        return self._accumulate(self._condensed, dict(fixed or {}), ceiling)
+        """Expected values for every strategy; rows follow enumeration order.
+
+        ``cpts`` maps chance-node ids to replacement tables over the same
+        information states; the diagram's own tables supply the other nodes.
+        """
+        fixed = dict(fixed or {})
+        count = self.diagram.strategy_count(fixed=tuple(fixed))
+        if count > ceiling:
+            raise CapacityError(
+                f"{count} strategies exceed the configured ceiling of {ceiling}")
+        condensed = self._condensed if cpts is None else self._condense(cpts)
+        # Sums start from +0.0 and so never hold -0.0, which makes adding
+        # the zero row exact: the same bits as skipping the strategy.
+        out = np.zeros((count, self._n_values))
+        for rows in self._accumulation_plan(fixed):
+            out += condensed[rows]
+        return out
 
     def _info_by_index(self, node, index: int) -> InfoState:
         sizes = [len(self.diagram.by_id[p].states) for p in node.predecessors]
@@ -656,41 +706,32 @@ class StrategyEvaluator:
                 total += self._condensed[hit]
         return total
 
-    def path_probability_totals(
-        self,
-        fixed: Mapping[int, LocalStrategy] | None = None,
-        ceiling: int = STRATEGY_CEILING,
-    ) -> np.ndarray:
-        """Sum of path probabilities per strategy (should be 1 everywhere)."""
-        out = self._accumulate(self._condensed_prob, dict(fixed or {}), ceiling)
-        return out[:, 0]
 
-    def compatible_path_probabilities(
-        self, strategy: GlobalStrategy
-    ) -> dict[Path, float]:
-        """Sparse map of strategy-compatible paths to positive probabilities."""
-        d = self.diagram
-        result: dict[Path, float] = {}
-        nodes = d.path_nodes
-        pos = d.path_position
+def compatible_path_probabilities(diagram: InfluenceDiagram,
+                                  strategy: GlobalStrategy) -> dict[Path, float]:
+    """Sparse map of strategy-compatible paths to positive probabilities."""
+    d = diagram
+    result: dict[Path, float] = {}
+    nodes = d.path_nodes
+    pos = d.path_position
 
-        def walk(depth: int, prefix: list[int], prob: float) -> None:
-            if prob == 0.0:
-                return
-            if depth == len(nodes):
-                result[tuple(prefix)] = prob
-                return
-            node = nodes[depth]
-            info = tuple(prefix[pos[p]] for p in node.predecessors)
-            if node.kind is NodeKind.DECISION:
-                prefix.append(strategy.action(node.node_id, info))
-                walk(depth + 1, prefix, prob)
+    def walk(depth: int, prefix: list[int], prob: float) -> None:
+        if prob == 0.0:
+            return
+        if depth == len(nodes):
+            result[tuple(prefix)] = prob
+            return
+        node = nodes[depth]
+        info = tuple(prefix[pos[p]] for p in node.predecessors)
+        if node.kind is NodeKind.DECISION:
+            prefix.append(strategy.action(node.node_id, info))
+            walk(depth + 1, prefix, prob)
+            prefix.pop()
+        else:
+            for state, p in enumerate(d.cpts[node.node_id][info]):
+                prefix.append(state)
+                walk(depth + 1, prefix, prob * p)
                 prefix.pop()
-            else:
-                for state, p in enumerate(d.cpts[node.node_id][info]):
-                    prefix.append(state)
-                    walk(depth + 1, prefix, prob * p)
-                    prefix.pop()
 
-        walk(0, [], 1.0)
-        return result
+    walk(0, [], 1.0)
+    return result

@@ -1,12 +1,14 @@
-"""Complete nondominated frontiers via augmented weighted Tchebychev solves.
+"""Complete nondominated frontiers of finite, fully evaluated problems.
 
-The inner single-objective oracle is exact enumeration of a finite candidate
-set, so the frontier search is exact as well: the objective space is carved
-into search boxes bounded by found frontier points, each box is scalarized
-with box-specific weights and a small augmentation term, and the search stops
-when no box contains an unseen candidate. ``brute_force_frontier`` is the
-independent reference implementation (plain pairwise dominance filtering)
-that the box search must reproduce exactly.
+``compute_frontier`` is the production path: one vectorized nondominated
+filter over the distinct objective vectors. Two independent references
+reproduce it, and ``--cross-check`` compares against both:
+``brute_force_frontier`` (a plain row-by-row dominance loop) and
+``box_search_frontier``, the paper's augmented weighted Tchebychev search,
+which carves the objective space into search boxes bounded by found
+frontier points and scalarizes each box with box-specific weights and a
+small augmentation term. Its inner single-objective oracle is exact
+enumeration, so it can only return the filter's set.
 
 All dominance comparisons are in minimization orientation; maximization
 objectives are negated at the problem boundary and mapped back for
@@ -19,7 +21,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -30,13 +32,16 @@ from .diagram import (
     ObjectiveVector,
     Path,
     StrategyEvaluator,
-    strategy_encoding,
+    compatible_path_probabilities,
 )
 from .errors import IterationLimitError
 
 DOMINANCE_TOL = 1e-9
 WEIGHT_GUARD = 1e-12
 EPSILON_SCALE = 1e-4
+# Booleans one (rows x candidates) mask of ``nondominated`` may hold; this
+# bounds the filter's memory whatever the number of rows.
+FILTER_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -128,7 +133,6 @@ class EnumeratedProblem:
         orientations: Sequence[str],
         names: Sequence[str],
         active: Sequence[int] | None = None,
-        point_factory: Callable[[int], GlobalStrategy | str] | None = None,
         keys: Sequence[tuple] | None = None,
     ):
         self.reported = np.asarray(reported, dtype=float)
@@ -145,7 +149,6 @@ class EnumeratedProblem:
         signs = np.array([-1.0 if self.orientations[i] == "maximize" else 1.0
                           for i in self.active])
         self.matrix_min = self.reported[:, self.active] * signs
-        self._point_factory = point_factory
         self.keys = tuple(keys) if keys is not None else tuple(
             (i,) for i in range(n))
         if len(self.keys) != n:
@@ -173,11 +176,13 @@ class EnumeratedProblem:
         """(unique active-min vectors in lexicographic order, representative
         candidate index per vector -- the smallest, i.e. key-lexicographic
         minimum)."""
-        vectors, inverse = np.unique(self.matrix_min, axis=0,
-                                     return_inverse=True)
-        reps = np.full(len(vectors), self.n_candidates, dtype=np.int64)
-        np.minimum.at(reps, inverse, np.arange(self.n_candidates))
-        return vectors, reps
+        # A stable lexicographic sort puts each vector's smallest candidate
+        # index first among its equals.
+        order = np.lexsort(self.matrix_min.T[::-1])
+        ordered = self.matrix_min[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+        return ordered[first], order[first]
 
     def unique_vectors(self) -> np.ndarray:
         return self._unique[0]
@@ -185,17 +190,16 @@ class EnumeratedProblem:
     def representative(self, unique_row: int) -> int:
         return int(self._unique[1][unique_row])
 
+    def strategy(self, candidate: int) -> GlobalStrategy | str:
+        """What a frontier point reports as its strategy."""
+        return f"candidate{candidate}"
+
     def point(self, candidate: int) -> FrontierPoint:
-        strategy: GlobalStrategy | str
-        if self._point_factory is not None:
-            strategy = self._point_factory(candidate)
-        else:
-            strategy = f"candidate{candidate}"
         return FrontierPoint(
-            strategy=strategy,
-            minimized=tuple(float(v) for v in self.matrix_min[candidate]),
+            strategy=self.strategy(candidate),
+            minimized=tuple(self.matrix_min[candidate].tolist()),
             objectives=ObjectiveVector(
-                values=tuple(float(v) for v in self.reported[candidate]),
+                values=tuple(self.reported[candidate].tolist()),
                 orientations=self.orientations,
                 names=self.names,
             ),
@@ -218,6 +222,7 @@ class DiagramProblem(EnumeratedProblem):
         self.fixed = dict(fixed or {})
         self.evaluator = evaluator or StrategyEvaluator(diagram)
         self._slots = self._slot_sizes(diagram)
+        self._strategies: dict[int, GlobalStrategy] = {}
         reported = self.evaluator.objective_matrix(fixed=self.fixed)
         names = tuple(n.name for n in diagram.value_nodes)
         orientations = tuple(diagram.values[n.node_id].orientation
@@ -235,7 +240,29 @@ class DiagramProblem(EnumeratedProblem):
         keys = tuple(_index_digits(i, self._slots)
                      for i in range(reported.shape[0]))
         super().__init__(reported, orientations, names, active=active,
-                         point_factory=self._strategy_at, keys=keys)
+                         keys=keys)
+
+    def with_cpts(self, cpts: Mapping[int, Mapping[tuple[int, ...],
+                                                   tuple[float, ...]]]
+                  ) -> "DiagramProblem":
+        """The same problem with the tables of some chance nodes replaced.
+
+        Only the objective values are recomputed. The evaluator's layout,
+        the candidate keys and the strategy objects do not depend on the
+        tables and are shared with this problem.
+        """
+        problem = DiagramProblem.__new__(DiagramProblem)
+        problem.diagram = dataclasses.replace(
+            self.diagram, cpts={**self.diagram.cpts, **cpts})
+        problem.fixed = self.fixed
+        problem.evaluator = self.evaluator
+        problem._slots = self._slots
+        problem._strategies = self._strategies
+        reported = self.evaluator.objective_matrix(fixed=self.fixed, cpts=cpts)
+        EnumeratedProblem.__init__(
+            problem, reported, self.orientations, self.names,
+            active=self.active, keys=self.keys)
+        return problem
 
     def _slot_sizes(self, diagram: InfluenceDiagram) -> list[int]:
         sizes = []
@@ -247,7 +274,9 @@ class DiagramProblem(EnumeratedProblem):
             sizes.extend([len(node.states)] * info_count)
         return sizes
 
-    def _strategy_at(self, index: int) -> GlobalStrategy:
+    def strategy(self, index: int) -> GlobalStrategy:
+        if index in self._strategies:
+            return self._strategies[index]
         d = self.diagram
         digits = list(_index_digits(index, self._slots))
         rules: dict[int, LocalStrategy] = dict(self.fixed)
@@ -260,14 +289,12 @@ class DiagramProblem(EnumeratedProblem):
                 rule[info] = digits[offset]
                 offset += 1
             rules[node.node_id] = LocalStrategy(node.node_id, rule)
-        return GlobalStrategy(rules)
+        strategy = self._strategies[index] = GlobalStrategy(rules)
+        return strategy
 
     def attach_paths(self, point: FrontierPoint) -> FrontierPoint:
-        paths = self.evaluator.compatible_path_probabilities(point.strategy)
+        paths = compatible_path_probabilities(self.diagram, point.strategy)
         return dataclasses.replace(point, path_probabilities=paths)
-
-    def encode(self, point: FrontierPoint) -> str:
-        return strategy_encoding(self.diagram, point.strategy)
 
 
 def _index_digits(index: int, sizes: Sequence[int]) -> tuple[int, ...]:
@@ -317,6 +344,46 @@ def _argmin_norm(problem, vectors, rows, params) -> int:
     return int(rows[best])
 
 
+def nondominated(points: np.ndarray, tol: float = DOMINANCE_TOL) -> np.ndarray:
+    """Mask of the rows of ``points`` that no row dominates (minimization).
+
+    Row j dominates row i when it is at most ``tol`` above it in every
+    column and more than ``tol`` below it in one: the all-pairs rule of
+    :func:`brute_force_frontier`, with the same floating-point comparisons.
+    That rule is not transitive, so every row is tested against every
+    possible dominator, kept or not. Only rows whose first column is at most
+    ``points[i, 0] + tol`` can dominate row i, so the rows are sorted on the
+    first column and each block of rows is broadcast against the prefix of
+    the sorted rows that can reach it (Kung, Luccio & Preparata, JACM 1975).
+    """
+    points = np.asarray(points, dtype=float)
+    n, m = points.shape
+    upper = points + tol
+    lower = points - tol
+    order = np.argsort(points[:, 0], kind="stable")
+    first = points[order, 0]
+    dominated = np.zeros(n, dtype=bool)
+    block = max(1, FILTER_CELLS // max(n, 1))
+    for start in range(0, n, block):
+        rows = order[start:start + block]
+        reach = int(np.searchsorted(first, upper[rows, 0].max(), side="right"))
+        candidates = points[order[:reach]]
+        weakly = candidates[:, 0] <= upper[rows, 0][:, None]
+        strictly = candidates[:, 0] < lower[rows, 0][:, None]
+        for k in range(1, m):
+            weakly &= candidates[:, k] <= upper[rows, k][:, None]
+            strictly |= candidates[:, k] < lower[rows, k][:, None]
+        dominated[rows] = np.any(weakly & strictly, axis=1)
+    return ~dominated
+
+
+def compute_frontier(problem: EnumeratedProblem,
+                     tol: float = DOMINANCE_TOL) -> ParetoFrontier:
+    """Complete nondominated set: one filter over the distinct vectors."""
+    rows = np.flatnonzero(nondominated(problem.unique_vectors(), tol))
+    return _assemble(problem, rows.tolist(), tol)
+
+
 def brute_force_frontier(problem: EnumeratedProblem,
                          tol: float = DOMINANCE_TOL) -> ParetoFrontier:
     """Reference frontier: evaluate everything, filter dominated pairs."""
@@ -330,9 +397,9 @@ def brute_force_frontier(problem: EnumeratedProblem,
     return _assemble(problem, keep, tol)
 
 
-def compute_frontier(problem: EnumeratedProblem,
-                     iteration_limit: int | None = None,
-                     tol: float = DOMINANCE_TOL) -> ParetoFrontier:
+def box_search_frontier(problem: EnumeratedProblem,
+                        iteration_limit: int | None = None,
+                        tol: float = DOMINANCE_TOL) -> ParetoFrontier:
     """Complete nondominated set via box-guided scalarized solves.
 
     Maintains upper-corner search boxes; each solve minimizes the augmented
@@ -341,10 +408,18 @@ def compute_frontier(problem: EnumeratedProblem,
     nondominated point is strictly inside some live box until found, and
     corners move on the finite grid of realized objective values, so the
     search terminates with the complete frontier.
+
+    Each corner coordinate is a realized value of its objective or the
+    start corner's, and no corner is queued twice, so the search needs at
+    most the product over objectives of (distinct values + 1) solves; that
+    is the default ``iteration_limit``.
     """
     vectors = problem.unique_vectors()
-    nu, m = vectors.shape
-    limit = iteration_limit if iteration_limit is not None else 10 * nu
+    m = vectors.shape[1]
+    if iteration_limit is not None:
+        limit = iteration_limit
+    else:
+        limit = math.prod(len(np.unique(vectors[:, i])) + 1 for i in range(m))
     utopia = vectors.min(axis=0)
     top = tuple(vectors.max(axis=0) + 1.0)
 

@@ -23,11 +23,15 @@ import numpy as np
 from .diagram import GlobalStrategy, ObjectiveVector
 from .errors import CapacityError, InfeasibleBudgetError, OracleMismatchError
 from .pareto import (
+    DOMINANCE_TOL,
+    DiagramProblem,
     FrontierPoint,
     ParetoFrontier,
+    box_search_frontier,
     brute_force_frontier,
     compute_frontier,
     diagram_problem,
+    nondominated,
 )
 from .screening import (
     CUTOFF,
@@ -41,6 +45,7 @@ from .screening import (
     TransitionRates,
     build_segment_diagram,
     fixed_decision_rules,
+    prevalence_cpts,
 )
 
 DETECTION_TOL = 1e-9
@@ -173,14 +178,11 @@ def remove_dominated(histories: Sequence[StrategyHistory]) -> list[StrategyHisto
     at least one key (tolerance as in the frontier module). Output order is
     deterministic: sorted by (dominance key, strategy key).
     """
-    keys = np.array([h.dominance_key() for h in histories])
-    tol = 1e-9
-    kept = []
-    for i, h in enumerate(histories):
-        le = np.all(keys <= keys[i] + tol, axis=1)
-        lt = np.any(keys < keys[i] - tol, axis=1)
-        if not np.any(le & lt):
-            kept.append(h)
+    if not histories:
+        return []
+    keep = nondominated(np.array([h.dominance_key() for h in histories]),
+                        DOMINANCE_TOL)
+    kept = [h for h, k in zip(histories, keep) if k]
     kept.sort(key=lambda h: (h.dominance_key(), h.sort_key()))
     return kept
 
@@ -213,22 +215,36 @@ def segment_problem(params: ParameterBundle, segment: Segment,
 
 def solve_frontier(problem, cross_check: bool = False,
                    label: str = "") -> ParetoFrontier:
-    """Frontier of one problem, optionally verified against the reference."""
+    """Frontier of one problem, optionally verified against both references:
+    the brute-force dominance filter and the box search."""
     frontier = compute_frontier(problem)
     if cross_check:
-        reference = brute_force_frontier(problem)
-        if frontier.vectors().shape != reference.vectors().shape or not np.allclose(
-                frontier.vectors(), reference.vectors(), atol=1e-9, rtol=0.0):
-            raise OracleMismatchError(f"frontier mismatch {label}".strip())
+        got = frontier.vectors()
+        for name, reference in (("brute-force", brute_force_frontier),
+                                ("box-search", box_search_frontier)):
+            expected = reference(problem).vectors()
+            if got.shape != expected.shape or not np.allclose(
+                    got, expected, atol=1e-9, rtol=0.0):
+                raise OracleMismatchError(
+                    f"frontier mismatch against the {name} reference "
+                    f"{label}".strip())
     return frontier
 
 
 def segment_frontier(params: ParameterBundle, segment: Segment,
                      psi: PrevalenceVector,
                      objective_mask: Sequence[str] | None = None,
-                     cross_check: bool = False) -> ParetoFrontier:
-    """Frontier of one segment problem at prevalence ``psi``."""
-    problem = segment_problem(params, segment, psi, objective_mask)
+                     cross_check: bool = False,
+                     base: DiagramProblem | None = None) -> ParetoFrontier:
+    """Frontier of one segment problem at prevalence ``psi``.
+
+    ``base`` is the problem of the same segment at any prevalence; when it
+    is given, only the prevalence-dependent tables are rebuilt.
+    """
+    if base is None:
+        problem = segment_problem(params, segment, psi, objective_mask)
+    else:
+        problem = base.with_cpts(prevalence_cpts(params, psi))
     return solve_frontier(
         problem, cross_check,
         label=f"for sex={segment.sex.value} period={segment.period}")
@@ -306,15 +322,8 @@ def _run_sex(params, sex, budget, K, objective_mask, cross_check,
 
     weight = params.cohort_size(Segment(sex, 1))
     for k in range(2, K + 1):
-        extended = []
-        for hist in histories:
-            start = hist.last.updated_prevalence
-            frontier = segment_frontier(params, Segment(sex, k), start,
-                                        objective_mask, cross_check)
-            for point in frontier.points:
-                new = _extend(params, sex, k, hist, start, point, weight)
-                if new.cumulative_colonoscopies <= budget + BUDGET_TOL:
-                    extended.append(new)
+        extended = _extend_period(params, sex, k, histories, budget, weight,
+                                  objective_mask, cross_check)
         if not extended:
             raise InfeasibleBudgetError(
                 f"budget {budget} removes every history at period {k} for "
@@ -326,6 +335,31 @@ def _run_sex(params, sex, budget, K, objective_mask, cross_check,
         histories = remove_dominated(extended)
         weight += params.cohort_size(Segment(sex, k))
     return histories
+
+
+def _extend_period(params, sex, k, histories, budget, weight, objective_mask,
+                   cross_check) -> list[StrategyHistory]:
+    """Every history extended by every frontier point of period ``k``,
+    within the budget.
+
+    The segment's problem is built once here and re-weighted per history,
+    since only its prevalence-dependent tables differ between histories; it
+    is released when the period is done.
+    """
+    segment = Segment(sex, k)
+    base = segment_problem(params, segment,
+                           histories[0].last.updated_prevalence,
+                           objective_mask)
+    extended = []
+    for hist in histories:
+        start = hist.last.updated_prevalence
+        frontier = segment_frontier(params, segment, start, objective_mask,
+                                    cross_check, base=base)
+        for point in frontier.points:
+            new = _extend(params, sex, k, hist, start, point, weight)
+            if new.cumulative_colonoscopies <= budget + BUDGET_TOL:
+                extended.append(new)
+    return extended
 
 
 @dataclass(frozen=True)

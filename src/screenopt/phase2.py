@@ -9,7 +9,6 @@ is solved by an exact scan over all pairs.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -110,27 +109,34 @@ def select_strategies(problem: SelectionProblem) -> SelectionResult:
     result is flagged infeasible and reports the cheapest pair in
     colonoscopies as a diagnostic.
     """
-    share, col, cost = _pair_matrices(problem)
-    feasible = col <= problem.budget + BUDGET_TOL
+    return _select(*_pair_matrices(problem), problem.budget)
+
+
+def _select(share: np.ndarray, col: np.ndarray, cost: np.ndarray,
+            budget: float) -> SelectionResult:
+    feasible = col <= budget + BUDGET_TOL
     if feasible.any():
         jf, jm = _lexmin_pair(feasible, share, col, cost)
-        return SelectionResult(problem.budget, jf, jm, float(share[jf, jm]),
+        return SelectionResult(budget, jf, jm, float(share[jf, jm]),
                                float(col[jf, jm]), float(cost[jf, jm]), True)
     everything = np.ones_like(feasible)
     jf, jm = _lexmin_pair(everything, col, cost)
-    return SelectionResult(problem.budget, jf, jm, float(share[jf, jm]),
+    return SelectionResult(budget, jf, jm, float(share[jf, jm]),
                            float(col[jf, jm]), float(cost[jf, jm]), False)
 
 
 def budget_sweep(problem: SelectionProblem,
                  budgets: Sequence[float]) -> list[SelectionResult]:
-    """One selection per budget; budgets must be sorted ascending."""
+    """One selection per budget; budgets must be sorted ascending.
+
+    The pair matrices do not depend on the budget and are built once.
+    """
     if any(b1 > b2 for b1, b2 in zip(budgets, budgets[1:])):
         raise ValueError("budgets must be sorted ascending")
-    return [
-        select_strategies(dataclasses.replace(problem, budget=float(b)))
-        for b in budgets
-    ]
+    if budgets and budgets[0] < 0:
+        raise ValueError("budget must be non-negative")
+    matrices = _pair_matrices(problem)
+    return [_select(*matrices, float(b)) for b in budgets]
 
 
 def selection_problem_from_histories(

@@ -276,6 +276,37 @@ def colonoscopy_result_row(fit: FitTestCharacteristics,
 # Diagram construction
 # ---------------------------------------------------------------------------
 
+def prevalence_cpts(params: ParameterBundle, psi: PrevalenceVector
+                    ) -> dict[int, dict[tuple[int, ...], tuple[float, ...]]]:
+    """The test-result and examination-result CPTs at prevalence ``psi``.
+
+    They are the only tables of a segment diagram that depend on the
+    prevalence, so a segment re-solved at a new prevalence replaces just
+    these two (see ``StrategyEvaluator.objective_matrix``).
+    """
+    fit_cpt = {}
+    exam_cpt: dict[tuple[int, ...], tuple[float, ...]] = {}
+    na_row = (1.0, 0.0, 0.0, 0.0, 0.0)
+    for li, cutoff in enumerate(params.effective_cutoffs()):
+        fpos = fit_positive_probability(params.fit, cutoff, psi)
+        # Stage 5: test result, given (cutoff, sample).
+        fit_cpt[(li, 0)] = (1.0, 0.0, 0.0)
+        fit_cpt[(li, 1)] = (0.0, fpos, 1.0 - fpos)
+        # Stage 8: examination result, given (cutoff, contact, exam). The
+        # result row is only informative when contact was established and
+        # the chosen examination is a colonoscopy.
+        if fpos > ZERO_TOL:
+            row = colonoscopy_result_row(params.fit, params.colonoscopy,
+                                         cutoff, psi)
+        else:
+            # Unreachable row (a positive test has probability zero); any
+            # valid distribution works, keep the degenerate all-normal one.
+            row = (0.0, 1.0, 0.0, 0.0, 0.0)
+        for s6, s7 in itertools.product(range(2), range(2)):
+            exam_cpt[(li, s6, s7)] = row if (s6, s7) == (1, 1) else na_row
+    return {FIT_RESULT: fit_cpt, EXAM_RESULT: exam_cpt}
+
+
 def build_segment_diagram(segment: Segment, params: ParameterBundle,
                           psi: PrevalenceVector) -> InfluenceDiagram:
     """Influence diagram for one segment at prevalence ``psi``."""
@@ -320,12 +351,8 @@ def build_segment_diagram(segment: Segment, params: ParameterBundle,
         (1, 1): ((1.0 - ret_ok) / 2.0, ret_ok + (1.0 - ret_ok) / 2.0),
     }
 
-    # Stage 5: test result, given (cutoff, sample).
-    fit_cpt = {}
-    for li in range(len(cutoffs)):
-        fpos = fit_positive_probability(params.fit, cutoffs[li], psi)
-        fit_cpt[(li, 0)] = (1.0, 0.0, 0.0)
-        fit_cpt[(li, 1)] = (0.0, fpos, 1.0 - fpos)
+    # Stages 5 and 8: test and examination results.
+    by_prevalence = prevalence_cpts(params, psi)
 
     # Stage 6: nurse contact, given the test result; only possible after a
     # positive result.
@@ -334,22 +361,6 @@ def build_segment_diagram(segment: Segment, params: ParameterBundle,
         (1,): (1.0 - contact, contact),
         (2,): (1.0, 0.0),
     }
-
-    # Stage 8: examination result, given (cutoff, contact, exam). The result
-    # row is only informative when contact was established and the chosen
-    # examination is a colonoscopy.
-    exam_cpt: dict[tuple[int, ...], tuple[float, ...]] = {}
-    na_row = (1.0, 0.0, 0.0, 0.0, 0.0)
-    for li in range(len(cutoffs)):
-        fpos = fit_positive_probability(params.fit, cutoffs[li], psi)
-        if fpos > ZERO_TOL:
-            row = colonoscopy_result_row(params.fit, col, cutoffs[li], psi)
-        else:
-            # Unreachable row (a positive test has probability zero); any
-            # valid distribution works, keep the degenerate all-normal one.
-            row = (0.0, 1.0, 0.0, 0.0, 0.0)
-        for s6, s7 in itertools.product(range(2), range(2)):
-            exam_cpt[(li, s6, s7)] = row if (s6, s7) == (1, 1) else na_row
 
     # Stage 9: polyp found whenever any growth is found.
     polyp_cpt = {
@@ -425,9 +436,9 @@ def build_segment_diagram(segment: Segment, params: ParameterBundle,
         nodes=nodes,
         cpts={
             SAMPLE: sample_cpt,
-            FIT_RESULT: fit_cpt,
+            FIT_RESULT: by_prevalence[FIT_RESULT],
             CONTACT: contact_cpt,
-            EXAM_RESULT: exam_cpt,
+            EXAM_RESULT: by_prevalence[EXAM_RESULT],
             POLYP: polyp_cpt,
             ADVERSE: adverse_cpt,
         },

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from screenopt.pareto import diagram_problem, dominates
 from screenopt.phase1 import (
     BUDGET_TOL,
@@ -86,3 +88,21 @@ def reference_pair_scan(problem) -> SelectionResult:
     _, jf, jm, share, col, cost = chosen
     return SelectionResult(problem.budget, jf, jm, share, col, cost,
                            best is not None)
+
+
+def remove_dominated_loop(histories):
+    """Row-by-row history dominance filter with the documented output order.
+
+    Each history is compared against every other one, kept or not, with the
+    same tolerance rule as the frontier filter.
+    """
+    keys = np.array([h.dominance_key() for h in histories])
+    tol = 1e-9
+    kept = []
+    for i, h in enumerate(histories):
+        le = np.all(keys <= keys[i] + tol, axis=1)
+        lt = np.any(keys < keys[i] - tol, axis=1)
+        if not np.any(le & lt):
+            kept.append(h)
+    kept.sort(key=lambda h: (h.dominance_key(), h.sort_key()))
+    return kept

@@ -31,6 +31,7 @@ from screenopt.diagram import (
 )
 from screenopt.pareto import (
     EnumeratedProblem,
+    box_search_frontier,
     brute_force_frontier,
     compute_frontier,
     diagram_problem,
@@ -148,8 +149,9 @@ def _random_segment_instance(rng):
 
 
 def test_frontier_oracle_equality():
-    """Box search equals the brute-force frontier on 200 instances with up
-    to 1e5 strategies and 2-5 objectives, as vector sets within 1e-9."""
+    """Box search and the production filter equal the brute-force frontier
+    on 200 instances with up to 1e5 strategies and 2-5 objectives, as
+    vector sets within 1e-9."""
     rng = np.random.default_rng(77001)
     start = time.monotonic()
     instances = 0
@@ -173,10 +175,10 @@ def test_frontier_oracle_equality():
 
 
 def _assert_frontier_equal(problem):
-    a = compute_frontier(problem)
     b = brute_force_frontier(problem)
-    assert len(a) == len(b)
-    assert np.allclose(a.vectors(), b.vectors(), atol=1e-9, rtol=0.0)
+    for a in (box_search_frontier(problem), compute_frontier(problem)):
+        assert len(a) == len(b)
+        assert np.allclose(a.vectors(), b.vectors(), atol=1e-9, rtol=0.0)
 
 
 def test_prevalence_update_correctness():

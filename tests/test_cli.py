@@ -105,6 +105,18 @@ class TestSegment:
                      "--params", str(small_params),
                      "--out", str(tmp_path / "x")]) == 1
 
+    def test_cross_check_passes_where_old_box_limit_failed(self, tmp_path):
+        # needs 143 box solves, over the former limit of 130 (ten per
+        # unique vector), which made this valid segment exit 2
+        params = Path(__file__).resolve().parent / "data" / \
+            "box_search_limit.json"
+        out = tmp_path / "out"
+        assert main(["segment", "--sex", "F", "--period", "2", "--fix-exam",
+                     "--params", str(params), "--out", str(out),
+                     "--cross-check"]) == 0
+        _, _, rows = read_csv(out / "frontier_F_2.csv")
+        assert len(rows) == 13
+
     def test_cross_check_failure_exits_three(self, small_params, tmp_path,
                                              monkeypatch):
         class Fake:
@@ -112,6 +124,18 @@ class TestSegment:
                 return np.zeros((0, 5))
 
         monkeypatch.setattr(screenopt.phase1, "brute_force_frontier",
+                            lambda problem: Fake())
+        assert main(["segment", "--sex", "F", "--period", "1",
+                     "--params", str(small_params),
+                     "--out", str(tmp_path / "x"), "--cross-check"]) == 3
+
+    def test_box_search_mismatch_exits_three(self, small_params, tmp_path,
+                                             monkeypatch):
+        class Fake:
+            def vectors(self):
+                return np.zeros((0, 5))
+
+        monkeypatch.setattr(screenopt.phase1, "box_search_frontier",
                             lambda problem: Fake())
         assert main(["segment", "--sex", "F", "--period", "1",
                      "--params", str(small_params),

@@ -1,13 +1,16 @@
-"""Frontier machinery: scalarization, box search, brute-force reference.
+"""Frontier machinery: nondominated filter, box search, brute-force reference.
 
-The central claim is that the box-guided search reproduces the brute-force
-frontier exactly; the rest pins the scalarized norm formula, reference
-bounds, tie-breaking, orientation handling and deduplication.
+The central claims are that the production filter and the box-guided
+search both reproduce the brute-force frontier exactly; the rest pins the
+scalarized norm formula, reference bounds, tie-breaking, orientation
+handling and deduplication.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,18 +21,36 @@ from screenopt.errors import IterationLimitError
 from screenopt.pareto import (
     EnumeratedProblem,
     ScalarizationParams,
+    box_search_frontier,
     brute_force_frontier,
     compute_frontier,
     compute_utopia_nadir,
     diagram_problem,
     dominates,
     mawt_norm,
+    nondominated,
     solve_scalarized,
 )
+from screenopt.phase1 import natural_progression_rollout, segment_problem
+from screenopt.screening import Segment, Sex, load_parameters
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def problem_of(rows, **kwargs):
     return EnumeratedProblem.from_matrix(np.array(rows, dtype=float), **kwargs)
+
+
+def box_limit_problem():
+    """Women, period 2, examination fixed, at the no-screening rollout
+    prevalence, on a six-cut-off document made by ``perfbench/docgen.py``
+    (seed 2, document 3)."""
+    doc = json.loads((DATA / "box_search_limit.json").read_text())
+    doc["options"]["fix_exam_to_colonoscopy"] = True
+    bundle, _ = load_parameters(doc)
+    psi = natural_progression_rollout(bundle.starting_prevalence(Sex.F),
+                                      bundle.transitions["F"], 1)[-1]
+    return segment_problem(bundle, Segment(Sex.F, 2), psi)
 
 
 class TestUtopiaNadir:
@@ -136,6 +157,24 @@ class TestSolveScalarized:
         assert solve_scalarized(p, params).key == (0,)
 
 
+class TestUniqueVectors:
+    def test_matches_numpy_unique_with_smallest_representatives(self):
+        rng = np.random.default_rng(61)
+        for _ in range(30):
+            n = int(rng.integers(1, 200))
+            m = int(rng.integers(1, 5))
+            mat = rng.integers(-2, 3, size=(n, m)).astype(float)
+            mat[mat == 0.0] = rng.choice([0.0, -0.0])
+            p = problem_of(mat)
+            vectors, inverse = np.unique(p.matrix_min, axis=0,
+                                         return_inverse=True)
+            reps = np.full(len(vectors), n)
+            np.minimum.at(reps, inverse.ravel(), np.arange(n))
+            assert np.array_equal(p.unique_vectors(), vectors)
+            assert [p.representative(r) for r in range(len(vectors))] == \
+                reps.tolist()
+
+
 class TestFrontier:
     def test_identical_vectors_collapse(self):
         p = problem_of([[1.0, 2.0]] * 6)
@@ -161,10 +200,10 @@ class TestFrontier:
             else:
                 mat = rng.normal(size=(n, m))
             p = problem_of(mat)
-            a = compute_frontier(p)
             b = brute_force_frontier(p)
-            assert len(a) == len(b)
-            assert np.allclose(a.vectors(), b.vectors(), atol=1e-9)
+            for a in (box_search_frontier(p), compute_frontier(p)):
+                assert len(a) == len(b)
+                assert np.allclose(a.vectors(), b.vectors(), atol=1e-9)
 
     def test_orientation_conversion(self):
         # one maximize column: frontier works on its negation
@@ -179,7 +218,22 @@ class TestFrontier:
         rng = np.random.default_rng(41)
         p = problem_of(rng.normal(size=(50, 3)))
         with pytest.raises(IterationLimitError):
-            compute_frontier(p, iteration_limit=1)
+            box_search_frontier(p, iteration_limit=1)
+        # the production filter has no solve budget to exceed
+        assert np.array_equal(compute_frontier(p).vectors(),
+                              brute_force_frontier(p).vectors())
+
+    def test_default_limit_covers_every_solve(self):
+        # a valid five-objective segment whose 13 unique vectors are all
+        # nondominated needs more solves than the former limit of ten per
+        # unique vector; the default corner-grid bound admits them all
+        problem = box_limit_problem()
+        vectors = problem.unique_vectors()
+        assert nondominated(vectors).all()
+        with pytest.raises(IterationLimitError):
+            box_search_frontier(problem, iteration_limit=10 * len(vectors))
+        assert np.array_equal(box_search_frontier(problem).vectors(),
+                              compute_frontier(problem).vectors())
 
     def test_no_duplicate_objective_vectors(self):
         rng = np.random.default_rng(43)
@@ -204,9 +258,9 @@ class TestFrontier:
         params = ScalarizationParams((1.0, 1e-9), 0.0, (0.5, 1.0), (1.0, 3.0))
         norms = [mawt_norm(tuple(row), params) for row in p.matrix_min]
         assert norms[0] == pytest.approx(norms[1], abs=1e-8)
-        front = compute_frontier(p)
-        assert {pt.minimized for pt in front.points} == \
-            {(1.0, 1.0), (0.5, 3.0)}
+        for front in (box_search_frontier(p), compute_frontier(p)):
+            assert {pt.minimized for pt in front.points} == \
+                {(1.0, 1.0), (0.5, 3.0)}
 
 
 class TestDiagramProblems:
@@ -235,6 +289,20 @@ class TestDiagramProblems:
         assert all(v > 0 for v in point.path_probabilities.values())
         assert math.fsum(point.path_probabilities.values()) == \
             pytest.approx(1.0, abs=1e-9)
+
+    def test_reweighted_problem_walks_its_own_tables(self, small_bundle):
+        from screenopt.screening import (PrevalenceVector, Segment, Sex,
+                                         build_segment_diagram,
+                                         prevalence_cpts)
+        seg = Segment(Sex.F, 1)
+        base = diagram_problem(build_segment_diagram(
+            seg, small_bundle, small_bundle.starting_prevalence(Sex.F)))
+        psi = PrevalenceVector(0.7, 0.2, 0.07, 0.03)
+        reweighted = base.with_cpts(prevalence_cpts(small_bundle, psi))
+        fresh = diagram_problem(build_segment_diagram(seg, small_bundle, psi))
+        point = compute_frontier(reweighted).points[-1]
+        assert reweighted.attach_paths(point).path_probabilities == \
+            fresh.attach_paths(point).path_probabilities
 
     def test_objective_mask_restricts_dominance(self, small_bundle):
         from screenopt.screening import Segment, Sex, build_segment_diagram

@@ -13,8 +13,10 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_params_doc, small_doc
-from oracles import exhaustive_two_period
+import screenopt.pareto
+from conftest import _random_simplex, random_params_doc, small_doc
+from oracles import exhaustive_two_period, remove_dominated_loop
+from screenopt.diagram import StrategyEvaluator
 from screenopt.errors import CapacityError, InfeasibleBudgetError
 from screenopt.phase1 import (
     BUDGET_TOL,
@@ -26,6 +28,7 @@ from screenopt.phase1 import (
     remove_dominated,
     run_phase1,
     segment_frontier,
+    segment_problem,
     update_prevalences,
 )
 from screenopt.screening import (
@@ -36,6 +39,7 @@ from screenopt.screening import (
     build_segment_diagram,
     fixed_decision_rules,
     load_parameters,
+    prevalence_cpts,
 )
 
 WORKED_PSI = PrevalenceVector(normal=0.9, benign=0.06, large=0.03, crc=0.01)
@@ -189,6 +193,26 @@ class TestRemoveDominated:
         kept = remove_dominated([a, b, c, d])
         assert set(kept) == {a, b, d}
 
+    @pytest.mark.parametrize("cells", [1 << 20, 40])
+    def test_equals_row_loop_with_ties_and_near_ties(self, monkeypatch,
+                                                     cells):
+        # a small cell budget forces many blocks per call
+        monkeypatch.setattr(screenopt.pareto, "FILTER_CELLS", cells)
+        rng = np.random.default_rng(151)
+        for _ in range(40):
+            n = int(rng.integers(1, 300))
+            keys = rng.integers(0, 4, size=(n, 4)).astype(float) * 1e-3
+            # near ties straddling the 1e-9 tolerance, and exact duplicates
+            jitter = rng.choice([0.0, 0.0, 5e-10, -5e-10, 1e-9, -1e-9,
+                                 1.5e-9, -1.5e-9], size=keys.shape)
+            keys = keys + jitter
+            dup = rng.integers(0, n, size=n // 4)
+            keys[rng.integers(0, n, size=len(dup))] = keys[dup]
+            histories = [self.hist(tuple(row)) for row in keys]
+            assert remove_dominated(histories) == \
+                remove_dominated_loop(histories)
+        assert remove_dominated([]) == []
+
 
 def tiny_bundle(default_doc, periods=2):
     """Two cut-offs, fixed examination: 8 strategies per segment."""
@@ -311,3 +335,67 @@ class TestRunPhase1:
                 keys = {tuple(round(v, 12) for v in h.dominance_key())
                         for h in got[sex]}
                 assert keys == want[sex]
+
+
+class TestReweightedSegments:
+    """A segment built once and re-weighted per prevalence must give the
+    bits a fresh diagram and evaluator give."""
+
+    @staticmethod
+    def random_case(rng, trial):
+        n_cutoffs = int(rng.integers(2, 5))
+        doc = random_params_doc(rng, periods=2, n_cutoffs=n_cutoffs,
+                                monotone=bool(trial % 2),
+                                fix_exam=trial % 3 == 0)
+        if trial % 4 == 1:
+            doc["options"]["incentive_enabled"] = False
+        if trial % 4 == 2:
+            cutoffs = doc["fit"]["cutoffs"]
+            chosen = rng.choice(len(cutoffs), size=n_cutoffs - 1,
+                                replace=False)
+            doc["options"]["cutoff_set"] = [cutoffs[i] for i in sorted(chosen)]
+        bundle, _ = load_parameters(doc)
+        segment = Segment(Sex.F if rng.random() < 0.5 else Sex.M,
+                          int(rng.integers(1, 3)))
+        return bundle, segment
+
+    def test_objective_matrix_bit_identical_to_fresh_build(self):
+        rng = np.random.default_rng(211)
+        for trial in range(12):
+            bundle, segment = self.random_case(rng, trial)
+            fixed = fixed_decision_rules(bundle)
+            base = segment_problem(
+                bundle, segment, PrevalenceVector(**_random_simplex(rng)))
+            prevalences = [PrevalenceVector(**_random_simplex(rng))
+                           for _ in range(3)]
+            prevalences.append(PrevalenceVector(1.0, 0.0, 0.0, 0.0))
+            for psi in prevalences:
+                fresh = StrategyEvaluator(
+                    build_segment_diagram(segment, bundle, psi)
+                ).objective_matrix(fixed=fixed)
+                reused = base.with_cpts(prevalence_cpts(bundle, psi))
+                assert np.array_equal(reused.reported, fresh)
+                assert np.array_equal(np.signbit(reused.reported),
+                                      np.signbit(fresh))
+
+    def test_reweighted_frontier_equals_fresh_frontier(self):
+        rng = np.random.default_rng(223)
+        for trial in range(6):
+            bundle, segment = self.random_case(rng, trial)
+            base = segment_problem(
+                bundle, segment, PrevalenceVector(**_random_simplex(rng)))
+            psi = PrevalenceVector(**_random_simplex(rng))
+            fresh = segment_frontier(bundle, segment, psi)
+            reused = segment_frontier(bundle, segment, psi, base=base)
+            assert [p.objectives.values for p in reused.points] == \
+                [p.objectives.values for p in fresh.points]
+            assert [p.strategy.key for p in reused.points] == \
+                [p.strategy.key for p in fresh.points]
+
+    def test_prevalence_tables_are_the_diagrams_tables(self):
+        rng = np.random.default_rng(227)
+        bundle, segment = self.random_case(rng, 0)
+        psi = PrevalenceVector(**_random_simplex(rng))
+        diagram = build_segment_diagram(segment, bundle, psi)
+        for node_id, table in prevalence_cpts(bundle, psi).items():
+            assert diagram.cpts[node_id] == table

@@ -129,6 +129,35 @@ class TestBudgetSweep:
         with pytest.raises(ValueError):
             budget_sweep(self.sweep_problem(), [100.0, 50.0])
 
+    def test_sweep_equals_one_selection_per_budget(self, monkeypatch):
+        import screenopt.phase2 as phase2
+        calls = []
+        build = phase2._pair_matrices
+        monkeypatch.setattr(phase2, "_pair_matrices",
+                            lambda problem: calls.append(1) or build(problem))
+        rng = np.random.default_rng(229)
+        for _ in range(20):
+            # coarse values make exact ties in share, colonoscopies and cost
+            def draw():
+                return (float(rng.integers(0, 4)),
+                        float(rng.integers(0, 4)) * 0.01,
+                        float(rng.integers(0, 3)))
+            p = make_problem(
+                female=[draw() for _ in range(int(rng.integers(1, 7)))],
+                male=[draw() for _ in range(int(rng.integers(1, 7)))],
+                budget=0.0)
+            budgets = sorted(float(b) for b in rng.integers(0, 60, size=8))
+            calls.clear()
+            swept = budget_sweep(p, budgets)
+            assert len(calls) == 1
+            assert swept == [
+                reference_pair_scan(dataclasses.replace(p, budget=b))
+                for b in budgets]
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError):
+            budget_sweep(self.sweep_problem(), [-1.0, 5.0])
+
     def test_budget_constraint_satisfied(self):
         rng = np.random.default_rng(223)
         p = make_problem(

@@ -299,14 +299,13 @@ class TestSegmentDiagram:
                 assert expected_values(d, z).values == (0.0,) * 5
 
     def test_no_invite_paths_cost_nothing(self, small_bundle):
-        from screenopt.diagram import StrategyEvaluator
+        from screenopt.diagram import compatible_path_probabilities
         d = build_segment_diagram(Segment(Sex.F, 1), small_bundle,
                                   small_bundle.starting_prevalence(Sex.F))
         z = constant_strategy(d, incentive=1, invite=0)
-        ev = StrategyEvaluator(d)
         cost_spec = d.values[11]
         cost_node = d.by_id[11]
-        for path, prob in ev.compatible_path_probabilities(z).items():
+        for path, prob in compatible_path_probabilities(d, z).items():
             assert prob > 0
             assert cost_spec.table[d.info_state_of(cost_node, path)] == 0.0
 
