@@ -46,21 +46,23 @@ from .phase1 import (
     segment_problem,
     solve_frontier,
 )
-from .phase2 import budget_sweep, selection_problem_from_histories
+from .phase2 import (
+    budget_sweep,
+    dense_pair_sweep,
+    selection_problem_from_histories,
+)
 from .screening import (
     CUTOFF,
     EXAM,
     INCENTIVE,
     INVITE,
+    OBJECTIVE_NAMES,
     ParameterBundle,
     Segment,
     Sex,
     build_segment_diagram,
     load_parameters,
 )
-
-OBJECTIVE_COLUMNS = ("cost", "colonoscopy", "benign_found", "large_found",
-                     "crc_found")
 
 
 def default_params_path() -> Path:
@@ -114,14 +116,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_model_flags(p) -> None:
     p.add_argument("--objective-mask", default=None,
                    help="comma-separated subset of objectives to optimize "
-                        f"(default: all of {','.join(OBJECTIVE_COLUMNS)})")
+                        f"(default: all of {','.join(OBJECTIVE_NAMES)})")
     p.add_argument("--fix-exam", action="store_true",
                    help="pin the examination decision to colonoscopy on contact")
     p.add_argument("--no-incentive", action="store_true",
                    help="disable the incentive decision")
     p.add_argument("--cross-check", action="store_true",
                    help="verify every frontier against the brute-force "
-                        "filter and the box search")
+                        "filter and the box search, and the budget sweep "
+                        "against the dense pair scan")
 
 
 def main(argv=None) -> int:
@@ -180,9 +183,9 @@ def _mask(args) -> list[str] | None:
         return None
     names = [part.strip() for part in raw.split(",") if part.strip()]
     for name in names:
-        if name not in OBJECTIVE_COLUMNS:
+        if name not in OBJECTIVE_NAMES:
             raise ValueError(f"unknown objective {name!r}; choose from "
-                             f"{', '.join(OBJECTIVE_COLUMNS)}")
+                             f"{', '.join(OBJECTIVE_NAMES)}")
     if not names:
         raise ValueError("objective mask selects nothing")
     return names
@@ -257,9 +260,9 @@ def _cmd_segment(args) -> int:
     for point in frontier.points:
         encoding = strategy_encoding(problem.diagram, point.strategy)
         rows.append([encoding] + [point.objectives.by_name(name)
-                                  for name in OBJECTIVE_COLUMNS])
+                                  for name in OBJECTIVE_NAMES])
     out = args.out / f"frontier_{sex.value}_{args.period}.csv"
-    _write_csv(out, digest, ("strategy",) + OBJECTIVE_COLUMNS, rows)
+    _write_csv(out, digest, ("strategy",) + OBJECTIVE_NAMES, rows)
     print(f"wrote {out} ({len(rows)} frontier points)")
     return 0
 
@@ -292,6 +295,9 @@ def _cmd_pipeline(args) -> int:
     problem = selection_problem_from_histories(bundle, histories, keys,
                                                budget=max(budgets))
     results = budget_sweep(problem, budgets)
+    if args.cross_check and results != dense_pair_sweep(problem, budgets):
+        raise OracleMismatchError(
+            "budget sweep differs from the dense pair scan")
 
     args.out.mkdir(parents=True, exist_ok=True)
     _write_manifest(args, bundle, budgets, periods, digest)
@@ -327,7 +333,7 @@ def _write_manifest(args, bundle, budgets, periods, digest) -> None:
         "params": str(args.params) if args.params is not None else "builtin",
         "budgets": budgets,
         "periods": periods,
-        "objective_mask": _mask(args) or list(OBJECTIVE_COLUMNS),
+        "objective_mask": _mask(args) or list(OBJECTIVE_NAMES),
         "fix_exam_to_colonoscopy": bundle.options.fix_exam_to_colonoscopy,
         "incentive_enabled": bundle.options.incentive_enabled,
         "cutoffs": list(bundle.effective_cutoffs()),

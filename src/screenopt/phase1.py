@@ -224,7 +224,7 @@ def solve_frontier(problem, cross_check: bool = False,
                                 ("box-search", box_search_frontier)):
             expected = reference(problem).vectors()
             if got.shape != expected.shape or not np.allclose(
-                    got, expected, atol=1e-9, rtol=0.0):
+                    got, expected, atol=DOMINANCE_TOL, rtol=0.0):
                 raise OracleMismatchError(
                     f"frontier mismatch against the {name} reference "
                     f"{label}".strip())

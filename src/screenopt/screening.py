@@ -238,34 +238,43 @@ def fit_positive_probability(fit: FitTestCharacteristics, cutoff: str,
 
 
 def posterior_given_positive(fit: FitTestCharacteristics, cutoff: str,
-                             psi: PrevalenceVector,
-                             state: BowelState) -> float:
-    """Bayes posterior of a bowel state given a positive test."""
-    denom = fit_positive_probability(fit, cutoff, psi)
-    if denom <= ZERO_TOL:
+                             psi: PrevalenceVector, state: BowelState,
+                             fpos: float | None = None) -> float:
+    """Bayes posterior of a bowel state given a positive test.
+
+    ``fpos`` is ``fit_positive_probability(fit, cutoff, psi)`` when the
+    caller has it already.
+    """
+    if fpos is None:
+        fpos = fit_positive_probability(fit, cutoff, psi)
+    if fpos <= ZERO_TOL:
         raise ZeroDivisionError(
             f"positive-test probability is zero at cut-off {cutoff!r}")
     if state is BowelState.NORMAL:
         numer = (1.0 - fit.specificity_for(cutoff)) * psi.normal
     else:
         numer = fit.sensitivity_for(cutoff, state) * psi.of(state)
-    return numer / denom
+    return numer / fpos
 
 
 def colonoscopy_result_row(fit: FitTestCharacteristics,
                            col: ColonoscopyCharacteristics,
                            cutoff: str,
-                           psi: PrevalenceVector) -> tuple[float, ...]:
+                           psi: PrevalenceVector,
+                           fpos: float | None = None) -> tuple[float, ...]:
     """Distribution over {NA, normal, benign, large, crc} examination results.
 
     Abnormal entries are posterior mass thinned by examination sensitivity;
     the normal entry absorbs the remaining mass (missed findings are reported
     as normal, since examination specificity is perfect). The NA entry is
-    zero: the row describes an examination that takes place.
+    zero: the row describes an examination that takes place. ``fpos`` is
+    the positive-test probability, computed here when not given.
     """
+    if fpos is None:
+        fpos = fit_positive_probability(fit, cutoff, psi)
     found = [
         col.sensitivity_for(state)
-        * posterior_given_positive(fit, cutoff, psi, state)
+        * posterior_given_positive(fit, cutoff, psi, state, fpos)
         for state in ABNORMAL
     ]
     normal = 1.0 - math.fsum(found)
@@ -297,7 +306,7 @@ def prevalence_cpts(params: ParameterBundle, psi: PrevalenceVector
         # the chosen examination is a colonoscopy.
         if fpos > ZERO_TOL:
             row = colonoscopy_result_row(params.fit, params.colonoscopy,
-                                         cutoff, psi)
+                                         cutoff, psi, fpos)
         else:
             # Unreachable row (a positive test has probability zero); any
             # valid distribution works, keep the degenerate all-normal one.

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import screenopt.cli
 import screenopt.phase1
 from conftest import small_doc
 from screenopt.cli import main
@@ -232,6 +234,26 @@ class TestPipeline:
                     assert abs(total - 1.0) <= 1e-9
             keys = [r[header.index("key")] for r in rows]
             assert len(set(keys)) == len(keys)
+
+    def test_cross_check_passes(self, small_params, tmp_path):
+        assert main(["pipeline", "--budgets", "500,1500,4000",
+                     "--params", str(small_params),
+                     "--out", str(tmp_path / "x"), "--cross-check"]) == 0
+
+    def test_sweep_mismatch_exits_three(self, small_params, tmp_path,
+                                        monkeypatch):
+        sweep = screenopt.cli.budget_sweep
+
+        def wrong(problem, budgets):
+            results = sweep(problem, budgets)
+            return [dataclasses.replace(results[0],
+                                        total_cost=results[0].total_cost + 1)
+                    ] + results[1:]
+
+        monkeypatch.setattr(screenopt.cli, "budget_sweep", wrong)
+        assert main(["pipeline", "--budgets", "500,1500,4000",
+                     "--params", str(small_params),
+                     "--out", str(tmp_path / "x"), "--cross-check"]) == 3
 
     def test_objective_mask_flag(self, small_params, tmp_path):
         out = tmp_path / "masked"

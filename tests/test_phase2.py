@@ -1,4 +1,4 @@
-"""Final selection: exact pair scan under the examination budget."""
+"""Final selection under the examination budget, against the pair scans."""
 
 from __future__ import annotations
 
@@ -6,12 +6,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import reference_pair_scan
+from screenopt.phase1 import BUDGET_TOL
 from screenopt.phase2 import (
     SelectionProblem,
     StrategyCandidate,
     budget_sweep,
+    dense_pair_sweep,
     select_strategies,
 )
 
@@ -170,6 +174,86 @@ class TestBudgetSweep:
             res = select_strategies(dataclasses.replace(p, budget=budget))
             if res.feasible:
                 assert res.total_colonoscopies <= budget + 1e-9
+
+
+# Coarse grids, so that pairs tie exactly in share, colonoscopies and cost.
+GRID_CANDIDATE = st.tuples(st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+                           st.sampled_from([0.0, 0.01, 0.02, 0.05]),
+                           st.sampled_from([0.0, 1.0, 2.0]))
+
+
+@st.composite
+def grid_candidates(draw):
+    drawn = draw(st.lists(GRID_CANDIDATE, min_size=1, max_size=7))
+    copies = draw(st.lists(st.sampled_from(drawn), max_size=3))
+    return draw(st.permutations(drawn + copies))
+
+
+def assert_share_never_rises(results):
+    feasible = [r.feasible for r in results]
+    assert feasible == sorted(feasible)
+    shares = [r.cancer_share for r in results if r.feasible]
+    assert all(a >= b for a, b in zip(shares, shares[1:]))
+
+
+class TestExactSweep:
+    @settings(max_examples=300, deadline=None)
+    @given(female=grid_candidates(), male=grid_candidates(),
+           populations=st.sampled_from([(1000.0, 800.0), (700.0, 1300.0)]),
+           budgets=st.lists(st.integers(0, 130), max_size=10),
+           at_pair=st.lists(st.integers(0, 10**6), max_size=4))
+    def test_equals_reference_pair_scan(self, female, male, populations,
+                                        budgets, at_pair):
+        nf, nm = populations
+        p = make_problem(female, male, budget=0.0, nf=nf, nm=nm)
+        # budgets exactly at some pairs' colonoscopy totals
+        totals = [nf * f[1] + nm * m[1] for f in female for m in male]
+        budgets = sorted([float(b) for b in budgets]
+                         + [totals[k % len(totals)] for k in at_pair])
+        swept = budget_sweep(p, budgets)
+        assert swept == [
+            reference_pair_scan(dataclasses.replace(p, budget=b))
+            for b in budgets]
+        assert_share_never_rises(swept)
+
+    def test_rounding_tie_goes_to_lower_index(self):
+        # 1.0 + 1e-17 rounds to 1.0: the pairs tie in every total although
+        # the later candidate has fewer cancers.
+        tied = [(1e-17, 0.01), (0.0, 0.01)]
+        for female, male in (([(1.0, 0.01)], tied), (tied, [(1.0, 0.01)])):
+            p = make_problem(female, male, budget=100.0)
+            got = select_strategies(p)
+            assert got == reference_pair_scan(p)
+            assert (got.female_index, got.male_index) == (0, 0)
+
+    def test_shipped_curve_equals_dense_scan(self, default_bundle):
+        from screenopt.phase1 import history_key, run_phase1
+        from screenopt.phase2 import selection_problem_from_histories
+
+        budgets = [4000.0 + 16000.0 * i / 999 for i in range(1000)]
+        histories = run_phase1(default_bundle, budget=max(budgets),
+                               periods=4)
+        keys = {sex: [history_key(h, default_bundle.effective_cutoffs())
+                      for h in hs] for sex, hs in histories.items()}
+        p = selection_problem_from_histories(default_bundle, histories, keys,
+                                             max(budgets))
+        swept = budget_sweep(p, budgets)
+        assert_share_never_rises(swept)
+
+        # Each selected pair's exact threshold: the smallest budget that
+        # admits it, and the float just below, which does not.
+        edges = []
+        for col in {r.total_colonoscopies for r in swept}:
+            budget = col - BUDGET_TOL
+            while budget + BUDGET_TOL < col:
+                budget = np.nextafter(budget, np.inf)
+            while np.nextafter(budget, -np.inf) + BUDGET_TOL >= col:
+                budget = np.nextafter(budget, -np.inf)
+            edges += [float(budget), float(np.nextafter(budget, -np.inf))]
+        budgets = sorted(budgets + edges)
+        swept = budget_sweep(p, budgets)
+        assert swept == dense_pair_sweep(p, budgets)
+        assert_share_never_rises(swept)
 
 
 class TestEndToEnd:
