@@ -41,7 +41,6 @@ from .pareto import (  # noqa: F401
     box_search_frontier,
     brute_force_frontier,
     compute_frontier,
-    compute_utopia_nadir,
     diagram_problem,
     mawt_norm,
     solve_scalarized,

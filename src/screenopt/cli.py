@@ -24,10 +24,10 @@ import json
 import sys
 from importlib import resources
 from pathlib import Path
+from typing import Any
 
 from . import __version__
 from .diagram import strategy_encoding, validate_diagram
-from .diagram_io import dumps_canonical
 from .errors import (
     CapacityError,
     InfeasibleBudgetError,
@@ -206,6 +206,43 @@ def _write_csv(path: Path, digest: str, columns, rows) -> None:
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def dumps_canonical(obj: Any) -> str:
+    """Serialize with sorted keys and 17-significant-digit floats."""
+    pieces: list[str] = []
+    _emit(obj, pieces)
+    pieces.append("\n")
+    return "".join(pieces)
+
+
+def _emit(obj: Any, out: list[str]) -> None:
+    if isinstance(obj, dict):
+        out.append("{")
+        for i, key in enumerate(sorted(obj)):
+            if i:
+                out.append(",")
+            out.append(json.dumps(str(key)))
+            out.append(":")
+            _emit(obj[key], out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                out.append(",")
+            _emit(item, out)
+        out.append("]")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, float):
+        out.append(format(obj, ".17g"))
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif obj is None:
+        out.append("null")
+    else:
+        out.append(json.dumps(str(obj)))
 
 
 def _rollout_prevalence(bundle: ParameterBundle, sex: Sex, period: int):

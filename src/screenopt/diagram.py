@@ -29,8 +29,19 @@ from .errors import CapacityError, StructuralError
 PATH_CEILING = 10**8
 STRATEGY_CEILING = 10**7
 
-ROW_SUM_TOL = 1e-9
+# Every numerical tolerance of the package, each defined once here.
+#: A probability vector (CPT row, prevalence simplex) sums to 1 within this.
+SUM_TOL = 1e-9
+#: A probability within this of 0 or 1 counts as 0 or 1.
 ZERO_TOL = 1e-12
+#: Objective values closer than this tie; dominance needs a larger gap.
+DOMINANCE_TOL = 1e-9
+#: Smallest box width the box search's scalarization weights divide by.
+WEIGHT_GUARD = 1e-12
+#: A detected fraction may exceed its prevalence (or undercut 0) by this.
+DETECTION_TOL = 1e-9
+#: Colonoscopies a history or pair may run over its budget and still fit.
+BUDGET_TOL = 1e-9
 
 #: One state ordinal per chance/decision node, in diagram node order.
 Path = tuple[int, ...]
@@ -137,11 +148,6 @@ class InfluenceDiagram:
             total *= len(n.states) ** info_count
         return total
 
-    def state_labels(self, path: Path) -> tuple[str, ...]:
-        return tuple(
-            n.states[s] for n, s in zip(self.path_nodes, path)
-        )
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -229,7 +235,7 @@ def validate_diagram(diagram: InfluenceDiagram) -> list[Violation]:
                 out.append(Violation(node.node_id, labels, "cpt-prob-range",
                                      "probability outside [0, 1]"))
             total = math.fsum(probs)
-            if abs(total - 1.0) > ROW_SUM_TOL:
+            if abs(total - 1.0) > SUM_TOL:
                 out.append(Violation(node.node_id, labels, "cpt-row-sum",
                                      f"row sums to {total!r}"))
 
@@ -688,50 +694,3 @@ class StrategyEvaluator:
             info.append(index % s)
             index //= s
         return tuple(reversed(info))
-
-    def evaluate(self, strategy: GlobalStrategy) -> np.ndarray:
-        """Expected values of a single strategy via the condensed table."""
-        d = self.diagram
-        total = np.zeros(self._n_values)
-        info_ranges = [range(m) for m in self._info_counts]
-        for combo in itertools.product(*info_ranges):
-            sig = 0
-            for j, node in enumerate(d.decision_nodes):
-                m, k = self._strides[j]
-                i = combo[j]
-                act = strategy.rules[node.node_id].rule[self._info_by_index(node, i)]
-                sig = sig * (m * k) + i * k + act
-            hit = np.searchsorted(self._sig_values, sig)
-            if hit < len(self._sig_values) and self._sig_values[hit] == sig:
-                total += self._condensed[hit]
-        return total
-
-
-def compatible_path_probabilities(diagram: InfluenceDiagram,
-                                  strategy: GlobalStrategy) -> dict[Path, float]:
-    """Sparse map of strategy-compatible paths to positive probabilities."""
-    d = diagram
-    result: dict[Path, float] = {}
-    nodes = d.path_nodes
-    pos = d.path_position
-
-    def walk(depth: int, prefix: list[int], prob: float) -> None:
-        if prob == 0.0:
-            return
-        if depth == len(nodes):
-            result[tuple(prefix)] = prob
-            return
-        node = nodes[depth]
-        info = tuple(prefix[pos[p]] for p in node.predecessors)
-        if node.kind is NodeKind.DECISION:
-            prefix.append(strategy.action(node.node_id, info))
-            walk(depth + 1, prefix, prob)
-            prefix.pop()
-        else:
-            for state, p in enumerate(d.cpts[node.node_id][info]):
-                prefix.append(state)
-                walk(depth + 1, prefix, prob * p)
-                prefix.pop()
-
-    walk(0, [], 1.0)
-    return result

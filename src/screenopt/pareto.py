@@ -26,18 +26,16 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .diagram import (
+    DOMINANCE_TOL,
+    WEIGHT_GUARD,
     GlobalStrategy,
     InfluenceDiagram,
     LocalStrategy,
     ObjectiveVector,
-    Path,
     StrategyEvaluator,
-    compatible_path_probabilities,
 )
 from .errors import IterationLimitError
 
-DOMINANCE_TOL = 1e-9
-WEIGHT_GUARD = 1e-12
 EPSILON_SCALE = 1e-4
 # Booleans one (rows x candidates) mask of ``nondominated`` may hold; this
 # bounds the filter's memory whatever the number of rows.
@@ -84,15 +82,11 @@ class FrontierPoint:
     ``minimized`` holds the active objectives in minimization orientation
     (the coordinates dominance is defined on); ``objectives`` carries every
     objective as computed, with orientation tags for mapping back and forth.
-    ``path_probabilities`` is the sparse positive part of the path
-    distribution under the strategy, attached on request.
     """
 
     strategy: GlobalStrategy | str
     minimized: tuple[float, ...]
     objectives: ObjectiveVector
-    key: tuple
-    path_probabilities: Mapping[Path, float] | None = None
 
 
 @dataclass(eq=False)
@@ -100,8 +94,6 @@ class ParetoFrontier:
     """Pairwise-nondominated points, deduplicated and deterministically sorted."""
 
     points: list[FrontierPoint]
-    utopia: tuple[float, ...]
-    nadir: tuple[float, ...]
 
     def vectors(self) -> np.ndarray:
         return np.array([p.minimized for p in self.points]).reshape(
@@ -111,20 +103,13 @@ class ParetoFrontier:
         return len(self.points)
 
 
-def dominates(a: Sequence[float], b: Sequence[float],
-              tol: float = DOMINANCE_TOL) -> bool:
-    """Weak dominance of ``a`` over ``b`` with strict improvement somewhere."""
-    return all(x <= y + tol for x, y in zip(a, b)) and any(
-        x < y - tol for x, y in zip(a, b))
-
-
 class EnumeratedProblem:
     """A finite multi-objective problem: every candidate fully evaluated.
 
     ``reported`` holds raw objective values (one row per candidate, original
     orientation); the active columns, converted to minimization orientation,
-    drive dominance and scalarization. Candidate keys are canonical integer
-    encodings whose lexicographic order breaks every tie deterministically.
+    drive dominance and scalarization. Every tie between candidates breaks
+    toward the smaller candidate index.
     """
 
     def __init__(
@@ -133,12 +118,11 @@ class EnumeratedProblem:
         orientations: Sequence[str],
         names: Sequence[str],
         active: Sequence[int] | None = None,
-        keys: Sequence[tuple] | None = None,
     ):
         self.reported = np.asarray(reported, dtype=float)
         if self.reported.ndim != 2:
             raise ValueError("reported matrix must be two-dimensional")
-        n, width = self.reported.shape
+        width = self.reported.shape[1]
         if len(orientations) != width or len(names) != width:
             raise ValueError("orientation/name width mismatch")
         self.orientations = tuple(orientations)
@@ -149,10 +133,6 @@ class EnumeratedProblem:
         signs = np.array([-1.0 if self.orientations[i] == "maximize" else 1.0
                           for i in self.active])
         self.matrix_min = self.reported[:, self.active] * signs
-        self.keys = tuple(keys) if keys is not None else tuple(
-            (i,) for i in range(n))
-        if len(self.keys) != n:
-            raise ValueError("one key per candidate required")
 
     @classmethod
     def from_matrix(cls, matrix, orientations=None,
@@ -167,15 +147,10 @@ class EnumeratedProblem:
     def n_candidates(self) -> int:
         return self.reported.shape[0]
 
-    @property
-    def n_objectives(self) -> int:
-        return len(self.active)
-
     @cached_property
     def _unique(self) -> tuple[np.ndarray, np.ndarray]:
         """(unique active-min vectors in lexicographic order, representative
-        candidate index per vector -- the smallest, i.e. key-lexicographic
-        minimum)."""
+        candidate index per vector -- the smallest)."""
         # A stable lexicographic sort puts each vector's smallest candidate
         # index first among its equals.
         order = np.lexsort(self.matrix_min.T[::-1])
@@ -203,12 +178,7 @@ class EnumeratedProblem:
                 orientations=self.orientations,
                 names=self.names,
             ),
-            key=self.keys[candidate],
         )
-
-    def attach_paths(self, point: FrontierPoint) -> FrontierPoint:
-        """Default problems carry no diagram, so nothing to attach."""
-        return point
 
 
 class DiagramProblem(EnumeratedProblem):
@@ -221,7 +191,7 @@ class DiagramProblem(EnumeratedProblem):
         self.diagram = diagram
         self.fixed = dict(fixed or {})
         self.evaluator = evaluator or StrategyEvaluator(diagram)
-        self._slots = self._slot_sizes(diagram)
+        self._slots = self.evaluator._slot_layout(set(self.fixed))[0]
         self._strategies: dict[int, GlobalStrategy] = {}
         reported = self.evaluator.objective_matrix(fixed=self.fixed)
         names = tuple(n.name for n in diagram.value_nodes)
@@ -237,19 +207,16 @@ class DiagramProblem(EnumeratedProblem):
                            if n in set(objective_mask))
             if not active:
                 raise ValueError("objective mask selects nothing")
-        keys = tuple(_index_digits(i, self._slots)
-                     for i in range(reported.shape[0]))
-        super().__init__(reported, orientations, names, active=active,
-                         keys=keys)
+        super().__init__(reported, orientations, names, active=active)
 
     def with_cpts(self, cpts: Mapping[int, Mapping[tuple[int, ...],
                                                    tuple[float, ...]]]
                   ) -> "DiagramProblem":
         """The same problem with the tables of some chance nodes replaced.
 
-        Only the objective values are recomputed. The evaluator's layout,
-        the candidate keys and the strategy objects do not depend on the
-        tables and are shared with this problem.
+        Only the objective values are recomputed. The evaluator's layout
+        and the strategy objects do not depend on the tables and are shared
+        with this problem.
         """
         problem = DiagramProblem.__new__(DiagramProblem)
         problem.diagram = dataclasses.replace(
@@ -261,18 +228,8 @@ class DiagramProblem(EnumeratedProblem):
         reported = self.evaluator.objective_matrix(fixed=self.fixed, cpts=cpts)
         EnumeratedProblem.__init__(
             problem, reported, self.orientations, self.names,
-            active=self.active, keys=self.keys)
+            active=self.active)
         return problem
-
-    def _slot_sizes(self, diagram: InfluenceDiagram) -> list[int]:
-        sizes = []
-        for node in diagram.decision_nodes:
-            if node.node_id in self.fixed:
-                continue
-            info_count = math.prod(
-                len(diagram.by_id[p].states) for p in node.predecessors)
-            sizes.extend([len(node.states)] * info_count)
-        return sizes
 
     def strategy(self, index: int) -> GlobalStrategy:
         if index in self._strategies:
@@ -291,10 +248,6 @@ class DiagramProblem(EnumeratedProblem):
             rules[node.node_id] = LocalStrategy(node.node_id, rule)
         strategy = self._strategies[index] = GlobalStrategy(rules)
         return strategy
-
-    def attach_paths(self, point: FrontierPoint) -> FrontierPoint:
-        paths = compatible_path_probabilities(self.diagram, point.strategy)
-        return dataclasses.replace(point, path_probabilities=paths)
 
 
 def _index_digits(index: int, sizes: Sequence[int]) -> tuple[int, ...]:
@@ -317,15 +270,6 @@ def diagram_problem(diagram: InfluenceDiagram,
 # Frontier computation
 # ---------------------------------------------------------------------------
 
-def compute_utopia_nadir(problem: EnumeratedProblem) -> tuple[tuple[float, ...],
-                                                              tuple[float, ...]]:
-    """Ideal and worst-over-nondominated bounds, minimization orientation."""
-    utopia = tuple(problem.matrix_min.min(axis=0))
-    frontier = brute_force_frontier(problem)
-    nadir = tuple(frontier.vectors().max(axis=0))
-    return utopia, nadir
-
-
 def solve_scalarized(problem: EnumeratedProblem,
                      params: ScalarizationParams) -> FrontierPoint:
     """Candidate minimizing the scalarized norm over the whole space."""
@@ -340,7 +284,7 @@ def _argmin_norm(problem, vectors, rows, params) -> int:
     devs = np.abs(vectors[rows] - u) * w
     norms = devs.max(axis=1) + params.epsilon * devs.sum(axis=1)
     tied = np.flatnonzero(norms == norms.min())
-    best = min(tied, key=lambda i: problem.keys[problem.representative(rows[i])])
+    best = min(tied, key=lambda i: problem.representative(rows[i]))
     return int(rows[best])
 
 
@@ -464,29 +408,23 @@ def box_search_frontier(problem: EnumeratedProblem,
 
     # epsilon > 0 already guarantees nondominated solves; the filter is a
     # safety net for degenerate corner cases.
-    rows = sorted(found)
-    rows = [r for r in rows
-            if not any(dominates(vectors[q], vectors[r], tol)
-                       for q in rows if q != r)]
-    return _assemble(problem, rows, tol)
+    rows = np.array(sorted(found), dtype=np.intp)
+    return _assemble(problem, rows[nondominated(vectors[rows], tol)], tol)
 
 
 def _assemble(problem: EnumeratedProblem, rows: Sequence[int],
               tol: float) -> ParetoFrontier:
-    """Build the frontier: near-duplicate vectors merged, points sorted."""
+    """Build the frontier: points in vector order, each dropped when it is
+    within ``tol`` in every coordinate of a point kept before it.
+
+    The unique vectors are in lexicographic order, so row order is vector
+    order.
+    """
     vectors = problem.unique_vectors()
-    ordered = sorted(rows, key=lambda r: (tuple(vectors[r]),
-                                          problem.keys[problem.representative(r)]))
-    kept_rows: list[int] = []
-    for r in ordered:
-        if kept_rows and np.max(np.abs(vectors[r] - vectors[kept_rows[-1]])) <= tol:
-            continue
-        kept_rows.append(r)
-    points = [problem.point(problem.representative(r)) for r in kept_rows]
-    utopia = tuple(problem.matrix_min.min(axis=0))
-    if points:
-        stacked = np.array([p.minimized for p in points])
-        nadir = tuple(stacked.max(axis=0))
-    else:
-        nadir = utopia
-    return ParetoFrontier(points=points, utopia=utopia, nadir=nadir)
+    kept: list[int] = []
+    for r in sorted(rows):
+        near = np.abs(vectors[kept] - vectors[r]) <= tol
+        if not near.all(axis=1).any():
+            kept.append(r)
+    return ParetoFrontier(
+        points=[problem.point(problem.representative(r)) for r in kept])

@@ -20,10 +20,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .diagram import GlobalStrategy, ObjectiveVector
+from .diagram import (
+    BUDGET_TOL,
+    DETECTION_TOL,
+    DOMINANCE_TOL,
+    GlobalStrategy,
+    ObjectiveVector,
+)
 from .errors import CapacityError, InfeasibleBudgetError, OracleMismatchError
 from .pareto import (
-    DOMINANCE_TOL,
     DiagramProblem,
     FrontierPoint,
     ParetoFrontier,
@@ -48,8 +53,6 @@ from .screening import (
     prevalence_cpts,
 )
 
-DETECTION_TOL = 1e-9
-BUDGET_TOL = 1e-9
 HISTORY_CAP = 10**6
 
 

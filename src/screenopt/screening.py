@@ -25,6 +25,8 @@ from enum import Enum
 from typing import Any, Mapping
 
 from .diagram import (
+    SUM_TOL,
+    ZERO_TOL,
     InfluenceDiagram,
     LocalStrategy,
     Node,
@@ -32,9 +34,6 @@ from .diagram import (
     ValueSpec,
 )
 from .errors import ParameterError
-
-SIMPLEX_TOL = 1e-9
-ZERO_TOL = 1e-12
 
 # Stage ids of the screening diagram, in declaration order.
 CUTOFF, INCENTIVE, INVITE = 1, 2, 3
@@ -85,7 +84,7 @@ class PrevalenceVector:
 
     def __post_init__(self):
         total = self.normal + self.benign + self.large + self.crc
-        if abs(total - 1.0) > SIMPLEX_TOL:
+        if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"prevalences sum to {total!r}, not 1")
         if min(self.normal, self.benign, self.large, self.crc) < -ZERO_TOL:
             raise ValueError("negative prevalence entry")
@@ -580,7 +579,7 @@ def _load_fit(section: Any, report: LoadReport) -> FitTestCharacteristics:
             for c in cutoffs
         }
         values = [sensitivity[state][c] for c in cutoffs]
-        if any(a < b - 1e-12 for a, b in zip(values, values[1:])):
+        if any(a < b - ZERO_TOL for a, b in zip(values, values[1:])):
             report.warnings.append(
                 f"fit.sensitivity.{state}: not weakly decreasing along "
                 f"declared cut-off order")
@@ -707,7 +706,7 @@ def _load_prevalence0(section: Any) -> dict[str, PrevalenceVector]:
             for s in _STATE_KEYS
         }
         total = math.fsum(entries.values())
-        if abs(total - 1.0) > SIMPLEX_TOL:
+        if abs(total - 1.0) > SUM_TOL:
             raise ParameterError(path, f"prevalences sum to {total!r}, not 1")
         out[sex] = PrevalenceVector(**entries)
     return out

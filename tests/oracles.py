@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from screenopt.pareto import diagram_problem, dominates
+from screenopt.diagram import NodeKind
+from screenopt.pareto import diagram_problem
 from screenopt.phase1 import (
     BUDGET_TOL,
     colonoscopies_of,
@@ -15,6 +16,40 @@ from screenopt.phase1 import (
 from screenopt.phase2 import SelectionResult
 from screenopt.screening import Segment, Sex, build_segment_diagram, \
     fixed_decision_rules
+
+
+def dominates(a, b, tol=1e-9):
+    """Weak dominance of ``a`` over ``b`` with strict improvement somewhere."""
+    return all(x <= y + tol for x, y in zip(a, b)) and any(
+        x < y - tol for x, y in zip(a, b))
+
+
+def compatible_path_probabilities(diagram, strategy):
+    """Sparse map of strategy-compatible paths to positive probabilities."""
+    result = {}
+    nodes = diagram.path_nodes
+    pos = diagram.path_position
+
+    def walk(depth, prefix, prob):
+        if prob == 0.0:
+            return
+        if depth == len(nodes):
+            result[tuple(prefix)] = prob
+            return
+        node = nodes[depth]
+        info = tuple(prefix[pos[p]] for p in node.predecessors)
+        if node.kind is NodeKind.DECISION:
+            prefix.append(strategy.action(node.node_id, info))
+            walk(depth + 1, prefix, prob)
+            prefix.pop()
+        else:
+            for state, p in enumerate(diagram.cpts[node.node_id][info]):
+                prefix.append(state)
+                walk(depth + 1, prefix, prob * p)
+                prefix.pop()
+
+    walk(0, [], 1.0)
+    return result
 
 
 def all_two_period_outcomes(bundle, sex, objective_mask=None):

@@ -12,8 +12,15 @@ import pytest
 import screenopt.cli
 import screenopt.phase1
 from conftest import small_doc
-from screenopt.cli import main
+from screenopt.cli import dumps_canonical, main
 from screenopt.phase2 import BUDGET_TOL
+from screenopt.screening import (
+    EXAM_RESULT,
+    FIT_RESULT,
+    Sex,
+    load_parameters,
+    prevalence_cpts,
+)
 
 
 @pytest.fixture()
@@ -287,6 +294,38 @@ class TestPipeline:
         assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
 
 
+class TestZeroPositiveProbability:
+    """Specificity 1 at one cut-off, with the women's start prevalence at
+    the normal vertex: a positive test at that cut-off has probability
+    zero."""
+
+    @pytest.fixture()
+    def params(self, tmp_path, default_doc):
+        doc = small_doc(default_doc)
+        doc["fit"]["specificity"]["50"] = 1.0
+        doc["prevalence0"]["F"] = {"normal": 1.0, "benign": 0.0,
+                                   "large": 0.0, "crc": 0.0}
+        path = tmp_path / "degenerate.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_examination_row_is_all_normal(self, params):
+        bundle, _ = load_parameters(json.loads(params.read_text()))
+        cpts = prevalence_cpts(bundle, bundle.starting_prevalence(Sex.F))
+        li = bundle.effective_cutoffs().index("50")
+        assert cpts[FIT_RESULT][(li, 1)] == (0.0, 0.0, 1.0)
+        assert cpts[EXAM_RESULT][(li, 1, 1)] == (0.0, 1.0, 0.0, 0.0, 0.0)
+
+    def test_commands_exit_zero(self, params, tmp_path):
+        assert main(["validate", "--params", str(params)]) == 0
+        assert main(["segment", "--sex", "F", "--period", "1",
+                     "--params", str(params), "--out", str(tmp_path / "s"),
+                     "--cross-check"]) == 0
+        assert main(["pipeline", "--budgets", "500,1500,4000",
+                     "--params", str(params), "--out", str(tmp_path / "p"),
+                     "--cross-check"]) == 0
+
+
 class TestBaseline:
     def test_baseline_csv(self, small_params, tmp_path):
         out = tmp_path / "base"
@@ -300,3 +339,20 @@ class TestBaseline:
             by_sex.setdefault(r[0], []).append(float(r[crc_i]))
         for series in by_sex.values():
             assert all(a <= b + 1e-15 for a, b in zip(series, series[1:]))
+
+
+def test_canonical_dump_parses_as_json():
+    blob = {"b": [1.0, 0.5, 1e-9], "a": {"nested": True, "x": None},
+            "label": "text"}
+    text = dumps_canonical(blob)
+    parsed = json.loads(text)
+    assert parsed["b"] == [1.0, 0.5, 1e-9]
+    assert parsed["a"]["nested"] is True
+    # keys are sorted in the output
+    assert text.index('"a"') < text.index('"b"') < text.index('"label"')
+
+
+def test_seventeen_digit_floats_roundtrip():
+    values = [0.1, 1 / 3, 123456.789, 1e-300, 7.25]
+    text = dumps_canonical(values)
+    assert json.loads(text) == values

@@ -239,8 +239,15 @@ class TestExpectedValues:
                         brute[i] += pi * d.values[vn.node_id].table[info]
             assert np.allclose(got.values, brute, atol=1e-12)
 
-            ev = StrategyEvaluator(d)
-            assert np.allclose(got.values, ev.evaluate(z), atol=1e-12)
+            # The strategy's row: its actions are the mixed-radix digits of
+            # its enumeration index, slot 0 most significant.
+            index = 0
+            for node in d.decision_nodes:
+                for info in d.info_states(node):
+                    index = (index * len(node.states)
+                             + z.action(node.node_id, info))
+            row = StrategyEvaluator(d).objective_matrix()[index]
+            assert np.allclose(got.values, row, atol=1e-12)
 
     def test_linear_in_utility_scaling(self):
         d = chain_diagram()

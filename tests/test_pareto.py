@@ -2,8 +2,8 @@
 
 The central claims are that the production filter and the box-guided
 search both reproduce the brute-force frontier exactly; the rest pins the
-scalarized norm formula, reference bounds, tie-breaking, orientation
-handling and deduplication.
+scalarized norm formula, tie-breaking, orientation handling and
+deduplication.
 """
 
 from __future__ import annotations
@@ -16,7 +16,12 @@ import numpy as np
 import pytest
 
 from conftest import random_diagram
-from screenopt.diagram import expected_values
+from oracles import compatible_path_probabilities, dominates
+from screenopt.diagram import (
+    LocalStrategy,
+    enumerate_strategies,
+    expected_values,
+)
 from screenopt.errors import IterationLimitError
 from screenopt.pareto import (
     EnumeratedProblem,
@@ -24,9 +29,7 @@ from screenopt.pareto import (
     box_search_frontier,
     brute_force_frontier,
     compute_frontier,
-    compute_utopia_nadir,
     diagram_problem,
-    dominates,
     mawt_norm,
     nondominated,
     solve_scalarized,
@@ -51,29 +54,6 @@ def box_limit_problem():
     psi = natural_progression_rollout(bundle.starting_prevalence(Sex.F),
                                       bundle.transitions["F"], 1)[-1]
     return segment_problem(bundle, Segment(Sex.F, 2), psi)
-
-
-class TestUtopiaNadir:
-    def test_single_candidate(self):
-        p = problem_of([[2.0, 7.0]])
-        utopia, nadir = compute_utopia_nadir(p)
-        assert utopia == (2.0, 7.0)
-        assert nadir == (2.0, 7.0)
-
-    def test_two_opposed_candidates(self):
-        p = problem_of([[0.0, 1.0], [1.0, 0.0]])
-        utopia, nadir = compute_utopia_nadir(p)
-        assert utopia == (0.0, 0.0)
-        assert nadir == (1.0, 1.0)
-
-    def test_random_instance_matches_scans(self):
-        rng = np.random.default_rng(3)
-        mat = rng.normal(size=(20, 3))
-        p = problem_of(mat)
-        utopia, nadir = compute_utopia_nadir(p)
-        assert utopia == pytest.approx(tuple(mat.min(axis=0)))
-        front = brute_force_frontier(p).vectors()
-        assert nadir == pytest.approx(tuple(front.max(axis=0)))
 
 
 class TestMawtNorm:
@@ -148,13 +128,13 @@ class TestSolveScalarized:
             (w[0], w[1] / c, w[2]), 1e-3,
             tuple(scaled.min(axis=0)), tuple(scaled.max(axis=0)))
         chosen2 = solve_scalarized(p2, params2)
-        assert chosen2.key == chosen.key
+        assert chosen2.strategy == chosen.strategy
 
     def test_tie_breaks_to_smallest_key(self):
         p = problem_of([[1.0, 3.0], [3.0, 1.0]])
         params = ScalarizationParams((1.0, 1.0), 0.0, (0.0, 0.0), (3.0, 3.0))
-        # both candidates have norm 3; candidate 0 wins on key order
-        assert solve_scalarized(p, params).key == (0,)
+        # both candidates have norm 3; candidate 0 wins on its index
+        assert solve_scalarized(p, params).strategy == "candidate0"
 
 
 class TestUniqueVectors:
@@ -235,6 +215,17 @@ class TestFrontier:
         assert np.array_equal(box_search_frontier(problem).vectors(),
                               compute_frontier(problem).vectors())
 
+    def test_near_duplicate_merge_skips_rows_sorted_between(self):
+        # rows 0 and 2 are within the tolerance of each other in every
+        # coordinate; row 1 sorts between them and must not split the merge
+        p = problem_of([[0.0, 1.0, 5.0], [0.0, 2.0, 0.0],
+                        [5e-10, 1.0, 5.0 + 5e-10]])
+        assert nondominated(p.unique_vectors()).all()
+        for frontier in (compute_frontier, brute_force_frontier,
+                         box_search_frontier):
+            assert [pt.minimized for pt in frontier(p).points] == \
+                [(0.0, 1.0, 5.0), (0.0, 2.0, 0.0)]
+
     def test_no_duplicate_objective_vectors(self):
         rng = np.random.default_rng(43)
         mat = rng.integers(0, 4, size=(120, 4)).astype(float)
@@ -284,11 +275,10 @@ class TestDiagramProblems:
                                   small_bundle.starting_prevalence(Sex.F))
         p = diagram_problem(d)
         front = compute_frontier(p)
-        point = p.attach_paths(front.points[-1])
-        assert point.path_probabilities
-        assert all(v > 0 for v in point.path_probabilities.values())
-        assert math.fsum(point.path_probabilities.values()) == \
-            pytest.approx(1.0, abs=1e-9)
+        paths = compatible_path_probabilities(d, front.points[-1].strategy)
+        assert paths
+        assert all(v > 0 for v in paths.values())
+        assert math.fsum(paths.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_reweighted_problem_walks_its_own_tables(self, small_bundle):
         from screenopt.screening import (PrevalenceVector, Segment, Sex,
@@ -301,8 +291,29 @@ class TestDiagramProblems:
         reweighted = base.with_cpts(prevalence_cpts(small_bundle, psi))
         fresh = diagram_problem(build_segment_diagram(seg, small_bundle, psi))
         point = compute_frontier(reweighted).points[-1]
-        assert reweighted.attach_paths(point).path_probabilities == \
-            fresh.attach_paths(point).path_probabilities
+        assert compatible_path_probabilities(reweighted.diagram,
+                                             point.strategy) == \
+            compatible_path_probabilities(fresh.diagram, point.strategy)
+
+    def test_strategy_index_is_enumeration_order(self):
+        # ties break on the candidate index, so candidate i must be the
+        # i-th enumerated strategy, with and without a pinned rule
+        rng = np.random.default_rng(59)
+        for _ in range(30):
+            d = random_diagram(rng, max_paths=600, max_strategies=400)
+            fixings = [{}]
+            if d.decision_nodes:
+                node = d.decision_nodes[int(rng.integers(
+                    len(d.decision_nodes)))]
+                rule = {info: int(rng.integers(len(node.states)))
+                        for info in d.info_states(node)}
+                fixings.append({node.node_id: LocalStrategy(node.node_id,
+                                                            rule)})
+            for fixed in fixings:
+                p = diagram_problem(d, fixed=fixed)
+                enumerated = list(enumerate_strategies(d, fixed=fixed))
+                assert [p.strategy(i).key for i in range(p.n_candidates)] \
+                    == [z.key for z in enumerated]
 
     def test_objective_mask_restricts_dominance(self, small_bundle):
         from screenopt.screening import Segment, Sex, build_segment_diagram

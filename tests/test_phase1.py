@@ -8,6 +8,7 @@ example.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -251,6 +252,22 @@ class TestRunPhase1:
                 }
                 assert keys == exhaustive_two_period(bundle, budget)[sex], \
                     (sex, budget)
+
+    def test_budget_at_a_histories_exact_count(self, default_doc):
+        # a history is kept at a budget equal to its colonoscopy count and
+        # dropped at one more than the tolerance below it
+        bundle = tiny_bundle(default_doc)
+        for periods, sex in itertools.product((1, 2), (Sex.F, Sex.M)):
+            top = max(run_phase1(bundle, budget=1e9, periods=periods)[sex],
+                      key=lambda h: h.cumulative_colonoscopies)
+            count = top.cumulative_colonoscopies
+            for budget, kept in ((count, True),
+                                 (count - 2 * BUDGET_TOL, False)):
+                result = run_phase1(bundle, budget, periods)[sex]
+                assert (top.sort_key() in
+                        [h.sort_key() for h in result]) is kept, budget
+                assert all(h.cumulative_colonoscopies <= budget + BUDGET_TOL
+                           for h in result)
 
     def test_zero_budget_keeps_only_no_screening(self, default_doc):
         bundle = tiny_bundle(default_doc)

@@ -299,7 +299,7 @@ class TestSegmentDiagram:
                 assert expected_values(d, z).values == (0.0,) * 5
 
     def test_no_invite_paths_cost_nothing(self, small_bundle):
-        from screenopt.diagram import compatible_path_probabilities
+        from oracles import compatible_path_probabilities
         d = build_segment_diagram(Segment(Sex.F, 1), small_bundle,
                                   small_bundle.starting_prevalence(Sex.F))
         z = constant_strategy(d, incentive=1, invite=0)
