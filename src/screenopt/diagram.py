@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -499,6 +499,21 @@ def _dense_cpt(table: Mapping[InfoState, tuple[float, ...]],
     return dense
 
 
+def _rules_key(fixed: Mapping[int, LocalStrategy]) -> tuple:
+    return tuple(fixed[nid].key() for nid in sorted(fixed))
+
+
+class _Paths(NamedTuple):
+    """Paths in decision-signature order: per chance node the flat index of
+    each path's CPT entry and the entry of the diagram's own table, each
+    path's utility row, and where each signature's paths start."""
+
+    flats: tuple[np.ndarray, ...]
+    own: tuple[np.ndarray, ...]
+    utility: np.ndarray
+    starts: np.ndarray
+
+
 class StrategyEvaluator:
     """Evaluates expected values for many strategies of one diagram at once.
 
@@ -548,23 +563,22 @@ class StrategyEvaluator:
             span *= m * k
 
         order = np.argsort(radix, kind="stable")
-        self._sig_values, self._starts = np.unique(radix[order],
-                                                   return_index=True)
+        self._sig_values, starts = np.unique(radix[order], return_index=True)
 
         # Per chance node, in diagram order: the flat index of every path's
         # CPT entry (paths in signature order) and the entries it gathers
         # from the diagram's own table.
-        self._factors: list[tuple[Node, tuple[int, ...], np.ndarray]] = []
-        self._own_factors: list[np.ndarray] = []
+        self._chance: list[tuple[Node, tuple[int, ...]]] = []
+        flats, own = [], []
         for node in d.chance_nodes:
             shape = tuple(len(d.by_id[p].states) for p in node.predecessors) \
                 + (len(node.states),)
             cols = [grid[:, pos[p]] for p in node.predecessors]
             cols.append(grid[:, pos[node.node_id]])
             flat = np.ravel_multi_index(tuple(cols), shape)[order]
-            self._factors.append((node, shape, flat))
-            self._own_factors.append(
-                _dense_cpt(d.cpts[node.node_id], shape).ravel()[flat])
+            self._chance.append((node, shape))
+            flats.append(flat)
+            own.append(_dense_cpt(d.cpts[node.node_id], shape).ravel()[flat])
 
         utility = np.zeros((n_paths, len(d.value_nodes)))
         for i, node in enumerate(d.value_nodes):
@@ -576,30 +590,33 @@ class StrategyEvaluator:
             cols = tuple(grid[:, pos[p]] for p in node.predecessors) or (
                 np.zeros(n_paths, dtype=np.int64),)
             utility[:, i] = dense[cols]
-        self._utility = utility[order]
+        self._paths = _Paths(tuple(flats), tuple(own), utility[order], starts)
         self._n_values = len(d.value_nodes)
         self._plans: dict[tuple, list[np.ndarray]] = {}
-        self._condensed = self._condense(None)
+        self._subsets: dict[tuple, tuple[_Paths, list[np.ndarray]]] = {}
+        self._condensed = self._condense(None, self._paths)
 
     def _condense(self, cpts: Mapping[int, Mapping[InfoState, tuple[float, ...]]]
-                  | None) -> np.ndarray:
-        """Probability-weighted utility summed per decision signature.
+                  | None, paths: _Paths) -> np.ndarray:
+        """Probability-weighted utility summed per decision signature of
+        ``paths``.
 
         ``cpts`` replaces the tables of some chance nodes; the diagram's own
         tables supply the rest.
         """
         cpts = cpts or {}
-        unknown = set(cpts) - {node.node_id for node, _, _ in self._factors}
+        unknown = set(cpts) - {node.node_id for node, _ in self._chance}
         if unknown:
             raise ValueError(f"no chance node with id {min(unknown)}")
-        prob = np.ones(len(self._utility))
-        for (node, shape, flat), own in zip(self._factors, self._own_factors):
+        prob = np.ones(len(paths.utility))
+        for (node, shape), flat, own in zip(self._chance, paths.flats,
+                                            paths.own):
             if node.node_id in cpts:
                 prob *= _dense_cpt(cpts[node.node_id], shape).ravel()[flat]
             else:
                 prob *= own
-        weighted = prob[:, None] * self._utility
-        condensed = np.add.reduceat(weighted, self._starts, axis=0)
+        weighted = prob[:, None] * paths.utility
+        condensed = np.add.reduceat(weighted, paths.starts, axis=0)
         # A trailing zero row for strategies with no compatible signature.
         return np.concatenate([condensed, np.zeros((1, condensed.shape[1]))])
 
@@ -629,7 +646,7 @@ class StrategyEvaluator:
         the most significant digit of the mixed-radix strategy index. Plans
         depend only on the fixed rules and are kept per rule set.
         """
-        plan_key = tuple(fixed[nid].key() for nid in sorted(fixed))
+        plan_key = _rules_key(fixed)
         if plan_key in self._plans:
             return self._plans[plan_key]
         d = self.diagram
@@ -663,27 +680,72 @@ class StrategyEvaluator:
         self._plans[plan_key] = plan
         return plan
 
+    def _subset(self, fixed: Mapping[int, LocalStrategy],
+                strategies: np.ndarray) -> tuple[_Paths, list[np.ndarray]]:
+        """The paths of the signatures that ``strategies`` use, and their
+        accumulation plan rows renumbered onto those signatures.
+
+        Each signature's paths stay contiguous and in order, so condensing
+        them repeats the full condensation's operations for that
+        signature. Kept per (fixed rules, strategies), like the plans.
+        """
+        plan = self._accumulation_plan(fixed)
+        key = (_rules_key(fixed), tuple(strategies.tolist()))
+        if key in self._subsets:
+            return self._subsets[key]
+        n_sigs = len(self._sig_values)
+        rows = [r[strategies] for r in plan]
+        used = np.zeros(n_sigs + 1, dtype=bool)
+        for r in rows:
+            used[r] = True
+        sigs = np.flatnonzero(used[:n_sigs])
+        full = self._paths
+        bounds = np.append(full.starts, len(full.utility))
+        lengths = bounds[sigs + 1] - bounds[sigs]
+        starts = np.cumsum(lengths) - lengths
+        paths = np.repeat(bounds[sigs] - starts, lengths) + \
+            np.arange(lengths.sum())
+        subset = _Paths(tuple(f[paths] for f in full.flats),
+                        tuple(o[paths] for o in full.own),
+                        full.utility[paths], starts)
+        renumber = np.full(n_sigs + 1, len(sigs))
+        renumber[sigs] = np.arange(len(sigs))
+        result = self._subsets[key] = (subset, [renumber[r] for r in rows])
+        return result
+
     def objective_matrix(
         self,
         fixed: Mapping[int, LocalStrategy] | None = None,
         ceiling: int = STRATEGY_CEILING,
         cpts: Mapping[int, Mapping[InfoState, tuple[float, ...]]] | None = None,
+        strategies: np.ndarray | None = None,
     ) -> np.ndarray:
         """Expected values for every strategy; rows follow enumeration order.
 
         ``cpts`` maps chance-node ids to replacement tables over the same
         information states; the diagram's own tables supply the other nodes.
+        ``strategies`` selects rows by strategy index: only the paths those
+        strategies use are condensed, and each row has the bits of the
+        same row of the full matrix.
         """
         fixed = dict(fixed or {})
         count = self.diagram.strategy_count(fixed=tuple(fixed))
         if count > ceiling:
             raise CapacityError(
                 f"{count} strategies exceed the configured ceiling of {ceiling}")
-        condensed = self._condensed if cpts is None else self._condense(cpts)
+        if strategies is None:
+            plan = self._accumulation_plan(fixed)
+            condensed = self._condensed if cpts is None else \
+                self._condense(cpts, self._paths)
+        else:
+            strategies = np.asarray(strategies, dtype=np.intp)
+            count = len(strategies)
+            paths, plan = self._subset(fixed, strategies)
+            condensed = self._condense(cpts, paths)
         # Sums start from +0.0 and so never hold -0.0, which makes adding
         # the zero row exact: the same bits as skipping the strategy.
         out = np.zeros((count, self._n_values))
-        for rows in self._accumulation_plan(fixed):
+        for rows in plan:
             out += condensed[rows]
         return out
 

@@ -1,7 +1,9 @@
 """Complete nondominated frontiers of finite, fully evaluated problems.
 
 ``compute_frontier`` is the production path: one vectorized nondominated
-filter over the distinct objective vectors. Two independent references
+filter and near-duplicate merge (``frontier_rows``) over the distinct
+objective vectors; ``frontier_rows`` also solves a whole stack of
+problems at once. Two independent references
 reproduce it, and ``--cross-check`` compares against both:
 ``brute_force_frontier`` (a plain row-by-row dominance loop) and
 ``box_search_frontier``, the paper's augmented weighted Tchebychev search,
@@ -130,9 +132,7 @@ class EnumeratedProblem:
             raise ValueError(f"unknown orientation in {self.orientations}")
         self.names = tuple(names)
         self.active = tuple(active) if active is not None else tuple(range(width))
-        signs = np.array([-1.0 if self.orientations[i] == "maximize" else 1.0
-                          for i in self.active])
-        self.matrix_min = self.reported[:, self.active] * signs
+        self.matrix_min = self.minimize(self.reported)
 
     @classmethod
     def from_matrix(cls, matrix, orientations=None,
@@ -142,6 +142,12 @@ class EnumeratedProblem:
         orientations = tuple(orientations) if orientations else ("minimize",) * m
         names = tuple(names) if names else tuple(f"obj{i}" for i in range(m))
         return cls(matrix, orientations, names)
+
+    def minimize(self, reported: np.ndarray) -> np.ndarray:
+        """The active columns of reported rows, in minimization orientation."""
+        signs = np.array([-1.0 if self.orientations[i] == "maximize" else 1.0
+                          for i in self.active])
+        return reported[..., self.active] * signs
 
     @property
     def n_candidates(self) -> int:
@@ -291,41 +297,100 @@ def _argmin_norm(problem, vectors, rows, params) -> int:
 def nondominated(points: np.ndarray, tol: float = DOMINANCE_TOL) -> np.ndarray:
     """Mask of the rows of ``points`` that no row dominates (minimization).
 
-    Row j dominates row i when it is at most ``tol`` above it in every
-    column and more than ``tol`` below it in one: the all-pairs rule of
+    ``points`` is one (rows x objectives) matrix or a stack of them, and
+    rows are compared only within their own matrix. Row j dominates row i
+    when it is at most ``tol`` above it in every column and more than
+    ``tol`` below it in one: the all-pairs rule of
     :func:`brute_force_frontier`, with the same floating-point comparisons.
     That rule is not transitive, so every row is tested against every
     possible dominator, kept or not. Only rows whose first column is at most
     ``points[i, 0] + tol`` can dominate row i, so the rows are sorted on the
     first column and each block of rows is broadcast against the prefix of
     the sorted rows that can reach it (Kung, Luccio & Preparata, JACM 1975).
+    A block's masks hold at most ``FILTER_CELLS`` booleans.
     """
     points = np.asarray(points, dtype=float)
-    n, m = points.shape
-    upper = points + tol
-    lower = points - tol
-    order = np.argsort(points[:, 0], kind="stable")
-    first = points[order, 0]
-    dominated = np.zeros(n, dtype=bool)
-    block = max(1, FILTER_CELLS // max(n, 1))
-    for start in range(0, n, block):
-        rows = order[start:start + block]
-        reach = int(np.searchsorted(first, upper[rows, 0].max(), side="right"))
-        candidates = points[order[:reach]]
-        weakly = candidates[:, 0] <= upper[rows, 0][:, None]
-        strictly = candidates[:, 0] < lower[rows, 0][:, None]
-        for k in range(1, m):
-            weakly &= candidates[:, k] <= upper[rows, k][:, None]
-            strictly |= candidates[:, k] < lower[rows, k][:, None]
-        dominated[rows] = np.any(weakly & strictly, axis=1)
-    return ~dominated
+    stack = points.reshape((math.prod(points.shape[:-2]),) + points.shape[-2:])
+    B, n, m = stack.shape
+    order = np.argsort(stack[:, :, 0], axis=1, kind="stable")
+    ranked = np.take_along_axis(stack, order[:, :, None], axis=1)
+    upper = ranked + tol
+    lower = ranked - tol
+    first = ranked[:, :, 0]
+    dominated = np.zeros((B, n), dtype=bool)
+    per_matrix = max(1, FILTER_CELLS // max(n * n, 1))
+    block = max(1, FILTER_CELLS // max(per_matrix * n, 1))
+    for b0 in range(0, B, per_matrix):
+        mats = slice(b0, b0 + per_matrix)
+        for start in range(0, n, block):
+            rows = slice(start, start + block)
+            last = upper[mats, min(start + block, n) - 1, 0]
+            reach = int((first[mats] <= last[:, None]).sum(axis=1).max())
+            cand = ranked[mats, None, :reach]
+            hi = upper[mats, rows, None]
+            lo = lower[mats, rows, None]
+            weakly = cand[..., 0] <= hi[..., 0]
+            strictly = cand[..., 0] < lo[..., 0]
+            for k in range(1, m):
+                weakly &= cand[..., k] <= hi[..., k]
+                strictly |= cand[..., k] < lo[..., k]
+            dominated[mats, rows] = np.any(weakly & strictly, axis=2)
+    mask = np.empty_like(dominated)
+    np.put_along_axis(mask, order, ~dominated, axis=1)
+    return mask.reshape(points.shape[:-1])
+
+
+def frontier_rows(stack: np.ndarray, tol: float = DOMINANCE_TOL
+                  ) -> list[np.ndarray]:
+    """Frontier rows of each (rows x objectives) matrix of ``stack``.
+
+    Per matrix, the rows are ordered by vector, ties on the row index; a row
+    is kept when no row dominates it (:func:`nondominated`) and it is not
+    within ``tol`` in every coordinate of a row kept before it. This is the
+    rule of :func:`_assemble` over the distinct vectors, since an exact
+    duplicate is never kept after its first occurrence. Returns the kept
+    row indices of each matrix in that order.
+    """
+    stack = np.asarray(stack, dtype=float)
+    H, n, m = stack.shape
+    keys = (np.tile(np.arange(n), H),) + tuple(
+        stack[:, :, k].ravel() for k in range(m - 1, -1, -1))
+    order = np.lexsort(keys + (np.repeat(np.arange(H), n),)).reshape(H, n) \
+        - np.arange(H)[:, None] * n
+    ranked = np.take_along_axis(stack, order[:, :, None], axis=1)
+    kept = nondominated(ranked, tol)
+    # The merge compares only nondominated rows: move them to the front,
+    # in order. They ascend in the first coordinate, so the rows within
+    # ``tol`` of a row before them lie within a window of offsets that ends
+    # at the first offset where no two rows are that close in it.
+    front = np.argsort(~kept, axis=1, kind="stable")
+    count = kept.sum(axis=1)
+    width = int(count.max())
+    front = front[:, :width]
+    rows = np.take_along_axis(ranked, front[:, :, None], axis=1)
+    keep = np.arange(width) < count[:, None]
+    near = []
+    for d in range(1, width):
+        valid = keep[:, d:]
+        if not np.any(valid & (rows[:, d:, 0] - rows[:, :-d, 0] <= tol)):
+            break
+        near.append(valid & np.all(np.abs(rows[:, d:] - rows[:, :-d]) <= tol,
+                                   axis=2))
+    merged = np.zeros((H, width), dtype=bool)
+    for d, close in enumerate(near, start=1):
+        merged[:, d:] |= close
+    for i in np.flatnonzero(merged.any(axis=0)):
+        for d, close in enumerate(near[:i], start=1):
+            keep[:, i] &= ~(close[:, i - d] & keep[:, i - d])
+    return [order[h, front[h, keep[h]]] for h in range(H)]
 
 
 def compute_frontier(problem: EnumeratedProblem,
                      tol: float = DOMINANCE_TOL) -> ParetoFrontier:
     """Complete nondominated set: one filter over the distinct vectors."""
-    rows = np.flatnonzero(nondominated(problem.unique_vectors(), tol))
-    return _assemble(problem, rows.tolist(), tol)
+    rows = frontier_rows(problem.unique_vectors()[None], tol)[0]
+    return ParetoFrontier(
+        points=[problem.point(problem.representative(r)) for r in rows])
 
 
 def brute_force_frontier(problem: EnumeratedProblem,

@@ -1,15 +1,19 @@
 """Multi-period frontier expansion over strategy histories.
 
 For each sex the search walks screening periods in order. Period 1 solves
-the segment problem at the starting prevalence; every later period re-solves
-it at each surviving history's updated prevalence and extends the history by
-every frontier strategy. Between periods the bowel-state distribution moves
-by the detection-and-progression recurrences: detected fractions are removed
-(treated participants return to the normal state), remaining abnormal mass
-progresses along the adenoma-carcinoma sequence, and the normal state absorbs
-the residual. Histories whose cumulative expected colonoscopies (scaled by
-cohort size) exceed the budget are discarded, and the survivors are filtered
-by dominance on (total cancer prevalence, next-period cancer prevalence,
+the segment problem at the starting prevalence. Every later period builds
+its segment once, groups its strategies into classes that are equal at
+every prevalence (the objectives are linear in it), evaluates one
+representative per class at each surviving history's updated prevalence,
+and filters all the histories' frontiers in one batch; each history is
+extended by every strategy on its frontier. Between periods the
+bowel-state distribution moves by the detection-and-progression
+recurrences: detected fractions are removed (treated participants return
+to the normal state), remaining abnormal mass progresses along the
+adenoma-carcinoma sequence, and the normal state absorbs the residual.
+Histories whose cumulative expected colonoscopies (scaled by cohort size)
+exceed the budget are discarded, and the survivors are filtered by
+dominance on (total cancer prevalence, next-period cancer prevalence,
 next-period large-growth prevalence, cumulative colonoscopies).
 """
 
@@ -36,6 +40,7 @@ from .pareto import (
     brute_force_frontier,
     compute_frontier,
     diagram_problem,
+    frontier_rows,
     nondominated,
 )
 from .screening import (
@@ -326,42 +331,118 @@ def _run_sex(params, sex, budget, K, objective_mask, cross_check,
     weight = params.cohort_size(Segment(sex, 1))
     for k in range(2, K + 1):
         extended = _extend_period(params, sex, k, histories, budget, weight,
-                                  objective_mask, cross_check)
+                                  objective_mask, cross_check, history_cap)
         if not extended:
             raise InfeasibleBudgetError(
                 f"budget {budget} removes every history at period {k} for "
                 f"sex={sex.value}")
-        if len(extended) > history_cap:
-            raise CapacityError(
-                f"{len(extended)} histories at period {k} exceed the cap "
-                f"of {history_cap}")
         histories = remove_dominated(extended)
         weight += params.cohort_size(Segment(sex, k))
     return histories
 
 
+#: The four simplex vertices, one bowel state each.
+VERTICES = tuple(PrevalenceVector(*row) for row in np.eye(4).tolist())
+
+
+def vertex_values(params: ParameterBundle,
+                  problem: DiagramProblem) -> np.ndarray:
+    """Every strategy's reported objectives at the four simplex vertices,
+    shape (strategies, objectives, vertices).
+
+    The objectives are linear in the start prevalence psi (the
+    positive-test probability is, and it cancels the examination
+    posterior's denominator), so sum_v psi_v * values[..., v] is their
+    value at psi.
+    """
+    return np.stack([
+        problem.evaluator.objective_matrix(
+            fixed=problem.fixed, cpts=prevalence_cpts(params, vertex))
+        for vertex in VERTICES], axis=2)
+
+
+def strategy_classes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Strategies grouped by exactly equal vertex values.
+
+    Returns each class's representative, its smallest strategy index, in
+    ascending order, and the class of every strategy. By linearity the
+    members of a class are equal at every prevalence.
+    """
+    flat = values.reshape(len(values), -1)
+    _, first, inverse = np.unique(flat, axis=0, return_index=True,
+                                  return_inverse=True)
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return np.sort(first), rank[inverse.ravel()]
+
+
 def _extend_period(params, sex, k, histories, budget, weight, objective_mask,
-                   cross_check) -> list[StrategyHistory]:
+                   cross_check, history_cap) -> list[StrategyHistory]:
     """Every history extended by every frontier point of period ``k``,
     within the budget.
 
-    The segment's problem is built once here and re-weighted per history,
-    since only its prevalence-dependent tables differ between histories; it
-    is released when the period is done.
+    The segment's problem is built once here and released when the period
+    is done. Its strategies fall into a few classes that are equal at every
+    prevalence (:func:`strategy_classes`), so each history evaluates only
+    the class representatives, with the bits of its full objective matrix,
+    and one batched filter gives every history's frontier: the frontier of
+    :func:`segment_frontier`, which ``cross_check`` compares with it.
     """
     segment = Segment(sex, k)
-    base = segment_problem(params, segment,
-                           histories[0].last.updated_prevalence,
-                           objective_mask)
+    label = f"for sex={sex.value} period={k}"
+    starts = [h.last.updated_prevalence for h in histories]
+    base = segment_problem(params, segment, starts[0], objective_mask)
+    reps, class_of = strategy_classes(vertex_values(params, base))
+    # The base problem holds every strategy at the first history's
+    # prevalence, which checks the classes there for free.
+    if np.any(np.abs(base.reported - base.reported[reps[class_of]])
+              > DOMINANCE_TOL):
+        raise OracleMismatchError(
+            f"a strategy differs from its class representative {label}")
+    reported = np.stack([
+        base.evaluator.objective_matrix(
+            fixed=base.fixed, cpts=prevalence_cpts(params, psi),
+            strategies=reps)
+        for psi in starts])
+    minimized = base.minimize(reported)
+    frontiers = frontier_rows(minimized)
+    strategies = [base.strategy(r) for r in reps.tolist()]
+    if cross_check:
+        for h, psi in enumerate(starts):
+            oracle = segment_frontier(params, segment, psi, objective_mask,
+                                      cross_check=True, base=base)
+            if [p.strategy.key for p in oracle.points] != \
+                    [strategies[c].key for c in frontiers[h]] or \
+                    not np.array_equal([p.objectives.values
+                                        for p in oracle.points],
+                                       reported[h, frontiers[h]]):
+                raise OracleMismatchError(
+                    f"batched frontier differs from the per-history "
+                    f"frontier of history {h} {label}")
+
+    # The budget rule of ``_extend``, with the same float operations, so
+    # the histories over the cap are counted before any is built.
+    cohort = params.cohort_size(segment)
+    before = np.array([h.cumulative_colonoscopies for h in histories])
+    col = before[:, None] + \
+        -reported[:, :, base.names.index("colonoscopy")] * cohort
+    within = col <= budget + BUDGET_TOL
+    frontiers = [rows[within[h, rows]] for h, rows in enumerate(frontiers)]
+    count = sum(len(rows) for rows in frontiers)
+    if count > history_cap:
+        raise CapacityError(
+            f"{count} histories at period {k} exceed the cap of {history_cap}")
     extended = []
-    for hist in histories:
-        start = hist.last.updated_prevalence
-        frontier = segment_frontier(params, segment, start, objective_mask,
-                                    cross_check, base=base)
-        for point in frontier.points:
-            new = _extend(params, sex, k, hist, start, point, weight)
-            if new.cumulative_colonoscopies <= budget + BUDGET_TOL:
-                extended.append(new)
+    for h, rows in enumerate(frontiers):
+        for c in rows.tolist():
+            point = FrontierPoint(
+                strategy=strategies[c],
+                minimized=tuple(minimized[h, c].tolist()),
+                objectives=ObjectiveVector(
+                    values=tuple(reported[h, c].tolist()),
+                    orientations=base.orientations, names=base.names))
+            extended.append(_extend(params, sex, k, histories[h], starts[h],
+                                    point, weight))
     return extended
 
 

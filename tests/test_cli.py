@@ -294,6 +294,60 @@ class TestPipeline:
         assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
 
 
+class TestStrategyClassChecks:
+    """Later periods evaluate one representative per strategy class: the
+    base problem checks every member against it for free, and
+    ``--cross-check`` compares each history with the per-history solve."""
+
+    @pytest.fixture()
+    def params(self, tmp_path, default_doc):
+        path = tmp_path / "free_exam.json"
+        path.write_text(json.dumps(small_doc(default_doc, periods=3,
+                                             fix_exam=False)))
+        return path
+
+    def run(self, params, out, *flags):
+        return main(["pipeline", "--budgets", "500,1500,4000",
+                     "--params", str(params), "--out", str(out), *flags])
+
+    def test_cross_check_passes(self, params, tmp_path):
+        assert self.run(params, tmp_path / "x", "--cross-check") == 0
+
+    def test_wrong_representative_exits_three(self, params, tmp_path,
+                                              monkeypatch):
+        classes = screenopt.phase1.strategy_classes
+
+        def largest_member(values):
+            # the no-invitation class is always on the frontier and has
+            # many members; its largest one is an equal but wrong choice
+            reps, class_of = classes(values)
+            reps = reps.copy()
+            reps[0] = np.flatnonzero(class_of == 0).max()
+            return reps, class_of
+
+        monkeypatch.setattr(screenopt.phase1, "strategy_classes",
+                            largest_member)
+        assert self.run(params, tmp_path / "a") == 0
+        assert self.run(params, tmp_path / "b", "--cross-check") == 3
+
+    def test_member_away_from_representative_exits_three(self, params,
+                                                         tmp_path,
+                                                         monkeypatch):
+        segment_problem = screenopt.phase1.segment_problem
+
+        def perturbed(params, segment, psi, objective_mask=None):
+            problem = segment_problem(params, segment, psi, objective_mask)
+            if segment.period > 1:
+                reps, _ = screenopt.phase1.strategy_classes(
+                    screenopt.phase1.vertex_values(params, problem))
+                member = max(set(range(problem.n_candidates)) - set(reps))
+                problem.reported[member, 0] += 1e-6
+            return problem
+
+        monkeypatch.setattr(screenopt.phase1, "segment_problem", perturbed)
+        assert self.run(params, tmp_path / "x") == 3
+
+
 class TestZeroPositiveProbability:
     """Specificity 1 at one cut-off, with the women's start prevalence at
     the normal vertex: a positive test at that cut-off has probability

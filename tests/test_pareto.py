@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import screenopt.pareto
 from conftest import random_diagram
 from oracles import compatible_path_probabilities, dominates
 from screenopt.diagram import (
@@ -30,6 +31,7 @@ from screenopt.pareto import (
     brute_force_frontier,
     compute_frontier,
     diagram_problem,
+    frontier_rows,
     mawt_norm,
     nondominated,
     solve_scalarized,
@@ -225,6 +227,32 @@ class TestFrontier:
                          box_search_frontier):
             assert [pt.minimized for pt in frontier(p).points] == \
                 [(0.0, 1.0, 5.0), (0.0, 2.0, 0.0)]
+
+    @pytest.mark.parametrize("cells", [1 << 20, 40])
+    def test_stacked_rows_equal_each_matrix_reference(self, monkeypatch,
+                                                      cells):
+        # a stack of matrices with exact duplicates, ties and near ties:
+        # each matrix's rows are the brute-force frontier's representatives
+        # in its order, and the stacked filter is the per-matrix filter
+        monkeypatch.setattr(screenopt.pareto, "FILTER_CELLS", cells)
+        rng = np.random.default_rng(229)
+        for _ in range(40):
+            H = int(rng.integers(1, 6))
+            n = int(rng.integers(1, 30))
+            m = int(rng.integers(1, 6))
+            stack = rng.integers(0, 3, size=(H, n, m)).astype(float)
+            stack += rng.choice([0.0, 0.0, 5e-10, -5e-10, 1e-9, 1.5e-9],
+                                size=stack.shape)
+            dup = rng.integers(0, n, size=n // 3)
+            stack[:, rng.integers(0, n, size=len(dup))] = stack[:, dup]
+            rows = frontier_rows(stack)
+            mask = nondominated(stack)
+            for h in range(H):
+                p = problem_of(stack[h])
+                assert rows[h].tolist() == [
+                    int(pt.strategy.removeprefix("candidate"))
+                    for pt in brute_force_frontier(p).points]
+                assert np.array_equal(mask[h], nondominated(stack[h]))
 
     def test_no_duplicate_objective_vectors(self):
         rng = np.random.default_rng(43)

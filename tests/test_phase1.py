@@ -15,12 +15,15 @@ import numpy as np
 import pytest
 
 import screenopt.pareto
+import screenopt.phase1
 from conftest import _random_simplex, random_params_doc, small_doc
 from oracles import exhaustive_two_period, remove_dominated_loop
 from screenopt.diagram import StrategyEvaluator
 from screenopt.errors import CapacityError, InfeasibleBudgetError
 from screenopt.phase1 import (
     BUDGET_TOL,
+    DOMINANCE_TOL,
+    VERTICES,
     DetectedFractions,
     baseline_trajectory,
     colonoscopies_of,
@@ -30,9 +33,12 @@ from screenopt.phase1 import (
     run_phase1,
     segment_frontier,
     segment_problem,
+    strategy_classes,
     update_prevalences,
+    vertex_values,
 )
 from screenopt.screening import (
+    FIT_RESULT,
     PrevalenceVector,
     Segment,
     Sex,
@@ -313,10 +319,21 @@ class TestRunPhase1:
             run_phase1(bundle, budget=1e-6, periods=1,
                        objective_mask=["crc_found"])
 
-    def test_history_cap(self, default_doc):
+    def test_history_cap(self, default_doc, monkeypatch):
+        # the cap is checked on the counted extensions, before any
+        # period-2 history is built
         bundle = tiny_bundle(default_doc)
+        periods = []
+        extend = screenopt.phase1._extend
+
+        def counting(params, sex, period, *args):
+            periods.append(period)
+            return extend(params, sex, period, *args)
+
+        monkeypatch.setattr(screenopt.phase1, "_extend", counting)
         with pytest.raises(CapacityError):
             run_phase1(bundle, budget=1e9, periods=2, history_cap=2)
+        assert periods and 2 not in periods
 
     def test_deterministic_across_runs(self, default_doc):
         bundle = tiny_bundle(default_doc)
@@ -359,11 +376,15 @@ class TestReweightedSegments:
     bits a fresh diagram and evaluator give."""
 
     @staticmethod
-    def random_case(rng, trial):
+    def random_case(rng, trial, zero_positive=False):
         n_cutoffs = int(rng.integers(2, 5))
         doc = random_params_doc(rng, periods=2, n_cutoffs=n_cutoffs,
                                 monotone=bool(trial % 2),
                                 fix_exam=trial % 3 == 0)
+        if zero_positive:
+            # no false positives at the first cut-off: at the normal
+            # vertex its positive-test probability is zero
+            doc["fit"]["specificity"][doc["fit"]["cutoffs"][0]] = 1.0
         if trial % 4 == 1:
             doc["options"]["incentive_enabled"] = False
         if trial % 4 == 2:
@@ -395,6 +416,28 @@ class TestReweightedSegments:
                 assert np.array_equal(np.signbit(reused.reported),
                                       np.signbit(fresh))
 
+    def test_selected_rows_bit_identical_to_full_matrix(self):
+        rng = np.random.default_rng(239)
+        for trial in range(12):
+            bundle, segment = self.random_case(rng, trial)
+            fixed = fixed_decision_rules(bundle)
+            base = segment_problem(
+                bundle, segment, PrevalenceVector(**_random_simplex(rng)))
+            reps, _ = strategy_classes(vertex_values(bundle, base))
+            n = base.n_candidates
+            # the class representatives, and an unsorted draw with repeats
+            picks = (reps, rng.integers(0, n, size=int(rng.integers(1, 40))))
+            for psi in (PrevalenceVector(**_random_simplex(rng)),
+                        VERTICES[int(rng.integers(0, 4))]):
+                cpts = prevalence_cpts(bundle, psi)
+                full = base.evaluator.objective_matrix(fixed=fixed, cpts=cpts)
+                for strategies in picks:
+                    rows = base.evaluator.objective_matrix(
+                        fixed=fixed, cpts=cpts, strategies=strategies)
+                    assert np.array_equal(rows, full[strategies])
+                    assert np.array_equal(np.signbit(rows),
+                                          np.signbit(full[strategies]))
+
     def test_reweighted_frontier_equals_fresh_frontier(self):
         rng = np.random.default_rng(223)
         for trial in range(6):
@@ -416,3 +459,55 @@ class TestReweightedSegments:
         diagram = build_segment_diagram(segment, bundle, psi)
         for node_id, table in prevalence_cpts(bundle, psi).items():
             assert diagram.cpts[node_id] == table
+
+
+class TestStrategyClasses:
+    """Objectives are linear in the start prevalence: the four vertex
+    evaluations give every strategy's objectives at any prevalence, and the
+    strategies equal at the vertices are equal everywhere."""
+
+    def test_vertex_values_are_linear_in_prevalence(self):
+        rng = np.random.default_rng(233)
+        for trial in range(12):
+            zero_positive = trial % 4 == 3
+            bundle, segment = TestReweightedSegments.random_case(
+                rng, trial, zero_positive=zero_positive)
+            if zero_positive:
+                fit = prevalence_cpts(bundle, VERTICES[0])[FIT_RESULT]
+                assert fit[(0, 1)][1] == 0.0
+            fixed = fixed_decision_rules(bundle)
+            base = segment_problem(
+                bundle, segment, PrevalenceVector(**_random_simplex(rng)))
+            values = vertex_values(bundle, base)
+            reps, class_of = strategy_classes(values)
+            assert np.array_equal(class_of[reps], np.arange(len(reps)))
+            assert np.all(reps[class_of] <= np.arange(len(class_of)))
+            for _ in range(3):
+                psi = PrevalenceVector(**_random_simplex(rng))
+                direct = StrategyEvaluator(
+                    build_segment_diagram(segment, bundle, psi)
+                ).objective_matrix(fixed=fixed)
+                linear = values @ np.array(psi.as_tuple())
+                assert np.all(np.abs(linear - direct)
+                              <= 1e-12 * np.abs(direct))
+                # Not bit for bit: inviting without examining costs the
+                # same at every cut-off, summed over different test-result
+                # splits, so those members can differ in the last bit.
+                assert np.all(np.abs(direct - direct[reps[class_of]])
+                              <= DOMINANCE_TOL)
+
+    def test_batched_periods_equal_per_history_frontiers(self):
+        # cross_check compares every history's batched frontier with the
+        # per-history solve, strategies and values exactly
+        rng = np.random.default_rng(241)
+        masks = (None, ["colonoscopy", "crc_found"],
+                 ["cost", "colonoscopy", "crc_found"])
+        for trial in range(6):
+            doc = random_params_doc(rng, periods=3, n_cutoffs=2,
+                                    monotone=bool(trial % 2),
+                                    fix_exam=trial % 3 == 0)
+            if trial % 4 == 1:
+                doc["options"]["incentive_enabled"] = False
+            bundle, _ = load_parameters(doc)
+            run_phase1(bundle, budget=1e9, periods=3,
+                       objective_mask=masks[trial % 3], cross_check=True)
