@@ -49,7 +49,6 @@ from .phase1 import (  # noqa: F401
     DetectedFractions,
     StrategyHistory,
     baseline_trajectory,
-    detected_fractions_of,
     natural_progression_rollout,
     run_phase1,
     update_prevalences,

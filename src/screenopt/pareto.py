@@ -40,8 +40,12 @@ from .errors import IterationLimitError
 
 EPSILON_SCALE = 1e-4
 # Booleans one (rows x candidates) mask of ``nondominated`` may hold; this
-# bounds the filter's memory whatever the number of rows.
-FILTER_CELLS = 1 << 20
+# bounds the filter's memory whatever the number of rows, and is small
+# enough that a block's masks stay in cache.
+FILTER_CELLS = 1 << 16
+# Rows per block of the exact-skyline build, and the skyline rows each
+# block meets first.
+SKYLINE_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -302,42 +306,144 @@ def nondominated(points: np.ndarray, tol: float = DOMINANCE_TOL) -> np.ndarray:
     when it is at most ``tol`` above it in every column and more than
     ``tol`` below it in one: the all-pairs rule of
     :func:`brute_force_frontier`, with the same floating-point comparisons.
-    That rule is not transitive, so every row is tested against every
-    possible dominator, kept or not. Only rows whose first column is at most
-    ``points[i, 0] + tol`` can dominate row i, so the rows are sorted on the
-    first column and each block of rows is broadcast against the prefix of
-    the sorted rows that can reach it (Kung, Luccio & Preparata, JACM 1975).
-    A block's masks hold at most ``FILTER_CELLS`` booleans.
+    That rule is not transitive, so a pruned row can still dominate.
+
+    Lemma: if row k is at most row j in every column, compared exactly,
+    then k dominates every row i that j dominates. Float ``<=`` is
+    transitive and ``points[i] + tol`` and ``points[i] - tol`` are computed
+    once, so k <= j <= i + tol in every column and k <= j < i - tol in
+    the column where j is strictly better. Every row is at least some row
+    of the exact weak skyline (the distinct vectors no other vector is at
+    most in every column), so testing every row against that skyline alone
+    gives the all-pairs mask.
+
+    A matrix whose all-pairs masks fit in ``FILTER_CELLS`` booleans is
+    filtered in one broadcast, many matrices at a time. A larger one is
+    filtered through its skyline (:func:`_exact_skyline`), which also
+    names an exact dominator of every other row; a row whose dominator is
+    more than ``tol`` below it in some column is dominated by it. Each
+    remaining row is broadcast against the skyline rows whose first column
+    is at most its own plus ``tol``, in blocks of at most ``FILTER_CELLS``
+    booleans.
     """
     points = np.asarray(points, dtype=float)
     stack = points.reshape((math.prod(points.shape[:-2]),) + points.shape[-2:])
     B, n, m = stack.shape
-    order = np.argsort(stack[:, :, 0], axis=1, kind="stable")
-    ranked = np.take_along_axis(stack, order[:, :, None], axis=1)
-    upper = ranked + tol
-    lower = ranked - tol
-    first = ranked[:, :, 0]
-    dominated = np.zeros((B, n), dtype=bool)
+    # Columns first, so each comparison runs along contiguous memory.
+    cols = np.ascontiguousarray(np.moveaxis(stack, -1, 0))
+    if n * n > FILTER_CELLS:
+        mask = np.stack([_skyline_mask(cols[:, b], tol) for b in range(B)])
+        return mask.reshape(points.shape[:-1])
+    upper = cols + tol
+    lower = cols - tol
+    mask = np.empty((B, n), dtype=bool)
     per_matrix = max(1, FILTER_CELLS // max(n * n, 1))
-    block = max(1, FILTER_CELLS // max(per_matrix * n, 1))
     for b0 in range(0, B, per_matrix):
         mats = slice(b0, b0 + per_matrix)
-        for start in range(0, n, block):
-            rows = slice(start, start + block)
-            last = upper[mats, min(start + block, n) - 1, 0]
-            reach = int((first[mats] <= last[:, None]).sum(axis=1).max())
-            cand = ranked[mats, None, :reach]
-            hi = upper[mats, rows, None]
-            lo = lower[mats, rows, None]
-            weakly = cand[..., 0] <= hi[..., 0]
-            strictly = cand[..., 0] < lo[..., 0]
-            for k in range(1, m):
-                weakly &= cand[..., k] <= hi[..., k]
-                strictly |= cand[..., k] < lo[..., k]
-            dominated[mats, rows] = np.any(weakly & strictly, axis=2)
-    mask = np.empty_like(dominated)
-    np.put_along_axis(mask, order, ~dominated, axis=1)
+        mask[mats] = ~np.any(
+            _dominates(cols[:, mats, None, :], upper[:, mats, :, None],
+                       lower[:, mats, :, None]), axis=2)
     return mask.reshape(points.shape[:-1])
+
+
+def _dominates(cand: np.ndarray, upper: np.ndarray,
+               lower: np.ndarray) -> np.ndarray:
+    """Broadcast mask of candidate rows dominating the rows whose
+    ``+ tol`` and ``- tol`` bounds are given; axis 0 holds the columns."""
+    weakly = cand[0] <= upper[0]
+    strictly = cand[0] < lower[0]
+    for k in range(1, len(cand)):
+        weakly &= cand[k] <= upper[k]
+        strictly |= cand[k] < lower[k]
+    return weakly & strictly
+
+
+def _at_most(cand: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Broadcast mask of ``cand <= rows`` in every column, exactly; axis 0
+    holds the columns."""
+    out = cand[0] <= rows[0]
+    for k in range(1, len(cand)):
+        out &= cand[k] <= rows[k]
+    return out
+
+
+def _skyline_mask(cols: np.ndarray, tol: float) -> np.ndarray:
+    """:func:`nondominated` of one (columns x rows) matrix, testing only
+    its exact skyline.
+
+    Equal rows are dominated alike, so only the distinct rows are tested.
+    A row with an exact dominator that is more than ``tol`` below it in
+    some column is dominated by it; the other rows meet the skyline.
+    """
+    n = cols.shape[1]
+    order = np.lexsort(cols[::-1])
+    ordered = cols[:, order]
+    distinct = np.ones(n, dtype=bool)
+    distinct[1:] = np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)
+    unique = ordered[:, distinct]
+    witness = _exact_skyline(unique)
+    sky = unique[:, witness < 0]
+    upper = unique + tol
+    lower = unique - tol
+    dominated = np.zeros(unique.shape[1], dtype=bool)
+    beaten = np.flatnonzero(witness >= 0)
+    dominated[beaten] = np.any(unique[:, witness[beaten]] < lower[:, beaten],
+                               axis=0)
+    # Lexicographic order ascends in the first column, so each block of
+    # rows reaches a prefix of the skyline.
+    rest = np.flatnonzero(~dominated)
+    block = max(1, FILTER_CELLS // sky.shape[1])
+    for start in range(0, len(rest), block):
+        rows = rest[start:start + block]
+        reach = int(np.searchsorted(sky[0], upper[0, rows[-1]], side="right"))
+        dominated[rows] = np.any(
+            _dominates(sky[:, None, :reach], upper[:, rows, None],
+                       lower[:, rows, None]), axis=1)
+    mask = np.empty(n, dtype=bool)
+    mask[order] = ~dominated[np.cumsum(distinct) - 1]
+    return mask
+
+
+def _exact_skyline(unique: np.ndarray) -> np.ndarray:
+    """For each row of ``unique`` (distinct rows stored as columns, in
+    lexicographic order), the index of a row that is at most it in every
+    column, or -1 when there is none: the exact weak skyline.
+
+    Such a row can only be at most the rows after it, and exact ``<=`` is
+    transitive, so a row is on the skyline when no earlier skyline row and
+    no earlier row of its own block is at most it. Blocks of
+    ``SKYLINE_BLOCK`` rows meet the last ``SKYLINE_BLOCK`` skyline rows
+    first, their nearest in that order, and only the rows that survive meet
+    the rest; every mask holds at most ``FILTER_CELLS`` booleans.
+    """
+    n = unique.shape[1]
+    step = max(1, min(SKYLINE_BLOCK, math.isqrt(FILTER_CELLS)))
+    witness = np.full(n, -1, dtype=np.intp)
+    sky = np.empty_like(unique)
+    sky_row = np.empty(n, dtype=np.intp)
+    size = 0
+    for start in range(0, n, step):
+        rows = unique[:, start:start + step]
+        below = np.triu(_at_most(rows[:, :, None], rows[:, None]), 1)
+        alive = ~below.any(axis=0)
+        witness[start + np.flatnonzero(~alive)] = \
+            start + below[:, ~alive].argmax(axis=0)
+        chunk = max(1, FILTER_CELLS // rows.shape[1])
+        end, width = size, min(SKYLINE_BLOCK, chunk)
+        while end and alive.any():
+            begin = max(0, end - width)
+            live = np.flatnonzero(alive)
+            covered = _at_most(sky[:, None, begin:end], rows[:, live, None])
+            hit = covered.any(axis=1)
+            witness[start + live[hit]] = \
+                sky_row[begin + covered[hit].argmax(axis=1)]
+            alive[live[hit]] = False
+            end, width = begin, chunk
+        kept = np.flatnonzero(alive)
+        sky[:, size:size + len(kept)] = rows[:, kept]
+        sky_row[size:size + len(kept)] = start + kept
+        size += len(kept)
+    return witness
 
 
 def frontier_rows(stack: np.ndarray, tol: float = DOMINANCE_TOL

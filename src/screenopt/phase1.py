@@ -1,26 +1,33 @@
 """Multi-period frontier expansion over strategy histories.
 
-For each sex the search walks screening periods in order. Period 1 solves
-the segment problem at the starting prevalence. Every later period builds
-its segment once, groups its strategies into classes that are equal at
-every prevalence (the objectives are linear in it), evaluates one
-representative per class at each surviving history's updated prevalence,
-and filters all the histories' frontiers in one batch; each history is
-extended by every strategy on its frontier. Between periods the
-bowel-state distribution moves by the detection-and-progression
-recurrences: detected fractions are removed (treated participants return
-to the normal state), remaining abnormal mass progresses along the
-adenoma-carcinoma sequence, and the normal state absorbs the residual.
-Histories whose cumulative expected colonoscopies (scaled by cohort size)
-exceed the budget are discarded, and the survivors are filtered by
-dominance on (total cancer prevalence, next-period cancer prevalence,
-next-period large-growth prevalence, cumulative colonoscopies).
+For each sex the search walks screening periods in order and holds each
+period's histories as one :class:`HistoryTable`: columns of parent rows,
+strategy indices, objectives, prevalences and running accounting, with no
+per-history objects. Period 1 solves the segment problem at the starting
+prevalence. Every later period builds its segment once, groups its
+strategies into classes that are equal at every prevalence (the objectives
+are linear in it), evaluates one representative per class at each surviving
+history's updated prevalence, and filters all the histories' frontiers in
+one batch; each history is extended by every strategy on its frontier.
+Between periods the bowel-state distribution moves by the
+detection-and-progression recurrences: detected fractions are removed
+(treated participants return to the normal state), remaining abnormal mass
+progresses along the adenoma-carcinoma sequence, and the normal state
+absorbs the residual. Histories whose cumulative expected colonoscopies
+(scaled by cohort size) exceed the budget are discarded, and the survivors
+are filtered by dominance on (total cancer prevalence, next-period cancer
+prevalence, next-period large-growth prevalence, cumulative colonoscopies).
+The recurrences run on the table's columns with the float operations of
+the scalar functions, so every value has the scalar code's bits; a
+:class:`StrategyHistory` is built only when a table row is read, which
+``run_phase1`` does for the last period's survivors.
 """
 
 from __future__ import annotations
 
+import dataclasses
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +41,6 @@ from .diagram import (
 from .errors import CapacityError, InfeasibleBudgetError, OracleMismatchError
 from .pareto import (
     DiagramProblem,
-    FrontierPoint,
     ParetoFrontier,
     box_search_frontier,
     brute_force_frontier,
@@ -54,11 +60,14 @@ from .screening import (
     Sex,
     TransitionRates,
     build_segment_diagram,
+    check_prevalence_rows,
     fixed_decision_rules,
     prevalence_cpts,
 )
 
 HISTORY_CAP = 10**6
+#: The objectives the recurrences read, in the column order of ``found``.
+DETECTIONS = ("benign_found", "large_found", "crc_found")
 
 
 @dataclass(frozen=True)
@@ -112,20 +121,6 @@ def natural_progression_rollout(psi0: PrevalenceVector,
     return out
 
 
-def detected_fractions_of(point: FrontierPoint) -> DetectedFractions:
-    """Read the three detection objectives off a frontier point."""
-    return DetectedFractions(
-        benign=point.objectives.by_name("benign_found"),
-        large=point.objectives.by_name("large_found"),
-        crc=point.objectives.by_name("crc_found"),
-    )
-
-
-def colonoscopies_of(point: FrontierPoint) -> float:
-    """Expected examinations per invitee (the value node counts them as -1)."""
-    return -point.objectives.by_name("colonoscopy")
-
-
 def combined_total_prevalence(previous: PrevalenceVector | None,
                               previous_weight: float,
                               psi: PrevalenceVector,
@@ -140,6 +135,44 @@ def combined_total_prevalence(previous: PrevalenceVector | None,
         large=(previous.large * previous_weight + psi.large * weight) / total,
         crc=(previous.crc * previous_weight + psi.crc * weight) / total,
     )
+
+
+def update_prevalence_rows(psi: np.ndarray, found: np.ndarray,
+                           rates: TransitionRates) -> np.ndarray:
+    """:func:`update_prevalences` of every row: ``psi`` is (N x 4) in state
+    order and ``found`` (N x 3) holds the benign, large and cancer
+    detections. Same checks, same float operations in the same order."""
+    for column, state in enumerate(("benign", "large", "crc")):
+        detected, prevalence = found[:, column], psi[:, column + 1]
+        if np.any(detected < -DETECTION_TOL):
+            raise ValueError(f"negative detected fraction for {state}")
+        over = np.flatnonzero(detected > prevalence + DETECTION_TOL)
+        if over.size:
+            i = over[0]
+            raise ValueError(
+                f"detected fraction {float(detected[i])!r} exceeds prevalence "
+                f"{float(prevalence[i])!r} for {state}")
+    normal, benign, large, crc = psi.T
+    found_benign, found_large, found_crc = found.T
+    benign_out = ((benign - found_benign) * (1.0 - rates.benign_to_large)
+                  + normal * rates.normal_to_benign)
+    large_out = ((large - found_large) * (1.0 - rates.large_to_crc)
+                 + (benign - found_benign) * rates.benign_to_large)
+    crc_out = crc - found_crc + (large - found_large) * rates.large_to_crc
+    normal_out = 1.0 - benign_out - large_out - crc_out
+    out = np.stack([normal_out, benign_out, large_out, crc_out], axis=1)
+    check_prevalence_rows(out)
+    return out
+
+
+def combined_total_rows(previous: np.ndarray, previous_weight: float,
+                        psi: np.ndarray, weight: float) -> np.ndarray:
+    """:func:`combined_total_prevalence` of every row of (N x 4) arrays,
+    with a previous total."""
+    total = previous_weight + weight
+    out = (previous * previous_weight + psi * weight) / total
+    check_prevalence_rows(out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -163,36 +196,127 @@ class StrategyHistory:
     cumulative_cost: float               # absolute euros, cohort-scaled
     total_prevalence: PrevalenceVector   # weighted over periods so far
 
-    @property
-    def last(self) -> PeriodRecord:
-        return self.records[-1]
 
-    def dominance_key(self) -> tuple[float, float, float, float]:
-        """All minimized: total cancer, next-start cancer, next-start large
-        growths, cumulative colonoscopies."""
-        return (self.total_prevalence.crc,
-                self.last.updated_prevalence.crc,
-                self.last.updated_prevalence.large,
-                self.cumulative_colonoscopies)
+@dataclass(frozen=True, eq=False, repr=False)
+class HistoryTable(Sequence):
+    """One period's strategy histories of one sex, one row per history.
 
-    def sort_key(self) -> tuple:
-        return tuple(r.strategy.key for r in self.records)
+    Row i extends row ``parent_row[i]`` of ``parent``, the previous
+    period's table, by ``strategies[strategy[i]]``; at period 1 ``parent``
+    is None and every row extends the empty history at ``start``. The
+    other columns are that period's reported objectives (rows x
+    objectives, per invitee), the updated and the population-weighted
+    total prevalence (rows x 4, state order), and the cumulative
+    colonoscopies and cost (cohort-scaled). ``weight`` is the cohort size
+    summed over periods 1..``period``.
+
+    As a sequence the table is read-only: reading a row builds its
+    :class:`StrategyHistory` by walking the parent rows, and rows read
+    together share the records of their common ancestors.
+    """
+
+    sex: Sex
+    period: int
+    weight: float
+    start: PrevalenceVector
+    strategies: tuple[GlobalStrategy, ...]
+    names: tuple[str, ...]
+    orientations: tuple[str, ...]
+    parent: HistoryTable | None
+    parent_row: np.ndarray
+    strategy: np.ndarray
+    reported: np.ndarray
+    updated: np.ndarray
+    total: np.ndarray
+    colonoscopies: np.ndarray
+    cost: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.strategy)
+
+    def __getitem__(self, index: int) -> StrategyHistory:
+        return self._histories([range(len(self))[index]])[0]
+
+    def __iter__(self):
+        return iter(self._histories(range(len(self))))
+
+    def take(self, rows: np.ndarray) -> HistoryTable:
+        """The table of the given rows, in that order."""
+        return dataclasses.replace(
+            self, parent_row=self.parent_row[rows],
+            strategy=self.strategy[rows], reported=self.reported[rows],
+            updated=self.updated[rows], total=self.total[rows],
+            colonoscopies=self.colonoscopies[rows], cost=self.cost[rows])
+
+    def dominance_keys(self) -> np.ndarray:
+        """(rows x 4), all minimized: total cancer, next-start cancer,
+        next-start large growths, cumulative colonoscopies."""
+        return np.stack([self.total[:, 3], self.updated[:, 3],
+                         self.updated[:, 2], self.colonoscopies], axis=1)
+
+    def key_ranks(self) -> list[np.ndarray]:
+        """Per period, period 1 first: the rank of each row's strategy key
+        among that period's strategies. A period's strategies have
+        distinct keys, so comparing the ranks compares the keys."""
+        ranks = []
+        table, rows = self, np.arange(len(self))
+        while table is not None:
+            by_key = sorted(range(len(table.strategies)),
+                            key=lambda s: table.strategies[s].key)
+            rank = np.empty(len(by_key), dtype=np.intp)
+            rank[by_key] = np.arange(len(by_key))
+            ranks.append(rank[table.strategy[rows]])
+            table, rows = table.parent, table.parent_row[rows]
+        return ranks[::-1]
+
+    def _records(self, rows) -> dict[int, tuple[PeriodRecord, ...]]:
+        """The record chain of each of ``rows``, ancestors shared."""
+        wanted = sorted(set(rows))
+        parents = self.parent_row[wanted].tolist()
+        before = ({} if self.parent is None
+                  else self.parent._records(parents))
+        out = {}
+        for r, p, values, s, psi in zip(
+                wanted, parents, self.reported[wanted].tolist(),
+                self.strategy[wanted].tolist(),
+                self.updated[wanted].tolist()):
+            prefix = before.get(p, ())
+            out[r] = prefix + (PeriodRecord(
+                period=self.period,
+                strategy=self.strategies[s],
+                objectives=ObjectiveVector(tuple(values), self.orientations,
+                                           self.names),
+                start_prevalence=(prefix[-1].updated_prevalence if prefix
+                                  else self.start),
+                updated_prevalence=PrevalenceVector(*psi)),)
+        return out
+
+    def _histories(self, rows) -> list[StrategyHistory]:
+        rows = list(rows)
+        records = self._records(rows)
+        return [
+            StrategyHistory(sex=self.sex, records=records[r],
+                            cumulative_colonoscopies=col,
+                            cumulative_cost=cost,
+                            total_prevalence=PrevalenceVector(*total))
+            for r, col, cost, total in zip(
+                rows, self.colonoscopies[rows].tolist(),
+                self.cost[rows].tolist(), self.total[rows].tolist())]
 
 
-def remove_dominated(histories: Sequence[StrategyHistory]) -> list[StrategyHistory]:
+def remove_dominated(histories: HistoryTable) -> HistoryTable:
     """Drop strictly dominated histories; exact-tied keys are all kept.
 
     Dominance is componentwise weak improvement with a strict improvement in
     at least one key (tolerance as in the frontier module). Output order is
-    deterministic: sorted by (dominance key, strategy key).
+    deterministic: sorted by dominance key, then by the strategy keys of
+    periods 1, 2, ...
     """
-    if not histories:
-        return []
-    keep = nondominated(np.array([h.dominance_key() for h in histories]),
-                        DOMINANCE_TOL)
-    kept = [h for h, k in zip(histories, keep) if k]
-    kept.sort(key=lambda h: (h.dominance_key(), h.sort_key()))
-    return kept
+    keys = histories.dominance_keys()
+    kept = np.flatnonzero(nondominated(keys, DOMINANCE_TOL))
+    ranks = [rank[kept] for rank in histories.key_ranks()]
+    order = np.lexsort(ranks[::-1] + list(keys[kept].T[::-1]))
+    return histories.take(kept[order])
 
 
 def policy_cell(strategy: GlobalStrategy, cutoffs: Sequence[str]) -> str:
@@ -277,68 +401,14 @@ def run_phase1(params: ParameterBundle, budget: float,
 
     out: dict[Sex, list[StrategyHistory]] = {}
     for sex in (Sex.F, Sex.M):
-        out[sex] = _run_sex(params, sex, budget, K, objective_mask,
-                            cross_check, history_cap)
+        table = _extend_period(params, sex, 1, None, budget, objective_mask,
+                               cross_check, history_cap)
+        for k in range(2, K + 1):
+            table = remove_dominated(_extend_period(
+                params, sex, k, table, budget, objective_mask, cross_check,
+                history_cap))
+        out[sex] = list(table)
     return out
-
-
-def _extend(params: ParameterBundle, sex: Sex, period: int,
-            base: StrategyHistory | None, start: PrevalenceVector,
-            point: FrontierPoint, weight_before: float) -> StrategyHistory:
-    segment = Segment(sex, period)
-    cohort = params.cohort_size(segment)
-    found = detected_fractions_of(point)
-    updated = update_prevalences(start, found, params.transition(segment))
-    record = PeriodRecord(
-        period=period,
-        strategy=point.strategy,
-        objectives=point.objectives,
-        start_prevalence=start,
-        updated_prevalence=updated,
-    )
-    previous_total = base.total_prevalence if base else None
-    total = combined_total_prevalence(previous_total, weight_before,
-                                      updated, cohort)
-    col = (base.cumulative_colonoscopies if base else 0.0) + \
-        colonoscopies_of(point) * cohort
-    cost = (base.cumulative_cost if base else 0.0) + \
-        point.objectives.by_name("cost") * cohort
-    records = (base.records if base else ()) + (record,)
-    return StrategyHistory(
-        sex=sex,
-        records=records,
-        cumulative_colonoscopies=col,
-        cumulative_cost=cost,
-        total_prevalence=total,
-    )
-
-
-def _run_sex(params, sex, budget, K, objective_mask, cross_check,
-             history_cap) -> list[StrategyHistory]:
-    psi1 = params.starting_prevalence(sex)
-    frontier = segment_frontier(params, Segment(sex, 1), psi1,
-                                objective_mask, cross_check)
-    histories = []
-    for point in frontier.points:
-        hist = _extend(params, sex, 1, None, psi1, point, 0.0)
-        if hist.cumulative_colonoscopies <= budget + BUDGET_TOL:
-            histories.append(hist)
-    if not histories:
-        raise InfeasibleBudgetError(
-            f"budget {budget} removes every period-1 strategy for "
-            f"sex={sex.value}")
-
-    weight = params.cohort_size(Segment(sex, 1))
-    for k in range(2, K + 1):
-        extended = _extend_period(params, sex, k, histories, budget, weight,
-                                  objective_mask, cross_check, history_cap)
-        if not extended:
-            raise InfeasibleBudgetError(
-                f"budget {budget} removes every history at period {k} for "
-                f"sex={sex.value}")
-        histories = remove_dominated(extended)
-        weight += params.cohort_size(Segment(sex, k))
-    return histories
 
 
 #: The four simplex vertices, one bowel state each.
@@ -376,25 +446,36 @@ def strategy_classes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sort(first), rank[inverse.ravel()]
 
 
-def _extend_period(params, sex, k, histories, budget, weight, objective_mask,
-                   cross_check, history_cap) -> list[StrategyHistory]:
-    """Every history extended by every frontier point of period ``k``,
-    within the budget.
+def _first_frontier(params, segment, psi, objective_mask, cross_check):
+    """Period 1: the frontier of :func:`segment_frontier`, as
+    (strategies, names, orientations, reported (1 x points x objectives),
+    frontier rows)."""
+    points = segment_frontier(params, segment, psi, objective_mask,
+                              cross_check).points
+    objectives = points[0].objectives
+    return (tuple(p.strategy for p in points), objectives.names,
+            objectives.orientations,
+            np.array([[p.objectives.values for p in points]]),
+            [np.arange(len(points))])
+
+
+def _batched_frontiers(params, segment, starts, objective_mask, cross_check):
+    """Later periods: the frontier of every start prevalence, as
+    (class representatives, names, orientations, reported
+    (starts x classes x objectives), frontier rows per start).
 
     The segment's problem is built once here and released when the period
     is done. Its strategies fall into a few classes that are equal at every
-    prevalence (:func:`strategy_classes`), so each history evaluates only
-    the class representatives, with the bits of its full objective matrix,
-    and one batched filter gives every history's frontier: the frontier of
+    prevalence (:func:`strategy_classes`), so each start evaluates only the
+    class representatives, with the bits of its full objective matrix, and
+    one batched filter gives every start's frontier: the frontier of
     :func:`segment_frontier`, which ``cross_check`` compares with it.
     """
-    segment = Segment(sex, k)
-    label = f"for sex={sex.value} period={k}"
-    starts = [h.last.updated_prevalence for h in histories]
+    label = f"for sex={segment.sex.value} period={segment.period}"
     base = segment_problem(params, segment, starts[0], objective_mask)
     reps, class_of = strategy_classes(vertex_values(params, base))
-    # The base problem holds every strategy at the first history's
-    # prevalence, which checks the classes there for free.
+    # The base problem holds every strategy at the first start, which
+    # checks the classes there for free.
     if np.any(np.abs(base.reported - base.reported[reps[class_of]])
               > DOMINANCE_TOL):
         raise OracleMismatchError(
@@ -404,9 +485,8 @@ def _extend_period(params, sex, k, histories, budget, weight, objective_mask,
             fixed=base.fixed, cpts=prevalence_cpts(params, psi),
             strategies=reps)
         for psi in starts])
-    minimized = base.minimize(reported)
-    frontiers = frontier_rows(minimized)
-    strategies = [base.strategy(r) for r in reps.tolist()]
+    frontiers = frontier_rows(base.minimize(reported))
+    strategies = tuple(base.strategy(r) for r in reps.tolist())
     if cross_check:
         for h, psi in enumerate(starts):
             oracle = segment_frontier(params, segment, psi, objective_mask,
@@ -419,31 +499,69 @@ def _extend_period(params, sex, k, histories, budget, weight, objective_mask,
                 raise OracleMismatchError(
                     f"batched frontier differs from the per-history "
                     f"frontier of history {h} {label}")
+    return strategies, base.names, base.orientations, reported, frontiers
 
-    # The budget rule of ``_extend``, with the same float operations, so
-    # the histories over the cap are counted before any is built.
+
+def _extend_period(params, sex, k, previous, budget, objective_mask,
+                   cross_check, history_cap) -> HistoryTable:
+    """Every history of ``previous`` (at period 1, the empty history)
+    extended by every frontier point of period ``k``, within the budget.
+
+    The budget is applied, and from period 2 on ``history_cap`` checked, on
+    the arrays before the table is filled.
+    """
+    segment = Segment(sex, k)
+    if previous is None:
+        start = params.starting_prevalence(sex)
+        starts = np.array([start.as_tuple()])
+        before_col = before_cost = np.zeros(1)
+        strategies, names, orientations, reported, frontiers = \
+            _first_frontier(params, segment, start, objective_mask,
+                            cross_check)
+    else:
+        start, starts = previous.start, previous.updated
+        before_col, before_cost = previous.colonoscopies, previous.cost
+        strategies, names, orientations, reported, frontiers = \
+            _batched_frontiers(
+                params, segment,
+                [PrevalenceVector(*row) for row in starts.tolist()],
+                objective_mask, cross_check)
+
     cohort = params.cohort_size(segment)
-    before = np.array([h.cumulative_colonoscopies for h in histories])
-    col = before[:, None] + \
-        -reported[:, :, base.names.index("colonoscopy")] * cohort
+    col = before_col[:, None] + \
+        -reported[:, :, names.index("colonoscopy")] * cohort
     within = col <= budget + BUDGET_TOL
     frontiers = [rows[within[h, rows]] for h, rows in enumerate(frontiers)]
     count = sum(len(rows) for rows in frontiers)
-    if count > history_cap:
+    if previous is not None and count > history_cap:
         raise CapacityError(
             f"{count} histories at period {k} exceed the cap of {history_cap}")
-    extended = []
-    for h, rows in enumerate(frontiers):
-        for c in rows.tolist():
-            point = FrontierPoint(
-                strategy=strategies[c],
-                minimized=tuple(minimized[h, c].tolist()),
-                objectives=ObjectiveVector(
-                    values=tuple(reported[h, c].tolist()),
-                    orientations=base.orientations, names=base.names))
-            extended.append(_extend(params, sex, k, histories[h], starts[h],
-                                    point, weight))
-    return extended
+    if not count:
+        raise InfeasibleBudgetError(
+            f"budget {budget} removes every period-1 strategy for "
+            f"sex={sex.value}" if previous is None else
+            f"budget {budget} removes every history at period {k} for "
+            f"sex={sex.value}")
+
+    parent = np.repeat(np.arange(len(frontiers)),
+                       [len(rows) for rows in frontiers])
+    strategy = np.concatenate(frontiers)
+    values = reported[parent, strategy]
+    updated = update_prevalence_rows(
+        starts[parent], values[:, [names.index(n) for n in DETECTIONS]],
+        params.transition(segment))
+    if previous is None:
+        total, weight = updated, cohort
+    else:
+        total = combined_total_rows(previous.total[parent], previous.weight,
+                                    updated, cohort)
+        weight = previous.weight + cohort
+    return HistoryTable(
+        sex=sex, period=k, weight=weight, start=start, strategies=strategies,
+        names=names, orientations=orientations, parent=previous,
+        parent_row=parent, strategy=strategy, reported=values,
+        updated=updated, total=total, colonoscopies=col[parent, strategy],
+        cost=before_cost[parent] + values[:, names.index("cost")] * cohort)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Mapping
 
+import numpy as np
+
 from .diagram import (
     SUM_TOL,
     ZERO_TOL,
@@ -97,6 +99,17 @@ class PrevalenceVector:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.normal, self.benign, self.large, self.crc)
+
+
+def check_prevalence_rows(rows: np.ndarray) -> None:
+    """The checks of :class:`PrevalenceVector` on every row of an (N x 4)
+    array in state order, with the same float operations."""
+    total = rows[:, 0] + rows[:, 1] + rows[:, 2] + rows[:, 3]
+    off = np.flatnonzero(np.abs(total - 1.0) > SUM_TOL)
+    if off.size:
+        raise ValueError(f"prevalences sum to {float(total[off[0]])!r}, not 1")
+    if np.any(rows.min(axis=1, initial=np.inf) < -ZERO_TOL):
+        raise ValueError("negative prevalence entry")
 
 
 @dataclass(frozen=True)

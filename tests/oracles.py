@@ -2,20 +2,48 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from screenopt.diagram import NodeKind
 from screenopt.pareto import diagram_problem
 from screenopt.phase1 import (
     BUDGET_TOL,
-    colonoscopies_of,
+    VERTICES,
+    DetectedFractions,
     combined_total_prevalence,
-    detected_fractions_of,
     update_prevalences,
 )
 from screenopt.phase2 import SelectionResult
 from screenopt.screening import Segment, Sex, build_segment_diagram, \
     fixed_decision_rules
+
+
+def detected_fractions_of(point) -> DetectedFractions:
+    """Read the three detection objectives off a frontier point."""
+    return DetectedFractions(
+        benign=point.objectives.by_name("benign_found"),
+        large=point.objectives.by_name("large_found"),
+        crc=point.objectives.by_name("crc_found"),
+    )
+
+
+def colonoscopies_of(point) -> float:
+    """Expected examinations per invitee (the value node counts them as -1)."""
+    return -point.objectives.by_name("colonoscopy")
+
+
+def dominance_key(history) -> tuple[float, float, float, float]:
+    """All minimized: total cancer, next-start cancer, next-start large
+    growths, cumulative colonoscopies."""
+    last = history.records[-1].updated_prevalence
+    return (history.total_prevalence.crc, last.crc, last.large,
+            history.cumulative_colonoscopies)
+
+
+def sort_key(history) -> tuple:
+    return tuple(r.strategy.key for r in history.records)
 
 
 def dominates(a, b, tol=1e-9):
@@ -131,7 +159,7 @@ def remove_dominated_loop(histories):
     Each history is compared against every other one, kept or not, with the
     same tolerance rule as the frontier filter.
     """
-    keys = np.array([h.dominance_key() for h in histories])
+    keys = np.array([dominance_key(h) for h in histories])
     tol = 1e-9
     kept = []
     for i, h in enumerate(histories):
@@ -139,5 +167,116 @@ def remove_dominated_loop(histories):
         lt = np.any(keys < keys[i] - tol, axis=1)
         if not np.any(le & lt):
             kept.append(h)
-    kept.sort(key=lambda h: (h.dominance_key(), h.sort_key()))
+    kept.sort(key=lambda h: (dominance_key(h), sort_key(h)))
     return kept
+
+
+def nondominated_prefix(points, tol=1e-9, cells=1 << 20):
+    """The all-pairs tolerance dominance mask by key-0 prefixes.
+
+    Rows are sorted on the first column and each block of rows is
+    broadcast against every row, kept or not, whose first column is at
+    most the block's largest ``+ tol``; a block's masks hold at most
+    ``cells`` booleans. Takes one matrix or a stack of them.
+    """
+    points = np.asarray(points, dtype=float)
+    stack = points.reshape((math.prod(points.shape[:-2]),) + points.shape[-2:])
+    B, n, m = stack.shape
+    order = np.argsort(stack[:, :, 0], axis=1, kind="stable")
+    ranked = np.take_along_axis(stack, order[:, :, None], axis=1)
+    upper = ranked + tol
+    lower = ranked - tol
+    first = ranked[:, :, 0]
+    dominated = np.zeros((B, n), dtype=bool)
+    per_matrix = max(1, cells // max(n * n, 1))
+    block = max(1, cells // max(per_matrix * n, 1))
+    for b0 in range(0, B, per_matrix):
+        mats = slice(b0, b0 + per_matrix)
+        for start in range(0, n, block):
+            rows = slice(start, start + block)
+            last = upper[mats, min(start + block, n) - 1, 0]
+            reach = int((first[mats] <= last[:, None]).sum(axis=1).max())
+            cand = ranked[mats, None, :reach]
+            hi = upper[mats, rows, None]
+            lo = lower[mats, rows, None]
+            weakly = cand[..., 0] <= hi[..., 0]
+            strictly = cand[..., 0] < lo[..., 0]
+            for k in range(1, m):
+                weakly &= cand[..., k] <= hi[..., k]
+                strictly |= cand[..., k] < lo[..., k]
+            dominated[mats, rows] = np.any(weakly & strictly, axis=2)
+    mask = np.empty_like(dominated)
+    np.put_along_axis(mask, order, ~dominated, axis=1)
+    return mask.reshape(points.shape[:-1])
+
+
+def exhaustive_phase1(bundle, sex, budget, periods):
+    """Every budget-feasible sequence of strategy classes for one sex.
+
+    Each period's strategies are grouped by exactly equal objectives at the
+    four simplex vertices, from diagrams built fresh at each vertex; the
+    objectives are linear in the start prevalence, so one ``einsum`` gives
+    every class's objectives at every sequence's prevalence. Sequences are
+    extended by every class and pruned only by the budget. Returns each
+    sequence's expected cancers (total cancer prevalence times the
+    population of the periods) and cumulative colonoscopies.
+    """
+    fixed = fixed_decision_rules(bundle)
+    psi = np.array([bundle.starting_prevalence(sex).as_tuple()])
+    col = np.zeros(1)
+    total = None
+    weight = 0.0
+    for k in range(1, periods + 1):
+        segment = Segment(sex, k)
+        problems = [diagram_problem(build_segment_diagram(segment, bundle, v),
+                                    fixed=fixed) for v in VERTICES]
+        names = problems[0].names
+        vertex = np.stack([p.reported for p in problems], axis=2)
+        classes = np.unique(vertex.reshape(len(vertex), -1), axis=0)
+        values = np.einsum("cov,nv->nco", classes.reshape(
+            len(classes), len(names), 4), psi)
+        cohort = bundle.cohort_size(segment)
+        extended = col[:, None] - values[:, :, names.index("colonoscopy")] \
+            * cohort
+        h, c = np.nonzero(extended <= budget + BUDGET_TOL)
+        found = {name: values[h, c, names.index(f"{name}_found")]
+                 for name in ("benign", "large", "crc")}
+        rates = bundle.transition(segment)
+        normal, benign, large, crc = psi[h].T
+        left_benign = benign - found["benign"]
+        left_large = large - found["large"]
+        benign = left_benign * (1 - rates.benign_to_large) \
+            + normal * rates.normal_to_benign
+        large = left_large * (1 - rates.large_to_crc) \
+            + left_benign * rates.benign_to_large
+        crc = crc - found["crc"] + left_large * rates.large_to_crc
+        psi = np.stack([1 - benign - large - crc, benign, large, crc], axis=1)
+        total = psi if total is None else \
+            (total[h] * weight + psi * cohort) / (weight + cohort)
+        weight += cohort
+        col = extended[h, c]
+    return total[:, 3] * bundle.total_population(sex, periods), col
+
+
+def exhaustive_best_shares(bundle, budgets, periods):
+    """The smallest population cancer share of any (women's, men's) pair of
+    budget-feasible class sequences, per budget, over
+    :func:`exhaustive_phase1`; None where no pair fits."""
+    cancers_f, col_f = exhaustive_phase1(bundle, Sex.F, max(budgets), periods)
+    cancers_m, col_m = exhaustive_phase1(bundle, Sex.M, max(budgets), periods)
+    population = bundle.total_population(Sex.F, periods) + \
+        bundle.total_population(Sex.M, periods)
+    order = np.argsort(col_m, kind="stable")
+    col_m = col_m[order]
+    best_m = np.minimum.accumulate(cancers_m[order])
+    shares = []
+    for budget in budgets:
+        fits = np.searchsorted(col_m, budget + BUDGET_TOL - col_f,
+                               side="right")
+        ok = fits > 0
+        if not ok.any():
+            shares.append(None)
+            continue
+        best = np.min(cancers_f[ok] + best_m[fits[ok] - 1])
+        shares.append(float(best / population))
+    return shares

@@ -21,7 +21,7 @@ from conftest import (
     random_strategy,
     small_doc,
 )
-from oracles import exhaustive_two_period, reference_pair_scan
+from oracles import dominance_key, exhaustive_two_period, reference_pair_scan
 from screenopt.cli import main
 from screenopt.diagram import (
     enumerate_paths,
@@ -249,7 +249,7 @@ def test_algorithm1_oracle_equality():
         got = run_phase1(bundle, budget=budget, periods=2)
         want = exhaustive_two_period(bundle, budget)
         for sex in (Sex.F, Sex.M):
-            keys = {tuple(round(v, 12) for v in h.dominance_key())
+            keys = {tuple(round(v, 12) for v in dominance_key(h))
                     for h in got[sex]}
             assert keys == want[sex], (sex, budget)
         checked += 1

@@ -17,7 +17,11 @@ import pytest
 
 import screenopt.pareto
 from conftest import random_diagram
-from oracles import compatible_path_probabilities, dominates
+from oracles import (
+    compatible_path_probabilities,
+    dominates,
+    nondominated_prefix,
+)
 from screenopt.diagram import (
     LocalStrategy,
     enumerate_strategies,
@@ -26,6 +30,7 @@ from screenopt.diagram import (
 from screenopt.errors import IterationLimitError
 from screenopt.pareto import (
     EnumeratedProblem,
+    _exact_skyline,
     ScalarizationParams,
     box_search_frontier,
     brute_force_frontier,
@@ -280,6 +285,67 @@ class TestFrontier:
         for front in (box_search_frontier(p), compute_frontier(p)):
             assert {pt.minimized for pt in front.points} == \
                 {(1.0, 1.0), (0.5, 3.0)}
+
+
+class TestSkylineKernel:
+    """The skyline-first filter of large matrices gives the all-pairs mask
+    of the key-0 prefix kernel and of the plain row loop."""
+
+    @staticmethod
+    def planted_keys(rng, n):
+        # a coarse grid, so many rows tie or nearly tie; near ties straddle
+        # the 1e-9 tolerance; a quarter of the rows copy another row
+        keys = rng.integers(0, 6, size=(n, 4)).astype(float) * 1e-3
+        keys += rng.choice([0.0, 0.0, 0.0, 5e-10, -5e-10, 1e-9, -1e-9,
+                            1.5e-9, -1.5e-9], size=keys.shape)
+        dup = rng.integers(0, n, size=n // 4)
+        keys[rng.integers(0, n, size=len(dup))] = keys[dup]
+        return keys
+
+    @pytest.mark.parametrize("cells,block", [(16, 4), (300, 8), (4096, 512),
+                                             (1 << 16, 512)])
+    def test_mask_equals_prefix_kernel_and_row_loop(self, monkeypatch, cells,
+                                                    block):
+        monkeypatch.setattr(screenopt.pareto, "FILTER_CELLS", cells)
+        monkeypatch.setattr(screenopt.pareto, "SKYLINE_BLOCK", block)
+        rng = np.random.default_rng(263)
+        for trial in range(25):
+            n = int(rng.integers(2, 400))
+            keys = self.planted_keys(rng, n)
+            mask = nondominated(keys)
+            assert np.array_equal(mask, nondominated_prefix(keys))
+            if trial % 5 == 0:
+                loop = [not any(dominates(other, row) for other in keys)
+                        for row in keys]
+                assert mask.tolist() == loop
+
+    @pytest.mark.parametrize("cells,block", [(16, 4), (300, 8), (1 << 16, 512)])
+    def test_skyline_is_the_exact_weak_skyline(self, monkeypatch, cells,
+                                               block):
+        # the rows without an exact dominator are the rows no other row is
+        # at most in every column
+        monkeypatch.setattr(screenopt.pareto, "FILTER_CELLS", cells)
+        monkeypatch.setattr(screenopt.pareto, "SKYLINE_BLOCK", block)
+        rng = np.random.default_rng(269)
+        for _ in range(20):
+            keys = self.planted_keys(rng, int(rng.integers(1, 300)))
+            unique = np.unique(keys, axis=0)     # lexicographic order
+            witness = _exact_skyline(unique.T.copy())
+            want = [not any(np.all(other <= row) and np.any(other != row)
+                            for other in unique) for row in unique]
+            assert (witness < 0).tolist() == want
+            # every other row names an exact dominator
+            beaten = np.flatnonzero(witness >= 0)
+            assert np.all(unique[witness[beaten]] <= unique[beaten])
+            assert np.all(witness[beaten] < beaten)
+
+    def test_large_matrices_of_a_stack_use_the_skyline(self, monkeypatch):
+        # a stack whose matrices exceed one block is filtered matrix by
+        # matrix; the result is the prefix kernel's
+        monkeypatch.setattr(screenopt.pareto, "FILTER_CELLS", 64)
+        rng = np.random.default_rng(271)
+        stack = np.stack([self.planted_keys(rng, 50) for _ in range(3)])
+        assert np.array_equal(nondominated(stack), nondominated_prefix(stack))
 
 
 class TestDiagramProblems:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,26 +18,38 @@ import pytest
 import screenopt.pareto
 import screenopt.phase1
 from conftest import _random_simplex, random_params_doc, small_doc
-from oracles import exhaustive_two_period, remove_dominated_loop
+from oracles import (
+    colonoscopies_of,
+    detected_fractions_of,
+    dominance_key,
+    exhaustive_best_shares,
+    exhaustive_two_period,
+    remove_dominated_loop,
+    sort_key,
+)
 from screenopt.diagram import StrategyEvaluator
 from screenopt.errors import CapacityError, InfeasibleBudgetError
 from screenopt.phase1 import (
     BUDGET_TOL,
+    DETECTION_TOL,
     DOMINANCE_TOL,
     VERTICES,
     DetectedFractions,
+    HistoryTable,
     baseline_trajectory,
-    colonoscopies_of,
-    detected_fractions_of,
+    combined_total_prevalence,
+    combined_total_rows,
     natural_progression_rollout,
     remove_dominated,
     run_phase1,
     segment_frontier,
     segment_problem,
     strategy_classes,
+    update_prevalence_rows,
     update_prevalences,
     vertex_values,
 )
+from screenopt.phase2 import budget_sweep, selection_problem_from_histories
 from screenopt.screening import (
     FIT_RESULT,
     PrevalenceVector,
@@ -44,6 +57,7 @@ from screenopt.screening import (
     Sex,
     TransitionRates,
     build_segment_diagram,
+    check_prevalence_rows,
     fixed_decision_rules,
     load_parameters,
     prevalence_cpts,
@@ -179,28 +193,64 @@ class TestDetectedFractions:
         assert found.crc == pytest.approx(psi.crc, abs=1e-12)
 
 
+def key_table(keys, strategy_keys=None, parent=None, parent_row=None):
+    """A history table whose rows have the given dominance keys.
+
+    Its strategies are stubs with the given distinct keys (one per row by
+    default, descending); ``parent`` makes it a period-2 table over those
+    parent rows.
+    """
+    keys = np.asarray(keys, dtype=float).reshape(-1, 4)
+    n = len(keys)
+    if strategy_keys is None:
+        strategy_keys = [(n - i,) for i in range(n)]
+    strategies = tuple(SimpleNamespace(key=k) for k in strategy_keys)
+    zero = np.zeros(n)
+    updated = np.stack([1.0 - keys[:, 1] - keys[:, 2], zero, keys[:, 2],
+                        keys[:, 1]], axis=1)
+    total = np.stack([1.0 - keys[:, 0], zero, zero, keys[:, 0]], axis=1)
+    return HistoryTable(
+        sex=Sex.F, period=1 if parent is None else parent.period + 1,
+        weight=1.0, start=WORKED_PSI, strategies=strategies,
+        names=("cost",), orientations=("minimize",), parent=parent,
+        parent_row=(np.zeros(n, dtype=np.intp) if parent_row is None
+                    else np.asarray(parent_row, dtype=np.intp)),
+        strategy=np.arange(n) % max(len(strategies), 1),
+        reported=np.zeros((n, 1)), updated=updated, total=total,
+        colonoscopies=keys[:, 3].copy(), cost=zero)
+
+
 class TestRemoveDominated:
-    def hist(self, key):
-        class Stub:
-            def __init__(self, key):
-                self._key = key
-
-            def dominance_key(self):
-                return self._key
-
-            def sort_key(self):
-                return self._key
-        return Stub(key)
-
     def test_strictly_dominated_removed_ties_kept(self):
-        a = self.hist((1.0, 1.0, 1.0, 1.0))
-        b = self.hist((1.0, 1.0, 1.0, 1.0))   # exact tie with a: kept
-        c = self.hist((2.0, 1.0, 1.0, 1.0))   # dominated by a: removed
-        d = self.hist((0.5, 2.0, 1.0, 1.0))   # incomparable: kept
-        kept = remove_dominated([a, b, c, d])
-        assert set(kept) == {a, b, d}
+        table = key_table([
+            (0.1, 0.1, 0.1, 1.0),
+            (0.1, 0.1, 0.1, 1.0),     # exact tie with row 0: kept
+            (0.2, 0.1, 0.1, 1.0),     # dominated by row 0: removed
+            (0.05, 0.2, 0.1, 1.0),    # incomparable: kept
+        ])
+        kept = remove_dominated(table)
+        assert set(kept.strategy.tolist()) == {0, 1, 3}
 
-    @pytest.mark.parametrize("cells", [1 << 20, 40])
+    @staticmethod
+    def random_keys(rng, n):
+        keys = rng.integers(0, 4, size=(n, 4)).astype(float) * 1e-3 + 0.01
+        # near ties straddling the 1e-9 tolerance, and exact duplicates
+        jitter = rng.choice([0.0, 0.0, 5e-10, -5e-10, 1e-9, -1e-9,
+                             1.5e-9, -1.5e-9], size=keys.shape)
+        keys = keys + jitter
+        dup = rng.integers(0, n, size=n // 4)
+        keys[rng.integers(0, n, size=len(dup))] = keys[dup]
+        return keys
+
+    @staticmethod
+    def assert_equals_row_loop(table):
+        got = list(remove_dominated(table))
+        want = remove_dominated_loop(list(table))
+        assert [dominance_key(h) for h in got] == \
+            [dominance_key(h) for h in want]
+        assert [sort_key(h) for h in got] == [sort_key(h) for h in want]
+
+    @pytest.mark.parametrize("cells", [1 << 20, 1 << 16, 256, 40])
     def test_equals_row_loop_with_ties_and_near_ties(self, monkeypatch,
                                                      cells):
         # a small cell budget forces many blocks per call
@@ -208,17 +258,98 @@ class TestRemoveDominated:
         rng = np.random.default_rng(151)
         for _ in range(40):
             n = int(rng.integers(1, 300))
-            keys = rng.integers(0, 4, size=(n, 4)).astype(float) * 1e-3
-            # near ties straddling the 1e-9 tolerance, and exact duplicates
-            jitter = rng.choice([0.0, 0.0, 5e-10, -5e-10, 1e-9, -1e-9,
-                                 1.5e-9, -1.5e-9], size=keys.shape)
-            keys = keys + jitter
-            dup = rng.integers(0, n, size=n // 4)
-            keys[rng.integers(0, n, size=len(dup))] = keys[dup]
-            histories = [self.hist(tuple(row)) for row in keys]
-            assert remove_dominated(histories) == \
-                remove_dominated_loop(histories)
-        assert remove_dominated([]) == []
+            self.assert_equals_row_loop(key_table(self.random_keys(rng, n)))
+        assert len(remove_dominated(key_table(np.empty((0, 4))))) == 0
+
+    def test_order_breaks_ties_on_every_periods_strategy_key(self):
+        # exact-tied dominance keys sort on the period-1 strategy key,
+        # then on the period-2 one
+        rng = np.random.default_rng(157)
+        for _ in range(20):
+            n_parent = int(rng.integers(1, 12))
+            parent = key_table(self.random_keys(rng, n_parent))
+            n = int(rng.integers(1, 200))
+            keys = self.random_keys(rng, 4)[rng.integers(0, 4, size=n)]
+            table = key_table(keys, strategy_keys=[(3,), (1,), (2,)],
+                              parent=parent,
+                              parent_row=rng.integers(0, n_parent, size=n))
+            self.assert_equals_row_loop(table)
+
+
+class TestArrayRecurrences:
+    """The recurrences on table columns have the scalar functions' bits
+    and fail as loudly."""
+
+    @staticmethod
+    def simplex_rows(rng, n):
+        return np.array([PrevalenceVector(**_random_simplex(rng)).as_tuple()
+                         for _ in range(n)])
+
+    def test_rows_bit_identical_to_scalar_functions(self):
+        rng = np.random.default_rng(307)
+        for _ in range(40):
+            n = int(rng.integers(1, 30))
+            psi = self.simplex_rows(rng, n)
+            share = rng.uniform(0, 1, size=(n, 3))
+            share[rng.random((n, 3)) < 0.3] = 0.0     # zero detections
+            share[rng.random((n, 3)) < 0.1] = 1.0     # everything found
+            found = psi[:, 1:] * share
+            rates = TransitionRates(*rng.uniform(0, 0.1, size=3).tolist())
+            rows = update_prevalence_rows(psi, found, rates)
+            scalar = np.array([
+                update_prevalences(PrevalenceVector(*p),
+                                   DetectedFractions(*f), rates).as_tuple()
+                for p, f in zip(psi.tolist(), found.tolist())])
+            assert np.array_equal(rows, scalar)
+            assert np.array_equal(np.signbit(rows), np.signbit(scalar))
+
+            previous = self.simplex_rows(rng, n)
+            weight = float(rng.uniform(1, 3e4))
+            for previous_weight in (0.0, float(rng.uniform(1, 1e5))):
+                totals = combined_total_rows(previous, previous_weight,
+                                             rows, weight)
+                scalar = np.array([
+                    combined_total_prevalence(
+                        PrevalenceVector(*a), previous_weight,
+                        PrevalenceVector(*b), weight).as_tuple()
+                    for a, b in zip(previous.tolist(), rows.tolist())])
+                assert np.array_equal(totals, scalar)
+                assert np.array_equal(np.signbit(totals),
+                                      np.signbit(scalar))
+
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_bad_detections_raise(self, column):
+        psi = np.array([WORKED_PSI.as_tuple()] * 3)
+        good = (WORKED_FOUND.benign, WORKED_FOUND.large, WORKED_FOUND.crc)
+        for bad in (-2 * DETECTION_TOL,
+                    psi[1, column + 1] + 2 * DETECTION_TOL):
+            found = np.array([good] * 3)
+            found[1, column] = bad
+            with pytest.raises(ValueError):
+                update_prevalence_rows(psi, found, WORKED_RATES)
+            with pytest.raises(ValueError):
+                update_prevalences(WORKED_PSI, DetectedFractions(*found[1]),
+                                   WORKED_RATES)
+
+    def test_rows_breaking_the_prevalence_checks_raise(self):
+        psi = np.array([WORKED_PSI.as_tuple()] * 2)
+        # within the detection tolerance, but leaves negative cancer mass
+        found = np.array([[0.0, 0.0, 0.0],
+                          [0.0, 0.0, WORKED_PSI.crc + DETECTION_TOL / 2]])
+        with pytest.raises(ValueError, match="negative"):
+            update_prevalence_rows(psi, found, NO_RATES)
+        with pytest.raises(ValueError, match="negative"):
+            update_prevalences(WORKED_PSI, DetectedFractions(*found[1]),
+                               NO_RATES)
+        # a previous total off the simplex
+        off = np.array([WORKED_PSI.as_tuple(), (0.5, 0.5, 0.5, 0.0)])
+        with pytest.raises(ValueError, match="sum"):
+            combined_total_rows(off, 1.0, psi, 1.0)
+        with pytest.raises(ValueError, match="sum"):
+            check_prevalence_rows(off)
+        with pytest.raises(ValueError, match="negative"):
+            check_prevalence_rows(np.array([(1.1, -0.1, 0.0, 0.0)]))
+        check_prevalence_rows(psi)
 
 
 def tiny_bundle(default_doc, periods=2):
@@ -253,7 +384,7 @@ class TestRunPhase1:
             got = run_phase1(bundle, budget=budget, periods=2)
             for sex in (Sex.F, Sex.M):
                 keys = {
-                    tuple(round(v, 12) for v in h.dominance_key())
+                    tuple(round(v, 12) for v in dominance_key(h))
                     for h in got[sex]
                 }
                 assert keys == exhaustive_two_period(bundle, budget)[sex], \
@@ -270,8 +401,8 @@ class TestRunPhase1:
             for budget, kept in ((count, True),
                                  (count - 2 * BUDGET_TOL, False)):
                 result = run_phase1(bundle, budget, periods)[sex]
-                assert (top.sort_key() in
-                        [h.sort_key() for h in result]) is kept, budget
+                assert (sort_key(top) in
+                        [sort_key(h) for h in result]) is kept, budget
                 assert all(h.cumulative_colonoscopies <= budget + BUDGET_TOL
                            for h in result)
 
@@ -320,31 +451,40 @@ class TestRunPhase1:
                        objective_mask=["crc_found"])
 
     def test_history_cap(self, default_doc, monkeypatch):
-        # the cap is checked on the counted extensions, before any
-        # period-2 history is built
+        # the cap is checked on the counted extensions, before the
+        # period-2 table is filled and before any history is built
         bundle = tiny_bundle(default_doc)
-        periods = []
-        extend = screenopt.phase1._extend
+        filled, read = [], []
 
-        def counting(params, sex, period, *args):
-            periods.append(period)
-            return extend(params, sex, period, *args)
+        class Recording(screenopt.phase1.HistoryTable):
+            def __init__(self, **columns):
+                filled.append(columns["period"])
+                super().__init__(**columns)
 
-        monkeypatch.setattr(screenopt.phase1, "_extend", counting)
+            def _histories(self, rows):
+                read.append(self.period)
+                return super()._histories(rows)
+
+        monkeypatch.setattr(screenopt.phase1, "HistoryTable", Recording)
         with pytest.raises(CapacityError):
             run_phase1(bundle, budget=1e9, periods=2, history_cap=2)
-        assert periods and 2 not in periods
+        assert filled == [1] and read == []
+        # the same run under the default cap: each sex fills both periods'
+        # tables, prunes period 2, and reads only its survivors
+        filled.clear()
+        run_phase1(bundle, budget=1e9, periods=2)
+        assert filled == [1, 2, 2] * 2 and read == [2, 2]
 
     def test_deterministic_across_runs(self, default_doc):
         bundle = tiny_bundle(default_doc)
         a = run_phase1(bundle, budget=800.0, periods=2)
         b = run_phase1(bundle, budget=800.0, periods=2)
         for sex in (Sex.F, Sex.M):
-            keys_a = [h.dominance_key() for h in a[sex]]
-            keys_b = [h.dominance_key() for h in b[sex]]
+            keys_a = [dominance_key(h) for h in a[sex]]
+            keys_b = [dominance_key(h) for h in b[sex]]
             assert keys_a == keys_b
-            assert [h.sort_key() for h in a[sex]] == \
-                [h.sort_key() for h in b[sex]]
+            assert [sort_key(h) for h in a[sex]] == \
+                [sort_key(h) for h in b[sex]]
 
     def test_masked_run_still_reports_cost(self, default_doc):
         bundle = tiny_bundle(default_doc)
@@ -366,7 +506,7 @@ class TestRunPhase1:
             got = run_phase1(bundle, budget=budget, periods=2)
             want = exhaustive_two_period(bundle, budget)
             for sex in (Sex.F, Sex.M):
-                keys = {tuple(round(v, 12) for v in h.dominance_key())
+                keys = {tuple(round(v, 12) for v in dominance_key(h))
                         for h in got[sex]}
                 assert keys == want[sex]
 
@@ -511,3 +651,39 @@ class TestStrategyClasses:
             bundle, _ = load_parameters(doc)
             run_phase1(bundle, budget=1e9, periods=3,
                        objective_mask=masks[trial % 3], cross_check=True)
+
+
+class TestExhaustivePhase1:
+    """The pipeline's best pair matches the best pair of every
+    budget-feasible class sequence: pruning by frontiers and by the four
+    dominance keys has not lost the optimum."""
+
+    @staticmethod
+    def assert_matches_exhaustive(bundle, budgets, periods):
+        histories = run_phase1(bundle, budget=max(budgets), periods=periods)
+        keys = {sex: [str(i) for i in range(len(histories[sex]))]
+                for sex in (Sex.F, Sex.M)}
+        problem = selection_problem_from_histories(bundle, histories, keys,
+                                                   budget=max(budgets))
+        got = [r.cancer_share if r.feasible else None
+               for r in budget_sweep(problem, budgets)]
+        want = exhaustive_best_shares(bundle, budgets, periods)
+        assert [g is None for g in got] == [w is None for w in want]
+        for budget, g, w in zip(budgets, got, want):
+            if g is not None:
+                assert g == pytest.approx(w, rel=1e-12, abs=0.0), budget
+
+    @pytest.mark.parametrize("periods", [1, 2, 3])
+    def test_shipped_parameters(self, default_bundle, periods):
+        budgets = [250.0, 1000.0, 2500.0, 5000.0, 9000.0, 14000.0]
+        self.assert_matches_exhaustive(default_bundle, budgets, periods)
+
+    def test_random_documents(self):
+        rng = np.random.default_rng(277)
+        for trial in range(4):
+            doc = random_params_doc(rng, periods=3, n_cutoffs=2,
+                                    monotone=bool(trial % 2),
+                                    fix_exam=trial % 3 == 0)
+            bundle, _ = load_parameters(doc)
+            budgets = sorted(rng.uniform(100, 8000, size=5).tolist())
+            self.assert_matches_exhaustive(bundle, budgets, 3)
