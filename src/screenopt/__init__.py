@@ -68,8 +68,5 @@ from .screening import (  # noqa: F401
     Sex,
     TransitionRates,
     build_segment_diagram,
-    colonoscopy_result_row,
-    fit_positive_probability,
     load_parameters,
-    posterior_given_positive,
 )

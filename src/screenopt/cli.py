@@ -21,6 +21,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -311,6 +312,8 @@ def _parse_budgets(raw: str) -> list[float]:
         raise ValueError(f"cannot parse budgets {raw!r}") from None
     if not budgets:
         raise ValueError("no budgets given")
+    if not all(map(math.isfinite, budgets)):
+        raise ValueError("budgets must be finite")
     if any(b <= 0 for b in budgets):
         raise ValueError("budgets must be positive")
     return sorted(budgets)
@@ -393,21 +396,22 @@ def _write_histories(out: Path, digest: str, sex: Sex,
 
     rows = []
     for i, (hist, key) in enumerate(zip(histories, keys)):
-        row: list = [i, key]
+        cells: list[str] = []
+        floats: list[float] = []
         for rec in hist.records:
             s = rec.strategy
-            row += [
+            cells += [
                 cutoffs[s.rules[CUTOFF].rule[()]],
                 "yes" if s.rules[INCENTIVE].rule[()] == 1 else "no",
                 "yes" if s.rules[INVITE].rule[()] == 1 else "no",
                 "colonoscopy" if s.rules[EXAM].rule[(1, 1)] == 1 else "none",
             ]
-        for rec in hist.records:
-            psi = rec.updated_prevalence
-            row += [psi.normal, psi.benign, psi.large, psi.crc]
-        row += [hist.cumulative_colonoscopies, hist.total_prevalence.crc,
-                hist.cumulative_cost]
-        rows.append(row)
+            floats += rec.updated_prevalence.as_tuple()
+        floats += [hist.cumulative_colonoscopies, hist.total_prevalence.crc,
+                   hist.cumulative_cost]
+        # The cells as _fmt writes them, each block joined in one pass.
+        rows.append([i, key, ",".join(cells),
+                     ",".join(map(repr, map(float, floats)))])
     _write_csv(out / f"histories_{sex.value}.csv", digest, columns, rows)
 
 

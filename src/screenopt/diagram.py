@@ -28,6 +28,9 @@ from .errors import CapacityError, StructuralError
 
 PATH_CEILING = 10**8
 STRATEGY_CEILING = 10**7
+#: Term cells (batch rows x paths x objectives) one block of a batched
+#: evaluation holds.
+BATCH_CELLS = 1 << 16
 
 # Every numerical tolerance of the package, each defined once here.
 #: A probability vector (CPT row, prevalence simplex) sums to 1 within this.
@@ -593,13 +596,11 @@ class StrategyEvaluator:
         self._paths = _Paths(tuple(flats), tuple(own), utility[order], starts)
         self._n_values = len(d.value_nodes)
         self._plans: dict[tuple, list[np.ndarray]] = {}
-        self._subsets: dict[tuple, tuple[_Paths, list[np.ndarray]]] = {}
-        self._condensed = self._condense(None, self._paths)
 
     def _condense(self, cpts: Mapping[int, Mapping[InfoState, tuple[float, ...]]]
-                  | None, paths: _Paths) -> np.ndarray:
-        """Probability-weighted utility summed per decision signature of
-        ``paths``.
+                  | None) -> np.ndarray:
+        """Probability-weighted utility of every path, summed per decision
+        signature; the oracle of :meth:`objective_matrix`.
 
         ``cpts`` replaces the tables of some chance nodes; the diagram's own
         tables supply the rest.
@@ -608,6 +609,7 @@ class StrategyEvaluator:
         unknown = set(cpts) - {node.node_id for node, _ in self._chance}
         if unknown:
             raise ValueError(f"no chance node with id {min(unknown)}")
+        paths = self._paths
         prob = np.ones(len(paths.utility))
         for (node, shape), flat, own in zip(self._chance, paths.flats,
                                             paths.own):
@@ -680,71 +682,158 @@ class StrategyEvaluator:
         self._plans[plan_key] = plan
         return plan
 
-    def _subset(self, fixed: Mapping[int, LocalStrategy],
-                strategies: np.ndarray) -> tuple[_Paths, list[np.ndarray]]:
-        """The paths of the signatures that ``strategies`` use, and their
-        accumulation plan rows renumbered onto those signatures.
-
-        Each signature's paths stay contiguous and in order, so condensing
-        them repeats the full condensation's operations for that
-        signature. Kept per (fixed rules, strategies), like the plans.
-        """
-        plan = self._accumulation_plan(fixed)
-        key = (_rules_key(fixed), tuple(strategies.tolist()))
-        if key in self._subsets:
-            return self._subsets[key]
-        n_sigs = len(self._sig_values)
-        rows = [r[strategies] for r in plan]
-        used = np.zeros(n_sigs + 1, dtype=bool)
-        for r in rows:
-            used[r] = True
-        sigs = np.flatnonzero(used[:n_sigs])
-        full = self._paths
-        bounds = np.append(full.starts, len(full.utility))
-        lengths = bounds[sigs + 1] - bounds[sigs]
-        starts = np.cumsum(lengths) - lengths
-        paths = np.repeat(bounds[sigs] - starts, lengths) + \
-            np.arange(lengths.sum())
-        subset = _Paths(tuple(f[paths] for f in full.flats),
-                        tuple(o[paths] for o in full.own),
-                        full.utility[paths], starts)
-        renumber = np.full(n_sigs + 1, len(sigs))
-        renumber[sigs] = np.arange(len(sigs))
-        result = self._subsets[key] = (subset, [renumber[r] for r in rows])
-        return result
+    def _tables(self, cpts) -> tuple[dict[int, np.ndarray], bool]:
+        """Replacement tables as (batch rows x entries) arrays, and whether
+        any of them came with a batch axis."""
+        cpts = cpts or {}
+        shapes = {node.node_id: shape for node, shape in self._chance}
+        unknown = set(cpts) - set(shapes)
+        if unknown:
+            raise ValueError(f"no chance node with id {min(unknown)}")
+        tables, batched = {}, False
+        for node_id, table in cpts.items():
+            shape = shapes[node_id]
+            if isinstance(table, np.ndarray):
+                if table.shape[1:] != shape:
+                    raise ValueError(
+                        f"table of node {node_id} has shape {table.shape}, "
+                        f"not (rows,) + {shape}")
+                batched = True
+                tables[node_id] = table.reshape(len(table), math.prod(shape))
+            else:
+                tables[node_id] = _dense_cpt(table, shape).reshape(1, -1)
+        return tables, batched
 
     def objective_matrix(
         self,
         fixed: Mapping[int, LocalStrategy] | None = None,
         ceiling: int = STRATEGY_CEILING,
-        cpts: Mapping[int, Mapping[InfoState, tuple[float, ...]]] | None = None,
+        cpts: Mapping[int, Mapping[InfoState, tuple[float, ...]] | np.ndarray]
+        | None = None,
         strategies: np.ndarray | None = None,
     ) -> np.ndarray:
         """Expected values for every strategy; rows follow enumeration order.
 
-        ``cpts`` maps chance-node ids to replacement tables over the same
-        information states; the diagram's own tables supply the other nodes.
-        ``strategies`` selects rows by strategy index: only the paths those
-        strategies use are condensed, and each row has the bits of the
-        same row of the full matrix.
+        ``cpts`` maps chance-node ids to replacement tables; the diagram's
+        own tables supply the other nodes. A table is either a mapping of
+        information states to rows, or a dense array indexed (batch row,
+        information state..., state). With any array the result is
+        (batch rows x strategies x objectives), one matrix per batch row;
+        otherwise it is one (strategies x objectives) matrix. ``strategies``
+        selects rows by strategy index.
+
+        Every row has the bits of the same row of :meth:`dense_objective_matrix`,
+        which sums every path's term per signature with ``np.add.reduceat``,
+        but only *live* paths are multiplied out: a path is live unless one
+        of its entries is exactly 0, in a fixed table or in every batch row
+        of a replaced one, and every other path's term is exactly +-0.
+
+        Lemma: in a sequence with at most two nonzero entries every
+        summation order gives the same value, because adding +-0 to a
+        nonzero partial sum returns it exactly and ``a + b == b + a``.
+        Only the sign of a zero sum can depend on the order, and the plan
+        accumulation below starts from +0.0, so that sign never reaches the
+        output. So each (signature, objective) pair with at most two live
+        nonzero-utility terms is summed from the compacted live terms. Every
+        other pair's signature gets its full-length term row, the live
+        terms scattered into zeros, through the same ``np.add.reduceat``,
+        which keeps the reference's pairwise order. Batch rows are
+        processed in blocks of at most ``BATCH_CELLS`` term cells.
         """
         fixed = dict(fixed or {})
         count = self.diagram.strategy_count(fixed=tuple(fixed))
         if count > ceiling:
             raise CapacityError(
                 f"{count} strategies exceed the configured ceiling of {ceiling}")
-        if strategies is None:
-            plan = self._accumulation_plan(fixed)
-            condensed = self._condensed if cpts is None else \
-                self._condense(cpts, self._paths)
-        else:
+        plan = self._accumulation_plan(fixed)
+        if strategies is not None:
             strategies = np.asarray(strategies, dtype=np.intp)
-            count = len(strategies)
-            paths, plan = self._subset(fixed, strategies)
-            condensed = self._condense(cpts, paths)
-        # Sums start from +0.0 and so never hold -0.0, which makes adding
-        # the zero row exact: the same bits as skipping the strategy.
-        out = np.zeros((count, self._n_values))
+            plan = [rows[strategies] for rows in plan]
+        tables, batched = self._tables(cpts)
+        batch = max((len(t) for t in tables.values()), default=1)
+
+        # The signatures the plan rows use, renumbered in order, and the
+        # zero row last.
+        n_sigs = len(self._sig_values)
+        used = np.zeros(n_sigs + 1, dtype=bool)
+        for rows in plan:
+            used[rows] = True
+        sigs = np.flatnonzero(used[:n_sigs])
+        renumber = np.full(n_sigs + 1, len(sigs))
+        renumber[sigs] = np.arange(len(sigs))
+        plan = [renumber[rows] for rows in plan]
+
+        paths = self._paths
+        bounds = np.append(paths.starts, len(paths.utility))
+        live = np.repeat(used[:n_sigs], np.diff(bounds))
+        for (node, _), flat, own in zip(self._chance, paths.flats, paths.own):
+            if node.node_id in tables:
+                live &= np.any(tables[node.node_id] != 0, axis=0)[flat]
+            else:
+                live &= own != 0
+        live = np.flatnonzero(live)
+        factors = [tables[node.node_id] if node.node_id in tables else None
+                   for node, _ in self._chance]
+        gathered = [flat[live] if table is not None else own[live]
+                    for table, flat, own in zip(factors, paths.flats,
+                                                paths.own)]
+        utility = paths.utility[live]
+
+        # Each signature's live terms are contiguous: [first, last).
+        first = np.searchsorted(live, bounds[sigs])
+        last = np.searchsorted(live, bounds[sigs + 1])
+        nonzero = np.zeros((len(live) + 1, self._n_values), dtype=np.intp)
+        np.cumsum(utility != 0, axis=0, out=nonzero[1:])
+        is_dense = np.any(nonzero[last] - nonzero[first] > 2, axis=1)
+        dense = np.flatnonzero(is_dense)
+        nonempty = np.flatnonzero(first < last)
+        # The dense signatures' full-length rows, and where their live terms
+        # go in them.
+        lengths = bounds[sigs[dense] + 1] - bounds[sigs[dense]]
+        offsets = np.cumsum(lengths) - lengths
+        spread = np.flatnonzero(np.repeat(is_dense, last - first))
+        to = live[spread] - np.repeat(bounds[sigs[dense]] - offsets,
+                                      last[dense] - first[dense])
+
+        out = np.zeros((batch, len(plan[0]), self._n_values))
+        width = max(len(live), int(lengths.sum()), len(plan[0]), 1)
+        step = max(1, BATCH_CELLS // (width * self._n_values))
+        for begin in range(0, batch, step):
+            block = slice(begin, min(begin + step, batch))
+            size = block.stop - block.start
+            prob = np.ones((size, len(live)))
+            for table, entries in zip(factors, gathered):
+                if table is None:
+                    prob *= entries
+                else:
+                    prob *= (table if len(table) == 1 else table[block]
+                             )[:, entries]
+            terms = prob[:, :, None] * utility
+            condensed = np.zeros((size, len(sigs) + 1, self._n_values))
+            if len(nonempty):
+                condensed[:, nonempty] = np.add.reduceat(
+                    terms, first[nonempty], axis=1)
+            if len(dense):
+                full = np.zeros((size, int(lengths.sum()), self._n_values))
+                full[:, to] = terms[:, spread]
+                condensed[:, dense] = np.add.reduceat(full, offsets, axis=1)
+            # Sums start from +0.0 and so never hold -0.0, which makes adding
+            # the zero row exact: the same bits as skipping the strategy.
+            target = out[block]
+            for rows in plan:
+                target += condensed[:, rows]
+        return out if batched else out[0]
+
+    def dense_objective_matrix(
+        self,
+        fixed: Mapping[int, LocalStrategy] | None = None,
+        cpts: Mapping[int, Mapping[InfoState, tuple[float, ...]]] | None = None,
+    ) -> np.ndarray:
+        """Every strategy's expected values from every path's term (the
+        oracle of :meth:`objective_matrix`, one evaluation)."""
+        condensed = self._condense(cpts)
+        plan = self._accumulation_plan(dict(fixed or {}))
+        out = np.zeros((len(plan[0]), self._n_values))
         for rows in plan:
             out += condensed[rows]
         return out

@@ -6,9 +6,10 @@ strategy indices, objectives, prevalences and running accounting, with no
 per-history objects. Period 1 solves the segment problem at the starting
 prevalence. Every later period builds its segment once, groups its
 strategies into classes that are equal at every prevalence (the objectives
-are linear in it), evaluates one representative per class at each surviving
-history's updated prevalence, and filters all the histories' frontiers in
-one batch; each history is extended by every strategy on its frontier.
+are linear in it), evaluates one representative per class at every
+surviving history's updated prevalence in one batched, bit-exact pass over
+the segment's live paths, and filters all the histories' frontiers in one
+batch; each history is extended by every strategy on its frontier.
 Between periods the bowel-state distribution moves by the
 detection-and-progression recurrences: detected fractions are removed
 (treated participants return to the normal state), remaining abnormal mass
@@ -63,6 +64,7 @@ from .screening import (
     check_prevalence_rows,
     fixed_decision_rules,
     prevalence_cpts,
+    prevalence_tables,
 )
 
 HISTORY_CAP = 10**6
@@ -425,10 +427,9 @@ def vertex_values(params: ParameterBundle,
     posterior's denominator), so sum_v psi_v * values[..., v] is their
     value at psi.
     """
-    return np.stack([
-        problem.evaluator.objective_matrix(
-            fixed=problem.fixed, cpts=prevalence_cpts(params, vertex))
-        for vertex in VERTICES], axis=2)
+    values = problem.evaluator.objective_matrix(
+        fixed=problem.fixed, cpts=prevalence_tables(params, np.eye(4)))
+    return np.moveaxis(values, 0, 2)
 
 
 def strategy_classes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -460,19 +461,23 @@ def _first_frontier(params, segment, psi, objective_mask, cross_check):
 
 
 def _batched_frontiers(params, segment, starts, objective_mask, cross_check):
-    """Later periods: the frontier of every start prevalence, as
-    (class representatives, names, orientations, reported
-    (starts x classes x objectives), frontier rows per start).
+    """Later periods: the frontier of every start prevalence (rows of the
+    (starts x 4) array ``starts``), as (class representatives, names,
+    orientations, reported (starts x classes x objectives), frontier rows
+    per start).
 
     The segment's problem is built once here and released when the period
     is done. Its strategies fall into a few classes that are equal at every
-    prevalence (:func:`strategy_classes`), so each start evaluates only the
-    class representatives, with the bits of its full objective matrix, and
-    one batched filter gives every start's frontier: the frontier of
-    :func:`segment_frontier`, which ``cross_check`` compares with it.
+    prevalence (:func:`strategy_classes`), so one batched evaluation gives
+    the class representatives at every start, with the bits of each
+    start's full objective matrix, and one batched filter gives every
+    start's frontier: the frontier of :func:`segment_frontier`.
+    ``cross_check`` compares every start's rows with the dense evaluation
+    and its frontier with :func:`segment_frontier`.
     """
     label = f"for sex={segment.sex.value} period={segment.period}"
-    base = segment_problem(params, segment, starts[0], objective_mask)
+    base = segment_problem(params, segment, PrevalenceVector(*starts[0]),
+                           objective_mask)
     reps, class_of = strategy_classes(vertex_values(params, base))
     # The base problem holds every strategy at the first start, which
     # checks the classes there for free.
@@ -480,15 +485,20 @@ def _batched_frontiers(params, segment, starts, objective_mask, cross_check):
               > DOMINANCE_TOL):
         raise OracleMismatchError(
             f"a strategy differs from its class representative {label}")
-    reported = np.stack([
-        base.evaluator.objective_matrix(
-            fixed=base.fixed, cpts=prevalence_cpts(params, psi),
-            strategies=reps)
-        for psi in starts])
+    reported = base.evaluator.objective_matrix(
+        fixed=base.fixed, cpts=prevalence_tables(params, starts),
+        strategies=reps)
     frontiers = frontier_rows(base.minimize(reported))
     strategies = tuple(base.strategy(r) for r in reps.tolist())
     if cross_check:
-        for h, psi in enumerate(starts):
+        for h, row in enumerate(starts.tolist()):
+            psi = PrevalenceVector(*row)
+            dense = base.evaluator.dense_objective_matrix(
+                fixed=base.fixed, cpts=prevalence_cpts(params, psi))
+            if not np.array_equal(reported[h], dense[reps]):
+                raise OracleMismatchError(
+                    f"batched evaluation differs from the dense evaluation "
+                    f"of history {h} {label}")
             oracle = segment_frontier(params, segment, psi, objective_mask,
                                       cross_check=True, base=base)
             if [p.strategy.key for p in oracle.points] != \
@@ -522,10 +532,8 @@ def _extend_period(params, sex, k, previous, budget, objective_mask,
         start, starts = previous.start, previous.updated
         before_col, before_cost = previous.colonoscopies, previous.cost
         strategies, names, orientations, reported, frontiers = \
-            _batched_frontiers(
-                params, segment,
-                [PrevalenceVector(*row) for row in starts.tolist()],
-                objective_mask, cross_check)
+            _batched_frontiers(params, segment, starts, objective_mask,
+                               cross_check)
 
     cohort = params.cohort_size(segment)
     col = before_col[:, None] + \

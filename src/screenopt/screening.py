@@ -236,61 +236,51 @@ class LoadReport:
 # Test-characteristic formulas
 # ---------------------------------------------------------------------------
 
-def fit_positive_probability(fit: FitTestCharacteristics, cutoff: str,
-                             psi: PrevalenceVector) -> float:
-    """Marginal probability of a positive stool test at ``cutoff``.
+def prevalence_tables(params: ParameterBundle, psi: np.ndarray
+                      ) -> dict[int, np.ndarray]:
+    """The test-result and examination-result tables at every row of
+    ``psi`` (H x 4, state order), as dense arrays with a leading H axis.
 
-    Sensitivity-weighted abnormal prevalence plus the false-positive share
-    of the normal prevalence.
+    The test-result table is indexed (row, cut-off, sample, result) and the
+    examination-result table (row, cut-off, contact, exam, result). A
+    positive test has probability ``(1 - specificity) * normal`` plus
+    ``sensitivity * prevalence`` for each abnormal state in turn; an
+    examination finds each abnormal state with its sensitivity times the
+    Bayes posterior ``sensitivity * prevalence / P(positive)``, and the
+    normal result absorbs the rest (missed findings read as normal, since
+    examination specificity is perfect). Where a positive test has
+    probability zero the examination row is unreachable and kept as the
+    degenerate all-normal one. Rows without contact or without a
+    colonoscopy are the "NA" result.
     """
-    total = (1.0 - fit.specificity_for(cutoff)) * psi.normal
-    for state in ABNORMAL:
-        total += fit.sensitivity_for(cutoff, state) * psi.of(state)
-    return total
+    psi = np.asarray(psi, dtype=float)
+    cutoffs = params.effective_cutoffs()
+    fit, col = params.fit, params.colonoscopy
+    spec = np.array([fit.specificity_for(c) for c in cutoffs])
+    sens = np.array([[fit.sensitivity_for(c, s) for s in ABNORMAL]
+                     for c in cutoffs])
+    col_sens = np.array([col.sensitivity_for(s) for s in ABNORMAL])
 
+    numer = sens * psi[:, None, 1:]          # rows x cut-offs x abnormal
+    fpos = (1.0 - spec) * psi[:, :1]
+    for j in range(len(ABNORMAL)):
+        fpos = fpos + numer[:, :, j]
+    reachable = fpos > ZERO_TOL
+    found = col_sens * (numer / np.where(reachable, fpos, 1.0)[:, :, None])
+    normal = np.array([1.0 - math.fsum(row)
+                       for row in found.reshape(-1, len(ABNORMAL)).tolist()]
+                      ).reshape(fpos.shape)
 
-def posterior_given_positive(fit: FitTestCharacteristics, cutoff: str,
-                             psi: PrevalenceVector, state: BowelState,
-                             fpos: float | None = None) -> float:
-    """Bayes posterior of a bowel state given a positive test.
-
-    ``fpos`` is ``fit_positive_probability(fit, cutoff, psi)`` when the
-    caller has it already.
-    """
-    if fpos is None:
-        fpos = fit_positive_probability(fit, cutoff, psi)
-    if fpos <= ZERO_TOL:
-        raise ZeroDivisionError(
-            f"positive-test probability is zero at cut-off {cutoff!r}")
-    if state is BowelState.NORMAL:
-        numer = (1.0 - fit.specificity_for(cutoff)) * psi.normal
-    else:
-        numer = fit.sensitivity_for(cutoff, state) * psi.of(state)
-    return numer / fpos
-
-
-def colonoscopy_result_row(fit: FitTestCharacteristics,
-                           col: ColonoscopyCharacteristics,
-                           cutoff: str,
-                           psi: PrevalenceVector,
-                           fpos: float | None = None) -> tuple[float, ...]:
-    """Distribution over {NA, normal, benign, large, crc} examination results.
-
-    Abnormal entries are posterior mass thinned by examination sensitivity;
-    the normal entry absorbs the remaining mass (missed findings are reported
-    as normal, since examination specificity is perfect). The NA entry is
-    zero: the row describes an examination that takes place. ``fpos`` is
-    the positive-test probability, computed here when not given.
-    """
-    if fpos is None:
-        fpos = fit_positive_probability(fit, cutoff, psi)
-    found = [
-        col.sensitivity_for(state)
-        * posterior_given_positive(fit, cutoff, psi, state, fpos)
-        for state in ABNORMAL
-    ]
-    normal = 1.0 - math.fsum(found)
-    return (0.0, normal, found[0], found[1], found[2])
+    fit_table = np.zeros(fpos.shape + (2, 3))
+    fit_table[:, :, 0, 0] = 1.0
+    fit_table[:, :, 1, 1] = fpos
+    fit_table[:, :, 1, 2] = 1.0 - fpos
+    exam_table = np.zeros(fpos.shape + (2, 2, 5))
+    exam_table[..., 0] = 1.0
+    exam_table[:, :, 1, 1, 0] = 0.0
+    exam_table[:, :, 1, 1, 1] = np.where(reachable, normal, 1.0)
+    exam_table[:, :, 1, 1, 2:] = np.where(reachable[:, :, None], found, 0.0)
+    return {FIT_RESULT: fit_table, EXAM_RESULT: exam_table}
 
 
 # ---------------------------------------------------------------------------
@@ -299,33 +289,19 @@ def colonoscopy_result_row(fit: FitTestCharacteristics,
 
 def prevalence_cpts(params: ParameterBundle, psi: PrevalenceVector
                     ) -> dict[int, dict[tuple[int, ...], tuple[float, ...]]]:
-    """The test-result and examination-result CPTs at prevalence ``psi``.
+    """The test-result and examination-result CPTs at prevalence ``psi``:
+    :func:`prevalence_tables` of one row, keyed by information state.
 
     They are the only tables of a segment diagram that depend on the
     prevalence, so a segment re-solved at a new prevalence replaces just
     these two (see ``StrategyEvaluator.objective_matrix``).
     """
-    fit_cpt = {}
-    exam_cpt: dict[tuple[int, ...], tuple[float, ...]] = {}
-    na_row = (1.0, 0.0, 0.0, 0.0, 0.0)
-    for li, cutoff in enumerate(params.effective_cutoffs()):
-        fpos = fit_positive_probability(params.fit, cutoff, psi)
-        # Stage 5: test result, given (cutoff, sample).
-        fit_cpt[(li, 0)] = (1.0, 0.0, 0.0)
-        fit_cpt[(li, 1)] = (0.0, fpos, 1.0 - fpos)
-        # Stage 8: examination result, given (cutoff, contact, exam). The
-        # result row is only informative when contact was established and
-        # the chosen examination is a colonoscopy.
-        if fpos > ZERO_TOL:
-            row = colonoscopy_result_row(params.fit, params.colonoscopy,
-                                         cutoff, psi, fpos)
-        else:
-            # Unreachable row (a positive test has probability zero); any
-            # valid distribution works, keep the degenerate all-normal one.
-            row = (0.0, 1.0, 0.0, 0.0, 0.0)
-        for s6, s7 in itertools.product(range(2), range(2)):
-            exam_cpt[(li, s6, s7)] = row if (s6, s7) == (1, 1) else na_row
-    return {FIT_RESULT: fit_cpt, EXAM_RESULT: exam_cpt}
+    tables = prevalence_tables(params, np.array([psi.as_tuple()]))
+    return {
+        node_id: {info: tuple(row) for info, row in zip(
+            np.ndindex(table.shape[1:-1]),
+            table[0].reshape(-1, table.shape[-1]).tolist())}
+        for node_id, table in tables.items()}
 
 
 def build_segment_diagram(segment: Segment, params: ParameterBundle,

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-from screenopt.diagram import NodeKind
+from screenopt.diagram import ZERO_TOL, NodeKind
 from screenopt.pareto import diagram_problem
 from screenopt.phase1 import (
     BUDGET_TOL,
@@ -16,8 +17,84 @@ from screenopt.phase1 import (
     update_prevalences,
 )
 from screenopt.phase2 import SelectionResult
-from screenopt.screening import Segment, Sex, build_segment_diagram, \
-    fixed_decision_rules
+from screenopt.screening import (
+    ABNORMAL,
+    EXAM_RESULT,
+    FIT_RESULT,
+    BowelState,
+    Segment,
+    Sex,
+    build_segment_diagram,
+    fixed_decision_rules,
+)
+
+
+def fit_positive_probability(fit, cutoff, psi) -> float:
+    """Marginal probability of a positive stool test at ``cutoff``.
+
+    Sensitivity-weighted abnormal prevalence plus the false-positive share
+    of the normal prevalence.
+    """
+    total = (1.0 - fit.specificity_for(cutoff)) * psi.normal
+    for state in ABNORMAL:
+        total += fit.sensitivity_for(cutoff, state) * psi.of(state)
+    return total
+
+
+def posterior_given_positive(fit, cutoff, psi, state, fpos=None) -> float:
+    """Bayes posterior of a bowel state given a positive test.
+
+    ``fpos`` is ``fit_positive_probability(fit, cutoff, psi)`` when the
+    caller has it already.
+    """
+    if fpos is None:
+        fpos = fit_positive_probability(fit, cutoff, psi)
+    if fpos <= ZERO_TOL:
+        raise ZeroDivisionError(
+            f"positive-test probability is zero at cut-off {cutoff!r}")
+    if state is BowelState.NORMAL:
+        numer = (1.0 - fit.specificity_for(cutoff)) * psi.normal
+    else:
+        numer = fit.sensitivity_for(cutoff, state) * psi.of(state)
+    return numer / fpos
+
+
+def colonoscopy_result_row(fit, col, cutoff, psi, fpos=None) -> tuple:
+    """Distribution over {NA, normal, benign, large, crc} examination results.
+
+    Abnormal entries are posterior mass thinned by examination sensitivity;
+    the normal entry absorbs the remaining mass. The NA entry is zero: the
+    row describes an examination that takes place.
+    """
+    if fpos is None:
+        fpos = fit_positive_probability(fit, cutoff, psi)
+    found = [
+        col.sensitivity_for(state)
+        * posterior_given_positive(fit, cutoff, psi, state, fpos)
+        for state in ABNORMAL
+    ]
+    normal = 1.0 - math.fsum(found)
+    return (0.0, normal, found[0], found[1], found[2])
+
+
+def scalar_prevalence_cpts(params, psi) -> dict:
+    """The test-result and examination-result CPTs at ``psi``, one cut-off
+    and one formula call at a time."""
+    fit_cpt = {}
+    exam_cpt = {}
+    na_row = (1.0, 0.0, 0.0, 0.0, 0.0)
+    for li, cutoff in enumerate(params.effective_cutoffs()):
+        fpos = fit_positive_probability(params.fit, cutoff, psi)
+        fit_cpt[(li, 0)] = (1.0, 0.0, 0.0)
+        fit_cpt[(li, 1)] = (0.0, fpos, 1.0 - fpos)
+        if fpos > ZERO_TOL:
+            row = colonoscopy_result_row(params.fit, params.colonoscopy,
+                                         cutoff, psi, fpos)
+        else:
+            row = (0.0, 1.0, 0.0, 0.0, 0.0)
+        for s6, s7 in itertools.product(range(2), range(2)):
+            exam_cpt[(li, s6, s7)] = row if (s6, s7) == (1, 1) else na_row
+    return {FIT_RESULT: fit_cpt, EXAM_RESULT: exam_cpt}
 
 
 def detected_fractions_of(point) -> DetectedFractions:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import screenopt.cli
+import screenopt.diagram
 import screenopt.phase1
 from conftest import small_doc
 from screenopt.cli import dumps_canonical, main
@@ -202,6 +203,16 @@ class TestPipeline:
                      "--params", str(small_params),
                      "--out", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize("budgets", ["8000,nan", "nan", "inf",
+                                         "1e400"])
+    def test_non_finite_budget_rejected(self, small_params, tmp_path,
+                                        budgets, capsys):
+        out = tmp_path / "x"
+        assert main(["pipeline", "--budgets", budgets,
+                     "--params", str(small_params), "--out", str(out)]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infeasible_exits_two(self, small_params, tmp_path):
         assert main(["pipeline", "--budgets", "0.0001",
                      "--params", str(small_params),
@@ -258,6 +269,19 @@ class TestPipeline:
                     ] + results[1:]
 
         monkeypatch.setattr(screenopt.cli, "budget_sweep", wrong)
+        assert main(["pipeline", "--budgets", "500,1500,4000",
+                     "--params", str(small_params),
+                     "--out", str(tmp_path / "x"), "--cross-check"]) == 3
+
+    def test_dense_evaluation_mismatch_exits_three(self, small_params,
+                                                   tmp_path, monkeypatch):
+        condense = screenopt.diagram.StrategyEvaluator._condense
+
+        def nudged(self, cpts):
+            return np.nextafter(condense(self, cpts), np.inf)
+
+        monkeypatch.setattr(screenopt.diagram.StrategyEvaluator, "_condense",
+                            nudged)
         assert main(["pipeline", "--budgets", "500,1500,4000",
                      "--params", str(small_params),
                      "--out", str(tmp_path / "x"), "--cross-check"]) == 3

@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import screenopt.diagram
 import screenopt.pareto
 import screenopt.phase1
 from conftest import _random_simplex, random_params_doc, small_doc
@@ -28,7 +29,11 @@ from oracles import (
     sort_key,
 )
 from screenopt.diagram import StrategyEvaluator
-from screenopt.errors import CapacityError, InfeasibleBudgetError
+from screenopt.errors import (
+    CapacityError,
+    InfeasibleBudgetError,
+    OracleMismatchError,
+)
 from screenopt.phase1 import (
     BUDGET_TOL,
     DETECTION_TOL,
@@ -61,6 +66,7 @@ from screenopt.screening import (
     fixed_decision_rules,
     load_parameters,
     prevalence_cpts,
+    prevalence_tables,
 )
 
 WORKED_PSI = PrevalenceVector(normal=0.9, benign=0.06, large=0.03, crc=0.01)
@@ -578,6 +584,70 @@ class TestReweightedSegments:
                     assert np.array_equal(np.signbit(rows),
                                           np.signbit(full[strategies]))
 
+    @staticmethod
+    def assert_batched_equals_dense(bundle, base, rows, picks):
+        """Every batch row of every pick has the dense oracle's bits."""
+        fixed, evaluator = base.fixed, base.evaluator
+        dense = [evaluator.dense_objective_matrix(
+            fixed=fixed, cpts=prevalence_cpts(bundle, PrevalenceVector(*row)))
+            for row in rows.tolist()]
+        for strategies in picks:
+            got = evaluator.objective_matrix(
+                fixed=fixed, cpts=prevalence_tables(bundle, rows),
+                strategies=strategies)
+            assert got.shape[0] == len(rows)
+            for h, full in enumerate(dense):
+                want = full if strategies is None else full[strategies]
+                assert np.array_equal(got[h], want)
+                assert np.array_equal(np.signbit(got[h]), np.signbit(want))
+
+    def test_batched_rows_bit_identical_to_dense_oracle(self):
+        rng = np.random.default_rng(251)
+        for trial in range(16):
+            zero_positive = trial % 4 == 3
+            bundle, segment = self.random_case(rng, trial,
+                                               zero_positive=zero_positive)
+            base = segment_problem(
+                bundle, segment, PrevalenceVector(**_random_simplex(rng)))
+            reps, _ = strategy_classes(vertex_values(bundle, base))
+            n = base.n_candidates
+            # random prevalences, one vertex and the normal vertex, where a
+            # zero-positive cut-off zeroes entries in that row only
+            rows = np.array(
+                [tuple(_random_simplex(rng).values()) for _ in range(5)]
+                + [VERTICES[int(rng.integers(1, 4))].as_tuple(),
+                   VERTICES[0].as_tuple()])
+            picks = (reps, rng.integers(0, n, size=int(rng.integers(1, 40))),
+                     None)
+            self.assert_batched_equals_dense(bundle, base, rows, picks)
+            # one evaluation and the diagram's own tables: the same routine
+            for row in rows[[0, -1]].tolist():
+                cpts = prevalence_cpts(bundle, PrevalenceVector(*row))
+                single = base.evaluator.objective_matrix(fixed=base.fixed,
+                                                         cpts=cpts)
+                dense = base.evaluator.dense_objective_matrix(
+                    fixed=base.fixed, cpts=cpts)
+                assert np.array_equal(single, dense)
+                assert np.array_equal(np.signbit(single), np.signbit(dense))
+            assert np.array_equal(
+                base.reported,
+                base.evaluator.dense_objective_matrix(fixed=base.fixed))
+
+    def test_blocks_split_the_batch(self, monkeypatch):
+        rng = np.random.default_rng(257)
+        bundle, segment = self.random_case(rng, 3, zero_positive=True)
+        base = segment_problem(
+            bundle, segment, PrevalenceVector(**_random_simplex(rng)))
+        reps, _ = strategy_classes(vertex_values(bundle, base))
+        rows = np.array([tuple(_random_simplex(rng).values())
+                         for _ in range(6)] + [VERTICES[0].as_tuple()])
+        # one row per block (a budget below one row's cells), and a few
+        # rows per block, the last block shorter
+        for cells in (1, 1 << 13, 1 << 14):
+            monkeypatch.setattr(screenopt.diagram, "BATCH_CELLS", cells)
+            self.assert_batched_equals_dense(bundle, base, rows,
+                                             (reps, None))
+
     def test_reweighted_frontier_equals_fresh_frontier(self):
         rng = np.random.default_rng(223)
         for trial in range(6):
@@ -651,6 +721,24 @@ class TestStrategyClasses:
             bundle, _ = load_parameters(doc)
             run_phase1(bundle, budget=1e9, periods=3,
                        objective_mask=masks[trial % 3], cross_check=True)
+
+    def test_cross_check_compares_rows_with_dense_evaluation(
+            self, monkeypatch):
+        # only the dense oracle moves, by one ulp: the frontier checks
+        # still agree, so the row comparison alone must catch it
+        condense = screenopt.diagram.StrategyEvaluator._condense
+
+        def nudged(self, cpts):
+            return np.nextafter(condense(self, cpts), np.inf)
+
+        monkeypatch.setattr(screenopt.diagram.StrategyEvaluator, "_condense",
+                            nudged)
+        rng = np.random.default_rng(263)
+        bundle, _ = load_parameters(random_params_doc(rng, periods=2,
+                                                      n_cutoffs=2))
+        run_phase1(bundle, budget=1e9, periods=2)
+        with pytest.raises(OracleMismatchError, match="dense evaluation"):
+            run_phase1(bundle, budget=1e9, periods=2, cross_check=True)
 
 
 class TestExhaustivePhase1:

@@ -20,7 +20,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_params_doc
+from conftest import _random_simplex, random_params_doc
+from oracles import (
+    colonoscopy_result_row,
+    fit_positive_probability,
+    posterior_given_positive,
+    scalar_prevalence_cpts,
+)
 from screenopt.diagram import (
     GlobalStrategy,
     LocalStrategy,
@@ -46,11 +52,10 @@ from screenopt.screening import (
     Segment,
     Sex,
     build_segment_diagram,
-    colonoscopy_result_row,
-    fit_positive_probability,
     fixed_decision_rules,
     load_parameters,
-    posterior_given_positive,
+    prevalence_cpts,
+    prevalence_tables,
 )
 
 DERIVED_PSI = PrevalenceVector(normal=0.9, benign=0.06, large=0.03, crc=0.01)
@@ -186,6 +191,55 @@ def constant_strategy(diagram, cutoff=0, incentive=0, invite=1,
         }),
     }
     return GlobalStrategy(rules)
+
+
+class TestPrevalenceTables:
+    """The columnar tables repeat the scalar formulas bit for bit, sign
+    bits included, and the dict form is their one-row case."""
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_rows_equal_scalar_formulas(self):
+        rng = np.random.default_rng(307)
+        for trial in range(24):
+            n_cutoffs = int(rng.integers(2, 6))
+            doc = random_params_doc(rng, periods=1, n_cutoffs=n_cutoffs,
+                                    monotone=bool(trial % 2))
+            cutoffs = doc["fit"]["cutoffs"]
+            zero_at = int(rng.integers(0, n_cutoffs))
+            if trial % 3 == 0:
+                # no false positives at one cut-off: at the normal vertex
+                # its positive-test probability is zero
+                doc["fit"]["specificity"][cutoffs[zero_at]] = 1.0
+            if trial % 4 == 1:
+                doc["options"]["cutoff_set"] = [
+                    c for i, c in enumerate(cutoffs)
+                    if i == zero_at or rng.random() < 0.5]
+            bundle, _ = load_parameters(doc)
+            psis = [PrevalenceVector(**_random_simplex(rng))
+                    for _ in range(5)]
+            psis += [PrevalenceVector(*row) for row in np.eye(4).tolist()]
+            tables = prevalence_tables(
+                bundle, np.array([psi.as_tuple() for psi in psis]))
+            for h, psi in enumerate(psis):
+                want = scalar_prevalence_cpts(bundle, psi)
+                got = prevalence_cpts(bundle, psi)
+                for node_id, table in want.items():
+                    assert list(got[node_id]) == list(table)
+                    for info, row in table.items():
+                        self.assert_same_bits(tables[node_id][(h,) + info],
+                                              row)
+                        self.assert_same_bits(got[node_id][info], row)
+            if trial % 3 == 0:
+                li = bundle.effective_cutoffs().index(cutoffs[zero_at])
+                normal = len(psis) - 4
+                assert tables[FIT_RESULT][normal, li, 1, 1] == 0.0
+                self.assert_same_bits(tables[EXAM_RESULT][normal, li, 1, 1],
+                                      (0.0, 1.0, 0.0, 0.0, 0.0))
 
 
 class TestSegmentDiagram:
