@@ -27,6 +27,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from . import __version__
 from .diagram import strategy_encoding, validate_diagram
 from .errors import (
@@ -37,10 +39,8 @@ from .errors import (
     ParameterError,
 )
 from .phase1 import (
-    StrategyHistory,
+    HistoryTable,
     baseline_trajectory,
-    combined_total_prevalence,
-    history_key,
     natural_progression_rollout,
     policy_cell,
     run_phase1,
@@ -201,11 +201,13 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, digest: str, columns, rows) -> None:
+    """Rows are lists of values or lines already rendered."""
     lines = [f"# tool: screenopt {__version__}",
              f"# input-sha256: {digest}",
              ",".join(columns)]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(row if isinstance(row, str)
+                     else ",".join(_fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -328,10 +330,10 @@ def _cmd_pipeline(args) -> int:
     histories = run_phase1(bundle, budget=max(budgets), periods=periods,
                            objective_mask=mask, cross_check=args.cross_check)
     cutoffs = bundle.effective_cutoffs()
-    keys = {
-        sex: _unique_keys([history_key(h, cutoffs) for h in histories[sex]])
-        for sex in (Sex.F, Sex.M)
-    }
+    policy = _by_strategy(lambda s: policy_cell(s, cutoffs))
+    keys = {sex: _unique_keys(list(_lineage_rows(
+        histories[sex], range(len(histories[sex])), policy, "|").values()))
+        for sex in (Sex.F, Sex.M)}
     problem = selection_problem_from_histories(bundle, histories, keys,
                                                budget=max(budgets))
     results = budget_sweep(problem, budgets)
@@ -345,8 +347,7 @@ def _cmd_pipeline(args) -> int:
         _write_histories(args.out, digest, sex, histories[sex], keys[sex],
                          cutoffs, periods)
     _write_selection(args.out, digest, results, keys, problem)
-    _write_policy_table(args.out, digest, results, histories, keys, cutoffs,
-                        periods)
+    _write_policy_table(args.out, digest, results, histories, policy, periods)
     _write_series(args.out, digest, bundle, results, histories, periods)
     print(f"wrote pipeline outputs to {args.out}")
     return 0
@@ -383,9 +384,32 @@ def _write_manifest(args, bundle, budgets, periods, digest) -> None:
                                             encoding="utf-8")
 
 
-def _write_histories(out: Path, digest: str, sex: Sex,
-                     histories: list[StrategyHistory], keys: list[str],
-                     cutoffs, periods: int) -> None:
+def _lineage_rows(table: HistoryTable, rows, block, sep=",") -> dict:
+    """Each of ``rows`` of a last-period table mapped to its ancestors'
+    blocks, period 1 first, joined by ``sep``.
+
+    ``block(period_table, rows)`` renders distinct rows of one period's
+    table, so a block that histories share is rendered once.
+    """
+    wanted = sorted(set(rows))
+    parts = []
+    for period_table, ancestors in table.lineage(np.array(wanted, dtype=int)):
+        distinct, inverse = np.unique(ancestors, return_inverse=True)
+        rendered = block(period_table, distinct)
+        parts.append([rendered[i] for i in inverse.tolist()])
+    return dict(zip(wanted, map(sep.join, zip(*parts))))
+
+
+def _by_strategy(render):
+    """A block of each row's strategy, rendered once per strategy."""
+    def block(table, rows):
+        cells = [render(s) for s in table.strategies]
+        return [cells[s] for s in table.strategy[rows].tolist()]
+    return block
+
+
+def _write_histories(out: Path, digest: str, sex: Sex, table: HistoryTable,
+                     keys: list[str], cutoffs, periods: int) -> None:
     columns = ["index", "key"]
     for k in range(1, periods + 1):
         columns += [f"cutoff_{k}", f"incentive_{k}", f"invite_{k}", f"exam_{k}"]
@@ -394,24 +418,18 @@ def _write_histories(out: Path, digest: str, sex: Sex,
     columns += ["cumulative_colonoscopies", "total_cancer_prevalence",
                 "total_cost"]
 
-    rows = []
-    for i, (hist, key) in enumerate(zip(histories, keys)):
-        cells: list[str] = []
-        floats: list[float] = []
-        for rec in hist.records:
-            s = rec.strategy
-            cells += [
-                cutoffs[s.rules[CUTOFF].rule[()]],
-                "yes" if s.rules[INCENTIVE].rule[()] == 1 else "no",
-                "yes" if s.rules[INVITE].rule[()] == 1 else "no",
-                "colonoscopy" if s.rules[EXAM].rule[(1, 1)] == 1 else "none",
-            ]
-            floats += rec.updated_prevalence.as_tuple()
-        floats += [hist.cumulative_colonoscopies, hist.total_prevalence.crc,
-                   hist.cumulative_cost]
-        # The cells as _fmt writes them, each block joined in one pass.
-        rows.append([i, key, ",".join(cells),
-                     ",".join(map(repr, map(float, floats)))])
+    every = range(len(table))
+    cells = _lineage_rows(table, every, _by_strategy(lambda s: ",".join([
+        cutoffs[s.rules[CUTOFF].rule[()]],
+        "yes" if s.rules[INCENTIVE].rule[()] == 1 else "no",
+        "yes" if s.rules[INVITE].rule[()] == 1 else "no",
+        "colonoscopy" if s.rules[EXAM].rule[(1, 1)] == 1 else "none"])))
+    prevalences = _lineage_rows(table, every, lambda t, rows: [
+        ",".join(map(repr, psi)) for psi in t.updated[rows].tolist()])
+    rows = [f"{i},{key},{cells[i]},{prevalences[i]},{col!r},{crc!r},{cost!r}"
+            for i, key, col, crc, cost in zip(
+                every, keys, table.colonoscopies.tolist(),
+                table.total[:, 3].tolist(), table.cost.tolist())]
     _write_csv(out / f"histories_{sex.value}.csv", digest, columns, rows)
 
 
@@ -431,66 +449,62 @@ def _write_selection(out: Path, digest: str, results, keys, problem) -> None:
     _write_csv(out / "selection.csv", digest, columns, rows)
 
 
-def _write_policy_table(out: Path, digest: str, results, histories, keys,
-                        cutoffs, periods: int) -> None:
+def _write_policy_table(out: Path, digest: str, results, histories,
+                        policy, periods: int) -> None:
     columns = ["case", "budget", "sex"] + [
         f"age_{Segment(Sex.F, k).age}" for k in range(1, periods + 1)]
+    cells = {sex: _lineage_rows(histories[sex], _selected(results, sex),
+                                policy) for sex in (Sex.F, Sex.M)}
     rows = []
     for case, res in enumerate(results, start=1):
-        for sex, index in ((Sex.F, res.female_index), (Sex.M, res.male_index)):
-            hist = histories[sex][index]
-            cells = [policy_cell(r.strategy, cutoffs) for r in hist.records]
-            rows.append([f"case{case}", res.budget, sex.value] + cells)
+        head = f"case{case},{_fmt(res.budget)}"
+        rows += [f"{head},F,{cells[Sex.F][res.female_index]}",
+                 f"{head},M,{cells[Sex.M][res.male_index]}"]
     _write_csv(out / "policy_table.csv", digest, columns, rows)
+
+
+def _selected(results, sex: Sex) -> list[int]:
+    return [r.female_index if sex is Sex.F else r.male_index
+            for r in results]
 
 
 def _write_series(out: Path, digest: str, bundle, results, histories,
                   periods: int) -> None:
+    """Each case's running total cancer prevalence per sex and combined,
+    one block of lines per distinct selected pair. A selected row's running
+    totals are its ancestors' ``total`` column."""
     columns = ("case", "budget", "sex", "round", "total_cancer_prevalence")
-    rows = []
+    weights = [(bundle.total_population(Sex.F, periods=k),
+                bundle.total_population(Sex.M, periods=k))
+               for k in range(1, periods + 1)]
 
-    base = {sex: baseline_trajectory(bundle, sex, periods)
-            for sex in (Sex.F, Sex.M)}
-    for k in range(1, periods + 1):
-        for sex in (Sex.F, Sex.M):
-            rows.append(["baseline", "", sex.value, k,
-                         base[sex][k - 1].total_prevalence.crc])
-        rows.append(["baseline", "", "combined", k,
-                     _combined(bundle, base[Sex.F][k - 1].total_prevalence,
-                               base[Sex.M][k - 1].total_prevalence, k)])
+    def block(female, male) -> list[str]:
+        lines = []
+        for k, (f, m, (wf, wm)) in enumerate(zip(female, male, weights),
+                                             start=1):
+            lines += [f"F,{k},{f!r}", f"M,{k},{m!r}",
+                      f"combined,{k},{(f * wf + m * wm) / (wf + wm)!r}"]
+        return lines
 
+    rows = ["baseline,," + line for line in block(*(
+        [entry.total_prevalence.crc
+         for entry in baseline_trajectory(bundle, sex, periods)]
+        for sex in (Sex.F, Sex.M)))]
+    running = {}
+    for sex in (Sex.F, Sex.M):
+        chosen = sorted(set(_selected(results, sex)))
+        totals = [t.total[r, 3].tolist()
+                  for t, r in histories[sex].lineage(np.array(chosen))]
+        running[sex] = dict(zip(chosen, zip(*totals)))
+    blocks: dict[tuple[int, int], list[str]] = {}
     for case, res in enumerate(results, start=1):
-        chosen = {Sex.F: histories[Sex.F][res.female_index],
-                  Sex.M: histories[Sex.M][res.male_index]}
-        running = {sex: _running_totals(bundle, sex, chosen[sex])
-                   for sex in (Sex.F, Sex.M)}
-        for k in range(1, periods + 1):
-            for sex in (Sex.F, Sex.M):
-                rows.append([f"case{case}", res.budget, sex.value, k,
-                             running[sex][k - 1].crc])
-            rows.append([f"case{case}", res.budget, "combined", k,
-                         _combined(bundle, running[Sex.F][k - 1],
-                                   running[Sex.M][k - 1], k)])
+        pair = (res.female_index, res.male_index)
+        if pair not in blocks:
+            blocks[pair] = block(running[Sex.F][pair[0]],
+                                 running[Sex.M][pair[1]])
+        head = f"case{case},{_fmt(res.budget)},"
+        rows += [head + line for line in blocks[pair]]
     _write_csv(out / "prevalence_series.csv", digest, columns, rows)
-
-
-def _running_totals(bundle, sex: Sex, hist: StrategyHistory):
-    totals = []
-    total = None
-    weight = 0.0
-    for rec in hist.records:
-        cohort = bundle.cohort_size(Segment(sex, rec.period))
-        total = combined_total_prevalence(total, weight,
-                                          rec.updated_prevalence, cohort)
-        weight += cohort
-        totals.append(total)
-    return totals
-
-
-def _combined(bundle, psi_f, psi_m, k: int) -> float:
-    wf = bundle.total_population(Sex.F, periods=k)
-    wm = bundle.total_population(Sex.M, periods=k)
-    return (psi_f.crc * wf + psi_m.crc * wm) / (wf + wm)
 
 
 def _cmd_baseline(args) -> int:

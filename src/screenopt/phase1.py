@@ -19,9 +19,11 @@ absorbs the residual. Histories whose cumulative expected colonoscopies
 are filtered by dominance on (total cancer prevalence, next-period cancer
 prevalence, next-period large-growth prevalence, cumulative colonoscopies).
 The recurrences run on the table's columns with the float operations of
-the scalar functions, so every value has the scalar code's bits; a
-:class:`StrategyHistory` is built only when a table row is read, which
-``run_phase1`` does for the last period's survivors.
+the scalar functions, so every value has the scalar code's bits.
+``run_phase1`` returns each sex's last table: phase 2 and the CLI read its
+columns and walk its rows' ancestors (:meth:`HistoryTable.lineage`), and
+only tests and the benchmark tracer read rows as :class:`StrategyHistory`
+objects.
 """
 
 from __future__ import annotations
@@ -214,7 +216,9 @@ class HistoryTable(Sequence):
 
     As a sequence the table is read-only: reading a row builds its
     :class:`StrategyHistory` by walking the parent rows, and rows read
-    together share the records of their common ancestors.
+    together share the records of their common ancestors. The program
+    reads columns and :meth:`lineage` instead; only tests and the
+    benchmark tracer build these objects.
     """
 
     sex: Sex
@@ -261,15 +265,24 @@ class HistoryTable(Sequence):
         among that period's strategies. A period's strategies have
         distinct keys, so comparing the ranks compares the keys."""
         ranks = []
-        table, rows = self, np.arange(len(self))
-        while table is not None:
+        for table, rows in self.lineage(np.arange(len(self))):
             by_key = sorted(range(len(table.strategies)),
                             key=lambda s: table.strategies[s].key)
             rank = np.empty(len(by_key), dtype=np.intp)
             rank[by_key] = np.arange(len(by_key))
             ranks.append(rank[table.strategy[rows]])
+        return ranks
+
+    def lineage(self, rows: np.ndarray) -> list[tuple[HistoryTable,
+                                                      np.ndarray]]:
+        """Per period, period 1 first: that period's table and, for each of
+        ``rows``, the row of its ancestor there (at this period, itself)."""
+        chain = []
+        table = self
+        while table is not None:
+            chain.append((table, rows))
             table, rows = table.parent, table.parent_row[rows]
-        return ranks[::-1]
+        return chain[::-1]
 
     def _records(self, rows) -> dict[int, tuple[PeriodRecord, ...]]:
         """The record chain of each of ``rows``, ancestors shared."""
@@ -334,10 +347,6 @@ def policy_cell(strategy: GlobalStrategy, cutoffs: Sequence[str]) -> str:
     return cell
 
 
-def history_key(history: StrategyHistory, cutoffs: Sequence[str]) -> str:
-    return "|".join(policy_cell(r.strategy, cutoffs) for r in history.records)
-
-
 def segment_problem(params: ParameterBundle, segment: Segment,
                     psi: PrevalenceVector,
                     objective_mask: Sequence[str] | None = None):
@@ -388,8 +397,9 @@ def run_phase1(params: ParameterBundle, budget: float,
                periods: int | None = None,
                objective_mask: Sequence[str] | None = None,
                cross_check: bool = False,
-               history_cap: int = HISTORY_CAP) -> dict[Sex, list[StrategyHistory]]:
-    """Per-sex nondominated strategy histories under a colonoscopy budget.
+               history_cap: int = HISTORY_CAP) -> dict[Sex, HistoryTable]:
+    """Per-sex nondominated strategy histories under a colonoscopy budget,
+    as each sex's last-period table.
 
     The budget is an absolute expected-examination count over all periods;
     per-invitee expectations are scaled by the cohort sizes before they are
@@ -401,7 +411,7 @@ def run_phase1(params: ParameterBundle, budget: float,
     if not (1 <= K <= params.periods):
         raise ValueError(f"periods must be within 1..{params.periods}")
 
-    out: dict[Sex, list[StrategyHistory]] = {}
+    out: dict[Sex, HistoryTable] = {}
     for sex in (Sex.F, Sex.M):
         table = _extend_period(params, sex, 1, None, budget, objective_mask,
                                cross_check, history_cap)
@@ -409,7 +419,7 @@ def run_phase1(params: ParameterBundle, budget: float,
             table = remove_dominated(_extend_period(
                 params, sex, k, table, budget, objective_mask, cross_check,
                 history_cap))
-        out[sex] = list(table)
+        out[sex] = table
     return out
 
 

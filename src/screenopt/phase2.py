@@ -20,8 +20,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .phase1 import BUDGET_TOL, StrategyHistory
+from .phase1 import BUDGET_TOL, HistoryTable
 from .screening import ParameterBundle, Sex
+
+#: Candidates per block of the reduction in ``_selectable``.
+SELECT_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -33,17 +36,6 @@ class StrategyCandidate:
     colonoscopies_per_capita: float
     total_colonoscopies: float         # absolute expected examinations
     total_cost: float                  # absolute euros
-
-    @classmethod
-    def from_history(cls, history: StrategyHistory, key: str,
-                     population: float) -> "StrategyCandidate":
-        return cls(
-            key=key,
-            expected_cancers=history.total_prevalence.crc * population,
-            colonoscopies_per_capita=history.cumulative_colonoscopies / population,
-            total_colonoscopies=history.cumulative_colonoscopies,
-            total_cost=history.cumulative_cost,
-        )
 
 
 @dataclass(frozen=True)
@@ -113,18 +105,24 @@ def _selectable(candidates: Sequence[StrategyCandidate],
     """
     cancer, col, cost = _candidate_arrays(candidates, population)
     # Any earlier candidate that is <= in all three comes first in this
-    # order, so cancers never need comparing; a dropped one's dominator
-    # is itself dominated by a kept one, so only kept ones are compared.
+    # order, so cancers never need comparing. "Comes first, <= in
+    # examinations and cost, smaller index" is transitive, so a candidate
+    # some earlier one beats is beaten by a kept one: each block of the
+    # order is tested against the kept candidates, and its survivors
+    # against the block's earlier rows.
+    def beaten(rows, by, mask=True):
+        return ((col[by] <= col[rows, None]) & (cost[by] <= cost[rows, None])
+                & (by < rows[:, None]) & mask).any(axis=1)
+
     order = np.lexsort((cost, col, cancer))
-    kept_col, kept_cost = np.empty_like(col), np.empty_like(cost)
-    kept = np.empty(len(order), dtype=np.intp)
-    n = 0
-    for i in order:
-        if not np.any((kept_col[:n] <= col[i]) & (kept_cost[:n] <= cost[i])
-                      & (kept[:n] < i)):
-            kept_col[n], kept_cost[n], kept[n] = col[i], cost[i], i
-            n += 1
-    return np.sort(kept[:n])
+    kept = order[:0]
+    for start in range(0, len(order), SELECT_BLOCK):
+        block = order[start:start + SELECT_BLOCK]
+        block = block[~beaten(block, kept)]
+        block = block[~beaten(block, block,
+                              np.tri(len(block), k=-1, dtype=bool))]
+        kept = np.concatenate([kept, block])
+    return np.sort(kept)
 
 
 def select_strategies(problem: SelectionProblem) -> SelectionResult:
@@ -214,20 +212,21 @@ def dense_pair_sweep(problem: SelectionProblem,
 
 def selection_problem_from_histories(
     params: ParameterBundle,
-    histories: dict[Sex, list[StrategyHistory]],
+    histories: dict[Sex, HistoryTable],
     keys: dict[Sex, list[str]],
     budget: float,
 ) -> SelectionProblem:
-    """Ingest phase-1 output, converting accounting once at the boundary."""
-    pop = {
-        sex: params.total_population(sex, periods=len(histories[sex][0].records))
-        for sex in (Sex.F, Sex.M)
-    }
+    """Ingest phase 1's last tables, converting accounting once at the
+    boundary: one candidate per row, keyed by ``keys``."""
+    pop = {sex: params.total_population(sex, periods=histories[sex].period)
+           for sex in (Sex.F, Sex.M)}
     candidates = {
         sex: tuple(
-            StrategyCandidate.from_history(h, key, pop[sex])
-            for h, key in zip(histories[sex], keys[sex])
-        )
+            StrategyCandidate(key, crc * pop[sex], col / pop[sex], col, cost)
+            for key, crc, col, cost in zip(
+                keys[sex], histories[sex].total[:, 3].tolist(),
+                histories[sex].colonoscopies.tolist(),
+                histories[sex].cost.tolist()))
         for sex in (Sex.F, Sex.M)
     }
     return SelectionProblem(

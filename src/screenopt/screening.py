@@ -781,6 +781,9 @@ def _load_options(section: Any, fit: FitTestCharacteristics,
                 raise ParameterError("options.cutoff_set",
                                      f"cut-off {label!r} is not declared in "
                                      f"fit.cutoffs")
+        if len(set(subset)) != len(subset):
+            raise ParameterError("options.cutoff_set",
+                                 "duplicate cut-off labels")
         cutoff_set = tuple(subset)
     return ModelOptions(
         fix_exam_to_colonoscopy=fix_exam,

@@ -7,20 +7,34 @@ import math
 
 import numpy as np
 
+from screenopt import cli
 from screenopt.diagram import ZERO_TOL, NodeKind
 from screenopt.pareto import diagram_problem
 from screenopt.phase1 import (
     BUDGET_TOL,
     VERTICES,
     DetectedFractions,
+    baseline_trajectory,
     combined_total_prevalence,
+    policy_cell,
+    run_phase1,
     update_prevalences,
 )
-from screenopt.phase2 import SelectionResult
+from screenopt.phase2 import (
+    SelectionProblem,
+    SelectionResult,
+    StrategyCandidate,
+    _candidate_arrays,
+    budget_sweep,
+)
 from screenopt.screening import (
     ABNORMAL,
+    CUTOFF,
+    EXAM,
     EXAM_RESULT,
     FIT_RESULT,
+    INCENTIVE,
+    INVITE,
     BowelState,
     Segment,
     Sex,
@@ -230,6 +244,19 @@ def reference_pair_scan(problem) -> SelectionResult:
                            best is not None)
 
 
+def selectable_loop(candidates, population) -> np.ndarray:
+    """Candidate-by-candidate reference for ``phase2._selectable``: walking
+    the (cancers, examinations, cost) order, a candidate is kept unless a
+    kept one is <= in examinations and cost and has a smaller index."""
+    cancer, col, cost = _candidate_arrays(candidates, population)
+    kept = []
+    for i in np.lexsort((cost, col, cancer)).tolist():
+        if not any(col[k] <= col[i] and cost[k] <= cost[i] and k < i
+                   for k in kept):
+            kept.append(i)
+    return np.array(sorted(kept), dtype=np.intp)
+
+
 def remove_dominated_loop(histories):
     """Row-by-row history dominance filter with the documented output order.
 
@@ -357,3 +384,152 @@ def exhaustive_best_shares(bundle, budgets, periods):
         best = np.min(cancers_f[ok] + best_m[fits[ok] - 1])
         shares.append(float(best / population))
     return shares
+
+
+# ---------------------------------------------------------------------------
+# The pipeline outputs rendered from StrategyHistory objects
+# ---------------------------------------------------------------------------
+
+def history_key(history, cutoffs) -> str:
+    """The policy cells of a history's periods, joined by "|"."""
+    return "|".join(policy_cell(r.strategy, cutoffs) for r in history.records)
+
+
+def candidate_from_history(history, key, population) -> StrategyCandidate:
+    return StrategyCandidate(
+        key=key,
+        expected_cancers=history.total_prevalence.crc * population,
+        colonoscopies_per_capita=history.cumulative_colonoscopies / population,
+        total_colonoscopies=history.cumulative_colonoscopies,
+        total_cost=history.cumulative_cost,
+    )
+
+
+def running_totals(bundle, sex, history) -> list:
+    """The total prevalence through each period of a history, chained
+    through ``combined_total_prevalence`` over its records."""
+    totals = []
+    total = None
+    weight = 0.0
+    for rec in history.records:
+        cohort = bundle.cohort_size(Segment(sex, rec.period))
+        total = combined_total_prevalence(total, weight,
+                                          rec.updated_prevalence, cohort)
+        weight += cohort
+        totals.append(total)
+    return totals
+
+
+def _combined(bundle, psi_f, psi_m, k: int) -> float:
+    wf = bundle.total_population(Sex.F, periods=k)
+    wm = bundle.total_population(Sex.M, periods=k)
+    return (psi_f.crc * wf + psi_m.crc * wm) / (wf + wm)
+
+
+def histories_rows(histories, keys, cutoffs) -> list:
+    rows = []
+    for i, (hist, key) in enumerate(zip(histories, keys)):
+        cells, floats = [], []
+        for rec in hist.records:
+            s = rec.strategy
+            cells += [
+                cutoffs[s.rules[CUTOFF].rule[()]],
+                "yes" if s.rules[INCENTIVE].rule[()] == 1 else "no",
+                "yes" if s.rules[INVITE].rule[()] == 1 else "no",
+                "colonoscopy" if s.rules[EXAM].rule[(1, 1)] == 1 else "none",
+            ]
+            floats += rec.updated_prevalence.as_tuple()
+        floats += [hist.cumulative_colonoscopies, hist.total_prevalence.crc,
+                   hist.cumulative_cost]
+        rows.append([i, key] + cells + floats)
+    return rows
+
+
+def policy_rows(results, histories, cutoffs) -> list:
+    rows = []
+    for case, res in enumerate(results, start=1):
+        for sex, index in ((Sex.F, res.female_index), (Sex.M, res.male_index)):
+            cells = [policy_cell(r.strategy, cutoffs)
+                     for r in histories[sex][index].records]
+            rows.append([f"case{case}", res.budget, sex.value] + cells)
+    return rows
+
+
+def series_rows(bundle, results, histories, periods) -> list:
+    rows = []
+    base = {sex: baseline_trajectory(bundle, sex, periods)
+            for sex in (Sex.F, Sex.M)}
+    for k in range(1, periods + 1):
+        for sex in (Sex.F, Sex.M):
+            rows.append(["baseline", "", sex.value, k,
+                         base[sex][k - 1].total_prevalence.crc])
+        rows.append(["baseline", "", "combined", k,
+                     _combined(bundle, base[Sex.F][k - 1].total_prevalence,
+                               base[Sex.M][k - 1].total_prevalence, k)])
+    for case, res in enumerate(results, start=1):
+        running = {
+            Sex.F: running_totals(bundle, Sex.F,
+                                  histories[Sex.F][res.female_index]),
+            Sex.M: running_totals(bundle, Sex.M,
+                                  histories[Sex.M][res.male_index])}
+        for k in range(1, periods + 1):
+            for sex in (Sex.F, Sex.M):
+                rows.append([f"case{case}", res.budget, sex.value, k,
+                             running[sex][k - 1].crc])
+            rows.append([f"case{case}", res.budget, "combined", k,
+                         _combined(bundle, running[Sex.F][k - 1],
+                                   running[Sex.M][k - 1], k)])
+    return rows
+
+
+def object_pipeline(argv, out) -> None:
+    """The six outputs of ``screenopt pipeline argv --out out``, with the
+    keys, candidates, histories, policy and series rows built one
+    ``StrategyHistory`` (and one record) at a time. The manifest and
+    selection writers, and the CSV framing, are the program's own."""
+    args = cli.build_parser().parse_args(
+        ["pipeline", *argv, "--out", str(out)])
+    bundle, _, _, digest = cli._load(args)
+    budgets = cli._parse_budgets(args.budgets)
+    periods = args.periods if args.periods is not None else bundle.periods
+    tables = run_phase1(bundle, budget=max(budgets), periods=periods,
+                        objective_mask=cli._mask(args))
+    histories = {sex: list(table) for sex, table in tables.items()}
+    cutoffs = bundle.effective_cutoffs()
+    keys = {sex: cli._unique_keys([history_key(h, cutoffs) for h in hs])
+            for sex, hs in histories.items()}
+    pop = {sex: bundle.total_population(sex, periods=periods)
+           for sex in (Sex.F, Sex.M)}
+    candidates = {sex: tuple(candidate_from_history(h, key, pop[sex])
+                             for h, key in zip(histories[sex], keys[sex]))
+                  for sex in (Sex.F, Sex.M)}
+    problem = SelectionProblem(
+        female=candidates[Sex.F], male=candidates[Sex.M],
+        population_female=pop[Sex.F], population_male=pop[Sex.M],
+        budget=max(budgets))
+    results = budget_sweep(problem, budgets)
+
+    out.mkdir(parents=True)
+    cli._write_manifest(args, bundle, budgets, periods, digest)
+    for sex in (Sex.F, Sex.M):
+        columns = ["index", "key"]
+        for k in range(1, periods + 1):
+            columns += [f"cutoff_{k}", f"incentive_{k}", f"invite_{k}",
+                        f"exam_{k}"]
+        for k in range(1, periods + 1):
+            columns += [f"normal_{k}", f"benign_{k}", f"large_{k}",
+                        f"crc_{k}"]
+        columns += ["cumulative_colonoscopies", "total_cancer_prevalence",
+                    "total_cost"]
+        cli._write_csv(out / f"histories_{sex.value}.csv", digest, columns,
+                       histories_rows(histories[sex], keys[sex], cutoffs))
+    cli._write_selection(out, digest, results, keys, problem)
+    cli._write_csv(out / "policy_table.csv", digest,
+                   ["case", "budget", "sex"]
+                   + [f"age_{Segment(Sex.F, k).age}"
+                      for k in range(1, periods + 1)],
+                   policy_rows(results, histories, cutoffs))
+    cli._write_csv(out / "prevalence_series.csv", digest,
+                   ("case", "budget", "sex", "round",
+                    "total_cancer_prevalence"),
+                   series_rows(bundle, results, histories, periods))

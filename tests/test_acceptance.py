@@ -21,7 +21,12 @@ from conftest import (
     random_strategy,
     small_doc,
 )
-from oracles import dominance_key, exhaustive_two_period, reference_pair_scan
+from oracles import (
+    dominance_key,
+    exhaustive_two_period,
+    history_key,
+    reference_pair_scan,
+)
 from screenopt.cli import main
 from screenopt.diagram import (
     enumerate_paths,
@@ -38,7 +43,6 @@ from screenopt.pareto import (
 )
 from screenopt.phase1 import (
     DetectedFractions,
-    history_key,
     run_phase1,
 )
 from screenopt.phase2 import (

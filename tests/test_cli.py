@@ -12,7 +12,8 @@ import pytest
 import screenopt.cli
 import screenopt.diagram
 import screenopt.phase1
-from conftest import small_doc
+from conftest import random_params_doc, small_doc
+from oracles import object_pipeline
 from screenopt.cli import dumps_canonical, main
 from screenopt.phase2 import BUDGET_TOL
 from screenopt.screening import (
@@ -68,6 +69,18 @@ class TestValidate:
         path.write_text(json.dumps(doc))
         assert main(["validate", "--params", str(path)]) == 0
         assert "default applied: costs.incentive" in capsys.readouterr().out
+
+
+    def test_duplicate_cutoff_set_labels_fail(self, tmp_path, default_doc,
+                                              capsys):
+        doc = json.loads(json.dumps(default_doc))
+        doc["options"]["cutoff_set"] = ["25", "25", "40"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", "--params", str(bad)]) == 1
+        assert "options.cutoff_set" in capsys.readouterr().err
+        assert main(["pipeline", "--budgets", "8000", "--params", str(bad),
+                     "--out", str(tmp_path / "x")]) == 1
 
 
 class TestSegment:
@@ -258,6 +271,18 @@ class TestPipeline:
                      "--params", str(small_params),
                      "--out", str(tmp_path / "x"), "--cross-check"]) == 0
 
+    def test_pipeline_builds_no_history_objects(self, small_params, tmp_path,
+                                                monkeypatch):
+        # phase 2 and the writers read the tables' columns and lineage
+        def refuse(self, rows):
+            raise AssertionError("a StrategyHistory was built")
+
+        monkeypatch.setattr(screenopt.phase1.HistoryTable, "_histories",
+                            refuse)
+        assert main(["pipeline", "--budgets", "500,1500,1500,4000",
+                     "--params", str(small_params),
+                     "--out", str(tmp_path / "x")]) == 0
+
     def test_sweep_mismatch_exits_three(self, small_params, tmp_path,
                                         monkeypatch):
         sweep = screenopt.cli.budget_sweep
@@ -316,6 +341,44 @@ class TestPipeline:
             for r in rows if r[0] == "baseline" and r[sex_i] == "F")
         values = [v for _, v in baseline_f]
         assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
+
+
+class TestObjectPathOracle:
+    """All six pipeline outputs, byte for byte, against the same outputs
+    rendered from StrategyHistory objects one record at a time."""
+
+    NAMES = ("manifest.json", "histories_F.csv", "histories_M.csv",
+             "selection.csv", "policy_table.csv", "prevalence_series.csv")
+    FLAGS = ([], ["--fix-exam"],
+             ["--objective-mask", "cost,colonoscopy,crc_found"],
+             # no zero-examination history survives: tiny budgets are
+             # infeasible
+             ["--objective-mask", "benign_found,large_found,crc_found"],
+             ["--no-incentive"])
+
+    @pytest.mark.parametrize("periods", [1, 2, 3, 4])
+    def test_outputs_equal_object_path(self, tmp_path, periods):
+        rng = np.random.default_rng(520 + periods)
+        for trial, flags in enumerate(self.FLAGS):
+            doc = random_params_doc(rng, periods=periods,
+                                    n_cutoffs=int(rng.integers(2, 4)),
+                                    monotone=bool(trial % 2),
+                                    fix_exam=trial % 2 == 0)
+            params = tmp_path / f"p{trial}.json"
+            params.write_text(json.dumps(doc))
+            # a tiny budget, repeated ones, and a top one that keeps
+            # histories through every period
+            high = rng.uniform(500, 4000, size=3).round(1).tolist()
+            budgets = ",".join(map(str, [1.0] + high + high[:2] + [1e5]))
+            argv = ["--params", str(params), "--budgets", budgets, *flags]
+            got, want = tmp_path / f"got{trial}", tmp_path / f"want{trial}"
+            assert main(["pipeline", *argv, "--out", str(got)]) == 0
+            object_pipeline(argv, want)
+            for name in self.NAMES:
+                assert (got / name).read_bytes() == \
+                    (want / name).read_bytes(), (trial, name)
+            if trial == 3:
+                assert b",false" in (got / "selection.csv").read_bytes()
 
 
 class TestStrategyClassChecks:

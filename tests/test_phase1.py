@@ -26,6 +26,7 @@ from oracles import (
     exhaustive_best_shares,
     exhaustive_two_period,
     remove_dominated_loop,
+    running_totals,
     sort_key,
 )
 from screenopt.diagram import StrategyEvaluator
@@ -476,10 +477,11 @@ class TestRunPhase1:
             run_phase1(bundle, budget=1e9, periods=2, history_cap=2)
         assert filled == [1] and read == []
         # the same run under the default cap: each sex fills both periods'
-        # tables, prunes period 2, and reads only its survivors
+        # tables, prunes period 2, and returns the table without reading
+        # a row
         filled.clear()
         run_phase1(bundle, budget=1e9, periods=2)
-        assert filled == [1, 2, 2] * 2 and read == [2, 2]
+        assert filled == [1, 2, 2] * 2 and read == []
 
     def test_deterministic_across_runs(self, default_doc):
         bundle = tiny_bundle(default_doc)
@@ -515,6 +517,28 @@ class TestRunPhase1:
                 keys = {tuple(round(v, 12) for v in dominance_key(h))
                         for h in got[sex]}
                 assert keys == want[sex]
+
+
+class TestLineage:
+    def test_ancestor_totals_equal_scalar_chain(self):
+        # the running totals the writers read off the ancestors' rows have
+        # the bits, signs included, of the scalar chain over the records
+        rng = np.random.default_rng(331)
+        for trial in range(6):
+            periods = 2 + trial % 3
+            doc = random_params_doc(rng, periods=periods, n_cutoffs=2,
+                                    monotone=bool(trial % 2),
+                                    fix_exam=trial % 3 == 0)
+            bundle, _ = load_parameters(doc)
+            tables = run_phase1(bundle, budget=1e9, periods=periods)
+            for sex, table in tables.items():
+                got = np.stack([t.total[rows] for t, rows in
+                                table.lineage(np.arange(len(table)))], axis=1)
+                want = np.array([[total.as_tuple() for total in
+                                  running_totals(bundle, sex, history)]
+                                 for history in table])
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestReweightedSegments:

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_pair_scan
+from oracles import reference_pair_scan, selectable_loop
 from screenopt.phase1 import BUDGET_TOL
 from screenopt.phase2 import (
+    SELECT_BLOCK,
     SelectionProblem,
     StrategyCandidate,
+    _selectable,
     budget_sweep,
     dense_pair_sweep,
     select_strategies,
@@ -227,7 +229,8 @@ class TestExactSweep:
             assert (got.female_index, got.male_index) == (0, 0)
 
     def test_shipped_curve_equals_dense_scan(self, default_bundle):
-        from screenopt.phase1 import history_key, run_phase1
+        from oracles import history_key
+        from screenopt.phase1 import run_phase1
         from screenopt.phase2 import selection_problem_from_histories
 
         budgets = [4000.0 + 16000.0 * i / 999 for i in range(1000)]
@@ -256,6 +259,35 @@ class TestExactSweep:
         assert_share_never_rises(swept)
 
 
+class TestSelectableReduction:
+    def test_blocked_pass_equals_candidate_loop(self):
+        # few distinct values per key plant exact ties in examinations, in
+        # cost and in all three keys; up to five blocks per set
+        rng = np.random.default_rng(419)
+        for trial in range(60):
+            n = int(rng.integers(1, 5 * SELECT_BLOCK))
+
+            def draw(scale):
+                if trial % 4 == 3:
+                    return rng.uniform(0, scale, size=n)
+                values = rng.uniform(0, scale, size=int(rng.integers(1, 12)))
+                return rng.choice(values, size=n)
+
+            cancers, percap, cost = draw(30.0), draw(0.3), draw(1e5)
+            copies = rng.integers(0, n, size=(2, n // 4))
+            for key in (cancers, percap, cost):
+                key[copies[0]] = key[copies[1]]
+            population = float(rng.uniform(100, 5000))
+            candidates = tuple(
+                candidate(f"c{i}", *values, population=population)
+                for i, values in enumerate(zip(cancers.tolist(),
+                                               percap.tolist(),
+                                               cost.tolist())))
+            np.testing.assert_array_equal(
+                _selectable(candidates, population),
+                selectable_loop(candidates, population))
+
+
 class TestEndToEnd:
     def test_two_period_selection_is_globally_optimal(self, default_doc):
         """With two periods there is no intermediate dominance pruning, so
@@ -264,8 +296,8 @@ class TestEndToEnd:
         import json as _json
 
         from conftest import small_doc
-        from oracles import all_two_period_outcomes
-        from screenopt.phase1 import history_key, run_phase1
+        from oracles import all_two_period_outcomes, history_key
+        from screenopt.phase1 import run_phase1
         from screenopt.phase2 import selection_problem_from_histories
         from screenopt.screening import Sex, load_parameters
 
