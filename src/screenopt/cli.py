@@ -434,18 +434,21 @@ def _write_histories(out: Path, digest: str, sex: Sex, table: HistoryTable,
 
 
 def _write_selection(out: Path, digest: str, results, keys, problem) -> None:
+    """One row per budget, the rest rendered once per distinct selection."""
     columns = ("budget", "female_index", "female_key", "male_index",
                "male_key", "cancer_prevalence", "total_colonoscopies",
                "total_cost", "feasible")
+    tails: dict[tuple, str] = {}
     rows = []
     for res in results:
-        rows.append([
-            res.budget,
-            res.female_index, problem.female[res.female_index].key,
-            res.male_index, problem.male[res.male_index].key,
-            res.cancer_share, res.total_colonoscopies, res.total_cost,
-            res.feasible,
-        ])
+        chosen = (res.female_index, res.male_index, res.cancer_share,
+                  res.total_colonoscopies, res.total_cost, res.feasible)
+        if chosen not in tails:
+            f, m = chosen[:2]
+            tails[chosen] = ",".join(map(_fmt, (
+                f, problem.female[f].key, m, problem.male[m].key,
+                *chosen[2:])))
+        rows.append(f"{_fmt(res.budget)},{tails[chosen]}")
     _write_csv(out / "selection.csv", digest, columns, rows)
 
 

@@ -508,11 +508,10 @@ def _rules_key(fixed: Mapping[int, LocalStrategy]) -> tuple:
 
 class _Paths(NamedTuple):
     """Paths in decision-signature order: per chance node the flat index of
-    each path's CPT entry and the entry of the diagram's own table, each
-    path's utility row, and where each signature's paths start."""
+    each path's CPT entry, each path's utility row, and where each
+    signature's paths start."""
 
     flats: tuple[np.ndarray, ...]
-    own: tuple[np.ndarray, ...]
     utility: np.ndarray
     starts: np.ndarray
 
@@ -526,10 +525,11 @@ class StrategyEvaluator:
     walking every path. Row order of :meth:`objective_matrix` matches
     :func:`enumerate_strategies` exactly.
 
-    Everything that depends only on the diagram's structure (the signature
-    sort, the CPT and value-table gather indices and the per-strategy
-    accumulation indices) is computed once, so :meth:`objective_matrix` can
-    re-evaluate the same structure under replaced chance-node tables.
+    Everything that depends only on the diagram's nodes and value tables
+    (the signature sort, the CPT gather indices, the utility rows and the
+    per-strategy accumulation indices) is computed once. So one evaluator
+    serves a whole phase-1 run: every segment diagram has the same nodes
+    and values, and is evaluated through it with its own chance tables.
     """
 
     def __init__(self, diagram: InfluenceDiagram):
@@ -569,10 +569,9 @@ class StrategyEvaluator:
         self._sig_values, starts = np.unique(radix[order], return_index=True)
 
         # Per chance node, in diagram order: the flat index of every path's
-        # CPT entry (paths in signature order) and the entries it gathers
-        # from the diagram's own table.
+        # CPT entry (paths in signature order).
         self._chance: list[tuple[Node, tuple[int, ...]]] = []
-        flats, own = [], []
+        flats = []
         for node in d.chance_nodes:
             shape = tuple(len(d.by_id[p].states) for p in node.predecessors) \
                 + (len(node.states),)
@@ -581,7 +580,6 @@ class StrategyEvaluator:
             flat = np.ravel_multi_index(tuple(cols), shape)[order]
             self._chance.append((node, shape))
             flats.append(flat)
-            own.append(_dense_cpt(d.cpts[node.node_id], shape).ravel()[flat])
 
         utility = np.zeros((n_paths, len(d.value_nodes)))
         for i, node in enumerate(d.value_nodes):
@@ -593,7 +591,7 @@ class StrategyEvaluator:
             cols = tuple(grid[:, pos[p]] for p in node.predecessors) or (
                 np.zeros(n_paths, dtype=np.int64),)
             utility[:, i] = dense[cols]
-        self._paths = _Paths(tuple(flats), tuple(own), utility[order], starts)
+        self._paths = _Paths(tuple(flats), utility[order], starts)
         self._n_values = len(d.value_nodes)
         self._plans: dict[tuple, list[np.ndarray]] = {}
 
@@ -605,18 +603,11 @@ class StrategyEvaluator:
         ``cpts`` replaces the tables of some chance nodes; the diagram's own
         tables supply the rest.
         """
-        cpts = cpts or {}
-        unknown = set(cpts) - {node.node_id for node, _ in self._chance}
-        if unknown:
-            raise ValueError(f"no chance node with id {min(unknown)}")
+        tables, _ = self._tables(cpts)
         paths = self._paths
         prob = np.ones(len(paths.utility))
-        for (node, shape), flat, own in zip(self._chance, paths.flats,
-                                            paths.own):
-            if node.node_id in cpts:
-                prob *= _dense_cpt(cpts[node.node_id], shape).ravel()[flat]
-            else:
-                prob *= own
+        for (node, _), flat in zip(self._chance, paths.flats):
+            prob *= tables[node.node_id][0, flat]
         weighted = prob[:, None] * paths.utility
         condensed = np.add.reduceat(weighted, paths.starts, axis=0)
         # A trailing zero row for strategies with no compatible signature.
@@ -683,16 +674,17 @@ class StrategyEvaluator:
         return plan
 
     def _tables(self, cpts) -> tuple[dict[int, np.ndarray], bool]:
-        """Replacement tables as (batch rows x entries) arrays, and whether
-        any of them came with a batch axis."""
+        """Every chance node's table as a (batch rows x entries) array, the
+        diagram's own where ``cpts`` does not replace it, and whether any
+        replacement came with a batch axis."""
         cpts = cpts or {}
         shapes = {node.node_id: shape for node, shape in self._chance}
         unknown = set(cpts) - set(shapes)
         if unknown:
             raise ValueError(f"no chance node with id {min(unknown)}")
         tables, batched = {}, False
-        for node_id, table in cpts.items():
-            shape = shapes[node_id]
+        for node_id, shape in shapes.items():
+            table = cpts.get(node_id, self.diagram.cpts[node_id])
             if isinstance(table, np.ndarray):
                 if table.shape[1:] != shape:
                     raise ValueError(
@@ -725,8 +717,8 @@ class StrategyEvaluator:
         Every row has the bits of the same row of :meth:`dense_objective_matrix`,
         which sums every path's term per signature with ``np.add.reduceat``,
         but only *live* paths are multiplied out: a path is live unless one
-        of its entries is exactly 0, in a fixed table or in every batch row
-        of a replaced one, and every other path's term is exactly +-0.
+        of its entries is exactly 0, in every batch row of its table, and
+        every other path's term is exactly +-0.
 
         Lemma: in a sequence with at most two nonzero entries every
         summation order gives the same value, because adding +-0 to a
@@ -766,17 +758,13 @@ class StrategyEvaluator:
         paths = self._paths
         bounds = np.append(paths.starts, len(paths.utility))
         live = np.repeat(used[:n_sigs], np.diff(bounds))
-        for (node, _), flat, own in zip(self._chance, paths.flats, paths.own):
-            if node.node_id in tables:
-                live &= np.any(tables[node.node_id] != 0, axis=0)[flat]
-            else:
-                live &= own != 0
+        factors = [tables[node.node_id] for node, _ in self._chance]
+        for table, flat in zip(factors, paths.flats):
+            live &= np.any(table != 0, axis=0)[flat]
         live = np.flatnonzero(live)
-        factors = [tables[node.node_id] if node.node_id in tables else None
-                   for node, _ in self._chance]
-        gathered = [flat[live] if table is not None else own[live]
-                    for table, flat, own in zip(factors, paths.flats,
-                                                paths.own)]
+        # One-row tables are gathered once, the others per block.
+        gathered = [table[:, flat[live]] if len(table) == 1 else flat[live]
+                    for table, flat in zip(factors, paths.flats)]
         utility = paths.utility[live]
 
         # Each signature's live terms are contiguous: [first, last).
@@ -803,11 +791,7 @@ class StrategyEvaluator:
             size = block.stop - block.start
             prob = np.ones((size, len(live)))
             for table, entries in zip(factors, gathered):
-                if table is None:
-                    prob *= entries
-                else:
-                    prob *= (table if len(table) == 1 else table[block]
-                             )[:, entries]
+                prob *= entries if len(table) == 1 else table[block][:, entries]
             terms = prob[:, :, None] * utility
             condensed = np.zeros((size, len(sigs) + 1, self._n_values))
             if len(nonempty):

@@ -19,7 +19,6 @@ reporting.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -97,9 +96,10 @@ class FrontierPoint:
 
 @dataclass(eq=False)
 class ParetoFrontier:
-    """Pairwise-nondominated points, deduplicated and deterministically sorted."""
+    """Pairwise-nondominated points of ``problem``, deduplicated and sorted."""
 
     points: list[FrontierPoint]
+    problem: EnumeratedProblem | None = None
 
     def vectors(self) -> np.ndarray:
         return np.array([p.minimized for p in self.points]).reshape(
@@ -137,15 +137,6 @@ class EnumeratedProblem:
         self.names = tuple(names)
         self.active = tuple(active) if active is not None else tuple(range(width))
         self.matrix_min = self.minimize(self.reported)
-
-    @classmethod
-    def from_matrix(cls, matrix, orientations=None,
-                    names=None) -> "EnumeratedProblem":
-        matrix = np.asarray(matrix, dtype=float)
-        m = matrix.shape[1]
-        orientations = tuple(orientations) if orientations else ("minimize",) * m
-        names = tuple(names) if names else tuple(f"obj{i}" for i in range(m))
-        return cls(matrix, orientations, names)
 
     def minimize(self, reported: np.ndarray) -> np.ndarray:
         """The active columns of reported rows, in minimization orientation."""
@@ -192,18 +183,27 @@ class EnumeratedProblem:
 
 
 class DiagramProblem(EnumeratedProblem):
-    """EnumeratedProblem over every strategy of an influence diagram."""
+    """EnumeratedProblem over every strategy of an influence diagram.
+
+    ``evaluator`` may come from another diagram with the same nodes and
+    value tables: the problem then evaluates through it with its own
+    diagram's chance tables, which gives the bits of a fresh evaluator.
+    """
 
     def __init__(self, diagram: InfluenceDiagram,
                  objective_mask: Sequence[str] | None = None,
                  fixed: Mapping[int, LocalStrategy] | None = None,
                  evaluator: StrategyEvaluator | None = None):
+        if evaluator is not None and \
+                _structure(evaluator.diagram) != _structure(diagram):
+            raise ValueError("the evaluator was built for a diagram with "
+                             "other nodes or value tables")
         self.diagram = diagram
         self.fixed = dict(fixed or {})
         self.evaluator = evaluator or StrategyEvaluator(diagram)
         self._slots = self.evaluator._slot_layout(set(self.fixed))[0]
         self._strategies: dict[int, GlobalStrategy] = {}
-        reported = self.evaluator.objective_matrix(fixed=self.fixed)
+        reported = self.objective_matrix()
         names = tuple(n.name for n in diagram.value_nodes)
         orientations = tuple(diagram.values[n.node_id].orientation
                              for n in diagram.value_nodes)
@@ -219,27 +219,17 @@ class DiagramProblem(EnumeratedProblem):
                 raise ValueError("objective mask selects nothing")
         super().__init__(reported, orientations, names, active=active)
 
-    def with_cpts(self, cpts: Mapping[int, Mapping[tuple[int, ...],
-                                                   tuple[float, ...]]]
-                  ) -> "DiagramProblem":
-        """The same problem with the tables of some chance nodes replaced.
+    def objective_matrix(self, cpts=None, strategies=None) -> np.ndarray:
+        """:meth:`StrategyEvaluator.objective_matrix` under the fixed rules,
+        with this diagram's chance tables and ``cpts`` replacing some."""
+        return self.evaluator.objective_matrix(
+            fixed=self.fixed, cpts={**self.diagram.cpts, **(cpts or {})},
+            strategies=strategies)
 
-        Only the objective values are recomputed. The evaluator's layout
-        and the strategy objects do not depend on the tables and are shared
-        with this problem.
-        """
-        problem = DiagramProblem.__new__(DiagramProblem)
-        problem.diagram = dataclasses.replace(
-            self.diagram, cpts={**self.diagram.cpts, **cpts})
-        problem.fixed = self.fixed
-        problem.evaluator = self.evaluator
-        problem._slots = self._slots
-        problem._strategies = self._strategies
-        reported = self.evaluator.objective_matrix(fixed=self.fixed, cpts=cpts)
-        EnumeratedProblem.__init__(
-            problem, reported, self.orientations, self.names,
-            active=self.active)
-        return problem
+    def dense_objective_matrix(self, cpts=None) -> np.ndarray:
+        """The dense oracle of :meth:`objective_matrix`."""
+        return self.evaluator.dense_objective_matrix(
+            fixed=self.fixed, cpts={**self.diagram.cpts, **(cpts or {})})
 
     def strategy(self, index: int) -> GlobalStrategy:
         if index in self._strategies:
@@ -258,6 +248,12 @@ class DiagramProblem(EnumeratedProblem):
             rules[node.node_id] = LocalStrategy(node.node_id, rule)
         strategy = self._strategies[index] = GlobalStrategy(rules)
         return strategy
+
+
+def _structure(d: InfluenceDiagram) -> tuple:
+    """What an evaluator of ``d`` depends on: the nodes and value tables."""
+    return d.nodes, {i: (v.table, v.orientation, v.unit)
+                     for i, v in d.values.items()}
 
 
 def _index_digits(index: int, sizes: Sequence[int]) -> tuple[int, ...]:
@@ -496,7 +492,8 @@ def compute_frontier(problem: EnumeratedProblem,
     """Complete nondominated set: one filter over the distinct vectors."""
     rows = frontier_rows(problem.unique_vectors()[None], tol)[0]
     return ParetoFrontier(
-        points=[problem.point(problem.representative(r)) for r in rows])
+        points=[problem.point(problem.representative(r)) for r in rows],
+        problem=problem)
 
 
 def brute_force_frontier(problem: EnumeratedProblem,
@@ -598,4 +595,5 @@ def _assemble(problem: EnumeratedProblem, rows: Sequence[int],
         if not near.all(axis=1).any():
             kept.append(r)
     return ParetoFrontier(
-        points=[problem.point(problem.representative(r)) for r in kept])
+        points=[problem.point(problem.representative(r)) for r in kept],
+        problem=problem)

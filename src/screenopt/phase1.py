@@ -9,7 +9,9 @@ strategies into classes that are equal at every prevalence (the objectives
 are linear in it), evaluates one representative per class at every
 surviving history's updated prevalence in one batched, bit-exact pass over
 the segment's live paths, and filters all the histories' frontiers in one
-batch; each history is extended by every strategy on its frontier.
+batch; each history is extended by every strategy on its frontier. Only
+the chance tables differ between segments, so one evaluator, built by the
+run's first segment problem, evaluates every segment with its own tables.
 Between periods the bowel-state distribution moves by the
 detection-and-progression recurrences: detected fractions are removed
 (treated participants return to the normal state), remaining abnormal mass
@@ -40,6 +42,7 @@ from .diagram import (
     DOMINANCE_TOL,
     GlobalStrategy,
     ObjectiveVector,
+    StrategyEvaluator,
 )
 from .errors import CapacityError, InfeasibleBudgetError, OracleMismatchError
 from .pareto import (
@@ -349,11 +352,15 @@ def policy_cell(strategy: GlobalStrategy, cutoffs: Sequence[str]) -> str:
 
 def segment_problem(params: ParameterBundle, segment: Segment,
                     psi: PrevalenceVector,
-                    objective_mask: Sequence[str] | None = None):
-    """Enumerated multi-objective problem for one segment at prevalence ``psi``."""
+                    objective_mask: Sequence[str] | None = None,
+                    evaluator: StrategyEvaluator | None = None):
+    """Enumerated multi-objective problem for one segment at prevalence
+    ``psi``, evaluated through ``evaluator`` (any segment's of the same
+    parameters: segments differ only in their chance tables) if given."""
     diagram = build_segment_diagram(segment, params, psi)
     return diagram_problem(diagram, objective_mask=objective_mask,
-                           fixed=fixed_decision_rules(params))
+                           fixed=fixed_decision_rules(params),
+                           evaluator=evaluator)
 
 
 def solve_frontier(problem, cross_check: bool = False,
@@ -378,18 +385,13 @@ def segment_frontier(params: ParameterBundle, segment: Segment,
                      psi: PrevalenceVector,
                      objective_mask: Sequence[str] | None = None,
                      cross_check: bool = False,
-                     base: DiagramProblem | None = None) -> ParetoFrontier:
-    """Frontier of one segment problem at prevalence ``psi``.
-
-    ``base`` is the problem of the same segment at any prevalence; when it
-    is given, only the prevalence-dependent tables are rebuilt.
-    """
-    if base is None:
-        problem = segment_problem(params, segment, psi, objective_mask)
-    else:
-        problem = base.with_cpts(prevalence_cpts(params, psi))
+                     evaluator: StrategyEvaluator | None = None
+                     ) -> ParetoFrontier:
+    """Frontier of one segment problem at prevalence ``psi``, evaluated
+    through ``evaluator`` when one is given (see :func:`segment_problem`)."""
     return solve_frontier(
-        problem, cross_check,
+        segment_problem(params, segment, psi, objective_mask, evaluator),
+        cross_check,
         label=f"for sex={segment.sex.value} period={segment.period}")
 
 
@@ -412,13 +414,16 @@ def run_phase1(params: ParameterBundle, budget: float,
         raise ValueError(f"periods must be within 1..{params.periods}")
 
     out: dict[Sex, HistoryTable] = {}
+    evaluator = None  # built by the first segment problem, then shared
     for sex in (Sex.F, Sex.M):
-        table = _extend_period(params, sex, 1, None, budget, objective_mask,
-                               cross_check, history_cap)
+        table, evaluator = _extend_period(
+            params, sex, 1, None, budget, objective_mask, cross_check,
+            history_cap, evaluator)
         for k in range(2, K + 1):
-            table = remove_dominated(_extend_period(
+            table, _ = _extend_period(
                 params, sex, k, table, budget, objective_mask, cross_check,
-                history_cap))
+                history_cap, evaluator)
+            table = remove_dominated(table)
         out[sex] = table
     return out
 
@@ -437,8 +442,8 @@ def vertex_values(params: ParameterBundle,
     posterior's denominator), so sum_v psi_v * values[..., v] is their
     value at psi.
     """
-    values = problem.evaluator.objective_matrix(
-        fixed=problem.fixed, cpts=prevalence_tables(params, np.eye(4)))
+    values = problem.objective_matrix(cpts=prevalence_tables(params,
+                                                             np.eye(4)))
     return np.moveaxis(values, 0, 2)
 
 
@@ -450,35 +455,44 @@ def strategy_classes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     members of a class are equal at every prevalence.
     """
     flat = values.reshape(len(values), -1)
-    _, first, inverse = np.unique(flat, axis=0, return_index=True,
-                                  return_inverse=True)
-    rank = np.empty(len(first), dtype=np.intp)
-    rank[np.argsort(first)] = np.arange(len(first))
-    return np.sort(first), rank[inverse.ravel()]
+    # A stable sort puts each class's smallest index first among its
+    # equals; ``!=`` compares as floats, so -0.0 and 0.0 are equal.
+    order = np.lexsort(flat.T[::-1])
+    ordered = flat[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    reps = order[first]
+    class_of = np.empty(len(order), dtype=np.intp)
+    class_of[order] = np.argsort(np.argsort(reps))[np.cumsum(first) - 1]
+    return np.sort(reps), class_of
 
 
-def _first_frontier(params, segment, psi, objective_mask, cross_check):
+def _first_frontier(params, segment, psi, objective_mask, cross_check,
+                    evaluator):
     """Period 1: the frontier of :func:`segment_frontier`, as
     (strategies, names, orientations, reported (1 x points x objectives),
-    frontier rows)."""
-    points = segment_frontier(params, segment, psi, objective_mask,
-                              cross_check).points
+    frontier rows, the evaluator of its problem)."""
+    frontier = segment_frontier(params, segment, psi, objective_mask,
+                                cross_check, evaluator)
+    points = frontier.points
     objectives = points[0].objectives
     return (tuple(p.strategy for p in points), objectives.names,
             objectives.orientations,
             np.array([[p.objectives.values for p in points]]),
-            [np.arange(len(points))])
+            [np.arange(len(points))], frontier.problem.evaluator)
 
 
-def _batched_frontiers(params, segment, starts, objective_mask, cross_check):
+def _batched_frontiers(params, segment, starts, objective_mask, cross_check,
+                       evaluator):
     """Later periods: the frontier of every start prevalence (rows of the
     (starts x 4) array ``starts``), as (class representatives, names,
     orientations, reported (starts x classes x objectives), frontier rows
     per start).
 
-    The segment's problem is built once here and released when the period
-    is done. Its strategies fall into a few classes that are equal at every
-    prevalence (:func:`strategy_classes`), so one batched evaluation gives
+    The segment's problem is built once here, evaluated through
+    ``evaluator``, and released when the period is done. Its strategies
+    fall into a few classes that are equal at every prevalence
+    (:func:`strategy_classes`), so one batched evaluation gives
     the class representatives at every start, with the bits of each
     start's full objective matrix, and one batched filter gives every
     start's frontier: the frontier of :func:`segment_frontier`.
@@ -487,7 +501,7 @@ def _batched_frontiers(params, segment, starts, objective_mask, cross_check):
     """
     label = f"for sex={segment.sex.value} period={segment.period}"
     base = segment_problem(params, segment, PrevalenceVector(*starts[0]),
-                           objective_mask)
+                           objective_mask, evaluator)
     reps, class_of = strategy_classes(vertex_values(params, base))
     # The base problem holds every strategy at the first start, which
     # checks the classes there for free.
@@ -495,22 +509,21 @@ def _batched_frontiers(params, segment, starts, objective_mask, cross_check):
               > DOMINANCE_TOL):
         raise OracleMismatchError(
             f"a strategy differs from its class representative {label}")
-    reported = base.evaluator.objective_matrix(
-        fixed=base.fixed, cpts=prevalence_tables(params, starts),
-        strategies=reps)
+    reported = base.objective_matrix(cpts=prevalence_tables(params, starts),
+                                     strategies=reps)
     frontiers = frontier_rows(base.minimize(reported))
     strategies = tuple(base.strategy(r) for r in reps.tolist())
     if cross_check:
         for h, row in enumerate(starts.tolist()):
             psi = PrevalenceVector(*row)
-            dense = base.evaluator.dense_objective_matrix(
-                fixed=base.fixed, cpts=prevalence_cpts(params, psi))
+            dense = base.dense_objective_matrix(
+                cpts=prevalence_cpts(params, psi))
             if not np.array_equal(reported[h], dense[reps]):
                 raise OracleMismatchError(
                     f"batched evaluation differs from the dense evaluation "
                     f"of history {h} {label}")
             oracle = segment_frontier(params, segment, psi, objective_mask,
-                                      cross_check=True, base=base)
+                                      cross_check=True, evaluator=evaluator)
             if [p.strategy.key for p in oracle.points] != \
                     [strategies[c].key for c in frontiers[h]] or \
                     not np.array_equal([p.objectives.values
@@ -523,9 +536,10 @@ def _batched_frontiers(params, segment, starts, objective_mask, cross_check):
 
 
 def _extend_period(params, sex, k, previous, budget, objective_mask,
-                   cross_check, history_cap) -> HistoryTable:
+                   cross_check, history_cap, evaluator):
     """Every history of ``previous`` (at period 1, the empty history)
-    extended by every frontier point of period ``k``, within the budget.
+    extended by every frontier point of period ``k``, within the budget,
+    and the evaluator of the period's problem (``evaluator`` if given).
 
     The budget is applied, and from period 2 on ``history_cap`` checked, on
     the arrays before the table is filled.
@@ -535,15 +549,15 @@ def _extend_period(params, sex, k, previous, budget, objective_mask,
         start = params.starting_prevalence(sex)
         starts = np.array([start.as_tuple()])
         before_col = before_cost = np.zeros(1)
-        strategies, names, orientations, reported, frontiers = \
+        strategies, names, orientations, reported, frontiers, evaluator = \
             _first_frontier(params, segment, start, objective_mask,
-                            cross_check)
+                            cross_check, evaluator)
     else:
         start, starts = previous.start, previous.updated
         before_col, before_cost = previous.colonoscopies, previous.cost
         strategies, names, orientations, reported, frontiers = \
             _batched_frontiers(params, segment, starts, objective_mask,
-                               cross_check)
+                               cross_check, evaluator)
 
     cohort = params.cohort_size(segment)
     col = before_col[:, None] + \
@@ -579,7 +593,8 @@ def _extend_period(params, sex, k, previous, budget, objective_mask,
         names=names, orientations=orientations, parent=previous,
         parent_row=parent, strategy=strategy, reported=values,
         updated=updated, total=total, colonoscopies=col[parent, strategy],
-        cost=before_cost[parent] + values[:, names.index("cost")] * cohort)
+        cost=before_cost[parent] + values[:, names.index("cost")] * cohort
+    ), evaluator
 
 
 @dataclass(frozen=True)

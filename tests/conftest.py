@@ -16,6 +16,7 @@ from screenopt.diagram import (
     NodeKind,
     ValueSpec,
 )
+from screenopt.pareto import EnumeratedProblem
 from screenopt.screening import load_parameters
 
 DEFAULT_PARAMS = Path(__file__).resolve().parents[1] / "src" / "screenopt" / \
@@ -137,6 +138,15 @@ def random_strategy(rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 # Random screening-parameter documents
 # ---------------------------------------------------------------------------
+
+def matrix_problem(matrix, orientations=None) -> EnumeratedProblem:
+    """The problem whose candidates are the rows of ``matrix``, each column
+    minimized unless ``orientations`` says otherwise."""
+    matrix = np.asarray(matrix, dtype=float)
+    m = matrix.shape[1]
+    return EnumeratedProblem(matrix, orientations or ("minimize",) * m,
+                             tuple(f"obj{i}" for i in range(m)))
+
 
 def random_params_doc(rng: np.random.Generator, periods: int = 2,
                       n_cutoffs: int = 3, monotone: bool = True,

@@ -314,6 +314,17 @@ def nondominated_prefix(points, tol=1e-9, cells=1 << 20):
     return mask.reshape(points.shape[:-1])
 
 
+def strategy_classes_unique(values):
+    """``phase1.strategy_classes`` through ``np.unique``: each class's
+    smallest strategy index, ascending, and the class of every strategy."""
+    flat = values.reshape(len(values), -1)
+    _, first, inverse = np.unique(flat, axis=0, return_index=True,
+                                  return_inverse=True)
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return np.sort(first), rank[inverse.ravel()]
+
+
 def exhaustive_phase1(bundle, sex, budget, periods):
     """Every budget-feasible sequence of strategy classes for one sex.
 
@@ -482,11 +493,21 @@ def series_rows(bundle, results, histories, periods) -> list:
     return rows
 
 
+def selection_rows(results, problem) -> list:
+    """The rows of ``selection.csv``, one value at a time."""
+    return [[res.budget,
+             res.female_index, problem.female[res.female_index].key,
+             res.male_index, problem.male[res.male_index].key,
+             res.cancer_share, res.total_colonoscopies, res.total_cost,
+             res.feasible] for res in results]
+
+
 def object_pipeline(argv, out) -> None:
     """The six outputs of ``screenopt pipeline argv --out out``, with the
     keys, candidates, histories, policy and series rows built one
-    ``StrategyHistory`` (and one record) at a time. The manifest and
-    selection writers, and the CSV framing, are the program's own."""
+    ``StrategyHistory`` (and one record) at a time, and the selection rows
+    one value at a time. The manifest writer and the CSV framing are the
+    program's own."""
     args = cli.build_parser().parse_args(
         ["pipeline", *argv, "--out", str(out)])
     bundle, _, _, digest = cli._load(args)
@@ -523,7 +544,11 @@ def object_pipeline(argv, out) -> None:
                     "total_cost"]
         cli._write_csv(out / f"histories_{sex.value}.csv", digest, columns,
                        histories_rows(histories[sex], keys[sex], cutoffs))
-    cli._write_selection(out, digest, results, keys, problem)
+    cli._write_csv(out / "selection.csv", digest,
+                   ("budget", "female_index", "female_key", "male_index",
+                    "male_key", "cancer_prevalence", "total_colonoscopies",
+                    "total_cost", "feasible"),
+                   selection_rows(results, problem))
     cli._write_csv(out / "policy_table.csv", digest,
                    ["case", "budget", "sex"]
                    + [f"age_{Segment(Sex.F, k).age}"

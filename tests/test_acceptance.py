@@ -16,6 +16,7 @@ import pytest
 
 from conftest import (
     DEFAULT_PARAMS,
+    matrix_problem,
     random_diagram,
     random_params_doc,
     random_strategy,
@@ -35,7 +36,6 @@ from screenopt.diagram import (
     upper_bound_probability,
 )
 from screenopt.pareto import (
-    EnumeratedProblem,
     box_search_frontier,
     brute_force_frontier,
     compute_frontier,
@@ -133,7 +133,7 @@ def _random_matrix_instance(rng):
         mat = rng.normal(size=(n, m))
     orientations = tuple(
         "maximize" if rng.random() < 0.3 else "minimize" for _ in range(m))
-    return EnumeratedProblem.from_matrix(mat, orientations=orientations)
+    return matrix_problem(mat, orientations=orientations)
 
 
 def _random_segment_instance(rng):
@@ -170,7 +170,7 @@ def test_frontier_oracle_equality():
     for _ in range(10):
         m = int(rng.integers(2, 4))
         mat = rng.integers(0, 8, size=(100_000, m)).astype(float)
-        _assert_frontier_equal(EnumeratedProblem.from_matrix(mat))
+        _assert_frontier_equal(matrix_problem(mat))
         instances += 1
     elapsed = time.monotonic() - start
     assert instances == 200

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -381,6 +384,33 @@ class TestObjectPathOracle:
                 assert b",false" in (got / "selection.csv").read_bytes()
 
 
+class TestOneProcess:
+    """Nothing outlives a run: pipelines run one after another in one
+    process write the bytes of fresh-process runs."""
+
+    def test_runs_in_one_process_match_fresh_processes(self, tmp_path):
+        rng = np.random.default_rng(530)
+        argv = []
+        for i, n_cutoffs in enumerate((3, 5)):
+            params = tmp_path / f"p{i}.json"
+            params.write_text(json.dumps(random_params_doc(
+                rng, periods=3, n_cutoffs=n_cutoffs, fix_exam=bool(i))))
+            argv.append(["pipeline", "--params", str(params),
+                         "--budgets", "800,2500,1e5"])
+        env = {**os.environ, "PYTHONPATH": str(
+            Path(screenopt.cli.__file__).resolve().parents[1])}
+        # the first document again after the second
+        for run, args in enumerate(argv + argv[:1]):
+            here, fresh = tmp_path / f"here{run}", tmp_path / f"fresh{run}"
+            assert main([*args, "--out", str(here)]) == 0
+            subprocess.run([sys.executable, "-m", "screenopt.cli", *args,
+                            "--out", str(fresh)], env=env, check=True,
+                           capture_output=True)
+            for name in TestObjectPathOracle.NAMES:
+                assert (here / name).read_bytes() == \
+                    (fresh / name).read_bytes(), (run, name)
+
+
 class TestStrategyClassChecks:
     """Later periods evaluate one representative per strategy class: the
     base problem checks every member against it for free, and
@@ -422,8 +452,10 @@ class TestStrategyClassChecks:
                                                          monkeypatch):
         segment_problem = screenopt.phase1.segment_problem
 
-        def perturbed(params, segment, psi, objective_mask=None):
-            problem = segment_problem(params, segment, psi, objective_mask)
+        def perturbed(params, segment, psi, objective_mask=None,
+                      evaluator=None):
+            problem = segment_problem(params, segment, psi, objective_mask,
+                                      evaluator)
             if segment.period > 1:
                 reps, _ = screenopt.phase1.strategy_classes(
                     screenopt.phase1.vertex_values(params, problem))

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import screenopt.pareto
-from conftest import random_diagram
+from conftest import matrix_problem, random_diagram
 from oracles import (
     compatible_path_probabilities,
     dominates,
@@ -29,7 +29,6 @@ from screenopt.diagram import (
 )
 from screenopt.errors import IterationLimitError
 from screenopt.pareto import (
-    EnumeratedProblem,
     _exact_skyline,
     ScalarizationParams,
     box_search_frontier,
@@ -48,7 +47,7 @@ DATA = Path(__file__).resolve().parent / "data"
 
 
 def problem_of(rows, **kwargs):
-    return EnumeratedProblem.from_matrix(np.array(rows, dtype=float), **kwargs)
+    return matrix_problem(rows, **kwargs)
 
 
 def box_limit_problem():
@@ -375,15 +374,23 @@ class TestDiagramProblems:
         assert math.fsum(paths.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_reweighted_problem_walks_its_own_tables(self, small_bundle):
+        # a problem evaluated through another segment's evaluator reports
+        # its own diagram's values, bit for bit
         from screenopt.screening import (PrevalenceVector, Segment, Sex,
-                                         build_segment_diagram,
-                                         prevalence_cpts)
-        seg = Segment(Sex.F, 1)
+                                         build_segment_diagram)
         base = diagram_problem(build_segment_diagram(
-            seg, small_bundle, small_bundle.starting_prevalence(Sex.F)))
+            Segment(Sex.F, 1), small_bundle,
+            small_bundle.starting_prevalence(Sex.F)))
+        seg = Segment(Sex.M, 2)
         psi = PrevalenceVector(0.7, 0.2, 0.07, 0.03)
-        reweighted = base.with_cpts(prevalence_cpts(small_bundle, psi))
+        reweighted = diagram_problem(
+            build_segment_diagram(seg, small_bundle, psi),
+            evaluator=base.evaluator)
         fresh = diagram_problem(build_segment_diagram(seg, small_bundle, psi))
+        assert reweighted.evaluator is base.evaluator
+        assert np.array_equal(reweighted.reported, fresh.reported)
+        assert np.array_equal(np.signbit(reweighted.reported),
+                              np.signbit(fresh.reported))
         point = compute_frontier(reweighted).points[-1]
         assert compatible_path_probabilities(reweighted.diagram,
                                              point.strategy) == \

@@ -28,6 +28,7 @@ from oracles import (
     remove_dominated_loop,
     running_totals,
     sort_key,
+    strategy_classes_unique,
 )
 from screenopt.diagram import StrategyEvaluator
 from screenopt.errors import (
@@ -572,8 +573,11 @@ class TestReweightedSegments:
         for trial in range(12):
             bundle, segment = self.random_case(rng, trial)
             fixed = fixed_decision_rules(bundle)
+            # the evaluator of another segment, at another prevalence
+            other = Segment(Sex.M if segment.sex is Sex.F else Sex.F,
+                            int(rng.integers(1, 3)))
             base = segment_problem(
-                bundle, segment, PrevalenceVector(**_random_simplex(rng)))
+                bundle, other, PrevalenceVector(**_random_simplex(rng)))
             prevalences = [PrevalenceVector(**_random_simplex(rng))
                            for _ in range(3)]
             prevalences.append(PrevalenceVector(1.0, 0.0, 0.0, 0.0))
@@ -581,7 +585,9 @@ class TestReweightedSegments:
                 fresh = StrategyEvaluator(
                     build_segment_diagram(segment, bundle, psi)
                 ).objective_matrix(fixed=fixed)
-                reused = base.with_cpts(prevalence_cpts(bundle, psi))
+                reused = segment_problem(bundle, segment, psi,
+                                         evaluator=base.evaluator)
+                assert reused.evaluator is base.evaluator
                 assert np.array_equal(reused.reported, fresh)
                 assert np.array_equal(np.signbit(reused.reported),
                                       np.signbit(fresh))
@@ -680,7 +686,8 @@ class TestReweightedSegments:
                 bundle, segment, PrevalenceVector(**_random_simplex(rng)))
             psi = PrevalenceVector(**_random_simplex(rng))
             fresh = segment_frontier(bundle, segment, psi)
-            reused = segment_frontier(bundle, segment, psi, base=base)
+            reused = segment_frontier(bundle, segment, psi,
+                                      evaluator=base.evaluator)
             assert [p.objectives.values for p in reused.points] == \
                 [p.objectives.values for p in fresh.points]
             assert [p.strategy.key for p in reused.points] == \
@@ -693,6 +700,73 @@ class TestReweightedSegments:
         diagram = build_segment_diagram(segment, bundle, psi)
         for node_id, table in prevalence_cpts(bundle, psi).items():
             assert diagram.cpts[node_id] == table
+
+
+def assert_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestSharedEvaluator:
+    """One evaluator serves every segment of a run: each segment evaluated
+    through it, with its own chance tables, has the bits of a fresh
+    per-segment evaluator."""
+
+    def test_every_segment_bit_identical_to_fresh_evaluator(self):
+        rng = np.random.default_rng(281)
+        for K in range(1, 6):
+            doc = random_params_doc(rng, periods=K,
+                                    n_cutoffs=int(rng.integers(3, 7)),
+                                    monotone=bool(K % 2),
+                                    fix_exam=K in (2, 4, 5))
+            doc["options"]["incentive_enabled"] = K not in (3, 4)
+            bundle, _ = load_parameters(doc)
+            fixed = fixed_decision_rules(bundle)
+            evaluator = None
+            for segment in (Segment(sex, k) for sex in (Sex.F, Sex.M)
+                            for k in range(1, K + 1)):
+                psi = PrevalenceVector(**_random_simplex(rng))
+                shared = segment_problem(bundle, segment, psi,
+                                         evaluator=evaluator)
+                evaluator = evaluator or shared.evaluator
+                assert shared.evaluator is evaluator
+                fresh = StrategyEvaluator(
+                    build_segment_diagram(segment, bundle, psi))
+                assert_bits(shared.reported,
+                            fresh.objective_matrix(fixed=fixed))
+                vertices = prevalence_tables(bundle, np.eye(4))
+                assert_bits(shared.objective_matrix(cpts=vertices),
+                            fresh.objective_matrix(fixed=fixed,
+                                                   cpts=vertices))
+                reps, _ = strategy_classes(vertex_values(bundle, shared))
+                starts = prevalence_tables(bundle, np.array(
+                    [tuple(_random_simplex(rng).values())
+                     for _ in range(int(rng.integers(1, 6)))]))
+                assert_bits(
+                    shared.objective_matrix(cpts=starts, strategies=reps),
+                    fresh.objective_matrix(fixed=fixed, cpts=starts,
+                                           strategies=reps))
+
+    def test_foreign_structure_rejected(self):
+        rng = np.random.default_rng(283)
+        doc = random_params_doc(rng, periods=2, n_cutoffs=4)
+        bundle, _ = load_parameters(doc)
+        psi = PrevalenceVector(**_random_simplex(rng))
+        evaluator = segment_problem(bundle, Segment(Sex.F, 1), psi).evaluator
+        fewer = json.loads(json.dumps(doc))
+        fewer["options"]["cutoff_set"] = doc["fit"]["cutoffs"][:3]
+        dearer = json.loads(json.dumps(doc))
+        dearer["costs"]["colonoscopy"] += 1.0
+        for other in (fewer, dearer):
+            foreign, _ = load_parameters(other)
+            with pytest.raises(ValueError, match="other nodes or value"):
+                segment_problem(foreign, Segment(Sex.M, 2), psi,
+                                evaluator=evaluator)
+        # the same structure with other chance tables is accepted
+        other = json.loads(json.dumps(doc))
+        other["participation"]["contact"]["M"][1] = 0.5
+        segment_problem(load_parameters(other)[0], Segment(Sex.M, 2), psi,
+                        evaluator=evaluator)
 
 
 class TestStrategyClasses:
@@ -729,6 +803,36 @@ class TestStrategyClasses:
                 # splits, so those members can differ in the last bit.
                 assert np.all(np.abs(direct - direct[reps[class_of]])
                               <= DOMINANCE_TOL)
+
+    @staticmethod
+    def assert_same_classes(values):
+        got, want = strategy_classes(values), strategy_classes_unique(values)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_sort_matches_unique_oracle(self):
+        rng = np.random.default_rng(293)
+        for trial in range(4):
+            doc = random_params_doc(rng, periods=2,
+                                    n_cutoffs=int(rng.integers(3, 7)),
+                                    monotone=bool(trial % 2),
+                                    fix_exam=trial % 3 == 0)
+            bundle, _ = load_parameters(doc)
+            for sex in (Sex.F, Sex.M):
+                for k in (1, 2):
+                    problem = segment_problem(
+                        bundle, Segment(sex, k),
+                        PrevalenceVector(**_random_simplex(rng)))
+                    self.assert_same_classes(vertex_values(bundle, problem))
+        # planted exact ties, with zeros of either sign
+        for _ in range(200):
+            distinct = rng.choice([-1.0, 0.0, 0.25, 1.0],
+                                  size=(int(rng.integers(1, 6)), 2, 3))
+            values = distinct[rng.integers(0, len(distinct),
+                                           size=int(rng.integers(1, 40)))]
+            flip = (values == 0) & (rng.random(values.shape) < 0.5)
+            values[flip] = -0.0
+            self.assert_same_classes(values)
 
     def test_batched_periods_equal_per_history_frontiers(self):
         # cross_check compares every history's batched frontier with the
