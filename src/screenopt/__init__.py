@@ -46,19 +46,15 @@ from .pareto import (  # noqa: F401
     solve_scalarized,
 )
 from .phase1 import (  # noqa: F401
-    DetectedFractions,
     StrategyHistory,
     baseline_trajectory,
     natural_progression_rollout,
     run_phase1,
-    update_prevalences,
 )
 from .phase2 import (  # noqa: F401
     SelectionProblem,
     SelectionResult,
-    StrategyCandidate,
     budget_sweep,
-    select_strategies,
 )
 from .screening import (  # noqa: F401
     BowelState,

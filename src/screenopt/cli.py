@@ -334,8 +334,7 @@ def _cmd_pipeline(args) -> int:
     keys = {sex: _unique_keys(list(_lineage_rows(
         histories[sex], range(len(histories[sex])), policy, "|").values()))
         for sex in (Sex.F, Sex.M)}
-    problem = selection_problem_from_histories(bundle, histories, keys,
-                                               budget=max(budgets))
+    problem = selection_problem_from_histories(bundle, histories)
     results = budget_sweep(problem, budgets)
     if args.cross_check and results != dense_pair_sweep(problem, budgets):
         raise OracleMismatchError(
@@ -346,7 +345,7 @@ def _cmd_pipeline(args) -> int:
     for sex in (Sex.F, Sex.M):
         _write_histories(args.out, digest, sex, histories[sex], keys[sex],
                          cutoffs, periods)
-    _write_selection(args.out, digest, results, keys, problem)
+    _write_selection(args.out, digest, results, keys)
     _write_policy_table(args.out, digest, results, histories, policy, periods)
     _write_series(args.out, digest, bundle, results, histories, periods)
     print(f"wrote pipeline outputs to {args.out}")
@@ -433,7 +432,7 @@ def _write_histories(out: Path, digest: str, sex: Sex, table: HistoryTable,
     _write_csv(out / f"histories_{sex.value}.csv", digest, columns, rows)
 
 
-def _write_selection(out: Path, digest: str, results, keys, problem) -> None:
+def _write_selection(out: Path, digest: str, results, keys) -> None:
     """One row per budget, the rest rendered once per distinct selection."""
     columns = ("budget", "female_index", "female_key", "male_index",
                "male_key", "cancer_prevalence", "total_colonoscopies",
@@ -446,7 +445,7 @@ def _write_selection(out: Path, digest: str, results, keys, problem) -> None:
         if chosen not in tails:
             f, m = chosen[:2]
             tails[chosen] = ",".join(map(_fmt, (
-                f, problem.female[f].key, m, problem.male[m].key,
+                f, keys[Sex.F][f], m, keys[Sex.M][m],
                 *chosen[2:])))
         rows.append(f"{_fmt(res.budget)},{tails[chosen]}")
     _write_csv(out / "selection.csv", digest, columns, rows)

@@ -502,6 +502,14 @@ def _dense_cpt(table: Mapping[InfoState, tuple[float, ...]],
     return dense
 
 
+def index_digits(index: int, sizes: Sequence[int]) -> tuple[int, ...]:
+    """Mixed-radix digits of ``index``, the first size most significant."""
+    digits = [0] * len(sizes)
+    for s in range(len(sizes) - 1, -1, -1):
+        index, digits[s] = divmod(index, sizes[s])
+    return tuple(digits)
+
+
 def _rules_key(fixed: Mapping[int, LocalStrategy]) -> tuple:
     return tuple(fixed[nid].key() for nid in sorted(fixed))
 
@@ -660,7 +668,8 @@ class StrategyEvaluator:
                 m, k = self._strides[j]
                 i = combo[j]
                 if node.node_id in fixed:
-                    act = fixed[node.node_id].rule[self._info_by_index(node, i)]
+                    act = fixed[node.node_id].rule[index_digits(i, [
+                        len(d.by_id[p].states) for p in node.predecessors])]
                     sig = sig * (m * k) + i * k + act
                 else:
                     col = actions[:, slot_of[(node.node_id, i)]]
@@ -821,11 +830,3 @@ class StrategyEvaluator:
         for rows in plan:
             out += condensed[rows]
         return out
-
-    def _info_by_index(self, node, index: int) -> InfoState:
-        sizes = [len(self.diagram.by_id[p].states) for p in node.predecessors]
-        info = []
-        for s in reversed(sizes):
-            info.append(index % s)
-            index //= s
-        return tuple(reversed(info))

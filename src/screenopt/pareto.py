@@ -34,6 +34,7 @@ from .diagram import (
     LocalStrategy,
     ObjectiveVector,
     StrategyEvaluator,
+    index_digits,
 )
 from .errors import IterationLimitError
 
@@ -152,13 +153,9 @@ class EnumeratedProblem:
     def _unique(self) -> tuple[np.ndarray, np.ndarray]:
         """(unique active-min vectors in lexicographic order, representative
         candidate index per vector -- the smallest)."""
-        # A stable lexicographic sort puts each vector's smallest candidate
-        # index first among its equals.
-        order = np.lexsort(self.matrix_min.T[::-1])
-        ordered = self.matrix_min[order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-        return ordered[first], order[first]
+        order, first = sorted_runs(self.matrix_min.T[::-1])
+        reps = order[first]
+        return self.matrix_min[reps], reps
 
     def unique_vectors(self) -> np.ndarray:
         return self._unique[0]
@@ -235,7 +232,7 @@ class DiagramProblem(EnumeratedProblem):
         if index in self._strategies:
             return self._strategies[index]
         d = self.diagram
-        digits = list(_index_digits(index, self._slots))
+        digits = list(index_digits(index, self._slots))
         rules: dict[int, LocalStrategy] = dict(self.fixed)
         offset = 0
         for node in d.decision_nodes:
@@ -256,13 +253,19 @@ def _structure(d: InfluenceDiagram) -> tuple:
                      for i, v in d.values.items()}
 
 
-def _index_digits(index: int, sizes: Sequence[int]) -> tuple[int, ...]:
-    """Mixed-radix digits of a strategy index, slot 0 most significant."""
-    digits = [0] * len(sizes)
-    for s in range(len(sizes) - 1, -1, -1):
-        digits[s] = index % sizes[s]
-        index //= sizes[s]
-    return tuple(digits)
+def sorted_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.lexsort(keys)``, and a mask of the sorted positions that start
+    a run of equal rows.
+
+    ``keys`` holds one column per row, the last the primary key, as for
+    ``np.lexsort``. The sort is stable, so each run starts at its smallest
+    row index; ``!=`` compares as floats, so -0.0 and 0.0 are equal.
+    """
+    order = np.lexsort(keys)
+    ordered = keys[:, order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)
+    return order, first
 
 
 def diagram_problem(diagram: InfluenceDiagram,
@@ -372,11 +375,8 @@ def _skyline_mask(cols: np.ndarray, tol: float) -> np.ndarray:
     some column is dominated by it; the other rows meet the skyline.
     """
     n = cols.shape[1]
-    order = np.lexsort(cols[::-1])
-    ordered = cols[:, order]
-    distinct = np.ones(n, dtype=bool)
-    distinct[1:] = np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)
-    unique = ordered[:, distinct]
+    order, distinct = sorted_runs(cols[::-1])
+    unique = cols[:, order[distinct]]
     witness = _exact_skyline(unique)
     sky = unique[:, witness < 0]
     upper = unique + tol

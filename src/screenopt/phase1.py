@@ -20,8 +20,8 @@ absorbs the residual. Histories whose cumulative expected colonoscopies
 (scaled by cohort size) exceed the budget are discarded, and the survivors
 are filtered by dominance on (total cancer prevalence, next-period cancer
 prevalence, next-period large-growth prevalence, cumulative colonoscopies).
-The recurrences run on the table's columns with the float operations of
-the scalar functions, so every value has the scalar code's bits.
+The recurrences run on the table's columns; the no-screening rollout and
+baseline run the same functions on one row.
 ``run_phase1`` returns each sex's last table: phase 2 and the CLI read its
 columns and walk its rows' ancestors (:meth:`HistoryTable.lineage`), and
 only tests and the benchmark tracer read rows as :class:`StrategyHistory`
@@ -54,6 +54,7 @@ from .pareto import (
     diagram_problem,
     frontier_rows,
     nondominated,
+    sorted_runs,
 )
 from .screening import (
     CUTOFF,
@@ -77,41 +78,6 @@ HISTORY_CAP = 10**6
 DETECTIONS = ("benign_found", "large_found", "crc_found")
 
 
-@dataclass(frozen=True)
-class DetectedFractions:
-    """Expected population fraction found (and treated) in each abnormal state."""
-
-    benign: float
-    large: float
-    crc: float
-
-
-def update_prevalences(psi: PrevalenceVector, found: DetectedFractions,
-                       rates: TransitionRates) -> PrevalenceVector:
-    """One detection-and-progression step of the prevalence recurrences.
-
-    Raises ``ValueError`` when a detected fraction exceeds its prevalence,
-    which signals inconsistent inputs.
-    """
-    for state, detected in (("benign", found.benign), ("large", found.large),
-                            ("crc", found.crc)):
-        if detected < -DETECTION_TOL:
-            raise ValueError(f"negative detected fraction for {state}")
-        if detected > psi.of_name(state) + DETECTION_TOL:
-            raise ValueError(
-                f"detected fraction {detected!r} exceeds prevalence "
-                f"{psi.of_name(state)!r} for {state}")
-
-    benign = ((psi.benign - found.benign) * (1.0 - rates.benign_to_large)
-              + psi.normal * rates.normal_to_benign)
-    large = ((psi.large - found.large) * (1.0 - rates.large_to_crc)
-             + (psi.benign - found.benign) * rates.benign_to_large)
-    crc = (psi.crc - found.crc
-           + (psi.large - found.large) * rates.large_to_crc)
-    normal = 1.0 - benign - large - crc
-    return PrevalenceVector(normal=normal, benign=benign, large=large, crc=crc)
-
-
 def natural_progression_rollout(psi0: PrevalenceVector,
                                 rates: Sequence[TransitionRates],
                                 periods: int | None = None
@@ -121,34 +87,24 @@ def natural_progression_rollout(psi0: PrevalenceVector,
         periods = len(rates)
     if periods > len(rates):
         raise ValueError(f"only {len(rates)} transition rows available")
-    none_found = DetectedFractions(0.0, 0.0, 0.0)
     out = [psi0]
+    psi = np.array([psi0.as_tuple()])
     for k in range(periods):
-        out.append(update_prevalences(out[-1], none_found, rates[k]))
+        psi = update_prevalence_rows(psi, np.zeros((1, 3)), rates[k])
+        out.append(PrevalenceVector(*psi[0].tolist()))
     return out
-
-
-def combined_total_prevalence(previous: PrevalenceVector | None,
-                              previous_weight: float,
-                              psi: PrevalenceVector,
-                              weight: float) -> PrevalenceVector:
-    """Population-size-weighted running average of prevalence vectors."""
-    if previous is None:
-        return psi
-    total = previous_weight + weight
-    return PrevalenceVector(
-        normal=(previous.normal * previous_weight + psi.normal * weight) / total,
-        benign=(previous.benign * previous_weight + psi.benign * weight) / total,
-        large=(previous.large * previous_weight + psi.large * weight) / total,
-        crc=(previous.crc * previous_weight + psi.crc * weight) / total,
-    )
 
 
 def update_prevalence_rows(psi: np.ndarray, found: np.ndarray,
                            rates: TransitionRates) -> np.ndarray:
-    """:func:`update_prevalences` of every row: ``psi`` is (N x 4) in state
-    order and ``found`` (N x 3) holds the benign, large and cancer
-    detections. Same checks, same float operations in the same order."""
+    """One detection-and-progression step of the prevalence recurrences for
+    every row: ``psi`` is (N x 4) in state order and ``found`` (N x 3)
+    holds the benign, large and cancer detections.
+
+    Raises ``ValueError`` when a detected fraction is negative or exceeds
+    its prevalence, which signals inconsistent inputs, or when a result
+    fails the :class:`PrevalenceVector` checks.
+    """
     for column, state in enumerate(("benign", "large", "crc")):
         detected, prevalence = found[:, column], psi[:, column + 1]
         if np.any(detected < -DETECTION_TOL):
@@ -174,8 +130,8 @@ def update_prevalence_rows(psi: np.ndarray, found: np.ndarray,
 
 def combined_total_rows(previous: np.ndarray, previous_weight: float,
                         psi: np.ndarray, weight: float) -> np.ndarray:
-    """:func:`combined_total_prevalence` of every row of (N x 4) arrays,
-    with a previous total."""
+    """Population-size-weighted running average of the rows of two (N x 4)
+    prevalence arrays, with the :class:`PrevalenceVector` checks."""
     total = previous_weight + weight
     out = (previous * previous_weight + psi * weight) / total
     check_prevalence_rows(out)
@@ -454,13 +410,7 @@ def strategy_classes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ascending order, and the class of every strategy. By linearity the
     members of a class are equal at every prevalence.
     """
-    flat = values.reshape(len(values), -1)
-    # A stable sort puts each class's smallest index first among its
-    # equals; ``!=`` compares as floats, so -0.0 and 0.0 are equal.
-    order = np.lexsort(flat.T[::-1])
-    ordered = flat[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    order, first = sorted_runs(values.reshape(len(values), -1).T[::-1])
     reps = order[first]
     class_of = np.empty(len(order), dtype=np.intp)
     class_of[order] = np.argsort(np.argsort(reps))[np.cumsum(first) - 1]
@@ -614,16 +564,18 @@ def baseline_trajectory(params: ParameterBundle, sex: Sex,
         params.starting_prevalence(sex),
         params.transitions[sex.value], K)
     out = []
-    total: PrevalenceVector | None = None
+    total = None
     weight = 0.0
     for k in range(1, K + 1):
         cohort = params.cohort_size(Segment(sex, k))
-        total = combined_total_prevalence(total, weight, rollout[k], cohort)
+        psi = np.array([rollout[k].as_tuple()])
+        total = psi if total is None else \
+            combined_total_rows(total, weight, psi, cohort)
         weight += cohort
         out.append(BaselinePeriod(
             period=k,
             start_prevalence=rollout[k - 1],
             updated_prevalence=rollout[k],
-            total_prevalence=total,
+            total_prevalence=PrevalenceVector(*total[0].tolist()),
         ))
     return out

@@ -5,7 +5,8 @@ prevalence is minimized while total expected colonoscopies (per-capita
 figures scaled by population sizes) stay within the budget: the two-group
 case of the multiple-choice knapsack problem. Per sex, candidates that an
 earlier candidate matches or beats in cancers, colonoscopies and cost are
-dropped first; that reduction is exact, tie-breaks included. The remaining
+dropped first, by the frontier module's dominance kernel at tolerance 0;
+that reduction is exact, tie-breaks included. The remaining
 pairs are sorted once by the selection key, and every budget of a sweep is
 answered by a binary search over the running minimum of colonoscopies along
 that order. ``dense_pair_sweep``, an exact scan of every pair for every
@@ -20,37 +21,28 @@ from typing import Sequence
 
 import numpy as np
 
+from .pareto import nondominated
 from .phase1 import BUDGET_TOL, HistoryTable
 from .screening import ParameterBundle, Sex
 
-#: Candidates per block of the reduction in ``_selectable``.
-SELECT_BLOCK = 128
 
-
-@dataclass(frozen=True)
-class StrategyCandidate:
-    """One selectable history with absolute and per-capita accounting."""
-
-    key: str
-    expected_cancers: float            # absolute expected cancer count
-    colonoscopies_per_capita: float
-    total_colonoscopies: float         # absolute expected examinations
-    total_cost: float                  # absolute euros
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelectionProblem:
-    female: tuple[StrategyCandidate, ...]
-    male: tuple[StrategyCandidate, ...]
+    """Each sex's candidates as one (N x 3) array of expected cancers,
+    expected examinations and cost (absolute counts and euros), and the
+    two population sizes."""
+
+    female: np.ndarray
+    male: np.ndarray
     population_female: float
     population_male: float
-    budget: float
 
     def __post_init__(self):
-        if not self.female or not self.male:
-            raise ValueError("candidate lists must be non-empty")
-        if self.budget < 0:
-            raise ValueError("budget must be non-negative")
+        for candidates in (self.female, self.male):
+            if not len(candidates):
+                raise ValueError("candidate lists must be non-empty")
+            if np.ndim(candidates) != 2 or np.shape(candidates)[1] != 3:
+                raise ValueError("candidates must be an (N x 3) array")
         if min(self.population_female, self.population_male) <= 0:
             raise ValueError("population sizes must be positive")
 
@@ -66,31 +58,17 @@ class SelectionResult:
     feasible: bool
 
 
-def _candidate_arrays(candidates: Sequence[StrategyCandidate],
-                      population: float):
-    """Cancers, examinations and cost of each candidate of one sex."""
-    cancer = np.array([c.expected_cancers for c in candidates])
-    col = population * np.array([c.colonoscopies_per_capita
-                                 for c in candidates])
-    cost = np.array([c.total_cost for c in candidates])
-    return cancer, col, cost
-
-
 def _pair_matrices(problem: SelectionProblem):
     """Objective, examination and cost totals for every (female, male) pair."""
-    f_cancer, f_col, f_cost = _candidate_arrays(problem.female,
-                                                problem.population_female)
-    m_cancer, m_col, m_cost = _candidate_arrays(problem.male,
-                                                problem.population_male)
-    share = (f_cancer[:, None] + m_cancer[None, :]) / (
+    f, m = problem.female, problem.male
+    share = (f[:, 0, None] + m[None, :, 0]) / (
         problem.population_female + problem.population_male)
-    col = f_col[:, None] + m_col[None, :]
-    cost = f_cost[:, None] + m_cost[None, :]
+    col = f[:, 1, None] + m[None, :, 1]
+    cost = f[:, 2, None] + m[None, :, 2]
     return share, col, cost
 
 
-def _selectable(candidates: Sequence[StrategyCandidate],
-                population: float) -> np.ndarray:
+def _selectable(candidates: np.ndarray) -> np.ndarray:
     """Ascending indices of the candidates no earlier candidate matches or
     beats in cancers, examinations and cost.
 
@@ -102,44 +80,26 @@ def _selectable(candidates: Sequence[StrategyCandidate],
     dropping a candidate for a strictly better later one could change the
     selection when rounding ties all three pair sums, since the index
     decides those ties.
+
+    Lemma: with the index as a fourth column every row is distinct, so a
+    row that is at most another in every column is strictly smaller in the
+    index column. Tolerance-0 dominance is therefore exactly "an earlier
+    candidate matches or beats it".
     """
-    cancer, col, cost = _candidate_arrays(candidates, population)
-    # Any earlier candidate that is <= in all three comes first in this
-    # order, so cancers never need comparing. "Comes first, <= in
-    # examinations and cost, smaller index" is transitive, so a candidate
-    # some earlier one beats is beaten by a kept one: each block of the
-    # order is tested against the kept candidates, and its survivors
-    # against the block's earlier rows.
-    def beaten(rows, by, mask=True):
-        return ((col[by] <= col[rows, None]) & (cost[by] <= cost[rows, None])
-                & (by < rows[:, None]) & mask).any(axis=1)
-
-    order = np.lexsort((cost, col, cancer))
-    kept = order[:0]
-    for start in range(0, len(order), SELECT_BLOCK):
-        block = order[start:start + SELECT_BLOCK]
-        block = block[~beaten(block, kept)]
-        block = block[~beaten(block, block,
-                              np.tri(len(block), k=-1, dtype=bool))]
-        kept = np.concatenate([kept, block])
-    return np.sort(kept)
-
-
-def select_strategies(problem: SelectionProblem) -> SelectionResult:
-    """Exact optimum over all candidate pairs at ``problem.budget``.
-
-    Ties break toward fewer colonoscopies, then lower cost, then the
-    lexicographically smaller index pair. When no pair fits the budget the
-    result is flagged infeasible and reports the cheapest pair in
-    colonoscopies as a diagnostic.
-    """
-    return budget_sweep(problem, [problem.budget])[0]
+    index = np.arange(len(candidates))
+    return np.flatnonzero(
+        nondominated(np.column_stack([candidates, index]), 0.0))
 
 
 def budget_sweep(problem: SelectionProblem,
                  budgets: Sequence[float]) -> list[SelectionResult]:
-    """One ``select_strategies`` result per budget; budgets must be sorted
-    ascending.
+    """The exact optimum over all candidate pairs at each budget; budgets
+    must be sorted ascending.
+
+    Ties break toward fewer colonoscopies, then lower cost, then the
+    lexicographically smaller index pair. When no pair fits a budget the
+    result is flagged infeasible and reports the cheapest pair in
+    colonoscopies as a diagnostic.
 
     The pairs of the candidates ``_selectable`` keeps are sorted once by
     (share, examinations, cost, index pair). A budget selects the first
@@ -150,11 +110,10 @@ def budget_sweep(problem: SelectionProblem,
         raise ValueError("budgets must be sorted ascending")
     if budgets and budgets[0] < 0:
         raise ValueError("budget must be non-negative")
-    female = _selectable(problem.female, problem.population_female)
-    male = _selectable(problem.male, problem.population_male)
-    reduced = dataclasses.replace(
-        problem, female=tuple(problem.female[i] for i in female),
-        male=tuple(problem.male[j] for j in male))
+    female = _selectable(problem.female)
+    male = _selectable(problem.male)
+    reduced = dataclasses.replace(problem, female=problem.female[female],
+                                  male=problem.male[male])
     share, col, cost = (m.ravel() for m in _pair_matrices(reduced))
     # lexsort is stable, so equal keys keep the flat (row-major) order,
     # which is the index-pair order because the kept indices ascend.
@@ -213,26 +172,21 @@ def dense_pair_sweep(problem: SelectionProblem,
 def selection_problem_from_histories(
     params: ParameterBundle,
     histories: dict[Sex, HistoryTable],
-    keys: dict[Sex, list[str]],
-    budget: float,
 ) -> SelectionProblem:
-    """Ingest phase 1's last tables, converting accounting once at the
-    boundary: one candidate per row, keyed by ``keys``."""
+    """Ingest phase 1's last tables: one candidate per row."""
     pop = {sex: params.total_population(sex, periods=histories[sex].period)
            for sex in (Sex.F, Sex.M)}
-    candidates = {
-        sex: tuple(
-            StrategyCandidate(key, crc * pop[sex], col / pop[sex], col, cost)
-            for key, crc, col, cost in zip(
-                keys[sex], histories[sex].total[:, 3].tolist(),
-                histories[sex].colonoscopies.tolist(),
-                histories[sex].cost.tolist()))
-        for sex in (Sex.F, Sex.M)
-    }
+
+    def candidates(sex):
+        table = histories[sex]
+        # pop * (x / pop), not x: selection.csv and tie-breaks use its bits
+        return np.column_stack([
+            table.total[:, 3] * pop[sex],
+            pop[sex] * (table.colonoscopies / pop[sex]), table.cost])
+
     return SelectionProblem(
-        female=candidates[Sex.F],
-        male=candidates[Sex.M],
+        female=candidates(Sex.F),
+        male=candidates(Sex.M),
         population_female=pop[Sex.F],
         population_male=pop[Sex.M],
-        budget=budget,
     )

@@ -91,12 +91,6 @@ class PrevalenceVector:
         if min(self.normal, self.benign, self.large, self.crc) < -ZERO_TOL:
             raise ValueError("negative prevalence entry")
 
-    def of(self, state: BowelState) -> float:
-        return getattr(self, state.value)
-
-    def of_name(self, state: str) -> float:
-        return getattr(self, state)
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.normal, self.benign, self.large, self.crc)
 

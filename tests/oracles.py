@@ -4,29 +4,21 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from screenopt import cli
-from screenopt.diagram import ZERO_TOL, NodeKind
+from screenopt.diagram import DETECTION_TOL, ZERO_TOL, NodeKind
 from screenopt.pareto import diagram_problem
 from screenopt.phase1 import (
     BUDGET_TOL,
     VERTICES,
-    DetectedFractions,
     baseline_trajectory,
-    combined_total_prevalence,
     policy_cell,
     run_phase1,
-    update_prevalences,
 )
-from screenopt.phase2 import (
-    SelectionProblem,
-    SelectionResult,
-    StrategyCandidate,
-    _candidate_arrays,
-    budget_sweep,
-)
+from screenopt.phase2 import SelectionProblem, SelectionResult, budget_sweep
 from screenopt.screening import (
     ABNORMAL,
     CUTOFF,
@@ -36,11 +28,61 @@ from screenopt.screening import (
     INCENTIVE,
     INVITE,
     BowelState,
+    PrevalenceVector,
     Segment,
     Sex,
     build_segment_diagram,
     fixed_decision_rules,
 )
+
+
+@dataclass(frozen=True)
+class DetectedFractions:
+    """Expected population fraction found (and treated) in each abnormal state."""
+
+    benign: float
+    large: float
+    crc: float
+
+
+def update_prevalences(psi, found, rates):
+    """One detection-and-progression step of the prevalence recurrences,
+    one state at a time: the reference of ``phase1.update_prevalence_rows``.
+
+    Raises ``ValueError`` when a detected fraction exceeds its prevalence,
+    which signals inconsistent inputs.
+    """
+    for state, detected in (("benign", found.benign), ("large", found.large),
+                            ("crc", found.crc)):
+        if detected < -DETECTION_TOL:
+            raise ValueError(f"negative detected fraction for {state}")
+        if detected > getattr(psi, state) + DETECTION_TOL:
+            raise ValueError(
+                f"detected fraction {detected!r} exceeds prevalence "
+                f"{getattr(psi, state)!r} for {state}")
+
+    benign = ((psi.benign - found.benign) * (1.0 - rates.benign_to_large)
+              + psi.normal * rates.normal_to_benign)
+    large = ((psi.large - found.large) * (1.0 - rates.large_to_crc)
+             + (psi.benign - found.benign) * rates.benign_to_large)
+    crc = (psi.crc - found.crc
+           + (psi.large - found.large) * rates.large_to_crc)
+    normal = 1.0 - benign - large - crc
+    return PrevalenceVector(normal=normal, benign=benign, large=large, crc=crc)
+
+
+def combined_total_prevalence(previous, previous_weight, psi, weight):
+    """Population-size-weighted running average of prevalence vectors, one
+    state at a time: the reference of ``phase1.combined_total_rows``."""
+    if previous is None:
+        return psi
+    total = previous_weight + weight
+    return PrevalenceVector(
+        normal=(previous.normal * previous_weight + psi.normal * weight) / total,
+        benign=(previous.benign * previous_weight + psi.benign * weight) / total,
+        large=(previous.large * previous_weight + psi.large * weight) / total,
+        crc=(previous.crc * previous_weight + psi.crc * weight) / total,
+    )
 
 
 def fit_positive_probability(fit, cutoff, psi) -> float:
@@ -51,7 +93,7 @@ def fit_positive_probability(fit, cutoff, psi) -> float:
     """
     total = (1.0 - fit.specificity_for(cutoff)) * psi.normal
     for state in ABNORMAL:
-        total += fit.sensitivity_for(cutoff, state) * psi.of(state)
+        total += fit.sensitivity_for(cutoff, state) * getattr(psi, state.value)
     return total
 
 
@@ -69,7 +111,7 @@ def posterior_given_positive(fit, cutoff, psi, state, fpos=None) -> float:
     if state is BowelState.NORMAL:
         numer = (1.0 - fit.specificity_for(cutoff)) * psi.normal
     else:
-        numer = fit.sensitivity_for(cutoff, state) * psi.of(state)
+        numer = fit.sensitivity_for(cutoff, state) * getattr(psi, state.value)
     return numer / fpos
 
 
@@ -220,18 +262,17 @@ def exhaustive_two_period(bundle, budget, objective_mask=None):
     return out
 
 
-def reference_pair_scan(problem) -> SelectionResult:
+def reference_pair_scan(problem, budget) -> SelectionResult:
     """Plain double loop over candidate pairs with the documented tie-break."""
     best = None
     fallback = None
-    for jf, f in enumerate(problem.female):
-        for jm, m in enumerate(problem.male):
-            col = (problem.population_female * f.colonoscopies_per_capita
-                   + problem.population_male * m.colonoscopies_per_capita)
-            share = (f.expected_cancers + m.expected_cancers) / (
+    for jf, f in enumerate(problem.female.tolist()):
+        for jm, m in enumerate(problem.male.tolist()):
+            share = (f[0] + m[0]) / (
                 problem.population_female + problem.population_male)
-            cost = f.total_cost + m.total_cost
-            if col <= problem.budget + 1e-9:
+            col = f[1] + m[1]
+            cost = f[2] + m[2]
+            if col <= budget + 1e-9:
                 rank = (share, col, cost, jf, jm)
                 if best is None or rank < best[0]:
                     best = (rank, jf, jm, share, col, cost)
@@ -240,15 +281,14 @@ def reference_pair_scan(problem) -> SelectionResult:
                 fallback = (diag, jf, jm, share, col, cost)
     chosen = best if best is not None else fallback
     _, jf, jm, share, col, cost = chosen
-    return SelectionResult(problem.budget, jf, jm, share, col, cost,
-                           best is not None)
+    return SelectionResult(budget, jf, jm, share, col, cost, best is not None)
 
 
-def selectable_loop(candidates, population) -> np.ndarray:
+def selectable_loop(candidates) -> np.ndarray:
     """Candidate-by-candidate reference for ``phase2._selectable``: walking
     the (cancers, examinations, cost) order, a candidate is kept unless a
     kept one is <= in examinations and cost and has a smaller index."""
-    cancer, col, cost = _candidate_arrays(candidates, population)
+    cancer, col, cost = np.asarray(candidates).T
     kept = []
     for i in np.lexsort((cost, col, cancer)).tolist():
         if not any(col[k] <= col[i] and cost[k] <= cost[i] and k < i
@@ -406,14 +446,11 @@ def history_key(history, cutoffs) -> str:
     return "|".join(policy_cell(r.strategy, cutoffs) for r in history.records)
 
 
-def candidate_from_history(history, key, population) -> StrategyCandidate:
-    return StrategyCandidate(
-        key=key,
-        expected_cancers=history.total_prevalence.crc * population,
-        colonoscopies_per_capita=history.cumulative_colonoscopies / population,
-        total_colonoscopies=history.cumulative_colonoscopies,
-        total_cost=history.cumulative_cost,
-    )
+def candidate_from_history(history, population) -> list[float]:
+    """A history's (expected cancers, examinations, cost) selection row."""
+    return [history.total_prevalence.crc * population,
+            population * (history.cumulative_colonoscopies / population),
+            history.cumulative_cost]
 
 
 def running_totals(bundle, sex, history) -> list:
@@ -493,11 +530,11 @@ def series_rows(bundle, results, histories, periods) -> list:
     return rows
 
 
-def selection_rows(results, problem) -> list:
+def selection_rows(results, keys) -> list:
     """The rows of ``selection.csv``, one value at a time."""
     return [[res.budget,
-             res.female_index, problem.female[res.female_index].key,
-             res.male_index, problem.male[res.male_index].key,
+             res.female_index, keys[Sex.F][res.female_index],
+             res.male_index, keys[Sex.M][res.male_index],
              res.cancer_share, res.total_colonoscopies, res.total_cost,
              res.feasible] for res in results]
 
@@ -521,13 +558,12 @@ def object_pipeline(argv, out) -> None:
             for sex, hs in histories.items()}
     pop = {sex: bundle.total_population(sex, periods=periods)
            for sex in (Sex.F, Sex.M)}
-    candidates = {sex: tuple(candidate_from_history(h, key, pop[sex])
-                             for h, key in zip(histories[sex], keys[sex]))
+    candidates = {sex: np.array([candidate_from_history(h, pop[sex])
+                                 for h in histories[sex]])
                   for sex in (Sex.F, Sex.M)}
     problem = SelectionProblem(
         female=candidates[Sex.F], male=candidates[Sex.M],
-        population_female=pop[Sex.F], population_male=pop[Sex.M],
-        budget=max(budgets))
+        population_female=pop[Sex.F], population_male=pop[Sex.M])
     results = budget_sweep(problem, budgets)
 
     out.mkdir(parents=True)
@@ -548,7 +584,7 @@ def object_pipeline(argv, out) -> None:
                    ("budget", "female_index", "female_key", "male_index",
                     "male_key", "cancer_prevalence", "total_colonoscopies",
                     "total_cost", "feasible"),
-                   selection_rows(results, problem))
+                   selection_rows(results, keys))
     cli._write_csv(out / "policy_table.csv", digest,
                    ["case", "budget", "sex"]
                    + [f"age_{Segment(Sex.F, k).age}"

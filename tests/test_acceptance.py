@@ -25,7 +25,6 @@ from conftest import (
 from oracles import (
     dominance_key,
     exhaustive_two_period,
-    history_key,
     reference_pair_scan,
 )
 from screenopt.cli import main
@@ -41,15 +40,10 @@ from screenopt.pareto import (
     compute_frontier,
     diagram_problem,
 )
-from screenopt.phase1 import (
-    DetectedFractions,
-    run_phase1,
-)
+from screenopt.phase1 import run_phase1, update_prevalence_rows
 from screenopt.phase2 import (
     SelectionProblem,
-    StrategyCandidate,
     budget_sweep,
-    select_strategies,
     selection_problem_from_histories,
 )
 from screenopt.screening import (
@@ -189,42 +183,34 @@ def test_prevalence_update_correctness():
     """The update matches a direct transcription of the difference equations
     to 1e-12 on 1e4 random triples, preserves the simplex, and reproduces
     the worked example."""
-    from screenopt.phase1 import update_prevalences
-
     rng = np.random.default_rng(5150)
     for _ in range(10_000):
         raw = rng.uniform(0.001, 1.0, size=4)
         raw /= raw.sum()
         psi = PrevalenceVector(*raw)
-        found = DetectedFractions(
-            benign=psi.benign * rng.uniform(0, 1),
-            large=psi.large * rng.uniform(0, 1),
-            crc=psi.crc * rng.uniform(0, 1))
+        found = (psi.benign * rng.uniform(0, 1),
+                 psi.large * rng.uniform(0, 1),
+                 psi.crc * rng.uniform(0, 1))
         rates = TransitionRates(*rng.uniform(0, 1, size=3))
-        out = update_prevalences(psi, found, rates)
+        out = update_prevalence_rows(np.array([psi.as_tuple()]),
+                                     np.array([found]), rates)[0]
 
-        b = (psi.benign - found.benign) * (1 - rates.benign_to_large) \
+        b = (psi.benign - found[0]) * (1 - rates.benign_to_large) \
             + psi.normal * rates.normal_to_benign
-        lg = (psi.large - found.large) * (1 - rates.large_to_crc) \
-            + (psi.benign - found.benign) * rates.benign_to_large
-        r = psi.crc - found.crc \
-            + (psi.large - found.large) * rates.large_to_crc
+        lg = (psi.large - found[1]) * (1 - rates.large_to_crc) \
+            + (psi.benign - found[0]) * rates.benign_to_large
+        r = psi.crc - found[2] \
+            + (psi.large - found[1]) * rates.large_to_crc
         n = 1 - b - lg - r
-        assert abs(out.benign - b) <= 1e-12
-        assert abs(out.large - lg) <= 1e-12
-        assert abs(out.crc - r) <= 1e-12
-        assert abs(out.normal - n) <= 1e-12
-        assert abs(sum(out.as_tuple()) - 1.0) <= 1e-9
-        assert min(out.as_tuple()) >= -1e-12
+        assert np.all(np.abs(out - (n, b, lg, r)) <= 1e-12)
+        assert abs(out.sum() - 1.0) <= 1e-9
+        assert out.min() >= -1e-12
 
-    worked = update_prevalences(
-        PrevalenceVector(0.9, 0.06, 0.03, 0.01),
-        DetectedFractions(0.03, 0.02, 0.008),
-        TransitionRates(0.02, 0.1, 0.05))
-    assert worked.benign == pytest.approx(0.045, abs=1e-15)
-    assert worked.large == pytest.approx(0.0125, abs=1e-15)
-    assert worked.crc == pytest.approx(0.0025, abs=1e-15)
-    assert worked.normal == pytest.approx(0.94, abs=1e-15)
+    worked = update_prevalence_rows(
+        np.array([(0.9, 0.06, 0.03, 0.01)]), np.array([(0.03, 0.02, 0.008)]),
+        TransitionRates(0.02, 0.1, 0.05))[0]
+    assert worked.tolist() == pytest.approx([0.94, 0.045, 0.0125, 0.0025],
+                                            abs=1e-15)
     report("prevalence-update correctness (1e4 triples + worked example)")
 
 
@@ -269,35 +255,28 @@ def test_phase2_optimality_and_sweep():
         nf = float(rng.uniform(100, 5000))
         nm = float(rng.uniform(100, 5000))
 
-        def candidates():
-            return tuple(
-                StrategyCandidate(
-                    key=f"c{i}",
-                    expected_cancers=float(rng.uniform(0, 30)),
-                    colonoscopies_per_capita=float(rng.uniform(0, 0.3)),
-                    total_colonoscopies=0.0,
-                    total_cost=float(rng.uniform(0, 1e5)),
-                )
-                for i in range(int(rng.integers(1, 8))))
+        def candidates(population):
+            return np.array([
+                (float(rng.uniform(0, 30)),
+                 population * float(rng.uniform(0, 0.3)),
+                 float(rng.uniform(0, 1e5)))
+                for _ in range(int(rng.integers(1, 8)))])
 
         problem = SelectionProblem(
-            female=candidates(), male=candidates(),
-            population_female=nf, population_male=nm,
-            budget=float(rng.uniform(0, 1500)))
-        got = select_strategies(problem)
-        want = reference_pair_scan(problem)
+            female=candidates(nf), male=candidates(nm),
+            population_female=nf, population_male=nm)
+        budget = float(rng.uniform(0, 1500))
+        got = budget_sweep(problem, [budget])[0]
+        want = reference_pair_scan(problem, budget)
         assert got == want
         if got.feasible:
-            assert got.total_colonoscopies <= problem.budget + 1e-9
+            assert got.total_colonoscopies <= budget + 1e-9
 
     default_doc = json.loads(DEFAULT_PARAMS.read_text())
     bundle, _ = load_parameters(default_doc)
     budgets = [8000.0, 12000.0, 16000.0, 20000.0]
     histories = run_phase1(bundle, budget=max(budgets), periods=3)
-    keys = {sex: [history_key(h, bundle.effective_cutoffs())
-                  for h in histories[sex]] for sex in histories}
-    problem = selection_problem_from_histories(bundle, histories, keys,
-                                               budget=max(budgets))
+    problem = selection_problem_from_histories(bundle, histories)
     results = budget_sweep(problem, budgets)
     assert all(r.feasible for r in results)
     shares = [r.cancer_share for r in results]
@@ -338,7 +317,7 @@ def test_cpt_fidelity():
         for li, label in enumerate(bundle.effective_cutoffs()):
             spec = fit.specificity_for(label)
             fpos = (1 - spec) * psi.normal + math.fsum(
-                fit.sensitivity_for(label, b) * psi.of(b)
+                fit.sensitivity_for(label, b) * getattr(psi, b.value)
                 for b in (BowelState.BENIGN, BowelState.LARGE, BowelState.CRC))
             row = d.cpts[FIT_RESULT][(li, 1)]
             assert abs(row[1] - fpos) <= 1e-12

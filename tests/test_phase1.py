@@ -20,7 +20,9 @@ import screenopt.pareto
 import screenopt.phase1
 from conftest import _random_simplex, random_params_doc, small_doc
 from oracles import (
+    DetectedFractions,
     colonoscopies_of,
+    combined_total_prevalence,
     detected_fractions_of,
     dominance_key,
     exhaustive_best_shares,
@@ -29,6 +31,7 @@ from oracles import (
     running_totals,
     sort_key,
     strategy_classes_unique,
+    update_prevalences,
 )
 from screenopt.diagram import StrategyEvaluator
 from screenopt.errors import (
@@ -41,10 +44,8 @@ from screenopt.phase1 import (
     DETECTION_TOL,
     DOMINANCE_TOL,
     VERTICES,
-    DetectedFractions,
     HistoryTable,
     baseline_trajectory,
-    combined_total_prevalence,
     combined_total_rows,
     natural_progression_rollout,
     remove_dominated,
@@ -53,7 +54,6 @@ from screenopt.phase1 import (
     segment_problem,
     strategy_classes,
     update_prevalence_rows,
-    update_prevalences,
     vertex_values,
 )
 from screenopt.phase2 import budget_sweep, selection_problem_from_histories
@@ -72,36 +72,43 @@ from screenopt.screening import (
 )
 
 WORKED_PSI = PrevalenceVector(normal=0.9, benign=0.06, large=0.03, crc=0.01)
-WORKED_FOUND = DetectedFractions(benign=0.03, large=0.02, crc=0.008)
+WORKED_FOUND = (0.03, 0.02, 0.008)   # benign, large, cancer detections
 WORKED_RATES = TransitionRates(normal_to_benign=0.02, benign_to_large=0.1,
                                large_to_crc=0.05)
 NO_RATES = TransitionRates(0.0, 0.0, 0.0)
-NOTHING = DetectedFractions(0.0, 0.0, 0.0)
+NOTHING = (0.0, 0.0, 0.0)
+
+
+def update_one(psi, found, rates) -> list[float]:
+    """:func:`update_prevalence_rows` of one prevalence vector and one
+    (benign, large, cancer) detection triple."""
+    return update_prevalence_rows(np.array([psi.as_tuple()]),
+                                  np.array([found], dtype=float),
+                                  rates)[0].tolist()
 
 
 class TestUpdatePrevalences:
     def test_fixed_point(self):
-        out = update_prevalences(WORKED_PSI, NOTHING, NO_RATES)
-        assert out.as_tuple() == pytest.approx(WORKED_PSI.as_tuple(),
-                                               abs=1e-15)
+        out = update_one(WORKED_PSI, NOTHING, NO_RATES)
+        assert out == pytest.approx(WORKED_PSI.as_tuple(), abs=1e-15)
 
     def test_worked_example(self):
-        out = update_prevalences(WORKED_PSI, WORKED_FOUND, WORKED_RATES)
-        assert out.benign == pytest.approx(0.045, abs=1e-15)
-        assert out.large == pytest.approx(0.0125, abs=1e-15)
-        assert out.crc == pytest.approx(0.0025, abs=1e-15)
-        assert out.normal == pytest.approx(0.94, abs=1e-15)
+        normal, benign, large, crc = update_one(WORKED_PSI, WORKED_FOUND,
+                                                WORKED_RATES)
+        assert benign == pytest.approx(0.045, abs=1e-15)
+        assert large == pytest.approx(0.0125, abs=1e-15)
+        assert crc == pytest.approx(0.0025, abs=1e-15)
+        assert normal == pytest.approx(0.94, abs=1e-15)
 
     def test_full_detection_resets_to_normal(self):
-        found = DetectedFractions(WORKED_PSI.benign, WORKED_PSI.large,
-                                  WORKED_PSI.crc)
-        out = update_prevalences(WORKED_PSI, found, NO_RATES)
-        assert out.as_tuple() == (1.0, 0.0, 0.0, 0.0)
+        found = (WORKED_PSI.benign, WORKED_PSI.large, WORKED_PSI.crc)
+        out = update_one(WORKED_PSI, found, NO_RATES)
+        assert out == [1.0, 0.0, 0.0, 0.0]
 
     def test_detection_above_prevalence_rejected(self):
-        found = DetectedFractions(WORKED_PSI.benign + 1e-3, 0.0, 0.0)
+        found = (WORKED_PSI.benign + 1e-3, 0.0, 0.0)
         with pytest.raises(ValueError):
-            update_prevalences(WORKED_PSI, found, NO_RATES)
+            update_one(WORKED_PSI, found, NO_RATES)
 
     def test_matches_inline_recurrence_oracle(self):
         rng = np.random.default_rng(83)
@@ -114,7 +121,8 @@ class TestUpdatePrevalences:
                 large=psi.large * rng.uniform(0, 1),
                 crc=psi.crc * rng.uniform(0, 1))
             rates = TransitionRates(*rng.uniform(0, 1, size=3))
-            out = update_prevalences(psi, found, rates)
+            out = update_one(psi, (found.benign, found.large, found.crc),
+                             rates)
 
             # direct transcription of the difference equations
             b = (psi.benign - found.benign) * (1 - rates.benign_to_large) \
@@ -124,9 +132,9 @@ class TestUpdatePrevalences:
             r = psi.crc - found.crc \
                 + (psi.large - found.large) * rates.large_to_crc
             n = 1 - b - lg - r
-            assert out.as_tuple() == pytest.approx((n, b, lg, r), abs=1e-12)
-            assert sum(out.as_tuple()) == pytest.approx(1.0, abs=1e-9)
-            assert min(out.as_tuple()) >= -1e-12
+            assert out == pytest.approx((n, b, lg, r), abs=1e-12)
+            assert sum(out) == pytest.approx(1.0, abs=1e-9)
+            assert min(out) >= -1e-12
 
 
 class TestRollout:
@@ -139,14 +147,54 @@ class TestRollout:
 
     def test_single_step_matches_update(self):
         rollout = natural_progression_rollout(WORKED_PSI, [WORKED_RATES], 1)
-        direct = update_prevalences(WORKED_PSI, NOTHING, WORKED_RATES)
-        assert rollout[1].as_tuple() == direct.as_tuple()
+        direct = update_one(WORKED_PSI, NOTHING, WORKED_RATES)
+        assert list(rollout[1].as_tuple()) == direct
 
     def test_cancer_weakly_increases_without_screening(self):
         rates = TransitionRates(0.01, 0.02, 0.05)
         rollout = natural_progression_rollout(WORKED_PSI, [rates] * 6)
         crc = [psi.crc for psi in rollout]
         assert all(a <= b + 1e-15 for a, b in zip(crc, crc[1:]))
+
+    def test_rollout_and_baseline_equal_scalar_chain(self):
+        # the rollout, and the baseline's start, updated and total
+        # prevalences, have the bits (signs included) of the scalar
+        # recurrences chained one vector at a time, as Python floats
+        rng = np.random.default_rng(347)
+        for trial in range(4):
+            doc = random_params_doc(rng, periods=5, n_cutoffs=2,
+                                    monotone=bool(trial % 2))
+            bundle, _ = load_parameters(doc)
+            for sex, K in itertools.product((Sex.F, Sex.M), range(1, 6)):
+                rates = bundle.transitions[sex.value]
+                chain = [bundle.starting_prevalence(sex)]
+                totals, total, weight = [], None, 0.0
+                for k in range(1, K + 1):
+                    chain.append(update_prevalences(
+                        chain[-1], DetectedFractions(0.0, 0.0, 0.0),
+                        rates[k - 1]))
+                    cohort = bundle.cohort_size(Segment(sex, k))
+                    total = combined_total_prevalence(total, weight,
+                                                      chain[-1], cohort)
+                    weight += cohort
+                    totals.append(total)
+                base = baseline_trajectory(bundle, sex, K)
+                got = natural_progression_rollout(chain[0], rates, K) + [
+                    psi for entry in base
+                    for psi in (entry.start_prevalence,
+                                entry.updated_prevalence,
+                                entry.total_prevalence)]
+                want = chain + [
+                    psi for k in range(K)
+                    for psi in (chain[k], chain[k + 1], totals[k])]
+                got_values = [v for psi in got for v in psi.as_tuple()]
+                want_values = [v for psi in want for v in psi.as_tuple()]
+                assert all(type(v) is float for v in got_values)
+                assert got_values == want_values
+                assert np.array_equal(np.signbit(got_values),
+                                      np.signbit(want_values))
+                assert [entry.period for entry in base] == \
+                    list(range(1, K + 1))
 
 
 class TestDetectedFractions:
@@ -328,7 +376,7 @@ class TestArrayRecurrences:
     @pytest.mark.parametrize("column", [0, 1, 2])
     def test_bad_detections_raise(self, column):
         psi = np.array([WORKED_PSI.as_tuple()] * 3)
-        good = (WORKED_FOUND.benign, WORKED_FOUND.large, WORKED_FOUND.crc)
+        good = WORKED_FOUND
         for bad in (-2 * DETECTION_TOL,
                     psi[1, column + 1] + 2 * DETECTION_TOL):
             found = np.array([good] * 3)
@@ -877,10 +925,7 @@ class TestExhaustivePhase1:
     @staticmethod
     def assert_matches_exhaustive(bundle, budgets, periods):
         histories = run_phase1(bundle, budget=max(budgets), periods=periods)
-        keys = {sex: [str(i) for i in range(len(histories[sex]))]
-                for sex in (Sex.F, Sex.M)}
-        problem = selection_problem_from_histories(bundle, histories, keys,
-                                                   budget=max(budgets))
+        problem = selection_problem_from_histories(bundle, histories)
         got = [r.cancer_share if r.feasible else None
                for r in budget_sweep(problem, budgets)]
         want = exhaustive_best_shares(bundle, budgets, periods)

@@ -2,53 +2,46 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import screenopt.pareto
 from oracles import reference_pair_scan, selectable_loop
 from screenopt.phase1 import BUDGET_TOL
 from screenopt.phase2 import (
-    SELECT_BLOCK,
     SelectionProblem,
-    StrategyCandidate,
     _selectable,
     budget_sweep,
     dense_pair_sweep,
-    select_strategies,
 )
 
 
-def candidate(key, cancers, percap, cost=0.0, *, population):
-    return StrategyCandidate(
-        key=key,
-        expected_cancers=cancers,
-        colonoscopies_per_capita=percap,
-        total_colonoscopies=percap * population,
-        total_cost=cost,
-    )
+def candidates(rows, population):
+    """(cancers, examinations per capita[, cost]) tuples as the (N x 3)
+    array of cancers, examinations and cost."""
+    return np.array([(row[0], population * row[1],
+                      row[2] if len(row) > 2 else 0.0) for row in rows])
 
 
-def make_problem(female, male, budget, nf=1000.0, nm=800.0):
+def make_problem(female, male, nf=1000.0, nm=800.0):
     return SelectionProblem(
-        female=tuple(candidate(f"F{i}", *args, population=nf)
-                     for i, args in enumerate(female)),
-        male=tuple(candidate(f"M{i}", *args, population=nm)
-                   for i, args in enumerate(male)),
+        female=candidates(female, nf),
+        male=candidates(male, nm),
         population_female=nf,
         population_male=nm,
-        budget=budget,
     )
+
+
+def select(problem, budget):
+    return budget_sweep(problem, [budget])[0]
 
 
 class TestSelectStrategies:
     def test_single_candidate_pair(self):
-        p = make_problem(female=[(3.0, 0.01)], male=[(5.0, 0.02)],
-                         budget=100.0)
-        res = select_strategies(p)
+        p = make_problem(female=[(3.0, 0.01)], male=[(5.0, 0.02)])
+        res = select(p, 100.0)
         assert res.feasible
         assert (res.female_index, res.male_index) == (0, 0)
         assert res.cancer_share == pytest.approx((3.0 + 5.0) / 1800.0)
@@ -58,9 +51,8 @@ class TestSelectStrategies:
     def test_unlimited_budget_picks_per_sex_minimizers(self):
         p = make_problem(
             female=[(9.0, 0.5), (2.0, 0.9), (5.0, 0.1)],
-            male=[(4.0, 0.3), (1.0, 0.8)],
-            budget=1e12)
-        res = select_strategies(p)
+            male=[(4.0, 0.3), (1.0, 0.8)])
+        res = select(p, 1e12)
         assert (res.female_index, res.male_index) == (1, 1)
 
     def test_tight_budget_matches_reference(self):
@@ -76,44 +68,51 @@ class TestSelectStrategies:
                        float(rng.uniform(0, 0.2)),
                        float(rng.uniform(0, 9999)))
                       for _ in range(jm)],
-                budget=float(rng.uniform(20, 260)),
                 nf=float(rng.uniform(500, 2000)),
                 nm=float(rng.uniform(500, 2000)))
-            got = select_strategies(p)
-            want = reference_pair_scan(p)
+            budget = float(rng.uniform(20, 260))
+            got = select(p, budget)
+            want = reference_pair_scan(p, budget)
             assert got == want
 
     def test_tie_break_prefers_fewer_colonoscopies_then_cost(self):
         p = make_problem(
             female=[(5.0, 0.05, 10.0), (5.0, 0.02, 10.0), (5.0, 0.02, 3.0)],
-            male=[(1.0, 0.0)],
-            budget=1e9)
-        res = select_strategies(p)
+            male=[(1.0, 0.0)])
+        res = select(p, 1e9)
         assert res.female_index == 2
 
     def test_infeasible_reports_min_colonoscopy_pair(self):
         p = make_problem(
             female=[(1.0, 0.5), (9.0, 0.2)],
-            male=[(1.0, 0.4), (9.0, 0.3)],
-            budget=10.0)
-        res = select_strategies(p)
+            male=[(1.0, 0.4), (9.0, 0.3)])
+        res = select(p, 10.0)
         assert not res.feasible
         assert (res.female_index, res.male_index) == (1, 1)
         assert res.total_colonoscopies == pytest.approx(
             1000 * 0.2 + 800 * 0.3)
 
     def test_empty_candidates_rejected(self):
-        with pytest.raises(ValueError):
-            SelectionProblem(female=(), male=(), population_female=1.0,
-                             population_male=1.0, budget=1.0)
+        with pytest.raises(ValueError, match="non-empty"):
+            SelectionProblem(female=np.empty((0, 3)), male=np.empty((0, 3)),
+                             population_female=1.0, population_male=1.0)
+
+    def test_malformed_problem_rejected(self):
+        good = np.zeros((2, 3))
+        for female in (np.zeros((2, 2)), np.zeros(3), np.zeros((2, 3, 1))):
+            with pytest.raises(ValueError, match="N x 3"):
+                SelectionProblem(female=female, male=good,
+                                 population_female=1.0, population_male=1.0)
+        for populations in ((0.0, 1.0), (1.0, -1.0)):
+            with pytest.raises(ValueError, match="positive"):
+                SelectionProblem(good, good, *populations)
 
 
 class TestBudgetSweep:
     def sweep_problem(self):
         return make_problem(
             female=[(10.0, 0.01, 5.0), (6.0, 0.05, 9.0), (2.0, 0.2, 30.0)],
-            male=[(12.0, 0.02, 5.0), (7.0, 0.08, 11.0), (3.0, 0.3, 40.0)],
-            budget=0.0)
+            male=[(12.0, 0.02, 5.0), (7.0, 0.08, 11.0), (3.0, 0.3, 40.0)])
 
     def test_monotone_cancer_share(self):
         results = budget_sweep(self.sweep_problem(),
@@ -127,7 +126,7 @@ class TestBudgetSweep:
         assert results[0] == results[1]
 
     def test_all_infeasible_below_minimum(self):
-        p = make_problem(female=[(1.0, 0.5)], male=[(1.0, 0.5)], budget=0.0)
+        p = make_problem(female=[(1.0, 0.5)], male=[(1.0, 0.5)])
         results = budget_sweep(p, [1.0, 2.0])
         assert all(not r.feasible for r in results)
 
@@ -150,15 +149,12 @@ class TestBudgetSweep:
                         float(rng.integers(0, 3)))
             p = make_problem(
                 female=[draw() for _ in range(int(rng.integers(1, 7)))],
-                male=[draw() for _ in range(int(rng.integers(1, 7)))],
-                budget=0.0)
+                male=[draw() for _ in range(int(rng.integers(1, 7)))])
             budgets = sorted(float(b) for b in rng.integers(0, 60, size=8))
             calls.clear()
             swept = budget_sweep(p, budgets)
             assert len(calls) == 1
-            assert swept == [
-                reference_pair_scan(dataclasses.replace(p, budget=b))
-                for b in budgets]
+            assert swept == [reference_pair_scan(p, b) for b in budgets]
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
@@ -170,10 +166,9 @@ class TestBudgetSweep:
             female=[(float(rng.uniform(0, 9)), float(rng.uniform(0, 0.1)))
                     for _ in range(4)],
             male=[(float(rng.uniform(0, 9)), float(rng.uniform(0, 0.1)))
-                  for _ in range(4)],
-            budget=0.0)
+                  for _ in range(4)])
         for budget in (40.0, 90.0, 200.0):
-            res = select_strategies(dataclasses.replace(p, budget=budget))
+            res = select(p, budget)
             if res.feasible:
                 assert res.total_colonoscopies <= budget + 1e-9
 
@@ -207,15 +202,13 @@ class TestExactSweep:
     def test_equals_reference_pair_scan(self, female, male, populations,
                                         budgets, at_pair):
         nf, nm = populations
-        p = make_problem(female, male, budget=0.0, nf=nf, nm=nm)
+        p = make_problem(female, male, nf=nf, nm=nm)
         # budgets exactly at some pairs' colonoscopy totals
         totals = [nf * f[1] + nm * m[1] for f in female for m in male]
         budgets = sorted([float(b) for b in budgets]
                          + [totals[k % len(totals)] for k in at_pair])
         swept = budget_sweep(p, budgets)
-        assert swept == [
-            reference_pair_scan(dataclasses.replace(p, budget=b))
-            for b in budgets]
+        assert swept == [reference_pair_scan(p, b) for b in budgets]
         assert_share_never_rises(swept)
 
     def test_rounding_tie_goes_to_lower_index(self):
@@ -223,23 +216,19 @@ class TestExactSweep:
         # the later candidate has fewer cancers.
         tied = [(1e-17, 0.01), (0.0, 0.01)]
         for female, male in (([(1.0, 0.01)], tied), (tied, [(1.0, 0.01)])):
-            p = make_problem(female, male, budget=100.0)
-            got = select_strategies(p)
-            assert got == reference_pair_scan(p)
+            p = make_problem(female, male)
+            got = select(p, 100.0)
+            assert got == reference_pair_scan(p, 100.0)
             assert (got.female_index, got.male_index) == (0, 0)
 
     def test_shipped_curve_equals_dense_scan(self, default_bundle):
-        from oracles import history_key
         from screenopt.phase1 import run_phase1
         from screenopt.phase2 import selection_problem_from_histories
 
         budgets = [4000.0 + 16000.0 * i / 999 for i in range(1000)]
         histories = run_phase1(default_bundle, budget=max(budgets),
                                periods=4)
-        keys = {sex: [history_key(h, default_bundle.effective_cutoffs())
-                      for h in hs] for sex, hs in histories.items()}
-        p = selection_problem_from_histories(default_bundle, histories, keys,
-                                             max(budgets))
+        p = selection_problem_from_histories(default_bundle, histories)
         swept = budget_sweep(p, budgets)
         assert_share_never_rises(swept)
 
@@ -260,12 +249,16 @@ class TestExactSweep:
 
 
 class TestSelectableReduction:
-    def test_blocked_pass_equals_candidate_loop(self):
-        # few distinct values per key plant exact ties in examinations, in
-        # cost and in all three keys; up to five blocks per set
+    def test_kernel_equals_candidate_loop(self, monkeypatch):
+        # 64 cells send every set of more than 8 candidates through the
+        # skyline branch of the dominance kernel, 2**20 keeps every set in
+        # the all-pairs branch. Few distinct values per key plant exact
+        # ties in examinations, in cost and in all three keys.
         rng = np.random.default_rng(419)
-        for trial in range(60):
-            n = int(rng.integers(1, 5 * SELECT_BLOCK))
+        for trial in range(120):
+            monkeypatch.setattr(screenopt.pareto, "FILTER_CELLS",
+                                (64, 1 << 20)[trial % 2])
+            n = int(rng.integers(1, 600))
 
             def draw(scale):
                 if trial % 4 == 3:
@@ -273,19 +266,20 @@ class TestSelectableReduction:
                 values = rng.uniform(0, scale, size=int(rng.integers(1, 12)))
                 return rng.choice(values, size=n)
 
-            cancers, percap, cost = draw(30.0), draw(0.3), draw(1e5)
+            cancers, col, cost = draw(30.0), draw(300.0), draw(1e5)
+            if trial % 3 == 0:
+                # zero costs of both signs compare equal
+                cost = rng.choice([0.0, -0.0, 1.0], size=n)
+            if trial % 5 == 1:
+                # examinations a few ulps apart are not ties
+                col = np.nextafter(col, col + rng.choice([-1.0, 0.0, 1.0],
+                                                         size=n))
             copies = rng.integers(0, n, size=(2, n // 4))
-            for key in (cancers, percap, cost):
+            for key in (cancers, col, cost):
                 key[copies[0]] = key[copies[1]]
-            population = float(rng.uniform(100, 5000))
-            candidates = tuple(
-                candidate(f"c{i}", *values, population=population)
-                for i, values in enumerate(zip(cancers.tolist(),
-                                               percap.tolist(),
-                                               cost.tolist())))
-            np.testing.assert_array_equal(
-                _selectable(candidates, population),
-                selectable_loop(candidates, population))
+            rows = np.column_stack([cancers, col, cost])
+            np.testing.assert_array_equal(_selectable(rows),
+                                          selectable_loop(rows))
 
 
 class TestEndToEnd:
@@ -296,7 +290,7 @@ class TestEndToEnd:
         import json as _json
 
         from conftest import small_doc
-        from oracles import all_two_period_outcomes, history_key
+        from oracles import all_two_period_outcomes
         from screenopt.phase1 import run_phase1
         from screenopt.phase2 import selection_problem_from_histories
         from screenopt.screening import Sex, load_parameters
@@ -311,11 +305,8 @@ class TestEndToEnd:
 
         for budget in (600.0, 1200.0, 1e9):
             histories = run_phase1(bundle, budget=budget, periods=2)
-            keys = {sex: [history_key(h, bundle.effective_cutoffs())
-                          for h in histories[sex]] for sex in histories}
-            problem = selection_problem_from_histories(bundle, histories,
-                                                       keys, budget)
-            result = select_strategies(problem)
+            problem = selection_problem_from_histories(bundle, histories)
+            result = select(problem, budget)
             assert result.feasible
 
             best = min(
