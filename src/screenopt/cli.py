@@ -12,7 +12,8 @@ SHA-256 of the parameter file; the manifest carries them as JSON fields.
 
 Exit codes: 0 success, 1 validation failure, 2 infeasible or over capacity
 (including the box-search iteration limit, reachable only under
---cross-check), 3 internal cross-check mismatch.
+--cross-check), 3 internal check mismatch (each period's first history is
+checked in every run, the rest under --cross-check).
 """
 
 from __future__ import annotations
@@ -44,8 +45,7 @@ from .phase1 import (
     natural_progression_rollout,
     policy_cell,
     run_phase1,
-    segment_problem,
-    solve_frontier,
+    segment_frontier,
 )
 from .phase2 import (
     budget_sweep,
@@ -160,7 +160,10 @@ def main(argv=None) -> int:
 
 def _load(args) -> tuple[ParameterBundle, list[str], list[str], str]:
     path = args.params if args.params is not None else default_params_path()
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise ParameterError(str(path), exc.strerror) from None
     digest = hashlib.sha256(raw).hexdigest()
     bundle, report = load_parameters(json.loads(raw.decode("utf-8")))
     bundle = _apply_flags(bundle, args)
@@ -291,14 +294,13 @@ def _cmd_segment(args) -> int:
     sex = Sex(args.sex)
     segment = Segment(sex, args.period)
     psi = _rollout_prevalence(bundle, sex, args.period)
-    problem = segment_problem(bundle, segment, psi, _mask(args))
-    frontier = solve_frontier(problem, cross_check=args.cross_check,
-                              label=f"for sex={sex.value} period={args.period}")
+    frontier = segment_frontier(bundle, segment, psi, _mask(args),
+                                args.cross_check)
 
     args.out.mkdir(parents=True, exist_ok=True)
     rows = []
     for point in frontier.points:
-        encoding = strategy_encoding(problem.diagram, point.strategy)
+        encoding = strategy_encoding(frontier.problem.diagram, point.strategy)
         rows.append([encoding] + [point.objectives.by_name(name)
                                   for name in OBJECTIVE_NAMES])
     out = args.out / f"frontier_{sex.value}_{args.period}.csv"

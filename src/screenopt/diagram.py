@@ -708,7 +708,6 @@ class StrategyEvaluator:
     def objective_matrix(
         self,
         fixed: Mapping[int, LocalStrategy] | None = None,
-        ceiling: int = STRATEGY_CEILING,
         cpts: Mapping[int, Mapping[InfoState, tuple[float, ...]] | np.ndarray]
         | None = None,
         strategies: np.ndarray | None = None,
@@ -743,9 +742,9 @@ class StrategyEvaluator:
         """
         fixed = dict(fixed or {})
         count = self.diagram.strategy_count(fixed=tuple(fixed))
-        if count > ceiling:
-            raise CapacityError(
-                f"{count} strategies exceed the configured ceiling of {ceiling}")
+        if count > STRATEGY_CEILING:
+            raise CapacityError(f"{count} strategies exceed the configured "
+                                f"ceiling of {STRATEGY_CEILING}")
         plan = self._accumulation_plan(fixed)
         if strategies is not None:
             strategies = np.asarray(strategies, dtype=np.intp)

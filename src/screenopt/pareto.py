@@ -442,16 +442,15 @@ def _exact_skyline(unique: np.ndarray) -> np.ndarray:
     return witness
 
 
-def frontier_rows(stack: np.ndarray, tol: float = DOMINANCE_TOL
-                  ) -> list[np.ndarray]:
+def frontier_rows(stack: np.ndarray) -> list[np.ndarray]:
     """Frontier rows of each (rows x objectives) matrix of ``stack``.
 
     Per matrix, the rows are ordered by vector, ties on the row index; a row
     is kept when no row dominates it (:func:`nondominated`) and it is not
-    within ``tol`` in every coordinate of a row kept before it. This is the
-    rule of :func:`_assemble` over the distinct vectors, since an exact
-    duplicate is never kept after its first occurrence. Returns the kept
-    row indices of each matrix in that order.
+    within ``DOMINANCE_TOL`` in every coordinate of a row kept before it.
+    This is the rule of :func:`_assemble` over the distinct vectors, since
+    an exact duplicate is never kept after its first occurrence. Returns
+    the kept row indices of each matrix in that order.
     """
     stack = np.asarray(stack, dtype=float)
     H, n, m = stack.shape
@@ -460,6 +459,7 @@ def frontier_rows(stack: np.ndarray, tol: float = DOMINANCE_TOL
     order = np.lexsort(keys + (np.repeat(np.arange(H), n),)).reshape(H, n) \
         - np.arange(H)[:, None] * n
     ranked = np.take_along_axis(stack, order[:, :, None], axis=1)
+    tol = DOMINANCE_TOL
     kept = nondominated(ranked, tol)
     # The merge compares only nondominated rows: move them to the front,
     # in order. They ascend in the first coordinate, so the rows within
@@ -487,31 +487,28 @@ def frontier_rows(stack: np.ndarray, tol: float = DOMINANCE_TOL
     return [order[h, front[h, keep[h]]] for h in range(H)]
 
 
-def compute_frontier(problem: EnumeratedProblem,
-                     tol: float = DOMINANCE_TOL) -> ParetoFrontier:
+def compute_frontier(problem: EnumeratedProblem) -> ParetoFrontier:
     """Complete nondominated set: one filter over the distinct vectors."""
-    rows = frontier_rows(problem.unique_vectors()[None], tol)[0]
+    rows = frontier_rows(problem.unique_vectors()[None])[0]
     return ParetoFrontier(
         points=[problem.point(problem.representative(r)) for r in rows],
         problem=problem)
 
 
-def brute_force_frontier(problem: EnumeratedProblem,
-                         tol: float = DOMINANCE_TOL) -> ParetoFrontier:
+def brute_force_frontier(problem: EnumeratedProblem) -> ParetoFrontier:
     """Reference frontier: evaluate everything, filter dominated pairs."""
     vectors = problem.unique_vectors()
     keep = []
     for i in range(len(vectors)):
-        le = np.all(vectors <= vectors[i] + tol, axis=1)
-        lt = np.any(vectors < vectors[i] - tol, axis=1)
+        le = np.all(vectors <= vectors[i] + DOMINANCE_TOL, axis=1)
+        lt = np.any(vectors < vectors[i] - DOMINANCE_TOL, axis=1)
         if not np.any(le & lt):
             keep.append(i)
-    return _assemble(problem, keep, tol)
+    return _assemble(problem, keep)
 
 
 def box_search_frontier(problem: EnumeratedProblem,
-                        iteration_limit: int | None = None,
-                        tol: float = DOMINANCE_TOL) -> ParetoFrontier:
+                        iteration_limit: int | None = None) -> ParetoFrontier:
     """Complete nondominated set via box-guided scalarized solves.
 
     Maintains upper-corner search boxes; each solve minimizes the augmented
@@ -577,13 +574,13 @@ def box_search_frontier(problem: EnumeratedProblem,
     # epsilon > 0 already guarantees nondominated solves; the filter is a
     # safety net for degenerate corner cases.
     rows = np.array(sorted(found), dtype=np.intp)
-    return _assemble(problem, rows[nondominated(vectors[rows], tol)], tol)
+    return _assemble(problem, rows[nondominated(vectors[rows])])
 
 
-def _assemble(problem: EnumeratedProblem, rows: Sequence[int],
-              tol: float) -> ParetoFrontier:
+def _assemble(problem: EnumeratedProblem,
+              rows: Sequence[int]) -> ParetoFrontier:
     """Build the frontier: points in vector order, each dropped when it is
-    within ``tol`` in every coordinate of a point kept before it.
+    within ``DOMINANCE_TOL`` in every coordinate of a point kept before it.
 
     The unique vectors are in lexicographic order, so row order is vector
     order.
@@ -591,7 +588,7 @@ def _assemble(problem: EnumeratedProblem, rows: Sequence[int],
     vectors = problem.unique_vectors()
     kept: list[int] = []
     for r in sorted(rows):
-        near = np.abs(vectors[kept] - vectors[r]) <= tol
+        near = np.abs(vectors[kept] - vectors[r]) <= DOMINANCE_TOL
         if not near.all(axis=1).any():
             kept.append(r)
     return ParetoFrontier(

@@ -3,13 +3,14 @@
 For each sex the search walks screening periods in order and holds each
 period's histories as one :class:`HistoryTable`: columns of parent rows,
 strategy indices, objectives, prevalences and running accounting, with no
-per-history objects. Period 1 solves the segment problem at the starting
-prevalence. Every later period builds its segment once, groups its
-strategies into classes that are equal at every prevalence (the objectives
-are linear in it), evaluates one representative per class at every
-surviving history's updated prevalence in one batched, bit-exact pass over
-the segment's live paths, and filters all the histories' frontiers in one
-batch; each history is extended by every strategy on its frontier. Only
+per-history objects. Every period (period 1 has one, empty, history)
+solves its segment once over the full strategy space at the first
+history's prevalence, groups the strategies into classes that are equal at
+every prevalence (the objectives are linear in it), evaluates one
+representative per class at every history's start prevalence in one
+batched, bit-exact pass over the live paths, and filters all the
+histories' frontiers in one batch; the first one must equal the full-space
+frontier. Each history is extended by every strategy on its frontier. Only
 the chance tables differ between segments, so one evaluator, built by the
 run's first segment problem, evaluates every segment with its own tables.
 Between periods the bowel-state distribution moves by the
@@ -173,6 +174,10 @@ class HistoryTable(Sequence):
     colonoscopies and cost (cohort-scaled). ``weight`` is the cohort size
     summed over periods 1..``period``.
 
+    ``strategies`` are the period's class representatives by ascending
+    index, which on a segment diagram is ascending ``GlobalStrategy.key``
+    order, so comparing ``strategy`` values compares the keys.
+
     As a sequence the table is read-only: reading a row builds its
     :class:`StrategyHistory` by walking the parent rows, and rows read
     together share the records of their common ancestors. The program
@@ -218,19 +223,6 @@ class HistoryTable(Sequence):
         next-start large growths, cumulative colonoscopies."""
         return np.stack([self.total[:, 3], self.updated[:, 3],
                          self.updated[:, 2], self.colonoscopies], axis=1)
-
-    def key_ranks(self) -> list[np.ndarray]:
-        """Per period, period 1 first: the rank of each row's strategy key
-        among that period's strategies. A period's strategies have
-        distinct keys, so comparing the ranks compares the keys."""
-        ranks = []
-        for table, rows in self.lineage(np.arange(len(self))):
-            by_key = sorted(range(len(table.strategies)),
-                            key=lambda s: table.strategies[s].key)
-            rank = np.empty(len(by_key), dtype=np.intp)
-            rank[by_key] = np.arange(len(by_key))
-            ranks.append(rank[table.strategy[rows]])
-        return ranks
 
     def lineage(self, rows: np.ndarray) -> list[tuple[HistoryTable,
                                                       np.ndarray]]:
@@ -284,12 +276,12 @@ def remove_dominated(histories: HistoryTable) -> HistoryTable:
     Dominance is componentwise weak improvement with a strict improvement in
     at least one key (tolerance as in the frontier module). Output order is
     deterministic: sorted by dominance key, then by the strategy keys of
-    periods 1, 2, ...
+    periods 1, 2, ... (each period's ``strategy`` column ascends with them).
     """
     keys = histories.dominance_keys()
     kept = np.flatnonzero(nondominated(keys, DOMINANCE_TOL))
-    ranks = [rank[kept] for rank in histories.key_ranks()]
-    order = np.lexsort(ranks[::-1] + list(keys[kept].T[::-1]))
+    strategies = [t.strategy[r] for t, r in histories.lineage(kept)]
+    order = np.lexsort(strategies[::-1] + list(keys[kept].T[::-1]))
     return histories.take(kept[order])
 
 
@@ -319,10 +311,19 @@ def segment_problem(params: ParameterBundle, segment: Segment,
                            evaluator=evaluator)
 
 
-def solve_frontier(problem, cross_check: bool = False,
-                   label: str = "") -> ParetoFrontier:
-    """Frontier of one problem, optionally verified against both references:
-    the brute-force dominance filter and the box search."""
+def segment_frontier(params: ParameterBundle, segment: Segment,
+                     psi: PrevalenceVector,
+                     objective_mask: Sequence[str] | None = None,
+                     cross_check: bool = False,
+                     evaluator: StrategyEvaluator | None = None
+                     ) -> ParetoFrontier:
+    """Frontier of one segment problem (``frontier.problem``) at prevalence
+    ``psi``, evaluated through ``evaluator`` when one is given (see
+    :func:`segment_problem`). The one full-space solve: the ``segment``
+    command, each period's base problem and first-history check, and the
+    per-history ``--cross-check`` oracle. ``cross_check`` verifies it
+    against the brute-force filter and the box search."""
+    problem = segment_problem(params, segment, psi, objective_mask, evaluator)
     frontier = compute_frontier(problem)
     if cross_check:
         got = frontier.vectors()
@@ -332,23 +333,9 @@ def solve_frontier(problem, cross_check: bool = False,
             if got.shape != expected.shape or not np.allclose(
                     got, expected, atol=DOMINANCE_TOL, rtol=0.0):
                 raise OracleMismatchError(
-                    f"frontier mismatch against the {name} reference "
-                    f"{label}".strip())
+                    f"frontier mismatch against the {name} reference for "
+                    f"sex={segment.sex.value} period={segment.period}")
     return frontier
-
-
-def segment_frontier(params: ParameterBundle, segment: Segment,
-                     psi: PrevalenceVector,
-                     objective_mask: Sequence[str] | None = None,
-                     cross_check: bool = False,
-                     evaluator: StrategyEvaluator | None = None
-                     ) -> ParetoFrontier:
-    """Frontier of one segment problem at prevalence ``psi``, evaluated
-    through ``evaluator`` when one is given (see :func:`segment_problem`)."""
-    return solve_frontier(
-        segment_problem(params, segment, psi, objective_mask, evaluator),
-        cross_check,
-        label=f"for sex={segment.sex.value} period={segment.period}")
 
 
 def run_phase1(params: ParameterBundle, budget: float,
@@ -372,14 +359,13 @@ def run_phase1(params: ParameterBundle, budget: float,
     out: dict[Sex, HistoryTable] = {}
     evaluator = None  # built by the first segment problem, then shared
     for sex in (Sex.F, Sex.M):
-        table, evaluator = _extend_period(
-            params, sex, 1, None, budget, objective_mask, cross_check,
-            history_cap, evaluator)
-        for k in range(2, K + 1):
-            table, _ = _extend_period(
+        table = None
+        for k in range(1, K + 1):
+            table, evaluator = _extend_period(
                 params, sex, k, table, budget, objective_mask, cross_check,
                 history_cap, evaluator)
-            table = remove_dominated(table)
+            if k > 1:
+                table = remove_dominated(table)
         out[sex] = table
     return out
 
@@ -417,41 +403,28 @@ def strategy_classes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sort(reps), class_of
 
 
-def _first_frontier(params, segment, psi, objective_mask, cross_check,
-                    evaluator):
-    """Period 1: the frontier of :func:`segment_frontier`, as
-    (strategies, names, orientations, reported (1 x points x objectives),
-    frontier rows, the evaluator of its problem)."""
-    frontier = segment_frontier(params, segment, psi, objective_mask,
-                                cross_check, evaluator)
-    points = frontier.points
-    objectives = points[0].objectives
-    return (tuple(p.strategy for p in points), objectives.names,
-            objectives.orientations,
-            np.array([[p.objectives.values for p in points]]),
-            [np.arange(len(points))], frontier.problem.evaluator)
+def _period_frontiers(params, segment, starts, objective_mask, cross_check,
+                      evaluator):
+    """The frontier of every start prevalence (rows of the (starts x 4)
+    array ``starts``), as (class representatives, names, orientations,
+    reported (starts x classes x objectives), frontier rows per start, the
+    evaluator of the period's problem).
 
-
-def _batched_frontiers(params, segment, starts, objective_mask, cross_check,
-                       evaluator):
-    """Later periods: the frontier of every start prevalence (rows of the
-    (starts x 4) array ``starts``), as (class representatives, names,
-    orientations, reported (starts x classes x objectives), frontier rows
-    per start).
-
-    The segment's problem is built once here, evaluated through
-    ``evaluator``, and released when the period is done. Its strategies
-    fall into a few classes that are equal at every prevalence
-    (:func:`strategy_classes`), so one batched evaluation gives
-    the class representatives at every start, with the bits of each
-    start's full objective matrix, and one batched filter gives every
-    start's frontier: the frontier of :func:`segment_frontier`.
-    ``cross_check`` compares every start's rows with the dense evaluation
-    and its frontier with :func:`segment_frontier`.
+    :func:`segment_frontier` at the first start gives the base problem,
+    evaluated through ``evaluator`` (built there when None) and released
+    when the period is done. Its strategies fall into a few classes that
+    are equal at every prevalence (:func:`strategy_classes`), so one
+    batched evaluation gives the class representatives at every start, with
+    the bits of each start's full objective matrix, and one batched filter
+    gives every start's frontier. The first start's frontier is compared
+    with the full-space one in every run; ``cross_check`` also compares
+    every start's rows with the dense evaluation and every other start's
+    frontier with its own :func:`segment_frontier`.
     """
     label = f"for sex={segment.sex.value} period={segment.period}"
-    base = segment_problem(params, segment, PrevalenceVector(*starts[0]),
-                           objective_mask, evaluator)
+    first = segment_frontier(params, segment, PrevalenceVector(*starts[0]),
+                             objective_mask, cross_check, evaluator)
+    base = first.problem
     reps, class_of = strategy_classes(vertex_values(params, base))
     # The base problem holds every strategy at the first start, which
     # checks the classes there for free.
@@ -463,6 +436,18 @@ def _batched_frontiers(params, segment, starts, objective_mask, cross_check,
                                      strategies=reps)
     frontiers = frontier_rows(base.minimize(reported))
     strategies = tuple(base.strategy(r) for r in reps.tolist())
+
+    def check(h, frontier):
+        if [p.strategy.key for p in frontier.points] != \
+                [strategies[c].key for c in frontiers[h]] or \
+                not np.array_equal([p.objectives.values
+                                    for p in frontier.points],
+                                   reported[h, frontiers[h]]):
+            raise OracleMismatchError(
+                f"batched frontier differs from the full-space frontier of "
+                f"history {h} {label}")
+
+    check(0, first)
     if cross_check:
         for h, row in enumerate(starts.tolist()):
             psi = PrevalenceVector(*row)
@@ -472,17 +457,12 @@ def _batched_frontiers(params, segment, starts, objective_mask, cross_check,
                 raise OracleMismatchError(
                     f"batched evaluation differs from the dense evaluation "
                     f"of history {h} {label}")
-            oracle = segment_frontier(params, segment, psi, objective_mask,
-                                      cross_check=True, evaluator=evaluator)
-            if [p.strategy.key for p in oracle.points] != \
-                    [strategies[c].key for c in frontiers[h]] or \
-                    not np.array_equal([p.objectives.values
-                                        for p in oracle.points],
-                                       reported[h, frontiers[h]]):
-                raise OracleMismatchError(
-                    f"batched frontier differs from the per-history "
-                    f"frontier of history {h} {label}")
-    return strategies, base.names, base.orientations, reported, frontiers
+            if h:
+                check(h, segment_frontier(params, segment, psi,
+                                          objective_mask, cross_check=True,
+                                          evaluator=base.evaluator))
+    return (strategies, base.names, base.orientations, reported, frontiers,
+            base.evaluator)
 
 
 def _extend_period(params, sex, k, previous, budget, objective_mask,
@@ -499,15 +479,12 @@ def _extend_period(params, sex, k, previous, budget, objective_mask,
         start = params.starting_prevalence(sex)
         starts = np.array([start.as_tuple()])
         before_col = before_cost = np.zeros(1)
-        strategies, names, orientations, reported, frontiers, evaluator = \
-            _first_frontier(params, segment, start, objective_mask,
-                            cross_check, evaluator)
     else:
         start, starts = previous.start, previous.updated
         before_col, before_cost = previous.colonoscopies, previous.cost
-        strategies, names, orientations, reported, frontiers = \
-            _batched_frontiers(params, segment, starts, objective_mask,
-                               cross_check, evaluator)
+    strategies, names, orientations, reported, frontiers, evaluator = \
+        _period_frontiers(params, segment, starts, objective_mask,
+                          cross_check, evaluator)
 
     cohort = params.cohort_size(segment)
     col = before_col[:, None] + \
@@ -520,8 +497,6 @@ def _extend_period(params, sex, k, previous, budget, objective_mask,
             f"{count} histories at period {k} exceed the cap of {history_cap}")
     if not count:
         raise InfeasibleBudgetError(
-            f"budget {budget} removes every period-1 strategy for "
-            f"sex={sex.value}" if previous is None else
             f"budget {budget} removes every history at period {k} for "
             f"sex={sex.value}")
 

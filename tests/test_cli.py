@@ -74,6 +74,20 @@ class TestValidate:
         assert "default applied: costs.incentive" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("command", ["validate", "pipeline"])
+    @pytest.mark.parametrize("missing", [True, False])
+    def test_unreadable_params_file_fails_with_path(self, tmp_path, capsys,
+                                                    command, missing):
+        # a missing file and a directory both give exit 1 and one
+        # validation line naming the path, not a traceback
+        path = tmp_path / "absent.json" if missing else tmp_path
+        extra = [] if command == "validate" else [
+            "--budgets", "8000", "--out", str(tmp_path / "out")]
+        assert main([command, "--params", str(path), *extra]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"validation error: {path}: ")
+
     def test_duplicate_cutoff_set_labels_fail(self, tmp_path, default_doc,
                                               capsys):
         doc = json.loads(json.dumps(default_doc))
@@ -412,9 +426,10 @@ class TestOneProcess:
 
 
 class TestStrategyClassChecks:
-    """Later periods evaluate one representative per strategy class: the
-    base problem checks every member against it for free, and
-    ``--cross-check`` compares each history with the per-history solve."""
+    """Every period evaluates one representative per strategy class: the
+    base problem checks every member against it for free, its full-space
+    frontier checks the first history's frontier in every run, and
+    ``--cross-check`` compares each other history with its own solve."""
 
     @pytest.fixture()
     def params(self, tmp_path, default_doc):
@@ -444,8 +459,27 @@ class TestStrategyClassChecks:
 
         monkeypatch.setattr(screenopt.phase1, "strategy_classes",
                             largest_member)
-        assert self.run(params, tmp_path / "a") == 0
+        assert self.run(params, tmp_path / "a") == 3
         assert self.run(params, tmp_path / "b", "--cross-check") == 3
+
+    @pytest.mark.parametrize("period", [1, 3])
+    def test_broken_first_history_frontier_exits_three(self, params, tmp_path,
+                                                       monkeypatch, period):
+        # dropping a point of the first history's batched frontier is
+        # caught without --cross-check, at period 1 and at a later period
+        rows = screenopt.phase1.frontier_rows
+        calls = []
+
+        def drop_last(stack):
+            out = rows(stack)
+            calls.append(None)
+            if len(calls) == period:
+                out[0] = out[0][:-1]
+            return out
+
+        monkeypatch.setattr(screenopt.phase1, "frontier_rows", drop_last)
+        assert self.run(params, tmp_path / "x") == 3
+        assert len(calls) == period
 
     def test_member_away_from_representative_exits_three(self, params,
                                                          tmp_path,

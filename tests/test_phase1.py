@@ -253,13 +253,14 @@ def key_table(keys, strategy_keys=None, parent=None, parent_row=None):
     """A history table whose rows have the given dominance keys.
 
     Its strategies are stubs with the given distinct keys (one per row by
-    default, descending); ``parent`` makes it a period-2 table over those
-    parent rows.
+    default), which must ascend with the strategy index as a period's
+    class representatives' keys do; ``parent`` makes it a period-2 table
+    over those parent rows.
     """
     keys = np.asarray(keys, dtype=float).reshape(-1, 4)
     n = len(keys)
     if strategy_keys is None:
-        strategy_keys = [(n - i,) for i in range(n)]
+        strategy_keys = [(i,) for i in range(n)]
     strategies = tuple(SimpleNamespace(key=k) for k in strategy_keys)
     zero = np.zeros(n)
     updated = np.stack([1.0 - keys[:, 1] - keys[:, 2], zero, keys[:, 2],
@@ -326,7 +327,7 @@ class TestRemoveDominated:
             parent = key_table(self.random_keys(rng, n_parent))
             n = int(rng.integers(1, 200))
             keys = self.random_keys(rng, 4)[rng.integers(0, 4, size=n)]
-            table = key_table(keys, strategy_keys=[(3,), (1,), (2,)],
+            table = key_table(keys, strategy_keys=[(1,), (2,), (3,)],
                               parent=parent,
                               parent_row=rng.integers(0, n_parent, size=n))
             self.assert_equals_row_loop(table)
@@ -915,6 +916,112 @@ class TestStrategyClasses:
         run_phase1(bundle, budget=1e9, periods=2)
         with pytest.raises(OracleMismatchError, match="dense evaluation"):
             run_phase1(bundle, budget=1e9, periods=2, cross_check=True)
+
+
+class TestStrategyOrder:
+    """Every period's strategies are its class representatives by
+    ascending index, and ``remove_dominated`` breaks ties on the index
+    because that order is the strategy-key order."""
+
+    @staticmethod
+    def assert_keys_ascend(table):
+        while table is not None:
+            keys = [s.key for s in table.strategies]
+            assert all(a < b for a, b in zip(keys, keys[1:])), table.period
+            table = table.parent
+
+    @pytest.mark.parametrize("change", [
+        {}, {"fix_exam_to_colonoscopy": True}, {"incentive_enabled": False},
+        {"cutoff_set": ["50", "40", "25", "20", "10"]}])
+    def test_shipped_parameters(self, default_doc, change):
+        doc = json.loads(json.dumps(default_doc))
+        doc["options"].update(change)
+        bundle, _ = load_parameters(doc)
+        for table in run_phase1(bundle, budget=20000.0).values():
+            self.assert_keys_ascend(table)
+
+    def test_random_documents(self):
+        rng = np.random.default_rng(307)
+        for trial in range(2):
+            doc = random_params_doc(rng, periods=3, n_cutoffs=3,
+                                    monotone=bool(trial), fix_exam=False)
+            bundle, _ = load_parameters(doc)
+            for table in run_phase1(bundle, budget=1e9).values():
+                self.assert_keys_ascend(table)
+
+
+def every_segment_frontier(doc):
+    """The frontier of every (sex, period) segment of ``doc`` at its
+    no-screening prevalence, as the ``segment`` command solves it."""
+    bundle, _ = load_parameters(doc)
+    out = {}
+    for sex in (Sex.F, Sex.M):
+        rollout = natural_progression_rollout(
+            bundle.starting_prevalence(sex), bundle.transitions[sex.value])
+        for k in range(1, bundle.periods + 1):
+            out[sex, k] = segment_frontier(bundle, Segment(sex, k),
+                                           rollout[k - 1])
+    return out
+
+
+class TestFrontierInvariance:
+    """Relabelling the cut-offs or rescaling the costs does not change
+    which strategies a segment frontier holds."""
+
+    @staticmethod
+    def documents(default_doc):
+        rng = np.random.default_rng(311)
+        docs = [default_doc] + [
+            random_params_doc(rng, periods=2, n_cutoffs=4,
+                              monotone=bool(i % 2), fix_exam=False)
+            for i in range(2)]
+        for doc in docs:
+            for fix_exam in (False, True):
+                doc = json.loads(json.dumps(doc))
+                doc["options"]["fix_exam_to_colonoscopy"] = fix_exam
+                yield doc
+
+    def test_cutoff_declaration_order(self, default_doc):
+        # the objective rows on every frontier are exactly equal as a
+        # multiset when fit.cutoffs is declared in another order
+        for doc in self.documents(default_doc):
+            shuffled = json.loads(json.dumps(doc))
+            cutoffs = shuffled["fit"]["cutoffs"]
+            shuffled["fit"]["cutoffs"] = cutoffs[1::2][::-1] + cutoffs[::2]
+            assert shuffled["fit"]["cutoffs"] != cutoffs
+            want, got = every_segment_frontier(doc), \
+                every_segment_frontier(shuffled)
+            for segment, frontier in want.items():
+                assert sorted(p.objectives.values for p in frontier.points) \
+                    == sorted(p.objectives.values
+                              for p in got[segment].points), segment
+
+    @staticmethod
+    def doubled(value):
+        if isinstance(value, dict):
+            return {k: TestFrontierInvariance.doubled(v)
+                    for k, v in value.items()}
+        return 2 * value
+
+    def test_doubled_costs(self, default_doc):
+        # doubling is exact in binary: the frontier keeps its strategies,
+        # its cost column doubles exactly and the other columns keep
+        # their bits
+        for doc in self.documents(default_doc):
+            scaled = json.loads(json.dumps(doc))
+            scaled["costs"] = self.doubled(scaled["costs"])
+            want, got = every_segment_frontier(doc), \
+                every_segment_frontier(scaled)
+            for segment, frontier in want.items():
+                assert [p.strategy.key for p in frontier.points] == \
+                    [p.strategy.key for p in got[segment].points], segment
+                old = np.array([p.objectives.values for p in frontier.points])
+                new = np.array([p.objectives.values
+                                for p in got[segment].points])
+                cost = frontier.points[0].objectives.names.index("cost")
+                assert np.array_equal(new[:, cost], 2 * old[:, cost])
+                rest = np.arange(old.shape[1]) != cost
+                assert np.array_equal(new[:, rest], old[:, rest])
 
 
 class TestExhaustivePhase1:
