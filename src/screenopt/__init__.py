@@ -37,13 +37,10 @@ from .pareto import (  # noqa: F401
     EnumeratedProblem,
     FrontierPoint,
     ParetoFrontier,
-    ScalarizationParams,
     box_search_frontier,
     brute_force_frontier,
     compute_frontier,
     diagram_problem,
-    mawt_norm,
-    solve_scalarized,
 )
 from .phase1 import (  # noqa: F401
     StrategyHistory,

@@ -10,10 +10,11 @@ All outputs are deterministic: identical inputs produce identical bytes.
 Every CSV starts with comment lines carrying the tool version and the
 SHA-256 of the parameter file; the manifest carries them as JSON fields.
 
-Exit codes: 0 success, 1 validation failure, 2 infeasible or over capacity
-(including the box-search iteration limit, reachable only under
---cross-check), 3 internal check mismatch (each period's first history is
-checked in every run, the rest under --cross-check).
+Exit codes: 0 success (also --help and --version), 1 validation failure,
+usage error or unusable --out, 2 infeasible or over capacity (including the
+box-search iteration limit, reachable only under --cross-check), 3 internal
+check mismatch (each period's first history is checked in every run, the
+rest under --cross-check).
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .phase1 import (
     HistoryTable,
     baseline_trajectory,
     natural_progression_rollout,
-    policy_cell,
     run_phase1,
     segment_frontier,
 )
@@ -53,16 +53,14 @@ from .phase2 import (
     selection_problem_from_histories,
 )
 from .screening import (
-    CUTOFF,
-    EXAM,
-    INCENTIVE,
-    INVITE,
     OBJECTIVE_NAMES,
     ParameterBundle,
     Segment,
     Sex,
     build_segment_diagram,
+    history_columns,
     load_parameters,
+    policy_cell,
 )
 
 
@@ -129,7 +127,10 @@ def _add_model_flags(p) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed the usage, help or version
+        return 1 if exc.code else 0
     try:
         if args.command == "validate":
             return _cmd_validate(args)
@@ -152,6 +153,9 @@ def main(argv=None) -> int:
     except OracleMismatchError as exc:
         print(f"internal cross-check failed: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -420,11 +424,8 @@ def _write_histories(out: Path, digest: str, sex: Sex, table: HistoryTable,
                 "total_cost"]
 
     every = range(len(table))
-    cells = _lineage_rows(table, every, _by_strategy(lambda s: ",".join([
-        cutoffs[s.rules[CUTOFF].rule[()]],
-        "yes" if s.rules[INCENTIVE].rule[()] == 1 else "no",
-        "yes" if s.rules[INVITE].rule[()] == 1 else "no",
-        "colonoscopy" if s.rules[EXAM].rule[(1, 1)] == 1 else "none"])))
+    cells = _lineage_rows(table, every, _by_strategy(
+        lambda s: history_columns(s, cutoffs)))
     prevalences = _lineage_rows(table, every, lambda t, rows: [
         ",".join(map(repr, psi)) for psi in t.updated[rows].tolist()])
     rows = [f"{i},{key},{cells[i]},{prevalences[i]},{col!r},{crc!r},{cost!r}"

@@ -289,13 +289,12 @@ def _check_table_domain(diagram, node, keys, what) -> list[Violation]:
 # Paths and probabilities
 # ---------------------------------------------------------------------------
 
-def enumerate_paths(diagram: InfluenceDiagram,
-                    ceiling: int = PATH_CEILING) -> Iterator[Path]:
+def enumerate_paths(diagram: InfluenceDiagram) -> Iterator[Path]:
     """Yield every path once, in lexicographic node-state order."""
     count = diagram.path_count()
-    if count > ceiling:
+    if count > PATH_CEILING:
         raise CapacityError(
-            f"{count} paths exceed the configured ceiling of {ceiling}")
+            f"{count} paths exceed the configured ceiling of {PATH_CEILING}")
     ranges = [range(len(n.states)) for n in diagram.path_nodes]
     return itertools.product(*ranges)
 
@@ -375,7 +374,6 @@ def path_probability(diagram: InfluenceDiagram, path: Path,
 
 def enumerate_strategies(
     diagram: InfluenceDiagram,
-    ceiling: int = STRATEGY_CEILING,
     fixed: Mapping[int, LocalStrategy] | None = None,
 ) -> Iterator[GlobalStrategy]:
     """Yield every global strategy exactly once, in a deterministic order.
@@ -388,15 +386,13 @@ def enumerate_strategies(
     fixed = dict(fixed or {})
     free = [n for n in diagram.decision_nodes if n.node_id not in fixed]
     count = diagram.strategy_count(fixed=tuple(fixed))
-    if count > ceiling:
-        raise CapacityError(
-            f"{count} strategies exceed the configured ceiling of {ceiling}")
+    if count > STRATEGY_CEILING:
+        raise CapacityError(f"{count} strategies exceed the configured "
+                            f"ceiling of {STRATEGY_CEILING}")
 
-    slots: list[tuple[int, InfoState]] = []
     sizes: list[range] = []
     for node in free:
         for info in diagram.info_states(node):
-            slots.append((node.node_id, info))
             sizes.append(range(len(node.states)))
 
     for assignment in itertools.product(*sizes):
@@ -426,16 +422,6 @@ class ObjectiveVector:
     values: tuple[float, ...]
     orientations: tuple[str, ...]
     names: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def minimized(self) -> tuple[float, ...]:
-        """Values converted to minimization orientation."""
-        return tuple(
-            -v if o == "maximize" else v
-            for v, o in zip(self.values, self.orientations)
-        )
 
     def by_name(self, name: str) -> float:
         return self.values[self.names.index(name)]

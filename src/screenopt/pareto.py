@@ -2,9 +2,13 @@
 
 ``compute_frontier`` is the production path: one vectorized nondominated
 filter and near-duplicate merge (``frontier_rows``) over the distinct
-objective vectors; ``frontier_rows`` also solves a whole stack of
-problems at once. Two independent references
-reproduce it, and ``--cross-check`` compares against both:
+objective vectors. ``frontier_rows`` also solves a whole stack of
+problems at once: it returns every matrix's rows in vector order and a
+mask of its frontier rows, so a caller filters all the frontiers further
+with one array mask. A matrix too large for one broadcast is filtered
+against its exact skyline, built in square blocks of ``FILTER_CELLS``
+booleans. Two independent references reproduce it, and ``--cross-check``
+compares against both:
 ``brute_force_frontier`` (a plain row-by-row dominance loop) and
 ``box_search_frontier``, the paper's augmented weighted Tchebychev search,
 which carves the objective space into search boxes bounded by found
@@ -43,42 +47,6 @@ EPSILON_SCALE = 1e-4
 # bounds the filter's memory whatever the number of rows, and is small
 # enough that a block's masks stay in cache.
 FILTER_CELLS = 1 << 16
-# Rows per block of the exact-skyline build, and the skyline rows each
-# block meets first.
-SKYLINE_BLOCK = 512
-
-
-@dataclass(frozen=True)
-class ScalarizationParams:
-    """Weights, augmentation and reference vectors for one scalarized solve."""
-
-    weights: tuple[float, ...]
-    epsilon: float
-    utopia: tuple[float, ...]
-    nadir: tuple[float, ...]
-
-    def __post_init__(self):
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be strictly positive")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
-        if len(self.weights) != len(self.utopia) or len(self.weights) != len(self.nadir):
-            raise ValueError("dimension mismatch")
-        if any(u > n + DOMINANCE_TOL for u, n in zip(self.utopia, self.nadir)):
-            raise ValueError("utopia must not exceed nadir componentwise")
-
-
-def mawt_norm(values_min: Sequence[float], params: ScalarizationParams) -> float:
-    """Smallest bound satisfying every per-objective scalarization constraint.
-
-    Per objective the constraint is weighted absolute deviation from utopia
-    plus the augmentation term; the binding one is the maximum.
-    """
-    if len(values_min) != len(params.weights):
-        raise ValueError("dimension mismatch")
-    devs = [w * abs(v - u)
-            for w, v, u in zip(params.weights, values_min, params.utopia)]
-    return max(devs) + params.epsilon * math.fsum(devs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,19 +247,18 @@ def diagram_problem(diagram: InfluenceDiagram,
 # Frontier computation
 # ---------------------------------------------------------------------------
 
-def solve_scalarized(problem: EnumeratedProblem,
-                     params: ScalarizationParams) -> FrontierPoint:
-    """Candidate minimizing the scalarized norm over the whole space."""
-    vectors = problem.unique_vectors()
-    best_row = _argmin_norm(problem, vectors, np.arange(len(vectors)), params)
-    return problem.point(problem.representative(best_row))
+def _norms(vectors, weights, epsilon, utopia) -> np.ndarray:
+    """The augmented weighted Tchebychev norm of each row of ``vectors``:
+    the largest weighted deviation from ``utopia`` plus ``epsilon`` times
+    their sum."""
+    devs = np.abs(vectors - utopia) * weights
+    return devs.max(axis=1) + epsilon * devs.sum(axis=1)
 
 
-def _argmin_norm(problem, vectors, rows, params) -> int:
-    w = np.asarray(params.weights)
-    u = np.asarray(params.utopia)
-    devs = np.abs(vectors[rows] - u) * w
-    norms = devs.max(axis=1) + params.epsilon * devs.sum(axis=1)
+def _argmin_norm(problem, vectors, rows, weights, epsilon, utopia) -> int:
+    """The row of ``rows`` with the smallest norm, ties broken toward the
+    smallest representative candidate."""
+    norms = _norms(vectors[rows], weights, epsilon, utopia)
     tied = np.flatnonzero(norms == norms.min())
     best = min(tied, key=lambda i: problem.representative(rows[i]))
     return int(rows[best])
@@ -408,12 +375,13 @@ def _exact_skyline(unique: np.ndarray) -> np.ndarray:
     Such a row can only be at most the rows after it, and exact ``<=`` is
     transitive, so a row is on the skyline when no earlier skyline row and
     no earlier row of its own block is at most it. Blocks of
-    ``SKYLINE_BLOCK`` rows meet the last ``SKYLINE_BLOCK`` skyline rows
-    first, their nearest in that order, and only the rows that survive meet
-    the rest; every mask holds at most ``FILTER_CELLS`` booleans.
+    ``isqrt(FILTER_CELLS)`` rows meet the skyline in rounds of the
+    ``FILTER_CELLS // rows`` skyline rows nearest them in that order, and
+    only the rows that survive a round meet the next; every mask holds at
+    most ``FILTER_CELLS`` booleans. Any blocking gives the same skyline.
     """
     n = unique.shape[1]
-    step = max(1, min(SKYLINE_BLOCK, math.isqrt(FILTER_CELLS)))
+    step = max(1, math.isqrt(FILTER_CELLS))
     witness = np.full(n, -1, dtype=np.intp)
     sky = np.empty_like(unique)
     sky_row = np.empty(n, dtype=np.intp)
@@ -425,16 +393,16 @@ def _exact_skyline(unique: np.ndarray) -> np.ndarray:
         witness[start + np.flatnonzero(~alive)] = \
             start + below[:, ~alive].argmax(axis=0)
         chunk = max(1, FILTER_CELLS // rows.shape[1])
-        end, width = size, min(SKYLINE_BLOCK, chunk)
+        end = size
         while end and alive.any():
-            begin = max(0, end - width)
+            begin = max(0, end - chunk)
             live = np.flatnonzero(alive)
             covered = _at_most(sky[:, None, begin:end], rows[:, live, None])
             hit = covered.any(axis=1)
             witness[start + live[hit]] = \
                 sky_row[begin + covered[hit].argmax(axis=1)]
             alive[live[hit]] = False
-            end, width = begin, chunk
+            end = begin
         kept = np.flatnonzero(alive)
         sky[:, size:size + len(kept)] = rows[:, kept]
         sky_row[size:size + len(kept)] = start + kept
@@ -442,15 +410,17 @@ def _exact_skyline(unique: np.ndarray) -> np.ndarray:
     return witness
 
 
-def frontier_rows(stack: np.ndarray) -> list[np.ndarray]:
-    """Frontier rows of each (rows x objectives) matrix of ``stack``.
+def frontier_rows(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frontier rows of each (rows x objectives) matrix of ``stack``, as
+    ``(rows, keep)``: matrix h's frontier is ``rows[h, keep[h]]``.
 
     Per matrix, the rows are ordered by vector, ties on the row index; a row
     is kept when no row dominates it (:func:`nondominated`) and it is not
     within ``DOMINANCE_TOL`` in every coordinate of a row kept before it.
     This is the rule of :func:`_assemble` over the distinct vectors, since
-    an exact duplicate is never kept after its first occurrence. Returns
-    the kept row indices of each matrix in that order.
+    an exact duplicate is never kept after its first occurrence. ``rows``
+    (matrices x width) holds row indices in that order and ``keep`` marks
+    the kept ones, so a mask over ``rows`` filters every frontier at once.
     """
     stack = np.asarray(stack, dtype=float)
     H, n, m = stack.shape
@@ -484,12 +454,13 @@ def frontier_rows(stack: np.ndarray) -> list[np.ndarray]:
     for i in np.flatnonzero(merged.any(axis=0)):
         for d, close in enumerate(near[:i], start=1):
             keep[:, i] &= ~(close[:, i - d] & keep[:, i - d])
-    return [order[h, front[h, keep[h]]] for h in range(H)]
+    return np.take_along_axis(order, front, axis=1), keep
 
 
 def compute_frontier(problem: EnumeratedProblem) -> ParetoFrontier:
     """Complete nondominated set: one filter over the distinct vectors."""
-    rows = frontier_rows(problem.unique_vectors()[None])[0]
+    rows, keep = frontier_rows(problem.unique_vectors()[None])
+    rows = rows[0, keep[0]]
     return ParetoFrontier(
         points=[problem.point(problem.representative(r)) for r in rows],
         problem=problem)
@@ -551,13 +522,8 @@ def box_search_frontier(problem: EnumeratedProblem,
             raise IterationLimitError(
                 f"frontier search exceeded {limit} scalarized solves")
         weights = 1.0 / np.maximum(ua - utopia, WEIGHT_GUARD)
-        params = ScalarizationParams(
-            weights=tuple(weights),
-            epsilon=EPSILON_SCALE / float(weights.sum()),
-            utopia=tuple(utopia),
-            nadir=tuple(np.maximum(ua, utopia)),
-        )
-        row = _argmin_norm(problem, vectors, inside, params)
+        row = _argmin_norm(problem, vectors, inside, weights,
+                           EPSILON_SCALE / float(weights.sum()), utopia)
         found.setdefault(row)
         z = vectors[row]
         for i in range(m):

@@ -8,9 +8,9 @@ solves its segment once over the full strategy space at the first
 history's prevalence, groups the strategies into classes that are equal at
 every prevalence (the objectives are linear in it), evaluates one
 representative per class at every history's start prevalence in one
-batched, bit-exact pass over the live paths, and filters all the
-histories' frontiers in one batch; the first one must equal the full-space
-frontier. Each history is extended by every strategy on its frontier. Only
+batched, bit-exact pass over the live paths, and filters all the histories'
+frontiers into one mask; the first must equal the full-space frontier. The
+budget clears bits of that mask, and each set bit extends a history. Only
 the chance tables differ between segments, so one evaluator, built by the
 run's first segment problem, evaluates every segment with its own tables.
 Between periods the bowel-state distribution moves by the
@@ -58,10 +58,6 @@ from .pareto import (
     sorted_runs,
 )
 from .screening import (
-    CUTOFF,
-    EXAM,
-    INCENTIVE,
-    INVITE,
     ParameterBundle,
     PrevalenceVector,
     Segment,
@@ -285,19 +281,6 @@ def remove_dominated(histories: HistoryTable) -> HistoryTable:
     return histories.take(kept[order])
 
 
-def policy_cell(strategy: GlobalStrategy, cutoffs: Sequence[str]) -> str:
-    """Table cell for one period: cut-off label, "+i" when incentivized,
-    "-" when not invited, "+noexam" when a positive test is not examined."""
-    if strategy.rules[INVITE].rule[()] == 0:
-        return "-"
-    cell = cutoffs[strategy.rules[CUTOFF].rule[()]]
-    if strategy.rules[INCENTIVE].rule[()] == 1:
-        cell += "+i"
-    if strategy.rules[EXAM].rule[(1, 1)] == 0:
-        cell += "+noexam"
-    return cell
-
-
 def segment_problem(params: ParameterBundle, segment: Segment,
                     psi: PrevalenceVector,
                     objective_mask: Sequence[str] | None = None,
@@ -341,8 +324,7 @@ def segment_frontier(params: ParameterBundle, segment: Segment,
 def run_phase1(params: ParameterBundle, budget: float,
                periods: int | None = None,
                objective_mask: Sequence[str] | None = None,
-               cross_check: bool = False,
-               history_cap: int = HISTORY_CAP) -> dict[Sex, HistoryTable]:
+               cross_check: bool = False) -> dict[Sex, HistoryTable]:
     """Per-sex nondominated strategy histories under a colonoscopy budget,
     as each sex's last-period table.
 
@@ -363,15 +345,11 @@ def run_phase1(params: ParameterBundle, budget: float,
         for k in range(1, K + 1):
             table, evaluator = _extend_period(
                 params, sex, k, table, budget, objective_mask, cross_check,
-                history_cap, evaluator)
+                evaluator)
             if k > 1:
                 table = remove_dominated(table)
         out[sex] = table
     return out
-
-
-#: The four simplex vertices, one bowel state each.
-VERTICES = tuple(PrevalenceVector(*row) for row in np.eye(4).tolist())
 
 
 def vertex_values(params: ParameterBundle,
@@ -403,25 +381,32 @@ def strategy_classes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sort(reps), class_of
 
 
-def _period_frontiers(params, segment, starts, objective_mask, cross_check,
-                      evaluator):
-    """The frontier of every start prevalence (rows of the (starts x 4)
-    array ``starts``), as (class representatives, names, orientations,
-    reported (starts x classes x objectives), frontier rows per start, the
-    evaluator of the period's problem).
+def _extend_period(params, sex, k, previous, budget, objective_mask,
+                   cross_check, evaluator):
+    """Every history of ``previous`` (at period 1, the empty history)
+    extended by every frontier point of period ``k``, within the budget,
+    and the evaluator of the period's problem (``evaluator`` if given).
 
-    :func:`segment_frontier` at the first start gives the base problem,
-    evaluated through ``evaluator`` (built there when None) and released
-    when the period is done. Its strategies fall into a few classes that
-    are equal at every prevalence (:func:`strategy_classes`), so one
-    batched evaluation gives the class representatives at every start, with
-    the bits of each start's full objective matrix, and one batched filter
-    gives every start's frontier. The first start's frontier is compared
-    with the full-space one in every run; ``cross_check`` also compares
-    every start's rows with the dense evaluation and every other start's
-    frontier with its own :func:`segment_frontier`.
+    :func:`segment_frontier` at the first history's start gives the base
+    problem. Its strategies fall into classes equal at every prevalence
+    (:func:`strategy_classes`): one batched evaluation gives the
+    representatives at every start, with the bits of each start's full
+    objective matrix, and one :func:`frontier_rows` pass every history's
+    frontier. The first is checked against the full-space one in every
+    run; ``cross_check`` checks every history's rows against the dense
+    evaluation and its frontier against its own :func:`segment_frontier`.
+    The budget then clears mask bits; the set bits, row-major, are the
+    table's rows, by parent and then in frontier order.
     """
-    label = f"for sex={segment.sex.value} period={segment.period}"
+    segment = Segment(sex, k)
+    label = f"for sex={sex.value} period={k}"
+    if previous is None:
+        start = params.starting_prevalence(sex)
+        starts = np.array([start.as_tuple()])
+        before_col = before_cost = np.zeros(1)
+    else:
+        start, starts = previous.start, previous.updated
+        before_col, before_cost = previous.colonoscopies, previous.cost
     first = segment_frontier(params, segment, PrevalenceVector(*starts[0]),
                              objective_mask, cross_check, evaluator)
     base = first.problem
@@ -434,15 +419,16 @@ def _period_frontiers(params, segment, starts, objective_mask, cross_check,
             f"a strategy differs from its class representative {label}")
     reported = base.objective_matrix(cpts=prevalence_tables(params, starts),
                                      strategies=reps)
-    frontiers = frontier_rows(base.minimize(reported))
+    rows, keep = frontier_rows(base.minimize(reported))
     strategies = tuple(base.strategy(r) for r in reps.tolist())
 
     def check(h, frontier):
+        got = rows[h, keep[h]]
         if [p.strategy.key for p in frontier.points] != \
-                [strategies[c].key for c in frontiers[h]] or \
+                [strategies[c].key for c in got] or \
                 not np.array_equal([p.objectives.values
                                     for p in frontier.points],
-                                   reported[h, frontiers[h]]):
+                                   reported[h, got]):
             raise OracleMismatchError(
                 f"batched frontier differs from the full-space frontier of "
                 f"history {h} {label}")
@@ -461,48 +447,22 @@ def _period_frontiers(params, segment, starts, objective_mask, cross_check,
                 check(h, segment_frontier(params, segment, psi,
                                           objective_mask, cross_check=True,
                                           evaluator=base.evaluator))
-    return (strategies, base.names, base.orientations, reported, frontiers,
-            base.evaluator)
 
-
-def _extend_period(params, sex, k, previous, budget, objective_mask,
-                   cross_check, history_cap, evaluator):
-    """Every history of ``previous`` (at period 1, the empty history)
-    extended by every frontier point of period ``k``, within the budget,
-    and the evaluator of the period's problem (``evaluator`` if given).
-
-    The budget is applied, and from period 2 on ``history_cap`` checked, on
-    the arrays before the table is filled.
-    """
-    segment = Segment(sex, k)
-    if previous is None:
-        start = params.starting_prevalence(sex)
-        starts = np.array([start.as_tuple()])
-        before_col = before_cost = np.zeros(1)
-    else:
-        start, starts = previous.start, previous.updated
-        before_col, before_cost = previous.colonoscopies, previous.cost
-    strategies, names, orientations, reported, frontiers, evaluator = \
-        _period_frontiers(params, segment, starts, objective_mask,
-                          cross_check, evaluator)
-
+    names = base.names
     cohort = params.cohort_size(segment)
     col = before_col[:, None] + \
         -reported[:, :, names.index("colonoscopy")] * cohort
-    within = col <= budget + BUDGET_TOL
-    frontiers = [rows[within[h, rows]] for h, rows in enumerate(frontiers)]
-    count = sum(len(rows) for rows in frontiers)
-    if previous is not None and count > history_cap:
-        raise CapacityError(
-            f"{count} histories at period {k} exceed the cap of {history_cap}")
-    if not count:
+    keep &= np.take_along_axis(col <= budget + BUDGET_TOL, rows, axis=1)
+    parent, position = np.nonzero(keep)
+    if previous is not None and len(parent) > HISTORY_CAP:
+        raise CapacityError(f"{len(parent)} histories at period {k} exceed "
+                            f"the cap of {HISTORY_CAP}")
+    if not len(parent):
         raise InfeasibleBudgetError(
             f"budget {budget} removes every history at period {k} for "
             f"sex={sex.value}")
 
-    parent = np.repeat(np.arange(len(frontiers)),
-                       [len(rows) for rows in frontiers])
-    strategy = np.concatenate(frontiers)
+    strategy = rows[parent, position]
     values = reported[parent, strategy]
     updated = update_prevalence_rows(
         starts[parent], values[:, [names.index(n) for n in DETECTIONS]],
@@ -515,11 +475,11 @@ def _extend_period(params, sex, k, previous, budget, objective_mask,
         weight = previous.weight + cohort
     return HistoryTable(
         sex=sex, period=k, weight=weight, start=start, strategies=strategies,
-        names=names, orientations=orientations, parent=previous,
+        names=names, orientations=base.orientations, parent=previous,
         parent_row=parent, strategy=strategy, reported=values,
         updated=updated, total=total, colonoscopies=col[parent, strategy],
         cost=before_cost[parent] + values[:, names.index("cost")] * cohort
-    ), evaluator
+    ), base.evaluator
 
 
 @dataclass(frozen=True)

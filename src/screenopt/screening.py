@@ -22,13 +22,14 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from .diagram import (
     SUM_TOL,
     ZERO_TOL,
+    GlobalStrategy,
     InfluenceDiagram,
     LocalStrategy,
     Node,
@@ -453,6 +454,30 @@ def fixed_decision_rules(params: ParameterBundle) -> dict[int, LocalStrategy]:
                 rule[(s5, s6)] = 1 if s6 == 1 else 0
         fixed[EXAM] = LocalStrategy(EXAM, rule)
     return fixed
+
+
+def policy_cell(strategy: GlobalStrategy, cutoffs: Sequence[str]) -> str:
+    """Policy-table cell for one period: cut-off label, "+i" when
+    incentivized, "-" when not invited, "+noexam" when a positive test is
+    not examined."""
+    if strategy.rules[INVITE].rule[()] == 0:
+        return "-"
+    cell = cutoffs[strategy.rules[CUTOFF].rule[()]]
+    if strategy.rules[INCENTIVE].rule[()] == 1:
+        cell += "+i"
+    if strategy.rules[EXAM].rule[(1, 1)] == 0:
+        cell += "+noexam"
+    return cell
+
+
+def history_columns(strategy: GlobalStrategy, cutoffs: Sequence[str]) -> str:
+    """One period's four histories-CSV cells: cut-off label, incentive,
+    invitation and examination of a positive test."""
+    return ",".join([
+        cutoffs[strategy.rules[CUTOFF].rule[()]],
+        "yes" if strategy.rules[INCENTIVE].rule[()] == 1 else "no",
+        "yes" if strategy.rules[INVITE].rule[()] == 1 else "no",
+        "colonoscopy" if strategy.rules[EXAM].rule[(1, 1)] == 1 else "none"])
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,7 @@ import numpy as np
 from screenopt import cli
 from screenopt.diagram import DETECTION_TOL, ZERO_TOL, NodeKind
 from screenopt.pareto import diagram_problem
-from screenopt.phase1 import (
-    BUDGET_TOL,
-    VERTICES,
-    baseline_trajectory,
-    policy_cell,
-    run_phase1,
-)
+from screenopt.phase1 import BUDGET_TOL, baseline_trajectory, run_phase1
 from screenopt.phase2 import SelectionProblem, SelectionResult, budget_sweep
 from screenopt.screening import (
     ABNORMAL,
@@ -33,7 +27,11 @@ from screenopt.screening import (
     Sex,
     build_segment_diagram,
     fixed_decision_rules,
+    policy_cell,
 )
+
+#: The four simplex vertices, one bowel state each.
+VERTICES = tuple(PrevalenceVector(*row) for row in np.eye(4).tolist())
 
 
 @dataclass(frozen=True)

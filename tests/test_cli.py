@@ -467,15 +467,15 @@ class TestStrategyClassChecks:
                                                        monkeypatch, period):
         # dropping a point of the first history's batched frontier is
         # caught without --cross-check, at period 1 and at a later period
-        rows = screenopt.phase1.frontier_rows
+        frontier_rows = screenopt.phase1.frontier_rows
         calls = []
 
         def drop_last(stack):
-            out = rows(stack)
+            rows, keep = frontier_rows(stack)
             calls.append(None)
             if len(calls) == period:
-                out[0] = out[0][:-1]
-            return out
+                keep[0, np.flatnonzero(keep[0])[-1]] = False
+            return rows, keep
 
         monkeypatch.setattr(screenopt.phase1, "frontier_rows", drop_last)
         assert self.run(params, tmp_path / "x") == 3
@@ -546,6 +546,42 @@ class TestBaseline:
             by_sex.setdefault(r[0], []).append(float(r[crc_i]))
         for series in by_sex.values():
             assert all(a <= b + 1e-15 for a, b in zip(series, series[1:]))
+
+
+class TestCommandLineErrors:
+    @pytest.mark.parametrize("command", [
+        ["segment", "--sex", "F", "--period", "1"],
+        ["pipeline", "--budgets", "500", "--periods", "1"],
+        ["baseline"]])
+    @pytest.mark.parametrize("under", [False, True])
+    def test_unusable_out_exits_one_naming_the_path(
+            self, small_params, tmp_path, capsys, command, under):
+        # a file as --out, or a path under a file, gives exit 1 and one
+        # stderr line naming the path, not a traceback
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "sub" if under else blocker
+        assert main([*command, "--params", str(small_params),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("cannot write output: ")
+        assert str(out) in err[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["pipeline", "--out", "x"],
+        ["segment", "--sex", "F", "--period", "abc", "--out", "x"],
+        ["nonsense"]])
+    def test_usage_error_exits_one(self, capsys, argv):
+        # exit 2 means infeasible or over capacity, never a usage error,
+        # and in-process callers get a return value, not SystemExit
+        assert main(argv) == 1
+        assert "usage: screenopt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_zero(self, capsys, flag):
+        assert main([flag]) == 0
+        assert "screenopt" in capsys.readouterr().out
 
 
 def test_canonical_dump_parses_as_json():

@@ -17,6 +17,7 @@ import math
 import numpy as np
 import pytest
 
+import screenopt.diagram
 from conftest import random_diagram, random_strategy
 from screenopt.diagram import (
     GlobalStrategy,
@@ -128,10 +129,11 @@ class TestPaths:
         d = InfluenceDiagram(nodes, {0: {(): (0.2, 0.3, 0.5)}}, {})
         assert list(enumerate_paths(d)) == [(0,), (1,), (2,)]
 
-    def test_capacity_ceiling(self):
+    def test_capacity_ceiling(self, monkeypatch):
         d = chain_diagram()
+        monkeypatch.setattr(screenopt.diagram, "PATH_CEILING", 3)
         with pytest.raises(CapacityError):
-            list(enumerate_paths(d, ceiling=3))
+            list(enumerate_paths(d))
 
     def test_lexicographic_order(self):
         rng = np.random.default_rng(5)
@@ -316,14 +318,15 @@ class TestStrategyEnumeration:
         assert len(strategies) == 1
         assert strategies[0].rules == {}
 
-    def test_capacity_ceiling(self):
+    def test_capacity_ceiling(self, monkeypatch):
         nodes = (
             Node(0, NodeKind.DECISION, "d0", ("a", "b")),
             Node(1, NodeKind.DECISION, "d1", ("a", "b")),
         )
         d = InfluenceDiagram(nodes, {}, {})
+        monkeypatch.setattr(screenopt.diagram, "STRATEGY_CEILING", 3)
         with pytest.raises(CapacityError):
-            list(enumerate_strategies(d, ceiling=3))
+            list(enumerate_strategies(d))
 
     def test_fixed_rules_pin_node(self):
         nodes = (

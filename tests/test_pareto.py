@@ -29,16 +29,15 @@ from screenopt.diagram import (
 )
 from screenopt.errors import IterationLimitError
 from screenopt.pareto import (
+    _argmin_norm,
     _exact_skyline,
-    ScalarizationParams,
+    _norms,
     box_search_frontier,
     brute_force_frontier,
     compute_frontier,
     diagram_problem,
     frontier_rows,
-    mawt_norm,
     nondominated,
-    solve_scalarized,
 )
 from screenopt.phase1 import natural_progression_rollout, segment_problem
 from screenopt.screening import Segment, Sex, load_parameters
@@ -62,85 +61,77 @@ def box_limit_problem():
     return segment_problem(bundle, Segment(Sex.F, 2), psi)
 
 
+def argmin_over_all(p, weights, epsilon, utopia):
+    """The candidate ``_argmin_norm`` picks over the whole space."""
+    vectors = p.unique_vectors()
+    row = _argmin_norm(p, vectors, np.arange(len(vectors)),
+                       np.asarray(weights), epsilon, np.asarray(utopia))
+    return p.representative(row)
+
+
 class TestMawtNorm:
+    """The augmented weighted Tchebychev norm, ``_norms``."""
+
     def test_zero_at_utopia(self):
-        params = ScalarizationParams((1.0, 1.0), 0.01, (1.0, 2.0), (5.0, 5.0))
-        assert mawt_norm((1.0, 2.0), params) == 0.0
+        assert _norms(np.array([[1.0, 2.0]]), np.ones(2), 0.01,
+                      np.array([1.0, 2.0])).tolist() == [0.0]
 
     def test_single_objective_formula(self):
-        params = ScalarizationParams((1.0,), 0.01, (0.0,), (10.0,))
-        assert mawt_norm((2.0,), params) == pytest.approx(2.02)
+        assert _norms(np.array([[2.0]]), np.ones(1), 0.01,
+                      np.zeros(1))[0] == pytest.approx(2.02)
 
     def test_max_selection_without_augmentation(self):
-        params = ScalarizationParams((1.0, 1.0), 0.0, (0.0, 0.0), (9.0, 9.0))
-        assert mawt_norm((1.0, 3.0), params) == 3.0
+        assert _norms(np.array([[1.0, 3.0]]), np.ones(2), 0.0,
+                      np.zeros(2)).tolist() == [3.0]
 
     def test_monotone_in_deviation(self):
         rng = np.random.default_rng(13)
-        params = ScalarizationParams((0.5, 2.0, 1.0), 1e-3,
-                                     (0.0, 0.0, 0.0), (10.0, 10.0, 10.0))
+        w = np.array([0.5, 2.0, 1.0])
         for _ in range(100):
             base = rng.uniform(0, 5, size=3)
             bumped = base.copy()
             i = rng.integers(0, 3)
             bumped[i] += rng.uniform(0, 2)
-            assert mawt_norm(tuple(bumped), params) >= \
-                mawt_norm(tuple(base), params)
-
-    def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError):
-            ScalarizationParams((0.0,), 0.1, (0.0,), (1.0,))
-        with pytest.raises(ValueError):
-            ScalarizationParams((1.0,), -0.1, (0.0,), (1.0,))
-        with pytest.raises(ValueError):
-            ScalarizationParams((1.0,), 0.1, (2.0,), (1.0,))
+            norms = _norms(np.stack([base, bumped]), w, 1e-3, np.zeros(3))
+            assert norms[1] >= norms[0]
 
 
 class TestSolveScalarized:
+    """``_argmin_norm`` over the whole space."""
+
     def test_centered_on_extreme_point(self):
         p = problem_of([[0.0, 4.0], [4.0, 0.0], [3.0, 3.0]])
-        params = ScalarizationParams((100.0, 1.0), 1e-4, (0.0, 0.0),
-                                     (4.0, 4.0))
-        point = solve_scalarized(p, params)
-        assert point.minimized == (0.0, 4.0)
+        assert argmin_over_all(p, (100.0, 1.0), 1e-4, (0.0, 0.0)) == 0
 
     def test_matches_direct_norm_scan(self):
         rng = np.random.default_rng(29)
         for _ in range(25):
             mat = rng.uniform(0, 10, size=(rng.integers(2, 40), 3))
             p = problem_of(mat)
-            w = tuple(rng.uniform(0.1, 3.0, size=3))
-            params = ScalarizationParams(
-                w, 1e-3, tuple(mat.min(axis=0)), tuple(mat.max(axis=0)))
-            point = solve_scalarized(p, params)
-            norms = [mawt_norm(tuple(row), params) for row in mat]
-            assert mawt_norm(point.minimized, params) == min(norms)
+            w = rng.uniform(0.1, 3.0, size=3)
+            utopia = mat.min(axis=0)
+            norms = _norms(mat, w, 1e-3, utopia)
+            chosen = argmin_over_all(p, w, 1e-3, utopia)
+            assert norms[chosen] == norms.min()
 
     def test_scale_covariance(self):
         # scaling by a power of two keeps every product bit-exact
         rng = np.random.default_rng(31)
         mat = rng.uniform(0, 8, size=(30, 3))
-        p = problem_of(mat)
         w = (1.5, 0.75, 2.5)
-        params = ScalarizationParams(w, 1e-3, tuple(mat.min(axis=0)),
-                                     tuple(mat.max(axis=0)))
-        chosen = solve_scalarized(p, params)
+        chosen = argmin_over_all(problem_of(mat), w, 1e-3, mat.min(axis=0))
 
         c = 4.0
         scaled = mat.copy()
         scaled[:, 1] *= c
-        p2 = problem_of(scaled)
-        params2 = ScalarizationParams(
-            (w[0], w[1] / c, w[2]), 1e-3,
-            tuple(scaled.min(axis=0)), tuple(scaled.max(axis=0)))
-        chosen2 = solve_scalarized(p2, params2)
-        assert chosen2.strategy == chosen.strategy
+        chosen2 = argmin_over_all(problem_of(scaled), (w[0], w[1] / c, w[2]),
+                                  1e-3, scaled.min(axis=0))
+        assert chosen2 == chosen
 
     def test_tie_breaks_to_smallest_key(self):
         p = problem_of([[1.0, 3.0], [3.0, 1.0]])
-        params = ScalarizationParams((1.0, 1.0), 0.0, (0.0, 0.0), (3.0, 3.0))
         # both candidates have norm 3; candidate 0 wins on its index
-        assert solve_scalarized(p, params).strategy == "candidate0"
+        assert argmin_over_all(p, (1.0, 1.0), 0.0, (0.0, 0.0)) == 0
 
 
 class TestUniqueVectors:
@@ -249,11 +240,11 @@ class TestFrontier:
                                 size=stack.shape)
             dup = rng.integers(0, n, size=n // 3)
             stack[:, rng.integers(0, n, size=len(dup))] = stack[:, dup]
-            rows = frontier_rows(stack)
+            rows, keep = frontier_rows(stack)
             mask = nondominated(stack)
             for h in range(H):
                 p = problem_of(stack[h])
-                assert rows[h].tolist() == [
+                assert rows[h, keep[h]].tolist() == [
                     int(pt.strategy.removeprefix("candidate"))
                     for pt in brute_force_frontier(p).points]
                 assert np.array_equal(mask[h], nondominated(stack[h]))
@@ -278,8 +269,8 @@ class TestFrontier:
         # (1, 2) is weakly dominated by (1, 1): an unaugmented solve with
         # weights (1, ~0) could return it, the frontier must not contain it
         p = problem_of([[1.0, 2.0], [1.0, 1.0], [0.5, 3.0]])
-        params = ScalarizationParams((1.0, 1e-9), 0.0, (0.5, 1.0), (1.0, 3.0))
-        norms = [mawt_norm(tuple(row), params) for row in p.matrix_min]
+        norms = _norms(p.matrix_min, np.array([1.0, 1e-9]), 0.0,
+                       np.array([0.5, 1.0]))
         assert norms[0] == pytest.approx(norms[1], abs=1e-8)
         for front in (box_search_frontier(p), compute_frontier(p)):
             assert {pt.minimized for pt in front.points} == \
@@ -301,12 +292,15 @@ class TestSkylineKernel:
         keys[rng.integers(0, n, size=len(dup))] = keys[dup]
         return keys
 
-    @pytest.mark.parametrize("cells,block", [(16, 4), (300, 8), (4096, 512),
-                                             (1 << 16, 512)])
-    def test_mask_equals_prefix_kernel_and_row_loop(self, monkeypatch, cells,
-                                                    block):
+    # each id names the cell budget and its skyline block of isqrt(cells)
+    # rows
+    CELLS = pytest.mark.parametrize(
+        "cells", [16, 64, 300, 4096, 1 << 16],
+        ids=lambda cells: f"{cells}-{math.isqrt(cells)}")
+
+    @CELLS
+    def test_mask_equals_prefix_kernel_and_row_loop(self, monkeypatch, cells):
         monkeypatch.setattr(screenopt.pareto, "FILTER_CELLS", cells)
-        monkeypatch.setattr(screenopt.pareto, "SKYLINE_BLOCK", block)
         rng = np.random.default_rng(263)
         for trial in range(25):
             n = int(rng.integers(2, 400))
@@ -318,13 +312,11 @@ class TestSkylineKernel:
                         for row in keys]
                 assert mask.tolist() == loop
 
-    @pytest.mark.parametrize("cells,block", [(16, 4), (300, 8), (1 << 16, 512)])
-    def test_skyline_is_the_exact_weak_skyline(self, monkeypatch, cells,
-                                               block):
+    @CELLS
+    def test_skyline_is_the_exact_weak_skyline(self, monkeypatch, cells):
         # the rows without an exact dominator are the rows no other row is
         # at most in every column
         monkeypatch.setattr(screenopt.pareto, "FILTER_CELLS", cells)
-        monkeypatch.setattr(screenopt.pareto, "SKYLINE_BLOCK", block)
         rng = np.random.default_rng(269)
         for _ in range(20):
             keys = self.planted_keys(rng, int(rng.integers(1, 300)))
@@ -359,7 +351,7 @@ class TestDiagramProblems:
                 again = expected_values(d, point.strategy)
                 assert np.allclose(point.objectives.values, again.values,
                                    atol=1e-12)
-                reoriented = [again.minimized()[i] for i in p.active]
+                reoriented = p.minimize(np.array(again.values))
                 assert np.allclose(point.minimized, reoriented, atol=1e-12)
 
     def test_attach_paths_total_probability(self, small_bundle):

@@ -20,6 +20,7 @@ import screenopt.pareto
 import screenopt.phase1
 from conftest import _random_simplex, random_params_doc, small_doc
 from oracles import (
+    VERTICES,
     DetectedFractions,
     colonoscopies_of,
     combined_total_prevalence,
@@ -43,7 +44,6 @@ from screenopt.phase1 import (
     BUDGET_TOL,
     DETECTION_TOL,
     DOMINANCE_TOL,
-    VERTICES,
     HistoryTable,
     baseline_trajectory,
     combined_total_rows,
@@ -524,7 +524,9 @@ class TestRunPhase1:
 
         monkeypatch.setattr(screenopt.phase1, "HistoryTable", Recording)
         with pytest.raises(CapacityError):
-            run_phase1(bundle, budget=1e9, periods=2, history_cap=2)
+            with monkeypatch.context() as patch:
+                patch.setattr(screenopt.phase1, "HISTORY_CAP", 2)
+                run_phase1(bundle, budget=1e9, periods=2)
         assert filled == [1] and read == []
         # the same run under the default cap: each sex fills both periods'
         # tables, prunes period 2, and returns the table without reading
@@ -567,6 +569,67 @@ class TestRunPhase1:
                 keys = {tuple(round(v, 12) for v in dominance_key(h))
                         for h in got[sex]}
                 assert keys == want[sex]
+
+
+class TestPeriodTableOrder:
+    """Each period's table, as extended and before pruning, holds its rows
+    by parent, and each parent's rows are that history's own
+    :func:`segment_frontier` in frontier order, less the points over the
+    budget."""
+
+    @staticmethod
+    def extended_tables(monkeypatch, bundle, budget):
+        extend = screenopt.phase1._extend_period
+        tables = []
+
+        def recording(*args):
+            table, evaluator = extend(*args)
+            tables.append(table)
+            return table, evaluator
+
+        with monkeypatch.context() as patch:
+            patch.setattr(screenopt.phase1, "_extend_period", recording)
+            run_phase1(bundle, budget=budget, periods=3)
+        return tables
+
+    def assert_rows_follow_frontiers(self, monkeypatch, bundle):
+        # half the largest unconstrained total, so the budget bites
+        budget = 0.5 * max(float(t.colonoscopies.max()) for t in
+                           run_phase1(bundle, budget=1e9, periods=3).values())
+        tables = self.extended_tables(monkeypatch, bundle, budget)
+        assert [t.period for t in tables] == [1, 2, 3] * 2
+        over_budget = 0
+        for table in tables:
+            assert np.all(np.diff(table.parent_row) >= 0)
+            segment = Segment(table.sex, table.period)
+            cohort = bundle.cohort_size(segment)
+            parent = table.parent
+            for p in range(1 if parent is None else len(parent)):
+                if parent is None:
+                    psi, before = bundle.starting_prevalence(table.sex), 0.0
+                else:
+                    psi = PrevalenceVector(*parent.updated[p].tolist())
+                    before = float(parent.colonoscopies[p])
+                points = segment_frontier(bundle, segment, psi).points
+                want = [pt.strategy.key for pt in points
+                        if before + -pt.objectives.by_name("colonoscopy")
+                        * cohort <= budget + BUDGET_TOL]
+                got = [table.strategies[s].key
+                       for s in table.strategy[table.parent_row == p]]
+                assert got == want
+                over_budget += len(points) - len(want)
+        assert over_budget  # the budget removed some frontier points
+
+    def test_shipped_parameters(self, monkeypatch, default_bundle):
+        self.assert_rows_follow_frontiers(monkeypatch, default_bundle)
+
+    def test_random_documents(self, monkeypatch):
+        rng = np.random.default_rng(337)
+        for trial in range(2):
+            doc = random_params_doc(rng, periods=3, n_cutoffs=2 + trial,
+                                    monotone=bool(trial), fix_exam=False)
+            bundle, _ = load_parameters(doc)
+            self.assert_rows_follow_frontiers(monkeypatch, bundle)
 
 
 class TestLineage:
