@@ -14,7 +14,9 @@ Exit codes: 0 success (also --help and --version), 1 validation failure,
 usage error or unusable --out, 2 infeasible or over capacity (including the
 box-search iteration limit, reachable only under --cross-check), 3 internal
 check mismatch (each period's first history is checked in every run, the
-rest under --cross-check).
+rest under --cross-check). ``--out`` is created after the argument checks
+and before the first solve, so an unusable one fails fast, and an exit 2 or
+3 leaves it empty.
 """
 
 from __future__ import annotations
@@ -295,13 +297,13 @@ def _cmd_segment(args) -> int:
     bundle, _, _, digest = _load(args)
     if not (1 <= args.period <= bundle.periods):
         raise ValueError(f"period must be within 1..{bundle.periods}")
+    mask = _mask(args)
+    args.out.mkdir(parents=True, exist_ok=True)
     sex = Sex(args.sex)
     segment = Segment(sex, args.period)
     psi = _rollout_prevalence(bundle, sex, args.period)
-    frontier = segment_frontier(bundle, segment, psi, _mask(args),
-                                args.cross_check)
+    frontier = segment_frontier(bundle, segment, psi, mask, args.cross_check)
 
-    args.out.mkdir(parents=True, exist_ok=True)
     rows = []
     for point in frontier.points:
         encoding = strategy_encoding(frontier.problem.diagram, point.strategy)
@@ -327,11 +329,19 @@ def _parse_budgets(raw: str) -> list[float]:
     return sorted(budgets)
 
 
+def _periods(args, bundle: ParameterBundle) -> int:
+    periods = args.periods if args.periods is not None else bundle.periods
+    if not (1 <= periods <= bundle.periods):
+        raise ValueError(f"periods must be within 1..{bundle.periods}")
+    return periods
+
+
 def _cmd_pipeline(args) -> int:
     bundle, _, _, digest = _load(args)
     budgets = _parse_budgets(args.budgets)
     mask = _mask(args)
-    periods = args.periods if args.periods is not None else bundle.periods
+    periods = _periods(args, bundle)
+    args.out.mkdir(parents=True, exist_ok=True)
 
     histories = run_phase1(bundle, budget=max(budgets), periods=periods,
                            objective_mask=mask, cross_check=args.cross_check)
@@ -346,7 +356,6 @@ def _cmd_pipeline(args) -> int:
         raise OracleMismatchError(
             "budget sweep differs from the dense pair scan")
 
-    args.out.mkdir(parents=True, exist_ok=True)
     _write_manifest(args, bundle, budgets, periods, digest)
     for sex in (Sex.F, Sex.M):
         _write_histories(args.out, digest, sex, histories[sex], keys[sex],
@@ -514,9 +523,7 @@ def _write_series(out: Path, digest: str, bundle, results, histories,
 
 def _cmd_baseline(args) -> int:
     bundle, _, _, digest = _load(args)
-    periods = args.periods if args.periods is not None else bundle.periods
-    if not (1 <= periods <= bundle.periods):
-        raise ValueError(f"periods must be within 1..{bundle.periods}")
+    periods = _periods(args, bundle)
     args.out.mkdir(parents=True, exist_ok=True)
     columns = ("sex", "period", "age",
                "start_normal", "start_benign", "start_large", "start_crc",

@@ -9,6 +9,13 @@ information state of every decision node; the probability of a path under a
 strategy is the product of chance probabilities along it when the path
 agrees with the strategy at every decision node, and zero otherwise.
 
+A :class:`StrategyEvaluator` is one strategy space: the strategies of a
+diagram with the decision rules given at construction pinned. It numbers
+them once, in the order of :func:`enumerate_strategies` (each free
+(decision node, information state) slot a mixed-radix digit, slot 0 most
+significant), decodes a number, and evaluates every strategy at once under
+replacement chance tables.
+
 Everything here is immutable after construction and all operations are pure,
 so diagrams can be shared freely across threads.
 """
@@ -127,10 +134,13 @@ class InfluenceDiagram:
         """node_id -> index into a Path tuple."""
         return {n.node_id: i for i, n in enumerate(self.path_nodes)}
 
+    def info_shape(self, node: Node) -> tuple[int, ...]:
+        """State counts of ``node``'s predecessors, in predecessor order."""
+        return tuple(len(self.by_id[p].states) for p in node.predecessors)
+
     def info_states(self, node: Node) -> Iterator[InfoState]:
         """All information states of ``node`` in lexicographic order."""
-        ranges = [range(len(self.by_id[p].states)) for p in node.predecessors]
-        return itertools.product(*ranges)
+        return itertools.product(*map(range, self.info_shape(node)))
 
     def info_state_of(self, node: Node, path: Path) -> InfoState:
         pos = self.path_position
@@ -141,15 +151,8 @@ class InfluenceDiagram:
 
     def strategy_count(self, fixed: Sequence[int] = ()) -> int:
         """Number of global strategies, excluding decision nodes in ``fixed``."""
-        total = 1
-        for n in self.decision_nodes:
-            if n.node_id in fixed:
-                continue
-            info_count = math.prod(
-                len(self.by_id[p].states) for p in n.predecessors
-            )
-            total *= len(n.states) ** info_count
-        return total
+        return math.prod(len(n.states) ** math.prod(self.info_shape(n))
+                         for n in self.decision_nodes if n.node_id not in fixed)
 
 
 @dataclass(frozen=True)
@@ -289,12 +292,24 @@ def _check_table_domain(diagram, node, keys, what) -> list[Violation]:
 # Paths and probabilities
 # ---------------------------------------------------------------------------
 
+def _check_ceiling(count: int, ceiling: int, what: str) -> None:
+    if count > ceiling:
+        raise CapacityError(
+            f"{count} {what} exceed the configured ceiling of {ceiling}")
+
+
+def _cpt_row(diagram: InfluenceDiagram, node: Node,
+             info: InfoState) -> tuple[float, ...]:
+    try:
+        return diagram.cpts[node.node_id][info]
+    except KeyError:
+        raise StructuralError(f"node {node.node_id} has no CPT row for "
+                              f"{_info_labels(diagram, node, info)}") from None
+
+
 def enumerate_paths(diagram: InfluenceDiagram) -> Iterator[Path]:
     """Yield every path once, in lexicographic node-state order."""
-    count = diagram.path_count()
-    if count > PATH_CEILING:
-        raise CapacityError(
-            f"{count} paths exceed the configured ceiling of {PATH_CEILING}")
+    _check_ceiling(diagram.path_count(), PATH_CEILING, "paths")
     ranges = [range(len(n.states)) for n in diagram.path_nodes]
     return itertools.product(*ranges)
 
@@ -303,13 +318,7 @@ def upper_bound_probability(diagram: InfluenceDiagram, path: Path) -> float:
     """p(s): product of chance-node CPT entries along ``path``."""
     prob = 1.0
     for node in diagram.chance_nodes:
-        info = diagram.info_state_of(node, path)
-        try:
-            row = diagram.cpts[node.node_id][info]
-        except KeyError:
-            labels = _info_labels(diagram, node, info)
-            raise StructuralError(
-                f"node {node.node_id} has no CPT row for {labels}") from None
+        row = _cpt_row(diagram, node, diagram.info_state_of(node, path))
         prob *= row[path[diagram.path_position[node.node_id]]]
     return prob
 
@@ -385,10 +394,8 @@ def enumerate_strategies(
     """
     fixed = dict(fixed or {})
     free = [n for n in diagram.decision_nodes if n.node_id not in fixed]
-    count = diagram.strategy_count(fixed=tuple(fixed))
-    if count > STRATEGY_CEILING:
-        raise CapacityError(f"{count} strategies exceed the configured "
-                            f"ceiling of {STRATEGY_CEILING}")
+    _check_ceiling(diagram.strategy_count(fixed=tuple(fixed)),
+                   STRATEGY_CEILING, "strategies")
 
     sizes: list[range] = []
     for node in free:
@@ -455,13 +462,7 @@ def expected_values(diagram: InfluenceDiagram,
             walk(depth + 1, prefix, prob)
             prefix.pop()
         else:
-            try:
-                row = diagram.cpts[node.node_id][info]
-            except KeyError:
-                labels = _info_labels(diagram, node, info)
-                raise StructuralError(
-                    f"node {node.node_id} has no CPT row for {labels}") from None
-            for state, p in enumerate(row):
+            for state, p in enumerate(_cpt_row(diagram, node, info)):
                 prefix.append(state)
                 walk(depth + 1, prefix, prob * p)
                 prefix.pop()
@@ -479,25 +480,14 @@ def expected_values(diagram: InfluenceDiagram,
 # Vectorized whole-space evaluation
 # ---------------------------------------------------------------------------
 
-def _dense_cpt(table: Mapping[InfoState, tuple[float, ...]],
-               shape: tuple[int, ...]) -> np.ndarray:
-    """A CPT as an array indexed by (information state..., state)."""
+def _dense(table: Mapping[InfoState, float | tuple[float, ...]],
+           shape: tuple[int, ...]) -> np.ndarray:
+    """A CPT or value table as an array indexed by information state (and,
+    for a CPT, state)."""
     dense = np.zeros(shape)
-    for info, row in table.items():
-        dense[info] = row
+    for info, entry in table.items():
+        dense[info] = entry
     return dense
-
-
-def index_digits(index: int, sizes: Sequence[int]) -> tuple[int, ...]:
-    """Mixed-radix digits of ``index``, the first size most significant."""
-    digits = [0] * len(sizes)
-    for s in range(len(sizes) - 1, -1, -1):
-        index, digits[s] = divmod(index, sizes[s])
-    return tuple(digits)
-
-
-def _rules_key(fixed: Mapping[int, LocalStrategy]) -> tuple:
-    return tuple(fixed[nid].key() for nid in sorted(fixed))
 
 
 class _Paths(NamedTuple):
@@ -511,174 +501,118 @@ class _Paths(NamedTuple):
 
 
 class StrategyEvaluator:
-    """Evaluates expected values for many strategies of one diagram at once.
+    """Expected values of every strategy of one strategy space at once: the
+    strategies of ``diagram`` with the decision nodes in ``fixed`` pinned to
+    their rules.
+
+    A strategy is numbered by its free slots, one per (free decision node,
+    information state) in node and then lexicographic order: its action at
+    slot s is digit s of the mixed-radix index, slot 0 most significant.
+    That is the order of :func:`enumerate_strategies`; :meth:`strategy`
+    decodes an index and rows of :meth:`objective_matrix` follow it.
 
     Paths are condensed by their decision signature -- the tuple of
     (information state, action) pairs over decision nodes -- so evaluating a
     strategy reduces to summing a handful of pre-aggregated rows instead of
-    walking every path. Row order of :meth:`objective_matrix` matches
-    :func:`enumerate_strategies` exactly.
-
-    Everything that depends only on the diagram's nodes and value tables
-    (the signature sort, the CPT gather indices, the utility rows and the
-    per-strategy accumulation indices) is computed once. So one evaluator
-    serves a whole phase-1 run: every segment diagram has the same nodes
-    and values, and is evaluated through it with its own chance tables.
+    walking every path. Everything that depends only on the diagram's nodes
+    and value tables and on the fixed rules (the signature sort, the CPT
+    gather indices, the utility rows and the per-strategy accumulation
+    plan) is computed once, and the path and strategy ceilings are checked
+    then. So one evaluator serves a whole phase-1 run: every segment
+    diagram has the same nodes and values, and is evaluated through it with
+    its own chance tables.
     """
 
-    def __init__(self, diagram: InfluenceDiagram):
-        self.diagram = diagram
-        d = diagram
+    def __init__(self, diagram: InfluenceDiagram,
+                 fixed: Mapping[int, LocalStrategy] | None = None):
+        self.diagram = d = diagram
+        self.fixed = dict(fixed or {})
         sizes = [len(n.states) for n in d.path_nodes]
         n_paths = math.prod(sizes)
-        if n_paths > PATH_CEILING:
-            raise CapacityError(f"{n_paths} paths exceed ceiling {PATH_CEILING}")
+        _check_ceiling(n_paths, PATH_CEILING, "paths")
+        count = d.strategy_count(fixed=tuple(self.fixed))
+        _check_ceiling(count, STRATEGY_CEILING, "strategies")
+        self._free = tuple(n for n in d.decision_nodes
+                           if n.node_id not in self.fixed)
+        self._slots = tuple(len(n.states) for n in self._free
+                            for _ in d.info_states(n))
 
         # Path grid: one column of state ordinals per chance/decision node.
         # Only the gather indices derived from it outlive the constructor.
         grid = np.indices(sizes, dtype=np.int64).reshape(len(sizes), n_paths).T
         pos = d.path_position
 
-        # Decision signature of every path, mixed-radix combined.
-        self._info_counts = []
-        radix = np.zeros(n_paths, dtype=np.int64)
-        self._strides: list[tuple[int, int]] = []  # (stride, action base) per node
-        span = 1
-        for node in d.decision_nodes:
-            pred_sizes = [len(d.by_id[p].states) for p in node.predecessors]
-            m = math.prod(pred_sizes)
-            k = len(node.states)
-            self._info_counts.append(m)
-            if span > (2**62) // max(m * k, 1):
-                raise CapacityError("decision signature space overflows int64")
-            info_idx = np.zeros(n_paths, dtype=np.int64)
-            for p, s in zip(node.predecessors, pred_sizes):
-                info_idx = info_idx * s + grid[:, pos[p]]
-            local = info_idx * k + grid[:, pos[node.node_id]]
-            radix = radix * (m * k) + local
-            self._strides.append((m, k))
-            span *= m * k
+        def entries(node: Node) -> np.ndarray:
+            """Every path's flat index into ``node``'s (information
+            state..., state) array."""
+            cols = tuple(grid[:, pos[p]]
+                         for p in node.predecessors + (node.node_id,))
+            return np.ravel_multi_index(
+                cols, d.info_shape(node) + (len(node.states),))
 
+        # Decision signature of every path, mixed-radix combined.
+        widths = [math.prod(d.info_shape(n)) * len(n.states)
+                  for n in d.decision_nodes]
+        radix = np.zeros(n_paths, dtype=np.int64)
+        span = 1
+        for node, width in zip(d.decision_nodes, widths):
+            if span > (2**62) // max(width, 1):
+                raise CapacityError("decision signature space overflows int64")
+            radix = radix * width + entries(node)
+            span *= width
         order = np.argsort(radix, kind="stable")
         self._sig_values, starts = np.unique(radix[order], return_index=True)
 
-        # Per chance node, in diagram order: the flat index of every path's
-        # CPT entry (paths in signature order).
-        self._chance: list[tuple[Node, tuple[int, ...]]] = []
-        flats = []
-        for node in d.chance_nodes:
-            shape = tuple(len(d.by_id[p].states) for p in node.predecessors) \
-                + (len(node.states),)
-            cols = [grid[:, pos[p]] for p in node.predecessors]
-            cols.append(grid[:, pos[node.node_id]])
-            flat = np.ravel_multi_index(tuple(cols), shape)[order]
-            self._chance.append((node, shape))
-            flats.append(flat)
-
+        self._chance = [(n.node_id, d.info_shape(n) + (len(n.states),))
+                        for n in d.chance_nodes]
         utility = np.zeros((n_paths, len(d.value_nodes)))
         for i, node in enumerate(d.value_nodes):
-            spec = d.values[node.node_id]
-            pred_sizes = [len(d.by_id[p].states) for p in node.predecessors]
-            dense = np.zeros(pred_sizes or [1])
-            for info, value in spec.table.items():
-                dense[info if info else (0,)] = value
-            cols = tuple(grid[:, pos[p]] for p in node.predecessors) or (
-                np.zeros(n_paths, dtype=np.int64),)
-            utility[:, i] = dense[cols]
-        self._paths = _Paths(tuple(flats), utility[order], starts)
+            utility[:, i] = _dense(d.values[node.node_id].table,
+                                   d.info_shape(node))[
+                tuple(grid[:, pos[p]] for p in node.predecessors)]
+        self._paths = _Paths(tuple(entries(n)[order] for n in d.chance_nodes),
+                             utility[order], starts)
         self._n_values = len(d.value_nodes)
-        self._plans: dict[tuple, list[np.ndarray]] = {}
 
-    def _condense(self, cpts: Mapping[int, Mapping[InfoState, tuple[float, ...]]]
-                  | None) -> np.ndarray:
-        """Probability-weighted utility of every path, summed per decision
-        signature; the oracle of :meth:`objective_matrix`.
-
-        ``cpts`` replaces the tables of some chance nodes; the diagram's own
-        tables supply the rest.
-        """
-        tables, _ = self._tables(cpts)
-        paths = self._paths
-        prob = np.ones(len(paths.utility))
-        for (node, _), flat in zip(self._chance, paths.flats):
-            prob *= tables[node.node_id][0, flat]
-        weighted = prob[:, None] * paths.utility
-        condensed = np.add.reduceat(weighted, paths.starts, axis=0)
-        # A trailing zero row for strategies with no compatible signature.
-        return np.concatenate([condensed, np.zeros((1, condensed.shape[1]))])
-
-    def _slot_layout(self, fixed_ids: set[int]):
-        """Slot sizes and index bookkeeping for the free decision nodes."""
-        slot_sizes = []
-        slot_of = {}
-        for node in self.diagram.decision_nodes:
-            if node.node_id in fixed_ids:
-                continue
-            for i in range(self._info_count(node)):
-                slot_of[(node.node_id, i)] = len(slot_sizes)
-                slot_sizes.append(len(node.states))
-        return slot_sizes, slot_of
-
-    def _info_count(self, node) -> int:
-        return math.prod(
-            len(self.diagram.by_id[p].states) for p in node.predecessors)
-
-    def _accumulation_plan(self, fixed: Mapping[int, LocalStrategy]
-                           ) -> list[np.ndarray]:
-        """Per information-state combination, the condensed row each
-        strategy adds: its compatible signature's row, or the trailing zero
-        row when it has none.
-
-        Strategy row order matches :func:`enumerate_strategies`: slot 0 is
-        the most significant digit of the mixed-radix strategy index. Plans
-        depend only on the fixed rules and are kept per rule set.
-        """
-        plan_key = _rules_key(fixed)
-        if plan_key in self._plans:
-            return self._plans[plan_key]
-        d = self.diagram
-        count = d.strategy_count(fixed=tuple(fixed))
-        slot_sizes, slot_of = self._slot_layout(set(fixed))
-        actions = np.zeros((count, len(slot_sizes)), dtype=np.int64)
-        stride = count
-        idx = np.arange(count)
-        for s, size in enumerate(slot_sizes):
-            stride //= size
-            actions[:, s] = (idx // stride) % size
-
-        plan = []
-        info_ranges = [range(m) for m in self._info_counts]
-        for combo in itertools.product(*info_ranges):
+        # The accumulation plan: per combination of the decision nodes'
+        # information states, the condensed row each strategy adds -- its
+        # compatible signature's, or the trailing zero row when it has none.
+        columns = iter(np.unravel_index(np.arange(count), self._slots)
+                       if self._slots else ())
+        terms = []
+        for node in d.decision_nodes:
+            k, rule = len(node.states), self.fixed.get(node.node_id)
+            terms.append([i * k + (rule.rule[info] if rule else next(columns))
+                          for i, info in enumerate(d.info_states(node))])
+        known = self._sig_values
+        self._plan = []
+        for combo in itertools.product(*terms):
             sig = np.zeros(count, dtype=np.int64)
-            for j, node in enumerate(d.decision_nodes):
-                m, k = self._strides[j]
-                i = combo[j]
-                if node.node_id in fixed:
-                    act = fixed[node.node_id].rule[index_digits(i, [
-                        len(d.by_id[p].states) for p in node.predecessors])]
-                    sig = sig * (m * k) + i * k + act
-                else:
-                    col = actions[:, slot_of[(node.node_id, i)]]
-                    sig = sig * (m * k) + (i * k + col)
-            hit = np.searchsorted(self._sig_values, sig)
-            hit_ok = hit < len(self._sig_values)
-            hit_clipped = np.minimum(hit, len(self._sig_values) - 1)
-            valid = hit_ok & (self._sig_values[hit_clipped] == sig)
-            plan.append(np.where(valid, hit_clipped, len(self._sig_values)))
-        self._plans[plan_key] = plan
-        return plan
+            for width, term in zip(widths, combo):
+                sig = sig * width + term
+            hit = np.minimum(np.searchsorted(known, sig), len(known) - 1)
+            self._plan.append(np.where(known[hit] == sig, hit, len(known)))
 
-    def _tables(self, cpts) -> tuple[dict[int, np.ndarray], bool]:
-        """Every chance node's table as a (batch rows x entries) array, the
-        diagram's own where ``cpts`` does not replace it, and whether any
-        replacement came with a batch axis."""
+    def strategy(self, index: int) -> GlobalStrategy:
+        """The strategy numbered ``index``: the fixed rules, and each free
+        slot's action the index's digit there."""
+        d, digits = self.diagram, iter(np.unravel_index(index, self._slots))
+        rules = dict(self.fixed)
+        for node in self._free:
+            rules[node.node_id] = LocalStrategy(node.node_id, {
+                info: int(next(digits)) for info in d.info_states(node)})
+        return GlobalStrategy(rules)
+
+    def _tables(self, cpts) -> tuple[list[np.ndarray], bool]:
+        """Every chance node's table as a (batch rows x entries) array, in
+        chance-node order, the diagram's own where ``cpts`` does not replace
+        it, and whether any replacement came with a batch axis."""
         cpts = cpts or {}
-        shapes = {node.node_id: shape for node, shape in self._chance}
-        unknown = set(cpts) - set(shapes)
+        unknown = set(cpts) - {node_id for node_id, _ in self._chance}
         if unknown:
             raise ValueError(f"no chance node with id {min(unknown)}")
-        tables, batched = {}, False
-        for node_id, shape in shapes.items():
+        tables, batched = [], False
+        for node_id, shape in self._chance:
             table = cpts.get(node_id, self.diagram.cpts[node_id])
             if isinstance(table, np.ndarray):
                 if table.shape[1:] != shape:
@@ -686,14 +620,13 @@ class StrategyEvaluator:
                         f"table of node {node_id} has shape {table.shape}, "
                         f"not (rows,) + {shape}")
                 batched = True
-                tables[node_id] = table.reshape(len(table), math.prod(shape))
+                tables.append(table.reshape(len(table), math.prod(shape)))
             else:
-                tables[node_id] = _dense_cpt(table, shape).reshape(1, -1)
+                tables.append(_dense(table, shape).reshape(1, -1))
         return tables, batched
 
     def objective_matrix(
         self,
-        fixed: Mapping[int, LocalStrategy] | None = None,
         cpts: Mapping[int, Mapping[InfoState, tuple[float, ...]] | np.ndarray]
         | None = None,
         strategies: np.ndarray | None = None,
@@ -726,17 +659,12 @@ class StrategyEvaluator:
         which keeps the reference's pairwise order. Batch rows are
         processed in blocks of at most ``BATCH_CELLS`` term cells.
         """
-        fixed = dict(fixed or {})
-        count = self.diagram.strategy_count(fixed=tuple(fixed))
-        if count > STRATEGY_CEILING:
-            raise CapacityError(f"{count} strategies exceed the configured "
-                                f"ceiling of {STRATEGY_CEILING}")
-        plan = self._accumulation_plan(fixed)
+        plan = self._plan
         if strategies is not None:
             strategies = np.asarray(strategies, dtype=np.intp)
             plan = [rows[strategies] for rows in plan]
-        tables, batched = self._tables(cpts)
-        batch = max((len(t) for t in tables.values()), default=1)
+        factors, batched = self._tables(cpts)
+        batch = max((len(t) for t in factors), default=1)
 
         # The signatures the plan rows use, renumbered in order, and the
         # zero row last.
@@ -752,7 +680,6 @@ class StrategyEvaluator:
         paths = self._paths
         bounds = np.append(paths.starts, len(paths.utility))
         live = np.repeat(used[:n_sigs], np.diff(bounds))
-        factors = [tables[node.node_id] for node, _ in self._chance]
         for table, flat in zip(factors, paths.flats):
             live &= np.any(table != 0, axis=0)[flat]
         live = np.flatnonzero(live)
@@ -804,14 +731,26 @@ class StrategyEvaluator:
 
     def dense_objective_matrix(
         self,
-        fixed: Mapping[int, LocalStrategy] | None = None,
         cpts: Mapping[int, Mapping[InfoState, tuple[float, ...]]] | None = None,
     ) -> np.ndarray:
         """Every strategy's expected values from every path's term (the
-        oracle of :meth:`objective_matrix`, one evaluation)."""
-        condensed = self._condense(cpts)
-        plan = self._accumulation_plan(dict(fixed or {}))
-        out = np.zeros((len(plan[0]), self._n_values))
-        for rows in plan:
+        oracle of :meth:`objective_matrix`, one evaluation): each path's
+        probability-weighted utility, summed per decision signature, then
+        per strategy over its plan rows.
+
+        ``cpts`` replaces the tables of some chance nodes; the diagram's own
+        tables supply the rest.
+        """
+        tables, _ = self._tables(cpts)
+        paths = self._paths
+        prob = np.ones(len(paths.utility))
+        for table, flat in zip(tables, paths.flats):
+            prob *= table[0, flat]
+        # A trailing zero row for strategies with no compatible signature.
+        condensed = np.zeros((len(paths.starts) + 1, self._n_values))
+        condensed[:-1] = np.add.reduceat(prob[:, None] * paths.utility,
+                                         paths.starts, axis=0)
+        out = np.zeros((len(self._plan[0]), self._n_values))
+        for rows in self._plan:
             out += condensed[rows]
         return out

@@ -1,5 +1,10 @@
 """Complete nondominated frontiers of finite, fully evaluated problems.
 
+A ``DiagramProblem`` holds every strategy of one evaluator's strategy space
+(``diagram.StrategyEvaluator``): candidate i is the evaluator's strategy i,
+and an evaluator shared between problems must have their nodes, value
+tables and fixed rules.
+
 ``compute_frontier`` is the production path: one vectorized nondominated
 filter and near-duplicate merge (``frontier_rows``) over the distinct
 objective vectors. ``frontier_rows`` also solves a whole stack of
@@ -38,7 +43,6 @@ from .diagram import (
     LocalStrategy,
     ObjectiveVector,
     StrategyEvaluator,
-    index_digits,
 )
 from .errors import IterationLimitError
 
@@ -148,26 +152,28 @@ class EnumeratedProblem:
 
 
 class DiagramProblem(EnumeratedProblem):
-    """EnumeratedProblem over every strategy of an influence diagram.
+    """EnumeratedProblem over every strategy of an influence diagram, with
+    the decision nodes in ``fixed`` pinned; candidate i is the evaluator's
+    strategy i.
 
     ``evaluator`` may come from another diagram with the same nodes and
-    value tables: the problem then evaluates through it with its own
-    diagram's chance tables, which gives the bits of a fresh evaluator.
+    value tables, built under the same fixed rules: the problem then
+    evaluates through it with its own diagram's chance tables, which gives
+    the bits of a fresh evaluator.
     """
 
     def __init__(self, diagram: InfluenceDiagram,
                  objective_mask: Sequence[str] | None = None,
                  fixed: Mapping[int, LocalStrategy] | None = None,
                  evaluator: StrategyEvaluator | None = None):
-        if evaluator is not None and \
-                _structure(evaluator.diagram) != _structure(diagram):
+        fixed = dict(fixed or {})
+        if evaluator is not None and _structure(diagram, fixed) != \
+                _structure(evaluator.diagram, evaluator.fixed):
             raise ValueError("the evaluator was built for a diagram with "
-                             "other nodes or value tables")
+                             "other nodes or value tables, or other fixed "
+                             "rules")
         self.diagram = diagram
-        self.fixed = dict(fixed or {})
-        self.evaluator = evaluator or StrategyEvaluator(diagram)
-        self._slots = self.evaluator._slot_layout(set(self.fixed))[0]
-        self._strategies: dict[int, GlobalStrategy] = {}
+        self.evaluator = evaluator or StrategyEvaluator(diagram, fixed)
         reported = self.objective_matrix()
         names = tuple(n.name for n in diagram.value_nodes)
         orientations = tuple(diagram.values[n.node_id].orientation
@@ -185,40 +191,27 @@ class DiagramProblem(EnumeratedProblem):
         super().__init__(reported, orientations, names, active=active)
 
     def objective_matrix(self, cpts=None, strategies=None) -> np.ndarray:
-        """:meth:`StrategyEvaluator.objective_matrix` under the fixed rules,
-        with this diagram's chance tables and ``cpts`` replacing some."""
+        """:meth:`StrategyEvaluator.objective_matrix` with this diagram's
+        chance tables and ``cpts`` replacing some."""
         return self.evaluator.objective_matrix(
-            fixed=self.fixed, cpts={**self.diagram.cpts, **(cpts or {})},
-            strategies=strategies)
+            cpts={**self.diagram.cpts, **(cpts or {})}, strategies=strategies)
 
     def dense_objective_matrix(self, cpts=None) -> np.ndarray:
         """The dense oracle of :meth:`objective_matrix`."""
         return self.evaluator.dense_objective_matrix(
-            fixed=self.fixed, cpts={**self.diagram.cpts, **(cpts or {})})
+            cpts={**self.diagram.cpts, **(cpts or {})})
 
     def strategy(self, index: int) -> GlobalStrategy:
-        if index in self._strategies:
-            return self._strategies[index]
-        d = self.diagram
-        digits = list(index_digits(index, self._slots))
-        rules: dict[int, LocalStrategy] = dict(self.fixed)
-        offset = 0
-        for node in d.decision_nodes:
-            if node.node_id in self.fixed:
-                continue
-            rule = {}
-            for info in d.info_states(node):
-                rule[info] = digits[offset]
-                offset += 1
-            rules[node.node_id] = LocalStrategy(node.node_id, rule)
-        strategy = self._strategies[index] = GlobalStrategy(rules)
-        return strategy
+        return self.evaluator.strategy(index)
 
 
-def _structure(d: InfluenceDiagram) -> tuple:
-    """What an evaluator of ``d`` depends on: the nodes and value tables."""
+def _structure(d: InfluenceDiagram,
+               fixed: Mapping[int, LocalStrategy]) -> tuple:
+    """What an evaluator of ``d`` under ``fixed`` depends on: the nodes,
+    value tables and fixed rules."""
     return d.nodes, {i: (v.table, v.orientation, v.unit)
-                     for i, v in d.values.items()}
+                     for i, v in d.values.items()}, {
+        i: rule.key() for i, rule in fixed.items()}
 
 
 def sorted_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

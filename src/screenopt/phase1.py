@@ -491,17 +491,17 @@ class BaselinePeriod:
 
 
 def baseline_trajectory(params: ParameterBundle, sex: Sex,
-                        periods: int | None = None) -> list[BaselinePeriod]:
-    """No-screening reference: the same recurrences with zero detections,
-    with the same population-weighted total-prevalence bookkeeping."""
-    K = periods if periods is not None else params.periods
+                        periods: int) -> list[BaselinePeriod]:
+    """No-screening reference over ``periods`` periods: the same
+    recurrences with zero detections, with the same population-weighted
+    total-prevalence bookkeeping."""
     rollout = natural_progression_rollout(
         params.starting_prevalence(sex),
-        params.transitions[sex.value], K)
+        params.transitions[sex.value], periods)
     out = []
     total = None
     weight = 0.0
-    for k in range(1, K + 1):
+    for k in range(1, periods + 1):
         cohort = params.cohort_size(Segment(sex, k))
         psi = np.array([rollout[k].as_tuple()])
         total = psi if total is None else \

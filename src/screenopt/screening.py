@@ -212,11 +212,9 @@ class ParameterBundle:
     def cohort_size(self, segment: Segment) -> float:
         return self.population[segment.sex.value][segment.period - 1]
 
-    def total_population(self, sex: Sex, periods: int | None = None) -> float:
-        sizes = self.population[sex.value]
-        if periods is not None:
-            sizes = sizes[:periods]
-        return math.fsum(sizes)
+    def total_population(self, sex: Sex, periods: int) -> float:
+        """Cohort sizes of ``sex`` summed over periods 1..``periods``."""
+        return math.fsum(self.population[sex.value][:periods])
 
 
 @dataclass

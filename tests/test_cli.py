@@ -144,6 +144,7 @@ class TestSegment:
         assert main(["segment", "--sex", "F", "--period", "9",
                      "--params", str(small_params),
                      "--out", str(tmp_path / "x")]) == 1
+        assert not (tmp_path / "x").exists()
 
     def test_cross_check_passes_where_old_box_limit_failed(self, tmp_path):
         # needs 143 box solves, over the former limit of 130 (ten per
@@ -227,6 +228,15 @@ class TestPipeline:
         _, header, rows = read_csv(out / "policy_table.csv")
         assert header == ["case", "budget", "sex", "age_60"]
         assert len(rows) == 2
+
+    def test_periods_out_of_range_makes_no_out(self, small_params,
+                                               tmp_path, capsys):
+        # the --periods check runs before --out is made
+        out = tmp_path / "x"
+        assert main(["pipeline", "--budgets", "500", "--periods", "99",
+                     "--params", str(small_params), "--out", str(out)]) == 1
+        assert "periods must be within" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_budget_zero_rejected(self, small_params, tmp_path, capsys):
         assert main(["pipeline", "--budgets", "0,10",
@@ -317,13 +327,13 @@ class TestPipeline:
 
     def test_dense_evaluation_mismatch_exits_three(self, small_params,
                                                    tmp_path, monkeypatch):
-        condense = screenopt.diagram.StrategyEvaluator._condense
+        dense = screenopt.diagram.StrategyEvaluator.dense_objective_matrix
 
-        def nudged(self, cpts):
-            return np.nextafter(condense(self, cpts), np.inf)
+        def nudged(self, cpts=None):
+            return np.nextafter(dense(self, cpts), np.inf)
 
-        monkeypatch.setattr(screenopt.diagram.StrategyEvaluator, "_condense",
-                            nudged)
+        monkeypatch.setattr(screenopt.diagram.StrategyEvaluator,
+                            "dense_objective_matrix", nudged)
         assert main(["pipeline", "--budgets", "500,1500,4000",
                      "--params", str(small_params),
                      "--out", str(tmp_path / "x"), "--cross-check"]) == 3
@@ -555,9 +565,15 @@ class TestCommandLineErrors:
         ["baseline"]])
     @pytest.mark.parametrize("under", [False, True])
     def test_unusable_out_exits_one_naming_the_path(
-            self, small_params, tmp_path, capsys, command, under):
+            self, small_params, tmp_path, capsys, monkeypatch, command,
+            under):
         # a file as --out, or a path under a file, gives exit 1 and one
-        # stderr line naming the path, not a traceback
+        # stderr line naming the path, not a traceback, before any solve
+        def never(*args, **kwargs):
+            raise AssertionError("solved before --out was made")
+
+        monkeypatch.setattr(screenopt.cli, "run_phase1", never)
+        monkeypatch.setattr(screenopt.cli, "segment_frontier", never)
         blocker = tmp_path / "file"
         blocker.write_text("")
         out = blocker / "sub" if under else blocker

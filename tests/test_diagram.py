@@ -328,6 +328,28 @@ class TestStrategyEnumeration:
         with pytest.raises(CapacityError):
             list(enumerate_strategies(d))
 
+    @pytest.mark.parametrize("ceiling", ["PATH_CEILING", "STRATEGY_CEILING"])
+    def test_evaluator_checks_capacity_at_construction(self, monkeypatch,
+                                                       ceiling):
+        # 8 paths and 4 strategies, 2 with d0 pinned
+        nodes = (
+            Node(0, NodeKind.DECISION, "d0", ("a", "b")),
+            Node(1, NodeKind.DECISION, "d1", ("a", "b")),
+            Node(2, NodeKind.CHANCE, "c", ("x", "y"), (1,)),
+        )
+        d = InfluenceDiagram(nodes, {2: {(0,): (0.5, 0.5),
+                                         (1,): (0.5, 0.5)}}, {})
+        monkeypatch.setattr(screenopt.diagram, ceiling, 3)
+        with pytest.raises(CapacityError):
+            StrategyEvaluator(d)
+        pinned = {0: LocalStrategy(0, {(): 1})}
+        if ceiling == "PATH_CEILING":
+            with pytest.raises(CapacityError):
+                StrategyEvaluator(d, pinned)
+        else:
+            assert StrategyEvaluator(d, pinned).strategy(1).key == \
+                ((0, (((), 1),)), (1, (((), 1),)))
+
     def test_fixed_rules_pin_node(self):
         nodes = (
             Node(0, NodeKind.DECISION, "d0", ("a", "b")),

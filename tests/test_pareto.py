@@ -404,9 +404,12 @@ class TestDiagramProblems:
                                                             rule)})
             for fixed in fixings:
                 p = diagram_problem(d, fixed=fixed)
-                enumerated = list(enumerate_strategies(d, fixed=fixed))
+                enumerated = [z.key for z in
+                              enumerate_strategies(d, fixed=fixed)]
                 assert [p.strategy(i).key for i in range(p.n_candidates)] \
-                    == [z.key for z in enumerated]
+                    == enumerated
+                assert [p.evaluator.strategy(i).key
+                        for i in range(p.n_candidates)] == enumerated
 
     def test_objective_mask_restricts_dominance(self, small_bundle):
         from screenopt.screening import Segment, Sex, build_segment_diagram

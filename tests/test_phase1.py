@@ -695,8 +695,8 @@ class TestReweightedSegments:
             prevalences.append(PrevalenceVector(1.0, 0.0, 0.0, 0.0))
             for psi in prevalences:
                 fresh = StrategyEvaluator(
-                    build_segment_diagram(segment, bundle, psi)
-                ).objective_matrix(fixed=fixed)
+                    build_segment_diagram(segment, bundle, psi), fixed
+                ).objective_matrix()
                 reused = segment_problem(bundle, segment, psi,
                                          evaluator=base.evaluator)
                 assert reused.evaluator is base.evaluator
@@ -708,7 +708,6 @@ class TestReweightedSegments:
         rng = np.random.default_rng(239)
         for trial in range(12):
             bundle, segment = self.random_case(rng, trial)
-            fixed = fixed_decision_rules(bundle)
             base = segment_problem(
                 bundle, segment, PrevalenceVector(**_random_simplex(rng)))
             reps, _ = strategy_classes(vertex_values(bundle, base))
@@ -718,10 +717,10 @@ class TestReweightedSegments:
             for psi in (PrevalenceVector(**_random_simplex(rng)),
                         VERTICES[int(rng.integers(0, 4))]):
                 cpts = prevalence_cpts(bundle, psi)
-                full = base.evaluator.objective_matrix(fixed=fixed, cpts=cpts)
+                full = base.evaluator.objective_matrix(cpts=cpts)
                 for strategies in picks:
                     rows = base.evaluator.objective_matrix(
-                        fixed=fixed, cpts=cpts, strategies=strategies)
+                        cpts=cpts, strategies=strategies)
                     assert np.array_equal(rows, full[strategies])
                     assert np.array_equal(np.signbit(rows),
                                           np.signbit(full[strategies]))
@@ -729,14 +728,13 @@ class TestReweightedSegments:
     @staticmethod
     def assert_batched_equals_dense(bundle, base, rows, picks):
         """Every batch row of every pick has the dense oracle's bits."""
-        fixed, evaluator = base.fixed, base.evaluator
+        evaluator = base.evaluator
         dense = [evaluator.dense_objective_matrix(
-            fixed=fixed, cpts=prevalence_cpts(bundle, PrevalenceVector(*row)))
+            cpts=prevalence_cpts(bundle, PrevalenceVector(*row)))
             for row in rows.tolist()]
         for strategies in picks:
             got = evaluator.objective_matrix(
-                fixed=fixed, cpts=prevalence_tables(bundle, rows),
-                strategies=strategies)
+                cpts=prevalence_tables(bundle, rows), strategies=strategies)
             assert got.shape[0] == len(rows)
             for h, full in enumerate(dense):
                 want = full if strategies is None else full[strategies]
@@ -765,15 +763,13 @@ class TestReweightedSegments:
             # one evaluation and the diagram's own tables: the same routine
             for row in rows[[0, -1]].tolist():
                 cpts = prevalence_cpts(bundle, PrevalenceVector(*row))
-                single = base.evaluator.objective_matrix(fixed=base.fixed,
-                                                         cpts=cpts)
-                dense = base.evaluator.dense_objective_matrix(
-                    fixed=base.fixed, cpts=cpts)
+                single = base.evaluator.objective_matrix(cpts=cpts)
+                dense = base.evaluator.dense_objective_matrix(cpts=cpts)
                 assert np.array_equal(single, dense)
                 assert np.array_equal(np.signbit(single), np.signbit(dense))
             assert np.array_equal(
                 base.reported,
-                base.evaluator.dense_objective_matrix(fixed=base.fixed))
+                base.evaluator.dense_objective_matrix())
 
     def test_blocks_split_the_batch(self, monkeypatch):
         rng = np.random.default_rng(257)
@@ -843,21 +839,18 @@ class TestSharedEvaluator:
                 evaluator = evaluator or shared.evaluator
                 assert shared.evaluator is evaluator
                 fresh = StrategyEvaluator(
-                    build_segment_diagram(segment, bundle, psi))
-                assert_bits(shared.reported,
-                            fresh.objective_matrix(fixed=fixed))
+                    build_segment_diagram(segment, bundle, psi), fixed)
+                assert_bits(shared.reported, fresh.objective_matrix())
                 vertices = prevalence_tables(bundle, np.eye(4))
                 assert_bits(shared.objective_matrix(cpts=vertices),
-                            fresh.objective_matrix(fixed=fixed,
-                                                   cpts=vertices))
+                            fresh.objective_matrix(cpts=vertices))
                 reps, _ = strategy_classes(vertex_values(bundle, shared))
                 starts = prevalence_tables(bundle, np.array(
                     [tuple(_random_simplex(rng).values())
                      for _ in range(int(rng.integers(1, 6)))]))
                 assert_bits(
                     shared.objective_matrix(cpts=starts, strategies=reps),
-                    fresh.objective_matrix(fixed=fixed, cpts=starts,
-                                           strategies=reps))
+                    fresh.objective_matrix(cpts=starts, strategies=reps))
 
     def test_foreign_structure_rejected(self):
         rng = np.random.default_rng(283)
@@ -874,6 +867,14 @@ class TestSharedEvaluator:
             with pytest.raises(ValueError, match="other nodes or value"):
                 segment_problem(foreign, Segment(Sex.M, 2), psi,
                                 evaluator=evaluator)
+        # the same diagram under other fixed rules: another strategy space
+        diagram = build_segment_diagram(Segment(Sex.M, 2), bundle, psi)
+        pinned = json.loads(json.dumps(doc))
+        pinned["options"]["incentive_enabled"] = False
+        for fixed in ({}, fixed_decision_rules(load_parameters(pinned)[0])):
+            with pytest.raises(ValueError, match="other fixed rules"):
+                screenopt.pareto.diagram_problem(diagram, fixed=fixed,
+                                                 evaluator=evaluator)
         # the same structure with other chance tables is accepted
         other = json.loads(json.dumps(doc))
         other["participation"]["contact"]["M"][1] = 0.5
@@ -905,8 +906,8 @@ class TestStrategyClasses:
             for _ in range(3):
                 psi = PrevalenceVector(**_random_simplex(rng))
                 direct = StrategyEvaluator(
-                    build_segment_diagram(segment, bundle, psi)
-                ).objective_matrix(fixed=fixed)
+                    build_segment_diagram(segment, bundle, psi), fixed
+                ).objective_matrix()
                 linear = values @ np.array(psi.as_tuple())
                 assert np.all(np.abs(linear - direct)
                               <= 1e-12 * np.abs(direct))
@@ -966,13 +967,13 @@ class TestStrategyClasses:
             self, monkeypatch):
         # only the dense oracle moves, by one ulp: the frontier checks
         # still agree, so the row comparison alone must catch it
-        condense = screenopt.diagram.StrategyEvaluator._condense
+        dense = screenopt.diagram.StrategyEvaluator.dense_objective_matrix
 
-        def nudged(self, cpts):
-            return np.nextafter(condense(self, cpts), np.inf)
+        def nudged(self, cpts=None):
+            return np.nextafter(dense(self, cpts), np.inf)
 
-        monkeypatch.setattr(screenopt.diagram.StrategyEvaluator, "_condense",
-                            nudged)
+        monkeypatch.setattr(screenopt.diagram.StrategyEvaluator,
+                            "dense_objective_matrix", nudged)
         rng = np.random.default_rng(263)
         bundle, _ = load_parameters(random_params_doc(rng, periods=2,
                                                       n_cutoffs=2))
