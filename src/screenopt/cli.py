@@ -304,11 +304,11 @@ def _cmd_segment(args) -> int:
     psi = _rollout_prevalence(bundle, sex, args.period)
     frontier = segment_frontier(bundle, segment, psi, mask, args.cross_check)
 
-    rows = []
-    for point in frontier.points:
-        encoding = strategy_encoding(frontier.problem.diagram, point.strategy)
-        rows.append([encoding] + [point.objectives.by_name(name)
-                                  for name in OBJECTIVE_NAMES])
+    problem, chosen = frontier.problem, frontier.candidates
+    columns = [problem.names.index(name) for name in OBJECTIVE_NAMES]
+    rows = [[strategy_encoding(problem.diagram, problem.strategy(c))] + values
+            for c, values in zip(chosen.tolist(),
+                                 problem.reported[chosen][:, columns].tolist())]
     out = args.out / f"frontier_{sex.value}_{args.period}.csv"
     _write_csv(out, digest, ("strategy",) + OBJECTIVE_NAMES, rows)
     print(f"wrote {out} ({len(rows)} frontier points)")
@@ -346,10 +346,14 @@ def _cmd_pipeline(args) -> int:
     histories = run_phase1(bundle, budget=max(budgets), periods=periods,
                            objective_mask=mask, cross_check=args.cross_check)
     cutoffs = bundle.effective_cutoffs()
-    policy = _by_strategy(lambda s: policy_cell(s, cutoffs))
-    keys = {sex: _unique_keys(list(_lineage_rows(
-        histories[sex], range(len(histories[sex])), policy, "|").values()))
-        for sex in (Sex.F, Sex.M)}
+    # Cut-off labels hold neither "," nor "|", so a history's key is its
+    # policy cells joined by "|" instead of ",".
+    render = _by_strategy(lambda s: policy_cell(s, cutoffs))
+    policy = {sex: _lineage_rows(histories[sex], range(len(histories[sex])),
+                                 render) for sex in (Sex.F, Sex.M)}
+    keys = {sex: _unique_keys([row.replace(",", "|")
+                               for row in policy[sex].values()])
+            for sex in (Sex.F, Sex.M)}
     problem = selection_problem_from_histories(bundle, histories)
     results = budget_sweep(problem, budgets)
     if args.cross_check and results != dense_pair_sweep(problem, budgets):
@@ -361,7 +365,7 @@ def _cmd_pipeline(args) -> int:
         _write_histories(args.out, digest, sex, histories[sex], keys[sex],
                          cutoffs, periods)
     _write_selection(args.out, digest, results, keys)
-    _write_policy_table(args.out, digest, results, histories, policy, periods)
+    _write_policy_table(args.out, digest, results, policy, periods)
     _write_series(args.out, digest, bundle, results, histories, periods)
     print(f"wrote pipeline outputs to {args.out}")
     return 0
@@ -398,9 +402,9 @@ def _write_manifest(args, bundle, budgets, periods, digest) -> None:
                                             encoding="utf-8")
 
 
-def _lineage_rows(table: HistoryTable, rows, block, sep=",") -> dict:
+def _lineage_rows(table: HistoryTable, rows, block) -> dict:
     """Each of ``rows`` of a last-period table mapped to its ancestors'
-    blocks, period 1 first, joined by ``sep``.
+    blocks, period 1 first, joined by ",".
 
     ``block(period_table, rows)`` renders distinct rows of one period's
     table, so a block that histories share is rendered once.
@@ -411,7 +415,7 @@ def _lineage_rows(table: HistoryTable, rows, block, sep=",") -> dict:
         distinct, inverse = np.unique(ancestors, return_inverse=True)
         rendered = block(period_table, distinct)
         parts.append([rendered[i] for i in inverse.tolist()])
-    return dict(zip(wanted, map(sep.join, zip(*parts))))
+    return dict(zip(wanted, map(",".join, zip(*parts))))
 
 
 def _by_strategy(render):
@@ -463,12 +467,11 @@ def _write_selection(out: Path, digest: str, results, keys) -> None:
     _write_csv(out / "selection.csv", digest, columns, rows)
 
 
-def _write_policy_table(out: Path, digest: str, results, histories,
-                        policy, periods: int) -> None:
+def _write_policy_table(out: Path, digest: str, results, cells,
+                        periods: int) -> None:
+    """``cells`` maps each sex's last-table rows to their policy cells."""
     columns = ["case", "budget", "sex"] + [
         f"age_{Segment(Sex.F, k).age}" for k in range(1, periods + 1)]
-    cells = {sex: _lineage_rows(histories[sex], _selected(results, sex),
-                                policy) for sex in (Sex.F, Sex.M)}
     rows = []
     for case, res in enumerate(results, start=1):
         head = f"case{case},{_fmt(res.budget)}"

@@ -14,7 +14,9 @@ diagram with the decision rules given at construction pinned. It numbers
 them once, in the order of :func:`enumerate_strategies` (each free
 (decision node, information state) slot a mixed-radix digit, slot 0 most
 significant), decodes a number, and evaluates every strategy at once under
-replacement chance tables.
+chance tables given as dense arrays, one batch row per table set;
+:func:`dense_tables` is the one conversion of a diagram's mapping tables to
+that form.
 
 Everything here is immutable after construction and all operations are pure,
 so diagrams can be shared freely across threads.
@@ -490,6 +492,14 @@ def _dense(table: Mapping[InfoState, float | tuple[float, ...]],
     return dense
 
 
+def dense_tables(diagram: InfluenceDiagram) -> dict[int, np.ndarray]:
+    """Every chance node's CPT as a one-row dense array, indexed (row,
+    information state..., state): the form the evaluator reads."""
+    return {n.node_id: _dense(diagram.cpts[n.node_id],
+                              diagram.info_shape(n) + (len(n.states),))[None]
+            for n in diagram.chance_nodes}
+
+
 class _Paths(NamedTuple):
     """Paths in decision-signature order: per chance node the flat index of
     each path's CPT entry, each path's utility row, and where each
@@ -603,43 +613,32 @@ class StrategyEvaluator:
                 info: int(next(digits)) for info in d.info_states(node)})
         return GlobalStrategy(rules)
 
-    def _tables(self, cpts) -> tuple[list[np.ndarray], bool]:
+    def _tables(self, tables: Mapping[int, np.ndarray]) -> list[np.ndarray]:
         """Every chance node's table as a (batch rows x entries) array, in
-        chance-node order, the diagram's own where ``cpts`` does not replace
-        it, and whether any replacement came with a batch axis."""
-        cpts = cpts or {}
-        unknown = set(cpts) - {node_id for node_id, _ in self._chance}
-        if unknown:
-            raise ValueError(f"no chance node with id {min(unknown)}")
-        tables, batched = [], False
+        chance-node order."""
+        chance = sorted(node_id for node_id, _ in self._chance)
+        if sorted(tables) != chance:
+            raise ValueError(f"tables for nodes {sorted(tables)}, not for "
+                             f"the chance nodes {chance}")
+        out = []
         for node_id, shape in self._chance:
-            table = cpts.get(node_id, self.diagram.cpts[node_id])
-            if isinstance(table, np.ndarray):
-                if table.shape[1:] != shape:
-                    raise ValueError(
-                        f"table of node {node_id} has shape {table.shape}, "
-                        f"not (rows,) + {shape}")
-                batched = True
-                tables.append(table.reshape(len(table), math.prod(shape)))
-            else:
-                tables.append(_dense(table, shape).reshape(1, -1))
-        return tables, batched
+            table = tables[node_id]
+            if table.shape[1:] != shape:
+                raise ValueError(
+                    f"table of node {node_id} has shape {table.shape}, "
+                    f"not (rows,) + {shape}")
+            out.append(table.reshape(len(table), math.prod(shape)))
+        return out
 
-    def objective_matrix(
-        self,
-        cpts: Mapping[int, Mapping[InfoState, tuple[float, ...]] | np.ndarray]
-        | None = None,
-        strategies: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Expected values for every strategy; rows follow enumeration order.
+    def objective_matrix(self, tables: Mapping[int, np.ndarray],
+                         strategies: np.ndarray | None = None) -> np.ndarray:
+        """Expected values of every strategy, in enumeration order, as
+        (batch rows x strategies x objectives): one matrix per batch row.
 
-        ``cpts`` maps chance-node ids to replacement tables; the diagram's
-        own tables supply the other nodes. A table is either a mapping of
-        information states to rows, or a dense array indexed (batch row,
-        information state..., state). With any array the result is
-        (batch rows x strategies x objectives), one matrix per batch row;
-        otherwise it is one (strategies x objectives) matrix. ``strategies``
-        selects rows by strategy index.
+        ``tables`` maps every chance node's id to a dense array indexed
+        (batch row, information state..., state), as :func:`dense_tables`
+        gives; a one-row table applies to every batch row. ``strategies``
+        selects strategies by index.
 
         Every row has the bits of the same row of :meth:`dense_objective_matrix`,
         which sums every path's term per signature with ``np.add.reduceat``,
@@ -663,7 +662,7 @@ class StrategyEvaluator:
         if strategies is not None:
             strategies = np.asarray(strategies, dtype=np.intp)
             plan = [rows[strategies] for rows in plan]
-        factors, batched = self._tables(cpts)
+        factors = self._tables(tables)
         batch = max((len(t) for t in factors), default=1)
 
         # The signatures the plan rows use, renumbered in order, and the
@@ -727,30 +726,27 @@ class StrategyEvaluator:
             target = out[block]
             for rows in plan:
                 target += condensed[:, rows]
-        return out if batched else out[0]
+        return out
 
-    def dense_objective_matrix(
-        self,
-        cpts: Mapping[int, Mapping[InfoState, tuple[float, ...]]] | None = None,
-    ) -> np.ndarray:
+    def dense_objective_matrix(self, tables: Mapping[int, np.ndarray]
+                               ) -> np.ndarray:
         """Every strategy's expected values from every path's term (the
-        oracle of :meth:`objective_matrix`, one evaluation): each path's
-        probability-weighted utility, summed per decision signature, then
-        per strategy over its plan rows.
-
-        ``cpts`` replaces the tables of some chance nodes; the diagram's own
-        tables supply the rest.
+        oracle of :meth:`objective_matrix`, with its arguments and result
+        shape): each path's probability-weighted utility, summed per
+        decision signature, then per strategy over its plan rows.
         """
-        tables, _ = self._tables(cpts)
+        factors = self._tables(tables)
         paths = self._paths
-        prob = np.ones(len(paths.utility))
-        for table, flat in zip(tables, paths.flats):
-            prob *= table[0, flat]
+        prob = np.ones((max((len(t) for t in factors), default=1),
+                        len(paths.utility)))
+        for table, flat in zip(factors, paths.flats):
+            prob *= table[:, flat]
         # A trailing zero row for strategies with no compatible signature.
-        condensed = np.zeros((len(paths.starts) + 1, self._n_values))
-        condensed[:-1] = np.add.reduceat(prob[:, None] * paths.utility,
-                                         paths.starts, axis=0)
-        out = np.zeros((len(self._plan[0]), self._n_values))
+        condensed = np.zeros((len(prob), len(paths.starts) + 1,
+                              self._n_values))
+        condensed[:, :-1] = np.add.reduceat(
+            prob[:, :, None] * paths.utility, paths.starts, axis=1)
+        out = np.zeros((len(prob), len(self._plan[0]), self._n_values))
         for rows in self._plan:
-            out += condensed[rows]
+            out += condensed[:, rows]
         return out

@@ -3,7 +3,13 @@
 A ``DiagramProblem`` holds every strategy of one evaluator's strategy space
 (``diagram.StrategyEvaluator``): candidate i is the evaluator's strategy i,
 and an evaluator shared between problems must have their nodes, value
-tables and fixed rules.
+tables and fixed rules. A problem densifies its diagram's chance tables
+once; evaluating it under other tables replaces some of those arrays.
+
+A ``ParetoFrontier`` is an array of candidate indices into its problem;
+its vectors are rows of the problem's matrix, and its ``points``
+(``FrontierPoint`` objects with strategies and objective vectors) are a
+view built only when read.
 
 ``compute_frontier`` is the production path: one vectorized nondominated
 filter and near-duplicate merge (``frontier_rows``) over the distinct
@@ -43,6 +49,7 @@ from .diagram import (
     LocalStrategy,
     ObjectiveVector,
     StrategyEvaluator,
+    dense_tables,
 )
 from .errors import IterationLimitError
 
@@ -69,17 +76,21 @@ class FrontierPoint:
 
 @dataclass(eq=False)
 class ParetoFrontier:
-    """Pairwise-nondominated points of ``problem``, deduplicated and sorted."""
+    """Pairwise-nondominated candidates of ``problem``, deduplicated and
+    sorted by vector: ``candidates`` holds their indices."""
 
-    points: list[FrontierPoint]
-    problem: EnumeratedProblem | None = None
+    problem: EnumeratedProblem
+    candidates: np.ndarray
 
     def vectors(self) -> np.ndarray:
-        return np.array([p.minimized for p in self.points]).reshape(
-            len(self.points), -1)
+        return self.problem.matrix_min[self.candidates]
+
+    @cached_property
+    def points(self) -> list[FrontierPoint]:
+        return [self.problem.point(c) for c in self.candidates.tolist()]
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.candidates)
 
 
 class EnumeratedProblem:
@@ -159,7 +170,8 @@ class DiagramProblem(EnumeratedProblem):
     ``evaluator`` may come from another diagram with the same nodes and
     value tables, built under the same fixed rules: the problem then
     evaluates through it with its own diagram's chance tables, which gives
-    the bits of a fresh evaluator.
+    the bits of a fresh evaluator. ``tables`` holds those tables as the
+    dense arrays the evaluator reads.
     """
 
     def __init__(self, diagram: InfluenceDiagram,
@@ -173,8 +185,9 @@ class DiagramProblem(EnumeratedProblem):
                              "other nodes or value tables, or other fixed "
                              "rules")
         self.diagram = diagram
+        self.tables = dense_tables(diagram)
         self.evaluator = evaluator or StrategyEvaluator(diagram, fixed)
-        reported = self.objective_matrix()
+        reported = self.objective_matrix()[0]
         names = tuple(n.name for n in diagram.value_nodes)
         orientations = tuple(diagram.values[n.node_id].orientation
                              for n in diagram.value_nodes)
@@ -190,16 +203,16 @@ class DiagramProblem(EnumeratedProblem):
                 raise ValueError("objective mask selects nothing")
         super().__init__(reported, orientations, names, active=active)
 
-    def objective_matrix(self, cpts=None, strategies=None) -> np.ndarray:
+    def objective_matrix(self, tables=None, strategies=None) -> np.ndarray:
         """:meth:`StrategyEvaluator.objective_matrix` with this diagram's
-        chance tables and ``cpts`` replacing some."""
-        return self.evaluator.objective_matrix(
-            cpts={**self.diagram.cpts, **(cpts or {})}, strategies=strategies)
+        chance tables, some replaced by the arrays in ``tables``."""
+        return self.evaluator.objective_matrix({**self.tables,
+                                                **(tables or {})}, strategies)
 
-    def dense_objective_matrix(self, cpts=None) -> np.ndarray:
+    def dense_objective_matrix(self, tables=None) -> np.ndarray:
         """The dense oracle of :meth:`objective_matrix`."""
-        return self.evaluator.dense_objective_matrix(
-            cpts={**self.diagram.cpts, **(cpts or {})})
+        return self.evaluator.dense_objective_matrix({**self.tables,
+                                                      **(tables or {})})
 
     def strategy(self, index: int) -> GlobalStrategy:
         return self.evaluator.strategy(index)
@@ -453,10 +466,7 @@ def frontier_rows(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def compute_frontier(problem: EnumeratedProblem) -> ParetoFrontier:
     """Complete nondominated set: one filter over the distinct vectors."""
     rows, keep = frontier_rows(problem.unique_vectors()[None])
-    rows = rows[0, keep[0]]
-    return ParetoFrontier(
-        points=[problem.point(problem.representative(r)) for r in rows],
-        problem=problem)
+    return ParetoFrontier(problem, problem._unique[1][rows[0, keep[0]]])
 
 
 def brute_force_frontier(problem: EnumeratedProblem) -> ParetoFrontier:
@@ -550,6 +560,5 @@ def _assemble(problem: EnumeratedProblem,
         near = np.abs(vectors[kept] - vectors[r]) <= DOMINANCE_TOL
         if not near.all(axis=1).any():
             kept.append(r)
-    return ParetoFrontier(
-        points=[problem.point(problem.representative(r)) for r in kept],
-        problem=problem)
+    return ParetoFrontier(problem,
+                          problem._unique[1][np.array(kept, dtype=np.intp)])

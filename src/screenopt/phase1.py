@@ -9,10 +9,13 @@ history's prevalence, groups the strategies into classes that are equal at
 every prevalence (the objectives are linear in it), evaluates one
 representative per class at every history's start prevalence in one
 batched, bit-exact pass over the live paths, and filters all the histories'
-frontiers into one mask; the first must equal the full-space frontier. The
-budget clears bits of that mask, and each set bit extends a history. Only
-the chance tables differ between segments, so one evaluator, built by the
-run's first segment problem, evaluates every segment with its own tables.
+frontiers into one mask; the first must equal the full-space frontier, the
+same candidate indices with the same value rows (no frontier point is
+built). The budget clears bits of that mask, and each set bit extends a
+history. Only the chance tables differ between segments, so one evaluator,
+built by the run's first segment problem, evaluates every segment with its
+own tables, densified once per segment problem; a period's histories
+replace only the two prevalence-dependent ones.
 Between periods the bowel-state distribution moves by the
 detection-and-progression recurrences: detected fractions are removed
 (treated participants return to the normal state), remaining abnormal mass
@@ -66,7 +69,6 @@ from .screening import (
     build_segment_diagram,
     check_prevalence_rows,
     fixed_decision_rules,
-    prevalence_cpts,
     prevalence_tables,
 )
 
@@ -362,8 +364,7 @@ def vertex_values(params: ParameterBundle,
     posterior's denominator), so sum_v psi_v * values[..., v] is their
     value at psi.
     """
-    values = problem.objective_matrix(cpts=prevalence_tables(params,
-                                                             np.eye(4)))
+    values = problem.objective_matrix(prevalence_tables(params, np.eye(4)))
     return np.moveaxis(values, 0, 2)
 
 
@@ -417,34 +418,32 @@ def _extend_period(params, sex, k, previous, budget, objective_mask,
               > DOMINANCE_TOL):
         raise OracleMismatchError(
             f"a strategy differs from its class representative {label}")
-    reported = base.objective_matrix(cpts=prevalence_tables(params, starts),
+    reported = base.objective_matrix(prevalence_tables(params, starts),
                                      strategies=reps)
     rows, keep = frontier_rows(base.minimize(reported))
-    strategies = tuple(base.strategy(r) for r in reps.tolist())
 
     def check(h, frontier):
+        # Both sides number strategies through the same evaluator.
         got = rows[h, keep[h]]
-        if [p.strategy.key for p in frontier.points] != \
-                [strategies[c].key for c in got] or \
-                not np.array_equal([p.objectives.values
-                                    for p in frontier.points],
-                                   reported[h, got]):
+        if not np.array_equal(reps[got], frontier.candidates) or \
+                not np.array_equal(reported[h, got], frontier.problem.reported[
+                    frontier.candidates]):
             raise OracleMismatchError(
                 f"batched frontier differs from the full-space frontier of "
                 f"history {h} {label}")
 
     check(0, first)
     if cross_check:
-        for h, row in enumerate(starts.tolist()):
-            psi = PrevalenceVector(*row)
+        for h in range(len(starts)):
             dense = base.dense_objective_matrix(
-                cpts=prevalence_cpts(params, psi))
-            if not np.array_equal(reported[h], dense[reps]):
+                prevalence_tables(params, starts[[h]]))
+            if not np.array_equal(reported[h], dense[0, reps]):
                 raise OracleMismatchError(
                     f"batched evaluation differs from the dense evaluation "
                     f"of history {h} {label}")
             if h:
-                check(h, segment_frontier(params, segment, psi,
+                check(h, segment_frontier(params, segment,
+                                          PrevalenceVector(*starts[h]),
                                           objective_mask, cross_check=True,
                                           evaluator=base.evaluator))
 
@@ -474,7 +473,8 @@ def _extend_period(params, sex, k, previous, budget, objective_mask,
                                     updated, cohort)
         weight = previous.weight + cohort
     return HistoryTable(
-        sex=sex, period=k, weight=weight, start=start, strategies=strategies,
+        sex=sex, period=k, weight=weight, start=start,
+        strategies=tuple(base.strategy(r) for r in reps.tolist()),
         names=names, orientations=base.orientations, parent=previous,
         parent_row=parent, strategy=strategy, reported=values,
         updated=updated, total=total, colonoscopies=col[parent, strategy],

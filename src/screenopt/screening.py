@@ -280,23 +280,6 @@ def prevalence_tables(params: ParameterBundle, psi: np.ndarray
 # Diagram construction
 # ---------------------------------------------------------------------------
 
-def prevalence_cpts(params: ParameterBundle, psi: PrevalenceVector
-                    ) -> dict[int, dict[tuple[int, ...], tuple[float, ...]]]:
-    """The test-result and examination-result CPTs at prevalence ``psi``:
-    :func:`prevalence_tables` of one row, keyed by information state.
-
-    They are the only tables of a segment diagram that depend on the
-    prevalence, so a segment re-solved at a new prevalence replaces just
-    these two (see ``StrategyEvaluator.objective_matrix``).
-    """
-    tables = prevalence_tables(params, np.array([psi.as_tuple()]))
-    return {
-        node_id: {info: tuple(row) for info, row in zip(
-            np.ndindex(table.shape[1:-1]),
-            table[0].reshape(-1, table.shape[-1]).tolist())}
-        for node_id, table in tables.items()}
-
-
 def build_segment_diagram(segment: Segment, params: ParameterBundle,
                           psi: PrevalenceVector) -> InfluenceDiagram:
     """Influence diagram for one segment at prevalence ``psi``."""
@@ -341,8 +324,14 @@ def build_segment_diagram(segment: Segment, params: ParameterBundle,
         (1, 1): ((1.0 - ret_ok) / 2.0, ret_ok + (1.0 - ret_ok) / 2.0),
     }
 
-    # Stages 5 and 8: test and examination results.
-    by_prevalence = prevalence_cpts(params, psi)
+    # Stages 5 and 8: test and examination results, the only tables that
+    # depend on the prevalence, keyed by information state.
+    by_prevalence = {
+        node_id: {info: tuple(row) for info, row in zip(
+            np.ndindex(table.shape[1:-1]),
+            table[0].reshape(-1, table.shape[-1]).tolist())}
+        for node_id, table in prevalence_tables(
+            params, np.array([psi.as_tuple()])).items()}
 
     # Stage 6: nurse contact, given the test result; only possible after a
     # positive result.

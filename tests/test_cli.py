@@ -22,9 +22,10 @@ from screenopt.phase2 import BUDGET_TOL
 from screenopt.screening import (
     EXAM_RESULT,
     FIT_RESULT,
+    Segment,
     Sex,
+    build_segment_diagram,
     load_parameters,
-    prevalence_cpts,
 )
 
 
@@ -310,6 +311,27 @@ class TestPipeline:
                      "--params", str(small_params),
                      "--out", str(tmp_path / "x")]) == 0
 
+    @pytest.mark.parametrize("flags", [[], ["--cross-check"]])
+    def test_pipeline_builds_no_frontier_points(self, small_params, tmp_path,
+                                                monkeypatch, flags):
+        # phase 1 compares candidate indices and value rows; frontier
+        # points and objective vectors are views only tests read
+        def refuse(*args, **kwargs):
+            raise AssertionError("a frontier point or objective vector "
+                                 "was built")
+
+        for module in (screenopt.diagram, screenopt.pareto,
+                       screenopt.phase1):
+            for name in ("FrontierPoint", "ObjectiveVector"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        assert main(["pipeline", "--budgets", "500,1500,1500,4000",
+                     "--params", str(small_params),
+                     "--out", str(tmp_path / "x"), *flags]) == 0
+        assert main(["segment", "--sex", "M", "--period", "2",
+                     "--params", str(small_params),
+                     "--out", str(tmp_path / "s"), *flags]) == 0
+
     def test_sweep_mismatch_exits_three(self, small_params, tmp_path,
                                         monkeypatch):
         sweep = screenopt.cli.budget_sweep
@@ -329,8 +351,8 @@ class TestPipeline:
                                                    tmp_path, monkeypatch):
         dense = screenopt.diagram.StrategyEvaluator.dense_objective_matrix
 
-        def nudged(self, cpts=None):
-            return np.nextafter(dense(self, cpts), np.inf)
+        def nudged(self, tables):
+            return np.nextafter(dense(self, tables), np.inf)
 
         monkeypatch.setattr(screenopt.diagram.StrategyEvaluator,
                             "dense_objective_matrix", nudged)
@@ -528,7 +550,8 @@ class TestZeroPositiveProbability:
 
     def test_examination_row_is_all_normal(self, params):
         bundle, _ = load_parameters(json.loads(params.read_text()))
-        cpts = prevalence_cpts(bundle, bundle.starting_prevalence(Sex.F))
+        cpts = build_segment_diagram(Segment(Sex.F, 1), bundle,
+                                     bundle.starting_prevalence(Sex.F)).cpts
         li = bundle.effective_cutoffs().index("50")
         assert cpts[FIT_RESULT][(li, 1)] == (0.0, 0.0, 1.0)
         assert cpts[EXAM_RESULT][(li, 1, 1)] == (0.0, 1.0, 0.0, 0.0, 0.0)

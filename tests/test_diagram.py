@@ -27,6 +27,7 @@ from screenopt.diagram import (
     NodeKind,
     StrategyEvaluator,
     ValueSpec,
+    dense_tables,
     enumerate_paths,
     enumerate_strategies,
     expected_values,
@@ -248,7 +249,8 @@ class TestExpectedValues:
                 for info in d.info_states(node):
                     index = (index * len(node.states)
                              + z.action(node.node_id, info))
-            row = StrategyEvaluator(d).objective_matrix()[index]
+            row = StrategyEvaluator(d).objective_matrix(
+                dense_tables(d))[0, index]
             assert np.allclose(got.values, row, atol=1e-12)
 
     def test_linear_in_utility_scaling(self):
@@ -365,7 +367,37 @@ class TestStrategyEnumeration:
         rng = np.random.default_rng(43)
         d = random_diagram(rng, max_paths=800, max_strategies=300)
         ev = StrategyEvaluator(d)
-        matrix = ev.objective_matrix()
+        matrix = ev.objective_matrix(dense_tables(d))[0]
         for i, z in enumerate(enumerate_strategies(d)):
             assert np.allclose(matrix[i], expected_values(d, z).values,
                                atol=1e-12)
+
+    def test_evaluator_reads_only_the_tables_it_is_given(self):
+        # every chance node's table is required, as an array of its shape;
+        # the evaluator never falls back to its own diagram's tables
+        rng = np.random.default_rng(47)
+        diagrams = [chain_diagram()] + [
+            random_diagram(rng, max_paths=400, max_strategies=200)
+            for _ in range(6)]
+        for d in diagrams:
+            ev = StrategyEvaluator(d)
+            tables = dense_tables(d)
+            assert sorted(tables) == sorted(n.node_id for n in d.chance_nodes)
+            for evaluate in (ev.objective_matrix, ev.dense_objective_matrix):
+                for node_id, table in tables.items():
+                    assert table.shape[0] == 1
+                    others = {k: v for k, v in tables.items() if k != node_id}
+                    with pytest.raises(ValueError, match=(
+                            "not for the chance nodes")):
+                        evaluate(others)
+                    with pytest.raises(ValueError, match="has shape"):
+                        evaluate({**tables, node_id: table[..., :-1]})
+                with pytest.raises(ValueError, match="not for the chance"):
+                    evaluate({**tables, -1: np.ones((1, 1))})
+        # another diagram's tables give that diagram's values
+        d, other = chain_diagram(), chain_diagram(p_row0=(0.1, 0.9))
+        got = StrategyEvaluator(d).objective_matrix(dense_tables(other))
+        assert got.shape == (1, 2, 1)
+        for act in (0, 1):
+            assert got[0, act, 0] == pytest.approx(
+                expected_values(other, pick(other, act=act)).values[0])

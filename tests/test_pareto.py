@@ -182,6 +182,53 @@ class TestFrontier:
                 assert len(a) == len(b)
                 assert np.allclose(a.vectors(), b.vectors(), atol=1e-9)
 
+    def test_points_and_vectors_are_views_of_the_candidates(
+            self, small_bundle):
+        # a frontier holds candidate indices, each the smallest index of
+        # its vector, in vector order; its vectors, points and length are
+        # read off the problem
+        from screenopt.screening import Segment, Sex, build_segment_diagram
+        rng = np.random.default_rng(67)
+        problems = [problem_of(
+            rng.integers(0, 5, size=(int(rng.integers(1, 60)), 3)),
+            orientations=("minimize", "maximize", "minimize"))
+            for _ in range(8)]
+        problems += [diagram_problem(random_diagram(rng, max_paths=600,
+                                                    max_strategies=400))
+                     for _ in range(4)]
+        problems.append(diagram_problem(
+            build_segment_diagram(Segment(Sex.F, 1), small_bundle,
+                                  small_bundle.starting_prevalence(Sex.F)),
+            objective_mask=["cost", "colonoscopy", "crc_found"]))
+        for p in problems:
+            for build in (compute_frontier, brute_force_frontier,
+                          box_search_frontier):
+                front = build(p)
+                chosen = front.candidates
+                assert front.problem is p
+                assert chosen.dtype.kind == "i"
+                assert len(front) == len(chosen) == len(front.points) >= 1
+                assert front.points is front.points
+                vectors = p.matrix_min[chosen]
+                assert np.array_equal(front.vectors(), vectors)
+                assert np.array_equal(
+                    front.vectors(),
+                    np.array([pt.minimized for pt in front.points]))
+                assert list(map(tuple, vectors.tolist())) == \
+                    sorted(map(tuple, vectors.tolist()))
+                for c, point in zip(chosen.tolist(), front.points):
+                    same = np.flatnonzero(
+                        (p.matrix_min == p.matrix_min[c]).all(axis=1))
+                    assert c == same[0]
+                    strategy = p.strategy(c)
+                    assert (point.strategy == strategy
+                            if isinstance(strategy, str)
+                            else point.strategy.key == strategy.key)
+                    assert point.minimized == tuple(p.matrix_min[c].tolist())
+                    assert point.objectives.values == \
+                        tuple(p.reported[c].tolist())
+                    assert point.objectives.names == p.names
+
     def test_orientation_conversion(self):
         # one maximize column: frontier works on its negation
         mat = [[1.0, 5.0], [1.0, 7.0], [2.0, 7.0]]

@@ -34,7 +34,7 @@ from oracles import (
     strategy_classes_unique,
     update_prevalences,
 )
-from screenopt.diagram import StrategyEvaluator
+from screenopt.diagram import StrategyEvaluator, dense_tables
 from screenopt.errors import (
     CapacityError,
     InfeasibleBudgetError,
@@ -67,7 +67,6 @@ from screenopt.screening import (
     check_prevalence_rows,
     fixed_decision_rules,
     load_parameters,
-    prevalence_cpts,
     prevalence_tables,
 )
 
@@ -694,9 +693,9 @@ class TestReweightedSegments:
                            for _ in range(3)]
             prevalences.append(PrevalenceVector(1.0, 0.0, 0.0, 0.0))
             for psi in prevalences:
-                fresh = StrategyEvaluator(
-                    build_segment_diagram(segment, bundle, psi), fixed
-                ).objective_matrix()
+                diagram = build_segment_diagram(segment, bundle, psi)
+                fresh = StrategyEvaluator(diagram, fixed).objective_matrix(
+                    dense_tables(diagram))[0]
                 reused = segment_problem(bundle, segment, psi,
                                          evaluator=base.evaluator)
                 assert reused.evaluator is base.evaluator
@@ -716,25 +715,31 @@ class TestReweightedSegments:
             picks = (reps, rng.integers(0, n, size=int(rng.integers(1, 40))))
             for psi in (PrevalenceVector(**_random_simplex(rng)),
                         VERTICES[int(rng.integers(0, 4))]):
-                cpts = prevalence_cpts(bundle, psi)
-                full = base.evaluator.objective_matrix(cpts=cpts)
+                tables = {**base.tables, **prevalence_tables(
+                    bundle, np.array([psi.as_tuple()]))}
+                full = base.evaluator.objective_matrix(tables)
                 for strategies in picks:
                     rows = base.evaluator.objective_matrix(
-                        cpts=cpts, strategies=strategies)
-                    assert np.array_equal(rows, full[strategies])
+                        tables, strategies=strategies)
+                    assert np.array_equal(rows, full[:, strategies])
                     assert np.array_equal(np.signbit(rows),
-                                          np.signbit(full[strategies]))
+                                          np.signbit(full[:, strategies]))
 
     @staticmethod
     def assert_batched_equals_dense(bundle, base, rows, picks):
-        """Every batch row of every pick has the dense oracle's bits."""
+        """Every batch row of every pick has the dense oracle's bits, and
+        the dense oracle's batch rows are its one-row evaluations."""
         evaluator = base.evaluator
         dense = [evaluator.dense_objective_matrix(
-            cpts=prevalence_cpts(bundle, PrevalenceVector(*row)))
-            for row in rows.tolist()]
+            {**base.tables, **prevalence_tables(bundle, rows[[h]])})[0]
+            for h in range(len(rows))]
+        assert_bits(evaluator.dense_objective_matrix(
+            {**base.tables, **prevalence_tables(bundle, rows)}),
+            np.array(dense))
         for strategies in picks:
             got = evaluator.objective_matrix(
-                cpts=prevalence_tables(bundle, rows), strategies=strategies)
+                {**base.tables, **prevalence_tables(bundle, rows)},
+                strategies=strategies)
             assert got.shape[0] == len(rows)
             for h, full in enumerate(dense):
                 want = full if strategies is None else full[strategies]
@@ -761,15 +766,16 @@ class TestReweightedSegments:
                      None)
             self.assert_batched_equals_dense(bundle, base, rows, picks)
             # one evaluation and the diagram's own tables: the same routine
-            for row in rows[[0, -1]].tolist():
-                cpts = prevalence_cpts(bundle, PrevalenceVector(*row))
-                single = base.evaluator.objective_matrix(cpts=cpts)
-                dense = base.evaluator.dense_objective_matrix(cpts=cpts)
+            for h in (0, -1):
+                tables = {**base.tables,
+                          **prevalence_tables(bundle, rows[[h]])}
+                single = base.evaluator.objective_matrix(tables)
+                dense = base.evaluator.dense_objective_matrix(tables)
                 assert np.array_equal(single, dense)
                 assert np.array_equal(np.signbit(single), np.signbit(dense))
             assert np.array_equal(
                 base.reported,
-                base.evaluator.dense_objective_matrix())
+                base.evaluator.dense_objective_matrix(base.tables)[0])
 
     def test_blocks_split_the_batch(self, monkeypatch):
         rng = np.random.default_rng(257)
@@ -805,9 +811,10 @@ class TestReweightedSegments:
         rng = np.random.default_rng(227)
         bundle, segment = self.random_case(rng, 0)
         psi = PrevalenceVector(**_random_simplex(rng))
-        diagram = build_segment_diagram(segment, bundle, psi)
-        for node_id, table in prevalence_cpts(bundle, psi).items():
-            assert diagram.cpts[node_id] == table
+        own = dense_tables(build_segment_diagram(segment, bundle, psi))
+        for node_id, table in prevalence_tables(
+                bundle, np.array([psi.as_tuple()])).items():
+            assert_bits(own[node_id], table)
 
 
 def assert_bits(got, want):
@@ -838,19 +845,21 @@ class TestSharedEvaluator:
                                          evaluator=evaluator)
                 evaluator = evaluator or shared.evaluator
                 assert shared.evaluator is evaluator
-                fresh = StrategyEvaluator(
-                    build_segment_diagram(segment, bundle, psi), fixed)
-                assert_bits(shared.reported, fresh.objective_matrix())
+                diagram = build_segment_diagram(segment, bundle, psi)
+                fresh = StrategyEvaluator(diagram, fixed)
+                own = dense_tables(diagram)
+                assert_bits(shared.reported, fresh.objective_matrix(own)[0])
                 vertices = prevalence_tables(bundle, np.eye(4))
-                assert_bits(shared.objective_matrix(cpts=vertices),
-                            fresh.objective_matrix(cpts=vertices))
+                assert_bits(shared.objective_matrix(vertices),
+                            fresh.objective_matrix({**own, **vertices}))
                 reps, _ = strategy_classes(vertex_values(bundle, shared))
                 starts = prevalence_tables(bundle, np.array(
                     [tuple(_random_simplex(rng).values())
                      for _ in range(int(rng.integers(1, 6)))]))
                 assert_bits(
-                    shared.objective_matrix(cpts=starts, strategies=reps),
-                    fresh.objective_matrix(cpts=starts, strategies=reps))
+                    shared.objective_matrix(starts, strategies=reps),
+                    fresh.objective_matrix({**own, **starts},
+                                           strategies=reps))
 
     def test_foreign_structure_rejected(self):
         rng = np.random.default_rng(283)
@@ -894,8 +903,9 @@ class TestStrategyClasses:
             bundle, segment = TestReweightedSegments.random_case(
                 rng, trial, zero_positive=zero_positive)
             if zero_positive:
-                fit = prevalence_cpts(bundle, VERTICES[0])[FIT_RESULT]
-                assert fit[(0, 1)][1] == 0.0
+                fit = prevalence_tables(
+                    bundle, np.array([VERTICES[0].as_tuple()]))[FIT_RESULT]
+                assert fit[0, 0, 1, 1] == 0.0
             fixed = fixed_decision_rules(bundle)
             base = segment_problem(
                 bundle, segment, PrevalenceVector(**_random_simplex(rng)))
@@ -905,9 +915,9 @@ class TestStrategyClasses:
             assert np.all(reps[class_of] <= np.arange(len(class_of)))
             for _ in range(3):
                 psi = PrevalenceVector(**_random_simplex(rng))
-                direct = StrategyEvaluator(
-                    build_segment_diagram(segment, bundle, psi), fixed
-                ).objective_matrix()
+                diagram = build_segment_diagram(segment, bundle, psi)
+                direct = StrategyEvaluator(diagram, fixed).objective_matrix(
+                    dense_tables(diagram))[0]
                 linear = values @ np.array(psi.as_tuple())
                 assert np.all(np.abs(linear - direct)
                               <= 1e-12 * np.abs(direct))
@@ -969,8 +979,8 @@ class TestStrategyClasses:
         # still agree, so the row comparison alone must catch it
         dense = screenopt.diagram.StrategyEvaluator.dense_objective_matrix
 
-        def nudged(self, cpts=None):
-            return np.nextafter(dense(self, cpts), np.inf)
+        def nudged(self, tables):
+            return np.nextafter(dense(self, tables), np.inf)
 
         monkeypatch.setattr(screenopt.diagram.StrategyEvaluator,
                             "dense_objective_matrix", nudged)

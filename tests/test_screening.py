@@ -54,7 +54,6 @@ from screenopt.screening import (
     build_segment_diagram,
     fixed_decision_rules,
     load_parameters,
-    prevalence_cpts,
     prevalence_tables,
 )
 
@@ -195,7 +194,8 @@ def constant_strategy(diagram, cutoff=0, incentive=0, invite=1,
 
 class TestPrevalenceTables:
     """The columnar tables repeat the scalar formulas bit for bit, sign
-    bits included, and the dict form is their one-row case."""
+    bits included, and a segment diagram's dict tables are their one-row
+    case."""
 
     @staticmethod
     def assert_same_bits(got, want):
@@ -227,7 +227,8 @@ class TestPrevalenceTables:
                 bundle, np.array([psi.as_tuple() for psi in psis]))
             for h, psi in enumerate(psis):
                 want = scalar_prevalence_cpts(bundle, psi)
-                got = prevalence_cpts(bundle, psi)
+                got = build_segment_diagram(Segment(Sex.F, 1), bundle,
+                                            psi).cpts
                 for node_id, table in want.items():
                     assert list(got[node_id]) == list(table)
                     for info, row in table.items():
