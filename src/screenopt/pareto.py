@@ -17,15 +17,13 @@ objective vectors. ``frontier_rows`` also solves a whole stack of
 problems at once: it returns every matrix's rows in vector order and a
 mask of its frontier rows, so a caller filters all the frontiers further
 with one array mask. A matrix too large for one broadcast is filtered
-against its exact skyline, built in square blocks of ``FILTER_CELLS``
-booleans. Two independent references reproduce it, and ``--cross-check``
-compares against both:
+through its exact skyline, built on dense ranks (``_skyline_mask``). Two
+independent references reproduce it, and ``--cross-check`` compares
+against both:
 ``brute_force_frontier`` (a plain row-by-row dominance loop) and
-``box_search_frontier``, the paper's augmented weighted Tchebychev search,
-which carves the objective space into search boxes bounded by found
-frontier points and scalarizes each box with box-specific weights and a
-small augmentation term. Its inner single-objective oracle is exact
-enumeration, so it can only return the filter's set.
+``box_search_frontier``, the paper's augmented weighted Tchebychev search
+over boxes bounded by found points; its inner single-objective oracle is
+exact enumeration, so it can only return the filter's set.
 
 All dominance comparisons are in minimization orientation; maximization
 objectives are negated at the problem boundary and mapped back for
@@ -290,13 +288,8 @@ def nondominated(points: np.ndarray, tol: float = DOMINANCE_TOL) -> np.ndarray:
     gives the all-pairs mask.
 
     A matrix whose all-pairs masks fit in ``FILTER_CELLS`` booleans is
-    filtered in one broadcast, many matrices at a time. A larger one is
-    filtered through its skyline (:func:`_exact_skyline`), which also
-    names an exact dominator of every other row; a row whose dominator is
-    more than ``tol`` below it in some column is dominated by it. Each
-    remaining row is broadcast against the skyline rows whose first column
-    is at most its own plus ``tol``, in blocks of at most ``FILTER_CELLS``
-    booleans.
+    filtered in one broadcast, many matrices at a time; a larger one
+    through its skyline (:func:`_skyline_mask`).
     """
     points = np.asarray(points, dtype=float)
     stack = points.reshape((math.prod(points.shape[:-2]),) + points.shape[-2:])
@@ -320,14 +313,9 @@ def nondominated(points: np.ndarray, tol: float = DOMINANCE_TOL) -> np.ndarray:
 
 def _dominates(cand: np.ndarray, upper: np.ndarray,
                lower: np.ndarray) -> np.ndarray:
-    """Broadcast mask of candidate rows dominating the rows whose
-    ``+ tol`` and ``- tol`` bounds are given; axis 0 holds the columns."""
-    weakly = cand[0] <= upper[0]
-    strictly = cand[0] < lower[0]
-    for k in range(1, len(cand)):
-        weakly &= cand[k] <= upper[k]
-        strictly |= cand[k] < lower[k]
-    return weakly & strictly
+    """Broadcast mask of candidate rows dominating the rows with these
+    ``+ tol`` and ``- tol`` bounds (axis 0: columns); a NaN fails it."""
+    return _at_most(cand, upper) & ~_at_most(lower, cand)
 
 
 def _at_most(cand: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -341,68 +329,79 @@ def _at_most(cand: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _skyline_mask(cols: np.ndarray, tol: float) -> np.ndarray:
     """:func:`nondominated` of one (columns x rows) matrix, testing only
-    its exact skyline.
+    its exact skyline, built on each column's dense int32 ranks.
 
-    Equal rows are dominated alike, so only the distinct rows are tested.
-    A row with an exact dominator that is more than ``tol`` below it in
-    some column is dominated by it; the other rows meet the skyline.
+    A row with a NaN key passes no ``<=``, so it is kept and dominates
+    nothing. Only distinct rows are tested; a row whose exact dominator
+    (:func:`_exact_skyline`) is more than ``tol`` below it in some column
+    is dominated. Lemma: a skyline row x is dominated by no row when, in
+    every column, the next larger value is above ``x + tol``. A dominator
+    is not at most x everywhere, as x is on the skyline, so it exceeds x
+    in some column; there it is at least that next value, so above
+    ``x + tol``. Only the other rows (``near`` ties, beaten rows within
+    ``tol`` of their dominator) meet the skyline; at ``tol = 0``, none.
     """
-    n = cols.shape[1]
-    order, distinct = sorted_runs(cols[::-1])
-    unique = cols[:, order[distinct]]
-    witness = _exact_skyline(unique)
-    sky = unique[:, witness < 0]
-    upper = unique + tol
-    lower = unique - tol
-    dominated = np.zeros(unique.shape[1], dtype=bool)
-    beaten = np.flatnonzero(witness >= 0)
-    dominated[beaten] = np.any(unique[:, witness[beaten]] < lower[:, beaten],
-                               axis=0)
-    # Lexicographic order ascends in the first column, so each block of
-    # rows reaches a prefix of the skyline.
-    rest = np.flatnonzero(~dominated)
-    block = max(1, FILTER_CELLS // sky.shape[1])
+    mask = np.ones(cols.shape[1], dtype=bool)
+    comparable = np.flatnonzero(~np.isnan(cols).any(axis=0))
+    order, distinct = sorted_runs(cols[::-1, comparable])
+    unique = cols[:, comparable[order[distinct]]]
+    upper, lower = unique + tol, unique - tol
+    ranks = np.empty(unique.shape, dtype=np.int32)
+    near = np.zeros(unique.shape[1], dtype=bool)
+    for k, column in enumerate(unique):
+        values, ranks[k] = np.unique(column, return_inverse=True)
+        near |= np.append(values[1:], np.inf)[ranks[k]] <= upper[k]
+    witness = _exact_skyline(ranks)
+    beaten = witness >= 0
+    dominated = beaten & np.any(unique[:, witness] < lower, axis=0)
+    rest = np.flatnonzero(np.where(beaten, ~dominated, near))
+    sky = unique[:, ~beaten]
+    # Rows ascend in the first column, so a block meets a skyline prefix.
+    block = max(1, FILTER_CELLS // max(sky.shape[1], 1))
     for start in range(0, len(rest), block):
         rows = rest[start:start + block]
         reach = int(np.searchsorted(sky[0], upper[0, rows[-1]], side="right"))
         dominated[rows] = np.any(
             _dominates(sky[:, None, :reach], upper[:, rows, None],
                        lower[:, rows, None]), axis=1)
-    mask = np.empty(n, dtype=bool)
-    mask[order] = ~dominated[np.cumsum(distinct) - 1]
+    mask[comparable[order]] = ~dominated[np.cumsum(distinct) - 1]
     return mask
 
 
 def _exact_skyline(unique: np.ndarray) -> np.ndarray:
     """For each row of ``unique`` (distinct rows stored as columns, in
-    lexicographic order), the index of a row that is at most it in every
-    column, or -1 when there is none: the exact weak skyline.
+    lexicographic order; dense ranks give the floats' ``<=`` in fewer
+    bytes), the index of a row that is at most it in every column, or -1
+    when there is none: the exact weak skyline.
 
     Such a row can only be at most the rows after it, and exact ``<=`` is
     transitive, so a row is on the skyline when no earlier skyline row and
-    no earlier row of its own block is at most it. Blocks of
-    ``isqrt(FILTER_CELLS)`` rows meet the skyline in rounds of the
-    ``FILTER_CELLS // rows`` skyline rows nearest them in that order, and
-    only the rows that survive a round meet the next; every mask holds at
-    most ``FILTER_CELLS`` booleans. Any blocking gives the same skyline.
+    no earlier row of its own block is at most it in the columns after the
+    first, where the order already puts it at most. Blocks of
+    ``isqrt(FILTER_CELLS)`` rows meet the skyline in rounds, nearest
+    skyline rows first in that order; only a round's survivors meet the
+    next, ``FILTER_CELLS // survivors`` skyline rows, so every mask holds
+    at most ``FILTER_CELLS`` booleans. Any blocking gives the same skyline.
     """
     n = unique.shape[1]
+    unique = unique[1:] if len(unique) > 1 else unique
     step = max(1, math.isqrt(FILTER_CELLS))
+    earlier = np.triu(np.ones((step, step), dtype=bool), 1)
     witness = np.full(n, -1, dtype=np.intp)
     sky = np.empty_like(unique)
     sky_row = np.empty(n, dtype=np.intp)
     size = 0
     for start in range(0, n, step):
         rows = unique[:, start:start + step]
-        below = np.triu(_at_most(rows[:, :, None], rows[:, None]), 1)
+        below = _at_most(rows[:, :, None], rows[:, None])
+        below &= earlier[:len(below), :len(below)]
         alive = ~below.any(axis=0)
         witness[start + np.flatnonzero(~alive)] = \
             start + below[:, ~alive].argmax(axis=0)
-        chunk = max(1, FILTER_CELLS // rows.shape[1])
         end = size
         while end and alive.any():
-            begin = max(0, end - chunk)
             live = np.flatnonzero(alive)
+            begin = max(0, end - max(1, FILTER_CELLS // len(live)))
             covered = _at_most(sky[:, None, begin:end], rows[:, live, None])
             hit = covered.any(axis=1)
             witness[start + live[hit]] = \

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import screenopt.pareto
+import screenopt.phase1
 from conftest import matrix_problem, random_diagram
 from oracles import (
     compatible_path_probabilities,
@@ -39,7 +40,12 @@ from screenopt.pareto import (
     frontier_rows,
     nondominated,
 )
-from screenopt.phase1 import natural_progression_rollout, segment_problem
+from screenopt.phase1 import (
+    natural_progression_rollout,
+    remove_dominated,
+    run_phase1,
+    segment_problem,
+)
 from screenopt.screening import Segment, Sex, load_parameters
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -347,17 +353,25 @@ class TestSkylineKernel:
 
     @CELLS
     def test_mask_equals_prefix_kernel_and_row_loop(self, monkeypatch, cells):
+        # at tolerance 0 (phase 2), 1e-9 (phase 1) and at the grid step;
+        # every other matrix mixes exact zeros of both signs, which
+        # compare equal
         monkeypatch.setattr(screenopt.pareto, "FILTER_CELLS", cells)
         rng = np.random.default_rng(263)
         for trial in range(25):
             n = int(rng.integers(2, 400))
             keys = self.planted_keys(rng, n)
-            mask = nondominated(keys)
-            assert np.array_equal(mask, nondominated_prefix(keys))
-            if trial % 5 == 0:
-                loop = [not any(dominates(other, row) for other in keys)
-                        for row in keys]
-                assert mask.tolist() == loop
+            if trial % 2:
+                keys = np.where(rng.random(keys.shape) < 0.2,
+                                rng.choice([0.0, -0.0], size=keys.shape),
+                                keys)
+            for tol in (0.0, 1e-9, 1e-3):
+                mask = nondominated(keys, tol)
+                assert np.array_equal(mask, nondominated_prefix(keys, tol))
+                if trial % 5 == 0:
+                    loop = [not any(dominates(other, row, tol)
+                                    for other in keys) for row in keys]
+                    assert mask.tolist() == loop
 
     @CELLS
     def test_skyline_is_the_exact_weak_skyline(self, monkeypatch, cells):
@@ -376,6 +390,61 @@ class TestSkylineKernel:
             beaten = np.flatnonzero(witness >= 0)
             assert np.all(unique[witness[beaten]] <= unique[beaten])
             assert np.all(witness[beaten] < beaten)
+
+    def test_near_tie_lemma_exempts_only_undominated_rows(self):
+        # a skyline row whose next larger value in every column is above
+        # its own + tol is dominated by no row under the row loop; at
+        # tolerance 0 that is every skyline row
+        rng = np.random.default_rng(277)
+        exempt = 0
+        for trial in range(30):
+            tol = (0.0, 1e-9, 1e-3)[trial % 3]
+            keys = self.planted_keys(rng, int(rng.integers(1, 200)))
+            unique = np.unique(keys, axis=0)
+            skyline = _exact_skyline(unique.T.copy()) < 0
+            clear = np.ones(len(unique), dtype=bool)
+            for column in unique.T:
+                values = np.append(np.unique(column), np.inf)
+                after = values[np.searchsorted(values, column, side="right")]
+                clear &= after > column + tol
+            if tol == 0.0:
+                assert clear.all()
+            for row in unique[skyline & clear]:
+                assert not any(dominates(other, row, tol) for other in keys)
+            exempt += int((skyline & clear).sum())
+        assert exempt
+
+    def test_nan_rows_are_kept_and_dominate_nothing(self, monkeypatch):
+        # a row with a NaN key passes no comparison, in one broadcast and
+        # through the skyline alike, also when every row has one
+        rng = np.random.default_rng(281)
+        for trial in range(25):
+            keys = self.planted_keys(rng, int(rng.integers(5, 100)))
+            keys[rng.random(keys.shape) < (1.0 if trial == 0 else 0.05)] = \
+                np.nan
+            loop = [not any(dominates(other, row) for other in keys)
+                    for row in keys]
+            for cells in (1 << 16, 16):
+                monkeypatch.setattr(screenopt.pareto, "FILTER_CELLS", cells)
+                assert nondominated(keys).tolist() == loop
+
+    def test_shipped_history_keys(self, monkeypatch, default_bundle):
+        # the keys of every period's history pruning on the shipped
+        # parameters, both sexes, up to the 6,633-row last period
+        seen = []
+
+        def spy(table):
+            seen.append(table.dominance_keys())
+            return remove_dominated(table)
+
+        monkeypatch.setattr(screenopt.phase1, "remove_dominated", spy)
+        run_phase1(default_bundle, budget=20000.0)
+        assert len(seen) == 8
+        assert max(len(keys) for keys in seen) ** 2 > \
+            screenopt.pareto.FILTER_CELLS
+        for keys in seen:
+            assert np.array_equal(nondominated(keys),
+                                  nondominated_prefix(keys))
 
     def test_large_matrices_of_a_stack_use_the_skyline(self, monkeypatch):
         # a stack whose matrices exceed one block is filtered matrix by

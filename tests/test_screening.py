@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +58,7 @@ from screenopt.screening import (
     prevalence_tables,
 )
 
+DATA = Path(__file__).resolve().parent / "data"
 DERIVED_PSI = PrevalenceVector(normal=0.9, benign=0.06, large=0.03, crc=0.01)
 
 
@@ -421,6 +423,25 @@ class TestLoader:
         assert report.defaults == []
         assert report.warnings == []
         assert bundle.periods == 5
+
+    @pytest.mark.parametrize("periods", [6, 7])
+    def test_long_horizon_documents_extend_the_shipped_lists(
+            self, default_doc, periods):
+        # the synthetic long-horizon documents repeat each per-period
+        # list's last entry and change nothing else
+        path = DATA / f"synthetic_{periods}period.json"
+        doc = json.loads(path.read_text())
+        assert "synthetic" in doc["description"].lower()
+        want = json.loads(json.dumps(default_doc))
+        want["description"] = doc["description"]
+        for section in (want["participation"]["return"],
+                        want["participation"]["contact"], want["transitions"]):
+            for sex, rows in section.items():
+                section[sex] = rows + rows[-1:] * (periods - len(rows))
+        assert doc == want
+        bundle, report = load_parameters(doc)
+        assert bundle.periods == periods
+        assert report.defaults == [] and report.warnings == []
 
     def test_defaults_are_reported(self, default_doc):
         doc = json.loads(json.dumps(default_doc))
