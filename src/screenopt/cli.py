@@ -349,10 +349,9 @@ def _cmd_pipeline(args) -> int:
     # Cut-off labels hold neither "," nor "|", so a history's key is its
     # policy cells joined by "|" instead of ",".
     render = _by_strategy(lambda s: policy_cell(s, cutoffs))
-    policy = {sex: _lineage_rows(histories[sex], range(len(histories[sex])),
-                                 render) for sex in (Sex.F, Sex.M)}
-    keys = {sex: _unique_keys([row.replace(",", "|")
-                               for row in policy[sex].values()])
+    policy = {sex: _lineage_rows(histories[sex], render)
+              for sex in (Sex.F, Sex.M)}
+    keys = {sex: _unique_keys([row.replace(",", "|") for row in policy[sex]])
             for sex in (Sex.F, Sex.M)}
     problem = selection_problem_from_histories(bundle, histories)
     results = budget_sweep(problem, budgets)
@@ -402,27 +401,24 @@ def _write_manifest(args, bundle, budgets, periods, digest) -> None:
                                             encoding="utf-8")
 
 
-def _lineage_rows(table: HistoryTable, rows, block) -> dict:
-    """Each of ``rows`` of a last-period table mapped to its ancestors'
-    blocks, period 1 first, joined by ",".
-
-    ``block(period_table, rows)`` renders distinct rows of one period's
-    table, so a block that histories share is rendered once.
-    """
-    wanted = sorted(set(rows))
-    parts = []
-    for period_table, ancestors in table.lineage(np.array(wanted, dtype=int)):
-        distinct, inverse = np.unique(ancestors, return_inverse=True)
-        rendered = block(period_table, distinct)
-        parts.append([rendered[i] for i in inverse.tolist()])
-    return dict(zip(wanted, map(",".join, zip(*parts))))
+def _lineage_rows(table: HistoryTable, block) -> list[str]:
+    """Each row of a period table's blocks and its ancestors', period 1
+    first, joined by ","; ``block(t)`` renders one string per row of a
+    period table ``t``. Built forward: a row's string is its parent row's
+    string and its own block."""
+    rendered = block(table)
+    if table.parent is None:
+        return rendered
+    before = _lineage_rows(table.parent, block)
+    return [before[p] + "," + own
+            for p, own in zip(table.parent_row.tolist(), rendered)]
 
 
 def _by_strategy(render):
     """A block of each row's strategy, rendered once per strategy."""
-    def block(table, rows):
+    def block(table):
         cells = [render(s) for s in table.strategies]
-        return [cells[s] for s in table.strategy[rows].tolist()]
+        return [cells[s] for s in table.strategy.tolist()]
     return block
 
 
@@ -436,15 +432,14 @@ def _write_histories(out: Path, digest: str, sex: Sex, table: HistoryTable,
     columns += ["cumulative_colonoscopies", "total_cancer_prevalence",
                 "total_cost"]
 
-    every = range(len(table))
-    cells = _lineage_rows(table, every, _by_strategy(
+    cells = _lineage_rows(table, _by_strategy(
         lambda s: history_columns(s, cutoffs)))
-    prevalences = _lineage_rows(table, every, lambda t, rows: [
-        ",".join(map(repr, psi)) for psi in t.updated[rows].tolist()])
-    rows = [f"{i},{key},{cells[i]},{prevalences[i]},{col!r},{crc!r},{cost!r}"
-            for i, key, col, crc, cost in zip(
-                every, keys, table.colonoscopies.tolist(),
-                table.total[:, 3].tolist(), table.cost.tolist())]
+    prevalences = _lineage_rows(table, lambda t: [
+        ",".join(map(repr, psi)) for psi in t.updated.tolist()])
+    rows = [f"{i},{key},{c},{psi},{col!r},{crc!r},{cost!r}"
+            for i, (key, c, psi, col, crc, cost) in enumerate(zip(
+                keys, cells, prevalences, table.colonoscopies.tolist(),
+                table.total[:, 3].tolist(), table.cost.tolist()))]
     _write_csv(out / f"histories_{sex.value}.csv", digest, columns, rows)
 
 

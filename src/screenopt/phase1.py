@@ -333,6 +333,12 @@ def run_phase1(params: ParameterBundle, budget: float,
     The budget is an absolute expected-examination count over all periods;
     per-invitee expectations are scaled by the cohort sizes before they are
     compared against it. Every returned history satisfies the budget.
+
+    A history is extended only by its segment frontier over the objectives
+    of ``objective_mask``. Masking out ``benign_found`` or ``large_found``
+    stops those detections from steering the extension, though they still
+    drive the prevalence updates, so the run is exact for the masked
+    problem only.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")

@@ -87,7 +87,7 @@ class PrevalenceVector:
 
     def __post_init__(self):
         total = self.normal + self.benign + self.large + self.crc
-        if abs(total - 1.0) > SUM_TOL:
+        if not abs(total - 1.0) <= SUM_TOL:  # NaN fails too
             raise ValueError(f"prevalences sum to {total!r}, not 1")
         if min(self.normal, self.benign, self.large, self.crc) < -ZERO_TOL:
             raise ValueError("negative prevalence entry")
@@ -100,7 +100,7 @@ def check_prevalence_rows(rows: np.ndarray) -> None:
     """The checks of :class:`PrevalenceVector` on every row of an (N x 4)
     array in state order, with the same float operations."""
     total = rows[:, 0] + rows[:, 1] + rows[:, 2] + rows[:, 3]
-    off = np.flatnonzero(np.abs(total - 1.0) > SUM_TOL)
+    off = np.flatnonzero(~(np.abs(total - 1.0) <= SUM_TOL))
     if off.size:
         raise ValueError(f"prevalences sum to {float(total[off[0]])!r}, not 1")
     if np.any(rows.min(axis=1, initial=np.inf) < -ZERO_TOL):
@@ -500,21 +500,18 @@ def load_parameters(doc: Mapping[str, Any]) -> tuple[ParameterBundle, LoadReport
     fit = _load_fit(doc["fit"], report)
     colonoscopy = _load_colonoscopy(doc["colonoscopy"])
     participation, periods = _load_participation(doc["participation"])
-    costs = _load_costs(doc["costs"], report)
-    prevalence0 = _load_prevalence0(doc["prevalence0"])
-    transitions = _load_transitions(doc["transitions"], periods)
-    population = _load_population(doc["population"], periods)
-    options = _load_options(doc.get("options"), fit, report)
-
+    # Arguments are evaluated left to right, which orders the later checks.
     return ParameterBundle(
         fit=fit,
         colonoscopy=colonoscopy,
         participation=participation,
-        costs=costs,
-        prevalence0=prevalence0,
-        transitions=transitions,
-        population=population,
-        options=options,
+        costs=_load_costs(doc["costs"], report),
+        prevalence0=_per_sex(doc["prevalence0"], "prevalence0", _prevalence),
+        transitions=_per_sex(doc["transitions"], "transitions", _transitions,
+                             periods),
+        population=_per_sex(doc["population"], "population", _cohort_sizes,
+                            periods),
+        options=_load_options(doc.get("options"), fit, report),
         description=str(doc.get("description", "")),
     ), report
 
@@ -529,6 +526,21 @@ def _require_keys(section: Any, path: str, required: tuple[str, ...],
     for key in required:
         if key not in section:
             raise ParameterError(f"{path}.{key}", "required key is missing")
+
+
+def _per_sex(section: Any, path: str, read, *args) -> dict[str, Any]:
+    """``read(value, path, *args)`` of the "F" and then the "M" entry of a
+    section that holds exactly those two."""
+    _require_keys(section, path, ("F", "M"))
+    return {sex: read(section[sex], f"{path}.{sex}", *args)
+            for sex in ("F", "M")}
+
+
+def _probabilities(section: Any, path: str,
+                   keys: tuple[str, ...]) -> dict[str, float]:
+    """A section of exactly ``keys``, each a probability, in key order."""
+    _require_keys(section, path, keys)
+    return {key: _probability(section[key], f"{path}.{key}") for key in keys}
 
 
 def _probability(value: Any, path: str) -> float:
@@ -565,89 +577,62 @@ def _load_fit(section: Any, report: LoadReport) -> FitTestCharacteristics:
     cutoffs = tuple(cutoffs)
 
     _require_keys(section["sensitivity"], "fit.sensitivity", _ABNORMAL_KEYS)
-    sensitivity: dict[str, dict[str, float]] = {}
-    for state in _ABNORMAL_KEYS:
-        table = section["sensitivity"][state]
-        _require_keys(table, f"fit.sensitivity.{state}", tuple(cutoffs))
-        sensitivity[state] = {
-            c: _probability(table[c], f"fit.sensitivity.{state}.{c}")
-            for c in cutoffs
-        }
-        values = [sensitivity[state][c] for c in cutoffs]
+    sensitivity = {
+        state: _probabilities(section["sensitivity"][state],
+                              f"fit.sensitivity.{state}", cutoffs)
+        for state in _ABNORMAL_KEYS
+    }
+    for state, table in sensitivity.items():
+        values = list(table.values())
         if any(a < b - ZERO_TOL for a, b in zip(values, values[1:])):
             report.warnings.append(
                 f"fit.sensitivity.{state}: not weakly decreasing along "
                 f"declared cut-off order")
-
-    _require_keys(section["specificity"], "fit.specificity", tuple(cutoffs))
-    specificity = {
-        c: _probability(section["specificity"][c], f"fit.specificity.{c}")
-        for c in cutoffs
-    }
     return FitTestCharacteristics(
         unit=str(section["unit"]),
         cutoffs=cutoffs,
         sensitivity=sensitivity,
-        specificity=specificity,
+        specificity=_probabilities(section["specificity"], "fit.specificity",
+                                   cutoffs),
     )
 
 
 def _load_colonoscopy(section: Any) -> ColonoscopyCharacteristics:
     _require_keys(section, "colonoscopy", ("sensitivity", "adverse_events"))
-    _require_keys(section["sensitivity"], "colonoscopy.sensitivity",
-                  _ABNORMAL_KEYS)
-    sens = {
-        s: _probability(section["sensitivity"][s],
-                        f"colonoscopy.sensitivity.{s}")
-        for s in _ABNORMAL_KEYS
-    }
-    adverse = section["adverse_events"]
-    _require_keys(adverse, "colonoscopy.adverse_events",
-                  ("bleed", "perforation_with_polypectomy",
-                   "perforation_without_polypectomy"))
-    bleed = _probability(adverse["bleed"], "colonoscopy.adverse_events.bleed")
-    pw = _probability(adverse["perforation_with_polypectomy"],
-                      "colonoscopy.adverse_events.perforation_with_polypectomy")
-    pwo = _probability(adverse["perforation_without_polypectomy"],
-                       "colonoscopy.adverse_events.perforation_without_polypectomy")
+    sensitivity = _probabilities(section["sensitivity"],
+                                 "colonoscopy.sensitivity", _ABNORMAL_KEYS)
+    adverse = _probabilities(section["adverse_events"],
+                             "colonoscopy.adverse_events",
+                             ("bleed", "perforation_with_polypectomy",
+                              "perforation_without_polypectomy"))
+    bleed, pw, pwo = adverse.values()
     if bleed + max(pw, pwo) > 1.0 + ZERO_TOL:
         raise ParameterError("colonoscopy.adverse_events",
                              "bleed + perforation exceeds 1")
-    return ColonoscopyCharacteristics(
-        sensitivity=sens,
-        bleed=bleed,
-        perforation_with_polypectomy=pw,
-        perforation_without_polypectomy=pwo,
-    )
-
-
-def _load_rates_by_sex(section: Any, path: str,
-                       periods: int | None) -> tuple[dict[str, tuple[float, ...]], int]:
-    _require_keys(section, path, ("F", "M"))
-    out = {}
-    for sex in ("F", "M"):
-        rates = section[sex]
-        if not isinstance(rates, list) or not rates:
-            raise ParameterError(f"{path}.{sex}", "must be a non-empty list")
-        out[sex] = tuple(
-            _probability(v, f"{path}.{sex}[{i}]") for i, v in enumerate(rates)
-        )
-        if periods is None:
-            periods = len(out[sex])
-        elif len(out[sex]) != periods:
-            raise ParameterError(
-                f"{path}.{sex}",
-                f"expected {periods} periods, got {len(out[sex])}")
-    return out, periods
+    return ColonoscopyCharacteristics(sensitivity=sensitivity, **adverse)
 
 
 def _load_participation(section: Any) -> tuple[ParticipationParameters, int]:
+    """The participation rates and the period count, which the first
+    per-period list sets and every other one must match."""
     _require_keys(section, "participation", ("sample_ok", "return", "contact"))
     sample_ok = _probability(section["sample_ok"], "participation.sample_ok")
-    return_rate, periods = _load_rates_by_sex(section["return"],
-                                              "participation.return", None)
-    contact, periods = _load_rates_by_sex(section["contact"],
-                                          "participation.contact", periods)
+    periods = None
+
+    def rates(values: Any, path: str) -> tuple[float, ...]:
+        nonlocal periods
+        if not isinstance(values, list) or not values:
+            raise ParameterError(path, "must be a non-empty list")
+        out = tuple(_probability(v, f"{path}[{i}]")
+                    for i, v in enumerate(values))
+        periods = periods or len(out)
+        if len(out) != periods:
+            raise ParameterError(
+                path, f"expected {periods} periods, got {len(out)}")
+        return out
+
+    return_rate = _per_sex(section["return"], "participation.return", rates)
+    contact = _per_sex(section["contact"], "participation.contact", rates)
     return ParticipationParameters(
         sample_ok=sample_ok, return_rate=return_rate, contact=contact
     ), periods
@@ -690,66 +675,36 @@ def _cost(value: Any, path: str) -> float:
     return value
 
 
-def _load_prevalence0(section: Any) -> dict[str, PrevalenceVector]:
-    _require_keys(section, "prevalence0", ("F", "M"))
-    out = {}
-    for sex in ("F", "M"):
-        path = f"prevalence0.{sex}"
-        _require_keys(section[sex], path, _STATE_KEYS)
-        entries = {
-            s: _probability(section[sex][s], f"{path}.{s}")
-            for s in _STATE_KEYS
-        }
-        total = math.fsum(entries.values())
-        if abs(total - 1.0) > SUM_TOL:
-            raise ParameterError(path, f"prevalences sum to {total!r}, not 1")
-        out[sex] = PrevalenceVector(**entries)
-    return out
+def _prevalence(section: Any, path: str) -> PrevalenceVector:
+    entries = _probabilities(section, path, _STATE_KEYS)
+    total = math.fsum(entries.values())
+    if abs(total - 1.0) > SUM_TOL:
+        raise ParameterError(path, f"prevalences sum to {total!r}, not 1")
+    return PrevalenceVector(**entries)
 
 
-def _load_transitions(section: Any, periods: int) -> dict[str, tuple[TransitionRates, ...]]:
-    _require_keys(section, "transitions", ("F", "M"))
-    out = {}
-    for sex in ("F", "M"):
-        path = f"transitions.{sex}"
-        rows = section[sex]
-        if not isinstance(rows, list) or len(rows) != periods:
-            raise ParameterError(path, f"must list {periods} periods")
-        rates = []
-        for i, row in enumerate(rows):
-            row_path = f"{path}[{i}]"
-            _require_keys(row, row_path,
-                          ("normal_to_benign", "benign_to_large",
-                           "large_to_crc"))
-            rates.append(TransitionRates(
-                normal_to_benign=_probability(
-                    row["normal_to_benign"], f"{row_path}.normal_to_benign"),
-                benign_to_large=_probability(
-                    row["benign_to_large"], f"{row_path}.benign_to_large"),
-                large_to_crc=_probability(
-                    row["large_to_crc"], f"{row_path}.large_to_crc"),
-            ))
-        out[sex] = tuple(rates)
-    return out
+def _transitions(rows: Any, path: str,
+                 periods: int) -> tuple[TransitionRates, ...]:
+    if not isinstance(rows, list) or len(rows) != periods:
+        raise ParameterError(path, f"must list {periods} periods")
+    return tuple(
+        TransitionRates(**_probabilities(
+            row, f"{path}[{i}]",
+            ("normal_to_benign", "benign_to_large", "large_to_crc")))
+        for i, row in enumerate(rows))
 
 
-def _load_population(section: Any, periods: int) -> dict[str, tuple[float, ...]]:
-    _require_keys(section, "population", ("F", "M"))
-    out = {}
-    for sex in ("F", "M"):
-        path = f"population.{sex}"
-        value = section[sex]
-        if isinstance(value, list):
-            if len(value) != periods:
-                raise ParameterError(path, f"must list {periods} cohort sizes")
-            sizes = tuple(_number(v, f"{path}[{i}]")
-                          for i, v in enumerate(value))
-        else:
-            sizes = (_number(value, path),) * periods
-        if any(s <= 0 for s in sizes):
-            raise ParameterError(path, "cohort sizes must be positive")
-        out[sex] = sizes
-    return out
+def _cohort_sizes(value: Any, path: str, periods: int) -> tuple[float, ...]:
+    """One size per period, or one number repeated for every period."""
+    if isinstance(value, list):
+        if len(value) != periods:
+            raise ParameterError(path, f"must list {periods} cohort sizes")
+        sizes = tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
+    else:
+        sizes = (_number(value, path),) * periods
+    if any(s <= 0 for s in sizes):
+        raise ParameterError(path, "cohort sizes must be positive")
+    return sizes
 
 
 def _load_options(section: Any, fit: FitTestCharacteristics,
@@ -760,22 +715,8 @@ def _load_options(section: Any, fit: FitTestCharacteristics,
     _require_keys(section, "options", (),
                   optional=("fix_exam_to_colonoscopy", "incentive_enabled",
                             "cutoff_set"))
-    if "fix_exam_to_colonoscopy" in section:
-        fix_exam = section["fix_exam_to_colonoscopy"]
-        if not isinstance(fix_exam, bool):
-            raise ParameterError("options.fix_exam_to_colonoscopy",
-                                 "must be a boolean")
-    else:
-        fix_exam = False
-        report.defaults.append("options.fix_exam_to_colonoscopy = false")
-    if "incentive_enabled" in section:
-        incentive = section["incentive_enabled"]
-        if not isinstance(incentive, bool):
-            raise ParameterError("options.incentive_enabled",
-                                 "must be a boolean")
-    else:
-        incentive = True
-        report.defaults.append("options.incentive_enabled = true")
+    fix_exam = _flag(section, "fix_exam_to_colonoscopy", False, report)
+    incentive = _flag(section, "incentive_enabled", True, report)
     cutoff_set = None
     if "cutoff_set" in section:
         subset = section["cutoff_set"]
@@ -796,3 +737,14 @@ def _load_options(section: Any, fit: FitTestCharacteristics,
         incentive_enabled=incentive,
         cutoff_set=cutoff_set,
     )
+
+
+def _flag(section: Mapping[str, Any], key: str, default: bool,
+          report: LoadReport) -> bool:
+    """Boolean option ``key``, or ``default`` with its default line."""
+    if key not in section:
+        report.defaults.append(f"options.{key} = {str(default).lower()}")
+        return default
+    if not isinstance(section[key], bool):
+        raise ParameterError(f"options.{key}", "must be a boolean")
+    return section[key]

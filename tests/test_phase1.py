@@ -8,6 +8,7 @@ example.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 from types import SimpleNamespace
@@ -134,6 +135,33 @@ class TestUpdatePrevalences:
             assert out == pytest.approx((n, b, lg, r), abs=1e-12)
             assert sum(out) == pytest.approx(1.0, abs=1e-9)
             assert min(out) >= -1e-12
+
+
+class TestNaNRejected:
+    """NaN fails every prevalence sum check, so it cannot pass through the
+    recurrences from a library caller's inputs."""
+
+    def test_prevalence_vector_and_rows(self):
+        nan = float("nan")
+        with pytest.raises(ValueError, match="sum to nan"):
+            PrevalenceVector(nan, 0.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="sum to nan"):
+            check_prevalence_rows(np.array([WORKED_PSI.as_tuple(),
+                                            (nan, 0.0, 0.0, 1.0)]))
+
+    @pytest.mark.parametrize("column", range(3))
+    def test_nan_detection(self, column):
+        found = list(WORKED_FOUND)
+        found[column] = float("nan")
+        with pytest.raises(ValueError, match="sum to nan"):
+            update_one(WORKED_PSI, found, WORKED_RATES)
+
+    @pytest.mark.parametrize("field", ["normal_to_benign", "benign_to_large",
+                                       "large_to_crc"])
+    def test_nan_transition_rate(self, field):
+        rates = dataclasses.replace(WORKED_RATES, **{field: float("nan")})
+        with pytest.raises(ValueError, match="sum to nan"):
+            natural_progression_rollout(WORKED_PSI, [WORKED_RATES, rates])
 
 
 class TestRollout:

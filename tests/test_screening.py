@@ -529,3 +529,258 @@ class TestLoader:
                                     monotone=bool(rng.integers(0, 2)))
             bundle, _ = load_parameters(doc)
             assert bundle.periods == len(doc["transitions"]["F"])
+
+
+# ---------------------------------------------------------------------------
+# Every loader error, default line and warning, pinned by path and message
+# ---------------------------------------------------------------------------
+
+_DELETE = object()
+
+
+def _edited(doc, edits):
+    """A deep copy of ``doc`` with each (keys, value) edit applied; the
+    value ``_DELETE`` removes the key."""
+    doc = json.loads(json.dumps(doc))
+    for keys, value in edits:
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        if value is _DELETE:
+            del parent[keys[-1]]
+        else:
+            parent[keys[-1]] = value
+    return doc
+
+
+def _dotted(keys) -> str:
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                   for k in keys)[1:]
+
+
+# Each object section with one of its required keys (None: none required).
+_SECTIONS = (
+    (("fit",), "unit"),
+    (("fit", "sensitivity"), "crc"),
+    (("fit", "sensitivity", "benign"), "25"),
+    (("fit", "specificity"), "10"),
+    (("colonoscopy",), "adverse_events"),
+    (("colonoscopy", "sensitivity"), "large"),
+    (("colonoscopy", "adverse_events"), "perforation_without_polypectomy"),
+    (("participation",), "contact"),
+    (("participation", "return"), "M"),
+    (("participation", "contact"), "F"),
+    (("costs",), "polypectomy"),
+    (("costs", "exam_result"), "normal"),
+    (("costs", "adverse_event"), "perforation"),
+    (("prevalence0",), "M"),
+    (("prevalence0", "F"), "crc"),
+    (("transitions",), "F"),
+    (("transitions", "M", 4), "benign_to_large"),
+    (("population",), "F"),
+    (("options",), None),
+)
+
+_NAN, _INF = float("nan"), float("inf")
+_RESERVED = "label {!r} is empty or contains a reserved character"
+
+# (edits, path, message); with several faults the first in load order wins.
+_LOADER_ERRORS = [
+    ([((s,), _DELETE)], s, "required section is missing")
+    for s in ("fit", "population")
+] + [
+    ([(keys, [])], _dotted(keys), "must be a JSON object")
+    for keys, _ in _SECTIONS
+] + [
+    ([(keys + ("zz",), 1)], _dotted(keys) + ".zz", "unknown key")
+    for keys, _ in _SECTIONS
+] + [
+    ([(keys + (key,), _DELETE)], _dotted(keys + (key,)),
+     "required key is missing")
+    for keys, key in _SECTIONS if key is not None
+] + [
+    ([(("extra",), 1)], "extra", "unknown top-level key"),
+    ([(("zz",), 1), (("aa",), 1)], "aa", "unknown top-level key"),
+    # probabilities
+    ([(("fit", "sensitivity", "crc", "10"), "x")],
+     "fit.sensitivity.crc.10", "must be a number"),
+    ([(("fit", "sensitivity", "large", "40"), -_INF)],
+     "fit.sensitivity.large.40", "must be finite"),
+    ([(("fit", "specificity", "50"), True)],
+     "fit.specificity.50", "must be a number"),
+    ([(("colonoscopy", "sensitivity", "benign"), _NAN)],
+     "colonoscopy.sensitivity.benign", "must be finite"),
+    ([(("colonoscopy", "adverse_events", "bleed"), -0.5)],
+     "colonoscopy.adverse_events.bleed", "probability -0.5 outside [0, 1]"),
+    ([(("participation", "sample_ok"), 1.5)],
+     "participation.sample_ok", "probability 1.5 outside [0, 1]"),
+    ([(("participation", "return", "F", 0), None)],
+     "participation.return.F[0]", "must be a number"),
+    ([(("participation", "contact", "M", 2), 1.2)],
+     "participation.contact.M[2]", "probability 1.2 outside [0, 1]"),
+    ([(("prevalence0", "M", "crc"), _INF)],
+     "prevalence0.M.crc", "must be finite"),
+    ([(("transitions", "F", 1, "large_to_crc"), 100)],
+     "transitions.F[1].large_to_crc", "probability 100.0 outside [0, 1]"),
+    # list lengths and period counts
+    ([(("participation", "return", "F"), {})],
+     "participation.return.F", "must be a non-empty list"),
+    ([(("participation", "return", "F"), [])],
+     "participation.return.F", "must be a non-empty list"),
+    ([(("participation", "return", "M"), [0.6] * 4)],
+     "participation.return.M", "expected 5 periods, got 4"),
+    ([(("participation", "contact", "F"), [0.9] * 6)],
+     "participation.contact.F", "expected 5 periods, got 6"),
+    ([(("transitions", "F"), {})], "transitions.F", "must list 5 periods"),
+    ([(("transitions", "M", 4), _DELETE)],
+     "transitions.M", "must list 5 periods"),
+    ([(("population", "F"), [15000] * 4)],
+     "population.F", "must list 5 cohort sizes"),
+    ([(("population", "M"), "x")], "population.M", "must be a number"),
+    ([(("population", "F"), [1, 2, 3, _INF, 5])],
+     "population.F[3]", "must be finite"),
+    ([(("population", "M"), 0)],
+     "population.M", "cohort sizes must be positive"),
+    ([(("population", "F"), [1, 2, -3, 4, 5])],
+     "population.F", "cohort sizes must be positive"),
+    # costs, simplexes and adverse events
+    ([(("costs", "colonoscopy"), -5)],
+     "costs.colonoscopy", "cost -5.0 is negative"),
+    ([(("costs", "incentive"), "x")], "costs.incentive", "must be a number"),
+    ([(("costs", "exam_result", "crc"), -1)],
+     "costs.exam_result.crc", "cost -1.0 is negative"),
+    ([(("costs", "adverse_event", "bleed"), _NAN)],
+     "costs.adverse_event.bleed", "must be finite"),
+    ([(("prevalence0", "F", "benign"), 0.09)],
+     "prevalence0.F", "prevalences sum to 1.01, not 1"),
+    ([(("colonoscopy", "adverse_events", "bleed"), 0.9995)],
+     "colonoscopy.adverse_events", "bleed + perforation exceeds 1"),
+    # cut-off labels
+    ([(("fit", "cutoffs"), "10")],
+     "fit.cutoffs", "must be a non-empty list of strings"),
+    ([(("fit", "cutoffs"), [])],
+     "fit.cutoffs", "must be a non-empty list of strings"),
+    ([(("fit", "cutoffs"), ["10", 20])],
+     "fit.cutoffs", "must be a non-empty list of strings"),
+    ([(("fit", "cutoffs"), ["10", "10"])],
+     "fit.cutoffs", "duplicate cut-off labels"),
+] + [
+    ([(("fit", "cutoffs"), ["10", label])], "fit.cutoffs",
+     _RESERVED.format(label))
+    for label in ("", "20,5", "a|b", "a;b", "a\nb")
+] + [
+    # boolean options and the cut-off subset
+    ([(("options", "fix_exam_to_colonoscopy"), "yes")],
+     "options.fix_exam_to_colonoscopy", "must be a boolean"),
+    ([(("options", "incentive_enabled"), 1)],
+     "options.incentive_enabled", "must be a boolean"),
+    ([(("options", "cutoff_set"), "10")],
+     "options.cutoff_set", "must be a non-empty list"),
+    ([(("options", "cutoff_set"), [])],
+     "options.cutoff_set", "must be a non-empty list"),
+    ([(("options", "cutoff_set"), ["10", "77"])],
+     "options.cutoff_set", "cut-off '77' is not declared in fit.cutoffs"),
+    ([(("options", "cutoff_set"), ["10", "10"])],
+     "options.cutoff_set", "duplicate cut-off labels"),
+    # several faults at once
+    ([(("costs", "invitation"), -1),
+      (("costs", "exam_result", "normal"), _DELETE)],
+     "costs.exam_result.normal", "required key is missing"),
+    ([(("costs", "incentive"), -1),
+      (("costs", "exam_result", "normal"), _DELETE)],
+     "costs.incentive", "cost -1.0 is negative"),
+    ([(("participation", "contact", "F"), [0.9] * 4),
+      (("participation", "contact", "M", 0), 2)],
+     "participation.contact.F", "expected 5 periods, got 4"),
+    ([(("participation", "return", "F", 1), 2),
+      (("participation", "return", "M"), [])],
+     "participation.return.F[1]", "probability 2.0 outside [0, 1]"),
+    ([(("fit", "sensitivity", "benign", "10"), 2),
+      (("fit", "specificity", "10"), _DELETE)],
+     "fit.sensitivity.benign.10", "probability 2.0 outside [0, 1]"),
+    ([(("transitions", "F", 0, "normal_to_benign"), -1),
+      (("population", "F"), 0)],
+     "transitions.F[0].normal_to_benign", "probability -1.0 outside [0, 1]"),
+    ([(("prevalence0", "F", "benign"), 0.09),
+      (("prevalence0", "M", "crc"), "x")],
+     "prevalence0.F", "prevalences sum to 1.01, not 1"),
+    ([(("options", "incentive_enabled"), 0),
+      (("options", "fix_exam_to_colonoscopy"), 0)],
+     "options.fix_exam_to_colonoscopy", "must be a boolean"),
+    ([(("colonoscopy", "adverse_events", "bleed"), 0.9995),
+      (("participation", "sample_ok"), 2)],
+     "colonoscopy.adverse_events", "bleed + perforation exceeds 1"),
+    ([(("options", "cutoff_set"), ["77", "77"])],
+     "options.cutoff_set", "cut-off '77' is not declared in fit.cutoffs"),
+]
+
+# One fault in each section, in load order: with a fault in a section and
+# one in the next, the first is reported.
+_SECTION_FAULTS = (
+    ((("fit", "unit"), _DELETE), "fit.unit", "required key is missing"),
+    ((("colonoscopy", "sensitivity", "crc"), "x"),
+     "colonoscopy.sensitivity.crc", "must be a number"),
+    ((("participation", "sample_ok"), 2),
+     "participation.sample_ok", "probability 2.0 outside [0, 1]"),
+    ((("costs", "colonoscopy"), -1),
+     "costs.colonoscopy", "cost -1.0 is negative"),
+    ((("prevalence0", "F", "crc"), "x"), "prevalence0.F.crc", "must be a number"),
+    ((("transitions", "F"), {}), "transitions.F", "must list 5 periods"),
+    ((("population", "F"), 0), "population.F", "cohort sizes must be positive"),
+    ((("options", "incentive_enabled"), 1),
+     "options.incentive_enabled", "must be a boolean"),
+)
+_LOADER_ERRORS += [
+    ([first, second], path, message)
+    for (first, path, message), (second, _, _) in zip(_SECTION_FAULTS,
+                                                      _SECTION_FAULTS[1:])
+]
+
+_OPTION_DEFAULTS = ["options.fix_exam_to_colonoscopy = false",
+                    "options.incentive_enabled = true"]
+_MONOTONE = "fit.sensitivity.{}: not weakly decreasing along declared " \
+            "cut-off order"
+
+# (edits, defaults, warnings)
+_LOADER_REPORTS = [
+    ([], [], []),
+    ([(("costs", "incentive"), _DELETE)], ["costs.incentive = 50.0"], []),
+    ([(("options",), _DELETE)],
+     ["options = {} (all defaults)"] + _OPTION_DEFAULTS, []),
+    ([(("options",), None)],
+     ["options = {} (all defaults)"] + _OPTION_DEFAULTS, []),
+    ([(("options", "fix_exam_to_colonoscopy"), _DELETE)],
+     _OPTION_DEFAULTS[:1], []),
+    ([(("options", "incentive_enabled"), _DELETE)], _OPTION_DEFAULTS[1:], []),
+    ([(("options",), _DELETE), (("costs", "incentive"), _DELETE)],
+     ["costs.incentive = 50.0", "options = {} (all defaults)"]
+     + _OPTION_DEFAULTS, []),
+    ([(("fit", "sensitivity", "crc", "20"), 0.99)],
+     [], [_MONOTONE.format("crc")]),
+    ([(("fit", "sensitivity", "large", "20"), 0.9),
+      (("fit", "sensitivity", "benign", "50"), 0.5)],
+     [], [_MONOTONE.format("benign"), _MONOTONE.format("large")]),
+]
+
+
+@pytest.mark.parametrize("edits, path, message", _LOADER_ERRORS,
+                         ids=[f"{p}:{m}" for _, p, m in _LOADER_ERRORS])
+def test_loader_error_path_and_message(default_doc, edits, path, message):
+    with pytest.raises(ParameterError) as err:
+        load_parameters(_edited(default_doc, edits))
+    assert (err.value.path, err.value.reason) == (path, message)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_loader_rejects_a_document_that_is_not_an_object():
+    with pytest.raises(ParameterError) as err:
+        load_parameters([])
+    assert (err.value.path, err.value.reason) == (
+        "$", "document must be a JSON object")
+
+
+@pytest.mark.parametrize("edits, defaults, warnings", _LOADER_REPORTS)
+def test_loader_default_and_warning_lines(default_doc, edits, defaults,
+                                          warnings):
+    _, report = load_parameters(_edited(default_doc, edits))
+    assert (report.defaults, report.warnings) == (defaults, warnings)
