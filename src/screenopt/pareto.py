@@ -4,7 +4,7 @@ A ``DiagramProblem`` holds every strategy of one evaluator's strategy space
 (``diagram.StrategyEvaluator``): candidate i is the evaluator's strategy i,
 and an evaluator shared between problems must have their nodes, value
 tables and fixed rules. A problem densifies its diagram's chance tables
-once; evaluating it under other tables replaces some of those arrays.
+once; evaluating it under other tables takes a complete set of them.
 
 A ``ParetoFrontier`` is an array of candidate indices into its problem;
 its vectors are rows of the problem's matrix, and its ``points``
@@ -202,15 +202,15 @@ class DiagramProblem(EnumeratedProblem):
         super().__init__(reported, orientations, names, active=active)
 
     def objective_matrix(self, tables=None, strategies=None) -> np.ndarray:
-        """:meth:`StrategyEvaluator.objective_matrix` with this diagram's
-        chance tables, some replaced by the arrays in ``tables``."""
-        return self.evaluator.objective_matrix({**self.tables,
-                                                **(tables or {})}, strategies)
+        """:meth:`StrategyEvaluator.objective_matrix` under ``tables``, a
+        complete set, or this diagram's own chance tables."""
+        return self.evaluator.objective_matrix(
+            self.tables if tables is None else tables, strategies)
 
     def dense_objective_matrix(self, tables=None) -> np.ndarray:
         """The dense oracle of :meth:`objective_matrix`."""
-        return self.evaluator.dense_objective_matrix({**self.tables,
-                                                      **(tables or {})})
+        return self.evaluator.dense_objective_matrix(
+            self.tables if tables is None else tables)
 
     def strategy(self, index: int) -> GlobalStrategy:
         return self.evaluator.strategy(index)

@@ -13,9 +13,8 @@ frontiers into one mask; the first must equal the full-space frontier, the
 same candidate indices with the same value rows (no frontier point is
 built). The budget clears bits of that mask, and each set bit extends a
 history. Only the chance tables differ between segments, so one evaluator,
-built by the run's first segment problem, evaluates every segment with its
-own tables, densified once per segment problem; a period's histories
-replace only the two prevalence-dependent ones.
+built by the run's first segment problem, evaluates every segment under a
+complete table set, ``screening.segment_tables`` at every history start.
 Between periods the bowel-state distribution moves by the
 detection-and-progression recurrences: detected fractions are removed
 (treated participants return to the normal state), remaining abnormal mass
@@ -69,7 +68,7 @@ from .screening import (
     build_segment_diagram,
     check_prevalence_rows,
     fixed_decision_rules,
-    prevalence_tables,
+    segment_tables,
 )
 
 HISTORY_CAP = 10**6
@@ -360,18 +359,18 @@ def run_phase1(params: ParameterBundle, budget: float,
     return out
 
 
-def vertex_values(params: ParameterBundle,
+def vertex_values(params: ParameterBundle, segment: Segment,
                   problem: DiagramProblem) -> np.ndarray:
-    """Every strategy's reported objectives at the four simplex vertices,
-    shape (strategies, objectives, vertices).
+    """Every strategy's reported objectives in ``segment`` at the four
+    simplex vertices, shape (strategies, objectives, vertices).
 
     The objectives are linear in the start prevalence psi (the
     positive-test probability is, and it cancels the examination
     posterior's denominator), so sum_v psi_v * values[..., v] is their
     value at psi.
     """
-    values = problem.objective_matrix(prevalence_tables(params, np.eye(4)))
-    return np.moveaxis(values, 0, 2)
+    return np.moveaxis(problem.objective_matrix(
+        segment_tables(params, segment, np.eye(4))), 0, 2)
 
 
 def strategy_classes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -417,14 +416,14 @@ def _extend_period(params, sex, k, previous, budget, objective_mask,
     first = segment_frontier(params, segment, PrevalenceVector(*starts[0]),
                              objective_mask, cross_check, evaluator)
     base = first.problem
-    reps, class_of = strategy_classes(vertex_values(params, base))
+    reps, class_of = strategy_classes(vertex_values(params, segment, base))
     # The base problem holds every strategy at the first start, which
     # checks the classes there for free.
     if np.any(np.abs(base.reported - base.reported[reps[class_of]])
               > DOMINANCE_TOL):
         raise OracleMismatchError(
             f"a strategy differs from its class representative {label}")
-    reported = base.objective_matrix(prevalence_tables(params, starts),
+    reported = base.objective_matrix(segment_tables(params, segment, starts),
                                      strategies=reps)
     rows, keep = frontier_rows(base.minimize(reported))
 
@@ -442,7 +441,7 @@ def _extend_period(params, sex, k, previous, budget, objective_mask,
     if cross_check:
         for h in range(len(starts)):
             dense = base.dense_objective_matrix(
-                prevalence_tables(params, starts[[h]]))
+                segment_tables(params, segment, starts[[h]]))
             if not np.array_equal(reported[h], dense[0, reps]):
                 raise OracleMismatchError(
                     f"batched evaluation differs from the dense evaluation "

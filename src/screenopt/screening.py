@@ -86,11 +86,7 @@ class PrevalenceVector:
     crc: float
 
     def __post_init__(self):
-        total = self.normal + self.benign + self.large + self.crc
-        if not abs(total - 1.0) <= SUM_TOL:  # NaN fails too
-            raise ValueError(f"prevalences sum to {total!r}, not 1")
-        if min(self.normal, self.benign, self.large, self.crc) < -ZERO_TOL:
-            raise ValueError("negative prevalence entry")
+        check_prevalence_rows(np.array([self.as_tuple()], dtype=float))
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.normal, self.benign, self.large, self.crc)
@@ -98,7 +94,7 @@ class PrevalenceVector:
 
 def check_prevalence_rows(rows: np.ndarray) -> None:
     """The checks of :class:`PrevalenceVector` on every row of an (N x 4)
-    array in state order, with the same float operations."""
+    array in state order: sum 1 within SUM_TOL, no entry below -ZERO_TOL."""
     total = rows[:, 0] + rows[:, 1] + rows[:, 2] + rows[:, 3]
     off = np.flatnonzero(~(np.abs(total - 1.0) <= SUM_TOL))
     if off.size:
@@ -226,27 +222,27 @@ class LoadReport:
 
 
 # ---------------------------------------------------------------------------
-# Test-characteristic formulas
+# Chance tables
 # ---------------------------------------------------------------------------
 
-def prevalence_tables(params: ParameterBundle, psi: np.ndarray
-                      ) -> dict[int, np.ndarray]:
-    """The test-result and examination-result tables at every row of
-    ``psi`` (H x 4, state order), as dense arrays with a leading H axis.
+def segment_tables(params: ParameterBundle, segment: Segment,
+                   psi_rows: np.ndarray) -> dict[int, np.ndarray]:
+    """Every chance table of ``segment``, as the evaluator's dense arrays
+    indexed (row, information state..., state).
 
-    The test-result table is indexed (row, cut-off, sample, result) and the
-    examination-result table (row, cut-off, contact, exam, result). A
-    positive test has probability ``(1 - specificity) * normal`` plus
-    ``sensitivity * prevalence`` for each abnormal state in turn; an
-    examination finds each abnormal state with its sensitivity times the
-    Bayes posterior ``sensitivity * prevalence / P(positive)``, and the
-    normal result absorbs the rest (missed findings read as normal, since
-    examination specificity is perfect). Where a positive test has
-    probability zero the examination row is unreachable and kept as the
-    degenerate all-normal one. Rows without contact or without a
-    colonoscopy are the "NA" result.
+    The test-result and examination-result tables, the only ones that
+    depend on the prevalence, have one row per row of ``psi_rows`` (H x 4,
+    state order); the other four have one row. A positive test has
+    probability ``(1 - specificity) * normal`` plus ``sensitivity *
+    prevalence`` for each abnormal state in turn; an examination finds each
+    abnormal state with its sensitivity times the Bayes posterior
+    ``sensitivity * prevalence / P(positive)``, and the normal result
+    absorbs the rest (missed findings read as normal, since examination
+    specificity is perfect). Where a positive test has probability zero the
+    examination row is unreachable and kept as the degenerate all-normal
+    one. Rows without contact or without a colonoscopy are the "NA" result.
     """
-    psi = np.asarray(psi, dtype=float)
+    psi = np.asarray(psi_rows, dtype=float)
     cutoffs = params.effective_cutoffs()
     fit, col = params.fit, params.colonoscopy
     spec = np.array([fit.specificity_for(c) for c in cutoffs])
@@ -264,21 +260,56 @@ def prevalence_tables(params: ParameterBundle, psi: np.ndarray
                        for row in found.reshape(-1, len(ABNORMAL)).tolist()]
                       ).reshape(fpos.shape)
 
+    # Stage 5: test result, given (cut-off, sample returned).
     fit_table = np.zeros(fpos.shape + (2, 3))
     fit_table[:, :, 0, 0] = 1.0
     fit_table[:, :, 1, 1] = fpos
     fit_table[:, :, 1, 2] = 1.0 - fpos
+    # Stage 8: examination result, given (cut-off, contact, exam).
     exam_table = np.zeros(fpos.shape + (2, 2, 5))
     exam_table[..., 0] = 1.0
     exam_table[:, :, 1, 1, 0] = 0.0
     exam_table[:, :, 1, 1, 1] = np.where(reachable, normal, 1.0)
     exam_table[:, :, 1, 1, 2:] = np.where(reachable[:, :, None], found, 0.0)
-    return {FIT_RESULT: fit_table, EXAM_RESULT: exam_table}
+
+    ret_ok = params.participation.return_ok(segment)
+    contact = params.participation.contact_rate(segment)
+    bleed = col.bleed
+    pw = col.perforation_with_polypectomy
+    pwo = col.perforation_without_polypectomy
+    return {
+        # Stage 4: usable sample returned, given (incentive, invite). The
+        # incentive halves the probability of not returning a sample.
+        SAMPLE: np.array([[[[1.0, 0.0], [1.0 - ret_ok, ret_ok]],
+                           [[1.0, 0.0], [(1.0 - ret_ok) / 2.0,
+                                         ret_ok + (1.0 - ret_ok) / 2.0]]]]),
+        FIT_RESULT: fit_table,
+        # Stage 6: nurse contact, given the test result; only possible
+        # after a positive result.
+        CONTACT: np.array([[[1.0, 0.0], [1.0 - contact, contact],
+                            [1.0, 0.0]]]),
+        EXAM_RESULT: exam_table,
+        # Stage 9: polyp found whenever any growth is found.
+        POLYP: np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                          [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]]),
+        # Stage 10: adverse event, given polypectomy status.
+        ADVERSE: np.array([[[1.0, 0.0, 0.0], [1.0 - bleed - pwo, bleed, pwo],
+                            [1.0 - bleed - pw, bleed, pw]]]),
+    }
 
 
 # ---------------------------------------------------------------------------
 # Diagram construction
 # ---------------------------------------------------------------------------
+
+def _mapping(array: np.ndarray, rows: bool) -> dict:
+    """An array indexed by information state as the diagram's mapping:
+    each state's row as a tuple (a CPT) when ``rows``, else its value."""
+    shape = array.shape[:-1] if rows else array.shape
+    flat = array.reshape(math.prod(shape), -1).tolist()
+    return {info: tuple(row) if rows else row[0]
+            for info, row in zip(itertools.product(*map(range, shape)), flat)}
+
 
 def build_segment_diagram(segment: Segment, params: ParameterBundle,
                           psi: PrevalenceVector) -> InfluenceDiagram:
@@ -310,118 +341,37 @@ def build_segment_diagram(segment: Segment, params: ParameterBundle,
         Node(LARGE_NODE, NodeKind.VALUE, "large_found", (), (EXAM_RESULT,)),
         Node(CRC_NODE, NodeKind.VALUE, "crc_found", (), (EXAM_RESULT,)),
     )
+    tables = segment_tables(params, segment, np.array([psi.as_tuple()]))
 
-    ret_ok = params.participation.return_ok(segment)
-    contact = params.participation.contact_rate(segment)
-    col = params.colonoscopy
-
-    # Stage 4: usable sample returned, given (incentive, invite). The
-    # incentive halves the probability of not returning a sample.
-    sample_cpt = {
-        (0, 0): (1.0, 0.0),
-        (0, 1): (1.0 - ret_ok, ret_ok),
-        (1, 0): (1.0, 0.0),
-        (1, 1): ((1.0 - ret_ok) / 2.0, ret_ok + (1.0 - ret_ok) / 2.0),
-    }
-
-    # Stages 5 and 8: test and examination results, the only tables that
-    # depend on the prevalence, keyed by information state.
-    by_prevalence = {
-        node_id: {info: tuple(row) for info, row in zip(
-            np.ndindex(table.shape[1:-1]),
-            table[0].reshape(-1, table.shape[-1]).tolist())}
-        for node_id, table in prevalence_tables(
-            params, np.array([psi.as_tuple()])).items()}
-
-    # Stage 6: nurse contact, given the test result; only possible after a
-    # positive result.
-    contact_cpt = {
-        (0,): (1.0, 0.0),
-        (1,): (1.0 - contact, contact),
-        (2,): (1.0, 0.0),
-    }
-
-    # Stage 9: polyp found whenever any growth is found.
-    polyp_cpt = {
-        (0,): (1.0, 0.0, 0.0),
-        (1,): (0.0, 1.0, 0.0),
-        (2,): (0.0, 0.0, 1.0),
-        (3,): (0.0, 0.0, 1.0),
-        (4,): (0.0, 0.0, 1.0),
-    }
-
-    # Stage 10: adverse event, given polypectomy status.
-    pw = col.perforation_with_polypectomy
-    pwo = col.perforation_without_polypectomy
-    adverse_cpt = {
-        (0,): (1.0, 0.0, 0.0),
-        (1,): (1.0 - col.bleed - pwo, col.bleed, pwo),
-        (2,): (1.0 - col.bleed - pw, col.bleed, pw),
-    }
-
-    costs = params.costs
-    cost_table: dict[tuple[int, ...], float] = {}
-    exam_result_cost = (0.0,
-                        costs.exam_result["normal"],
-                        costs.exam_result["benign"],
-                        costs.exam_result["large"],
-                        costs.exam_result["crc"])
-    adverse_cost = (0.0,
-                    costs.adverse_event["bleed"],
-                    costs.adverse_event["perforation"])
-    for s2, s3, s4, s7 in itertools.product(range(2), repeat=4):
-        for s8 in range(5):
-            for s9 in range(3):
-                for s10 in range(3):
-                    total = 0.0
-                    if s3 == 1:
-                        total += costs.invitation
-                        if s2 == 1:
-                            # Incentive is mailed with the invitation only.
-                            total += costs.incentive
-                    if s4 == 1:
-                        total += costs.lab_analysis
-                    if s7 == 1 and s8 != 0:
-                        # Examination cost accrues when it actually happens.
-                        total += costs.colonoscopy
-                    total += exam_result_cost[s8]
-                    if s9 == 2:
-                        total += costs.polypectomy
-                    total += adverse_cost[s10]
-                    cost_table[(s2, s3, s4, s7, s8, s9, s10)] = total
-
-    col_table = {
-        (s6, s7): -1.0 if (s6, s7) == (1, 1) else 0.0
-        for s6 in range(2) for s7 in range(2)
-    }
-
-    def indicator(target: int) -> dict[tuple[int, ...], float]:
-        return {(s8,): 1.0 if s8 == target else 0.0 for s8 in range(5)}
-
-    values = {
-        COST_NODE: ValueSpec(COST_NODE, cost_table, unit="euros",
-                             orientation="minimize"),
-        COL_NODE: ValueSpec(COL_NODE, col_table, unit="count",
-                            orientation="maximize"),
-        BENIGN_NODE: ValueSpec(BENIGN_NODE, indicator(2), unit="indicator",
-                               orientation="maximize"),
-        LARGE_NODE: ValueSpec(LARGE_NODE, indicator(3), unit="indicator",
-                              orientation="maximize"),
-        CRC_NODE: ValueSpec(CRC_NODE, indicator(4), unit="indicator",
-                            orientation="maximize"),
-    }
+    # The cost of every (incentive, invite, sample, exam, exam result,
+    # polyp, adverse event) state: the stage costs added in stage order,
+    # from +0.0. A stage that costs nothing adds +0.0, which is exact.
+    s2, s3, s4, s7, s8, s9, s10 = np.ix_(*map(range, (2, 2, 2, 2, 5, 3, 3)))
+    c = params.costs
+    cost = (0.0
+            + np.where(s3 == 1, c.invitation, 0.0)
+            # Incentive is mailed with the invitation only.
+            + np.where((s3 == 1) & (s2 == 1), c.incentive, 0.0)
+            + np.where(s4 == 1, c.lab_analysis, 0.0)
+            # Examination cost accrues when it actually happens.
+            + np.where((s7 == 1) & (s8 != 0), c.colonoscopy, 0.0)
+            + np.array([0.0] + [c.exam_result[s] for s in _STATE_KEYS])[s8]
+            + np.where(s9 == 2, c.polypectomy, 0.0)
+            + np.array([0.0, c.adverse_event["bleed"],
+                        c.adverse_event["perforation"]])[s10])
+    values = {COST_NODE: (cost, "euros", "minimize"),
+              COL_NODE: (np.array([[0.0, 0.0], [0.0, -1.0]]), "count",
+                         "maximize")}
+    for node_id, found in ((BENIGN_NODE, 2), (LARGE_NODE, 3), (CRC_NODE, 4)):
+        values[node_id] = (np.eye(5)[found], "indicator", "maximize")
 
     return InfluenceDiagram(
         nodes=nodes,
-        cpts={
-            SAMPLE: sample_cpt,
-            FIT_RESULT: by_prevalence[FIT_RESULT],
-            CONTACT: contact_cpt,
-            EXAM_RESULT: by_prevalence[EXAM_RESULT],
-            POLYP: polyp_cpt,
-            ADVERSE: adverse_cpt,
-        },
-        values=values,
+        cpts={node_id: _mapping(table[0], rows=True)
+              for node_id, table in tables.items()},
+        values={node_id: ValueSpec(node_id, _mapping(array, rows=False),
+                                   unit=unit, orientation=orientation)
+                for node_id, (array, unit, orientation) in values.items()},
     )
 
 
@@ -501,7 +451,7 @@ def load_parameters(doc: Mapping[str, Any]) -> tuple[ParameterBundle, LoadReport
     colonoscopy = _load_colonoscopy(doc["colonoscopy"])
     participation, periods = _load_participation(doc["participation"])
     # Arguments are evaluated left to right, which orders the later checks.
-    return ParameterBundle(
+    bundle = ParameterBundle(
         fit=fit,
         colonoscopy=colonoscopy,
         participation=participation,
@@ -513,7 +463,27 @@ def load_parameters(doc: Mapping[str, Any]) -> tuple[ParameterBundle, LoadReport
                             periods),
         options=_load_options(doc.get("options"), fit, report),
         description=str(doc.get("description", "")),
-    ), report
+    )
+    _check_totals(bundle)
+    return bundle, report
+
+
+def _check_totals(bundle: ParameterBundle) -> None:
+    """Every count the program totals is at most the cohort size summed
+    over both sexes and all periods, and every cost at most the most
+    expensive path's (each stage's largest cost, added in stage order)
+    times that sum: reject a document where either is not finite."""
+    total = sum(sum(sizes) for sizes in bundle.population.values())
+    if not math.isfinite(total):
+        raise ParameterError("population", "total cohort size over both "
+                             "sexes and all periods is not finite")
+    c = bundle.costs
+    worst = (c.invitation + c.incentive + c.lab_analysis + c.colonoscopy
+             + max(c.exam_result.values()) + c.polypectomy
+             + max(c.adverse_event.values()))
+    if not math.isfinite(worst * total):
+        raise ParameterError("costs", "the most expensive path's cost times "
+                             "the total cohort size is not finite")
 
 
 def _require_keys(section: Any, path: str, required: tuple[str, ...],

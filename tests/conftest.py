@@ -250,6 +250,35 @@ def random_params_doc(rng: np.random.Generator, periods: int = 2,
     }
 
 
+def extreme_params_doc(rng: np.random.Generator, periods: int = 3,
+                       n_cutoffs: int = 2) -> dict:
+    """A random valid document far from the shipped magnitudes: fast
+    progression (``normal_to_benign`` up to 0.6, the other two rates up to
+    0.95), a Dirichlet start prevalence, and any test sensitivity from 0.01
+    to 0.99 with specificity from 0.5 to 0.999, so a test can be positive
+    less often in a growth than in a normal bowel."""
+    doc = random_params_doc(rng, periods=periods, n_cutoffs=n_cutoffs,
+                            monotone=False,
+                            fix_exam=bool(rng.integers(0, 2)))
+    cutoffs = doc["fit"]["cutoffs"]
+    doc["fit"]["sensitivity"] = {
+        state: {c: float(rng.uniform(0.01, 0.99)) for c in cutoffs}
+        for state in ("benign", "large", "crc")}
+    doc["fit"]["specificity"] = {c: float(rng.uniform(0.5, 0.999))
+                                 for c in cutoffs}
+    doc["prevalence0"] = {
+        sex: dict(zip(("normal", "benign", "large", "crc"),
+                      rng.dirichlet(np.ones(4)).tolist()))
+        for sex in ("F", "M")}
+    doc["transitions"] = {
+        sex: [{"normal_to_benign": float(rng.uniform(0, 0.6)),
+               "benign_to_large": float(rng.uniform(0, 0.95)),
+               "large_to_crc": float(rng.uniform(0, 0.95))}
+              for _ in range(periods)]
+        for sex in ("F", "M")}
+    return doc
+
+
 def _random_simplex(rng) -> dict:
     abnormal = rng.uniform([0.02, 0.005, 0.0005], [0.14, 0.05, 0.01])
     normal = 1.0 - float(abnormal.sum())

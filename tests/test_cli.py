@@ -5,8 +5,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -524,7 +526,7 @@ class TestStrategyClassChecks:
                                       evaluator)
             if segment.period > 1:
                 reps, _ = screenopt.phase1.strategy_classes(
-                    screenopt.phase1.vertex_values(params, problem))
+                    screenopt.phase1.vertex_values(params, segment, problem))
                 member = max(set(range(problem.n_candidates)) - set(reps))
                 problem.reported[member, 0] += 1e-6
             return problem
@@ -621,6 +623,63 @@ class TestCommandLineErrors:
     def test_help_and_version_exit_zero(self, capsys, flag):
         assert main([flag]) == 0
         assert "screenopt" in capsys.readouterr().out
+
+
+class TestOverflowBound:
+    """The loader bounds every total the program computes: a document whose
+    cohort total, or whose most expensive path's cost times it, is not
+    finite exits 1 before any solve, and one just inside the bound runs
+    with no warning and no infinity in its outputs."""
+
+    @staticmethod
+    def pipeline(doc, tmp_path):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["pipeline", "--budgets", "500,1500,4000",
+                         "--params", str(path), "--out", str(out)])
+        return code, out
+
+    @pytest.mark.parametrize("field, section, value", [
+        ("costs", "costs", {"colonoscopy": 1e308}),
+        ("population", "population", {"F": 1e308, "M": 1e308})])
+    def test_overflowing_total_exits_one(self, default_doc, tmp_path, capsys,
+                                         field, section, value):
+        doc = json.loads(json.dumps(default_doc))
+        doc[section].update(value)
+        code, out = self.pipeline(doc, tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"validation error: {field}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["costs", "population"])
+    def test_document_inside_the_bound_runs_clean(self, default_doc,
+                                                  tmp_path, field):
+        doc = small_doc(default_doc)
+        if field == "costs":
+            # the most expensive path's cost times the total cohort size
+            # is within 1e-12 of the largest double
+            bundle, _ = load_parameters(doc)
+            total = sum(sum(sizes) for sizes in bundle.population.values())
+            doc["costs"]["colonoscopy"] = \
+                sys.float_info.max * (1 - 1e-12) / total
+        else:
+            # four cohorts summing to 0.8 of the largest double, at no cost
+            doc["population"] = {"F": sys.float_info.max / 5,
+                                 "M": sys.float_info.max / 5}
+            for key, cost in doc["costs"].items():
+                doc["costs"][key] = ({k: 0.0 for k in cost}
+                                     if isinstance(cost, dict) else 0.0)
+        load_parameters(doc)
+        code, out = self.pipeline(doc, tmp_path)
+        assert code == 0
+        for path in sorted(out.iterdir()):
+            text = path.read_text()
+            assert not re.search(r"\b(inf|nan)\b", text, re.I), path.name
 
 
 def test_canonical_dump_parses_as_json():

@@ -19,7 +19,12 @@ import pytest
 import screenopt.diagram
 import screenopt.pareto
 import screenopt.phase1
-from conftest import _random_simplex, random_params_doc, small_doc
+from conftest import (
+    _random_simplex,
+    extreme_params_doc,
+    random_params_doc,
+    small_doc,
+)
 from oracles import (
     VERTICES,
     DetectedFractions,
@@ -59,6 +64,7 @@ from screenopt.phase1 import (
 )
 from screenopt.phase2 import budget_sweep, selection_problem_from_histories
 from screenopt.screening import (
+    EXAM_RESULT,
     FIT_RESULT,
     PrevalenceVector,
     Segment,
@@ -68,7 +74,7 @@ from screenopt.screening import (
     check_prevalence_rows,
     fixed_decision_rules,
     load_parameters,
-    prevalence_tables,
+    segment_tables,
 )
 
 WORKED_PSI = PrevalenceVector(normal=0.9, benign=0.06, large=0.03, crc=0.01)
@@ -737,14 +743,14 @@ class TestReweightedSegments:
             bundle, segment = self.random_case(rng, trial)
             base = segment_problem(
                 bundle, segment, PrevalenceVector(**_random_simplex(rng)))
-            reps, _ = strategy_classes(vertex_values(bundle, base))
+            reps, _ = strategy_classes(vertex_values(bundle, segment, base))
             n = base.n_candidates
             # the class representatives, and an unsorted draw with repeats
             picks = (reps, rng.integers(0, n, size=int(rng.integers(1, 40))))
             for psi in (PrevalenceVector(**_random_simplex(rng)),
                         VERTICES[int(rng.integers(0, 4))]):
-                tables = {**base.tables, **prevalence_tables(
-                    bundle, np.array([psi.as_tuple()]))}
+                tables = segment_tables(bundle, segment,
+                                        np.array([psi.as_tuple()]))
                 full = base.evaluator.objective_matrix(tables)
                 for strategies in picks:
                     rows = base.evaluator.objective_matrix(
@@ -754,20 +760,18 @@ class TestReweightedSegments:
                                           np.signbit(full[:, strategies]))
 
     @staticmethod
-    def assert_batched_equals_dense(bundle, base, rows, picks):
+    def assert_batched_equals_dense(bundle, segment, base, rows, picks):
         """Every batch row of every pick has the dense oracle's bits, and
         the dense oracle's batch rows are its one-row evaluations."""
         evaluator = base.evaluator
         dense = [evaluator.dense_objective_matrix(
-            {**base.tables, **prevalence_tables(bundle, rows[[h]])})[0]
+            segment_tables(bundle, segment, rows[[h]]))[0]
             for h in range(len(rows))]
         assert_bits(evaluator.dense_objective_matrix(
-            {**base.tables, **prevalence_tables(bundle, rows)}),
-            np.array(dense))
+            segment_tables(bundle, segment, rows)), np.array(dense))
         for strategies in picks:
             got = evaluator.objective_matrix(
-                {**base.tables, **prevalence_tables(bundle, rows)},
-                strategies=strategies)
+                segment_tables(bundle, segment, rows), strategies=strategies)
             assert got.shape[0] == len(rows)
             for h, full in enumerate(dense):
                 want = full if strategies is None else full[strategies]
@@ -782,7 +786,7 @@ class TestReweightedSegments:
                                                zero_positive=zero_positive)
             base = segment_problem(
                 bundle, segment, PrevalenceVector(**_random_simplex(rng)))
-            reps, _ = strategy_classes(vertex_values(bundle, base))
+            reps, _ = strategy_classes(vertex_values(bundle, segment, base))
             n = base.n_candidates
             # random prevalences, one vertex and the normal vertex, where a
             # zero-positive cut-off zeroes entries in that row only
@@ -792,11 +796,11 @@ class TestReweightedSegments:
                    VERTICES[0].as_tuple()])
             picks = (reps, rng.integers(0, n, size=int(rng.integers(1, 40))),
                      None)
-            self.assert_batched_equals_dense(bundle, base, rows, picks)
+            self.assert_batched_equals_dense(bundle, segment, base, rows,
+                                             picks)
             # one evaluation and the diagram's own tables: the same routine
             for h in (0, -1):
-                tables = {**base.tables,
-                          **prevalence_tables(bundle, rows[[h]])}
+                tables = segment_tables(bundle, segment, rows[[h]])
                 single = base.evaluator.objective_matrix(tables)
                 dense = base.evaluator.dense_objective_matrix(tables)
                 assert np.array_equal(single, dense)
@@ -810,14 +814,14 @@ class TestReweightedSegments:
         bundle, segment = self.random_case(rng, 3, zero_positive=True)
         base = segment_problem(
             bundle, segment, PrevalenceVector(**_random_simplex(rng)))
-        reps, _ = strategy_classes(vertex_values(bundle, base))
+        reps, _ = strategy_classes(vertex_values(bundle, segment, base))
         rows = np.array([tuple(_random_simplex(rng).values())
                          for _ in range(6)] + [VERTICES[0].as_tuple()])
         # one row per block (a budget below one row's cells), and a few
         # rows per block, the last block shorter
         for cells in (1, 1 << 13, 1 << 14):
             monkeypatch.setattr(screenopt.diagram, "BATCH_CELLS", cells)
-            self.assert_batched_equals_dense(bundle, base, rows,
+            self.assert_batched_equals_dense(bundle, segment, base, rows,
                                              (reps, None))
 
     def test_reweighted_frontier_equals_fresh_frontier(self):
@@ -835,14 +839,42 @@ class TestReweightedSegments:
             assert [p.strategy.key for p in reused.points] == \
                 [p.strategy.key for p in fresh.points]
 
-    def test_prevalence_tables_are_the_diagrams_tables(self):
+    def test_segment_tables_are_the_diagrams_tables(self, default_bundle):
+        # every chance table at each of H rows, against the diagram built at
+        # that row: the shipped document and random ones, with the
+        # examination fixed, without incentives and with a cut-off subset
         rng = np.random.default_rng(227)
+        cases = [(default_bundle, Segment(Sex.F, 1)),
+                 (default_bundle, Segment(Sex.M, 5))]
+        cases += [self.random_case(rng, trial, zero_positive=trial == 3)
+                  for trial in range(6)]
+        for bundle, segment in cases:
+            rows = np.array([tuple(_random_simplex(rng).values())
+                             for _ in range(4)] + [VERTICES[0].as_tuple()])
+            tables = segment_tables(bundle, segment, rows)
+            for h, row in enumerate(rows.tolist()):
+                own = dense_tables(build_segment_diagram(
+                    segment, bundle, PrevalenceVector(*row)))
+                assert sorted(tables) == sorted(own)
+                for node_id, table in tables.items():
+                    assert_bits(table[h if len(table) > 1 else 0],
+                                own[node_id][0])
+                assert len(tables[FIT_RESULT]) == len(rows)
+                assert len(tables[EXAM_RESULT]) == len(rows)
+
+    def test_partial_table_set_rejected(self):
+        rng = np.random.default_rng(229)
         bundle, segment = self.random_case(rng, 0)
-        psi = PrevalenceVector(**_random_simplex(rng))
-        own = dense_tables(build_segment_diagram(segment, bundle, psi))
-        for node_id, table in prevalence_tables(
-                bundle, np.array([psi.as_tuple()])).items():
-            assert_bits(own[node_id], table)
+        base = segment_problem(
+            bundle, segment, PrevalenceVector(**_random_simplex(rng)))
+        tables = segment_tables(bundle, segment, np.eye(4))
+        partial = {node_id: tables[node_id]
+                   for node_id in (FIT_RESULT, EXAM_RESULT)}
+        for evaluate in (base.objective_matrix, base.dense_objective_matrix):
+            with pytest.raises(ValueError, match="not for the chance nodes"):
+                evaluate(partial)
+        assert_bits(base.objective_matrix(tables),
+                    base.dense_objective_matrix(tables))
 
 
 def assert_bits(got, want):
@@ -877,17 +909,17 @@ class TestSharedEvaluator:
                 fresh = StrategyEvaluator(diagram, fixed)
                 own = dense_tables(diagram)
                 assert_bits(shared.reported, fresh.objective_matrix(own)[0])
-                vertices = prevalence_tables(bundle, np.eye(4))
+                vertices = segment_tables(bundle, segment, np.eye(4))
                 assert_bits(shared.objective_matrix(vertices),
-                            fresh.objective_matrix({**own, **vertices}))
-                reps, _ = strategy_classes(vertex_values(bundle, shared))
-                starts = prevalence_tables(bundle, np.array(
+                            fresh.objective_matrix(vertices))
+                reps, _ = strategy_classes(vertex_values(bundle, segment,
+                                                         shared))
+                starts = segment_tables(bundle, segment, np.array(
                     [tuple(_random_simplex(rng).values())
                      for _ in range(int(rng.integers(1, 6)))]))
                 assert_bits(
                     shared.objective_matrix(starts, strategies=reps),
-                    fresh.objective_matrix({**own, **starts},
-                                           strategies=reps))
+                    fresh.objective_matrix(starts, strategies=reps))
 
     def test_foreign_structure_rejected(self):
         rng = np.random.default_rng(283)
@@ -931,13 +963,14 @@ class TestStrategyClasses:
             bundle, segment = TestReweightedSegments.random_case(
                 rng, trial, zero_positive=zero_positive)
             if zero_positive:
-                fit = prevalence_tables(
-                    bundle, np.array([VERTICES[0].as_tuple()]))[FIT_RESULT]
+                fit = segment_tables(
+                    bundle, segment,
+                    np.array([VERTICES[0].as_tuple()]))[FIT_RESULT]
                 assert fit[0, 0, 1, 1] == 0.0
             fixed = fixed_decision_rules(bundle)
             base = segment_problem(
                 bundle, segment, PrevalenceVector(**_random_simplex(rng)))
-            values = vertex_values(bundle, base)
+            values = vertex_values(bundle, segment, base)
             reps, class_of = strategy_classes(values)
             assert np.array_equal(class_of[reps], np.arange(len(reps)))
             assert np.all(reps[class_of] <= np.arange(len(class_of)))
@@ -971,10 +1004,12 @@ class TestStrategyClasses:
             bundle, _ = load_parameters(doc)
             for sex in (Sex.F, Sex.M):
                 for k in (1, 2):
+                    segment = Segment(sex, k)
                     problem = segment_problem(
-                        bundle, Segment(sex, k),
+                        bundle, segment,
                         PrevalenceVector(**_random_simplex(rng)))
-                    self.assert_same_classes(vertex_values(bundle, problem))
+                    self.assert_same_classes(vertex_values(bundle, segment,
+                                                           problem))
         # planted exact ties, with zeros of either sign
         for _ in range(200):
             distinct = rng.choice([-1.0, 0.0, 0.25, 1.0],
@@ -1156,4 +1191,17 @@ class TestExhaustivePhase1:
                                     fix_exam=trial % 3 == 0)
             bundle, _ = load_parameters(doc)
             budgets = sorted(rng.uniform(100, 8000, size=5).tolist())
+            self.assert_matches_exhaustive(bundle, budgets, 3)
+
+    def test_extreme_documents(self):
+        # fast progression and arbitrary test characteristics, where the
+        # four dominance keys are not exact in principle; budgets up to
+        # 0.35 colonoscopies per capita, where they still bind
+        rng = np.random.default_rng(331)
+        for _ in range(20):
+            bundle, _ = load_parameters(extreme_params_doc(rng))
+            population = bundle.total_population(Sex.F, 3) + \
+                bundle.total_population(Sex.M, 3)
+            budgets = sorted((population
+                              * rng.uniform(0, 0.35, size=8)).tolist())
             self.assert_matches_exhaustive(bundle, budgets, 3)

@@ -37,14 +37,19 @@ from screenopt.diagram import (
 from screenopt.errors import ParameterError
 from screenopt.screening import (
     ADVERSE,
+    BENIGN_NODE,
     BowelState,
+    COL_NODE,
     CONTACT,
+    COST_NODE,
+    CRC_NODE,
     CUTOFF,
     EXAM,
     EXAM_RESULT,
     FIT_RESULT,
     INCENTIVE,
     INVITE,
+    LARGE_NODE,
     POLYP,
     SAMPLE,
     ColonoscopyCharacteristics,
@@ -55,7 +60,7 @@ from screenopt.screening import (
     build_segment_diagram,
     fixed_decision_rules,
     load_parameters,
-    prevalence_tables,
+    segment_tables,
 )
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -225,8 +230,9 @@ class TestPrevalenceTables:
             psis = [PrevalenceVector(**_random_simplex(rng))
                     for _ in range(5)]
             psis += [PrevalenceVector(*row) for row in np.eye(4).tolist()]
-            tables = prevalence_tables(
-                bundle, np.array([psi.as_tuple() for psi in psis]))
+            tables = segment_tables(
+                bundle, Segment(Sex.F, 1),
+                np.array([psi.as_tuple() for psi in psis]))
             for h, psi in enumerate(psis):
                 want = scalar_prevalence_cpts(bundle, psi)
                 got = build_segment_diagram(Segment(Sex.F, 1), bundle,
@@ -270,6 +276,50 @@ class TestSegmentDiagram:
         assert d.path_count() == product == 21600
         # decisions 1-3 carry no information; the examination sees 3*2 states
         assert d.strategy_count() == 5 * 2 * 2 * 2 ** 6 == 1280
+
+    @staticmethod
+    def stage_cost(costs, s2, s3, s4, s7, s8, s9, s10) -> float:
+        """One path's cost, one stage at a time."""
+        total = 0.0
+        if s3 == 1:
+            total += costs.invitation
+            if s2 == 1:
+                total += costs.incentive
+        if s4 == 1:
+            total += costs.lab_analysis
+        if s7 == 1 and s8 != 0:
+            total += costs.colonoscopy
+        total += (0.0, costs.exam_result["normal"],
+                  costs.exam_result["benign"], costs.exam_result["large"],
+                  costs.exam_result["crc"])[s8]
+        if s9 == 2:
+            total += costs.polypectomy
+        total += (0.0, costs.adverse_event["bleed"],
+                  costs.adverse_event["perforation"])[s10]
+        return total
+
+    def test_value_mappings_equal_stage_sums(self, default_bundle):
+        rng = np.random.default_rng(313)
+        bundles = [default_bundle] + [
+            load_parameters(random_params_doc(rng, periods=1, n_cutoffs=2))[0]
+            for _ in range(3)]
+        for bundle in bundles:
+            d = build_segment_diagram(Segment(Sex.F, 1), bundle, DERIVED_PSI)
+            want = {
+                COST_NODE: lambda info: self.stage_cost(bundle.costs, *info),
+                COL_NODE: lambda info: -1.0 if info == (1, 1) else 0.0,
+                BENIGN_NODE: lambda info: 1.0 if info == (2,) else 0.0,
+                LARGE_NODE: lambda info: 1.0 if info == (3,) else 0.0,
+                CRC_NODE: lambda info: 1.0 if info == (4,) else 0.0,
+            }
+            assert sorted(d.values) == sorted(want)
+            for node in d.value_nodes:
+                table = d.values[node.node_id].table
+                states = list(d.info_states(node))
+                assert sorted(table) == states
+                for info in states:
+                    assert table[info] == want[node.node_id](info), \
+                        (node.node_id, info)
 
     def test_default_cutoff_labels(self, default_bundle):
         assert default_bundle.fit.cutoffs == ("10", "20", "25", "40", "50")
@@ -712,6 +762,14 @@ _LOADER_ERRORS = [
      "colonoscopy.adverse_events", "bleed + perforation exceeds 1"),
     ([(("options", "cutoff_set"), ["77", "77"])],
      "options.cutoff_set", "cut-off '77' is not declared in fit.cutoffs"),
+    # totals that overflow, checked once every field is read
+    ([(("population",), {"F": 1e308, "M": 1e308})], "population",
+     "total cohort size over both sexes and all periods is not finite"),
+    ([(("costs", "colonoscopy"), 1e308)], "costs",
+     "the most expensive path's cost times the total cohort size is not "
+     "finite"),
+    ([(("costs", "colonoscopy"), 1e308), (("population", "F"), 0)],
+     "population.F", "cohort sizes must be positive"),
 ]
 
 # One fault in each section, in load order: with a fault in a section and
