@@ -404,14 +404,12 @@ def _write_manifest(args, bundle, budgets, periods, digest) -> None:
 def _lineage_rows(table: HistoryTable, block) -> list[str]:
     """Each row of a period table's blocks and its ancestors', period 1
     first, joined by ","; ``block(t)`` renders one string per row of a
-    period table ``t``. Built forward: a row's string is its parent row's
-    string and its own block."""
-    rendered = block(table)
-    if table.parent is None:
-        return rendered
-    before = _lineage_rows(table.parent, block)
-    return [before[p] + "," + own
-            for p, own in zip(table.parent_row.tolist(), rendered)]
+    period table ``t``."""
+    periods = []
+    for t, rows in table.lineage(np.arange(len(table))):
+        rendered = block(t)
+        periods.append([rendered[r] for r in rows.tolist()])
+    return [",".join(cells) for cells in zip(*periods)]
 
 
 def _by_strategy(render):

@@ -432,9 +432,6 @@ class ObjectiveVector:
     orientations: tuple[str, ...]
     names: tuple[str, ...]
 
-    def by_name(self, name: str) -> float:
-        return self.values[self.names.index(name)]
-
 
 def expected_values(diagram: InfluenceDiagram,
                     strategy: GlobalStrategy) -> ObjectiveVector:

@@ -3,8 +3,8 @@
 A ``DiagramProblem`` holds every strategy of one evaluator's strategy space
 (``diagram.StrategyEvaluator``): candidate i is the evaluator's strategy i,
 and an evaluator shared between problems must have their nodes, value
-tables and fixed rules. A problem densifies its diagram's chance tables
-once; evaluating it under other tables takes a complete set of them.
+tables and fixed rules. A problem evaluates its own chance tables; other
+tables, a complete set of them, go through ``problem.evaluator``.
 
 A ``ParetoFrontier`` is an array of candidate indices into its problem;
 its vectors are rows of the problem's matrix, and its ``points``
@@ -60,15 +60,11 @@ FILTER_CELLS = 1 << 16
 
 @dataclass(frozen=True, eq=False)
 class FrontierPoint:
-    """One nondominated candidate.
-
-    ``minimized`` holds the active objectives in minimization orientation
-    (the coordinates dominance is defined on); ``objectives`` carries every
-    objective as computed, with orientation tags for mapping back and forth.
-    """
+    """One nondominated candidate: its strategy and every objective as
+    computed, with orientation tags; its coordinates in minimization
+    orientation are its row of :meth:`ParetoFrontier.vectors`."""
 
     strategy: GlobalStrategy | str
-    minimized: tuple[float, ...]
     objectives: ObjectiveVector
 
 
@@ -151,7 +147,6 @@ class EnumeratedProblem:
     def point(self, candidate: int) -> FrontierPoint:
         return FrontierPoint(
             strategy=self.strategy(candidate),
-            minimized=tuple(self.matrix_min[candidate].tolist()),
             objectives=ObjectiveVector(
                 values=tuple(self.reported[candidate].tolist()),
                 orientations=self.orientations,
@@ -168,8 +163,7 @@ class DiagramProblem(EnumeratedProblem):
     ``evaluator`` may come from another diagram with the same nodes and
     value tables, built under the same fixed rules: the problem then
     evaluates through it with its own diagram's chance tables, which gives
-    the bits of a fresh evaluator. ``tables`` holds those tables as the
-    dense arrays the evaluator reads.
+    the bits of a fresh evaluator.
     """
 
     def __init__(self, diagram: InfluenceDiagram,
@@ -183,9 +177,8 @@ class DiagramProblem(EnumeratedProblem):
                              "other nodes or value tables, or other fixed "
                              "rules")
         self.diagram = diagram
-        self.tables = dense_tables(diagram)
         self.evaluator = evaluator or StrategyEvaluator(diagram, fixed)
-        reported = self.objective_matrix()[0]
+        reported = self.evaluator.objective_matrix(dense_tables(diagram))[0]
         names = tuple(n.name for n in diagram.value_nodes)
         orientations = tuple(diagram.values[n.node_id].orientation
                              for n in diagram.value_nodes)
@@ -200,17 +193,6 @@ class DiagramProblem(EnumeratedProblem):
             if not active:
                 raise ValueError("objective mask selects nothing")
         super().__init__(reported, orientations, names, active=active)
-
-    def objective_matrix(self, tables=None, strategies=None) -> np.ndarray:
-        """:meth:`StrategyEvaluator.objective_matrix` under ``tables``, a
-        complete set, or this diagram's own chance tables."""
-        return self.evaluator.objective_matrix(
-            self.tables if tables is None else tables, strategies)
-
-    def dense_objective_matrix(self, tables=None) -> np.ndarray:
-        """The dense oracle of :meth:`objective_matrix`."""
-        return self.evaluator.dense_objective_matrix(
-            self.tables if tables is None else tables)
 
     def strategy(self, index: int) -> GlobalStrategy:
         return self.evaluator.strategy(index)
@@ -428,11 +410,8 @@ def frontier_rows(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the kept ones, so a mask over ``rows`` filters every frontier at once.
     """
     stack = np.asarray(stack, dtype=float)
-    H, n, m = stack.shape
-    keys = (np.tile(np.arange(n), H),) + tuple(
-        stack[:, :, k].ravel() for k in range(m - 1, -1, -1))
-    order = np.lexsort(keys + (np.repeat(np.arange(H), n),)).reshape(H, n) \
-        - np.arange(H)[:, None] * n
+    # lexsort is stable, so ties stay in row order.
+    order = np.lexsort(stack.transpose(2, 0, 1)[::-1], axis=-1)
     ranked = np.take_along_axis(stack, order[:, :, None], axis=1)
     tol = DOMINANCE_TOL
     kept = nondominated(ranked, tol)
@@ -453,7 +432,7 @@ def frontier_rows(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             break
         near.append(valid & np.all(np.abs(rows[:, d:] - rows[:, :-d]) <= tol,
                                    axis=2))
-    merged = np.zeros((H, width), dtype=bool)
+    merged = np.zeros_like(keep)
     for d, close in enumerate(near, start=1):
         merged[:, d:] |= close
     for i in np.flatnonzero(merged.any(axis=0)):

@@ -175,11 +175,11 @@ class HistoryTable(Sequence):
     index, which on a segment diagram is ascending ``GlobalStrategy.key``
     order, so comparing ``strategy`` values compares the keys.
 
-    As a sequence the table is read-only: reading a row builds its
-    :class:`StrategyHistory` by walking the parent rows, and rows read
-    together share the records of their common ancestors. The program
-    reads columns and :meth:`lineage` instead; only tests and the
-    benchmark tracer build these objects.
+    As a sequence the table is read-only: reading rows builds their
+    :class:`StrategyHistory` objects in one pass over :meth:`lineage`, the
+    only walk of the parent rows, and rows read together share their common
+    ancestors' records. Only tests and the benchmark tracer build these
+    objects; the program reads columns and :meth:`lineage`.
     """
 
     sex: Sex
@@ -232,38 +232,35 @@ class HistoryTable(Sequence):
             table, rows = table.parent, table.parent_row[rows]
         return chain[::-1]
 
-    def _records(self, rows) -> dict[int, tuple[PeriodRecord, ...]]:
-        """The record chain of each of ``rows``, ancestors shared."""
-        wanted = sorted(set(rows))
-        parents = self.parent_row[wanted].tolist()
-        before = ({} if self.parent is None
-                  else self.parent._records(parents))
-        out = {}
-        for r, p, values, s, psi in zip(
-                wanted, parents, self.reported[wanted].tolist(),
-                self.strategy[wanted].tolist(),
-                self.updated[wanted].tolist()):
-            prefix = before.get(p, ())
-            out[r] = prefix + (PeriodRecord(
-                period=self.period,
-                strategy=self.strategies[s],
-                objectives=ObjectiveVector(tuple(values), self.orientations,
-                                           self.names),
-                start_prevalence=(prefix[-1].updated_prevalence if prefix
-                                  else self.start),
-                updated_prevalence=PrevalenceVector(*psi)),)
-        return out
-
     def _histories(self, rows) -> list[StrategyHistory]:
-        rows = list(rows)
-        records = self._records(rows)
+        """Each of ``rows`` as a history, in one pass over :meth:`lineage`
+        that builds a period's record once per ancestor row there."""
+        rows = np.asarray(rows, dtype=np.intp)
+        chains = [()] * len(rows)
+        for table, at in self.lineage(rows):
+            wanted, first, inverse = np.unique(at, return_index=True,
+                                               return_inverse=True)
+            made = [PeriodRecord(
+                period=table.period,
+                strategy=table.strategies[s],
+                objectives=ObjectiveVector(tuple(values), table.orientations,
+                                           table.names),
+                start_prevalence=(chains[i][-1].updated_prevalence
+                                  if chains[i] else table.start),
+                updated_prevalence=PrevalenceVector(*psi))
+                for i, s, values, psi in zip(
+                    first.tolist(), table.strategy[wanted].tolist(),
+                    table.reported[wanted].tolist(),
+                    table.updated[wanted].tolist())]
+            chains = [chain + (made[j],)
+                      for chain, j in zip(chains, inverse.tolist())]
         return [
-            StrategyHistory(sex=self.sex, records=records[r],
+            StrategyHistory(sex=self.sex, records=chain,
                             cumulative_colonoscopies=col,
                             cumulative_cost=cost,
                             total_prevalence=PrevalenceVector(*total))
-            for r, col, cost, total in zip(
-                rows, self.colonoscopies[rows].tolist(),
+            for chain, col, cost, total in zip(
+                chains, self.colonoscopies[rows].tolist(),
                 self.cost[rows].tolist(), self.total[rows].tolist())]
 
 
@@ -339,6 +336,8 @@ def run_phase1(params: ParameterBundle, budget: float,
     drive the prevalence updates, so the run is exact for the masked
     problem only.
     """
+    if np.isnan(budget):
+        raise ValueError("budget must not be NaN")
     if budget < 0:
         raise ValueError("budget must be non-negative")
     K = periods if periods is not None else params.periods
@@ -369,7 +368,7 @@ def vertex_values(params: ParameterBundle, segment: Segment,
     posterior's denominator), so sum_v psi_v * values[..., v] is their
     value at psi.
     """
-    return np.moveaxis(problem.objective_matrix(
+    return np.moveaxis(problem.evaluator.objective_matrix(
         segment_tables(params, segment, np.eye(4))), 0, 2)
 
 
@@ -415,7 +414,7 @@ def _extend_period(params, sex, k, previous, budget, objective_mask,
         before_col, before_cost = previous.colonoscopies, previous.cost
     first = segment_frontier(params, segment, PrevalenceVector(*starts[0]),
                              objective_mask, cross_check, evaluator)
-    base = first.problem
+    base, evaluator = first.problem, first.problem.evaluator
     reps, class_of = strategy_classes(vertex_values(params, segment, base))
     # The base problem holds every strategy at the first start, which
     # checks the classes there for free.
@@ -423,8 +422,8 @@ def _extend_period(params, sex, k, previous, budget, objective_mask,
               > DOMINANCE_TOL):
         raise OracleMismatchError(
             f"a strategy differs from its class representative {label}")
-    reported = base.objective_matrix(segment_tables(params, segment, starts),
-                                     strategies=reps)
+    reported = evaluator.objective_matrix(
+        segment_tables(params, segment, starts), strategies=reps)
     rows, keep = frontier_rows(base.minimize(reported))
 
     def check(h, frontier):
@@ -440,7 +439,7 @@ def _extend_period(params, sex, k, previous, budget, objective_mask,
     check(0, first)
     if cross_check:
         for h in range(len(starts)):
-            dense = base.dense_objective_matrix(
+            dense = evaluator.dense_objective_matrix(
                 segment_tables(params, segment, starts[[h]]))
             if not np.array_equal(reported[h], dense[0, reps]):
                 raise OracleMismatchError(
@@ -450,7 +449,7 @@ def _extend_period(params, sex, k, previous, budget, objective_mask,
                 check(h, segment_frontier(params, segment,
                                           PrevalenceVector(*starts[h]),
                                           objective_mask, cross_check=True,
-                                          evaluator=base.evaluator))
+                                          evaluator=evaluator))
 
     names = base.names
     cohort = params.cohort_size(segment)
@@ -484,7 +483,7 @@ def _extend_period(params, sex, k, previous, budget, objective_mask,
         parent_row=parent, strategy=strategy, reported=values,
         updated=updated, total=total, colonoscopies=col[parent, strategy],
         cost=before_cost[parent] + values[:, names.index("cost")] * cohort
-    ), base.evaluator
+    ), evaluator
 
 
 @dataclass(frozen=True)

@@ -94,7 +94,7 @@ def _selectable(candidates: np.ndarray) -> np.ndarray:
 def budget_sweep(problem: SelectionProblem,
                  budgets: Sequence[float]) -> list[SelectionResult]:
     """The exact optimum over all candidate pairs at each budget; budgets
-    must be sorted ascending.
+    must be sorted ascending and not NaN (``inf`` is no cap).
 
     Ties break toward fewer colonoscopies, then lower cost, then the
     lexicographically smaller index pair. When no pair fits a budget the
@@ -106,6 +106,8 @@ def budget_sweep(problem: SelectionProblem,
     sorted pair within it, found by a binary search over the running
     minimum of examinations along that order.
     """
+    if np.isnan(budgets).any():
+        raise ValueError("budgets must not be NaN")
     if any(b1 > b2 for b1, b2 in zip(budgets, budgets[1:])):
         raise ValueError("budgets must be sorted ascending")
     if budgets and budgets[0] < 0:

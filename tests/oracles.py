@@ -151,18 +151,23 @@ def scalar_prevalence_cpts(params, psi) -> dict:
     return {FIT_RESULT: fit_cpt, EXAM_RESULT: exam_cpt}
 
 
+def objective(vector, name: str) -> float:
+    """One value of an ``ObjectiveVector``, by its value node's name."""
+    return vector.values[vector.names.index(name)]
+
+
 def detected_fractions_of(point) -> DetectedFractions:
     """Read the three detection objectives off a frontier point."""
     return DetectedFractions(
-        benign=point.objectives.by_name("benign_found"),
-        large=point.objectives.by_name("large_found"),
-        crc=point.objectives.by_name("crc_found"),
+        benign=objective(point.objectives, "benign_found"),
+        large=objective(point.objectives, "large_found"),
+        crc=objective(point.objectives, "crc_found"),
     )
 
 
 def colonoscopies_of(point) -> float:
     """Expected examinations per invitee (the value node counts them as -1)."""
-    return -point.objectives.by_name("colonoscopy")
+    return -objective(point.objectives, "colonoscopy")
 
 
 def dominance_key(history) -> tuple[float, float, float, float]:

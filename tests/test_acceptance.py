@@ -25,6 +25,7 @@ from conftest import (
 from oracles import (
     dominance_key,
     exhaustive_two_period,
+    objective,
     reference_pair_scan,
 )
 from screenopt.cli import main
@@ -380,10 +381,10 @@ def test_behavioral_sanity():
         previous = None
         for cutoff in reversed(range(len(bundle.effective_cutoffs()))):
             vals = expected_values(d, fixed_strategy(cutoff, 0, invite=1))
-            cols = -vals.by_name("colonoscopy")
-            detections = (vals.by_name("benign_found"),
-                          vals.by_name("large_found"),
-                          vals.by_name("crc_found"))
+            cols = -objective(vals, "colonoscopy")
+            detections = (objective(vals, "benign_found"),
+                          objective(vals, "large_found"),
+                          objective(vals, "crc_found"))
             if previous is not None:
                 assert cols >= previous[0] - 1e-12
                 assert all(a >= b - 1e-12

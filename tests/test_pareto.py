@@ -22,6 +22,7 @@ from oracles import (
     compatible_path_probabilities,
     dominates,
     nondominated_prefix,
+    objective,
 )
 from screenopt.diagram import (
     LocalStrategy,
@@ -53,6 +54,11 @@ DATA = Path(__file__).resolve().parent / "data"
 
 def problem_of(rows, **kwargs):
     return matrix_problem(rows, **kwargs)
+
+
+def minimized(front):
+    """The frontier's vectors, in minimization orientation, as tuples."""
+    return [tuple(v) for v in front.vectors().tolist()]
 
 
 def box_limit_problem():
@@ -163,15 +169,15 @@ class TestFrontier:
         p = problem_of([[1.0, 2.0]] * 6)
         front = compute_frontier(p)
         assert len(front) == 1
-        assert front.points[0].minimized == (1.0, 2.0)
+        assert minimized(front) == [(1.0, 2.0)]
 
     def test_hand_case(self):
         p = problem_of([[0.0, 3.0], [1.0, 1.0], [2.0, 2.0], [3.0, 0.0]])
         expected = {(0.0, 3.0), (1.0, 1.0), (3.0, 0.0)}
         front = compute_frontier(p)
-        assert {pt.minimized for pt in front.points} == expected
+        assert set(minimized(front)) == expected
         reference = brute_force_frontier(p)
-        assert {pt.minimized for pt in reference.points} == expected
+        assert set(minimized(reference)) == expected
 
     def test_matches_brute_force_on_random_instances(self):
         rng = np.random.default_rng(37)
@@ -219,7 +225,8 @@ class TestFrontier:
                 assert np.array_equal(front.vectors(), vectors)
                 assert np.array_equal(
                     front.vectors(),
-                    np.array([pt.minimized for pt in front.points]))
+                    p.minimize(np.array([pt.objectives.values
+                                         for pt in front.points])))
                 assert list(map(tuple, vectors.tolist())) == \
                     sorted(map(tuple, vectors.tolist()))
                 for c, point in zip(chosen.tolist(), front.points):
@@ -230,7 +237,9 @@ class TestFrontier:
                     assert (point.strategy == strategy
                             if isinstance(strategy, str)
                             else point.strategy.key == strategy.key)
-                    assert point.minimized == tuple(p.matrix_min[c].tolist())
+                    assert np.array_equal(
+                        p.minimize(np.array(point.objectives.values)),
+                        p.matrix_min[c])
                     assert point.objectives.values == \
                         tuple(p.reported[c].tolist())
                     assert point.objectives.names == p.names
@@ -242,7 +251,7 @@ class TestFrontier:
         front = compute_frontier(p)
         assert {tuple(pt.objectives.values) for pt in front.points} == \
             {(1.0, 7.0)}
-        assert front.points[0].minimized == (1.0, -7.0)
+        assert minimized(front)[0] == (1.0, -7.0)
 
     def test_iteration_limit(self):
         rng = np.random.default_rng(41)
@@ -273,7 +282,7 @@ class TestFrontier:
         assert nondominated(p.unique_vectors()).all()
         for frontier in (compute_frontier, brute_force_frontier,
                          box_search_frontier):
-            assert [pt.minimized for pt in frontier(p).points] == \
+            assert minimized(frontier(p)) == \
                 [(0.0, 1.0, 5.0), (0.0, 2.0, 0.0)]
 
     @pytest.mark.parametrize("cells", [1 << 20, 40])
@@ -313,10 +322,11 @@ class TestFrontier:
         rng = np.random.default_rng(47)
         mat = rng.integers(0, 6, size=(200, 3)).astype(float)
         front = compute_frontier(problem_of(mat))
-        for a in front.points:
-            for b in front.points:
-                if a is not b:
-                    assert not dominates(a.minimized, b.minimized)
+        vectors = minimized(front)
+        for i, a in enumerate(vectors):
+            for j, b in enumerate(vectors):
+                if i != j:
+                    assert not dominates(a, b)
 
     def test_epsilon_zero_corner_solutions_filtered(self):
         # (1, 2) is weakly dominated by (1, 1): an unaugmented solve with
@@ -326,7 +336,7 @@ class TestFrontier:
                        np.array([0.5, 1.0]))
         assert norms[0] == pytest.approx(norms[1], abs=1e-8)
         for front in (box_search_frontier(p), compute_frontier(p)):
-            assert {pt.minimized for pt in front.points} == \
+            assert set(minimized(front)) == \
                 {(1.0, 1.0), (0.5, 3.0)}
 
 
@@ -463,12 +473,12 @@ class TestDiagramProblems:
             p = diagram_problem(d)
             front = compute_frontier(p)
             assert len(front) >= 1
-            for point in front.points:
+            for point, vector in zip(front.points, front.vectors()):
                 again = expected_values(d, point.strategy)
                 assert np.allclose(point.objectives.values, again.values,
                                    atol=1e-12)
                 reoriented = p.minimize(np.array(again.values))
-                assert np.allclose(point.minimized, reoriented, atol=1e-12)
+                assert np.allclose(vector, reoriented, atol=1e-12)
 
     def test_attach_paths_total_probability(self, small_bundle):
         from screenopt.screening import Segment, Sex, build_segment_diagram
@@ -537,5 +547,5 @@ class TestDiagramProblems:
         # the single point maximizes cancer detections
         full = diagram_problem(d)
         best = max(full.reported[:, 4])
-        assert front.points[0].objectives.by_name("crc_found") == \
+        assert objective(front.points[0].objectives, "crc_found") == \
             pytest.approx(best)

@@ -34,6 +34,7 @@ from oracles import (
     dominance_key,
     exhaustive_best_shares,
     exhaustive_two_period,
+    objective,
     remove_dominated_loop,
     running_totals,
     sort_key,
@@ -235,7 +236,7 @@ class TestDetectedFractions:
         frontier = segment_frontier(small_bundle, Segment(Sex.F, 1),
                                     small_bundle.starting_prevalence(Sex.F))
         null_points = [p for p in frontier.points
-                       if p.objectives.by_name("cost") == 0.0]
+                       if objective(p.objectives, "cost") == 0.0]
         assert len(null_points) == 1
         found = detected_fractions_of(null_points[0])
         assert (found.benign, found.large, found.crc) == (0.0, 0.0, 0.0)
@@ -275,7 +276,7 @@ class TestDetectedFractions:
         psi = bundle.starting_prevalence(Sex.M)
         frontier = segment_frontier(bundle, Segment(Sex.M, 1), psi)
         best = max(frontier.points,
-                   key=lambda p: p.objectives.by_name("crc_found"))
+                   key=lambda p: objective(p.objectives, "crc_found"))
         found = detected_fractions_of(best)
         assert found.benign == pytest.approx(psi.benign, abs=1e-12)
         assert found.large == pytest.approx(psi.large, abs=1e-12)
@@ -540,6 +541,19 @@ class TestRunPhase1:
             run_phase1(bundle, budget=1e-6, periods=1,
                        objective_mask=["crc_found"])
 
+    def test_budget_checks(self, default_doc):
+        bundle = tiny_bundle(default_doc)
+        with pytest.raises(ValueError, match="budget must be non-negative"):
+            run_phase1(bundle, budget=-1.0, periods=1)
+        with pytest.raises(ValueError, match="budget must not be NaN"):
+            run_phase1(bundle, budget=float("nan"), periods=1)
+        # an infinite budget is no cap
+        uncapped, capped = (run_phase1(bundle, budget=b, periods=2)
+                            for b in (float("inf"), 1e9))
+        for sex in (Sex.F, Sex.M):
+            assert np.array_equal(uncapped[sex].colonoscopies,
+                                  capped[sex].colonoscopies)
+
     def test_history_cap(self, default_doc, monkeypatch):
         # the cap is checked on the counted extensions, before the
         # period-2 table is filled and before any history is built
@@ -645,7 +659,7 @@ class TestPeriodTableOrder:
                     before = float(parent.colonoscopies[p])
                 points = segment_frontier(bundle, segment, psi).points
                 want = [pt.strategy.key for pt in points
-                        if before + -pt.objectives.by_name("colonoscopy")
+                        if before + -objective(pt.objectives, "colonoscopy")
                         * cohort <= budget + BUDGET_TOL]
                 got = [table.strategies[s].key
                        for s in table.strategy[table.parent_row == p]]
@@ -685,6 +699,57 @@ class TestLineage:
                                  for history in table])
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @staticmethod
+    def assert_rows_are_the_lineage(table):
+        # each row's records are its ancestors' columns, and rows with a
+        # common ancestor share that period's record object
+        histories = list(table)
+        lineage = table.lineage(np.arange(len(table)))
+        assert table[-1] == histories[-1]
+        shared_somewhere = False
+        for k, (t, at) in enumerate(lineage):
+            records = {}
+            for i, (h, a) in enumerate(zip(histories, at.tolist())):
+                record = h.records[k]
+                assert records.setdefault(a, record) is record
+                assert record.period == t.period == k + 1
+                assert record.strategy is t.strategies[t.strategy[a]]
+                assert record.objectives.values == \
+                    tuple(t.reported[a].tolist())
+                assert record.objectives.names == t.names
+                assert record.objectives.orientations == t.orientations
+                if k == 0:
+                    start = table.start.as_tuple()
+                else:
+                    before, rows = lineage[k - 1]
+                    start = tuple(before.updated[rows[i]].tolist())
+                assert record.start_prevalence.as_tuple() == start
+                assert record.updated_prevalence.as_tuple() == \
+                    tuple(t.updated[a].tolist())
+            assert len({id(r) for r in records.values()}) == len(records)
+            shared_somewhere |= len(records) < len(table)
+        assert shared_somewhere
+        for r, h in enumerate(histories):
+            assert len(h.records) == len(lineage)
+            assert h.sex is table.sex
+            assert h.cumulative_colonoscopies == table.colonoscopies[r]
+            assert h.cumulative_cost == table.cost[r]
+            assert h.total_prevalence.as_tuple() == \
+                tuple(table.total[r].tolist())
+
+    def test_row_view_shipped_parameters(self, default_bundle):
+        tables = run_phase1(default_bundle, budget=20000.0, periods=3)
+        for table in tables.values():
+            self.assert_rows_are_the_lineage(table)
+
+    def test_row_view_random_document(self):
+        rng = np.random.default_rng(347)
+        doc = random_params_doc(rng, periods=3, n_cutoffs=3, monotone=False,
+                                fix_exam=False)
+        bundle, _ = load_parameters(doc)
+        for table in run_phase1(bundle, budget=1e9, periods=3).values():
+            self.assert_rows_are_the_lineage(table)
 
 
 class TestReweightedSegments:
@@ -805,9 +870,9 @@ class TestReweightedSegments:
                 dense = base.evaluator.dense_objective_matrix(tables)
                 assert np.array_equal(single, dense)
                 assert np.array_equal(np.signbit(single), np.signbit(dense))
+            own = dense_tables(base.diagram)
             assert np.array_equal(
-                base.reported,
-                base.evaluator.dense_objective_matrix(base.tables)[0])
+                base.reported, base.evaluator.dense_objective_matrix(own)[0])
 
     def test_blocks_split_the_batch(self, monkeypatch):
         rng = np.random.default_rng(257)
@@ -870,11 +935,13 @@ class TestReweightedSegments:
         tables = segment_tables(bundle, segment, np.eye(4))
         partial = {node_id: tables[node_id]
                    for node_id in (FIT_RESULT, EXAM_RESULT)}
-        for evaluate in (base.objective_matrix, base.dense_objective_matrix):
+        evaluator = base.evaluator
+        for evaluate in (evaluator.objective_matrix,
+                         evaluator.dense_objective_matrix):
             with pytest.raises(ValueError, match="not for the chance nodes"):
                 evaluate(partial)
-        assert_bits(base.objective_matrix(tables),
-                    base.dense_objective_matrix(tables))
+        assert_bits(evaluator.objective_matrix(tables),
+                    evaluator.dense_objective_matrix(tables))
 
 
 def assert_bits(got, want):
@@ -910,7 +977,7 @@ class TestSharedEvaluator:
                 own = dense_tables(diagram)
                 assert_bits(shared.reported, fresh.objective_matrix(own)[0])
                 vertices = segment_tables(bundle, segment, np.eye(4))
-                assert_bits(shared.objective_matrix(vertices),
+                assert_bits(shared.evaluator.objective_matrix(vertices),
                             fresh.objective_matrix(vertices))
                 reps, _ = strategy_classes(vertex_values(bundle, segment,
                                                          shared))
@@ -918,7 +985,8 @@ class TestSharedEvaluator:
                     [tuple(_random_simplex(rng).values())
                      for _ in range(int(rng.integers(1, 6)))]))
                 assert_bits(
-                    shared.objective_matrix(starts, strategies=reps),
+                    shared.evaluator.objective_matrix(starts,
+                                                      strategies=reps),
                     fresh.objective_matrix(starts, strategies=reps))
 
     def test_foreign_structure_rejected(self):

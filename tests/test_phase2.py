@@ -160,6 +160,22 @@ class TestBudgetSweep:
         with pytest.raises(ValueError):
             budget_sweep(self.sweep_problem(), [-1.0, 5.0])
 
+    @pytest.mark.parametrize("budgets", [
+        [float("nan")], [float("nan"), 150.0], [50.0, float("nan"), 150.0],
+        [50.0, float("nan")]])
+    def test_nan_budget_rejected(self, budgets):
+        # NaN compares false, so it would pass the order and sign checks
+        with pytest.raises(ValueError, match="budgets must not be NaN"):
+            budget_sweep(self.sweep_problem(), budgets)
+
+    def test_negative_and_infinite_budgets(self):
+        p = self.sweep_problem()
+        with pytest.raises(ValueError, match="budget must be non-negative"):
+            budget_sweep(p, [-1.0])
+        # an infinite budget is no cap
+        assert budget_sweep(p, [float("inf")])[0] == \
+            reference_pair_scan(p, float("inf"))
+
     def test_budget_constraint_satisfied(self):
         rng = np.random.default_rng(223)
         p = make_problem(

@@ -25,6 +25,7 @@ from conftest import _random_simplex, random_params_doc
 from oracles import (
     colonoscopy_result_row,
     fit_positive_probability,
+    objective,
     posterior_given_positive,
     scalar_prevalence_cpts,
 )
@@ -423,10 +424,10 @@ class TestSegmentDiagram:
         # declared order is ascending threshold: walk from high to low
         for cutoff in reversed(range(len(default_bundle.effective_cutoffs()))):
             vals = expected_values(d, constant_strategy(d, cutoff=cutoff))
-            cols = -vals.by_name("colonoscopy")
-            detections = (vals.by_name("benign_found"),
-                          vals.by_name("large_found"),
-                          vals.by_name("crc_found"))
+            cols = -objective(vals, "colonoscopy")
+            detections = (objective(vals, "benign_found"),
+                          objective(vals, "large_found"),
+                          objective(vals, "crc_found"))
             if previous is not None:
                 assert cols >= previous[0] - 1e-12
                 assert all(a >= b - 1e-12
@@ -449,9 +450,9 @@ class TestSegmentDiagram:
         psi = default_bundle.starting_prevalence(Sex.F)
         d = build_segment_diagram(Segment(Sex.F, 1), default_bundle, psi)
         vals = expected_values(d, constant_strategy(d, cutoff=0, incentive=1))
-        assert 0.0 <= vals.by_name("benign_found") <= psi.benign
-        assert 0.0 <= vals.by_name("large_found") <= psi.large
-        assert 0.0 <= vals.by_name("crc_found") <= psi.crc
+        assert 0.0 <= objective(vals, "benign_found") <= psi.benign
+        assert 0.0 <= objective(vals, "large_found") <= psi.large
+        assert 0.0 <= objective(vals, "crc_found") <= psi.crc
 
     def test_fixed_rules(self, default_doc):
         doc = json.loads(json.dumps(default_doc))
