@@ -54,6 +54,9 @@ WEIGHT_GUARD = 1e-12
 DETECTION_TOL = 1e-9
 #: Colonoscopies a history or pair may run over its budget and still fit.
 BUDGET_TOL = 1e-9
+#: An evaluation at prevalence psi lies within this times sum_v psi_v |V_v|
+#: of the vertex sum sum_v psi_v V_v (``phase1``): 64 machine epsilons.
+LINEARITY_TOL = 64 * 2.0**-52
 
 #: One state ordinal per chance/decision node, in diagram node order.
 Path = tuple[int, ...]
@@ -627,15 +630,13 @@ class StrategyEvaluator:
             out.append(table.reshape(len(table), math.prod(shape)))
         return out
 
-    def objective_matrix(self, tables: Mapping[int, np.ndarray],
-                         strategies: np.ndarray | None = None) -> np.ndarray:
+    def objective_matrix(self, tables: Mapping[int, np.ndarray]) -> np.ndarray:
         """Expected values of every strategy, in enumeration order, as
         (batch rows x strategies x objectives): one matrix per batch row.
 
         ``tables`` maps every chance node's id to a dense array indexed
         (batch row, information state..., state), as :func:`dense_tables`
-        gives; a one-row table applies to every batch row. ``strategies``
-        selects strategies by index.
+        gives; a one-row table applies to every batch row.
 
         Every row has the bits of the same row of :meth:`dense_objective_matrix`,
         which sums every path's term per signature with ``np.add.reduceat``,
@@ -656,9 +657,6 @@ class StrategyEvaluator:
         processed in blocks of at most ``BATCH_CELLS`` term cells.
         """
         plan = self._plan
-        if strategies is not None:
-            strategies = np.asarray(strategies, dtype=np.intp)
-            plan = [rows[strategies] for rows in plan]
         factors = self._tables(tables)
         batch = max((len(t) for t in factors), default=1)
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import screenopt.phase1
 from screenopt.diagram import (
     GlobalStrategy,
     InfluenceDiagram,
@@ -53,6 +54,34 @@ def small_doc(default_doc, periods=2, cutoffs=("10", "25", "50"),
 def small_bundle(default_doc):
     bundle, _ = load_parameters(small_doc(default_doc))
     return bundle
+
+
+#: Faults the phase-1 linearity certificate must catch without
+#: ``--cross-check``.
+LINEARITY_FAULTS = ("vertex_row", "representative")
+
+
+def break_linearity(monkeypatch, fault):
+    """Patch phase 1 with one of :data:`LINEARITY_FAULTS`: the vertex row of
+    the strategy with the largest values scaled by (1 + 1e-12), or the
+    first class given the last class's representative."""
+    if fault == "vertex_row":
+        values = screenopt.phase1.vertex_values
+
+        def patched(*args):
+            out = values(*args).copy()
+            out[np.argmax(np.abs(out).sum(axis=(1, 2)))] *= 1 + 1e-12
+            return out
+
+        monkeypatch.setattr(screenopt.phase1, "vertex_values", patched)
+    else:
+        classes = screenopt.phase1.strategy_classes
+
+        def patched(values):
+            reps, class_of = classes(values)
+            return np.append(reps[-1], reps[1:]), class_of
+
+        monkeypatch.setattr(screenopt.phase1, "strategy_classes", patched)
 
 
 # ---------------------------------------------------------------------------

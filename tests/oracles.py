@@ -251,7 +251,7 @@ def exhaustive_two_period(bundle, budget, objective_mask=None):
 
     Applies the budget rule and the four-quantity dominance comparison to
     the complete pair set and returns the surviving dominance keys per sex,
-    rounded for comparison.
+    for :func:`assert_keys_match`.
     """
     out = {}
     for sex in (Sex.F, Sex.M):
@@ -261,8 +261,28 @@ def exhaustive_two_period(bundle, budget, objective_mask=None):
         keys = [e for e in entries
                 if not any(dominates(other, e) for other in entries
                            if other != e)]
-        out[sex] = {tuple(round(v, 12) for v in k) for k in keys}
+        out[sex] = keys
     return out
+
+
+def assert_keys_match(histories, want):
+    """The histories' distinct dominance keys and the distinct keys
+    ``want`` match one to one, each pair within a relative 1e-12: phase 1
+    takes its objectives from vertex sums, whose last bits differ from a
+    direct evaluation's."""
+    unmatched = sorted(set(want))
+    for key in sorted({dominance_key(h) for h in histories}):
+        match = next((i for i, w in enumerate(unmatched)
+                      if np.allclose(key, w, rtol=1e-12, atol=0.0)), None)
+        assert match is not None, (key, unmatched)
+        del unmatched[match]
+    assert not unmatched, unmatched
+
+
+def one_ulp(matrix):
+    """``matrix`` with every nonzero value one ulp up; an exact zero has
+    every path's term zero and stays exact in any evaluation."""
+    return np.where(matrix != 0, np.nextafter(matrix, np.inf), matrix)
 
 
 def reference_pair_scan(problem, budget) -> SelectionResult:

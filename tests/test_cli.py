@@ -17,8 +17,13 @@ import pytest
 import screenopt.cli
 import screenopt.diagram
 import screenopt.phase1
-from conftest import random_params_doc, small_doc
-from oracles import object_pipeline
+from conftest import (
+    LINEARITY_FAULTS,
+    break_linearity,
+    random_params_doc,
+    small_doc,
+)
+from oracles import object_pipeline, one_ulp
 from screenopt.cli import dumps_canonical, main
 from screenopt.phase2 import BUDGET_TOL
 from screenopt.screening import (
@@ -351,16 +356,27 @@ class TestPipeline:
 
     def test_dense_evaluation_mismatch_exits_three(self, small_params,
                                                    tmp_path, monkeypatch):
+        # nonzero values one ulp up stay within the linearity bound, a
+        # relative 1e-12 leaves it
         dense = screenopt.diagram.StrategyEvaluator.dense_objective_matrix
+        for nudge, code in ((one_ulp, 0), (lambda m: m * (1 + 1e-12), 3)):
+            monkeypatch.setattr(
+                screenopt.diagram.StrategyEvaluator, "dense_objective_matrix",
+                lambda self, tables, nudge=nudge: nudge(dense(self, tables)))
+            assert main(["pipeline", "--budgets", "500,1500,4000",
+                         "--params", str(small_params),
+                         "--out", str(tmp_path / "x"),
+                         "--cross-check"]) == code
 
-        def nudged(self, tables):
-            return np.nextafter(dense(self, tables), np.inf)
-
-        monkeypatch.setattr(screenopt.diagram.StrategyEvaluator,
-                            "dense_objective_matrix", nudged)
+    @pytest.mark.parametrize("fault", LINEARITY_FAULTS)
+    def test_linearity_certificate_exits_three(self, small_params, tmp_path,
+                                               monkeypatch, capsys, fault):
+        # every run certifies its vertex sums, without --cross-check too
+        break_linearity(monkeypatch, fault)
         assert main(["pipeline", "--budgets", "500,1500,4000",
                      "--params", str(small_params),
-                     "--out", str(tmp_path / "x"), "--cross-check"]) == 3
+                     "--out", str(tmp_path / "x")]) == 3
+        assert "class's vertex sum" in capsys.readouterr().err
 
     def test_objective_mask_flag(self, small_params, tmp_path):
         out = tmp_path / "masked"

@@ -20,7 +20,9 @@ import screenopt.diagram
 import screenopt.pareto
 import screenopt.phase1
 from conftest import (
+    LINEARITY_FAULTS,
     _random_simplex,
+    break_linearity,
     extreme_params_doc,
     random_params_doc,
     small_doc,
@@ -28,6 +30,7 @@ from conftest import (
 from oracles import (
     VERTICES,
     DetectedFractions,
+    assert_keys_match,
     colonoscopies_of,
     combined_total_prevalence,
     detected_fractions_of,
@@ -35,6 +38,7 @@ from oracles import (
     exhaustive_best_shares,
     exhaustive_two_period,
     objective,
+    one_ulp,
     remove_dominated_loop,
     running_totals,
     sort_key,
@@ -51,6 +55,7 @@ from screenopt.phase1 import (
     BUDGET_TOL,
     DETECTION_TOL,
     DOMINANCE_TOL,
+    LINEARITY_TOL,
     HistoryTable,
     baseline_trajectory,
     combined_total_rows,
@@ -61,6 +66,7 @@ from screenopt.phase1 import (
     segment_problem,
     strategy_classes,
     update_prevalence_rows,
+    vertex_sum,
     vertex_values,
 )
 from screenopt.phase2 import budget_sweep, selection_problem_from_histories
@@ -453,18 +459,27 @@ def tiny_bundle(default_doc, periods=2):
 
 class TestRunPhase1:
     def test_single_period_equals_wrapped_frontier(self, default_doc):
+        # the same strategies, with values within the linearity bound
         bundle = tiny_bundle(default_doc)
-        frontier = segment_frontier(bundle, Segment(Sex.F, 1),
-                                    bundle.starting_prevalence(Sex.F))
+        segment, psi = Segment(Sex.F, 1), bundle.starting_prevalence(Sex.F)
+        frontier = segment_frontier(bundle, segment, psi)
+        bound = LINEARITY_TOL * vertex_sum(
+            np.array([psi.as_tuple()]),
+            np.abs(vertex_values(bundle, segment, frontier.problem)))[0]
         result = run_phase1(bundle, budget=1e9, periods=1)[Sex.F]
         assert len(result) == len(frontier.points)
-        for hist, point in zip(result, frontier.points):
+        cohort = bundle.cohort_size(segment)
+        column = frontier.problem.names.index("colonoscopy")
+        for hist, point, candidate in zip(result, frontier.points,
+                                          frontier.candidates):
             assert len(hist.records) == 1
-            assert hist.records[0].objectives.values == \
-                point.objectives.values
+            assert np.all(np.abs(np.subtract(hist.records[0].objectives.values,
+                                             point.objectives.values))
+                          <= bound[candidate])
             assert hist.records[0].strategy.key == point.strategy.key
-            assert hist.cumulative_colonoscopies == \
-                colonoscopies_of(point) * bundle.cohort_size(Segment(Sex.F, 1))
+            assert abs(hist.cumulative_colonoscopies
+                       - colonoscopies_of(point) * cohort) \
+                <= bound[candidate, column] * cohort
 
     def test_two_periods_equal_exhaustive_tree(self, default_doc):
         bundle = tiny_bundle(default_doc)
@@ -473,13 +488,9 @@ class TestRunPhase1:
         assert d.strategy_count(fixed=tuple(fixed_decision_rules(bundle))) <= 20
         for budget in (300.0, 900.0, 1e9):
             got = run_phase1(bundle, budget=budget, periods=2)
+            want = exhaustive_two_period(bundle, budget)
             for sex in (Sex.F, Sex.M):
-                keys = {
-                    tuple(round(v, 12) for v in dominance_key(h))
-                    for h in got[sex]
-                }
-                assert keys == exhaustive_two_period(bundle, budget)[sex], \
-                    (sex, budget)
+                assert_keys_match(got[sex], want[sex])
 
     def test_budget_at_a_histories_exact_count(self, default_doc):
         # a history is kept at a budget equal to its colonoscopy count and
@@ -613,9 +624,7 @@ class TestRunPhase1:
             got = run_phase1(bundle, budget=budget, periods=2)
             want = exhaustive_two_period(bundle, budget)
             for sex in (Sex.F, Sex.M):
-                keys = {tuple(round(v, 12) for v in dominance_key(h))
-                        for h in got[sex]}
-                assert keys == want[sex]
+                assert_keys_match(got[sex], want[sex])
 
 
 class TestPeriodTableOrder:
@@ -803,45 +812,47 @@ class TestReweightedSegments:
                                       np.signbit(fresh))
 
     def test_selected_rows_bit_identical_to_full_matrix(self):
+        # the selected vertex rows, against the full matrix at that vertex:
+        # bit for bit, and their vertex sum within the linearity bound
         rng = np.random.default_rng(239)
         for trial in range(12):
             bundle, segment = self.random_case(rng, trial)
             base = segment_problem(
                 bundle, segment, PrevalenceVector(**_random_simplex(rng)))
-            reps, _ = strategy_classes(vertex_values(bundle, segment, base))
+            values = vertex_values(bundle, segment, base)
+            reps, _ = strategy_classes(values)
             n = base.n_candidates
             # the class representatives, and an unsorted draw with repeats
             picks = (reps, rng.integers(0, n, size=int(rng.integers(1, 40))))
+            v = int(rng.integers(0, 4))
             for psi in (PrevalenceVector(**_random_simplex(rng)),
-                        VERTICES[int(rng.integers(0, 4))]):
-                tables = segment_tables(bundle, segment,
-                                        np.array([psi.as_tuple()]))
-                full = base.evaluator.objective_matrix(tables)
+                        VERTICES[v]):
+                row = np.array([psi.as_tuple()])
+                full = base.evaluator.objective_matrix(
+                    segment_tables(bundle, segment, row))[0]
                 for strategies in picks:
-                    rows = base.evaluator.objective_matrix(
-                        tables, strategies=strategies)
-                    assert np.array_equal(rows, full[:, strategies])
-                    assert np.array_equal(np.signbit(rows),
-                                          np.signbit(full[:, strategies]))
+                    rows = vertex_sum(row, values[strategies])[0]
+                    assert np.all(np.abs(rows - full[strategies]) <=
+                                  LINEARITY_TOL * vertex_sum(
+                                      row, np.abs(values[strategies]))[0])
+                    if psi is VERTICES[v]:
+                        assert_bits(values[strategies, :, v],
+                                    full[strategies])
 
     @staticmethod
-    def assert_batched_equals_dense(bundle, segment, base, rows, picks):
-        """Every batch row of every pick has the dense oracle's bits, and
-        the dense oracle's batch rows are its one-row evaluations."""
+    def assert_batched_equals_dense(bundle, segment, base, rows):
+        """Every batch row has the dense oracle's bits, and the dense
+        oracle's batch rows are its one-row evaluations."""
         evaluator = base.evaluator
         dense = [evaluator.dense_objective_matrix(
             segment_tables(bundle, segment, rows[[h]]))[0]
             for h in range(len(rows))]
         assert_bits(evaluator.dense_objective_matrix(
             segment_tables(bundle, segment, rows)), np.array(dense))
-        for strategies in picks:
-            got = evaluator.objective_matrix(
-                segment_tables(bundle, segment, rows), strategies=strategies)
-            assert got.shape[0] == len(rows)
-            for h, full in enumerate(dense):
-                want = full if strategies is None else full[strategies]
-                assert np.array_equal(got[h], want)
-                assert np.array_equal(np.signbit(got[h]), np.signbit(want))
+        got = evaluator.objective_matrix(segment_tables(bundle, segment, rows))
+        assert got.shape[0] == len(rows)
+        for h, full in enumerate(dense):
+            assert_bits(got[h], full)
 
     def test_batched_rows_bit_identical_to_dense_oracle(self):
         rng = np.random.default_rng(251)
@@ -851,18 +862,13 @@ class TestReweightedSegments:
                                                zero_positive=zero_positive)
             base = segment_problem(
                 bundle, segment, PrevalenceVector(**_random_simplex(rng)))
-            reps, _ = strategy_classes(vertex_values(bundle, segment, base))
-            n = base.n_candidates
             # random prevalences, one vertex and the normal vertex, where a
             # zero-positive cut-off zeroes entries in that row only
             rows = np.array(
                 [tuple(_random_simplex(rng).values()) for _ in range(5)]
                 + [VERTICES[int(rng.integers(1, 4))].as_tuple(),
                    VERTICES[0].as_tuple()])
-            picks = (reps, rng.integers(0, n, size=int(rng.integers(1, 40))),
-                     None)
-            self.assert_batched_equals_dense(bundle, segment, base, rows,
-                                             picks)
+            self.assert_batched_equals_dense(bundle, segment, base, rows)
             # one evaluation and the diagram's own tables: the same routine
             for h in (0, -1):
                 tables = segment_tables(bundle, segment, rows[[h]])
@@ -879,15 +885,13 @@ class TestReweightedSegments:
         bundle, segment = self.random_case(rng, 3, zero_positive=True)
         base = segment_problem(
             bundle, segment, PrevalenceVector(**_random_simplex(rng)))
-        reps, _ = strategy_classes(vertex_values(bundle, segment, base))
         rows = np.array([tuple(_random_simplex(rng).values())
                          for _ in range(6)] + [VERTICES[0].as_tuple()])
         # one row per block (a budget below one row's cells), and a few
         # rows per block, the last block shorter
         for cells in (1, 1 << 13, 1 << 14):
             monkeypatch.setattr(screenopt.diagram, "BATCH_CELLS", cells)
-            self.assert_batched_equals_dense(bundle, segment, base, rows,
-                                             (reps, None))
+            self.assert_batched_equals_dense(bundle, segment, base, rows)
 
     def test_reweighted_frontier_equals_fresh_frontier(self):
         rng = np.random.default_rng(223)
@@ -979,15 +983,11 @@ class TestSharedEvaluator:
                 vertices = segment_tables(bundle, segment, np.eye(4))
                 assert_bits(shared.evaluator.objective_matrix(vertices),
                             fresh.objective_matrix(vertices))
-                reps, _ = strategy_classes(vertex_values(bundle, segment,
-                                                         shared))
                 starts = segment_tables(bundle, segment, np.array(
                     [tuple(_random_simplex(rng).values())
                      for _ in range(int(rng.integers(1, 6)))]))
-                assert_bits(
-                    shared.evaluator.objective_matrix(starts,
-                                                      strategies=reps),
-                    fresh.objective_matrix(starts, strategies=reps))
+                assert_bits(shared.evaluator.objective_matrix(starts),
+                            fresh.objective_matrix(starts))
 
     def test_foreign_structure_rejected(self):
         rng = np.random.default_rng(283)
@@ -1106,21 +1106,97 @@ class TestStrategyClasses:
 
     def test_cross_check_compares_rows_with_dense_evaluation(
             self, monkeypatch):
-        # only the dense oracle moves, by one ulp: the frontier checks
-        # still agree, so the row comparison alone must catch it
+        # only the dense oracle moves: its nonzero values by one ulp stay
+        # within the linearity bound, by a relative 1e-12 they leave it,
+        # and the frontier checks still agree, so the row comparison alone
+        # must catch it
         dense = screenopt.diagram.StrategyEvaluator.dense_objective_matrix
-
-        def nudged(self, tables):
-            return np.nextafter(dense(self, tables), np.inf)
-
-        monkeypatch.setattr(screenopt.diagram.StrategyEvaluator,
-                            "dense_objective_matrix", nudged)
         rng = np.random.default_rng(263)
         bundle, _ = load_parameters(random_params_doc(rng, periods=2,
                                                       n_cutoffs=2))
+        for nudge, fails in ((one_ulp, False),
+                             (lambda m: m * (1 + 1e-12), True)):
+            monkeypatch.setattr(
+                screenopt.diagram.StrategyEvaluator, "dense_objective_matrix",
+                lambda self, tables, nudge=nudge: nudge(dense(self, tables)))
+            run_phase1(bundle, budget=1e9, periods=2)
+            if fails:
+                with pytest.raises(OracleMismatchError,
+                                   match="dense evaluation"):
+                    run_phase1(bundle, budget=1e9, periods=2,
+                               cross_check=True)
+            else:
+                run_phase1(bundle, budget=1e9, periods=2, cross_check=True)
+
+
+class TestLinearityCertificate:
+    """Each history's objectives are its start's vertex sum of the class
+    representatives' vertex values; every period certifies the sum at its
+    first history against the full-space solve."""
+
+    def test_vertex_sum_order(self):
+        # elementwise, in vertex order: the bits of the written-out sum
+        rng = np.random.default_rng(313)
+        psi = rng.random((7, 4))
+        values = rng.normal(size=(5, 3, 4)) * 10.0 ** rng.integers(
+            -8, 8, size=(5, 3, 4))
+        p = psi[:, None, None, :]
+        want = ((p[..., 0] * values[..., 0] + p[..., 1] * values[..., 1])
+                + p[..., 2] * values[..., 2]) + p[..., 3] * values[..., 3]
+        assert_bits(vertex_sum(psi, values), want)
+
+    @pytest.mark.parametrize("fault", LINEARITY_FAULTS)
+    def test_fault_raises_without_cross_check(self, monkeypatch, fault):
+        rng = np.random.default_rng(307)
+        bundle, _ = load_parameters(random_params_doc(rng, periods=2,
+                                                      n_cutoffs=3))
         run_phase1(bundle, budget=1e9, periods=2)
-        with pytest.raises(OracleMismatchError, match="dense evaluation"):
-            run_phase1(bundle, budget=1e9, periods=2, cross_check=True)
+        break_linearity(monkeypatch, fault)
+        with pytest.raises(OracleMismatchError, match="class's vertex sum"):
+            run_phase1(bundle, budget=1e9, periods=2)
+
+    @staticmethod
+    def assert_rows_within_bound(bundle, budget):
+        """Every history's vertex-sum rows, of every class, lie within the
+        linearity bound of the dense evaluation at its start, and its
+        table's rows are those sums' bits."""
+        for sex, table in run_phase1(bundle, budget).items():
+            evaluator = None
+            for period, _ in table.lineage(np.zeros(0, dtype=np.intp)):
+                segment = Segment(sex, period.period)
+                starts = (np.array([period.start.as_tuple()])
+                          if period.parent is None else period.parent.updated)
+                base = segment_problem(bundle, segment,
+                                       PrevalenceVector(*starts[0]),
+                                       evaluator=evaluator)
+                evaluator = base.evaluator
+                values = vertex_values(bundle, segment, base)
+                reps, _ = strategy_classes(values)
+                assert [s.key for s in period.strategies] == \
+                    [base.strategy(r).key for r in reps.tolist()]
+                rows = vertex_sum(starts, values[reps])
+                assert_bits(period.reported,
+                            rows[period.parent_row, period.strategy])
+                bound = LINEARITY_TOL * vertex_sum(starts,
+                                                   np.abs(values[reps]))
+                for block in np.array_split(np.arange(len(starts)),
+                                            -(-len(starts) // 16)):
+                    dense = evaluator.dense_objective_matrix(segment_tables(
+                        bundle, segment, starts[block]))[:, reps]
+                    assert np.all(np.abs(rows[block] - dense) <= bound[block])
+
+    def test_shipped_rows_within_bound_of_dense(self, default_bundle):
+        self.assert_rows_within_bound(default_bundle, 20000.0)
+
+    def test_random_rows_within_bound_of_dense(self):
+        rng = np.random.default_rng(311)
+        for trial in range(3):
+            doc = random_params_doc(rng, periods=3,
+                                    n_cutoffs=int(rng.integers(3, 6)),
+                                    monotone=bool(trial % 2),
+                                    fix_exam=trial == 2)
+            self.assert_rows_within_bound(load_parameters(doc)[0],
+                                          float(rng.uniform(2000, 20000)))
 
 
 class TestStrategyOrder:
