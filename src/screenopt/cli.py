@@ -124,8 +124,10 @@ def _add_model_flags(p) -> None:
                    help="disable the incentive decision")
     p.add_argument("--cross-check", action="store_true",
                    help="verify every frontier against the brute-force "
-                        "filter and the box search, and the budget sweep "
-                        "against the dense pair scan")
+                        "filter and the box search; pipeline also checks "
+                        "every history's objectives against the dense "
+                        "evaluation and the budget sweep against the dense "
+                        "pair scan")
 
 
 def main(argv=None) -> int:

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -37,9 +37,6 @@ from .errors import CapacityError, StructuralError
 
 PATH_CEILING = 10**8
 STRATEGY_CEILING = 10**7
-#: Term cells (batch rows x paths x objectives) one block of a batched
-#: evaluation holds.
-BATCH_CELLS = 1 << 16
 
 # Every numerical tolerance of the package, each defined once here.
 #: A probability vector (CPT row, prevalence simplex) sums to 1 within this.
@@ -500,16 +497,6 @@ def dense_tables(diagram: InfluenceDiagram) -> dict[int, np.ndarray]:
             for n in diagram.chance_nodes}
 
 
-class _Paths(NamedTuple):
-    """Paths in decision-signature order: per chance node the flat index of
-    each path's CPT entry, each path's utility row, and where each
-    signature's paths start."""
-
-    flats: tuple[np.ndarray, ...]
-    utility: np.ndarray
-    starts: np.ndarray
-
-
 class StrategyEvaluator:
     """Expected values of every strategy of one strategy space at once: the
     strategies of ``diagram`` with the decision nodes in ``fixed`` pinned to
@@ -571,7 +558,7 @@ class StrategyEvaluator:
             radix = radix * width + entries(node)
             span *= width
         order = np.argsort(radix, kind="stable")
-        self._sig_values, starts = np.unique(radix[order], return_index=True)
+        known, self._starts = np.unique(radix[order], return_index=True)
 
         self._chance = [(n.node_id, d.info_shape(n) + (len(n.states),))
                         for n in d.chance_nodes]
@@ -580,9 +567,10 @@ class StrategyEvaluator:
             utility[:, i] = _dense(d.values[node.node_id].table,
                                    d.info_shape(node))[
                 tuple(grid[:, pos[p]] for p in node.predecessors)]
-        self._paths = _Paths(tuple(entries(n)[order] for n in d.chance_nodes),
-                             utility[order], starts)
-        self._n_values = len(d.value_nodes)
+        # Paths in signature order: per chance node the flat index of each
+        # path's entry, and each path's utility row.
+        self._flats = tuple(entries(n)[order] for n in d.chance_nodes)
+        self._utility = utility[order]
 
         # The accumulation plan: per combination of the decision nodes'
         # information states, the condensed row each strategy adds -- its
@@ -594,7 +582,6 @@ class StrategyEvaluator:
             k, rule = len(node.states), self.fixed.get(node.node_id)
             terms.append([i * k + (rule.rule[info] if rule else next(columns))
                           for i, info in enumerate(d.info_states(node))])
-        known = self._sig_values
         self._plan = []
         for combo in itertools.product(*terms):
             sig = np.zeros(count, dtype=np.int64)
@@ -638,110 +625,42 @@ class StrategyEvaluator:
         (batch row, information state..., state), as :func:`dense_tables`
         gives; a one-row table applies to every batch row.
 
-        Every row has the bits of the same row of :meth:`dense_objective_matrix`,
-        which sums every path's term per signature with ``np.add.reduceat``,
-        but only *live* paths are multiplied out: a path is live unless one
-        of its entries is exactly 0, in every batch row of its table, and
-        every other path's term is exactly +-0.
-
-        Lemma: in a sequence with at most two nonzero entries every
-        summation order gives the same value, because adding +-0 to a
-        nonzero partial sum returns it exactly and ``a + b == b + a``.
-        Only the sign of a zero sum can depend on the order, and the plan
-        accumulation below starts from +0.0, so that sign never reaches the
-        output. So each (signature, objective) pair with at most two live
-        nonzero-utility terms is summed from the compacted live terms. Every
-        other pair's signature gets its full-length term row, the live
-        terms scattered into zeros, through the same ``np.add.reduceat``,
-        which keeps the reference's pairwise order. Batch rows are
-        processed in blocks of at most ``BATCH_CELLS`` term cells.
+        Only *live* paths are multiplied out: those with no entry that is
+        exactly 0 in every batch row of its table. A dead path's dense term
+        is +-0 (an exact 0 times a finite utility) and its slot here holds
+        +0.0. That changes at most the sign of a zero sum, in any summation
+        order, and the plan accumulation from +0.0 drops that sign, so every
+        row has the bits of :meth:`dense_objective_matrix`.
         """
-        plan = self._plan
         factors = self._tables(tables)
-        batch = max((len(t) for t in factors), default=1)
-
-        # The signatures the plan rows use, renumbered in order, and the
-        # zero row last.
-        n_sigs = len(self._sig_values)
-        used = np.zeros(n_sigs + 1, dtype=bool)
-        for rows in plan:
-            used[rows] = True
-        sigs = np.flatnonzero(used[:n_sigs])
-        renumber = np.full(n_sigs + 1, len(sigs))
-        renumber[sigs] = np.arange(len(sigs))
-        plan = [renumber[rows] for rows in plan]
-
-        paths = self._paths
-        bounds = np.append(paths.starts, len(paths.utility))
-        live = np.repeat(used[:n_sigs], np.diff(bounds))
-        for table, flat in zip(factors, paths.flats):
+        live = np.ones(len(self._utility), dtype=bool)
+        for table, flat in zip(factors, self._flats):
             live &= np.any(table != 0, axis=0)[flat]
-        live = np.flatnonzero(live)
-        # One-row tables are gathered once, the others per block.
-        gathered = [table[:, flat[live]] if len(table) == 1 else flat[live]
-                    for table, flat in zip(factors, paths.flats)]
-        utility = paths.utility[live]
-
-        # Each signature's live terms are contiguous: [first, last).
-        first = np.searchsorted(live, bounds[sigs])
-        last = np.searchsorted(live, bounds[sigs + 1])
-        nonzero = np.zeros((len(live) + 1, self._n_values), dtype=np.intp)
-        np.cumsum(utility != 0, axis=0, out=nonzero[1:])
-        is_dense = np.any(nonzero[last] - nonzero[first] > 2, axis=1)
-        dense = np.flatnonzero(is_dense)
-        nonempty = np.flatnonzero(first < last)
-        # The dense signatures' full-length rows, and where their live terms
-        # go in them.
-        lengths = bounds[sigs[dense] + 1] - bounds[sigs[dense]]
-        offsets = np.cumsum(lengths) - lengths
-        spread = np.flatnonzero(np.repeat(is_dense, last - first))
-        to = live[spread] - np.repeat(bounds[sigs[dense]] - offsets,
-                                      last[dense] - first[dense])
-
-        out = np.zeros((batch, len(plan[0]), self._n_values))
-        width = max(len(live), int(lengths.sum()), len(plan[0]), 1)
-        step = max(1, BATCH_CELLS // (width * self._n_values))
-        for begin in range(0, batch, step):
-            block = slice(begin, min(begin + step, batch))
-            size = block.stop - block.start
-            prob = np.ones((size, len(live)))
-            for table, entries in zip(factors, gathered):
-                prob *= entries if len(table) == 1 else table[block][:, entries]
-            terms = prob[:, :, None] * utility
-            condensed = np.zeros((size, len(sigs) + 1, self._n_values))
-            if len(nonempty):
-                condensed[:, nonempty] = np.add.reduceat(
-                    terms, first[nonempty], axis=1)
-            if len(dense):
-                full = np.zeros((size, int(lengths.sum()), self._n_values))
-                full[:, to] = terms[:, spread]
-                condensed[:, dense] = np.add.reduceat(full, offsets, axis=1)
-            # Sums start from +0.0 and so never hold -0.0, which makes adding
-            # the zero row exact: the same bits as skipping the strategy.
-            target = out[block]
-            for rows in plan:
-                target += condensed[:, rows]
-        return out
+        return self._sum(factors, np.flatnonzero(live))
 
     def dense_objective_matrix(self, tables: Mapping[int, np.ndarray]
                                ) -> np.ndarray:
-        """Every strategy's expected values from every path's term (the
-        oracle of :meth:`objective_matrix`, with its arguments and result
-        shape): each path's probability-weighted utility, summed per
-        decision signature, then per strategy over its plan rows.
-        """
-        factors = self._tables(tables)
-        paths = self._paths
+        """:meth:`objective_matrix` from every path's term: its oracle."""
+        return self._sum(self._tables(tables), slice(None))
+
+    def _sum(self, factors: list[np.ndarray],
+             index: np.ndarray | slice) -> np.ndarray:
+        """Multiply out the paths in ``index``; per batch row, sum their
+        terms per decision signature over one reused full-length row (every
+        other term +0.0); then add each strategy's plan rows from +0.0."""
+        utility = self._utility[index]
         prob = np.ones((max((len(t) for t in factors), default=1),
-                        len(paths.utility)))
-        for table, flat in zip(factors, paths.flats):
-            prob *= table[:, flat]
+                        len(utility)))
+        for table, flat in zip(factors, self._flats):
+            prob *= table[:, flat[index]]
+        terms = np.zeros_like(self._utility)
         # A trailing zero row for strategies with no compatible signature.
-        condensed = np.zeros((len(prob), len(paths.starts) + 1,
-                              self._n_values))
-        condensed[:, :-1] = np.add.reduceat(
-            prob[:, :, None] * paths.utility, paths.starts, axis=1)
-        out = np.zeros((len(prob), len(self._plan[0]), self._n_values))
-        for rows in self._plan:
-            out += condensed[:, rows]
+        condensed = np.zeros((len(prob), len(self._starts) + 1,
+                              utility.shape[1]))
+        for row, sums in zip(prob, condensed):
+            terms[index] = row[:, None] * utility
+            np.add.reduceat(terms, self._starts, axis=0, out=sums[:-1])
+        out = np.zeros((len(prob), len(self._plan[0]), utility.shape[1]))
+        for rows in self._plan:  # np.take: faster than condensed[:, rows]
+            out += np.take(condensed, rows, axis=1)
         return out

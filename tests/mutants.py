@@ -1,0 +1,120 @@
+"""Mutation check: every listed source mutation must fail its tests.
+
+Each entry is (file, exact snippet, replacement, test ids). For each entry
+the runner copies ``src/`` and ``tests/`` to a temporary directory, replaces
+the snippet there (it must occur exactly once) and runs the listed tests in
+that copy with pytest. A mutation is killed when pytest reports failed
+tests (exit code 1); any other exit code is an error of the entry. First
+the runner checks that the listed tests pass on an unmutated copy.
+
+Run from anywhere, standard library and pytest only:
+
+    python tests/mutants.py
+
+It exits 0 when every mutation is killed and 1 when a snippet does not
+match exactly once, a mutation survives or an entry errs.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+SEGMENTS = "tests/test_phase1.py::TestReweightedSegments::"
+DENSE_BITS = SEGMENTS + "test_batched_rows_bit_identical_to_dense_oracle"
+PATH_WALK = SEGMENTS + "test_batch_rows_equal_the_path_walk"
+
+
+class Mutant(NamedTuple):
+    file: str
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    # The live mask keeps a path only if it is nonzero in every batch row.
+    Mutant("src/screenopt/diagram.py",
+           "live &= np.any(table != 0, axis=0)[flat]",
+           "live &= np.all(table != 0, axis=0)[flat]",
+           (DENSE_BITS,)),
+    # Each signature sums its live terms only, not its full-length row.
+    Mutant("src/screenopt/diagram.py",
+           """\
+            terms[index] = row[:, None] * utility
+            np.add.reduceat(terms, self._starts, axis=0, out=sums[:-1])
+""",
+           """\
+            at = np.arange(len(terms))[index]
+            first = np.searchsorted(at, self._starts)
+            nonempty = first < np.append(first[1:], len(at))
+            sums[:-1][nonempty] = np.add.reduceat(
+                row[:, None] * utility, first[nonempty], axis=0)
+""",
+           (DENSE_BITS,)),
+    # Every batch row is evaluated with row 0's path probabilities.
+    Mutant("src/screenopt/diagram.py",
+           "for row, sums in zip(prob, condensed):",
+           "for row, sums in zip(prob[[0] * len(prob)], condensed):",
+           (PATH_WALK,)),
+)
+
+
+def _copy(into: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis",
+                                    ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, into / name, ignore=ignore)
+
+
+def _pytest(where: Path, tests) -> int:
+    env = {**os.environ, "PYTHONPATH": str(where / "src")}
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         *tests], cwd=where, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL).returncode
+
+
+def _outcome(mutant: Mutant, where: Path) -> str:
+    path = where / mutant.file
+    text = path.read_text(encoding="utf-8")
+    count = text.count(mutant.snippet)
+    if count != 1:
+        return f"error: snippet matches {count} times"
+    path.write_text(text.replace(mutant.snippet, mutant.replacement),
+                    encoding="utf-8")
+    code = _pytest(where, mutant.tests)
+    return {0: "SURVIVED", 1: "killed"}.get(code,
+                                            f"error: pytest exit {code}")
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = Path(tmp) / "clean"
+        _copy(clean)
+        listed = sorted({t for m in MUTANTS for t in m.tests})
+        code = _pytest(clean, listed)
+        if code:
+            print(f"unmutated tests fail (pytest exit {code})")
+            return 1
+        failed = 0
+        for i, mutant in enumerate(MUTANTS, 1):
+            where = Path(tmp) / f"mutant{i}"
+            _copy(where)
+            outcome = _outcome(mutant, where)
+            shutil.rmtree(where)
+            failed += outcome != "killed"
+            first = mutant.replacement.strip().splitlines()[0]
+            print(f"{i}/{len(MUTANTS)} {mutant.file}: {first!r}: {outcome}")
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutations killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -45,7 +45,7 @@ from oracles import (
     strategy_classes_unique,
     update_prevalences,
 )
-from screenopt.diagram import StrategyEvaluator, dense_tables
+from screenopt.diagram import StrategyEvaluator, dense_tables, expected_values
 from screenopt.errors import (
     CapacityError,
     InfeasibleBudgetError,
@@ -880,18 +880,35 @@ class TestReweightedSegments:
             assert np.array_equal(
                 base.reported, base.evaluator.dense_objective_matrix(own)[0])
 
-    def test_blocks_split_the_batch(self, monkeypatch):
-        rng = np.random.default_rng(257)
-        bundle, segment = self.random_case(rng, 3, zero_positive=True)
-        base = segment_problem(
-            bundle, segment, PrevalenceVector(**_random_simplex(rng)))
-        rows = np.array([tuple(_random_simplex(rng).values())
-                         for _ in range(6)] + [VERTICES[0].as_tuple()])
-        # one row per block (a budget below one row's cells), and a few
-        # rows per block, the last block shorter
-        for cells in (1, 1 << 13, 1 << 14):
-            monkeypatch.setattr(screenopt.diagram, "BATCH_CELLS", cells)
-            self.assert_batched_equals_dense(bundle, segment, base, rows)
+    def test_batch_rows_equal_the_path_walk(self, default_doc):
+        # every batch row of both evaluations, against the path walk over
+        # the segment diagram built at that row's prevalence: the shipped
+        # document free and with fixed rules, and a zero-positive one
+        rng = np.random.default_rng(263)
+        pinned = json.loads(json.dumps(default_doc))
+        pinned.setdefault("options", {}).update(
+            fix_exam_to_colonoscopy=True, incentive_enabled=False)
+        cases = [(load_parameters(doc)[0], segment)
+                 for doc in (default_doc, pinned)
+                 for segment in (Segment(Sex.F, 1), Segment(Sex.M, 5))]
+        cases.append(self.random_case(rng, 3, zero_positive=True))
+        for bundle, segment in cases:
+            rows = np.array([tuple(_random_simplex(rng).values())
+                             for _ in range(2)] + [VERTICES[0].as_tuple()])
+            base = segment_problem(bundle, segment, PrevalenceVector(*rows[0]))
+            evaluator, n = base.evaluator, base.n_candidates
+            picks = [0, n // 2, n - 1] + rng.integers(0, n, size=20).tolist()
+            tables = segment_tables(bundle, segment, rows)
+            live = evaluator.objective_matrix(tables)
+            dense = evaluator.dense_objective_matrix(tables)
+            for h, row in enumerate(rows.tolist()):
+                diagram = build_segment_diagram(segment, bundle,
+                                                PrevalenceVector(*row))
+                want = np.array([expected_values(
+                    diagram, evaluator.strategy(i)).values for i in picks])
+                for got in (live, dense):
+                    assert np.allclose(got[h, picks], want, rtol=1e-12,
+                                       atol=0)
 
     def test_reweighted_frontier_equals_fresh_frontier(self):
         rng = np.random.default_rng(223)
