@@ -16,14 +16,18 @@ filter and near-duplicate merge (``frontier_rows``) over the distinct
 objective vectors. ``frontier_rows`` also solves a whole stack of
 problems at once: it returns every matrix's rows in vector order and a
 mask of its frontier rows, so a caller filters all the frontiers further
-with one array mask. A matrix too large for one broadcast is filtered
-through its exact skyline, built on dense ranks (``_skyline_mask``). Two
-independent references reproduce it, and ``--cross-check`` compares
-against both:
-``brute_force_frontier`` (a plain row-by-row dominance loop) and
-``box_search_frontier``, the paper's augmented weighted Tchebychev search
-over boxes bounded by found points; its inner single-objective oracle is
-exact enumeration, so it can only return the filter's set.
+with one array mask. Two independent references reproduce it, and
+``--cross-check`` compares against both: ``brute_force_frontier`` (a
+plain row-by-row dominance loop) and ``box_search_frontier``, the paper's
+augmented weighted Tchebychev search over boxes bounded by found points;
+its inner single-objective oracle is exact enumeration, so it can only
+return the filter's set.
+
+Two dominance kernels, one per rule. ``nondominated`` applies the
+frontiers' ``DOMINANCE_TOL`` rule to every pair of rows, in broadcasts of
+bounded size. ``skyline`` applies the exact rule (no tolerance) to one
+matrix, through its exact weak skyline on dense ranks; history pruning
+and phase 2's candidate reduction use it.
 
 All dominance comparisons are in minimization orientation; maximization
 objectives are negated at the problem boundary and mapped back for
@@ -52,8 +56,8 @@ from .diagram import (
 from .errors import IterationLimitError
 
 EPSILON_SCALE = 1e-4
-# Booleans one (rows x candidates) mask of ``nondominated`` may hold; this
-# bounds the filter's memory whatever the number of rows, and is small
+# Booleans one (rows x candidates) mask of either dominance kernel may
+# hold; this bounds their memory whatever the number of rows, and is small
 # enough that a block's masks stay in cache.
 FILTER_CELLS = 1 << 16
 
@@ -250,6 +254,30 @@ def _argmin_norm(problem, vectors, rows, weights, epsilon, utopia) -> int:
     return int(rows[best])
 
 
+def skyline(points: np.ndarray) -> np.ndarray:
+    """Mask of the rows of one (rows x keys) matrix that no row dominates
+    exactly (minimization): row j dominates row i when it is at most i in
+    every key and below it in one. Exactly tied rows are all kept, and a
+    row with a NaN key is kept and dominates nothing.
+
+    Only the distinct rows without a NaN are compared, through each key's
+    dense int32 ranks; a distinct row with an exact dominator
+    (:func:`_exact_skyline`) is below it in some key, so it is dominated.
+    """
+    points = np.asarray(points, dtype=float)
+    mask = np.ones(len(points), dtype=bool)
+    comparable = np.flatnonzero(~np.isnan(points).any(axis=1))
+    cols = points[comparable].T
+    order, distinct = sorted_runs(cols[::-1])
+    unique = cols[:, order[distinct]]
+    ranks = np.empty(unique.shape, dtype=np.int32)
+    for k, column in enumerate(unique):
+        ranks[k] = np.unique(column, return_inverse=True)[1]
+    on_skyline = _exact_skyline(ranks) < 0
+    mask[comparable[order]] = on_skyline[np.cumsum(distinct) - 1]
+    return mask
+
+
 def nondominated(points: np.ndarray, tol: float = DOMINANCE_TOL) -> np.ndarray:
     """Mask of the rows of ``points`` that no row dominates (minimization).
 
@@ -257,47 +285,32 @@ def nondominated(points: np.ndarray, tol: float = DOMINANCE_TOL) -> np.ndarray:
     rows are compared only within their own matrix. Row j dominates row i
     when it is at most ``tol`` above it in every column and more than
     ``tol`` below it in one: the all-pairs rule of
-    :func:`brute_force_frontier`, with the same floating-point comparisons.
-    That rule is not transitive, so a pruned row can still dominate.
+    :func:`brute_force_frontier`, with the same floating-point comparisons;
+    a NaN fails every comparison.
 
-    Lemma: if row k is at most row j in every column, compared exactly,
-    then k dominates every row i that j dominates. Float ``<=`` is
-    transitive and ``points[i] + tol`` and ``points[i] - tol`` are computed
-    once, so k <= j <= i + tol in every column and k <= j < i - tol in
-    the column where j is strictly better. Every row is at least some row
-    of the exact weak skyline (the distinct vectors no other vector is at
-    most in every column), so testing every row against that skyline alone
-    gives the all-pairs mask.
-
-    A matrix whose all-pairs masks fit in ``FILTER_CELLS`` booleans is
-    filtered in one broadcast, many matrices at a time; a larger one
-    through its skyline (:func:`_skyline_mask`).
+    Every row meets every row of its matrix in broadcasts of at most
+    ``FILTER_CELLS`` booleans: several whole matrices at a time when they
+    are small, blocks of a large matrix's rows otherwise.
     """
     points = np.asarray(points, dtype=float)
     stack = points.reshape((math.prod(points.shape[:-2]),) + points.shape[-2:])
     B, n, m = stack.shape
     # Columns first, so each comparison runs along contiguous memory.
     cols = np.ascontiguousarray(np.moveaxis(stack, -1, 0))
-    if n * n > FILTER_CELLS:
-        mask = np.stack([_skyline_mask(cols[:, b], tol) for b in range(B)])
-        return mask.reshape(points.shape[:-1])
     upper = cols + tol
     lower = cols - tol
-    mask = np.empty((B, n), dtype=bool)
+    dominated = np.zeros((B, n), dtype=bool)
     per_matrix = max(1, FILTER_CELLS // max(n * n, 1))
+    block = max(1, FILTER_CELLS // max(per_matrix * n, 1))
     for b0 in range(0, B, per_matrix):
         mats = slice(b0, b0 + per_matrix)
-        mask[mats] = ~np.any(
-            _dominates(cols[:, mats, None, :], upper[:, mats, :, None],
-                       lower[:, mats, :, None]), axis=2)
-    return mask.reshape(points.shape[:-1])
-
-
-def _dominates(cand: np.ndarray, upper: np.ndarray,
-               lower: np.ndarray) -> np.ndarray:
-    """Broadcast mask of candidate rows dominating the rows with these
-    ``+ tol`` and ``- tol`` bounds (axis 0: columns); a NaN fails it."""
-    return _at_most(cand, upper) & ~_at_most(lower, cand)
+        for start in range(0, n, block):
+            rows = slice(start, start + block)
+            dominated[mats, rows] = np.any(
+                _at_most(cols[:, mats, None, :], upper[:, mats, rows, None])
+                & ~_at_most(lower[:, mats, rows, None],
+                            cols[:, mats, None, :]), axis=2)
+    return ~dominated.reshape(points.shape[:-1])
 
 
 def _at_most(cand: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -307,47 +320,6 @@ def _at_most(cand: np.ndarray, rows: np.ndarray) -> np.ndarray:
     for k in range(1, len(cand)):
         out &= cand[k] <= rows[k]
     return out
-
-
-def _skyline_mask(cols: np.ndarray, tol: float) -> np.ndarray:
-    """:func:`nondominated` of one (columns x rows) matrix, testing only
-    its exact skyline, built on each column's dense int32 ranks.
-
-    A row with a NaN key passes no ``<=``, so it is kept and dominates
-    nothing. Only distinct rows are tested; a row whose exact dominator
-    (:func:`_exact_skyline`) is more than ``tol`` below it in some column
-    is dominated. Lemma: a skyline row x is dominated by no row when, in
-    every column, the next larger value is above ``x + tol``. A dominator
-    is not at most x everywhere, as x is on the skyline, so it exceeds x
-    in some column; there it is at least that next value, so above
-    ``x + tol``. Only the other rows (``near`` ties, beaten rows within
-    ``tol`` of their dominator) meet the skyline; at ``tol = 0``, none.
-    """
-    mask = np.ones(cols.shape[1], dtype=bool)
-    comparable = np.flatnonzero(~np.isnan(cols).any(axis=0))
-    order, distinct = sorted_runs(cols[::-1, comparable])
-    unique = cols[:, comparable[order[distinct]]]
-    upper, lower = unique + tol, unique - tol
-    ranks = np.empty(unique.shape, dtype=np.int32)
-    near = np.zeros(unique.shape[1], dtype=bool)
-    for k, column in enumerate(unique):
-        values, ranks[k] = np.unique(column, return_inverse=True)
-        near |= np.append(values[1:], np.inf)[ranks[k]] <= upper[k]
-    witness = _exact_skyline(ranks)
-    beaten = witness >= 0
-    dominated = beaten & np.any(unique[:, witness] < lower, axis=0)
-    rest = np.flatnonzero(np.where(beaten, ~dominated, near))
-    sky = unique[:, ~beaten]
-    # Rows ascend in the first column, so a block meets a skyline prefix.
-    block = max(1, FILTER_CELLS // max(sky.shape[1], 1))
-    for start in range(0, len(rest), block):
-        rows = rest[start:start + block]
-        reach = int(np.searchsorted(sky[0], upper[0, rows[-1]], side="right"))
-        dominated[rows] = np.any(
-            _dominates(sky[:, None, :reach], upper[:, rows, None],
-                       lower[:, rows, None]), axis=1)
-    mask[comparable[order]] = ~dominated[np.cumsum(distinct) - 1]
-    return mask
 
 
 def _exact_skyline(unique: np.ndarray) -> np.ndarray:

@@ -24,7 +24,8 @@ detection-and-progression recurrences: detected fractions are removed
 progresses along the adenoma-carcinoma sequence, and the normal state
 absorbs the residual. Histories whose cumulative expected colonoscopies
 (scaled by cohort size) exceed the budget are discarded, and the survivors
-are filtered by dominance on (total cancer prevalence, next-period cancer
+are filtered by exact dominance (no tolerance; the frontier module's
+``skyline`` kernel) on (total cancer prevalence, next-period cancer
 prevalence, next-period large-growth prevalence, cumulative colonoscopies).
 The recurrences run on the table's columns; the no-screening rollout and
 baseline run the same functions on one row.
@@ -61,6 +62,7 @@ from .pareto import (
     diagram_problem,
     frontier_rows,
     nondominated,
+    skyline,
     sorted_runs,
 )
 from .screening import (
@@ -268,16 +270,24 @@ class HistoryTable(Sequence):
                 self.cost[rows].tolist(), self.total[rows].tolist())]
 
 
-def remove_dominated(histories: HistoryTable) -> HistoryTable:
-    """Drop strictly dominated histories; exact-tied keys are all kept.
+def remove_dominated(histories: HistoryTable,
+                     cross_check: bool = False) -> HistoryTable:
+    """Drop dominated histories; exact-tied keys are all kept.
 
-    Dominance is componentwise weak improvement with a strict improvement in
-    at least one key (tolerance as in the frontier module). Output order is
+    The rule is exact: history j dominates history i when its keys are at
+    most i's in every key and below them in one, compared as floats with no
+    tolerance (:func:`~screenopt.pareto.skyline`). ``cross_check`` compares
+    that mask with the all-pairs filter at tolerance 0. Output order is
     deterministic: sorted by dominance key, then by the strategy keys of
     periods 1, 2, ... (each period's ``strategy`` column ascends with them).
     """
     keys = histories.dominance_keys()
-    kept = np.flatnonzero(nondominated(keys, DOMINANCE_TOL))
+    mask = skyline(keys)
+    if cross_check and not np.array_equal(mask, nondominated(keys, 0.0)):
+        raise OracleMismatchError(
+            f"history pruning differs from the all-pairs filter for "
+            f"sex={histories.sex.value} period={histories.period}")
+    kept = np.flatnonzero(mask)
     strategies = [t.strategy[r] for t, r in histories.lineage(kept)]
     order = np.lexsort(strategies[::-1] + list(keys[kept].T[::-1]))
     return histories.take(kept[order])
@@ -357,7 +367,7 @@ def run_phase1(params: ParameterBundle, budget: float,
                 params, sex, k, table, budget, objective_mask, cross_check,
                 evaluator)
             if k > 1:
-                table = remove_dominated(table)
+                table = remove_dominated(table, cross_check)
         out[sex] = table
     return out
 

@@ -5,8 +5,8 @@ prevalence is minimized while total expected colonoscopies (per-capita
 figures scaled by population sizes) stay within the budget: the two-group
 case of the multiple-choice knapsack problem. Per sex, candidates that an
 earlier candidate matches or beats in cancers, colonoscopies and cost are
-dropped first, by the frontier module's dominance kernel at tolerance 0;
-that reduction is exact, tie-breaks included. The remaining
+dropped first, by the frontier module's exact ``skyline`` kernel; that
+reduction is exact, tie-breaks included. The remaining
 pairs are sorted once by the selection key, and every budget of a sweep is
 answered by a binary search over the running minimum of colonoscopies along
 that order. ``dense_pair_sweep``, an exact scan of every pair for every
@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pareto import nondominated
+from .pareto import skyline
 from .phase1 import BUDGET_TOL, HistoryTable
 from .screening import ParameterBundle, Sex
 
@@ -83,12 +83,11 @@ def _selectable(candidates: np.ndarray) -> np.ndarray:
 
     Lemma: with the index as a fourth column every row is distinct, so a
     row that is at most another in every column is strictly smaller in the
-    index column. Tolerance-0 dominance is therefore exactly "an earlier
+    index column. Exact dominance is therefore exactly "an earlier
     candidate matches or beats it".
     """
     index = np.arange(len(candidates))
-    return np.flatnonzero(
-        nondominated(np.column_stack([candidates, index]), 0.0))
+    return np.flatnonzero(skyline(np.column_stack([candidates, index])))
 
 
 def budget_sweep(problem: SelectionProblem,
@@ -106,11 +105,12 @@ def budget_sweep(problem: SelectionProblem,
     sorted pair within it, found by a binary search over the running
     minimum of examinations along that order.
     """
+    budgets = np.asarray(budgets, dtype=float).reshape(-1)
     if np.isnan(budgets).any():
         raise ValueError("budgets must not be NaN")
-    if any(b1 > b2 for b1, b2 in zip(budgets, budgets[1:])):
+    if np.any(budgets[1:] < budgets[:-1]):
         raise ValueError("budgets must be sorted ascending")
-    if budgets and budgets[0] < 0:
+    if np.any(budgets[:1] < 0):
         raise ValueError("budget must be non-negative")
     female = _selectable(problem.female)
     male = _selectable(problem.male)
@@ -121,17 +121,17 @@ def budget_sweep(problem: SelectionProblem,
     # which is the index-pair order because the kept indices ascend.
     order = np.lexsort((cost, col, share))
     running = np.minimum.accumulate(col[order])
-    limits = np.asarray(budgets, dtype=float) + BUDGET_TOL
+    limits = budgets + BUDGET_TOL
     firsts = np.searchsorted(-running, -limits)
     cheapest = np.lexsort((cost, col))[0]
 
     results = []
-    for budget, first in zip(budgets, firsts):
+    for budget, first in zip(budgets.tolist(), firsts):
         feasible = bool(first < len(order))
         flat = order[first] if feasible else cheapest
         jf, jm = divmod(int(flat), len(male))
         results.append(SelectionResult(
-            float(budget), int(female[jf]), int(male[jm]), float(share[flat]),
+            budget, int(female[jf]), int(male[jm]), float(share[flat]),
             float(col[flat]), float(cost[flat]), feasible))
     return results
 

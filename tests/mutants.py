@@ -29,6 +29,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SEGMENTS = "tests/test_phase1.py::TestReweightedSegments::"
 DENSE_BITS = SEGMENTS + "test_batched_rows_bit_identical_to_dense_oracle"
 PATH_WALK = SEGMENTS + "test_batch_rows_equal_the_path_walk"
+KERNELS = "tests/test_pareto.py::TestSkylineKernel::"
+SKYLINE = KERNELS + "test_mask_equals_prefix_kernel_and_row_loop"
 
 
 class Mutant(NamedTuple):
@@ -63,6 +65,26 @@ MUTANTS = (
            "for row, sums in zip(prob, condensed):",
            "for row, sums in zip(prob[[0] * len(prob)], condensed):",
            (PATH_WALK,)),
+    # Rows with a NaN key enter the skyline, where NaN ranks last.
+    Mutant("src/screenopt/pareto.py",
+           "comparable = np.flatnonzero(~np.isnan(points).any(axis=1))",
+           "comparable = np.arange(len(points))",
+           (KERNELS + "test_nan_rows_are_kept_and_dominate_nothing",)),
+    # The skyline ignores the second key as well as the first.
+    Mutant("src/screenopt/pareto.py",
+           "unique = unique[1:] if len(unique) > 1 else unique",
+           "unique = unique[2:] if len(unique) > 1 else unique",
+           (KERNELS + "test_skyline_is_the_exact_weak_skyline", SKYLINE)),
+    # Rows whose exact dominator is the first distinct row are kept.
+    Mutant("src/screenopt/pareto.py",
+           "on_skyline = _exact_skyline(ranks) < 0",
+           "on_skyline = _exact_skyline(ranks) <= 0",
+           (SKYLINE,)),
+    # The all-pairs filter never tests the last row block of a matrix.
+    Mutant("src/screenopt/pareto.py",
+           "for start in range(0, n, block):",
+           "for start in range(0, n - block, block):",
+           (KERNELS + "test_row_blocks_equal_prefix_kernel_and_row_loop",)),
 )
 
 

@@ -323,15 +323,14 @@ def selectable_loop(candidates) -> np.ndarray:
 def remove_dominated_loop(histories):
     """Row-by-row history dominance filter with the documented output order.
 
-    Each history is compared against every other one, kept or not, with the
-    same tolerance rule as the frontier filter.
+    Each history is compared against every other one, kept or not, by the
+    exact rule: at most in every key and below in one, with no tolerance.
     """
     keys = np.array([dominance_key(h) for h in histories])
-    tol = 1e-9
     kept = []
     for i, h in enumerate(histories):
-        le = np.all(keys <= keys[i] + tol, axis=1)
-        lt = np.any(keys < keys[i] - tol, axis=1)
+        le = np.all(keys <= keys[i], axis=1)
+        lt = np.any(keys < keys[i], axis=1)
         if not np.any(le & lt):
             kept.append(h)
     kept.sort(key=lambda h: (dominance_key(h), sort_key(h)))

@@ -339,6 +339,17 @@ class TestPipeline:
                      "--params", str(small_params),
                      "--out", str(tmp_path / "s"), *flags]) == 0
 
+    def test_pruning_mismatch_exits_three(self, small_params, tmp_path,
+                                          monkeypatch):
+        # a skyline that keeps every history passes unchecked, and the
+        # all-pairs filter catches it under --cross-check
+        monkeypatch.setattr(screenopt.phase1, "skyline",
+                            lambda keys: np.ones(len(keys), dtype=bool))
+        for flags, code in (([], 0), (["--cross-check"], 3)):
+            assert main(["pipeline", "--budgets", "500,1500,4000",
+                         "--params", str(small_params),
+                         "--out", str(tmp_path / "x"), *flags]) == code
+
     def test_sweep_mismatch_exits_three(self, small_params, tmp_path,
                                         monkeypatch):
         sweep = screenopt.cli.budget_sweep

@@ -40,6 +40,7 @@ from screenopt.pareto import (
     diagram_problem,
     frontier_rows,
     nondominated,
+    skyline,
 )
 from screenopt.phase1 import (
     natural_progression_rollout,
@@ -342,8 +343,9 @@ class TestFrontier:
 
 
 class TestSkylineKernel:
-    """The skyline-first filter of large matrices gives the all-pairs mask
-    of the key-0 prefix kernel and of the plain row loop."""
+    """The exact skyline gives the tolerance-0 mask of the key-0 prefix
+    kernel and of the plain row loop; the all-pairs filter gives the
+    prefix kernel's mask at every tolerance, in any blocking."""
 
     @staticmethod
     def planted_keys(rng, n):
@@ -364,7 +366,6 @@ class TestSkylineKernel:
 
     @CELLS
     def test_mask_equals_prefix_kernel_and_row_loop(self, monkeypatch, cells):
-        # at tolerance 0 (phase 2), 1e-9 (phase 1) and at the grid step;
         # every other matrix mixes exact zeros of both signs, which
         # compare equal
         monkeypatch.setattr(screenopt.pareto, "FILTER_CELLS", cells)
@@ -376,10 +377,27 @@ class TestSkylineKernel:
                 keys = np.where(rng.random(keys.shape) < 0.2,
                                 rng.choice([0.0, -0.0], size=keys.shape),
                                 keys)
-            for tol in (0.0, 1e-9, 1e-3):
+            mask = skyline(keys)
+            assert np.array_equal(mask, nondominated_prefix(keys, 0.0))
+            if trial % 5 == 0:
+                loop = [not any(dominates(other, row, 0.0)
+                                for other in keys) for row in keys]
+                assert mask.tolist() == loop
+
+    @pytest.mark.parametrize("cells", [16, 300, 1 << 16])
+    def test_row_blocks_equal_prefix_kernel_and_row_loop(self, monkeypatch,
+                                                         cells):
+        # single matrices of more rows than one block holds, at 1e-9 and
+        # at the grid step, so near ties fall on either side of the rule
+        monkeypatch.setattr(screenopt.pareto, "FILTER_CELLS", cells)
+        rng = np.random.default_rng(283)
+        for trial in range(12):
+            n = int(rng.integers(math.isqrt(cells) + 1, 600))
+            keys = self.planted_keys(rng, n)
+            for tol in (1e-9, 1e-3):
                 mask = nondominated(keys, tol)
                 assert np.array_equal(mask, nondominated_prefix(keys, tol))
-                if trial % 5 == 0:
+                if trial % 4 == 0:
                     loop = [not any(dominates(other, row, tol)
                                     for other in keys) for row in keys]
                     assert mask.tolist() == loop
@@ -402,51 +420,32 @@ class TestSkylineKernel:
             assert np.all(unique[witness[beaten]] <= unique[beaten])
             assert np.all(witness[beaten] < beaten)
 
-    def test_near_tie_lemma_exempts_only_undominated_rows(self):
-        # a skyline row whose next larger value in every column is above
-        # its own + tol is dominated by no row under the row loop; at
-        # tolerance 0 that is every skyline row
-        rng = np.random.default_rng(277)
-        exempt = 0
-        for trial in range(30):
-            tol = (0.0, 1e-9, 1e-3)[trial % 3]
-            keys = self.planted_keys(rng, int(rng.integers(1, 200)))
-            unique = np.unique(keys, axis=0)
-            skyline = _exact_skyline(unique.T.copy()) < 0
-            clear = np.ones(len(unique), dtype=bool)
-            for column in unique.T:
-                values = np.append(np.unique(column), np.inf)
-                after = values[np.searchsorted(values, column, side="right")]
-                clear &= after > column + tol
-            if tol == 0.0:
-                assert clear.all()
-            for row in unique[skyline & clear]:
-                assert not any(dominates(other, row, tol) for other in keys)
-            exempt += int((skyline & clear).sum())
-        assert exempt
-
     def test_nan_rows_are_kept_and_dominate_nothing(self, monkeypatch):
-        # a row with a NaN key passes no comparison, in one broadcast and
-        # through the skyline alike, also when every row has one
+        # a row with a NaN key passes no comparison, in both kernels and
+        # in any blocking, also when every row has one
         rng = np.random.default_rng(281)
         for trial in range(25):
             keys = self.planted_keys(rng, int(rng.integers(5, 100)))
             keys[rng.random(keys.shape) < (1.0 if trial == 0 else 0.05)] = \
                 np.nan
-            loop = [not any(dominates(other, row) for other in keys)
-                    for row in keys]
-            for cells in (1 << 16, 16):
-                monkeypatch.setattr(screenopt.pareto, "FILTER_CELLS", cells)
-                assert nondominated(keys).tolist() == loop
+            for tol in (0.0, 1e-9):
+                loop = [not any(dominates(other, row, tol) for other in keys)
+                        for row in keys]
+                for cells in (1 << 16, 16):
+                    monkeypatch.setattr(screenopt.pareto, "FILTER_CELLS",
+                                        cells)
+                    assert nondominated(keys, tol).tolist() == loop
+                    if tol == 0.0:
+                        assert skyline(keys).tolist() == loop
 
     def test_shipped_history_keys(self, monkeypatch, default_bundle):
         # the keys of every period's history pruning on the shipped
         # parameters, both sexes, up to the 6,633-row last period
         seen = []
 
-        def spy(table):
+        def spy(table, cross_check=False):
             seen.append(table.dominance_keys())
-            return remove_dominated(table)
+            return remove_dominated(table, cross_check)
 
         monkeypatch.setattr(screenopt.phase1, "remove_dominated", spy)
         run_phase1(default_bundle, budget=20000.0)
@@ -454,16 +453,18 @@ class TestSkylineKernel:
         assert max(len(keys) for keys in seen) ** 2 > \
             screenopt.pareto.FILTER_CELLS
         for keys in seen:
-            assert np.array_equal(nondominated(keys),
-                                  nondominated_prefix(keys))
+            assert np.array_equal(skyline(keys),
+                                  nondominated_prefix(keys, 0.0))
 
-    def test_large_matrices_of_a_stack_use_the_skyline(self, monkeypatch):
+    def test_large_matrices_of_a_stack_use_row_blocks(self, monkeypatch):
         # a stack whose matrices exceed one block is filtered matrix by
-        # matrix; the result is the prefix kernel's
+        # matrix in row blocks; the result is the prefix kernel's
         monkeypatch.setattr(screenopt.pareto, "FILTER_CELLS", 64)
         rng = np.random.default_rng(271)
         stack = np.stack([self.planted_keys(rng, 50) for _ in range(3)])
-        assert np.array_equal(nondominated(stack), nondominated_prefix(stack))
+        for tol in (0.0, 1e-9):
+            assert np.array_equal(nondominated(stack, tol),
+                                  nondominated_prefix(stack, tol))
 
 
 class TestDiagramProblems:

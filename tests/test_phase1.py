@@ -69,6 +69,7 @@ from screenopt.phase1 import (
     vertex_sum,
     vertex_values,
 )
+from screenopt.pareto import nondominated
 from screenopt.phase2 import budget_sweep, selection_problem_from_histories
 from screenopt.screening import (
     EXAM_RESULT,
@@ -327,6 +328,17 @@ class TestRemoveDominated:
         ])
         kept = remove_dominated(table)
         assert set(kept.strategy.tolist()) == {0, 1, 3}
+
+    def test_near_tie_within_the_old_tolerance_is_kept(self):
+        # j has 1e-3 less total cancer than i but 5e-10 more colonoscopies:
+        # neither dominates the other exactly, though a 1e-9 tolerance
+        # would let j drop i
+        i = (0.01, 0.002, 0.003, 5000.0)
+        j = (0.009, 0.002, 0.003, 5000.0 + 5e-10)
+        assert j[3] > i[3]
+        kept = remove_dominated(key_table([i, j]))
+        assert sorted(kept.strategy.tolist()) == [0, 1]
+        assert not nondominated(kept.dominance_keys(), 1e-9).all()
 
     @staticmethod
     def random_keys(rng, n):

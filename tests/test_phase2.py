@@ -156,6 +156,20 @@ class TestBudgetSweep:
             assert len(calls) == 1
             assert swept == [reference_pair_scan(p, b) for b in budgets]
 
+    def test_array_budgets_equal_list_budgets(self):
+        # as dense_pair_sweep does, the sweep takes any 1-D sequence
+        p = self.sweep_problem()
+        budgets = [0.0, 150.0, 150.0, 300.0, float("inf")]
+        swept = budget_sweep(p, np.array(budgets))
+        assert swept == budget_sweep(p, budgets)
+        assert swept == dense_pair_sweep(p, np.array(budgets))
+        assert budget_sweep(p, np.array([3.0, 6.0])) == \
+            budget_sweep(p, [3.0, 6.0])
+        assert budget_sweep(p, np.array([])) == []
+        for bad in ([100.0, 50.0], [-1.0, 5.0], [float("nan")]):
+            with pytest.raises(ValueError):
+                budget_sweep(p, np.array(bad))
+
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             budget_sweep(self.sweep_problem(), [-1.0, 5.0])
@@ -266,10 +280,9 @@ class TestExactSweep:
 
 class TestSelectableReduction:
     def test_kernel_equals_candidate_loop(self, monkeypatch):
-        # 64 cells send every set of more than 8 candidates through the
-        # skyline branch of the dominance kernel, 2**20 keeps every set in
-        # the all-pairs branch. Few distinct values per key plant exact
-        # ties in examinations, in cost and in all three keys.
+        # 64 cells make the skyline meet its rows in blocks of 8, 2**20
+        # in one block. Few distinct values per key plant exact ties in
+        # examinations, in cost and in all three keys.
         rng = np.random.default_rng(419)
         for trial in range(120):
             monkeypatch.setattr(screenopt.pareto, "FILTER_CELLS",
