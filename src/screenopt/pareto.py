@@ -12,22 +12,24 @@ its vectors are rows of the problem's matrix, and its ``points``
 view built only when read.
 
 ``compute_frontier`` is the production path: one vectorized nondominated
-filter and near-duplicate merge (``frontier_rows``) over the distinct
-objective vectors. ``frontier_rows`` also solves a whole stack of
-problems at once: it returns every matrix's rows in vector order and a
-mask of its frontier rows, so a caller filters all the frontiers further
-with one array mask. Two independent references reproduce it, and
-``--cross-check`` compares against both: ``brute_force_frontier`` (a
-plain row-by-row dominance loop) and ``box_search_frontier``, the paper's
-augmented weighted Tchebychev search over boxes bounded by found points;
-its inner single-objective oracle is exact enumeration, so it can only
-return the filter's set.
+filter (``frontier_rows``) over the distinct objective vectors.
+``frontier_rows`` also solves a whole stack of problems at once: it
+returns every matrix's rows in vector order and a mask of its frontier
+rows, so a caller filters all the frontiers further with one array mask.
+Two independent references reproduce it exactly, and ``--cross-check``
+compares against both: ``brute_force_frontier`` (a plain row-by-row
+dominance loop) and ``box_search_frontier``, the paper's augmented
+weighted Tchebychev search over boxes bounded by found points; its inner
+single-objective oracle is exact enumeration, so it can only return the
+filter's set.
 
-Two dominance kernels, one per rule. ``nondominated`` applies the
-frontiers' ``DOMINANCE_TOL`` rule to every pair of rows, in broadcasts of
-bounded size. ``skyline`` applies the exact rule (no tolerance) to one
-matrix, through its exact weak skyline on dense ranks; history pruning
-and phase 2's candidate reduction use it.
+One dominance rule, exact: row j dominates row i when it is at most i in
+every objective and below it in one, with no tolerance. Two kernels apply
+it, one per input shape. ``nondominated`` compares every pair of rows of
+a stack of small matrices (phase-1 and segment frontiers) in broadcasts
+of bounded size, and is the oracle of ``skyline``. ``skyline`` takes one
+large matrix (history pruning, phase 2's candidate reduction) through its
+exact weak skyline on dense ranks.
 
 All dominance comparisons are in minimization orientation; maximization
 objectives are negated at the problem boundary and mapped back for
@@ -44,7 +46,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .diagram import (
-    DOMINANCE_TOL,
     WEIGHT_GUARD,
     GlobalStrategy,
     InfluenceDiagram,
@@ -278,15 +279,17 @@ def skyline(points: np.ndarray) -> np.ndarray:
     return mask
 
 
-def nondominated(points: np.ndarray, tol: float = DOMINANCE_TOL) -> np.ndarray:
-    """Mask of the rows of ``points`` that no row dominates (minimization).
+def nondominated(points: np.ndarray) -> np.ndarray:
+    """Mask of the rows of ``points`` that no row dominates exactly
+    (minimization).
 
     ``points`` is one (rows x objectives) matrix or a stack of them, and
     rows are compared only within their own matrix. Row j dominates row i
-    when it is at most ``tol`` above it in every column and more than
-    ``tol`` below it in one: the all-pairs rule of
-    :func:`brute_force_frontier`, with the same floating-point comparisons;
-    a NaN fails every comparison.
+    when it is at most i in every column and below it in one, with no
+    tolerance: the rule of :func:`skyline` and of
+    :func:`brute_force_frontier`. Exactly tied rows are all kept, and a NaN
+    fails every comparison, so a row with one is kept and dominates
+    nothing.
 
     Every row meets every row of its matrix in broadcasts of at most
     ``FILTER_CELLS`` booleans: several whole matrices at a time when they
@@ -297,19 +300,16 @@ def nondominated(points: np.ndarray, tol: float = DOMINANCE_TOL) -> np.ndarray:
     B, n, m = stack.shape
     # Columns first, so each comparison runs along contiguous memory.
     cols = np.ascontiguousarray(np.moveaxis(stack, -1, 0))
-    upper = cols + tol
-    lower = cols - tol
     dominated = np.zeros((B, n), dtype=bool)
     per_matrix = max(1, FILTER_CELLS // max(n * n, 1))
     block = max(1, FILTER_CELLS // max(per_matrix * n, 1))
     for b0 in range(0, B, per_matrix):
         mats = slice(b0, b0 + per_matrix)
+        cand = cols[:, mats, None, :]
         for start in range(0, n, block):
-            rows = slice(start, start + block)
-            dominated[mats, rows] = np.any(
-                _at_most(cols[:, mats, None, :], upper[:, mats, rows, None])
-                & ~_at_most(lower[:, mats, rows, None],
-                            cols[:, mats, None, :]), axis=2)
+            rows = cols[:, mats, start:start + block, None]
+            dominated[mats, start:start + block] = np.any(
+                _at_most(cand, rows) & ~_at_most(rows, cand), axis=2)
     return ~dominated.reshape(points.shape[:-1])
 
 
@@ -373,44 +373,22 @@ def frontier_rows(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Frontier rows of each (rows x objectives) matrix of ``stack``, as
     ``(rows, keep)``: matrix h's frontier is ``rows[h, keep[h]]``.
 
-    Per matrix, the rows are ordered by vector, ties on the row index; a row
-    is kept when no row dominates it (:func:`nondominated`) and it is not
-    within ``DOMINANCE_TOL`` in every coordinate of a row kept before it.
-    This is the rule of :func:`_assemble` over the distinct vectors, since
-    an exact duplicate is never kept after its first occurrence. ``rows``
-    (matrices x width) holds row indices in that order and ``keep`` marks
-    the kept ones, so a mask over ``rows`` filters every frontier at once.
+    Per matrix, ``rows`` holds the row indices ordered by vector, ties on
+    the row index. ``keep`` marks the rows that no row dominates
+    (:func:`nondominated`) and that differ from the row before them, so
+    only the first of exactly equal rows is kept: the rule of
+    :func:`brute_force_frontier` over the distinct vectors. A mask over
+    ``rows`` filters every frontier at once.
     """
     stack = np.asarray(stack, dtype=float)
     # lexsort is stable, so ties stay in row order.
     order = np.lexsort(stack.transpose(2, 0, 1)[::-1], axis=-1)
     ranked = np.take_along_axis(stack, order[:, :, None], axis=1)
-    tol = DOMINANCE_TOL
-    kept = nondominated(ranked, tol)
-    # The merge compares only nondominated rows: move them to the front,
-    # in order. They ascend in the first coordinate, so the rows within
-    # ``tol`` of a row before them lie within a window of offsets that ends
-    # at the first offset where no two rows are that close in it.
-    front = np.argsort(~kept, axis=1, kind="stable")
-    count = kept.sum(axis=1)
-    width = int(count.max())
-    front = front[:, :width]
-    rows = np.take_along_axis(ranked, front[:, :, None], axis=1)
-    keep = np.arange(width) < count[:, None]
-    near = []
-    for d in range(1, width):
-        valid = keep[:, d:]
-        if not np.any(valid & (rows[:, d:, 0] - rows[:, :-d, 0] <= tol)):
-            break
-        near.append(valid & np.all(np.abs(rows[:, d:] - rows[:, :-d]) <= tol,
-                                   axis=2))
-    merged = np.zeros_like(keep)
-    for d, close in enumerate(near, start=1):
-        merged[:, d:] |= close
-    for i in np.flatnonzero(merged.any(axis=0)):
-        for d, close in enumerate(near[:i], start=1):
-            keep[:, i] &= ~(close[:, i - d] & keep[:, i - d])
-    return np.take_along_axis(order, front, axis=1), keep
+    keep = nondominated(ranked)
+    # ``!=`` compares -0.0 and 0.0 as equal; a row with a NaN differs from
+    # every row.
+    keep[:, 1:] &= np.any(ranked[:, 1:] != ranked[:, :-1], axis=2)
+    return order, keep
 
 
 def compute_frontier(problem: EnumeratedProblem) -> ParetoFrontier:
@@ -424,11 +402,12 @@ def brute_force_frontier(problem: EnumeratedProblem) -> ParetoFrontier:
     vectors = problem.unique_vectors()
     keep = []
     for i in range(len(vectors)):
-        le = np.all(vectors <= vectors[i] + DOMINANCE_TOL, axis=1)
-        lt = np.any(vectors < vectors[i] - DOMINANCE_TOL, axis=1)
+        le = np.all(vectors <= vectors[i], axis=1)
+        lt = np.any(vectors < vectors[i], axis=1)
         if not np.any(le & lt):
             keep.append(i)
-    return _assemble(problem, keep)
+    return ParetoFrontier(problem,
+                          problem._unique[1][np.array(keep, dtype=np.intp)])
 
 
 def box_search_frontier(problem: EnumeratedProblem,
@@ -491,24 +470,8 @@ def box_search_frontier(problem: EnumeratedProblem,
             corners.append(child)
 
     # epsilon > 0 already guarantees nondominated solves; the filter is a
-    # safety net for degenerate corner cases.
+    # safety net for degenerate corner cases. Unique rows are in vector
+    # order.
     rows = np.array(sorted(found), dtype=np.intp)
-    return _assemble(problem, rows[nondominated(vectors[rows])])
-
-
-def _assemble(problem: EnumeratedProblem,
-              rows: Sequence[int]) -> ParetoFrontier:
-    """Build the frontier: points in vector order, each dropped when it is
-    within ``DOMINANCE_TOL`` in every coordinate of a point kept before it.
-
-    The unique vectors are in lexicographic order, so row order is vector
-    order.
-    """
-    vectors = problem.unique_vectors()
-    kept: list[int] = []
-    for r in sorted(rows):
-        near = np.abs(vectors[kept] - vectors[r]) <= DOMINANCE_TOL
-        if not near.all(axis=1).any():
-            kept.append(r)
-    return ParetoFrontier(problem,
-                          problem._unique[1][np.array(kept, dtype=np.intp)])
+    rows = rows[nondominated(vectors[rows])]
+    return ParetoFrontier(problem, problem._unique[1][rows])

@@ -24,9 +24,9 @@ detection-and-progression recurrences: detected fractions are removed
 progresses along the adenoma-carcinoma sequence, and the normal state
 absorbs the residual. Histories whose cumulative expected colonoscopies
 (scaled by cohort size) exceed the budget are discarded, and the survivors
-are filtered by exact dominance (no tolerance; the frontier module's
-``skyline`` kernel) on (total cancer prevalence, next-period cancer
-prevalence, next-period large-growth prevalence, cumulative colonoscopies).
+are filtered by exact dominance (the frontier module's ``skyline``
+kernel) on (total cancer prevalence, next-period cancer prevalence,
+next-period large-growth prevalence, cumulative colonoscopies).
 The recurrences run on the table's columns; the no-screening rollout and
 baseline run the same functions on one row.
 ``run_phase1`` returns each sex's last table: phase 2 and the CLI read its
@@ -46,7 +46,6 @@ import numpy as np
 from .diagram import (
     BUDGET_TOL,
     DETECTION_TOL,
-    DOMINANCE_TOL,
     LINEARITY_TOL,
     GlobalStrategy,
     ObjectiveVector,
@@ -277,13 +276,13 @@ def remove_dominated(histories: HistoryTable,
     The rule is exact: history j dominates history i when its keys are at
     most i's in every key and below them in one, compared as floats with no
     tolerance (:func:`~screenopt.pareto.skyline`). ``cross_check`` compares
-    that mask with the all-pairs filter at tolerance 0. Output order is
+    that mask with the all-pairs filter of the same rule. Output order is
     deterministic: sorted by dominance key, then by the strategy keys of
     periods 1, 2, ... (each period's ``strategy`` column ascends with them).
     """
     keys = histories.dominance_keys()
     mask = skyline(keys)
-    if cross_check and not np.array_equal(mask, nondominated(keys, 0.0)):
+    if cross_check and not np.array_equal(mask, nondominated(keys)):
         raise OracleMismatchError(
             f"history pruning differs from the all-pairs filter for "
             f"sex={histories.sex.value} period={histories.period}")
@@ -325,8 +324,7 @@ def segment_frontier(params: ParameterBundle, segment: Segment,
         for name, reference in (("brute-force", brute_force_frontier),
                                 ("box-search", box_search_frontier)):
             expected = reference(problem).vectors()
-            if got.shape != expected.shape or not np.allclose(
-                    got, expected, atol=DOMINANCE_TOL, rtol=0.0):
+            if not np.array_equal(got, expected):
                 raise OracleMismatchError(
                     f"frontier mismatch against the {name} reference for "
                     f"sex={segment.sex.value} period={segment.period}")

@@ -31,6 +31,8 @@ DENSE_BITS = SEGMENTS + "test_batched_rows_bit_identical_to_dense_oracle"
 PATH_WALK = SEGMENTS + "test_batch_rows_equal_the_path_walk"
 KERNELS = "tests/test_pareto.py::TestSkylineKernel::"
 SKYLINE = KERNELS + "test_mask_equals_prefix_kernel_and_row_loop"
+ROW_BLOCKS = KERNELS + "test_row_blocks_equal_prefix_kernel_and_row_loop"
+FRONTIER = "tests/test_pareto.py::TestFrontier::"
 
 
 class Mutant(NamedTuple):
@@ -84,7 +86,41 @@ MUTANTS = (
     Mutant("src/screenopt/pareto.py",
            "for start in range(0, n, block):",
            "for start in range(0, n - block, block):",
-           (KERNELS + "test_row_blocks_equal_prefix_kernel_and_row_loop",)),
+           (ROW_BLOCKS,)),
+    # The all-pairs filter drops rows that are only weakly dominated, so
+    # every row dominates itself.
+    Mutant("src/screenopt/pareto.py",
+           "_at_most(cand, rows) & ~_at_most(rows, cand), axis=2)",
+           "_at_most(cand, rows), axis=2)",
+           (ROW_BLOCKS,)),
+    # Stacked frontiers keep every copy of a duplicated row.
+    Mutant("src/screenopt/pareto.py",
+           "keep[:, 1:] &= np.any(ranked[:, 1:] != ranked[:, :-1], axis=2)",
+           "keep[:, 1:] &= True",
+           (FRONTIER + "test_stacked_rows_equal_each_matrix_reference",)),
+    # The brute-force frontier lets every vector dominate itself.
+    Mutant("src/screenopt/pareto.py",
+           "lt = np.any(vectors < vectors[i], axis=1)",
+           "lt = np.any(vectors <= vectors[i], axis=1)",
+           (FRONTIER + "test_near_ties_follow_the_exact_rule",
+            FRONTIER + "test_matches_brute_force_on_random_instances")),
+    # The loader checks bleed + the smaller perforation probability.
+    Mutant("src/screenopt/screening.py",
+           "if bleed + max(pw, pwo) > 1.0 + ZERO_TOL:",
+           "if bleed + min(pw, pwo) > 1.0 + ZERO_TOL:",
+           ("tests/test_screening.py::test_loader_error_path_and_message",)),
+    # The path walk drops the chance nodes' probabilities.
+    Mutant("src/screenopt/diagram.py",
+           "walk(depth + 1, prefix, prob * p)",
+           "walk(depth + 1, prefix, prob)",
+           ("tests/test_diagram.py::TestExpectedValues::"
+            "test_matches_full_path_sum_and_evaluator", PATH_WALK)),
+    # The dense pair scan breaks cancer-share ties on the pair index alone.
+    Mutant("src/screenopt/phase2.py",
+           "for crit in criteria:",
+           "for crit in criteria[:1]:",
+           ("tests/test_phase2.py::TestBudgetSweep::"
+            "test_array_budgets_equal_list_budgets",)),
 )
 
 

@@ -182,8 +182,9 @@ def sort_key(history) -> tuple:
     return tuple(r.strategy.key for r in history.records)
 
 
-def dominates(a, b, tol=1e-9):
-    """Weak dominance of ``a`` over ``b`` with strict improvement somewhere."""
+def dominates(a, b, tol=0.0):
+    """Weak dominance of ``a`` over ``b`` with strict improvement somewhere,
+    exact by default; ``tol`` widens both comparisons."""
     return all(x <= y + tol for x, y in zip(a, b)) and any(
         x < y - tol for x, y in zip(a, b))
 
@@ -337,8 +338,9 @@ def remove_dominated_loop(histories):
     return kept
 
 
-def nondominated_prefix(points, tol=1e-9, cells=1 << 20):
-    """The all-pairs tolerance dominance mask by key-0 prefixes.
+def nondominated_prefix(points, tol=0.0, cells=1 << 20):
+    """The all-pairs dominance mask by key-0 prefixes, exact by default;
+    ``tol`` widens both comparisons.
 
     Rows are sorted on the first column and each block of rows is
     broadcast against every row, kept or not, whose first column is at

@@ -176,8 +176,7 @@ def test_frontier_oracle_equality():
 def _assert_frontier_equal(problem):
     b = brute_force_frontier(problem)
     for a in (box_search_frontier(problem), compute_frontier(problem)):
-        assert len(a) == len(b)
-        assert np.allclose(a.vectors(), b.vectors(), atol=1e-9, rtol=0.0)
+        assert np.array_equal(a.vectors(), b.vectors())
 
 
 def test_prevalence_update_correctness():

@@ -190,6 +190,25 @@ class TestSegment:
                      "--params", str(small_params),
                      "--out", str(tmp_path / "x"), "--cross-check"]) == 3
 
+    def test_cross_check_compares_frontiers_exactly(self, small_params,
+                                                    tmp_path, monkeypatch):
+        # the real box-search frontier with one value moved by 1e-12
+        box_search = screenopt.phase1.box_search_frontier
+
+        class Moved:
+            def __init__(self, problem):
+                self.frontier = box_search(problem)
+
+            def vectors(self):
+                vectors = self.frontier.vectors().copy()
+                vectors[0, 0] += 1e-12
+                return vectors
+
+        monkeypatch.setattr(screenopt.phase1, "box_search_frontier", Moved)
+        assert main(["segment", "--sex", "F", "--period", "1",
+                     "--params", str(small_params),
+                     "--out", str(tmp_path / "x"), "--cross-check"]) == 3
+
 
 class TestPipeline:
     def run(self, params, out, budgets="500,1500,4000"):

@@ -192,8 +192,7 @@ class TestFrontier:
             p = problem_of(mat)
             b = brute_force_frontier(p)
             for a in (box_search_frontier(p), compute_frontier(p)):
-                assert len(a) == len(b)
-                assert np.allclose(a.vectors(), b.vectors(), atol=1e-9)
+                assert np.array_equal(a.vectors(), b.vectors())
 
     def test_points_and_vectors_are_views_of_the_candidates(
             self, small_bundle):
@@ -275,16 +274,21 @@ class TestFrontier:
         assert np.array_equal(box_search_frontier(problem).vectors(),
                               compute_frontier(problem).vectors())
 
-    def test_near_duplicate_merge_skips_rows_sorted_between(self):
-        # rows 0 and 2 are within the tolerance of each other in every
-        # coordinate; row 1 sorts between them and must not split the merge
-        p = problem_of([[0.0, 1.0, 5.0], [0.0, 2.0, 0.0],
-                        [5e-10, 1.0, 5.0 + 5e-10]])
-        assert nondominated(p.unique_vectors()).all()
+    @pytest.mark.parametrize("rows, want", [
+        # row 2 is 5e-10 above row 0 in two coordinates, so row 0
+        # dominates it exactly; row 1 sorts between them
+        ([[0.0, 1.0, 5.0], [0.0, 2.0, 0.0], [5e-10, 1.0, 5.0 + 5e-10]],
+         [(0.0, 1.0, 5.0), (0.0, 2.0, 0.0)]),
+        # 5e-10 apart in opposite directions: neither dominates, though a
+        # 1e-9 tolerance would merge them
+        ([[0.0, 1.0], [5e-10, 1.0 - 5e-10]],
+         [(0.0, 1.0), (5e-10, 1.0 - 5e-10)]),
+    ], ids=["dominated", "opposite"])
+    def test_near_ties_follow_the_exact_rule(self, rows, want):
+        p = problem_of(rows)
         for frontier in (compute_frontier, brute_force_frontier,
                          box_search_frontier):
-            assert minimized(frontier(p)) == \
-                [(0.0, 1.0, 5.0), (0.0, 2.0, 0.0)]
+            assert minimized(frontier(p)) == want
 
     @pytest.mark.parametrize("cells", [1 << 20, 40])
     def test_stacked_rows_equal_each_matrix_reference(self, monkeypatch,
@@ -343,9 +347,9 @@ class TestFrontier:
 
 
 class TestSkylineKernel:
-    """The exact skyline gives the tolerance-0 mask of the key-0 prefix
-    kernel and of the plain row loop; the all-pairs filter gives the
-    prefix kernel's mask at every tolerance, in any blocking."""
+    """The exact skyline and the all-pairs filter both give the exact mask
+    of the key-0 prefix kernel and of the plain row loop, in any
+    blocking."""
 
     @staticmethod
     def planted_keys(rng, n):
@@ -378,29 +382,28 @@ class TestSkylineKernel:
                                 rng.choice([0.0, -0.0], size=keys.shape),
                                 keys)
             mask = skyline(keys)
-            assert np.array_equal(mask, nondominated_prefix(keys, 0.0))
+            assert np.array_equal(mask, nondominated_prefix(keys))
             if trial % 5 == 0:
-                loop = [not any(dominates(other, row, 0.0)
-                                for other in keys) for row in keys]
+                loop = [not any(dominates(other, row) for other in keys)
+                        for row in keys]
                 assert mask.tolist() == loop
 
     @pytest.mark.parametrize("cells", [16, 300, 1 << 16])
     def test_row_blocks_equal_prefix_kernel_and_row_loop(self, monkeypatch,
                                                          cells):
-        # single matrices of more rows than one block holds, at 1e-9 and
-        # at the grid step, so near ties fall on either side of the rule
+        # single matrices of more rows than one block holds, with exact
+        # ties and near ties on either side of every row
         monkeypatch.setattr(screenopt.pareto, "FILTER_CELLS", cells)
         rng = np.random.default_rng(283)
         for trial in range(12):
             n = int(rng.integers(math.isqrt(cells) + 1, 600))
             keys = self.planted_keys(rng, n)
-            for tol in (1e-9, 1e-3):
-                mask = nondominated(keys, tol)
-                assert np.array_equal(mask, nondominated_prefix(keys, tol))
-                if trial % 4 == 0:
-                    loop = [not any(dominates(other, row, tol)
-                                    for other in keys) for row in keys]
-                    assert mask.tolist() == loop
+            mask = nondominated(keys)
+            assert np.array_equal(mask, nondominated_prefix(keys))
+            if trial % 4 == 0:
+                loop = [not any(dominates(other, row) for other in keys)
+                        for row in keys]
+                assert mask.tolist() == loop
 
     @CELLS
     def test_skyline_is_the_exact_weak_skyline(self, monkeypatch, cells):
@@ -428,15 +431,12 @@ class TestSkylineKernel:
             keys = self.planted_keys(rng, int(rng.integers(5, 100)))
             keys[rng.random(keys.shape) < (1.0 if trial == 0 else 0.05)] = \
                 np.nan
-            for tol in (0.0, 1e-9):
-                loop = [not any(dominates(other, row, tol) for other in keys)
-                        for row in keys]
-                for cells in (1 << 16, 16):
-                    monkeypatch.setattr(screenopt.pareto, "FILTER_CELLS",
-                                        cells)
-                    assert nondominated(keys, tol).tolist() == loop
-                    if tol == 0.0:
-                        assert skyline(keys).tolist() == loop
+            loop = [not any(dominates(other, row) for other in keys)
+                    for row in keys]
+            for cells in (1 << 16, 16):
+                monkeypatch.setattr(screenopt.pareto, "FILTER_CELLS", cells)
+                assert nondominated(keys).tolist() == loop
+                assert skyline(keys).tolist() == loop
 
     def test_shipped_history_keys(self, monkeypatch, default_bundle):
         # the keys of every period's history pruning on the shipped
@@ -453,8 +453,7 @@ class TestSkylineKernel:
         assert max(len(keys) for keys in seen) ** 2 > \
             screenopt.pareto.FILTER_CELLS
         for keys in seen:
-            assert np.array_equal(skyline(keys),
-                                  nondominated_prefix(keys, 0.0))
+            assert np.array_equal(skyline(keys), nondominated_prefix(keys))
 
     def test_large_matrices_of_a_stack_use_row_blocks(self, monkeypatch):
         # a stack whose matrices exceed one block is filtered matrix by
@@ -462,9 +461,7 @@ class TestSkylineKernel:
         monkeypatch.setattr(screenopt.pareto, "FILTER_CELLS", 64)
         rng = np.random.default_rng(271)
         stack = np.stack([self.planted_keys(rng, 50) for _ in range(3)])
-        for tol in (0.0, 1e-9):
-            assert np.array_equal(nondominated(stack, tol),
-                                  nondominated_prefix(stack, tol))
+        assert np.array_equal(nondominated(stack), nondominated_prefix(stack))
 
 
 class TestDiagramProblems:

@@ -37,6 +37,7 @@ from oracles import (
     dominance_key,
     exhaustive_best_shares,
     exhaustive_two_period,
+    nondominated_prefix,
     objective,
     one_ulp,
     remove_dominated_loop,
@@ -54,7 +55,6 @@ from screenopt.errors import (
 from screenopt.phase1 import (
     BUDGET_TOL,
     DETECTION_TOL,
-    DOMINANCE_TOL,
     LINEARITY_TOL,
     HistoryTable,
     baseline_trajectory,
@@ -338,7 +338,9 @@ class TestRemoveDominated:
         assert j[3] > i[3]
         kept = remove_dominated(key_table([i, j]))
         assert sorted(kept.strategy.tolist()) == [0, 1]
-        assert not nondominated(kept.dominance_keys(), 1e-9).all()
+        keys = kept.dominance_keys()
+        assert nondominated(keys).all()
+        assert not nondominated_prefix(keys, 1e-9).all()
 
     @staticmethod
     def random_keys(rng, n):
@@ -1082,8 +1084,10 @@ class TestStrategyClasses:
                 # Not bit for bit: inviting without examining costs the
                 # same at every cut-off, summed over different test-result
                 # splits, so those members can differ in the last bit.
+                bound = LINEARITY_TOL * vertex_sum(
+                    np.array([psi.as_tuple()]), np.abs(values))[0]
                 assert np.all(np.abs(direct - direct[reps[class_of]])
-                              <= DOMINANCE_TOL)
+                              <= bound)
 
     @staticmethod
     def assert_same_classes(values):
