@@ -513,9 +513,9 @@ class StrategyEvaluator:
     and value tables and on the fixed rules (the signature sort, the CPT
     gather indices, the utility rows and the per-strategy accumulation
     plan) is computed once, and the path and strategy ceilings are checked
-    then. So one evaluator serves a whole phase-1 run: every segment
-    diagram has the same nodes and values, and is evaluated through it with
-    its own chance tables.
+    then. So one evaluator serves a whole phase-1 run: every segment has
+    the same nodes and values, and is evaluated through it with its own
+    chance tables as arrays.
     """
 
     def __init__(self, diagram: InfluenceDiagram,

@@ -1,10 +1,10 @@
 """Complete nondominated frontiers of finite, fully evaluated problems.
 
-A ``DiagramProblem`` holds every strategy of one evaluator's strategy space
-(``diagram.StrategyEvaluator``): candidate i is the evaluator's strategy i,
-and an evaluator shared between problems must have their nodes, value
-tables and fixed rules. A problem evaluates its own chance tables; other
-tables, a complete set of them, go through ``problem.evaluator``.
+A ``DiagramProblem`` holds every strategy of the evaluator it builds for
+its diagram (``diagram.StrategyEvaluator``): candidate i is the
+evaluator's strategy i. Other chance tables, a complete set of arrays for
+the same nodes, go through ``problem.evaluator`` and give an
+``EnumeratedProblem`` with the same numbering.
 
 A ``ParetoFrontier`` is an array of candidate indices into its problem;
 its vectors are rows of the problem's matrix, and its ``points``
@@ -163,26 +163,13 @@ class EnumeratedProblem:
 class DiagramProblem(EnumeratedProblem):
     """EnumeratedProblem over every strategy of an influence diagram, with
     the decision nodes in ``fixed`` pinned; candidate i is the evaluator's
-    strategy i.
-
-    ``evaluator`` may come from another diagram with the same nodes and
-    value tables, built under the same fixed rules: the problem then
-    evaluates through it with its own diagram's chance tables, which gives
-    the bits of a fresh evaluator.
-    """
+    strategy i."""
 
     def __init__(self, diagram: InfluenceDiagram,
                  objective_mask: Sequence[str] | None = None,
-                 fixed: Mapping[int, LocalStrategy] | None = None,
-                 evaluator: StrategyEvaluator | None = None):
-        fixed = dict(fixed or {})
-        if evaluator is not None and _structure(diagram, fixed) != \
-                _structure(evaluator.diagram, evaluator.fixed):
-            raise ValueError("the evaluator was built for a diagram with "
-                             "other nodes or value tables, or other fixed "
-                             "rules")
+                 fixed: Mapping[int, LocalStrategy] | None = None):
         self.diagram = diagram
-        self.evaluator = evaluator or StrategyEvaluator(diagram, fixed)
+        self.evaluator = StrategyEvaluator(diagram, fixed)
         reported = self.evaluator.objective_matrix(dense_tables(diagram))[0]
         names = tuple(n.name for n in diagram.value_nodes)
         orientations = tuple(diagram.values[n.node_id].orientation
@@ -203,15 +190,6 @@ class DiagramProblem(EnumeratedProblem):
         return self.evaluator.strategy(index)
 
 
-def _structure(d: InfluenceDiagram,
-               fixed: Mapping[int, LocalStrategy]) -> tuple:
-    """What an evaluator of ``d`` under ``fixed`` depends on: the nodes,
-    value tables and fixed rules."""
-    return d.nodes, {i: (v.table, v.orientation, v.unit)
-                     for i, v in d.values.items()}, {
-        i: rule.key() for i, rule in fixed.items()}
-
-
 def sorted_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.lexsort(keys)``, and a mask of the sorted positions that start
     a run of equal rows.
@@ -229,9 +207,9 @@ def sorted_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def diagram_problem(diagram: InfluenceDiagram,
                     objective_mask: Sequence[str] | None = None,
-                    fixed: Mapping[int, LocalStrategy] | None = None,
-                    evaluator: StrategyEvaluator | None = None) -> DiagramProblem:
-    return DiagramProblem(diagram, objective_mask, fixed, evaluator)
+                    fixed: Mapping[int, LocalStrategy] | None = None
+                    ) -> DiagramProblem:
+    return DiagramProblem(diagram, objective_mask, fixed)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,11 @@
 For each sex the search walks screening periods in order and holds each
 period's histories as one :class:`HistoryTable`: columns of parent rows,
 strategy indices, objectives, prevalences and running accounting, with no
-per-history objects. Every period (period 1 has one, empty, history)
-solves its segment once over the full strategy space at the first
-history's prevalence, evaluates every strategy at the four simplex
-vertices, and gives each history its strategy classes' objectives as a
-vertex sum; one mask holds all the histories' frontiers. The run's first
-segment problem builds the one evaluator of every segment.
+per-history objects. One segment diagram per run, women's period 1, gives
+the evaluator of every segment, as segments differ only in chance tables;
+each period evaluates its ``segment_tables`` arrays once, at the first
+history's prevalence and the four simplex vertices. A history's objectives
+are its classes' vertex sum; one mask holds every frontier.
 
 Linearity lemma: the start prevalence psi enters a segment only through
 the test-result and examination-result tables, and the positive-test
@@ -53,7 +52,7 @@ from .diagram import (
 )
 from .errors import CapacityError, InfeasibleBudgetError, OracleMismatchError
 from .pareto import (
-    DiagramProblem,
+    EnumeratedProblem,
     ParetoFrontier,
     box_search_frontier,
     brute_force_frontier,
@@ -294,40 +293,37 @@ def remove_dominated(histories: HistoryTable,
 
 def segment_problem(params: ParameterBundle, segment: Segment,
                     psi: PrevalenceVector,
-                    objective_mask: Sequence[str] | None = None,
-                    evaluator: StrategyEvaluator | None = None):
-    """Enumerated multi-objective problem for one segment at prevalence
-    ``psi``, evaluated through ``evaluator`` (any segment's of the same
-    parameters: segments differ only in their chance tables) if given."""
-    diagram = build_segment_diagram(segment, params, psi)
-    return diagram_problem(diagram, objective_mask=objective_mask,
-                           fixed=fixed_decision_rules(params),
-                           evaluator=evaluator)
+                    objective_mask: Sequence[str] | None = None):
+    """One segment's problem at prevalence ``psi``, from its diagram."""
+    return diagram_problem(build_segment_diagram(segment, params, psi),
+                           objective_mask, fixed_decision_rules(params))
 
 
 def segment_frontier(params: ParameterBundle, segment: Segment,
                      psi: PrevalenceVector,
                      objective_mask: Sequence[str] | None = None,
-                     cross_check: bool = False,
-                     evaluator: StrategyEvaluator | None = None
-                     ) -> ParetoFrontier:
-    """Frontier of one segment problem (``frontier.problem``) at prevalence
-    ``psi``, evaluated through ``evaluator`` when one is given (see
-    :func:`segment_problem`). The one full-space solve: the ``segment``
-    command, each period's base problem and first-history check, and the
-    per-history ``--cross-check`` oracle. ``cross_check`` verifies it
-    against the brute-force filter and the box search."""
-    problem = segment_problem(params, segment, psi, objective_mask, evaluator)
+                     cross_check: bool = False) -> ParetoFrontier:
+    """Frontier of the :func:`segment_problem` at prevalence ``psi``
+    (``frontier.problem``): the ``segment`` command, and the run-start
+    solve whose evaluator a pipeline run evaluates every segment through.
+    ``cross_check`` verifies it (:func:`checked_frontier`)."""
+    return checked_frontier(
+        segment_problem(params, segment, psi, objective_mask), cross_check,
+        f"for sex={segment.sex.value} period={segment.period}")
+
+
+def checked_frontier(problem: EnumeratedProblem, cross_check: bool,
+                     label: str) -> ParetoFrontier:
+    """Frontier of ``problem``; ``cross_check`` verifies it against the
+    brute-force filter and the box search, a mismatch naming ``label``."""
     frontier = compute_frontier(problem)
     if cross_check:
         got = frontier.vectors()
         for name, reference in (("brute-force", brute_force_frontier),
                                 ("box-search", box_search_frontier)):
-            expected = reference(problem).vectors()
-            if not np.array_equal(got, expected):
+            if not np.array_equal(got, reference(problem).vectors()):
                 raise OracleMismatchError(
-                    f"frontier mismatch against the {name} reference for "
-                    f"sex={segment.sex.value} period={segment.period}")
+                    f"frontier mismatch against the {name} reference {label}")
     return frontier
 
 
@@ -346,7 +342,9 @@ def run_phase1(params: ParameterBundle, budget: float,
     of ``objective_mask``. Masking out ``benign_found`` or ``large_found``
     stops those detections from steering the extension, though they still
     drive the prevalence updates, so the run is exact for the masked
-    problem only.
+    problem only. Every period is evaluated from :func:`segment_tables`
+    arrays through the evaluator of one :func:`segment_frontier` solve
+    (women, period 1), whose matrix those arrays must reproduce exactly.
     """
     if np.isnan(budget):
         raise ValueError("budget must not be NaN")
@@ -356,27 +354,35 @@ def run_phase1(params: ParameterBundle, budget: float,
     if not (1 <= K <= params.periods):
         raise ValueError(f"periods must be within 1..{params.periods}")
 
+    segment, psi = Segment(Sex.F, 1), params.starting_prevalence(Sex.F)
+    base = segment_frontier(params, segment, psi, objective_mask).problem
+    if not np.array_equal(base.evaluator.objective_matrix(segment_tables(
+            params, segment, np.array([psi.as_tuple()])))[0], base.reported):
+        raise OracleMismatchError(
+            "the array path differs from the diagram for sex=F period=1")
     out: dict[Sex, HistoryTable] = {}
-    evaluator = None  # built by the first segment problem, then shared
     for sex in (Sex.F, Sex.M):
         table = None
         for k in range(1, K + 1):
-            table, evaluator = _extend_period(
-                params, sex, k, table, budget, objective_mask, cross_check,
-                evaluator)
+            table = _extend_period(params, sex, k, table, budget, cross_check,
+                                   base)
             if k > 1:
                 table = remove_dominated(table, cross_check)
         out[sex] = table
     return out
 
 
-def vertex_values(params: ParameterBundle, segment: Segment,
-                  problem: DiagramProblem) -> np.ndarray:
-    """Every strategy's reported objectives in ``segment`` at the four
-    simplex vertices, shape (strategies, objectives, vertices): by the
-    linearity lemma, its :func:`vertex_sum` at psi is their value there."""
-    return np.moveaxis(problem.evaluator.objective_matrix(
-        segment_tables(params, segment, np.eye(4))), 0, 2)
+def period_values(params: ParameterBundle, segment: Segment,
+                  evaluator: StrategyEvaluator, start: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Every strategy's reported objectives in ``segment``, from one
+    evaluation of its chance tables through ``evaluator``: at prevalence
+    ``start`` (strategies x objectives), and at the four simplex vertices
+    (strategies x objectives x vertices), whose :func:`vertex_sum` at psi
+    is, by the linearity lemma, their value there."""
+    matrices = evaluator.objective_matrix(
+        segment_tables(params, segment, np.vstack([start, np.eye(4)])))
+    return matrices[0], np.moveaxis(matrices[1:], 0, 2)
 
 
 def strategy_classes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -403,22 +409,21 @@ def vertex_sum(psi: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _extend_period(params, sex, k, previous, budget, objective_mask,
-                   cross_check, evaluator):
+def _extend_period(params, sex, k, previous, budget, cross_check, base):
     """Every history of ``previous`` (at period 1, the empty history)
-    extended by every frontier point of period ``k``, within the budget,
-    and the evaluator of the period's problem (``evaluator`` if given).
+    extended by every frontier point of period ``k``, within the budget.
 
-    :func:`segment_frontier` at the first history's start gives the base
-    problem, and its :func:`strategy_classes` representatives' vertex
-    sums every history's objectives; one :func:`frontier_rows` pass gives
-    every history's frontier. Every run certifies the sums at the first
-    start: each base strategy within ``LINEARITY_TOL`` of its class's sum,
-    and the full-space frontier's candidates, in order, with values within
-    it. ``cross_check`` compares every history's rows with the dense
-    evaluation, and its frontier with its own :func:`segment_frontier`.
-    The budget then clears mask bits; the set bits, row-major, are the
-    table's rows, by parent and then in frontier order.
+    :func:`period_values` through ``base``'s evaluator gives the first
+    start's full-space problem, numbered as ``base``, and every history's
+    objectives as its :func:`strategy_classes` representatives' vertex
+    sums; one :func:`frontier_rows` pass gives every frontier. Every run
+    certifies the sums at the first start: each strategy within
+    ``LINEARITY_TOL`` of its class's sum, and the full-space frontier's
+    candidates, in order, with values within it. ``cross_check`` compares
+    every history's rows with the dense evaluation and its frontier with
+    its own :func:`checked_frontier`. The budget then clears mask bits; the
+    set bits, row-major, are the table's rows, by parent and then in
+    frontier order.
     """
     segment = Segment(sex, k)
     label = f"for sex={sex.value} period={k}"
@@ -429,10 +434,15 @@ def _extend_period(params, sex, k, previous, budget, objective_mask,
     else:
         start, starts = previous.start, previous.updated
         before_col, before_cost = previous.colonoscopies, previous.cost
-    first = segment_frontier(params, segment, PrevalenceVector(*starts[0]),
-                             objective_mask, cross_check, evaluator)
-    base, evaluator = first.problem, first.problem.evaluator
-    vertex = vertex_values(params, segment, base)
+
+    def full_space_frontier(reported):
+        return checked_frontier(EnumeratedProblem(
+            reported, base.orientations, base.names, base.active),
+            cross_check, label)
+
+    at_start, vertex = period_values(params, segment, base.evaluator,
+                                     starts[0])
+    first = full_space_frontier(at_start)
     reps, class_of = strategy_classes(vertex)
     vertex = vertex[reps]
     reported = vertex_sum(starts, vertex)
@@ -445,7 +455,6 @@ def _extend_period(params, sex, k, previous, budget, objective_mask,
                       <= LINEARITY_TOL * scale)
 
     def check(h, frontier):
-        # Both sides number strategies through the same evaluator.
         got = rows[h, keep[h]]
         if not (np.array_equal(reps[got], frontier.candidates) and linear(
                 h, got, frontier.problem.reported[frontier.candidates])):
@@ -453,23 +462,21 @@ def _extend_period(params, sex, k, previous, budget, objective_mask,
                 f"vertex-sum frontier differs from the full-space frontier "
                 f"of history {h} {label}")
 
-    if not linear(0, class_of, base.reported):
+    if not linear(0, class_of, at_start):
         raise OracleMismatchError(
             f"a strategy differs from its class's vertex sum {label}")
     check(0, first)
     if cross_check:
         for h in range(len(starts)):
-            dense = evaluator.dense_objective_matrix(
-                segment_tables(params, segment, starts[[h]]))
+            tables = segment_tables(params, segment, starts[[h]])
+            dense = base.evaluator.dense_objective_matrix(tables)
             if not linear(h, np.arange(len(reps)), dense[0, reps]):
                 raise OracleMismatchError(
                     f"vertex sum differs from the dense evaluation of "
                     f"history {h} {label}")
             if h:
-                check(h, segment_frontier(params, segment,
-                                          PrevalenceVector(*starts[h]),
-                                          objective_mask, cross_check=True,
-                                          evaluator=evaluator))
+                check(h, full_space_frontier(
+                    base.evaluator.objective_matrix(tables)[0]))
 
     names = base.names
     cohort = params.cohort_size(segment)
@@ -502,8 +509,7 @@ def _extend_period(params, sex, k, previous, budget, objective_mask,
         names=names, orientations=base.orientations, parent=previous,
         parent_row=parent, strategy=strategy, reported=values,
         updated=updated, total=total, colonoscopies=col[parent, strategy],
-        cost=before_cost[parent] + values[:, names.index("cost")] * cohort
-    ), evaluator
+        cost=before_cost[parent] + values[:, names.index("cost")] * cohort)
 
 
 @dataclass(frozen=True)

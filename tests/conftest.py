@@ -66,14 +66,15 @@ def break_linearity(monkeypatch, fault):
     the strategy with the largest values scaled by (1 + 1e-12), or the
     first class given the last class's representative."""
     if fault == "vertex_row":
-        values = screenopt.phase1.vertex_values
+        values = screenopt.phase1.period_values
 
         def patched(*args):
-            out = values(*args).copy()
-            out[np.argmax(np.abs(out).sum(axis=(1, 2)))] *= 1 + 1e-12
-            return out
+            at_start, vertex = values(*args)
+            vertex = vertex.copy()
+            vertex[np.argmax(np.abs(vertex).sum(axis=(1, 2)))] *= 1 + 1e-12
+            return at_start, vertex
 
-        monkeypatch.setattr(screenopt.phase1, "vertex_values", patched)
+        monkeypatch.setattr(screenopt.phase1, "period_values", patched)
     else:
         classes = screenopt.phase1.strategy_classes
 

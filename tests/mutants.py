@@ -33,6 +33,8 @@ KERNELS = "tests/test_pareto.py::TestSkylineKernel::"
 SKYLINE = KERNELS + "test_mask_equals_prefix_kernel_and_row_loop"
 ROW_BLOCKS = KERNELS + "test_row_blocks_equal_prefix_kernel_and_row_loop"
 FRONTIER = "tests/test_pareto.py::TestFrontier::"
+PIPELINE = "tests/test_cli.py::TestPipeline::"
+CERTIFICATE = "tests/test_phase1.py::TestLinearityCertificate::"
 
 
 class Mutant(NamedTuple):
@@ -121,6 +123,34 @@ MUTANTS = (
            "for crit in criteria[:1]:",
            ("tests/test_phase2.py::TestBudgetSweep::"
             "test_array_budgets_equal_list_budgets",)),
+    # Phase 1 never compares its arrays with the run-start diagram.
+    Mutant("src/screenopt/phase1.py",
+           "if not np.array_equal(base.evaluator.objective_matrix(",
+           "if False and np.array_equal(base.evaluator.objective_matrix(",
+           (PIPELINE + "test_array_path_differs_from_diagram_exits_three",)),
+    # A period's batch puts the vertices first and the start last.
+    Mutant("src/screenopt/phase1.py",
+           "np.vstack([start, np.eye(4)])",
+           "np.vstack([np.eye(4), start])",
+           ("tests/test_phase1.py::TestSharedEvaluator::"
+            "test_every_segment_bit_identical_to_fresh_evaluator",)),
+    # The linearity certificate allows a thousand times its bound.
+    Mutant("src/screenopt/phase1.py",
+           "<= LINEARITY_TOL * scale)",
+           "<= 1e3 * LINEARITY_TOL * scale)",
+           (CERTIFICATE + "test_fault_raises_without_cross_check",)),
+    # --cross-check no longer compares the pruning mask with the all-pairs
+    # filter.
+    Mutant("src/screenopt/phase1.py",
+           "if cross_check and not np.array_equal(mask, nondominated(keys)):",
+           "if False and not np.array_equal(mask, nondominated(keys)):",
+           (PIPELINE + "test_pruning_mismatch_exits_three",)),
+    # Phase 2 reads the men's histories as the women's and vice versa.
+    Mutant("src/screenopt/phase2.py",
+           "female=candidates(Sex.F),\n        male=candidates(Sex.M),",
+           "female=candidates(Sex.M),\n        male=candidates(Sex.F),",
+           ("tests/test_cli.py::TestObjectPathOracle::"
+            "test_outputs_equal_object_path",)),
 )
 
 

@@ -27,6 +27,7 @@ from oracles import object_pipeline, one_ulp
 from screenopt.cli import dumps_canonical, main
 from screenopt.phase2 import BUDGET_TOL
 from screenopt.screening import (
+    ADVERSE,
     EXAM_RESULT,
     FIT_RESULT,
     Segment,
@@ -408,6 +409,25 @@ class TestPipeline:
                      "--out", str(tmp_path / "x")]) == 3
         assert "class's vertex sum" in capsys.readouterr().err
 
+    def test_array_path_differs_from_diagram_exits_three(
+            self, small_params, tmp_path, monkeypatch, capsys):
+        # phase 1's arrays with the adverse-event table halved: every
+        # evaluation from them is consistent, so the vertex sums certify,
+        # and only the comparison with the diagram's matrix catches it
+        tables = screenopt.phase1.segment_tables
+
+        def halved(*args):
+            out = tables(*args)
+            out[ADVERSE] = out[ADVERSE] * 0.5
+            return out
+
+        monkeypatch.setattr(screenopt.phase1, "segment_tables", halved)
+        for flags in ([], ["--cross-check"]):
+            assert main(["pipeline", "--budgets", "500,1500,4000",
+                         "--params", str(small_params),
+                         "--out", str(tmp_path / "x"), *flags]) == 3
+            assert "array path differs" in capsys.readouterr().err
+
     def test_objective_mask_flag(self, small_params, tmp_path):
         out = tmp_path / "masked"
         assert main(["segment", "--sex", "M", "--period", "1",
@@ -564,20 +584,19 @@ class TestStrategyClassChecks:
     def test_member_away_from_representative_exits_three(self, params,
                                                          tmp_path,
                                                          monkeypatch):
-        segment_problem = screenopt.phase1.segment_problem
+        period_values = screenopt.phase1.period_values
 
-        def perturbed(params, segment, psi, objective_mask=None,
-                      evaluator=None):
-            problem = segment_problem(params, segment, psi, objective_mask,
-                                      evaluator)
+        def perturbed(params, segment, evaluator, start):
+            at_start, vertex = period_values(params, segment, evaluator,
+                                             start)
             if segment.period > 1:
-                reps, _ = screenopt.phase1.strategy_classes(
-                    screenopt.phase1.vertex_values(params, segment, problem))
-                member = max(set(range(problem.n_candidates)) - set(reps))
-                problem.reported[member, 0] += 1e-6
-            return problem
+                reps, _ = screenopt.phase1.strategy_classes(vertex)
+                member = max(set(range(len(at_start))) - set(reps))
+                at_start = at_start.copy()
+                at_start[member, 0] += 1e-6
+            return at_start, vertex
 
-        monkeypatch.setattr(screenopt.phase1, "segment_problem", perturbed)
+        monkeypatch.setattr(screenopt.phase1, "period_values", perturbed)
         assert self.run(params, tmp_path / "x") == 3
 
 

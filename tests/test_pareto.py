@@ -491,27 +491,33 @@ class TestDiagramProblems:
         assert math.fsum(paths.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_reweighted_problem_walks_its_own_tables(self, small_bundle):
-        # a problem evaluated through another segment's evaluator reports
-        # its own diagram's values, bit for bit
+        # another segment's chance tables as arrays, evaluated through the
+        # first segment's evaluator, give that segment's own diagram's
+        # values bit for bit, and the same frontier and strategies
+        from screenopt.pareto import EnumeratedProblem
         from screenopt.screening import (PrevalenceVector, Segment, Sex,
-                                         build_segment_diagram)
+                                         build_segment_diagram,
+                                         segment_tables)
         base = diagram_problem(build_segment_diagram(
             Segment(Sex.F, 1), small_bundle,
             small_bundle.starting_prevalence(Sex.F)))
         seg = Segment(Sex.M, 2)
         psi = PrevalenceVector(0.7, 0.2, 0.07, 0.03)
-        reweighted = diagram_problem(
-            build_segment_diagram(seg, small_bundle, psi),
-            evaluator=base.evaluator)
+        reweighted = EnumeratedProblem(
+            base.evaluator.objective_matrix(segment_tables(
+                small_bundle, seg, np.array([psi.as_tuple()])))[0],
+            base.orientations, base.names)
         fresh = diagram_problem(build_segment_diagram(seg, small_bundle, psi))
-        assert reweighted.evaluator is base.evaluator
         assert np.array_equal(reweighted.reported, fresh.reported)
         assert np.array_equal(np.signbit(reweighted.reported),
                               np.signbit(fresh.reported))
-        point = compute_frontier(reweighted).points[-1]
-        assert compatible_path_probabilities(reweighted.diagram,
-                                             point.strategy) == \
-            compatible_path_probabilities(fresh.diagram, point.strategy)
+        got, want = compute_frontier(reweighted), compute_frontier(fresh)
+        assert np.array_equal(got.candidates, want.candidates)
+        last = int(got.candidates[-1])
+        assert base.strategy(last).key == fresh.strategy(last).key
+        assert compatible_path_probabilities(fresh.diagram,
+                                             base.strategy(last)) == \
+            compatible_path_probabilities(fresh.diagram, fresh.strategy(last))
 
     def test_strategy_index_is_enumeration_order(self):
         # ties break on the candidate index, so candidate i must be the

@@ -60,6 +60,7 @@ from screenopt.phase1 import (
     baseline_trajectory,
     combined_total_rows,
     natural_progression_rollout,
+    period_values,
     remove_dominated,
     run_phase1,
     segment_frontier,
@@ -67,9 +68,8 @@ from screenopt.phase1 import (
     strategy_classes,
     update_prevalence_rows,
     vertex_sum,
-    vertex_values,
 )
-from screenopt.pareto import nondominated
+from screenopt.pareto import EnumeratedProblem, compute_frontier, nondominated
 from screenopt.phase2 import budget_sweep, selection_problem_from_histories
 from screenopt.screening import (
     EXAM_RESULT,
@@ -477,9 +477,9 @@ class TestRunPhase1:
         bundle = tiny_bundle(default_doc)
         segment, psi = Segment(Sex.F, 1), bundle.starting_prevalence(Sex.F)
         frontier = segment_frontier(bundle, segment, psi)
-        bound = LINEARITY_TOL * vertex_sum(
-            np.array([psi.as_tuple()]),
-            np.abs(vertex_values(bundle, segment, frontier.problem)))[0]
+        start = np.array([psi.as_tuple()])
+        bound = LINEARITY_TOL * vertex_sum(start, np.abs(period_values(
+            bundle, segment, frontier.problem.evaluator, start)[1]))[0]
         result = run_phase1(bundle, budget=1e9, periods=1)[Sex.F]
         assert len(result) == len(frontier.points)
         cohort = bundle.cohort_size(segment)
@@ -607,6 +607,44 @@ class TestRunPhase1:
         run_phase1(bundle, budget=1e9, periods=2)
         assert filled == [1, 2, 2] * 2 and read == []
 
+    def test_one_segment_diagram_and_evaluator_per_run(self, default_bundle,
+                                                       monkeypatch):
+        # the run-start solve builds the only diagram and evaluator: every
+        # period of both sexes evaluates arrays through that evaluator
+        built, evaluators = [], []
+        build = screenopt.phase1.build_segment_diagram
+
+        class Counted(screenopt.pareto.StrategyEvaluator):
+            def __init__(self, *args, **kwargs):
+                evaluators.append(args[0])
+                super().__init__(*args, **kwargs)
+
+        def counted(*args):
+            built.append(args[0])
+            return build(*args)
+
+        monkeypatch.setattr(screenopt.phase1, "build_segment_diagram", counted)
+        monkeypatch.setattr(screenopt.pareto, "StrategyEvaluator", Counted)
+        run_phase1(default_bundle, budget=20000.0)
+        assert built == [Segment(Sex.F, 1)]
+        assert len(evaluators) == 1
+
+    def test_one_evaluation_per_period(self, default_bundle, monkeypatch):
+        # the batch rows of every evaluation without --cross-check: the
+        # run-start problem and its array-path check, then one batch of the
+        # first start and the four vertices per period and sex
+        rows = []
+        evaluate = StrategyEvaluator.objective_matrix
+
+        def counted(self, tables):
+            out = evaluate(self, tables)
+            rows.append(len(out))
+            return out
+
+        monkeypatch.setattr(StrategyEvaluator, "objective_matrix", counted)
+        run_phase1(default_bundle, budget=20000.0)
+        assert rows == [1, 1] + [5] * (2 * default_bundle.periods)
+
     def test_deterministic_across_runs(self, default_doc):
         bundle = tiny_bundle(default_doc)
         a = run_phase1(bundle, budget=800.0, periods=2)
@@ -653,9 +691,8 @@ class TestPeriodTableOrder:
         tables = []
 
         def recording(*args):
-            table, evaluator = extend(*args)
-            tables.append(table)
-            return table, evaluator
+            tables.append(extend(*args))
+            return tables[-1]
 
         with monkeypatch.context() as patch:
             patch.setattr(screenopt.phase1, "_extend_period", recording)
@@ -814,16 +851,18 @@ class TestReweightedSegments:
             prevalences = [PrevalenceVector(**_random_simplex(rng))
                            for _ in range(3)]
             prevalences.append(PrevalenceVector(1.0, 0.0, 0.0, 0.0))
-            for psi in prevalences:
+            # each row alone and all rows in one batch
+            rows = np.array([psi.as_tuple() for psi in prevalences])
+            batch = base.evaluator.objective_matrix(
+                segment_tables(bundle, segment, rows))
+            for h, psi in enumerate(prevalences):
                 diagram = build_segment_diagram(segment, bundle, psi)
                 fresh = StrategyEvaluator(diagram, fixed).objective_matrix(
                     dense_tables(diagram))[0]
-                reused = segment_problem(bundle, segment, psi,
-                                         evaluator=base.evaluator)
-                assert reused.evaluator is base.evaluator
-                assert np.array_equal(reused.reported, fresh)
-                assert np.array_equal(np.signbit(reused.reported),
-                                      np.signbit(fresh))
+                reused = base.evaluator.objective_matrix(
+                    segment_tables(bundle, segment, rows[[h]]))[0]
+                assert_bits(reused, fresh)
+                assert_bits(batch[h], fresh)
 
     def test_selected_rows_bit_identical_to_full_matrix(self):
         # the selected vertex rows, against the full matrix at that vertex:
@@ -831,9 +870,9 @@ class TestReweightedSegments:
         rng = np.random.default_rng(239)
         for trial in range(12):
             bundle, segment = self.random_case(rng, trial)
-            base = segment_problem(
-                bundle, segment, PrevalenceVector(**_random_simplex(rng)))
-            values = vertex_values(bundle, segment, base)
+            start = np.array(tuple(_random_simplex(rng).values()))
+            base = segment_problem(bundle, segment, PrevalenceVector(*start))
+            _, values = period_values(bundle, segment, base.evaluator, start)
             reps, _ = strategy_classes(values)
             n = base.n_candidates
             # the class representatives, and an unsorted draw with repeats
@@ -925,18 +964,29 @@ class TestReweightedSegments:
                                        atol=0)
 
     def test_reweighted_frontier_equals_fresh_frontier(self):
+        # the arrays through another segment's evaluator, with the mask's
+        # active columns, give the fresh diagram's frontier: the same
+        # candidates, strategies and values
         rng = np.random.default_rng(223)
+        masks = (None, ["colonoscopy", "crc_found"])
         for trial in range(6):
             bundle, segment = self.random_case(rng, trial)
+            mask = masks[trial % 2]
+            other = Segment(Sex.M if segment.sex is Sex.F else Sex.F,
+                            int(rng.integers(1, 3)))
             base = segment_problem(
-                bundle, segment, PrevalenceVector(**_random_simplex(rng)))
+                bundle, other, PrevalenceVector(**_random_simplex(rng)), mask)
             psi = PrevalenceVector(**_random_simplex(rng))
-            fresh = segment_frontier(bundle, segment, psi)
-            reused = segment_frontier(bundle, segment, psi,
-                                      evaluator=base.evaluator)
+            fresh = segment_frontier(bundle, segment, psi, mask)
+            reused = compute_frontier(EnumeratedProblem(
+                base.evaluator.objective_matrix(segment_tables(
+                    bundle, segment, np.array([psi.as_tuple()])))[0],
+                base.orientations, base.names, base.active))
+            assert np.array_equal(reused.candidates, fresh.candidates)
             assert [p.objectives.values for p in reused.points] == \
                 [p.objectives.values for p in fresh.points]
-            assert [p.strategy.key for p in reused.points] == \
+            assert [base.strategy(c).key for c in
+                    reused.candidates.tolist()] == \
                 [p.strategy.key for p in fresh.points]
 
     def test_segment_tables_are_the_diagrams_tables(self, default_bundle):
@@ -999,25 +1049,33 @@ class TestSharedEvaluator:
             doc["options"]["incentive_enabled"] = K not in (3, 4)
             bundle, _ = load_parameters(doc)
             fixed = fixed_decision_rules(bundle)
-            evaluator = None
+            # the run's evaluator: women's period 1 at their start
+            evaluator = segment_problem(
+                bundle, Segment(Sex.F, 1),
+                bundle.starting_prevalence(Sex.F)).evaluator
             for segment in (Segment(sex, k) for sex in (Sex.F, Sex.M)
                             for k in range(1, K + 1)):
-                psi = PrevalenceVector(**_random_simplex(rng))
-                shared = segment_problem(bundle, segment, psi,
-                                         evaluator=evaluator)
-                evaluator = evaluator or shared.evaluator
-                assert shared.evaluator is evaluator
-                diagram = build_segment_diagram(segment, bundle, psi)
+                start = np.array(tuple(_random_simplex(rng).values()))
+                diagram = build_segment_diagram(segment, bundle,
+                                                PrevalenceVector(*start))
                 fresh = StrategyEvaluator(diagram, fixed)
-                own = dense_tables(diagram)
-                assert_bits(shared.reported, fresh.objective_matrix(own)[0])
-                vertices = segment_tables(bundle, segment, np.eye(4))
-                assert_bits(shared.evaluator.objective_matrix(vertices),
-                            fresh.objective_matrix(vertices))
+                own = fresh.objective_matrix(dense_tables(diagram))[0]
+                assert_bits(evaluator.objective_matrix(segment_tables(
+                    bundle, segment, start[None]))[0], own)
+                vertices = fresh.objective_matrix(
+                    segment_tables(bundle, segment, np.eye(4)))
+                assert_bits(evaluator.objective_matrix(segment_tables(
+                    bundle, segment, np.eye(4))), vertices)
+                # phase 1's one evaluation of a period: the start's row
+                # first, then the vertices' in vertex order
+                at_start, vertex = period_values(bundle, segment, evaluator,
+                                                 start)
+                assert_bits(at_start, own)
+                assert_bits(vertex, np.moveaxis(vertices, 0, 2))
                 starts = segment_tables(bundle, segment, np.array(
                     [tuple(_random_simplex(rng).values())
                      for _ in range(int(rng.integers(1, 6)))]))
-                assert_bits(shared.evaluator.objective_matrix(starts),
+                assert_bits(evaluator.objective_matrix(starts),
                             fresh.objective_matrix(starts))
 
     def test_foreign_structure_rejected(self):
@@ -1026,28 +1084,24 @@ class TestSharedEvaluator:
         bundle, _ = load_parameters(doc)
         psi = PrevalenceVector(**_random_simplex(rng))
         evaluator = segment_problem(bundle, Segment(Sex.F, 1), psi).evaluator
+        row = np.array([psi.as_tuple()])
+        # a cut-off subset: tables of another shape
         fewer = json.loads(json.dumps(doc))
         fewer["options"]["cutoff_set"] = doc["fit"]["cutoffs"][:3]
-        dearer = json.loads(json.dumps(doc))
-        dearer["costs"]["colonoscopy"] += 1.0
-        for other in (fewer, dearer):
-            foreign, _ = load_parameters(other)
-            with pytest.raises(ValueError, match="other nodes or value"):
-                segment_problem(foreign, Segment(Sex.M, 2), psi,
-                                evaluator=evaluator)
-        # the same diagram under other fixed rules: another strategy space
-        diagram = build_segment_diagram(Segment(Sex.M, 2), bundle, psi)
-        pinned = json.loads(json.dumps(doc))
-        pinned["options"]["incentive_enabled"] = False
-        for fixed in ({}, fixed_decision_rules(load_parameters(pinned)[0])):
-            with pytest.raises(ValueError, match="other fixed rules"):
-                screenopt.pareto.diagram_problem(diagram, fixed=fixed,
-                                                 evaluator=evaluator)
-        # the same structure with other chance tables is accepted
+        tables = segment_tables(load_parameters(fewer)[0], Segment(Sex.M, 2),
+                                row)
+        for evaluate in (evaluator.objective_matrix,
+                         evaluator.dense_objective_matrix):
+            with pytest.raises(ValueError, match="has shape"):
+                evaluate(tables)
+        # the same structure with other chance tables is accepted, with a
+        # fresh diagram's bits
         other = json.loads(json.dumps(doc))
         other["participation"]["contact"]["M"][1] = 0.5
-        segment_problem(load_parameters(other)[0], Segment(Sex.M, 2), psi,
-                        evaluator=evaluator)
+        other_bundle = load_parameters(other)[0]
+        assert_bits(evaluator.objective_matrix(segment_tables(
+            other_bundle, Segment(Sex.M, 2), row))[0],
+            segment_problem(other_bundle, Segment(Sex.M, 2), psi).reported)
 
 
 class TestStrategyClasses:
@@ -1067,9 +1121,9 @@ class TestStrategyClasses:
                     np.array([VERTICES[0].as_tuple()]))[FIT_RESULT]
                 assert fit[0, 0, 1, 1] == 0.0
             fixed = fixed_decision_rules(bundle)
-            base = segment_problem(
-                bundle, segment, PrevalenceVector(**_random_simplex(rng)))
-            values = vertex_values(bundle, segment, base)
+            start = np.array(tuple(_random_simplex(rng).values()))
+            base = segment_problem(bundle, segment, PrevalenceVector(*start))
+            _, values = period_values(bundle, segment, base.evaluator, start)
             reps, class_of = strategy_classes(values)
             assert np.array_equal(class_of[reps], np.arange(len(reps)))
             assert np.all(reps[class_of] <= np.arange(len(class_of)))
@@ -1106,11 +1160,11 @@ class TestStrategyClasses:
             for sex in (Sex.F, Sex.M):
                 for k in (1, 2):
                     segment = Segment(sex, k)
-                    problem = segment_problem(
-                        bundle, segment,
-                        PrevalenceVector(**_random_simplex(rng)))
-                    self.assert_same_classes(vertex_values(bundle, segment,
-                                                           problem))
+                    start = np.array(tuple(_random_simplex(rng).values()))
+                    problem = segment_problem(bundle, segment,
+                                              PrevalenceVector(*start))
+                    self.assert_same_classes(period_values(
+                        bundle, segment, problem.evaluator, start)[1])
         # planted exact ties, with zeros of either sign
         for _ in range(200):
             distinct = rng.choice([-1.0, 0.0, 0.25, 1.0],
@@ -1193,17 +1247,20 @@ class TestLinearityCertificate:
         """Every history's vertex-sum rows, of every class, lie within the
         linearity bound of the dense evaluation at its start, and its
         table's rows are those sums' bits."""
+        evaluator = segment_problem(
+            bundle, Segment(Sex.F, 1),
+            bundle.starting_prevalence(Sex.F)).evaluator
         for sex, table in run_phase1(bundle, budget).items():
-            evaluator = None
             for period, _ in table.lineage(np.zeros(0, dtype=np.intp)):
                 segment = Segment(sex, period.period)
                 starts = (np.array([period.start.as_tuple()])
                           if period.parent is None else period.parent.updated)
+                at_start, values = period_values(bundle, segment, evaluator,
+                                                 starts[0])
+                # the first start's row has the bits of its own diagram's
                 base = segment_problem(bundle, segment,
-                                       PrevalenceVector(*starts[0]),
-                                       evaluator=evaluator)
-                evaluator = base.evaluator
-                values = vertex_values(bundle, segment, base)
+                                       PrevalenceVector(*starts[0]))
+                assert_bits(at_start, base.reported)
                 reps, _ = strategy_classes(values)
                 assert [s.key for s in period.strategies] == \
                     [base.strategy(r).key for r in reps.tolist()]
