@@ -194,10 +194,12 @@ def _mask(args) -> list[str] | None:
     if raw is None:
         return None
     names = [part.strip() for part in raw.split(",") if part.strip()]
-    for name in names:
+    for i, name in enumerate(names):
         if name not in OBJECTIVE_NAMES:
             raise ValueError(f"unknown objective {name!r}; choose from "
                              f"{', '.join(OBJECTIVE_NAMES)}")
+        if name in names[:i]:
+            raise ValueError(f"objective {name!r} is repeated in the mask")
     if not names:
         raise ValueError("objective mask selects nothing")
     return names

@@ -163,7 +163,7 @@ class StrategyHistory:
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class HistoryTable(Sequence):
+class HistoryTable:
     """One period's strategy histories of one sex, one row per history.
 
     Row i extends row ``parent_row[i]`` of ``parent``, the previous
@@ -179,7 +179,7 @@ class HistoryTable(Sequence):
     index, which on a segment diagram is ascending ``GlobalStrategy.key``
     order, so comparing ``strategy`` values compares the keys.
 
-    As a sequence the table is read-only: reading rows builds their
+    Read as a sequence (``len``, indexing, iteration), rows build their
     :class:`StrategyHistory` objects in one pass over :meth:`lineage`, the
     only walk of the parent rows, and rows read together share their common
     ancestors' records. Only tests and the benchmark tracer build these
@@ -291,24 +291,18 @@ def remove_dominated(histories: HistoryTable,
     return histories.take(kept[order])
 
 
-def segment_problem(params: ParameterBundle, segment: Segment,
-                    psi: PrevalenceVector,
-                    objective_mask: Sequence[str] | None = None):
-    """One segment's problem at prevalence ``psi``, from its diagram."""
-    return diagram_problem(build_segment_diagram(segment, params, psi),
-                           objective_mask, fixed_decision_rules(params))
-
-
 def segment_frontier(params: ParameterBundle, segment: Segment,
                      psi: PrevalenceVector,
                      objective_mask: Sequence[str] | None = None,
                      cross_check: bool = False) -> ParetoFrontier:
-    """Frontier of the :func:`segment_problem` at prevalence ``psi``
+    """Frontier of one segment's diagram problem at prevalence ``psi``
     (``frontier.problem``): the ``segment`` command, and the run-start
     solve whose evaluator a pipeline run evaluates every segment through.
     ``cross_check`` verifies it (:func:`checked_frontier`)."""
+    problem = diagram_problem(build_segment_diagram(segment, params, psi),
+                              objective_mask, fixed_decision_rules(params))
     return checked_frontier(
-        segment_problem(params, segment, psi, objective_mask), cross_check,
+        problem, cross_check,
         f"for sex={segment.sex.value} period={segment.period}")
 
 

@@ -21,8 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .diagram import BUDGET_TOL
 from .pareto import skyline
-from .phase1 import BUDGET_TOL, HistoryTable
+from .phase1 import HistoryTable
 from .screening import ParameterBundle, Sex
 
 

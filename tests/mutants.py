@@ -151,6 +151,12 @@ MUTANTS = (
            "female=candidates(Sex.M),\n        male=candidates(Sex.F),",
            ("tests/test_cli.py::TestObjectPathOracle::"
             "test_outputs_equal_object_path",)),
+    # The exhaustive oracle grows cancers from the next period's large
+    # growths, not from those that screening left.
+    Mutant("tests/oracles.py",
+           'crc = crc - found["crc"] + left_large * rates.large_to_crc',
+           'crc = crc - found["crc"] + large * rates.large_to_crc',
+           ("tests/test_phase1.py::TestExhaustivePhase1",)),
 )
 
 

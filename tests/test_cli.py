@@ -123,11 +123,11 @@ class TestSegment:
                           "large_found", "crc_found"]
 
         from screenopt.pareto import brute_force_frontier
-        from screenopt.phase1 import segment_problem
+        from screenopt.phase1 import segment_frontier
         from screenopt.screening import Segment, Sex, load_parameters
         bundle, _ = load_parameters(json.loads(small_params.read_text()))
-        problem = segment_problem(bundle, Segment(Sex.M, 1),
-                                  bundle.starting_prevalence(Sex.M))
+        problem = segment_frontier(bundle, Segment(Sex.M, 1),
+                                   bundle.starting_prevalence(Sex.M)).problem
         assert len(rows) == len(brute_force_frontier(problem))
 
     def test_no_incentive_flag(self, small_params, tmp_path):
@@ -445,6 +445,19 @@ class TestPipeline:
                      "--params", str(small_params),
                      "--out", str(tmp_path / "x"),
                      "--objective-mask", "nonsense"]) == 1
+
+    @pytest.mark.parametrize("command", [
+        ["segment", "--sex", "M", "--period", "1"],
+        ["pipeline", "--budgets", "500,1500,4000"]])
+    def test_repeated_objective_mask_rejected(self, small_params, tmp_path,
+                                              command, capsys):
+        # checked before --out is made, like the other argument checks
+        out = tmp_path / "x"
+        assert main([*command, "--params", str(small_params),
+                     "--out", str(out),
+                     "--objective-mask", "cost,crc_found,cost"]) == 1
+        assert "'cost' is repeated" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_baseline_series_cancer_increases(self, small_params, tmp_path):
         out = tmp_path / "run"

@@ -46,7 +46,7 @@ from screenopt.phase1 import (
     natural_progression_rollout,
     remove_dominated,
     run_phase1,
-    segment_problem,
+    segment_frontier,
 )
 from screenopt.screening import Segment, Sex, load_parameters
 
@@ -71,7 +71,7 @@ def box_limit_problem():
     bundle, _ = load_parameters(doc)
     psi = natural_progression_rollout(bundle.starting_prevalence(Sex.F),
                                       bundle.transitions["F"], 1)[-1]
-    return segment_problem(bundle, Segment(Sex.F, 2), psi)
+    return segment_frontier(bundle, Segment(Sex.F, 2), psi).problem
 
 
 def argmin_over_all(p, weights, epsilon, utopia):

@@ -64,7 +64,6 @@ from screenopt.phase1 import (
     remove_dominated,
     run_phase1,
     segment_frontier,
-    segment_problem,
     strategy_classes,
     update_prevalence_rows,
     vertex_sum,
@@ -846,8 +845,8 @@ class TestReweightedSegments:
             # the evaluator of another segment, at another prevalence
             other = Segment(Sex.M if segment.sex is Sex.F else Sex.F,
                             int(rng.integers(1, 3)))
-            base = segment_problem(
-                bundle, other, PrevalenceVector(**_random_simplex(rng)))
+            base = segment_frontier(bundle, other, PrevalenceVector(
+                **_random_simplex(rng))).problem
             prevalences = [PrevalenceVector(**_random_simplex(rng))
                            for _ in range(3)]
             prevalences.append(PrevalenceVector(1.0, 0.0, 0.0, 0.0))
@@ -871,7 +870,8 @@ class TestReweightedSegments:
         for trial in range(12):
             bundle, segment = self.random_case(rng, trial)
             start = np.array(tuple(_random_simplex(rng).values()))
-            base = segment_problem(bundle, segment, PrevalenceVector(*start))
+            base = segment_frontier(bundle, segment,
+                                    PrevalenceVector(*start)).problem
             _, values = period_values(bundle, segment, base.evaluator, start)
             reps, _ = strategy_classes(values)
             n = base.n_candidates
@@ -913,8 +913,8 @@ class TestReweightedSegments:
             zero_positive = trial % 4 == 3
             bundle, segment = self.random_case(rng, trial,
                                                zero_positive=zero_positive)
-            base = segment_problem(
-                bundle, segment, PrevalenceVector(**_random_simplex(rng)))
+            base = segment_frontier(bundle, segment, PrevalenceVector(
+                **_random_simplex(rng))).problem
             # random prevalences, one vertex and the normal vertex, where a
             # zero-positive cut-off zeroes entries in that row only
             rows = np.array(
@@ -948,7 +948,8 @@ class TestReweightedSegments:
         for bundle, segment in cases:
             rows = np.array([tuple(_random_simplex(rng).values())
                              for _ in range(2)] + [VERTICES[0].as_tuple()])
-            base = segment_problem(bundle, segment, PrevalenceVector(*rows[0]))
+            base = segment_frontier(bundle, segment,
+                                    PrevalenceVector(*rows[0])).problem
             evaluator, n = base.evaluator, base.n_candidates
             picks = [0, n // 2, n - 1] + rng.integers(0, n, size=20).tolist()
             tables = segment_tables(bundle, segment, rows)
@@ -974,8 +975,8 @@ class TestReweightedSegments:
             mask = masks[trial % 2]
             other = Segment(Sex.M if segment.sex is Sex.F else Sex.F,
                             int(rng.integers(1, 3)))
-            base = segment_problem(
-                bundle, other, PrevalenceVector(**_random_simplex(rng)), mask)
+            base = segment_frontier(bundle, other, PrevalenceVector(
+                **_random_simplex(rng)), mask).problem
             psi = PrevalenceVector(**_random_simplex(rng))
             fresh = segment_frontier(bundle, segment, psi, mask)
             reused = compute_frontier(EnumeratedProblem(
@@ -1015,8 +1016,8 @@ class TestReweightedSegments:
     def test_partial_table_set_rejected(self):
         rng = np.random.default_rng(229)
         bundle, segment = self.random_case(rng, 0)
-        base = segment_problem(
-            bundle, segment, PrevalenceVector(**_random_simplex(rng)))
+        base = segment_frontier(bundle, segment, PrevalenceVector(
+            **_random_simplex(rng))).problem
         tables = segment_tables(bundle, segment, np.eye(4))
         partial = {node_id: tables[node_id]
                    for node_id in (FIT_RESULT, EXAM_RESULT)}
@@ -1050,9 +1051,9 @@ class TestSharedEvaluator:
             bundle, _ = load_parameters(doc)
             fixed = fixed_decision_rules(bundle)
             # the run's evaluator: women's period 1 at their start
-            evaluator = segment_problem(
+            evaluator = segment_frontier(
                 bundle, Segment(Sex.F, 1),
-                bundle.starting_prevalence(Sex.F)).evaluator
+                bundle.starting_prevalence(Sex.F)).problem.evaluator
             for segment in (Segment(sex, k) for sex in (Sex.F, Sex.M)
                             for k in range(1, K + 1)):
                 start = np.array(tuple(_random_simplex(rng).values()))
@@ -1083,7 +1084,8 @@ class TestSharedEvaluator:
         doc = random_params_doc(rng, periods=2, n_cutoffs=4)
         bundle, _ = load_parameters(doc)
         psi = PrevalenceVector(**_random_simplex(rng))
-        evaluator = segment_problem(bundle, Segment(Sex.F, 1), psi).evaluator
+        evaluator = segment_frontier(bundle, Segment(Sex.F, 1),
+                                     psi).problem.evaluator
         row = np.array([psi.as_tuple()])
         # a cut-off subset: tables of another shape
         fewer = json.loads(json.dumps(doc))
@@ -1101,7 +1103,8 @@ class TestSharedEvaluator:
         other_bundle = load_parameters(other)[0]
         assert_bits(evaluator.objective_matrix(segment_tables(
             other_bundle, Segment(Sex.M, 2), row))[0],
-            segment_problem(other_bundle, Segment(Sex.M, 2), psi).reported)
+            segment_frontier(other_bundle, Segment(Sex.M, 2),
+                             psi).problem.reported)
 
 
 class TestStrategyClasses:
@@ -1122,7 +1125,8 @@ class TestStrategyClasses:
                 assert fit[0, 0, 1, 1] == 0.0
             fixed = fixed_decision_rules(bundle)
             start = np.array(tuple(_random_simplex(rng).values()))
-            base = segment_problem(bundle, segment, PrevalenceVector(*start))
+            base = segment_frontier(bundle, segment,
+                                    PrevalenceVector(*start)).problem
             _, values = period_values(bundle, segment, base.evaluator, start)
             reps, class_of = strategy_classes(values)
             assert np.array_equal(class_of[reps], np.arange(len(reps)))
@@ -1161,8 +1165,8 @@ class TestStrategyClasses:
                 for k in (1, 2):
                     segment = Segment(sex, k)
                     start = np.array(tuple(_random_simplex(rng).values()))
-                    problem = segment_problem(bundle, segment,
-                                              PrevalenceVector(*start))
+                    problem = segment_frontier(
+                        bundle, segment, PrevalenceVector(*start)).problem
                     self.assert_same_classes(period_values(
                         bundle, segment, problem.evaluator, start)[1])
         # planted exact ties, with zeros of either sign
@@ -1247,9 +1251,9 @@ class TestLinearityCertificate:
         """Every history's vertex-sum rows, of every class, lie within the
         linearity bound of the dense evaluation at its start, and its
         table's rows are those sums' bits."""
-        evaluator = segment_problem(
+        evaluator = segment_frontier(
             bundle, Segment(Sex.F, 1),
-            bundle.starting_prevalence(Sex.F)).evaluator
+            bundle.starting_prevalence(Sex.F)).problem.evaluator
         for sex, table in run_phase1(bundle, budget).items():
             for period, _ in table.lineage(np.zeros(0, dtype=np.intp)):
                 segment = Segment(sex, period.period)
@@ -1258,8 +1262,8 @@ class TestLinearityCertificate:
                 at_start, values = period_values(bundle, segment, evaluator,
                                                  starts[0])
                 # the first start's row has the bits of its own diagram's
-                base = segment_problem(bundle, segment,
-                                       PrevalenceVector(*starts[0]))
+                base = segment_frontier(bundle, segment,
+                                        PrevalenceVector(*starts[0])).problem
                 assert_bits(at_start, base.reported)
                 reps, _ = strategy_classes(values)
                 assert [s.key for s in period.strategies] == \

@@ -1,11 +1,17 @@
-"""The README's library example runs as documented."""
+"""The README's library example runs as documented, and the package root
+exports exactly the names its callers import from it."""
 
 from __future__ import annotations
 
+import ast
+import pkgutil
 import re
+import types
 from pathlib import Path
 
 import numpy as np
+
+import screenopt
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -29,3 +35,32 @@ def test_library_use_block_runs(monkeypatch, capsys):
     histories = namespace["histories"]
     assert sorted(sex.value for sex in histories) == ["F", "M"]
     assert all(len(table) for table in histories.values())
+
+
+def root_names(source: str) -> set[str]:
+    """Names ``source`` imports from the package root (``from screenopt
+    import ...``) or reads as ``screenopt.<name>``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "screenopt" \
+                and node.level == 0:
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id == "screenopt":
+            names.add(node.attr)
+    return names
+
+
+def test_package_root_exports_what_callers_import():
+    sources = [library_block()] + [
+        path.read_text(encoding="utf-8")
+        for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    modules = {m.name for m in pkgutil.iter_modules(screenopt.__path__)}
+    used = {name for source in sources for name in root_names(source)
+            if name not in modules and not name.startswith("_")}
+    assert all(hasattr(screenopt, name) for name in used)
+    exported = {name for name, value in vars(screenopt).items()
+                if not name.startswith("_")
+                and not isinstance(value, types.ModuleType)}
+    assert exported == used
