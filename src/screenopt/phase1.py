@@ -4,10 +4,11 @@ For each sex the search walks screening periods in order and holds each
 period's histories as one :class:`HistoryTable`: columns of parent rows,
 strategy indices, objectives, prevalences and running accounting, with no
 per-history objects. One segment diagram per run, women's period 1, gives
-the evaluator of every segment, as segments differ only in chance tables;
-each period evaluates its ``segment_tables`` arrays once, at the first
-history's prevalence and the four simplex vertices. A history's objectives
-are its classes' vertex sum; one mask holds every frontier.
+the evaluator of every segment, as segments differ only in chance tables,
+and that period's full-space frontier; each period evaluates its
+``segment_tables`` arrays once, at the first history's prevalence and the
+four simplex vertices. A history's objectives are its classes' vertex sum;
+one mask holds every frontier.
 
 Linearity lemma: the start prevalence psi enters a segment only through
 the test-result and examination-result tables, and the positive-test
@@ -15,7 +16,9 @@ probability, linear in psi, cancels the examination posterior's
 denominator; so every objective is ``f(psi) = sum_v psi_v f(e_v)``. The
 vertex sum and an evaluation at psi each round within a few epsilons of
 ``sum_v psi_v |f(e_v)|`` (under 4, measured on the shipped and the
-6-period documents); every period certifies ``LINEARITY_TOL``, 64.
+6-period documents); every period certifies ``LINEARITY_TOL``, 64, at its
+first history, and ``--cross-check`` at every history against the dense
+evaluation.
 
 Between periods the bowel-state distribution moves by the
 detection-and-progression recurrences: detected fractions are removed
@@ -205,8 +208,12 @@ class HistoryTable:
     def __len__(self) -> int:
         return len(self.strategy)
 
-    def __getitem__(self, index: int) -> StrategyHistory:
-        return self._histories([range(len(self))[index]])[0]
+    def __getitem__(self, index: int | slice
+                    ) -> StrategyHistory | list[StrategyHistory]:
+        rows = range(len(self))[index]
+        if isinstance(rows, range):
+            return self._histories(rows)
+        return self._histories([rows])[0]
 
     def __iter__(self):
         return iter(self._histories(range(len(self))))
@@ -338,7 +345,7 @@ def run_phase1(params: ParameterBundle, budget: float,
     drive the prevalence updates, so the run is exact for the masked
     problem only. Every period is evaluated from :func:`segment_tables`
     arrays through the evaluator of one :func:`segment_frontier` solve
-    (women, period 1), whose matrix those arrays must reproduce exactly.
+    (women, period 1), which is also that period's full-space frontier.
     """
     if np.isnan(budget):
         raise ValueError("budget must not be NaN")
@@ -348,18 +355,15 @@ def run_phase1(params: ParameterBundle, budget: float,
     if not (1 <= K <= params.periods):
         raise ValueError(f"periods must be within 1..{params.periods}")
 
-    segment, psi = Segment(Sex.F, 1), params.starting_prevalence(Sex.F)
-    base = segment_frontier(params, segment, psi, objective_mask).problem
-    if not np.array_equal(base.evaluator.objective_matrix(segment_tables(
-            params, segment, np.array([psi.as_tuple()])))[0], base.reported):
-        raise OracleMismatchError(
-            "the array path differs from the diagram for sex=F period=1")
+    start = segment_frontier(params, Segment(Sex.F, 1),
+                             params.starting_prevalence(Sex.F),
+                             objective_mask, cross_check)
     out: dict[Sex, HistoryTable] = {}
     for sex in (Sex.F, Sex.M):
         table = None
         for k in range(1, K + 1):
             table = _extend_period(params, sex, k, table, budget, cross_check,
-                                   base)
+                                   start)
             if k > 1:
                 table = remove_dominated(table, cross_check)
         out[sex] = table
@@ -403,74 +407,64 @@ def vertex_sum(psi: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _extend_period(params, sex, k, previous, budget, cross_check, base):
+def _extend_period(params, sex, k, previous, budget, cross_check, start):
     """Every history of ``previous`` (at period 1, the empty history)
     extended by every frontier point of period ``k``, within the budget.
 
-    :func:`period_values` through ``base``'s evaluator gives the first
-    start's full-space problem, numbered as ``base``, and every history's
-    objectives as its :func:`strategy_classes` representatives' vertex
-    sums; one :func:`frontier_rows` pass gives every frontier. Every run
-    certifies the sums at the first start: each strategy within
-    ``LINEARITY_TOL`` of its class's sum, and the full-space frontier's
-    candidates, in order, with values within it. ``cross_check`` compares
-    every history's rows with the dense evaluation and its frontier with
-    its own :func:`checked_frontier`. The budget then clears mask bits; the
-    set bits, row-major, are the table's rows, by parent and then in
-    frontier order.
+    :func:`period_values` through the evaluator of ``start``, the run-start
+    frontier, gives the first start's full-space problem, numbered as
+    ``start.problem``, and every history's objectives as its
+    :func:`strategy_classes` representatives' vertex sums; one
+    :func:`frontier_rows` pass gives every frontier. At women's period 1
+    the first start's row must be ``start.problem``'s matrix bit for bit,
+    and ``start`` is its full-space frontier. Each checked history, the
+    first or under ``cross_check`` every one, has one exact matrix, the
+    first start's row or under ``cross_check`` the dense evaluation: every
+    strategy must be within ``LINEARITY_TOL`` of its class's sum, and the
+    history's frontier candidates, in order, those of the matrix's own
+    :func:`checked_frontier`. The budget then clears mask bits; the set
+    bits, row-major, are the table's rows, by parent and then in frontier
+    order.
     """
     segment = Segment(sex, k)
     label = f"for sex={sex.value} period={k}"
+    base = start.problem
     if previous is None:
-        start = params.starting_prevalence(sex)
-        starts = np.array([start.as_tuple()])
+        psi = params.starting_prevalence(sex)
+        starts = np.array([psi.as_tuple()])
         before_col = before_cost = np.zeros(1)
     else:
-        start, starts = previous.start, previous.updated
+        psi, starts = previous.start, previous.updated
         before_col, before_cost = previous.colonoscopies, previous.cost
-
-    def full_space_frontier(reported):
-        return checked_frontier(EnumeratedProblem(
-            reported, base.orientations, base.names, base.active),
-            cross_check, label)
 
     at_start, vertex = period_values(params, segment, base.evaluator,
                                      starts[0])
-    first = full_space_frontier(at_start)
+    run_start = segment == Segment(Sex.F, 1)
+    if run_start and not np.array_equal(at_start, base.reported):
+        raise OracleMismatchError(
+            f"the array path differs from the diagram {label}")
     reps, class_of = strategy_classes(vertex)
     vertex = vertex[reps]
     reported = vertex_sum(starts, vertex)
     rows, keep = frontier_rows(base.minimize(reported))
 
-    def linear(h, classes, exact):
-        # Whether ``exact`` is within the bound of h's sums of ``classes``.
-        scale = vertex_sum(np.abs(starts[[h]]), np.abs(vertex[classes]))[0]
-        return np.all(np.abs(reported[h, classes] - exact)
-                      <= LINEARITY_TOL * scale)
-
-    def check(h, frontier):
-        got = rows[h, keep[h]]
-        if not (np.array_equal(reps[got], frontier.candidates) and linear(
-                h, got, frontier.problem.reported[frontier.candidates])):
+    source = "dense evaluation" if cross_check else "first start's row"
+    for h in range(len(starts)) if cross_check else (0,):
+        exact = base.evaluator.dense_objective_matrix(segment_tables(
+            params, segment, starts[[h]]))[0] if cross_check else at_start
+        scale = vertex_sum(np.abs(starts[[h]]), np.abs(vertex[class_of]))[0]
+        if not np.all(np.abs(reported[h, class_of] - exact)
+                      <= LINEARITY_TOL * scale):
+            raise OracleMismatchError(
+                f"a strategy's {source} differs from its class's vertex sum "
+                f"at history {h} {label}")
+        frontier = start if run_start and not h else checked_frontier(
+            EnumeratedProblem(exact, base.orientations, base.names,
+                              base.active), cross_check, label)
+        if not np.array_equal(reps[rows[h, keep[h]]], frontier.candidates):
             raise OracleMismatchError(
                 f"vertex-sum frontier differs from the full-space frontier "
                 f"of history {h} {label}")
-
-    if not linear(0, class_of, at_start):
-        raise OracleMismatchError(
-            f"a strategy differs from its class's vertex sum {label}")
-    check(0, first)
-    if cross_check:
-        for h in range(len(starts)):
-            tables = segment_tables(params, segment, starts[[h]])
-            dense = base.evaluator.dense_objective_matrix(tables)
-            if not linear(h, np.arange(len(reps)), dense[0, reps]):
-                raise OracleMismatchError(
-                    f"vertex sum differs from the dense evaluation of "
-                    f"history {h} {label}")
-            if h:
-                check(h, full_space_frontier(
-                    base.evaluator.objective_matrix(tables)[0]))
 
     names = base.names
     cohort = params.cohort_size(segment)
@@ -498,7 +492,7 @@ def _extend_period(params, sex, k, previous, budget, cross_check, base):
                                     updated, cohort)
         weight = previous.weight + cohort
     return HistoryTable(
-        sex=sex, period=k, weight=weight, start=start,
+        sex=sex, period=k, weight=weight, start=psi,
         strategies=tuple(base.strategy(r) for r in reps.tolist()),
         names=names, orientations=base.orientations, parent=previous,
         parent_row=parent, strategy=strategy, reported=values,

@@ -125,8 +125,8 @@ MUTANTS = (
             "test_array_budgets_equal_list_budgets",)),
     # Phase 1 never compares its arrays with the run-start diagram.
     Mutant("src/screenopt/phase1.py",
-           "if not np.array_equal(base.evaluator.objective_matrix(",
-           "if False and np.array_equal(base.evaluator.objective_matrix(",
+           "if run_start and not np.array_equal(at_start, base.reported):",
+           "if False and not np.array_equal(at_start, base.reported):",
            (PIPELINE + "test_array_path_differs_from_diagram_exits_three",)),
     # A period's batch puts the vertices first and the start last.
     Mutant("src/screenopt/phase1.py",
@@ -136,9 +136,14 @@ MUTANTS = (
             "test_every_segment_bit_identical_to_fresh_evaluator",)),
     # The linearity certificate allows a thousand times its bound.
     Mutant("src/screenopt/phase1.py",
-           "<= LINEARITY_TOL * scale)",
-           "<= 1e3 * LINEARITY_TOL * scale)",
+           "<= LINEARITY_TOL * scale):",
+           "<= 1e3 * LINEARITY_TOL * scale):",
            (CERTIFICATE + "test_fault_raises_without_cross_check",)),
+    # --cross-check checks each period's first history only.
+    Mutant("src/screenopt/phase1.py",
+           "for h in range(len(starts)) if cross_check else (0,):",
+           "for h in range(1) if cross_check else (0,):",
+           (PIPELINE + "test_cross_check_checks_every_history",)),
     # --cross-check no longer compares the pruning mask with the all-pairs
     # filter.
     Mutant("src/screenopt/phase1.py",

@@ -399,6 +399,53 @@ class TestPipeline:
                          "--out", str(tmp_path / "x"),
                          "--cross-check"]) == code
 
+    def test_cross_check_checks_every_history(self, small_params, tmp_path,
+                                              monkeypatch, capsys):
+        # the dense evaluation off by a relative 1e-12 at every history but
+        # each period's first: only checking every history catches it
+        period_values = screenopt.phase1.period_values
+        dense = screenopt.diagram.StrategyEvaluator.dense_objective_matrix
+        calls = []
+
+        def new_period(*args):
+            calls.clear()
+            return period_values(*args)
+
+        def nudged(self, tables):
+            calls.append(None)
+            out = dense(self, tables)
+            return out if len(calls) == 1 else out * (1 + 1e-12)
+
+        monkeypatch.setattr(screenopt.phase1, "period_values", new_period)
+        monkeypatch.setattr(screenopt.diagram.StrategyEvaluator,
+                            "dense_objective_matrix", nudged)
+        for flags, code in (([], 0), (["--cross-check"], 3)):
+            assert main(["pipeline", "--budgets", "500,1500,4000",
+                         "--params", str(small_params),
+                         "--out", str(tmp_path / "x"), *flags]) == code
+        assert re.search(r"dense evaluation .* at history [1-9]",
+                         capsys.readouterr().err)
+
+    @pytest.mark.parametrize("flags", [[], ["--fix-exam", "--no-incentive"]])
+    def test_cross_check_writes_the_same_outputs(self, small_params,
+                                                 tmp_path, flags):
+        # every output but the manifest's cross_check flag is the plain
+        # run's bytes
+        runs = []
+        for extra in ([], ["--cross-check"]):
+            out = tmp_path / f"run{len(runs)}"
+            assert main(["pipeline", "--budgets", "500,1500,4000",
+                         "--params", str(small_params), "--out", str(out),
+                         *flags, *extra]) == 0
+            runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        plain, checked = runs
+        manifest = checked.pop("manifest.json")
+        assert b'"cross_check":true' in manifest
+        assert manifest.replace(b'"cross_check":true',
+                                b'"cross_check":false') == \
+            plain.pop("manifest.json")
+        assert checked == plain
+
     @pytest.mark.parametrize("fault", LINEARITY_FAULTS)
     def test_linearity_certificate_exits_three(self, small_params, tmp_path,
                                                monkeypatch, capsys, fault):

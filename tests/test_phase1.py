@@ -630,8 +630,9 @@ class TestRunPhase1:
 
     def test_one_evaluation_per_period(self, default_bundle, monkeypatch):
         # the batch rows of every evaluation without --cross-check: the
-        # run-start problem and its array-path check, then one batch of the
-        # first start and the four vertices per period and sex
+        # run-start problem, then one batch of the first start and the four
+        # vertices per period and sex, whose first row at women's period 1
+        # is checked against the run-start matrix
         rows = []
         evaluate = StrategyEvaluator.objective_matrix
 
@@ -642,7 +643,55 @@ class TestRunPhase1:
 
         monkeypatch.setattr(StrategyEvaluator, "objective_matrix", counted)
         run_phase1(default_bundle, budget=20000.0)
-        assert rows == [1, 1] + [5] * (2 * default_bundle.periods)
+        assert rows == [1] + [5] * (2 * default_bundle.periods)
+
+    def test_one_full_space_frontier_per_period(self, default_bundle,
+                                                monkeypatch):
+        # the run-start solve is women's period-1 full-space frontier, so
+        # each period and sex computes one, and none twice
+        labels = []
+        checked = screenopt.phase1.checked_frontier
+
+        def counted(problem, cross_check, label):
+            labels.append(label)
+            return checked(problem, cross_check, label)
+
+        monkeypatch.setattr(screenopt.phase1, "checked_frontier", counted)
+        run_phase1(default_bundle, budget=20000.0)
+        assert len(labels) == 2 * default_bundle.periods
+        assert sorted(labels) == sorted(
+            f"for sex={sex.value} period={k}" for sex in (Sex.F, Sex.M)
+            for k in range(1, default_bundle.periods + 1))
+
+    def test_cross_check_evaluates_each_history_once(self, default_doc,
+                                                     monkeypatch):
+        # cross_check adds one one-row dense evaluation per history start
+        # and no live-path evaluation
+        bundle = tiny_bundle(default_doc, periods=3)
+        rows, dense_rows = [], []
+        evaluate = StrategyEvaluator.objective_matrix
+        dense = StrategyEvaluator.dense_objective_matrix
+
+        def counted(self, tables):
+            out = evaluate(self, tables)
+            rows.append(len(out))
+            return out
+
+        def dense_counted(self, tables):
+            out = dense(self, tables)
+            dense_rows.append(len(out))
+            return out
+
+        monkeypatch.setattr(StrategyEvaluator, "objective_matrix", counted)
+        monkeypatch.setattr(StrategyEvaluator, "dense_objective_matrix",
+                            dense_counted)
+        tables = run_phase1(bundle, budget=1e9, periods=3, cross_check=True)
+        assert rows == [1] + [5] * 6
+        starts = sum(1 if t.parent is None else len(t.parent)
+                     for table in tables.values()
+                     for t, _ in table.lineage(np.zeros(0, dtype=np.intp)))
+        assert starts > 6
+        assert dense_rows == [1] * starts
 
     def test_deterministic_across_runs(self, default_doc):
         bundle = tiny_bundle(default_doc)
@@ -766,6 +815,9 @@ class TestLineage:
         histories = list(table)
         lineage = table.lineage(np.arange(len(table)))
         assert table[-1] == histories[-1]
+        assert table[1:3] == histories[1:3]
+        assert table[3:1] == []
+        assert table[::2] == histories[::2]
         shared_somewhere = False
         for k, (t, at) in enumerate(lineage):
             records = {}
