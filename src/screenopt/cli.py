@@ -350,11 +350,11 @@ def _cmd_pipeline(args) -> int:
     histories = run_phase1(bundle, budget=max(budgets), periods=periods,
                            objective_mask=mask, cross_check=args.cross_check)
     cutoffs = bundle.effective_cutoffs()
+    policy, strategies = {}, {}
+    for sex in (Sex.F, Sex.M):
+        policy[sex], strategies[sex] = _strategy_rows(histories[sex], cutoffs)
     # Cut-off labels hold neither "," nor "|", so a history's key is its
     # policy cells joined by "|" instead of ",".
-    render = _by_strategy(lambda s: policy_cell(s, cutoffs))
-    policy = {sex: _lineage_rows(histories[sex], render)
-              for sex in (Sex.F, Sex.M)}
     keys = {sex: _unique_keys([row.replace(",", "|") for row in policy[sex]])
             for sex in (Sex.F, Sex.M)}
     problem = selection_problem_from_histories(bundle, histories)
@@ -366,7 +366,7 @@ def _cmd_pipeline(args) -> int:
     _write_manifest(args, bundle, budgets, periods, digest)
     for sex in (Sex.F, Sex.M):
         _write_histories(args.out, digest, sex, histories[sex], keys[sex],
-                         cutoffs, periods)
+                         strategies[sex], periods)
     _write_selection(args.out, digest, results, keys)
     _write_policy_table(args.out, digest, results, policy, periods)
     _write_series(args.out, digest, bundle, results, histories, periods)
@@ -416,16 +416,26 @@ def _lineage_rows(table: HistoryTable, block) -> list[str]:
     return [",".join(cells) for cells in zip(*periods)]
 
 
-def _by_strategy(render):
-    """A block of each row's strategy, rendered once per strategy."""
-    def block(table):
-        cells = [render(s) for s in table.strategies]
-        return [cells[s] for s in table.strategy.tolist()]
-    return block
+def _strategy_rows(table: HistoryTable,
+                   cutoffs) -> tuple[list[str], list[str]]:
+    """Each row's policy cells and its histories-file strategy columns,
+    period 1 first, each joined by ","; a period decodes each distinct
+    strategy number of the rows it writes once, for both."""
+    policy, columns = [], []
+    for t, rows in table.lineage(np.arange(len(table))):
+        numbers, inverse = np.unique(t.strategy[rows], return_inverse=True)
+        decoded = [t.problem.strategy(n) for n in numbers.tolist()]
+        for out, render in ((policy, policy_cell),
+                            (columns, history_columns)):
+            cells = [render(s, cutoffs) for s in decoded]
+            out.append([cells[i] for i in inverse.tolist()])
+    return ([",".join(row) for row in zip(*policy)],
+            [",".join(row) for row in zip(*columns)])
 
 
 def _write_histories(out: Path, digest: str, sex: Sex, table: HistoryTable,
-                     keys: list[str], cutoffs, periods: int) -> None:
+                     keys: list[str], strategies: list[str],
+                     periods: int) -> None:
     columns = ["index", "key"]
     for k in range(1, periods + 1):
         columns += [f"cutoff_{k}", f"incentive_{k}", f"invite_{k}", f"exam_{k}"]
@@ -434,13 +444,11 @@ def _write_histories(out: Path, digest: str, sex: Sex, table: HistoryTable,
     columns += ["cumulative_colonoscopies", "total_cancer_prevalence",
                 "total_cost"]
 
-    cells = _lineage_rows(table, _by_strategy(
-        lambda s: history_columns(s, cutoffs)))
     prevalences = _lineage_rows(table, lambda t: [
         ",".join(map(repr, psi)) for psi in t.updated.tolist()])
     rows = [f"{i},{key},{c},{psi},{col!r},{crc!r},{cost!r}"
             for i, (key, c, psi, col, crc, cost) in enumerate(zip(
-                keys, cells, prevalences, table.colonoscopies.tolist(),
+                keys, strategies, prevalences, table.colonoscopies.tolist(),
                 table.total[:, 3].tolist(), table.cost.tolist()))]
     _write_csv(out / f"histories_{sex.value}.csv", digest, columns, rows)
 

@@ -11,12 +11,11 @@ agrees with the strategy at every decision node, and zero otherwise.
 
 A :class:`StrategyEvaluator` is one strategy space: the strategies of a
 diagram with the decision rules given at construction pinned. It numbers
-them once, in the order of :func:`enumerate_strategies` (each free
-(decision node, information state) slot a mixed-radix digit, slot 0 most
-significant), decodes a number, and evaluates every strategy at once under
-chance tables given as dense arrays, one batch row per table set;
-:func:`dense_tables` is the one conversion of a diagram's mapping tables to
-that form.
+them once (each free (decision node, information state) slot a mixed-radix
+digit, slot 0 most significant), decodes a number, and evaluates every
+strategy at once under chance tables given as dense arrays, one batch row
+per table set; :func:`dense_tables` is the one conversion of a diagram's
+mapping tables to that form.
 
 Everything here is immutable after construction and all operations are pure,
 so diagrams can be shared freely across threads.
@@ -381,39 +380,6 @@ def path_probability(diagram: InfluenceDiagram, path: Path,
     return upper_bound_probability(diagram, path)
 
 
-def enumerate_strategies(
-    diagram: InfluenceDiagram,
-    fixed: Mapping[int, LocalStrategy] | None = None,
-) -> Iterator[GlobalStrategy]:
-    """Yield every global strategy exactly once, in a deterministic order.
-
-    ``fixed`` pins the rule of selected decision nodes; enumeration then runs
-    over the remaining nodes only, composing the pinned rules into every
-    yielded strategy. A diagram with no (free) decision nodes yields the
-    single strategy consisting of the fixed rules alone.
-    """
-    fixed = dict(fixed or {})
-    free = [n for n in diagram.decision_nodes if n.node_id not in fixed]
-    _check_ceiling(diagram.strategy_count(fixed=tuple(fixed)),
-                   STRATEGY_CEILING, "strategies")
-
-    sizes: list[range] = []
-    for node in free:
-        for info in diagram.info_states(node):
-            sizes.append(range(len(node.states)))
-
-    for assignment in itertools.product(*sizes):
-        rules: dict[int, LocalStrategy] = dict(fixed)
-        offset = 0
-        for node in free:
-            rule = {}
-            for info in diagram.info_states(node):
-                rule[info] = assignment[offset]
-                offset += 1
-            rules[node.node_id] = LocalStrategy(node.node_id, rule)
-        yield GlobalStrategy(rules)
-
-
 # ---------------------------------------------------------------------------
 # Expected values
 # ---------------------------------------------------------------------------
@@ -503,8 +469,8 @@ class StrategyEvaluator:
     A strategy is numbered by its free slots, one per (free decision node,
     information state) in node and then lexicographic order: its action at
     slot s is digit s of the mixed-radix index, slot 0 most significant.
-    That is the order of :func:`enumerate_strategies`; :meth:`strategy`
-    decodes an index and rows of :meth:`objective_matrix` follow it.
+    This is the program's one strategy numbering: :meth:`strategy` decodes
+    an index, and rows of :meth:`objective_matrix` follow it.
 
     Paths are condensed by their decision signature -- the tuple of
     (information state, action) pairs over decision nodes -- so evaluating a

@@ -2,7 +2,7 @@
 
 For each sex the search walks screening periods in order and holds each
 period's histories as one :class:`HistoryTable`: columns of parent rows,
-strategy indices, objectives, prevalences and running accounting, with no
+strategy numbers, objectives, prevalences and running accounting, with no
 per-history objects. One segment diagram per run, women's period 1, gives
 the evaluator of every segment, as segments differ only in chance tables,
 and that period's full-space frontier; each period evaluates its
@@ -34,7 +34,7 @@ baseline run the same functions on one row.
 ``run_phase1`` returns each sex's last table: phase 2 and the CLI read its
 columns and walk its rows' ancestors (:meth:`HistoryTable.lineage`), and
 only tests and the benchmark tracer read rows as :class:`StrategyHistory`
-objects.
+objects; only the rows read or written decode their strategy numbers.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from .diagram import (
 )
 from .errors import CapacityError, InfeasibleBudgetError, OracleMismatchError
 from .pareto import (
+    DiagramProblem,
     EnumeratedProblem,
     ParetoFrontier,
     box_search_frontier,
@@ -170,17 +171,18 @@ class HistoryTable:
     """One period's strategy histories of one sex, one row per history.
 
     Row i extends row ``parent_row[i]`` of ``parent``, the previous
-    period's table, by ``strategies[strategy[i]]``; at period 1 ``parent``
-    is None and every row extends the empty history at ``start``. The
-    other columns are that period's reported objectives (rows x
-    objectives, per invitee), the updated and the population-weighted
-    total prevalence (rows x 4, state order), and the cumulative
-    colonoscopies and cost (cohort-scaled). ``weight`` is the cohort size
-    summed over periods 1..``period``.
+    period's table, by strategy ``strategy[i]``; at period 1 ``parent`` is
+    None and every row extends the empty history at ``start``. The other
+    columns are that period's reported objectives (rows x objectives, per
+    invitee), the updated and the population-weighted total prevalence
+    (rows x 4, state order), and the cumulative colonoscopies and cost
+    (cohort-scaled). ``weight`` is the cohort size summed over periods
+    1..``period``.
 
-    ``strategies`` are the period's class representatives by ascending
-    index, which on a segment diagram is ascending ``GlobalStrategy.key``
-    order, so comparing ``strategy`` values compares the keys.
+    ``strategy`` holds strategy numbers of ``problem``, the run-start
+    problem that every table of a run shares: it decodes them and names and
+    orients the objectives. Ascending numbers are ascending
+    ``GlobalStrategy.key`` order.
 
     Read as a sequence (``len``, indexing, iteration), rows build their
     :class:`StrategyHistory` objects in one pass over :meth:`lineage`, the
@@ -193,9 +195,7 @@ class HistoryTable:
     period: int
     weight: float
     start: PrevalenceVector
-    strategies: tuple[GlobalStrategy, ...]
-    names: tuple[str, ...]
-    orientations: tuple[str, ...]
+    problem: DiagramProblem
     parent: HistoryTable | None
     parent_row: np.ndarray
     strategy: np.ndarray
@@ -245,17 +245,21 @@ class HistoryTable:
 
     def _histories(self, rows) -> list[StrategyHistory]:
         """Each of ``rows`` as a history, in one pass over :meth:`lineage`
-        that builds a period's record once per ancestor row there."""
+        that builds a period's record once per ancestor row there and
+        decodes each distinct strategy number there once."""
         rows = np.asarray(rows, dtype=np.intp)
         chains = [()] * len(rows)
         for table, at in self.lineage(rows):
             wanted, first, inverse = np.unique(at, return_index=True,
                                                return_inverse=True)
+            problem = table.problem
+            decoded = {s: problem.strategy(s)
+                       for s in set(table.strategy[wanted].tolist())}
             made = [PeriodRecord(
                 period=table.period,
-                strategy=table.strategies[s],
-                objectives=ObjectiveVector(tuple(values), table.orientations,
-                                           table.names),
+                strategy=decoded[s],
+                objectives=ObjectiveVector(tuple(values), problem.orientations,
+                                           problem.names),
                 start_prevalence=(chains[i][-1].updated_prevalence
                                   if chains[i] else table.start),
                 updated_prevalence=PrevalenceVector(*psi))
@@ -283,8 +287,8 @@ def remove_dominated(histories: HistoryTable,
     most i's in every key and below them in one, compared as floats with no
     tolerance (:func:`~screenopt.pareto.skyline`). ``cross_check`` compares
     that mask with the all-pairs filter of the same rule. Output order is
-    deterministic: sorted by dominance key, then by the strategy keys of
-    periods 1, 2, ... (each period's ``strategy`` column ascends with them).
+    deterministic: sorted by dominance key, then by the strategy numbers of
+    periods 1, 2, ..., which ascend with the strategy keys.
     """
     keys = histories.dominance_keys()
     mask = skyline(keys)
@@ -419,12 +423,13 @@ def _extend_period(params, sex, k, previous, budget, cross_check, start):
     the first start's row must be ``start.problem``'s matrix bit for bit,
     and ``start`` is its full-space frontier. Each checked history, the
     first or under ``cross_check`` every one, has one exact matrix, the
-    first start's row or under ``cross_check`` the dense evaluation: every
-    strategy must be within ``LINEARITY_TOL`` of its class's sum, and the
-    history's frontier candidates, in order, those of the matrix's own
+    first start's row or under ``cross_check`` the dense evaluation, which
+    at the first start must be that row bit for bit: every strategy must
+    be within ``LINEARITY_TOL`` of its class's sum, and the history's
+    frontier candidates, in order, those of the matrix's own
     :func:`checked_frontier`. The budget then clears mask bits; the set
     bits, row-major, are the table's rows, by parent and then in frontier
-    order.
+    order, each numbered as its class representative in ``start.problem``.
     """
     segment = Segment(sex, k)
     label = f"for sex={sex.value} period={k}"
@@ -452,6 +457,10 @@ def _extend_period(params, sex, k, previous, budget, cross_check, start):
     for h in range(len(starts)) if cross_check else (0,):
         exact = base.evaluator.dense_objective_matrix(segment_tables(
             params, segment, starts[[h]]))[0] if cross_check else at_start
+        if cross_check and not h and not np.array_equal(exact, at_start):
+            raise OracleMismatchError(
+                f"the first start's dense evaluation differs from its "
+                f"array-path row {label}")
         scale = vertex_sum(np.abs(starts[[h]]), np.abs(vertex[class_of]))[0]
         if not np.all(np.abs(reported[h, class_of] - exact)
                       <= LINEARITY_TOL * scale):
@@ -471,7 +480,7 @@ def _extend_period(params, sex, k, previous, budget, cross_check, start):
     col = before_col[:, None] + \
         -reported[:, :, names.index("colonoscopy")] * cohort
     keep &= np.take_along_axis(col <= budget + BUDGET_TOL, rows, axis=1)
-    parent, position = np.nonzero(keep)
+    parent, at = np.nonzero(keep)
     if previous is not None and len(parent) > HISTORY_CAP:
         raise CapacityError(f"{len(parent)} histories at period {k} exceed "
                             f"the cap of {HISTORY_CAP}")
@@ -480,8 +489,8 @@ def _extend_period(params, sex, k, previous, budget, cross_check, start):
             f"budget {budget} removes every history at period {k} for "
             f"sex={sex.value}")
 
-    strategy = rows[parent, position]
-    values = reported[parent, strategy]
+    position = rows[parent, at]
+    values = reported[parent, position]
     updated = update_prevalence_rows(
         starts[parent], values[:, [names.index(n) for n in DETECTIONS]],
         params.transition(segment))
@@ -492,11 +501,10 @@ def _extend_period(params, sex, k, previous, budget, cross_check, start):
                                     updated, cohort)
         weight = previous.weight + cohort
     return HistoryTable(
-        sex=sex, period=k, weight=weight, start=psi,
-        strategies=tuple(base.strategy(r) for r in reps.tolist()),
-        names=names, orientations=base.orientations, parent=previous,
-        parent_row=parent, strategy=strategy, reported=values,
-        updated=updated, total=total, colonoscopies=col[parent, strategy],
+        sex=sex, period=k, weight=weight, start=psi, problem=base,
+        parent=previous, parent_row=parent, strategy=reps[position],
+        reported=values, updated=updated, total=total,
+        colonoscopies=col[parent, position],
         cost=before_cost[parent] + values[:, names.index("cost")] * cohort)
 
 

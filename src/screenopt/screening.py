@@ -462,7 +462,7 @@ def load_parameters(doc: Mapping[str, Any]) -> tuple[ParameterBundle, LoadReport
         population=_per_sex(doc["population"], "population", _cohort_sizes,
                             periods),
         options=_load_options(doc.get("options"), fit, report),
-        description=str(doc.get("description", "")),
+        description=_string(doc.get("description", ""), "description"),
     )
     _check_totals(bundle)
     return bundle, report
@@ -520,6 +520,12 @@ def _probability(value: Any, path: str) -> float:
     return value
 
 
+def _string(value: Any, path: str) -> str:
+    if not isinstance(value, str):
+        raise ParameterError(path, "must be a string")
+    return value
+
+
 def _number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParameterError(path, "must be a number")
@@ -559,7 +565,7 @@ def _load_fit(section: Any, report: LoadReport) -> FitTestCharacteristics:
                 f"fit.sensitivity.{state}: not weakly decreasing along "
                 f"declared cut-off order")
     return FitTestCharacteristics(
-        unit=str(section["unit"]),
+        unit=_string(section["unit"], "fit.unit"),
         cutoffs=cutoffs,
         sensitivity=sensitivity,
         specificity=_probabilities(section["specificity"], "fit.specificity",

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import screenopt.diagram
 import screenopt.phase1
 from screenopt.diagram import (
     GlobalStrategy,
@@ -83,6 +84,28 @@ def break_linearity(monkeypatch, fault):
             return np.append(reps[-1], reps[1:]), class_of
 
         monkeypatch.setattr(screenopt.phase1, "strategy_classes", patched)
+
+
+def nudge_dense(monkeypatch, nudge, first):
+    """Patch the dense evaluation to return ``nudge`` of its matrix at each
+    period's first history only (``first``), or at every history but each
+    period's first."""
+    period_values = screenopt.phase1.period_values
+    dense = screenopt.diagram.StrategyEvaluator.dense_objective_matrix
+    calls = []
+
+    def new_period(*args):
+        calls.clear()
+        return period_values(*args)
+
+    def nudged(self, tables):
+        calls.append(None)
+        out = dense(self, tables)
+        return nudge(out) if (len(calls) == 1) == first else out
+
+    monkeypatch.setattr(screenopt.phase1, "period_values", new_period)
+    monkeypatch.setattr(screenopt.diagram.StrategyEvaluator,
+                        "dense_objective_matrix", nudged)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+import screenopt.diagram
 from screenopt import cli
-from screenopt.diagram import DETECTION_TOL, ZERO_TOL, NodeKind
+from screenopt.diagram import (
+    DETECTION_TOL,
+    ZERO_TOL,
+    GlobalStrategy,
+    LocalStrategy,
+    NodeKind,
+)
+from screenopt.errors import CapacityError
 from screenopt.pareto import diagram_problem
 from screenopt.phase1 import BUDGET_TOL, baseline_trajectory, run_phase1
 from screenopt.phase2 import SelectionProblem, SelectionResult, budget_sweep
@@ -187,6 +195,34 @@ def dominates(a, b, tol=0.0):
     exact by default; ``tol`` widens both comparisons."""
     return all(x <= y + tol for x, y in zip(a, b)) and any(
         x < y - tol for x, y in zip(a, b))
+
+
+def enumerate_strategies(diagram, fixed=None):
+    """Yield every global strategy exactly once, the reference of
+    ``StrategyEvaluator``'s numbering: nested loops over the free (decision
+    node, information state) slots, slot 0 outermost.
+
+    ``fixed`` pins the rule of selected decision nodes; enumeration then runs
+    over the remaining nodes only, composing the pinned rules into every
+    yielded strategy. A diagram with no (free) decision nodes yields the
+    single strategy consisting of the fixed rules alone. More strategies
+    than ``screenopt.diagram.STRATEGY_CEILING`` raise ``CapacityError``.
+    """
+    fixed = dict(fixed or {})
+    free = [n for n in diagram.decision_nodes if n.node_id not in fixed]
+    count = diagram.strategy_count(fixed=tuple(fixed))
+    if count > screenopt.diagram.STRATEGY_CEILING:
+        raise CapacityError(f"{count} strategies exceed the ceiling")
+
+    sizes = [range(len(node.states)) for node in free
+             for _ in diagram.info_states(node)]
+    for assignment in itertools.product(*sizes):
+        rules = dict(fixed)
+        digits = iter(assignment)
+        for node in free:
+            rules[node.node_id] = LocalStrategy(node.node_id, {
+                info: next(digits) for info in diagram.info_states(node)})
+        yield GlobalStrategy(rules)
 
 
 def compatible_path_probabilities(diagram, strategy):

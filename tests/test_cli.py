@@ -20,6 +20,7 @@ import screenopt.phase1
 from conftest import (
     LINEARITY_FAULTS,
     break_linearity,
+    nudge_dense,
     random_params_doc,
     small_doc,
 )
@@ -326,6 +327,29 @@ class TestPipeline:
                      "--params", str(small_params),
                      "--out", str(tmp_path / "x"), "--cross-check"]) == 0
 
+    def test_decodes_only_the_strategies_written(self, default_bundle,
+                                                 tmp_path, monkeypatch):
+        # phase 1 keeps strategy numbers, and the writers decode each
+        # distinct number that a period's written rows hold once: 80 on the
+        # shipped parameters, against 183 class representatives
+        decode = screenopt.diagram.StrategyEvaluator.strategy
+        calls = []
+
+        def counting(self, index):
+            calls.append(index)
+            return decode(self, index)
+
+        monkeypatch.setattr(screenopt.diagram.StrategyEvaluator, "strategy",
+                            counting)
+        tables = screenopt.phase1.run_phase1(default_bundle, budget=20000.0)
+        assert calls == []
+        written = sum(len(np.unique(t.strategy[rows]))
+                      for table in tables.values()
+                      for t, rows in table.lineage(np.arange(len(table))))
+        assert main(["pipeline", "--budgets", "8000,12000,16000,20000",
+                     "--out", str(tmp_path / "x")]) == 0
+        assert len(calls) == written <= 87
+
     def test_pipeline_builds_no_history_objects(self, small_params, tmp_path,
                                                 monkeypatch):
         # phase 2 and the writers read the tables' columns and lineage
@@ -387,38 +411,38 @@ class TestPipeline:
 
     def test_dense_evaluation_mismatch_exits_three(self, small_params,
                                                    tmp_path, monkeypatch):
-        # nonzero values one ulp up stay within the linearity bound, a
-        # relative 1e-12 leaves it
+        # nonzero values one ulp up at every history but each period's
+        # first (whose dense row must be its array-path row bit for bit)
+        # stay within the linearity bound, a relative 1e-12 leaves it
         dense = screenopt.diagram.StrategyEvaluator.dense_objective_matrix
-        for nudge, code in ((one_ulp, 0), (lambda m: m * (1 + 1e-12), 3)):
-            monkeypatch.setattr(
-                screenopt.diagram.StrategyEvaluator, "dense_objective_matrix",
-                lambda self, tables, nudge=nudge: nudge(dense(self, tables)))
+        argv = ["pipeline", "--budgets", "500,1500,4000",
+                "--params", str(small_params), "--out", str(tmp_path / "x"),
+                "--cross-check"]
+        nudge_dense(monkeypatch, one_ulp, first=False)
+        assert main(argv) == 0
+        monkeypatch.setattr(
+            screenopt.diagram.StrategyEvaluator, "dense_objective_matrix",
+            lambda self, tables: dense(self, tables) * (1 + 1e-12))
+        assert main(argv) == 3
+
+    def test_cross_check_compares_the_first_start_bit_for_bit(
+            self, small_params, tmp_path, monkeypatch, capsys):
+        # one ulp at each period's first history is within the linearity
+        # bound; only the bit-for-bit comparison with the array-path row
+        # that the run already evaluated catches it
+        nudge_dense(monkeypatch, one_ulp, first=True)
+        for flags, code in (([], 0), (["--cross-check"], 3)):
             assert main(["pipeline", "--budgets", "500,1500,4000",
                          "--params", str(small_params),
-                         "--out", str(tmp_path / "x"),
-                         "--cross-check"]) == code
+                         "--out", str(tmp_path / "x"), *flags]) == code
+        assert "first start's dense evaluation differs" in \
+            capsys.readouterr().err
 
     def test_cross_check_checks_every_history(self, small_params, tmp_path,
                                               monkeypatch, capsys):
         # the dense evaluation off by a relative 1e-12 at every history but
         # each period's first: only checking every history catches it
-        period_values = screenopt.phase1.period_values
-        dense = screenopt.diagram.StrategyEvaluator.dense_objective_matrix
-        calls = []
-
-        def new_period(*args):
-            calls.clear()
-            return period_values(*args)
-
-        def nudged(self, tables):
-            calls.append(None)
-            out = dense(self, tables)
-            return out if len(calls) == 1 else out * (1 + 1e-12)
-
-        monkeypatch.setattr(screenopt.phase1, "period_values", new_period)
-        monkeypatch.setattr(screenopt.diagram.StrategyEvaluator,
-                            "dense_objective_matrix", nudged)
+        nudge_dense(monkeypatch, lambda m: m * (1 + 1e-12), first=False)
         for flags, code in (([], 0), (["--cross-check"], 3)):
             assert main(["pipeline", "--budgets", "500,1500,4000",
                          "--params", str(small_params),

@@ -19,6 +19,7 @@ import pytest
 
 import screenopt.diagram
 from conftest import random_diagram, random_strategy
+from oracles import enumerate_strategies
 from screenopt.diagram import (
     GlobalStrategy,
     InfluenceDiagram,
@@ -29,7 +30,6 @@ from screenopt.diagram import (
     ValueSpec,
     dense_tables,
     enumerate_paths,
-    enumerate_strategies,
     expected_values,
     path_probability,
     upper_bound_probability,

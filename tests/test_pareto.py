@@ -21,12 +21,12 @@ from conftest import matrix_problem, random_diagram
 from oracles import (
     compatible_path_probabilities,
     dominates,
+    enumerate_strategies,
     nondominated_prefix,
     objective,
 )
 from screenopt.diagram import (
     LocalStrategy,
-    enumerate_strategies,
     expected_values,
 )
 from screenopt.errors import IterationLimitError

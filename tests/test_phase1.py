@@ -24,6 +24,7 @@ from conftest import (
     _random_simplex,
     break_linearity,
     extreme_params_doc,
+    nudge_dense,
     random_params_doc,
     small_doc,
 )
@@ -292,27 +293,28 @@ class TestDetectedFractions:
 def key_table(keys, strategy_keys=None, parent=None, parent_row=None):
     """A history table whose rows have the given dominance keys.
 
-    Its strategies are stubs with the given distinct keys (one per row by
-    default), which must ascend with the strategy index as a period's
-    class representatives' keys do; ``parent`` makes it a period-2 table
-    over those parent rows.
+    Its problem decodes strategy number i to a stub with the ith of the
+    given distinct keys (one per row by default), which must ascend with
+    the number as a run's strategy keys do; ``parent`` makes it a period-2
+    table over those parent rows.
     """
     keys = np.asarray(keys, dtype=float).reshape(-1, 4)
     n = len(keys)
     if strategy_keys is None:
         strategy_keys = [(i,) for i in range(n)]
-    strategies = tuple(SimpleNamespace(key=k) for k in strategy_keys)
+    problem = SimpleNamespace(
+        strategy=lambda i: SimpleNamespace(key=strategy_keys[i]),
+        names=("cost",), orientations=("minimize",))
     zero = np.zeros(n)
     updated = np.stack([1.0 - keys[:, 1] - keys[:, 2], zero, keys[:, 2],
                         keys[:, 1]], axis=1)
     total = np.stack([1.0 - keys[:, 0], zero, zero, keys[:, 0]], axis=1)
     return HistoryTable(
         sex=Sex.F, period=1 if parent is None else parent.period + 1,
-        weight=1.0, start=WORKED_PSI, strategies=strategies,
-        names=("cost",), orientations=("minimize",), parent=parent,
+        weight=1.0, start=WORKED_PSI, problem=problem, parent=parent,
         parent_row=(np.zeros(n, dtype=np.intp) if parent_row is None
                     else np.asarray(parent_row, dtype=np.intp)),
-        strategy=np.arange(n) % max(len(strategies), 1),
+        strategy=np.arange(n) % max(len(strategy_keys), 1),
         reported=np.zeros((n, 1)), updated=updated, total=total,
         colonoscopies=keys[:, 3].copy(), cost=zero)
 
@@ -765,12 +767,13 @@ class TestPeriodTableOrder:
                 else:
                     psi = PrevalenceVector(*parent.updated[p].tolist())
                     before = float(parent.colonoscopies[p])
-                points = segment_frontier(bundle, segment, psi).points
-                want = [pt.strategy.key for pt in points
+                frontier = segment_frontier(bundle, segment, psi)
+                points = frontier.points
+                want = [c for c, pt in zip(frontier.candidates.tolist(),
+                                           points)
                         if before + -objective(pt.objectives, "colonoscopy")
                         * cohort <= budget + BUDGET_TOL]
-                got = [table.strategies[s].key
-                       for s in table.strategy[table.parent_row == p]]
+                got = table.strategy[table.parent_row == p].tolist()
                 assert got == want
                 over_budget += len(points) - len(want)
         assert over_budget  # the budget removed some frontier points
@@ -810,26 +813,38 @@ class TestLineage:
 
     @staticmethod
     def assert_rows_are_the_lineage(table):
-        # each row's records are its ancestors' columns, and rows with a
-        # common ancestor share that period's record object
+        # each row's records are its ancestors' columns, rows with a
+        # common ancestor share that period's record object, and records
+        # of one strategy number share its one decode
         histories = list(table)
         lineage = table.lineage(np.arange(len(table)))
-        assert table[-1] == histories[-1]
-        assert table[1:3] == histories[1:3]
+
+        def by_key(rows):
+            # each call decodes afresh, so compare strategies by key
+            return [dataclasses.replace(h, records=tuple(
+                dataclasses.replace(r, strategy=r.strategy.key)
+                for r in h.records)) for h in rows]
+
+        assert by_key([table[-1]]) == by_key(histories[-1:])
+        assert by_key(table[1:3]) == by_key(histories[1:3])
         assert table[3:1] == []
-        assert table[::2] == histories[::2]
+        assert by_key(table[::2]) == by_key(histories[::2])
         shared_somewhere = False
         for k, (t, at) in enumerate(lineage):
-            records = {}
+            records, decoded = {}, {}
             for i, (h, a) in enumerate(zip(histories, at.tolist())):
                 record = h.records[k]
                 assert records.setdefault(a, record) is record
                 assert record.period == t.period == k + 1
-                assert record.strategy is t.strategies[t.strategy[a]]
+                number = int(t.strategy[a])
+                assert decoded.setdefault(number, record.strategy) is \
+                    record.strategy
+                assert record.strategy.key == t.problem.strategy(number).key
                 assert record.objectives.values == \
                     tuple(t.reported[a].tolist())
-                assert record.objectives.names == t.names
-                assert record.objectives.orientations == t.orientations
+                assert record.objectives.names == t.problem.names
+                assert record.objectives.orientations == \
+                    t.problem.orientations
                 if k == 0:
                     start = table.start.as_tuple()
                 else:
@@ -1249,27 +1264,28 @@ class TestStrategyClasses:
 
     def test_cross_check_compares_rows_with_dense_evaluation(
             self, monkeypatch):
-        # only the dense oracle moves: its nonzero values by one ulp stay
-        # within the linearity bound, by a relative 1e-12 they leave it,
-        # and the frontier checks still agree, so the row comparison alone
-        # must catch it
-        dense = screenopt.diagram.StrategyEvaluator.dense_objective_matrix
+        # only the dense oracle moves, past each period's first history
+        # (whose dense row must be its array-path row bit for bit): its
+        # nonzero values by one ulp stay within the linearity bound, by a
+        # relative 1e-12 they leave it, and the frontier checks still
+        # agree, so the row comparison alone must catch it
         rng = np.random.default_rng(263)
         bundle, _ = load_parameters(random_params_doc(rng, periods=2,
                                                       n_cutoffs=2))
         for nudge, fails in ((one_ulp, False),
                              (lambda m: m * (1 + 1e-12), True)):
-            monkeypatch.setattr(
-                screenopt.diagram.StrategyEvaluator, "dense_objective_matrix",
-                lambda self, tables, nudge=nudge: nudge(dense(self, tables)))
-            run_phase1(bundle, budget=1e9, periods=2)
-            if fails:
-                with pytest.raises(OracleMismatchError,
-                                   match="dense evaluation"):
+            with monkeypatch.context() as patch:
+                nudge_dense(patch, nudge, first=False)
+                run_phase1(bundle, budget=1e9, periods=2)
+                if fails:
+                    with pytest.raises(OracleMismatchError,
+                                       match="dense evaluation differs from "
+                                             "its class's vertex sum"):
+                        run_phase1(bundle, budget=1e9, periods=2,
+                                   cross_check=True)
+                else:
                     run_phase1(bundle, budget=1e9, periods=2,
                                cross_check=True)
-            else:
-                run_phase1(bundle, budget=1e9, periods=2, cross_check=True)
 
 
 class TestLinearityCertificate:
@@ -1318,11 +1334,15 @@ class TestLinearityCertificate:
                                         PrevalenceVector(*starts[0])).problem
                 assert_bits(at_start, base.reported)
                 reps, _ = strategy_classes(values)
-                assert [s.key for s in period.strategies] == \
-                    [base.strategy(r).key for r in reps.tolist()]
+                # every row's number is a class representative's, as its
+                # segment's own diagram numbers it
+                numbers = np.unique(period.strategy).tolist()
+                assert np.isin(numbers, reps).all()
+                assert [period.problem.strategy(n).key for n in numbers] == \
+                    [base.strategy(n).key for n in numbers]
                 rows = vertex_sum(starts, values[reps])
-                assert_bits(period.reported,
-                            rows[period.parent_row, period.strategy])
+                assert_bits(period.reported, rows[
+                    period.parent_row, np.searchsorted(reps, period.strategy)])
                 bound = LINEARITY_TOL * vertex_sum(starts,
                                                    np.abs(values[reps]))
                 for block in np.array_split(np.arange(len(starts)),
@@ -1346,15 +1366,21 @@ class TestLinearityCertificate:
 
 
 class TestStrategyOrder:
-    """Every period's strategies are its class representatives by
-    ascending index, and ``remove_dominated`` breaks ties on the index
-    because that order is the strategy-key order."""
+    """Every period's table numbers its strategies in the run's one
+    strategy space, where ascending numbers are ascending strategy keys, so
+    ``remove_dominated`` breaks ties on the numbers."""
 
     @staticmethod
-    def assert_keys_ascend(table):
+    def assert_keys_ascend(last):
+        problem = last.problem
+        keys = [problem.strategy(n).key
+                for n in range(problem.n_candidates)]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        table = last
         while table is not None:
-            keys = [s.key for s in table.strategies]
-            assert all(a < b for a, b in zip(keys, keys[1:])), table.period
+            assert table.problem is problem, table.period
+            assert np.all((0 <= table.strategy)
+                          & (table.strategy < problem.n_candidates))
             table = table.parent
 
     @pytest.mark.parametrize("change", [

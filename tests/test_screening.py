@@ -673,6 +673,9 @@ _LOADER_ERRORS = [
      "prevalence0.M.crc", "must be finite"),
     ([(("transitions", "F", 1, "large_to_crc"), 100)],
      "transitions.F[1].large_to_crc", "probability 100.0 outside [0, 1]"),
+    # strings
+    ([(("fit", "unit"), None)], "fit.unit", "must be a string"),
+    ([(("description",), {"a": 1})], "description", "must be a string"),
     # list lengths and period counts
     ([(("participation", "return", "F"), {})],
      "participation.return.F", "must be a non-empty list"),
