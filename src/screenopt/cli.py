@@ -173,7 +173,17 @@ def _load(args) -> tuple[ParameterBundle, list[str], list[str], str]:
     except OSError as exc:
         raise ParameterError(str(path), exc.strerror) from None
     digest = hashlib.sha256(raw).hexdigest()
-    bundle, report = load_parameters(json.loads(raw.decode("utf-8")))
+
+    def without_repeats(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ParameterError(str(path), f"repeated key {key!r}")
+            obj[key] = value
+        return obj
+
+    bundle, report = load_parameters(json.loads(
+        raw.decode("utf-8"), object_pairs_hook=without_repeats))
     bundle = _apply_flags(bundle, args)
     return bundle, report.defaults, report.warnings, digest
 
@@ -349,14 +359,6 @@ def _cmd_pipeline(args) -> int:
 
     histories = run_phase1(bundle, budget=max(budgets), periods=periods,
                            objective_mask=mask, cross_check=args.cross_check)
-    cutoffs = bundle.effective_cutoffs()
-    policy, strategies = {}, {}
-    for sex in (Sex.F, Sex.M):
-        policy[sex], strategies[sex] = _strategy_rows(histories[sex], cutoffs)
-    # Cut-off labels hold neither "," nor "|", so a history's key is its
-    # policy cells joined by "|" instead of ",".
-    keys = {sex: _unique_keys([row.replace(",", "|") for row in policy[sex]])
-            for sex in (Sex.F, Sex.M)}
     problem = selection_problem_from_histories(bundle, histories)
     results = budget_sweep(problem, budgets)
     if args.cross_check and results != dense_pair_sweep(problem, budgets):
@@ -364,12 +366,12 @@ def _cmd_pipeline(args) -> int:
             "budget sweep differs from the dense pair scan")
 
     _write_manifest(args, bundle, budgets, periods, digest)
+    rows = {}
     for sex in (Sex.F, Sex.M):
-        _write_histories(args.out, digest, sex, histories[sex], keys[sex],
-                         strategies[sex], periods)
-    _write_selection(args.out, digest, results, keys)
-    _write_policy_table(args.out, digest, results, policy, periods)
-    _write_series(args.out, digest, bundle, results, histories, periods)
+        rows[sex], lines = _history_rows(histories[sex],
+                                         bundle.effective_cutoffs())
+        _write_histories(args.out, digest, sex, lines, periods)
+    _write_cases(args.out, digest, bundle, results, rows, periods)
     print(f"wrote pipeline outputs to {args.out}")
     return 0
 
@@ -405,23 +407,14 @@ def _write_manifest(args, bundle, budgets, periods, digest) -> None:
                                             encoding="utf-8")
 
 
-def _lineage_rows(table: HistoryTable, block) -> list[str]:
-    """Each row of a period table's blocks and its ancestors', period 1
-    first, joined by ","; ``block(t)`` renders one string per row of a
-    period table ``t``."""
-    periods = []
-    for t, rows in table.lineage(np.arange(len(table))):
-        rendered = block(t)
-        periods.append([rendered[r] for r in rows.tolist()])
-    return [",".join(cells) for cells in zip(*periods)]
-
-
-def _strategy_rows(table: HistoryTable,
-                   cutoffs) -> tuple[list[str], list[str]]:
-    """Each row's policy cells and its histories-file strategy columns,
-    period 1 first, each joined by ","; a period decodes each distinct
-    strategy number of the rows it writes once, for both."""
-    policy, columns = [], []
+def _history_rows(table: HistoryTable,
+                  cutoffs) -> tuple[list[tuple], list[str]]:
+    """Per row of the last table, its policy cells (period 1 first, joined
+    by ","), key and running total cancer prevalences, and its line of the
+    histories file. In one walk of the lineage, a period decodes each
+    distinct strategy number of the rows it writes once and renders each
+    ancestor row it writes once."""
+    policy, columns, blocks, totals = [], [], [], []
     for t, rows in table.lineage(np.arange(len(table))):
         numbers, inverse = np.unique(t.strategy[rows], return_inverse=True)
         decoded = [t.problem.strategy(n) for n in numbers.tolist()]
@@ -429,12 +422,25 @@ def _strategy_rows(table: HistoryTable,
                             (columns, history_columns)):
             cells = [render(s, cutoffs) for s in decoded]
             out.append([cells[i] for i in inverse.tolist()])
-    return ([",".join(row) for row in zip(*policy)],
-            [",".join(row) for row in zip(*columns)])
+        ancestors, at = np.unique(rows, return_inverse=True)
+        rendered = [",".join(map(repr, psi))
+                    for psi in t.updated[ancestors].tolist()]
+        blocks.append([rendered[i] for i in at.tolist()])
+        totals.append(t.total[rows, 3].tolist())
+    policy = [",".join(row) for row in zip(*policy)]
+    # Cut-off labels hold neither "," nor "|", so a history's key is its
+    # policy cells joined by "|" instead of ",".
+    keys = _unique_keys([row.replace(",", "|") for row in policy])
+    totals = list(zip(*totals))
+    lines = [f"{i},{key},{c},{psi},{col!r},{running[-1]!r},{cost!r}"
+             for i, (key, c, psi, running, col, cost) in enumerate(zip(
+                 keys, map(",".join, zip(*columns)),
+                 map(",".join, zip(*blocks)), totals,
+                 table.colonoscopies.tolist(), table.cost.tolist()))]
+    return list(zip(policy, keys, totals)), lines
 
 
-def _write_histories(out: Path, digest: str, sex: Sex, table: HistoryTable,
-                     keys: list[str], strategies: list[str],
+def _write_histories(out: Path, digest: str, sex: Sex, lines: list[str],
                      periods: int) -> None:
     columns = ["index", "key"]
     for k in range(1, periods + 1):
@@ -443,59 +449,14 @@ def _write_histories(out: Path, digest: str, sex: Sex, table: HistoryTable,
         columns += [f"normal_{k}", f"benign_{k}", f"large_{k}", f"crc_{k}"]
     columns += ["cumulative_colonoscopies", "total_cancer_prevalence",
                 "total_cost"]
-
-    prevalences = _lineage_rows(table, lambda t: [
-        ",".join(map(repr, psi)) for psi in t.updated.tolist()])
-    rows = [f"{i},{key},{c},{psi},{col!r},{crc!r},{cost!r}"
-            for i, (key, c, psi, col, crc, cost) in enumerate(zip(
-                keys, strategies, prevalences, table.colonoscopies.tolist(),
-                table.total[:, 3].tolist(), table.cost.tolist()))]
-    _write_csv(out / f"histories_{sex.value}.csv", digest, columns, rows)
+    _write_csv(out / f"histories_{sex.value}.csv", digest, columns, lines)
 
 
-def _write_selection(out: Path, digest: str, results, keys) -> None:
-    """One row per budget, the rest rendered once per distinct selection."""
-    columns = ("budget", "female_index", "female_key", "male_index",
-               "male_key", "cancer_prevalence", "total_colonoscopies",
-               "total_cost", "feasible")
-    tails: dict[tuple, str] = {}
-    rows = []
-    for res in results:
-        chosen = (res.female_index, res.male_index, res.cancer_share,
-                  res.total_colonoscopies, res.total_cost, res.feasible)
-        if chosen not in tails:
-            f, m = chosen[:2]
-            tails[chosen] = ",".join(map(_fmt, (
-                f, keys[Sex.F][f], m, keys[Sex.M][m],
-                *chosen[2:])))
-        rows.append(f"{_fmt(res.budget)},{tails[chosen]}")
-    _write_csv(out / "selection.csv", digest, columns, rows)
-
-
-def _write_policy_table(out: Path, digest: str, results, cells,
-                        periods: int) -> None:
-    """``cells`` maps each sex's last-table rows to their policy cells."""
-    columns = ["case", "budget", "sex"] + [
-        f"age_{Segment(Sex.F, k).age}" for k in range(1, periods + 1)]
-    rows = []
-    for case, res in enumerate(results, start=1):
-        head = f"case{case},{_fmt(res.budget)}"
-        rows += [f"{head},F,{cells[Sex.F][res.female_index]}",
-                 f"{head},M,{cells[Sex.M][res.male_index]}"]
-    _write_csv(out / "policy_table.csv", digest, columns, rows)
-
-
-def _selected(results, sex: Sex) -> list[int]:
-    return [r.female_index if sex is Sex.F else r.male_index
-            for r in results]
-
-
-def _write_series(out: Path, digest: str, bundle, results, histories,
-                  periods: int) -> None:
-    """Each case's running total cancer prevalence per sex and combined,
-    one block of lines per distinct selected pair. A selected row's running
-    totals are its ancestors' ``total`` column."""
-    columns = ("case", "budget", "sex", "round", "total_cancer_prevalence")
+def _write_cases(out: Path, digest: str, bundle, results, rows,
+                 periods: int) -> None:
+    """``selection.csv``, ``policy_table.csv`` and
+    ``prevalence_series.csv``: a case per budget, each distinct selection
+    rendered once from its rows of :func:`_history_rows`."""
     weights = [(bundle.total_population(Sex.F, periods=k),
                 bundle.total_population(Sex.M, periods=k))
                for k in range(1, periods + 1)]
@@ -508,25 +469,37 @@ def _write_series(out: Path, digest: str, bundle, results, histories,
                       f"combined,{k},{(f * wf + m * wm) / (wf + wm)!r}"]
         return lines
 
-    rows = ["baseline,," + line for line in block(*(
+    series = ["baseline,," + line for line in block(*(
         [entry.total_prevalence.crc
          for entry in baseline_trajectory(bundle, sex, periods)]
         for sex in (Sex.F, Sex.M)))]
-    running = {}
-    for sex in (Sex.F, Sex.M):
-        chosen = sorted(set(_selected(results, sex)))
-        totals = [t.total[r, 3].tolist()
-                  for t, r in histories[sex].lineage(np.array(chosen))]
-        running[sex] = dict(zip(chosen, zip(*totals)))
-    blocks: dict[tuple[int, int], list[str]] = {}
+    selection, policy, rendered = [], [], {}
     for case, res in enumerate(results, start=1):
-        pair = (res.female_index, res.male_index)
-        if pair not in blocks:
-            blocks[pair] = block(running[Sex.F][pair[0]],
-                                 running[Sex.M][pair[1]])
-        head = f"case{case},{_fmt(res.budget)},"
-        rows += [head + line for line in blocks[pair]]
-    _write_csv(out / "prevalence_series.csv", digest, columns, rows)
+        chosen = (res.female_index, res.male_index, res.cancer_share,
+                  res.total_colonoscopies, res.total_cost, res.feasible)
+        if chosen not in rendered:
+            f_cells, f_key, f_totals = rows[Sex.F][chosen[0]]
+            m_cells, m_key, m_totals = rows[Sex.M][chosen[1]]
+            rendered[chosen] = (
+                ",".join(map(_fmt, (chosen[0], f_key, chosen[1], m_key,
+                                    *chosen[2:]))),
+                f"F,{f_cells}", f"M,{m_cells}", block(f_totals, m_totals))
+        tail, female, male, lines = rendered[chosen]
+        budget = _fmt(res.budget)
+        head = f"case{case},{budget},"
+        selection.append(f"{budget},{tail}")
+        policy += [head + female, head + male]
+        series += [head + line for line in lines]
+    _write_csv(out / "selection.csv", digest,
+               ("budget", "female_index", "female_key", "male_index",
+                "male_key", "cancer_prevalence", "total_colonoscopies",
+                "total_cost", "feasible"), selection)
+    _write_csv(out / "policy_table.csv", digest, ["case", "budget", "sex"] + [
+        f"age_{Segment(Sex.F, k).age}" for k in range(1, periods + 1)],
+        policy)
+    _write_csv(out / "prevalence_series.csv", digest,
+               ("case", "budget", "sex", "round", "total_cancer_prevalence"),
+               series)
 
 
 def _cmd_baseline(args) -> int:

@@ -184,11 +184,10 @@ class HistoryTable:
     orients the objectives. Ascending numbers are ascending
     ``GlobalStrategy.key`` order.
 
-    Read as a sequence (``len``, indexing, iteration), rows build their
-    :class:`StrategyHistory` objects in one pass over :meth:`lineage`, the
-    only walk of the parent rows, and rows read together share their common
-    ancestors' records. Only tests and the benchmark tracer build these
-    objects; the program reads columns and :meth:`lineage`.
+    Iterated, the rows build their :class:`StrategyHistory` objects in one
+    pass over :meth:`lineage`, the only walk of the parent rows, and share
+    their common ancestors' records. Only tests and the benchmark tracer
+    build these objects; the program reads columns and :meth:`lineage`.
     """
 
     sex: Sex
@@ -207,13 +206,6 @@ class HistoryTable:
 
     def __len__(self) -> int:
         return len(self.strategy)
-
-    def __getitem__(self, index: int | slice
-                    ) -> StrategyHistory | list[StrategyHistory]:
-        rows = range(len(self))[index]
-        if isinstance(rows, range):
-            return self._histories(rows)
-        return self._histories([rows])[0]
 
     def __iter__(self):
         return iter(self._histories(range(len(self))))
@@ -454,6 +446,7 @@ def _extend_period(params, sex, k, previous, budget, cross_check, start):
     rows, keep = frontier_rows(base.minimize(reported))
 
     source = "dense evaluation" if cross_check else "first start's row"
+    spread = np.abs(vertex[class_of])
     for h in range(len(starts)) if cross_check else (0,):
         exact = base.evaluator.dense_objective_matrix(segment_tables(
             params, segment, starts[[h]]))[0] if cross_check else at_start
@@ -461,7 +454,7 @@ def _extend_period(params, sex, k, previous, budget, cross_check, start):
             raise OracleMismatchError(
                 f"the first start's dense evaluation differs from its "
                 f"array-path row {label}")
-        scale = vertex_sum(np.abs(starts[[h]]), np.abs(vertex[class_of]))[0]
+        scale = vertex_sum(np.abs(starts[[h]]), spread)[0]
         if not np.all(np.abs(reported[h, class_of] - exact)
                       <= LINEARITY_TOL * scale):
             raise OracleMismatchError(

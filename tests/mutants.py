@@ -170,6 +170,12 @@ MUTANTS = (
            "female=candidates(Sex.M),\n        male=candidates(Sex.F),",
            ("tests/test_cli.py::TestObjectPathOracle::"
             "test_outputs_equal_object_path",)),
+    # A written row's prevalence blocks are gathered by its strategy's
+    # position, not by its ancestor rows'.
+    Mutant("src/screenopt/cli.py",
+           "blocks.append([rendered[i] for i in at.tolist()])",
+           "blocks.append([rendered[i] for i in inverse.tolist()])",
+           ("tests/test_cli.py::TestObjectPathOracle",)),
     # The exhaustive oracle grows cancers from the next period's large
     # growths, not from those that screening left.
     Mutant("tests/oracles.py",

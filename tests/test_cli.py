@@ -98,6 +98,23 @@ class TestValidate:
         assert len(err) == 1
         assert err[0].startswith(f"validation error: {path}: ")
 
+    @pytest.mark.parametrize("command", [
+        ["validate"], ["segment", "--sex", "F", "--period", "1"],
+        ["pipeline", "--budgets", "8000"], ["baseline"]])
+    def test_repeated_key_fails_before_out(self, tmp_path, default_doc,
+                                           capsys, command):
+        # the later value would otherwise win without a word
+        text = json.dumps(default_doc)
+        at = text.index('"costs": {') + len('"costs": {')
+        bad = tmp_path / "bad.json"
+        bad.write_text(text[:at] + '"colonoscopy": 1e9, ' + text[at:])
+        out = tmp_path / "out"
+        extra = [] if command == ["validate"] else ["--out", str(out)]
+        assert main([*command, "--params", str(bad), *extra]) == 1
+        assert capsys.readouterr().err == \
+            f"validation error: {bad}: repeated key 'colonoscopy'\n"
+        assert not out.exists()
+
     def test_duplicate_cutoff_set_labels_fail(self, tmp_path, default_doc,
                                               capsys):
         doc = json.loads(json.dumps(default_doc))
@@ -349,6 +366,55 @@ class TestPipeline:
         assert main(["pipeline", "--budgets", "8000,12000,16000,20000",
                      "--out", str(tmp_path / "x")]) == 0
         assert len(calls) == written <= 87
+
+    def test_renders_each_written_ancestor_row_once(self, tmp_path,
+                                                    monkeypatch):
+        # a prevalence block is four float reprs, rendered once per
+        # distinct ancestor row that a written row descends from: 2,773
+        # and 2,634 on the shipped parameters, of the 2,859 and 2,697 rows
+        # of the ancestor tables
+        reprs = []
+        monkeypatch.setattr(screenopt.cli, "repr",
+                            lambda value: reprs.append(value) or repr(value),
+                            raising=False)
+        blocks = {}
+        history_rows = screenopt.cli._history_rows
+
+        def counting(table, cutoffs):
+            before = len(reprs)
+            rows = history_rows(table, cutoffs)
+            blocks[table.sex] = (len(reprs) - before) / 4
+            return rows
+
+        monkeypatch.setattr(screenopt.cli, "_history_rows", counting)
+        assert main(["pipeline", "--budgets", "8000,12000,16000,20000",
+                     "--out", str(tmp_path / "x")]) == 0
+        assert blocks == {Sex.F: 2773, Sex.M: 2634}
+
+    def test_writers_walk_each_lineage_once(self, small_params, tmp_path,
+                                            monkeypatch):
+        # after phase 1, one lineage walk per sex renders all six files
+        lineage = screenopt.phase1.HistoryTable.lineage
+        phase1 = screenopt.cli.run_phase1
+        walks, sizes = [], []
+
+        def counting(self, rows):
+            walks.append((self.sex, self.period, len(rows)))
+            return lineage(self, rows)
+
+        def run(*args, **kwargs):
+            tables = phase1(*args, **kwargs)
+            walks.clear()
+            sizes.extend(len(tables[sex]) for sex in (Sex.F, Sex.M))
+            return tables
+
+        monkeypatch.setattr(screenopt.phase1.HistoryTable, "lineage",
+                            counting)
+        monkeypatch.setattr(screenopt.cli, "run_phase1", run)
+        assert main(["pipeline", "--budgets", "500,1500,1500,4000",
+                     "--params", str(small_params),
+                     "--out", str(tmp_path / "x")]) == 0
+        assert walks == [(Sex.F, 2, sizes[0]), (Sex.M, 2, sizes[1])]
 
     def test_pipeline_builds_no_history_objects(self, small_params, tmp_path,
                                                 monkeypatch):

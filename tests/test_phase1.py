@@ -528,7 +528,7 @@ class TestRunPhase1:
         result = run_phase1(bundle, budget=0.0, periods=2)
         for sex in (Sex.F, Sex.M):
             assert len(result[sex]) == 1
-            hist = result[sex][0]
+            hist, = result[sex]
             assert hist.cumulative_colonoscopies == 0.0
             assert hist.cumulative_cost == 0.0
             base = baseline_trajectory(bundle, sex, 2)
@@ -818,17 +818,6 @@ class TestLineage:
         # of one strategy number share its one decode
         histories = list(table)
         lineage = table.lineage(np.arange(len(table)))
-
-        def by_key(rows):
-            # each call decodes afresh, so compare strategies by key
-            return [dataclasses.replace(h, records=tuple(
-                dataclasses.replace(r, strategy=r.strategy.key)
-                for r in h.records)) for h in rows]
-
-        assert by_key([table[-1]]) == by_key(histories[-1:])
-        assert by_key(table[1:3]) == by_key(histories[1:3])
-        assert table[3:1] == []
-        assert by_key(table[::2]) == by_key(histories[::2])
         shared_somewhere = False
         for k, (t, at) in enumerate(lineage):
             records, decoded = {}, {}
