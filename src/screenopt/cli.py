@@ -29,7 +29,7 @@ import math
 import sys
 from importlib import resources
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -224,14 +224,15 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, digest: str, columns, rows) -> None:
-    """Rows are lists of values or lines already rendered."""
-    lines = [f"# tool: screenopt {__version__}",
-             f"# input-sha256: {digest}",
-             ",".join(columns)]
-    for row in rows:
-        lines.append(row if isinstance(row, str)
-                     else ",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write the header, then each row as ``rows`` yields it: a list of
+    values or a line already rendered."""
+    with path.open("w", encoding="utf-8") as out:
+        out.write(f"# tool: screenopt {__version__}\n"
+                  f"# input-sha256: {digest}\n{','.join(columns)}\n")
+        for row in rows:
+            out.write(row if isinstance(row, str)
+                      else ",".join(map(_fmt, row)))
+            out.write("\n")
 
 
 def dumps_canonical(obj: Any) -> str:
@@ -367,10 +368,12 @@ def _cmd_pipeline(args) -> int:
 
     _write_manifest(args, bundle, budgets, periods, digest)
     rows = {}
-    for sex in (Sex.F, Sex.M):
-        rows[sex], lines = _history_rows(histories[sex],
-                                         bundle.effective_cutoffs())
-        _write_histories(args.out, digest, sex, lines, periods)
+    for sex, index in ((Sex.F, "female_index"), (Sex.M, "male_index")):
+        # only the rows that a budget selects (or names as the cheapest
+        # pair of an infeasible one) are kept for the case files
+        rows[sex] = dict.fromkeys(getattr(res, index) for res in results)
+        _write_histories(args.out, digest, sex, _history_rows(
+            histories[sex], bundle.effective_cutoffs(), rows[sex]), periods)
     _write_cases(args.out, digest, bundle, results, rows, periods)
     print(f"wrote pipeline outputs to {args.out}")
     return 0
@@ -407,13 +410,15 @@ def _write_manifest(args, bundle, budgets, periods, digest) -> None:
                                             encoding="utf-8")
 
 
-def _history_rows(table: HistoryTable,
-                  cutoffs) -> tuple[list[tuple], list[str]]:
-    """Per row of the last table, its policy cells (period 1 first, joined
-    by ","), key and running total cancer prevalences, and its line of the
-    histories file. In one walk of the lineage, a period decodes each
-    distinct strategy number of the rows it writes once and renders each
-    ancestor row it writes once."""
+def _history_rows(table: HistoryTable, cutoffs,
+                  kept: dict[int, tuple | None]) -> Iterator[str]:
+    """The lines of the histories file, one per row of the last table,
+    rendered as they are read. For each row index that is a key of
+    ``kept``, the row's policy cells (period 1 first, joined by ","), key
+    and running total cancer prevalences are stored there as its line is
+    yielded. In one walk of the lineage, a period decodes each distinct
+    strategy number of the rows it writes once and renders each ancestor
+    row it writes once."""
     policy, columns, blocks, totals = [], [], [], []
     for t, rows in table.lineage(np.arange(len(table))):
         numbers, inverse = np.unique(t.strategy[rows], return_inverse=True)
@@ -426,22 +431,23 @@ def _history_rows(table: HistoryTable,
         rendered = [",".join(map(repr, psi))
                     for psi in t.updated[ancestors].tolist()]
         blocks.append([rendered[i] for i in at.tolist()])
-        totals.append(t.total[rows, 3].tolist())
-    policy = [",".join(row) for row in zip(*policy)]
+        totals.append(t.total[rows, 3])
+    totals = np.stack(totals)
     # Cut-off labels hold neither "," nor "|", so a history's key is its
     # policy cells joined by "|" instead of ",".
-    keys = _unique_keys([row.replace(",", "|") for row in policy])
-    totals = list(zip(*totals))
-    lines = [f"{i},{key},{c},{psi},{col!r},{running[-1]!r},{cost!r}"
-             for i, (key, c, psi, running, col, cost) in enumerate(zip(
-                 keys, map(",".join, zip(*columns)),
-                 map(",".join, zip(*blocks)), totals,
-                 table.colonoscopies.tolist(), table.cost.tolist()))]
-    return list(zip(policy, keys, totals)), lines
+    keys = _unique_keys(list(map("|".join, zip(*policy))))
+    for i, (key, c, psi, col, running, cost) in enumerate(zip(
+            keys, map(",".join, zip(*columns)), map(",".join, zip(*blocks)),
+            table.colonoscopies.tolist(), totals[-1].tolist(),
+            table.cost.tolist())):
+        if i in kept:
+            kept[i] = (",".join(cells[i] for cells in policy), key,
+                       totals[:, i].tolist())
+        yield f"{i},{key},{c},{psi},{col!r},{running!r},{cost!r}"
 
 
-def _write_histories(out: Path, digest: str, sex: Sex, lines: list[str],
-                     periods: int) -> None:
+def _write_histories(out: Path, digest: str, sex: Sex,
+                     lines: Iterator[str], periods: int) -> None:
     columns = ["index", "key"]
     for k in range(1, periods + 1):
         columns += [f"cutoff_{k}", f"incentive_{k}", f"invite_{k}", f"exam_{k}"]
@@ -456,7 +462,7 @@ def _write_cases(out: Path, digest: str, bundle, results, rows,
                  periods: int) -> None:
     """``selection.csv``, ``policy_table.csv`` and
     ``prevalence_series.csv``: a case per budget, each distinct selection
-    rendered once from its rows of :func:`_history_rows`."""
+    rendered once from the rows that :func:`_history_rows` kept."""
     weights = [(bundle.total_population(Sex.F, periods=k),
                 bundle.total_population(Sex.M, periods=k))
                for k in range(1, periods + 1)]

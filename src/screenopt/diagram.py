@@ -498,18 +498,25 @@ class StrategyEvaluator:
         self._slots = tuple(len(n.states) for n in self._free
                             for _ in d.info_states(n))
 
-        # Path grid: one column of state ordinals per chance/decision node.
-        # Only the gather indices derived from it outlive the constructor.
-        grid = np.indices(sizes, dtype=np.int64).reshape(len(sizes), n_paths).T
         pos = d.path_position
+
+        def flat(axes: tuple[int, ...]) -> np.ndarray:
+            """Every path's flat index into an array indexed by the states
+            of the path nodes ``axes``, in that order. Each node's state
+            ordinals lie along its own path axis and are broadcast over
+            the rest, so no grid of every path's states is built."""
+            index, stride = np.zeros((1,) * len(sizes), dtype=np.int64), 1
+            for axis in reversed([pos[node_id] for node_id in axes]):
+                view = [1] * len(sizes)
+                view[axis] = sizes[axis]
+                index = index + np.arange(sizes[axis]).reshape(view) * stride
+                stride *= sizes[axis]
+            return np.broadcast_to(index, sizes).reshape(n_paths)
 
         def entries(node: Node) -> np.ndarray:
             """Every path's flat index into ``node``'s (information
             state..., state) array."""
-            cols = tuple(grid[:, pos[p]]
-                         for p in node.predecessors + (node.node_id,))
-            return np.ravel_multi_index(
-                cols, d.info_shape(node) + (len(node.states),))
+            return flat(node.predecessors + (node.node_id,))
 
         # Decision signature of every path, mixed-radix combined.
         widths = [math.prod(d.info_shape(n)) * len(n.states)
@@ -529,8 +536,8 @@ class StrategyEvaluator:
         utility = np.zeros((n_paths, len(d.value_nodes)))
         for i, node in enumerate(d.value_nodes):
             utility[:, i] = _dense(d.values[node.node_id].table,
-                                   d.info_shape(node))[
-                tuple(grid[:, pos[p]] for p in node.predecessors)]
+                                   d.info_shape(node)).ravel()[
+                flat(node.predecessors)]
         # Paths in signature order: per chance node the flat index of each
         # path's entry, and each path's utility row.
         self._flats = tuple(entries(n)[order] for n in d.chance_nodes)

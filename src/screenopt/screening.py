@@ -546,10 +546,11 @@ def _load_fit(section: Any, report: LoadReport) -> FitTestCharacteristics:
         raise ParameterError("fit.cutoffs", "duplicate cut-off labels")
     for label in cutoffs:
         # labels appear verbatim in CSV cells and strategy encodings
-        if not label or any(ch in label for ch in ",|;\n"):
+        if not label or any(ch in label for ch in ',|;"\n\r'):
             raise ParameterError("fit.cutoffs",
                                  f"label {label!r} is empty or contains a "
-                                 f"reserved character")
+                                 f"reserved character (, | ; \" or a line "
+                                 f"break)")
     cutoffs = tuple(cutoffs)
 
     _require_keys(section["sensitivity"], "fit.sensitivity", _ABNORMAL_KEYS)

@@ -50,6 +50,12 @@ MUTANTS = (
            "live &= np.any(table != 0, axis=0)[flat]",
            "live &= np.all(table != 0, axis=0)[flat]",
            (DENSE_BITS,)),
+    # A node's gather index takes its axes' strides in reverse order.
+    Mutant("src/screenopt/diagram.py",
+           "for axis in reversed([pos[node_id] for node_id in axes]):",
+           "for axis in [pos[node_id] for node_id in axes]:",
+           ("tests/test_diagram.py::TestEvaluatorConstruction::"
+            "test_run_start_diagram",)),
     # Each signature sums its live terms only, not its full-length row.
     Mutant("src/screenopt/diagram.py",
            """\

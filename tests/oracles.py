@@ -225,6 +225,58 @@ def enumerate_strategies(diagram, fixed=None):
         yield GlobalStrategy(rules)
 
 
+def path_grid_arrays(diagram, fixed=None):
+    """``StrategyEvaluator``'s construction arrays -- ``_flats``,
+    ``_utility``, ``_starts`` and ``_plan`` -- gathered from the full path
+    grid (``np.indices``: one column of state ordinals per path node and
+    ``np.ravel_multi_index`` per node), the reference of the evaluator's
+    per-node broadcast."""
+    d, fixed = diagram, dict(fixed or {})
+    sizes = [len(n.states) for n in d.path_nodes]
+    n_paths = math.prod(sizes)
+    count = d.strategy_count(fixed=tuple(fixed))
+    slots = tuple(len(n.states) for n in d.decision_nodes
+                  if n.node_id not in fixed for _ in d.info_states(n))
+    grid = np.indices(sizes, dtype=np.int64).reshape(len(sizes), n_paths).T
+    pos = d.path_position
+
+    def entries(node):
+        cols = tuple(grid[:, pos[p]]
+                     for p in node.predecessors + (node.node_id,))
+        return np.ravel_multi_index(
+            cols, d.info_shape(node) + (len(node.states),))
+
+    widths = [math.prod(d.info_shape(n)) * len(n.states)
+              for n in d.decision_nodes]
+    radix = np.zeros(n_paths, dtype=np.int64)
+    for node, width in zip(d.decision_nodes, widths):
+        radix = radix * width + entries(node)
+    order = np.argsort(radix, kind="stable")
+    known, starts = np.unique(radix[order], return_index=True)
+    utility = np.zeros((n_paths, len(d.value_nodes)))
+    for i, node in enumerate(d.value_nodes):
+        utility[:, i] = screenopt.diagram._dense(
+            d.values[node.node_id].table, d.info_shape(node))[
+            tuple(grid[:, pos[p]] for p in node.predecessors)]
+    flats = tuple(entries(n)[order] for n in d.chance_nodes)
+
+    columns = iter(np.unravel_index(np.arange(count), slots)
+                   if slots else ())
+    terms = []
+    for node in d.decision_nodes:
+        k, rule = len(node.states), fixed.get(node.node_id)
+        terms.append([i * k + (rule.rule[info] if rule else next(columns))
+                      for i, info in enumerate(d.info_states(node))])
+    plan = []
+    for combo in itertools.product(*terms):
+        sig = np.zeros(count, dtype=np.int64)
+        for width, term in zip(widths, combo):
+            sig = sig * width + term
+        hit = np.minimum(np.searchsorted(known, sig), len(known) - 1)
+        plan.append(np.where(known[hit] == sig, hit, len(known)))
+    return flats, utility[order], starts, plan
+
+
 def compatible_path_probabilities(diagram, strategy):
     """Sparse map of strategy-compatible paths to positive probabilities."""
     result = {}

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -36,6 +37,10 @@ from screenopt.screening import (
     build_segment_diagram,
     load_parameters,
 )
+
+
+SIX_PERIODS = Path(__file__).resolve().parent / "data" / \
+    "synthetic_6period.json"
 
 
 @pytest.fixture()
@@ -113,6 +118,25 @@ class TestValidate:
         assert main([*command, "--params", str(bad), *extra]) == 1
         assert capsys.readouterr().err == \
             f"validation error: {bad}: repeated key 'colonoscopy'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("label", ['"10', "10\r"])
+    @pytest.mark.parametrize("command", [
+        ["validate"], ["segment", "--sex", "F", "--period", "1"],
+        ["pipeline", "--budgets", "8000"], ["baseline"]])
+    def test_quote_or_carriage_return_in_label_fails_before_out(
+            self, tmp_path, default_doc, capsys, command, label):
+        # either character splits or joins the CSV fields of every file
+        # that writes the label
+        text = json.dumps(default_doc).replace('"10"', json.dumps(label))
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        extra = [] if command == ["validate"] else ["--out", str(out)]
+        assert main([*command, "--params", str(bad), *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: fit.cutoffs: label "
+                              f"{label!r} is empty or contains a reserved")
         assert not out.exists()
 
     def test_duplicate_cutoff_set_labels_fail(self, tmp_path, default_doc,
@@ -380,11 +404,11 @@ class TestPipeline:
         blocks = {}
         history_rows = screenopt.cli._history_rows
 
-        def counting(table, cutoffs):
+        def counting(table, cutoffs, kept):
+            # the lines are rendered as the histories writer reads them
             before = len(reprs)
-            rows = history_rows(table, cutoffs)
+            yield from history_rows(table, cutoffs, kept)
             blocks[table.sex] = (len(reprs) - before) / 4
-            return rows
 
         monkeypatch.setattr(screenopt.cli, "_history_rows", counting)
         assert main(["pipeline", "--budgets", "8000,12000,16000,20000",
@@ -415,6 +439,72 @@ class TestPipeline:
                      "--params", str(small_params),
                      "--out", str(tmp_path / "x")]) == 0
         assert walks == [(Sex.F, 2, sizes[0]), (Sex.M, 2, sizes[1])]
+
+    @pytest.mark.parametrize("mask, feasible", [
+        ("colonoscopy,crc_found", True),
+        # no history fits: each budget names its cheapest pair
+        ("benign_found,large_found,crc_found", False)])
+    def test_case_files_get_only_the_selected_rows(self, small_params,
+                                                   tmp_path, monkeypatch,
+                                                   mask, feasible):
+        # the histories files hold every row, the case writer only the rows
+        # that a budget selects
+        sweep, cases = screenopt.cli.budget_sweep, screenopt.cli._write_cases
+        results, rows = [], {}
+
+        def swept(problem, budgets):
+            results.extend(sweep(problem, budgets))
+            return results
+
+        def writer(out, digest, bundle, results, kept, periods):
+            rows.update(kept)
+            return cases(out, digest, bundle, results, kept, periods)
+
+        monkeypatch.setattr(screenopt.cli, "budget_sweep", swept)
+        monkeypatch.setattr(screenopt.cli, "_write_cases", writer)
+        out = tmp_path / "x"
+        assert main(["pipeline", "--budgets", "1,1000,2000,3000,3000,6000",
+                     "--objective-mask", mask,
+                     "--params", str(small_params), "--out", str(out)]) == 0
+        assert {res.feasible for res in results} == {feasible}
+        assert set(rows) == {Sex.F, Sex.M}
+        for sex, index in ((Sex.F, "female_index"), (Sex.M, "male_index")):
+            selected = {getattr(res, index) for res in results}
+            assert sorted(rows[sex]) == sorted(selected)
+            _, header, lines = read_csv(out / f"histories_{sex.value}.csv")
+            if feasible:
+                assert 3 < len(selected) < len(lines)
+            for i, (cells, key, totals) in rows[sex].items():
+                assert lines[i][header.index("key")] == key
+                assert cells.replace(",", "|") == key.split("#")[0]
+                assert len(totals) == 2
+                assert totals[-1] == float(
+                    lines[i][header.index("total_cancer_prevalence")])
+
+    def test_writers_peak_below_phase_one(self, tmp_path, monkeypatch):
+        # after phase 1, the budget sweep and the six files stay below
+        # phase 1's own traced peak on the 6-period document: each file is
+        # streamed row by row and only the selected rows are kept
+        phase1 = screenopt.cli.run_phase1
+        peaks = []
+
+        def run(*args, **kwargs):
+            tracemalloc.reset_peak()
+            tables = phase1(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return tables
+
+        monkeypatch.setattr(screenopt.cli, "run_phase1", run)
+        tracemalloc.start()
+        try:
+            assert main(["pipeline", "--params", str(SIX_PERIODS),
+                         "--budgets", "8000,12000,16000,20000",
+                         "--out", str(tmp_path / "x")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] < peaks[0]
 
     def test_pipeline_builds_no_history_objects(self, small_params, tmp_path,
                                                 monkeypatch):

@@ -12,14 +12,17 @@ Claims covered:
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import screenopt.diagram
 from conftest import random_diagram, random_strategy
-from oracles import enumerate_strategies
+from oracles import enumerate_strategies, path_grid_arrays
 from screenopt.diagram import (
     GlobalStrategy,
     InfluenceDiagram,
@@ -36,6 +39,16 @@ from screenopt.diagram import (
     validate_diagram,
 )
 from screenopt.errors import CapacityError, StructuralError
+from screenopt.screening import (
+    Segment,
+    Sex,
+    build_segment_diagram,
+    fixed_decision_rules,
+    load_parameters,
+)
+
+SEVEN_PERIODS = Path(__file__).resolve().parent / "data" / \
+    "synthetic_7period.json"
 
 
 def chain_diagram(p_row0=(0.7, 0.3), p_row1=(0.2, 0.8), values=(1.0, 5.0)):
@@ -401,3 +414,48 @@ class TestStrategyEnumeration:
         for act in (0, 1):
             assert got[0, act, 0] == pytest.approx(
                 expected_values(other, pick(other, act=act)).values[0])
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and \
+        a.tobytes() == b.tobytes()
+
+
+class TestEvaluatorConstruction:
+    """The per-node broadcast gives every array of the path-grid
+    construction, bit for bit."""
+
+    def assert_grid_arrays(self, diagram, fixed=None):
+        ev = StrategyEvaluator(diagram, fixed)
+        flats, utility, starts, plan = path_grid_arrays(diagram, fixed)
+        assert len(ev._flats) == len(flats)
+        assert all(map(same_bits, ev._flats, flats))
+        assert same_bits(ev._utility, utility)
+        assert same_bits(ev._starts, starts)
+        assert len(ev._plan) == len(plan)
+        assert all(map(same_bits, ev._plan, plan))
+
+    @pytest.mark.parametrize("document", ["shipped", "fixed", "7-period"])
+    def test_run_start_diagram(self, default_doc, document):
+        # women's period-1 diagram at their starting prevalence: the
+        # diagram whose evaluator a pipeline run uses
+        doc = json.loads(SEVEN_PERIODS.read_text()) \
+            if document == "7-period" else default_doc
+        bundle, _ = load_parameters(doc)
+        if document == "fixed":  # --fix-exam --no-incentive
+            bundle = dataclasses.replace(bundle, options=dataclasses.replace(
+                bundle.options, fix_exam_to_colonoscopy=True,
+                incentive_enabled=False))
+        diagram = build_segment_diagram(Segment(Sex.F, 1), bundle,
+                                        bundle.starting_prevalence(Sex.F))
+        self.assert_grid_arrays(diagram, fixed_decision_rules(bundle))
+
+    def test_random_diagrams(self):
+        rng = np.random.default_rng(53)
+        for _ in range(20):
+            d = random_diagram(rng, max_paths=2000, max_strategies=500)
+            self.assert_grid_arrays(d)
+            if d.decision_nodes:
+                node = d.decision_nodes[0]
+                self.assert_grid_arrays(d, {node.node_id: LocalStrategy(
+                    node.node_id, {info: 0 for info in d.info_states(node)})})

@@ -633,7 +633,8 @@ _SECTIONS = (
 )
 
 _NAN, _INF = float("nan"), float("inf")
-_RESERVED = "label {!r} is empty or contains a reserved character"
+_RESERVED = ("label {!r} is empty or contains a reserved character "
+             "(, | ; \" or a line break)")
 
 # (edits, path, message); with several faults the first in load order wins.
 _LOADER_ERRORS = [
@@ -721,7 +722,7 @@ _LOADER_ERRORS = [
 ] + [
     ([(("fit", "cutoffs"), ["10", label])], "fit.cutoffs",
      _RESERVED.format(label))
-    for label in ("", "20,5", "a|b", "a;b", "a\nb")
+    for label in ("", "20,5", "a|b", "a;b", "a\nb", 'a"b', "a\rb")
 ] + [
     # boolean options and the cut-off subset
     ([(("options", "fix_exam_to_colonoscopy"), "yes")],
