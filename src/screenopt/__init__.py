@@ -1,8 +1,7 @@
 """screenopt: Pareto-optimal multi-period screening strategies.
 
 A solver library and CLI built around discrete influence diagrams with
-path-probability semantics, exact nondominated frontier generation (with
-the augmented-Tchebychev box search kept as a cross-check),
+path-probability semantics, exact nondominated frontier generation,
 prevalence-progression recurrences and budget-constrained final selection.
 
 The package root exports only the names below; everything else is

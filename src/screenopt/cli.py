@@ -11,8 +11,7 @@ Every CSV starts with comment lines carrying the tool version and the
 SHA-256 of the parameter file; the manifest carries them as JSON fields.
 
 Exit codes: 0 success (also --help and --version), 1 validation failure,
-usage error or unusable --out, 2 infeasible or over capacity (including the
-box-search iteration limit, reachable only under --cross-check), 3 internal
+usage error or unusable --out, 2 infeasible or over capacity, 3 internal
 check mismatch (each period's first history is checked in every run, the
 rest under --cross-check). ``--out`` is created after the argument checks
 and before the first solve, so an unusable one fails fast, and an exit 2 or
@@ -38,7 +37,6 @@ from .diagram import strategy_encoding, validate_diagram
 from .errors import (
     CapacityError,
     InfeasibleBudgetError,
-    IterationLimitError,
     OracleMismatchError,
     ParameterError,
 )
@@ -124,7 +122,7 @@ def _add_model_flags(p) -> None:
                    help="disable the incentive decision")
     p.add_argument("--cross-check", action="store_true",
                    help="verify every frontier against the brute-force "
-                        "filter and the box search; pipeline also checks "
+                        "filter; pipeline also checks "
                         "every history's objectives against the dense "
                         "evaluation and the budget sweep against the dense "
                         "pair scan")
@@ -151,7 +149,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 1
-    except (InfeasibleBudgetError, CapacityError, IterationLimitError) as exc:
+    except (InfeasibleBudgetError, CapacityError) as exc:
         print(f"infeasible or over capacity: {exc}", file=sys.stderr)
         return 2
     except OracleMismatchError as exc:

@@ -42,8 +42,6 @@ STRATEGY_CEILING = 10**7
 SUM_TOL = 1e-9
 #: A probability within this of 0 or 1 counts as 0 or 1.
 ZERO_TOL = 1e-12
-#: Smallest box width the box search's scalarization weights divide by.
-WEIGHT_GUARD = 1e-12
 #: A detected fraction may exceed its prevalence (or undercut 0) by this.
 DETECTION_TOL = 1e-9
 #: Colonoscopies a history or pair may run over its budget and still fit.

@@ -15,10 +15,6 @@ class StructuralError(ScreenOptError):
     """A lookup hit a hole in a diagram (missing CPT row, unknown node)."""
 
 
-class IterationLimitError(ScreenOptError):
-    """The frontier iteration exceeded its solve budget."""
-
-
 class InfeasibleBudgetError(ScreenOptError):
     """Budget pruning removed every candidate strategy history."""
 

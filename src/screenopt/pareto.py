@@ -16,12 +16,8 @@ filter (``frontier_rows``) over the distinct objective vectors.
 ``frontier_rows`` also solves a whole stack of problems at once: it
 returns every matrix's rows in vector order and a mask of its frontier
 rows, so a caller filters all the frontiers further with one array mask.
-Two independent references reproduce it exactly, and ``--cross-check``
-compares against both: ``brute_force_frontier`` (a plain row-by-row
-dominance loop) and ``box_search_frontier``, the paper's augmented
-weighted Tchebychev search over boxes bounded by found points; its inner
-single-objective oracle is exact enumeration, so it can only return the
-filter's set.
+``brute_force_frontier``, a plain row-by-row dominance loop, is the
+independent reference that ``--cross-check`` compares it with.
 
 One dominance rule, exact: row j dominates row i when it is at most i in
 every objective and below it in one, with no tolerance. Two kernels apply
@@ -46,7 +42,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .diagram import (
-    WEIGHT_GUARD,
     GlobalStrategy,
     InfluenceDiagram,
     LocalStrategy,
@@ -54,9 +49,6 @@ from .diagram import (
     StrategyEvaluator,
     dense_tables,
 )
-from .errors import IterationLimitError
-
-EPSILON_SCALE = 1e-4
 # Booleans one (rows x candidates) mask of either dominance kernel may
 # hold; this bounds their memory whatever the number of rows, and is small
 # enough that a block's masks stay in cache.
@@ -142,9 +134,6 @@ class EnumeratedProblem:
     def unique_vectors(self) -> np.ndarray:
         return self._unique[0]
 
-    def representative(self, unique_row: int) -> int:
-        return int(self._unique[1][unique_row])
-
     def strategy(self, candidate: int) -> GlobalStrategy | str:
         """What a frontier point reports as its strategy."""
         return f"candidate{candidate}"
@@ -215,23 +204,6 @@ def diagram_problem(diagram: InfluenceDiagram,
 # ---------------------------------------------------------------------------
 # Frontier computation
 # ---------------------------------------------------------------------------
-
-def _norms(vectors, weights, epsilon, utopia) -> np.ndarray:
-    """The augmented weighted Tchebychev norm of each row of ``vectors``:
-    the largest weighted deviation from ``utopia`` plus ``epsilon`` times
-    their sum."""
-    devs = np.abs(vectors - utopia) * weights
-    return devs.max(axis=1) + epsilon * devs.sum(axis=1)
-
-
-def _argmin_norm(problem, vectors, rows, weights, epsilon, utopia) -> int:
-    """The row of ``rows`` with the smallest norm, ties broken toward the
-    smallest representative candidate."""
-    norms = _norms(vectors[rows], weights, epsilon, utopia)
-    tied = np.flatnonzero(norms == norms.min())
-    best = min(tied, key=lambda i: problem.representative(rows[i]))
-    return int(rows[best])
-
 
 def skyline(points: np.ndarray) -> np.ndarray:
     """Mask of the rows of one (rows x keys) matrix that no row dominates
@@ -386,70 +358,3 @@ def brute_force_frontier(problem: EnumeratedProblem) -> ParetoFrontier:
             keep.append(i)
     return ParetoFrontier(problem,
                           problem._unique[1][np.array(keep, dtype=np.intp)])
-
-
-def box_search_frontier(problem: EnumeratedProblem,
-                        iteration_limit: int | None = None) -> ParetoFrontier:
-    """Complete nondominated set via box-guided scalarized solves.
-
-    Maintains upper-corner search boxes; each solve minimizes the augmented
-    weighted deviation norm over the candidates strictly inside one box,
-    with box-scaled weights. Every solve returns a nondominated point, every
-    nondominated point is strictly inside some live box until found, and
-    corners move on the finite grid of realized objective values, so the
-    search terminates with the complete frontier.
-
-    Each corner coordinate is a realized value of its objective or the
-    start corner's, and no corner is queued twice, so the search needs at
-    most the product over objectives of (distinct values + 1) solves; that
-    is the default ``iteration_limit``.
-    """
-    vectors = problem.unique_vectors()
-    m = vectors.shape[1]
-    if iteration_limit is not None:
-        limit = iteration_limit
-    else:
-        limit = math.prod(len(np.unique(vectors[:, i])) + 1 for i in range(m))
-    utopia = vectors.min(axis=0)
-    top = tuple(vectors.max(axis=0) + 1.0)
-
-    found: dict[int, None] = {}
-    corners = [top]
-    seen = {top}
-    solves = 0
-    while corners:
-        corners.sort()
-        corner = corners.pop()
-        ua = np.asarray(corner)
-        inside = np.flatnonzero(np.all(vectors < ua, axis=1))
-        if inside.size == 0:
-            continue
-        if found and all(int(r) in found for r in inside):
-            # Everything inside was already found; no new point can hide here.
-            continue
-        solves += 1
-        if solves > limit:
-            raise IterationLimitError(
-                f"frontier search exceeded {limit} scalarized solves")
-        weights = 1.0 / np.maximum(ua - utopia, WEIGHT_GUARD)
-        row = _argmin_norm(problem, vectors, inside, weights,
-                           EPSILON_SCALE / float(weights.sum()), utopia)
-        found.setdefault(row)
-        z = vectors[row]
-        for i in range(m):
-            if z[i] <= utopia[i]:
-                continue
-            child = corner[:i] + (float(z[i]),) + corner[i + 1:]
-            if child in seen:
-                continue
-            seen.add(child)
-            if not np.any(np.all(vectors < np.asarray(child), axis=1)):
-                continue
-            corners.append(child)
-
-    # epsilon > 0 already guarantees nondominated solves; the filter is a
-    # safety net for degenerate corner cases. Unique rows are in vector
-    # order.
-    rows = np.array(sorted(found), dtype=np.intp)
-    rows = rows[nondominated(vectors[rows])]
-    return ParetoFrontier(problem, problem._unique[1][rows])

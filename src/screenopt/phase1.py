@@ -58,7 +58,6 @@ from .pareto import (
     DiagramProblem,
     EnumeratedProblem,
     ParetoFrontier,
-    box_search_frontier,
     brute_force_frontier,
     compute_frontier,
     diagram_problem,
@@ -311,16 +310,13 @@ def segment_frontier(params: ParameterBundle, segment: Segment,
 
 def checked_frontier(problem: EnumeratedProblem, cross_check: bool,
                      label: str) -> ParetoFrontier:
-    """Frontier of ``problem``; ``cross_check`` verifies it against the
-    brute-force filter and the box search, a mismatch naming ``label``."""
+    """Frontier of ``problem``; ``cross_check`` compares it with the
+    brute-force filter exactly, a mismatch naming ``label``."""
     frontier = compute_frontier(problem)
-    if cross_check:
-        got = frontier.vectors()
-        for name, reference in (("brute-force", brute_force_frontier),
-                                ("box-search", box_search_frontier)):
-            if not np.array_equal(got, reference(problem).vectors()):
-                raise OracleMismatchError(
-                    f"frontier mismatch against the {name} reference {label}")
+    if cross_check and not np.array_equal(
+            frontier.vectors(), brute_force_frontier(problem).vectors()):
+        raise OracleMismatchError(
+            f"frontier mismatch against the brute-force reference {label}")
     return frontier
 
 

@@ -529,9 +529,13 @@ def _string(value: Any, path: str) -> str:
 def _number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParameterError(path, "must be a number")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an int too large for a float
+        raise ParameterError(path, "must be finite") from None
+    if not math.isfinite(number):
         raise ParameterError(path, "must be finite")
-    return float(value)
+    return number
 
 
 def _load_fit(section: Any, report: LoadReport) -> FitTestCharacteristics:

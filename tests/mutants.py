@@ -170,6 +170,19 @@ MUTANTS = (
            "if cross_check and not np.array_equal(mask, nondominated(keys)):",
            "if False and not np.array_equal(mask, nondominated(keys)):",
            (PIPELINE + "test_pruning_mismatch_exits_three",)),
+    # --cross-check accepts a frontier within allclose's tolerance of the
+    # brute-force reference.
+    Mutant("src/screenopt/phase1.py",
+           "if cross_check and not np.array_equal(\n            frontier",
+           "if cross_check and not np.allclose(\n            frontier",
+           ("tests/test_cli.py::TestSegment::"
+            "test_cross_check_compares_frontiers_exactly",)),
+    # A history's cost adds each period's per-invitee cost without its
+    # cohort size.
+    Mutant("src/screenopt/phase1.py",
+           'values[:, names.index("cost")] * cohort)',
+           'values[:, names.index("cost")])',
+           ("tests/test_cli.py::TestPopulationScaling",)),
     # Phase 2 reads the men's histories as the women's and vice versa.
     Mutant("src/screenopt/phase2.py",
            "female=candidates(Sex.F),\n        male=candidates(Sex.M),",

@@ -17,8 +17,13 @@ from screenopt.diagram import (
     LocalStrategy,
     NodeKind,
 )
-from screenopt.errors import CapacityError
-from screenopt.pareto import diagram_problem
+from screenopt.errors import CapacityError, ScreenOptError
+from screenopt.pareto import (
+    EnumeratedProblem,
+    ParetoFrontier,
+    diagram_problem,
+    nondominated,
+)
 from screenopt.phase1 import BUDGET_TOL, baseline_trajectory, run_phase1
 from screenopt.phase2 import SelectionProblem, SelectionResult, budget_sweep
 from screenopt.screening import (
@@ -40,6 +45,10 @@ from screenopt.screening import (
 
 #: The four simplex vertices, one bowel state each.
 VERTICES = tuple(PrevalenceVector(*row) for row in np.eye(4).tolist())
+
+EPSILON_SCALE = 1e-4
+#: Smallest box width the box search's scalarization weights divide by.
+WEIGHT_GUARD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -464,6 +473,102 @@ def nondominated_prefix(points, tol=0.0, cells=1 << 20):
     mask = np.empty_like(dominated)
     np.put_along_axis(mask, order, ~dominated, axis=1)
     return mask.reshape(points.shape[:-1])
+
+
+class IterationLimitError(ScreenOptError):
+    """The frontier iteration exceeded its solve budget."""
+
+
+def representative(problem: EnumeratedProblem, unique_row: int) -> int:
+    """The smallest candidate index of ``problem``'s unique vector
+    ``unique_row``."""
+    return int(problem._unique[1][unique_row])
+
+
+def _norms(vectors, weights, epsilon, utopia) -> np.ndarray:
+    """The augmented weighted Tchebychev norm of each row of ``vectors``:
+    the largest weighted deviation from ``utopia`` plus ``epsilon`` times
+    their sum."""
+    devs = np.abs(vectors - utopia) * weights
+    return devs.max(axis=1) + epsilon * devs.sum(axis=1)
+
+
+def _argmin_norm(problem, vectors, rows, weights, epsilon, utopia) -> int:
+    """The row of ``rows`` with the smallest norm, ties broken toward the
+    smallest representative candidate."""
+    norms = _norms(vectors[rows], weights, epsilon, utopia)
+    tied = np.flatnonzero(norms == norms.min())
+    best = min(tied, key=lambda i: representative(problem, rows[i]))
+    return int(rows[best])
+
+
+def box_search_frontier(problem: EnumeratedProblem,
+                        iteration_limit: int | None = None) -> ParetoFrontier:
+    """Complete nondominated set via box-guided scalarized solves: the
+    paper's augmented weighted Tchebychev search, an independent oracle of
+    ``pareto.compute_frontier``.
+
+    Maintains upper-corner search boxes; each solve minimizes the augmented
+    weighted deviation norm over the candidates strictly inside one box,
+    with box-scaled weights. Every solve returns a nondominated point, every
+    nondominated point is strictly inside some live box until found, and
+    corners move on the finite grid of realized objective values, so the
+    search terminates with the complete frontier.
+
+    Each corner coordinate is a realized value of its objective or the
+    start corner's, and no corner is queued twice, so the search needs at
+    most the product over objectives of (distinct values + 1) solves; that
+    is the default ``iteration_limit``.
+    """
+    vectors = problem.unique_vectors()
+    m = vectors.shape[1]
+    if iteration_limit is not None:
+        limit = iteration_limit
+    else:
+        limit = math.prod(len(np.unique(vectors[:, i])) + 1 for i in range(m))
+    utopia = vectors.min(axis=0)
+    top = tuple(vectors.max(axis=0) + 1.0)
+
+    found: dict[int, None] = {}
+    corners = [top]
+    seen = {top}
+    solves = 0
+    while corners:
+        corners.sort()
+        corner = corners.pop()
+        ua = np.asarray(corner)
+        inside = np.flatnonzero(np.all(vectors < ua, axis=1))
+        if inside.size == 0:
+            continue
+        if found and all(int(r) in found for r in inside):
+            # Everything inside was already found; no new point can hide here.
+            continue
+        solves += 1
+        if solves > limit:
+            raise IterationLimitError(
+                f"frontier search exceeded {limit} scalarized solves")
+        weights = 1.0 / np.maximum(ua - utopia, WEIGHT_GUARD)
+        row = _argmin_norm(problem, vectors, inside, weights,
+                           EPSILON_SCALE / float(weights.sum()), utopia)
+        found.setdefault(row)
+        z = vectors[row]
+        for i in range(m):
+            if z[i] <= utopia[i]:
+                continue
+            child = corner[:i] + (float(z[i]),) + corner[i + 1:]
+            if child in seen:
+                continue
+            seen.add(child)
+            if not np.any(np.all(vectors < np.asarray(child), axis=1)):
+                continue
+            corners.append(child)
+
+    # epsilon > 0 already guarantees nondominated solves; the filter is a
+    # safety net for degenerate corner cases. Unique rows are in vector
+    # order.
+    rows = np.array(sorted(found), dtype=np.intp)
+    rows = rows[nondominated(vectors[rows])]
+    return ParetoFrontier(problem, problem._unique[1][rows])
 
 
 def strategy_classes_unique(values):

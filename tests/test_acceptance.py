@@ -24,6 +24,7 @@ from conftest import (
 )
 from oracles import (
     assert_keys_match,
+    box_search_frontier,
     exhaustive_two_period,
     objective,
     reference_pair_scan,
@@ -36,7 +37,6 @@ from screenopt.diagram import (
     upper_bound_probability,
 )
 from screenopt.pareto import (
-    box_search_frontier,
     brute_force_frontier,
     compute_frontier,
     diagram_problem,

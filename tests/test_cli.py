@@ -139,6 +139,33 @@ class TestValidate:
                               f"{label!r} is empty or contains a reserved")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["validate"], ["segment", "--sex", "F", "--period", "1"],
+        ["pipeline", "--budgets", "8000"], ["baseline"]])
+    def test_oversized_integer_fails_before_out(self, tmp_path, default_doc,
+                                                capsys, command):
+        # JSON integers have no size limit; one too large for a float is
+        # not finite, as 1e400 would be
+        for path, field in (
+                (("population", "F"), "population.F"),
+                (("costs", "colonoscopy"), "costs.colonoscopy"),
+                (("fit", "specificity", "10"), "fit.specificity.10"),
+                (("transitions", "F", 0, "large_to_crc"),
+                 "transitions.F[0].large_to_crc")):
+            doc = json.loads(json.dumps(default_doc))
+            section = doc
+            for key in path[:-1]:
+                section = section[key]
+            section[path[-1]] = 10**400
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc))
+            out = tmp_path / "out"
+            extra = [] if command == ["validate"] else ["--out", str(out)]
+            assert main([*command, "--params", str(bad), *extra]) == 1
+            assert capsys.readouterr().err == \
+                f"validation error: {field}: must be finite\n"
+            assert not out.exists()
+
     def test_duplicate_cutoff_set_labels_fail(self, tmp_path, default_doc,
                                               capsys):
         doc = json.loads(json.dumps(default_doc))
@@ -197,18 +224,6 @@ class TestSegment:
                      "--out", str(tmp_path / "x")]) == 1
         assert not (tmp_path / "x").exists()
 
-    def test_cross_check_passes_where_old_box_limit_failed(self, tmp_path):
-        # needs 143 box solves, over the former limit of 130 (ten per
-        # unique vector), which made this valid segment exit 2
-        params = Path(__file__).resolve().parent / "data" / \
-            "box_search_limit.json"
-        out = tmp_path / "out"
-        assert main(["segment", "--sex", "F", "--period", "2", "--fix-exam",
-                     "--params", str(params), "--out", str(out),
-                     "--cross-check"]) == 0
-        _, _, rows = read_csv(out / "frontier_F_2.csv")
-        assert len(rows) == 13
-
     def test_cross_check_failure_exits_three(self, small_params, tmp_path,
                                              monkeypatch):
         class Fake:
@@ -221,33 +236,21 @@ class TestSegment:
                      "--params", str(small_params),
                      "--out", str(tmp_path / "x"), "--cross-check"]) == 3
 
-    def test_box_search_mismatch_exits_three(self, small_params, tmp_path,
-                                             monkeypatch):
-        class Fake:
-            def vectors(self):
-                return np.zeros((0, 5))
-
-        monkeypatch.setattr(screenopt.phase1, "box_search_frontier",
-                            lambda problem: Fake())
-        assert main(["segment", "--sex", "F", "--period", "1",
-                     "--params", str(small_params),
-                     "--out", str(tmp_path / "x"), "--cross-check"]) == 3
-
     def test_cross_check_compares_frontiers_exactly(self, small_params,
                                                     tmp_path, monkeypatch):
-        # the real box-search frontier with one value moved by 1e-12
-        box_search = screenopt.phase1.box_search_frontier
+        # the real brute-force frontier with one value moved by 1e-12
+        brute_force = screenopt.phase1.brute_force_frontier
 
         class Moved:
             def __init__(self, problem):
-                self.frontier = box_search(problem)
+                self.frontier = brute_force(problem)
 
             def vectors(self):
                 vectors = self.frontier.vectors().copy()
                 vectors[0, 0] += 1e-12
                 return vectors
 
-        monkeypatch.setattr(screenopt.phase1, "box_search_frontier", Moved)
+        monkeypatch.setattr(screenopt.phase1, "brute_force_frontier", Moved)
         assert main(["segment", "--sex", "F", "--period", "1",
                      "--params", str(small_params),
                      "--out", str(tmp_path / "x"), "--cross-check"]) == 3
@@ -763,6 +766,48 @@ class TestOneProcess:
             for name in TestObjectPathOracle.NAMES:
                 assert (here / name).read_bytes() == \
                     (fresh / name).read_bytes(), (run, name)
+
+
+class TestPopulationScaling:
+    """Metamorphic relation: doubling both cohort sizes and every budget
+    doubles every colonoscopy, cost and budget value exactly and leaves
+    every key, index and prevalence unchanged. Cohort sizes enter only as
+    factors and weights, and scaling by two is exact in binary floats."""
+
+    NAMES = ("histories_F.csv", "histories_M.csv", "selection.csv",
+             "policy_table.csv", "prevalence_series.csv")
+    DOUBLED = {"budget", "cumulative_colonoscopies", "total_colonoscopies",
+               "total_cost"}
+    BUDGETS = (8000.0, 12000.0, 16000.0, 20000.0)
+
+    @pytest.mark.parametrize("params", [
+        screenopt.cli.default_params_path(), SIX_PERIODS],
+        ids=["shipped", "six_periods"])
+    def test_doubled_cohorts_and_budgets(self, tmp_path, params):
+        doc = json.loads(Path(params).read_text())
+        doc["population"] = {
+            sex: [2 * s for s in size] if isinstance(size, list) else 2 * size
+            for sex, size in doc["population"].items()}
+        scaled = tmp_path / "scaled.json"
+        scaled.write_text(json.dumps(doc))
+        runs = {}
+        for name, path, scale in (("base", params, 1), ("twice", scaled, 2)):
+            runs[name] = tmp_path / name
+            budgets = ",".join(repr(scale * b) for b in self.BUDGETS)
+            assert main(["pipeline", "--params", str(path), "--budgets",
+                         budgets, "--out", str(runs[name])]) == 0
+        for name in self.NAMES:
+            _, header, base = read_csv(runs["base"] / name)
+            _, twice_header, twice = read_csv(runs["twice"] / name)
+            assert twice_header == header and len(twice) == len(base) > 0
+            doubled_cols = [c in self.DOUBLED for c in header]
+            mismatches = [
+                (name, row, header[c])
+                for row, (a, b) in enumerate(zip(base, twice))
+                for c, (x, y) in enumerate(zip(a, b))
+                if (float(y) != 2 * float(x) if doubled_cols[c] and x
+                    else y != x)]
+            assert not mismatches, mismatches[:5]
 
 
 class TestStrategyClassChecks:

@@ -1,9 +1,10 @@
-"""Frontier machinery: nondominated filter, box search, brute-force reference.
+"""Frontier machinery: nondominated filter, brute-force reference, and the
+box search oracle.
 
 The central claims are that the production filter and the box-guided
-search both reproduce the brute-force frontier exactly; the rest pins the
-scalarized norm formula, tie-breaking, orientation handling and
-deduplication.
+search (an oracle in ``tests/oracles.py``) both reproduce the brute-force
+frontier exactly; the rest pins the scalarized norm formula, tie-breaking,
+orientation handling and deduplication.
 """
 
 from __future__ import annotations
@@ -19,22 +20,23 @@ import screenopt.pareto
 import screenopt.phase1
 from conftest import matrix_problem, random_diagram
 from oracles import (
+    IterationLimitError,
+    _argmin_norm,
+    _norms,
+    box_search_frontier,
     compatible_path_probabilities,
     dominates,
     enumerate_strategies,
     nondominated_prefix,
     objective,
+    representative,
 )
 from screenopt.diagram import (
     LocalStrategy,
     expected_values,
 )
-from screenopt.errors import IterationLimitError
 from screenopt.pareto import (
-    _argmin_norm,
     _exact_skyline,
-    _norms,
-    box_search_frontier,
     brute_force_frontier,
     compute_frontier,
     diagram_problem,
@@ -79,7 +81,7 @@ def argmin_over_all(p, weights, epsilon, utopia):
     vectors = p.unique_vectors()
     row = _argmin_norm(p, vectors, np.arange(len(vectors)),
                        np.asarray(weights), epsilon, np.asarray(utopia))
-    return p.representative(row)
+    return representative(p, row)
 
 
 class TestMawtNorm:
@@ -161,7 +163,7 @@ class TestUniqueVectors:
             reps = np.full(len(vectors), n)
             np.minimum.at(reps, inverse.ravel(), np.arange(n))
             assert np.array_equal(p.unique_vectors(), vectors)
-            assert [p.representative(r) for r in range(len(vectors))] == \
+            assert [representative(p, r) for r in range(len(vectors))] == \
                 reps.tolist()
 
 
