@@ -14,8 +14,9 @@ diagram with the decision rules given at construction pinned. It numbers
 them once (each free (decision node, information state) slot a mixed-radix
 digit, slot 0 most significant), decodes a number, and evaluates every
 strategy at once under chance tables given as dense arrays, one batch row
-per table set; :func:`dense_tables` is the one conversion of a diagram's
-mapping tables to that form.
+per table set; :func:`dense_tables` adds that batch axis to a diagram's own
+tables, which are arrays already: a CPT indexed (information state...,
+state), a value table (information state...).
 
 Everything here is immutable after construction and all operations are pure,
 so diagrams can be shared freely across threads.
@@ -81,28 +82,29 @@ class Node:
 
 @dataclass(frozen=True, eq=False)
 class ValueSpec:
-    """Value-node payload: a total map from information states to reals.
+    """Value-node payload: the value of every information state, as an
+    array indexed (information state...).
 
     ``orientation`` tags how the resulting objective is to be optimized and
     ``unit`` documents its dimension (``euros`` / ``count`` / ``indicator``).
     """
 
     node_id: int
-    table: Mapping[InfoState, float]
+    table: np.ndarray
     unit: str = "count"
     orientation: str = "minimize"
 
 
 @dataclass(frozen=True, eq=False)
 class InfluenceDiagram:
-    """Container for nodes, CPTs and value maps.
+    """Container for nodes, CPTs and value tables.
 
     Nodes must be declared in a topological order; ``validate_diagram``
     checks that and every other structural invariant.
     """
 
     nodes: tuple[Node, ...]
-    cpts: Mapping[int, Mapping[InfoState, tuple[float, ...]]]
+    cpts: Mapping[int, np.ndarray]
     values: Mapping[int, ValueSpec]
 
     @cached_property
@@ -226,14 +228,13 @@ def validate_diagram(diagram: InfluenceDiagram) -> list[Violation]:
             out.append(Violation(node.node_id, None, "cpt-missing",
                                  "chance node has no CPT"))
             continue
-        out.extend(_check_table_domain(diagram, node, table.keys(), "cpt"))
-        k = len(node.states)
-        for info, probs in table.items():
-            labels = _info_labels(diagram, node, info)
-            if len(probs) != k:
-                out.append(Violation(node.node_id, labels, "cpt-row-length",
-                                     f"expected {k} entries, got {len(probs)}"))
-                continue
+        if not _has_shape(out, diagram, node, table, "cpt-shape",
+                          (len(node.states),)):
+            continue
+        for info in np.ndindex(table.shape[:-1]):
+            labels = tuple(diagram.by_id[p].states[s]
+                           for p, s in zip(node.predecessors, info))
+            probs = table[info].tolist()
             if any(p < -ZERO_TOL or p > 1 + ZERO_TOL for p in probs):
                 out.append(Violation(node.node_id, labels, "cpt-prob-range",
                                      "probability outside [0, 1]"))
@@ -251,38 +252,25 @@ def validate_diagram(diagram: InfluenceDiagram) -> list[Violation]:
         spec = diagram.values.get(node.node_id)
         if spec is None:
             out.append(Violation(node.node_id, None, "value-missing",
-                                 "value node has no value map"))
+                                 "value node has no value table"))
             continue
-        out.extend(_check_table_domain(diagram, node, spec.table.keys(), "value"))
+        _has_shape(out, diagram, node, spec.table, "value-shape")
 
     return out
 
 
-def _info_labels(diagram, node, info) -> tuple[str, ...] | None:
+def _has_shape(out, diagram, node, table, rule, states=()) -> bool:
+    """Whether ``table`` is indexed (information state..., ``states``), else
+    a ``rule`` violation; an unknown predecessor (reported) fails silently."""
     try:
-        return tuple(
-            diagram.by_id[p].states[s] for p, s in zip(node.predecessors, info)
-        )
-    except (KeyError, IndexError):
-        return tuple(str(s) for s in info)
-
-
-def _check_table_domain(diagram, node, keys, what) -> list[Violation]:
-    """The table must have exactly one row per information state."""
-    out = []
-    try:
-        expected = set(diagram.info_states(node))
+        shape = diagram.info_shape(node) + states
     except KeyError:
-        return out  # unknown predecessor already reported
-    got = set(keys)
-    for missing in sorted(expected - got):
-        out.append(Violation(node.node_id, _info_labels(diagram, node, missing),
-                             f"{what}-row-missing", "no row for information state"))
-    for extra in sorted(got - expected):
-        out.append(Violation(node.node_id, tuple(str(s) for s in extra),
-                             f"{what}-row-unknown",
-                             "row for nonexistent information state"))
-    return out
+        return False
+    if np.shape(table) == shape:
+        return True
+    out.append(Violation(node.node_id, None, rule,
+                         f"table has shape {np.shape(table)}, not {shape}"))
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +284,16 @@ def _check_ceiling(count: int, ceiling: int, what: str) -> None:
 
 
 def _cpt_row(diagram: InfluenceDiagram, node: Node,
-             info: InfoState) -> tuple[float, ...]:
+             info: InfoState) -> list[float]:
+    """``node``'s CPT row at ``info``, as Python floats."""
     try:
-        return diagram.cpts[node.node_id][info]
-    except KeyError:
+        row = diagram.cpts[node.node_id][info]
+    except (KeyError, IndexError):
+        row = None
+    if np.shape(row) != (len(node.states),):
         raise StructuralError(f"node {node.node_id} has no CPT row for "
-                              f"{_info_labels(diagram, node, info)}") from None
+                              f"information state {info}")
+    return row.tolist()
 
 
 def enumerate_paths(diagram: InfluenceDiagram) -> Iterator[Path]:
@@ -414,7 +406,8 @@ def expected_values(diagram: InfluenceDiagram,
             path = tuple(prefix)
             for i, vnode in enumerate(diagram.value_nodes):
                 info = diagram.info_state_of(vnode, path)
-                totals[i] += prob * diagram.values[vnode.node_id].table[info]
+                totals[i] += prob * float(
+                    diagram.values[vnode.node_id].table[info])
             return
         node = nodes[depth]
         info = tuple(prefix[pos[p]] for p in node.predecessors)
@@ -441,21 +434,10 @@ def expected_values(diagram: InfluenceDiagram,
 # Vectorized whole-space evaluation
 # ---------------------------------------------------------------------------
 
-def _dense(table: Mapping[InfoState, float | tuple[float, ...]],
-           shape: tuple[int, ...]) -> np.ndarray:
-    """A CPT or value table as an array indexed by information state (and,
-    for a CPT, state)."""
-    dense = np.zeros(shape)
-    for info, entry in table.items():
-        dense[info] = entry
-    return dense
-
-
 def dense_tables(diagram: InfluenceDiagram) -> dict[int, np.ndarray]:
-    """Every chance node's CPT as a one-row dense array, indexed (row,
-    information state..., state): the form the evaluator reads."""
-    return {n.node_id: _dense(diagram.cpts[n.node_id],
-                              diagram.info_shape(n) + (len(n.states),))[None]
+    """Every chance node's CPT as a one-row array, indexed (row, information
+    state..., state): the form the evaluator reads."""
+    return {n.node_id: diagram.cpts[n.node_id][None]
             for n in diagram.chance_nodes}
 
 
@@ -533,8 +515,7 @@ class StrategyEvaluator:
                         for n in d.chance_nodes]
         utility = np.zeros((n_paths, len(d.value_nodes)))
         for i, node in enumerate(d.value_nodes):
-            utility[:, i] = _dense(d.values[node.node_id].table,
-                                   d.info_shape(node)).ravel()[
+            utility[:, i] = d.values[node.node_id].table.ravel()[
                 flat(node.predecessors)]
         # Paths in signature order: per chance node the flat index of each
         # path's entry, and each path's utility row.
@@ -622,7 +603,9 @@ class StrategyEvaluator:
                         len(utility)))
         for table, flat in zip(factors, self._flats):
             prob *= table[:, flat[index]]
-        terms = np.zeros_like(self._utility)
+        # Every path's slot is written when ``index`` takes them all.
+        terms = (np.empty_like if isinstance(index, slice)
+                 else np.zeros_like)(self._utility)
         # A trailing zero row for strategies with no compatible signature.
         condensed = np.zeros((len(prob), len(self._starts) + 1,
                               utility.shape[1]))

@@ -8,6 +8,8 @@ performed and growths found. Conditional probabilities follow the tabulated
 model: test positivity is a sensitivity/specificity mixture over the bowel
 prevalence, and examination results are Bayes posteriors thinned by
 examination sensitivity, with perfect examination specificity.
+``segment_tables`` builds the chance tables as arrays for many prevalences
+at once; a segment diagram holds one row of them.
 
 All parameters come from a JSON document; ``load_parameters`` validates it
 strictly (unknown keys rejected, probabilities bounded, prevalence simplexes
@@ -18,7 +20,6 @@ calibrated estimates.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -302,15 +303,6 @@ def segment_tables(params: ParameterBundle, segment: Segment,
 # Diagram construction
 # ---------------------------------------------------------------------------
 
-def _mapping(array: np.ndarray, rows: bool) -> dict:
-    """An array indexed by information state as the diagram's mapping:
-    each state's row as a tuple (a CPT) when ``rows``, else its value."""
-    shape = array.shape[:-1] if rows else array.shape
-    flat = array.reshape(math.prod(shape), -1).tolist()
-    return {info: tuple(row) if rows else row[0]
-            for info, row in zip(itertools.product(*map(range, shape)), flat)}
-
-
 def build_segment_diagram(segment: Segment, params: ParameterBundle,
                           psi: PrevalenceVector) -> InfluenceDiagram:
     """Influence diagram for one segment at prevalence ``psi``."""
@@ -367,10 +359,9 @@ def build_segment_diagram(segment: Segment, params: ParameterBundle,
 
     return InfluenceDiagram(
         nodes=nodes,
-        cpts={node_id: _mapping(table[0], rows=True)
-              for node_id, table in tables.items()},
-        values={node_id: ValueSpec(node_id, _mapping(array, rows=False),
-                                   unit=unit, orientation=orientation)
+        cpts={node_id: table[0] for node_id, table in tables.items()},
+        values={node_id: ValueSpec(node_id, array, unit=unit,
+                                   orientation=orientation)
                 for node_id, (array, unit, orientation) in values.items()},
     )
 
@@ -555,6 +546,10 @@ def _load_fit(section: Any, report: LoadReport) -> FitTestCharacteristics:
                                  f"label {label!r} is empty or contains a "
                                  f"reserved character (, | ; \" or a line "
                                  f"break)")
+        # a policy cell appends "+i" or "+noexam" and reads "-" if uninvited
+        if label == "-" or "+" in label:
+            raise ParameterError("fit.cutoffs", f"label {label!r} is \"-\" or "
+                                 f"contains \"+\", the policy-table markers")
     cutoffs = tuple(cutoffs)
 
     _require_keys(section["sensitivity"], "fit.sensitivity", _ABNORMAL_KEYS)

@@ -146,10 +146,10 @@ def _draw_diagram(rng, max_core_nodes):
     for node in nodes:
         if node.kind is not NodeKind.CHANCE:
             continue
-        table = {}
-        for info in _info_product(nodes, node):
+        table = np.empty(_info_shape(nodes, node) + (len(node.states),))
+        for info in np.ndindex(table.shape[:-1]):
             raw = rng.random(len(node.states)) + 1e-3
-            table[info] = tuple(raw / raw.sum())
+            table[info] = raw / raw.sum()
         cpts[node.node_id] = table
 
     n_values = int(rng.integers(1, 4))
@@ -159,9 +159,9 @@ def _draw_diagram(rng, max_core_nodes):
         vid = n_core + v
         preds = tuple(j for j in range(n_core) if rng.random() < 0.5)[:3]
         value_nodes.append(Node(vid, NodeKind.VALUE, f"v{v}", (), preds))
-        table = {}
-        for info in _info_product(nodes, value_nodes[-1]):
-            table[info] = float(rng.normal())
+        table = np.empty(_info_shape(nodes, value_nodes[-1]))
+        for info in np.ndindex(table.shape):
+            table[info] = rng.normal()
         values[vid] = ValueSpec(
             vid, table, unit="count",
             orientation="maximize" if rng.random() < 0.5 else "minimize")
@@ -170,10 +170,8 @@ def _draw_diagram(rng, max_core_nodes):
                             cpts=cpts, values=values)
 
 
-def _info_product(core_nodes, node):
-    import itertools
-    ranges = [range(len(core_nodes[p].states)) for p in node.predecessors]
-    return itertools.product(*ranges)
+def _info_shape(core_nodes, node):
+    return tuple(len(core_nodes[p].states) for p in node.predecessors)
 
 
 def random_strategy(rng: np.random.Generator,

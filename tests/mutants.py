@@ -112,11 +112,28 @@ MUTANTS = (
            "lt = np.any(vectors <= vectors[i], axis=1)",
            (FRONTIER + "test_near_ties_follow_the_exact_rule",
             FRONTIER + "test_matches_brute_force_on_random_instances")),
+    # Both sexes read the women's nurse-contact rates.
+    Mutant("src/screenopt/screening.py",
+           "return self.contact[segment.sex.value][segment.period - 1]",
+           'return self.contact["F"][segment.period - 1]',
+           ("tests/test_cli.py::TestSexSwap",)),
     # The loader checks bleed + the smaller perforation probability.
     Mutant("src/screenopt/screening.py",
            "if bleed + max(pw, pwo) > 1.0 + ZERO_TOL:",
            "if bleed + min(pw, pwo) > 1.0 + ZERO_TOL:",
            ("tests/test_screening.py::test_loader_error_path_and_message",)),
+    # The validator accepts a table of any shape.
+    Mutant("src/screenopt/diagram.py",
+           "if np.shape(table) == shape:",
+           "if True:",
+           ("tests/test_diagram.py::TestValidation::"
+            "test_wrong_shaped_table_is_one_violation",)),
+    # The path walk reads a CPT row as numpy scalars.
+    Mutant("src/screenopt/diagram.py",
+           "return row.tolist()",
+           "return row",
+           ("tests/test_diagram.py::TestExpectedValues::"
+            "test_path_walk_returns_python_floats",)),
     # The path walk drops the chance nodes' probabilities.
     Mutant("src/screenopt/diagram.py",
            "walk(depth + 1, prefix, prob * p)",

@@ -264,8 +264,7 @@ def path_grid_arrays(diagram, fixed=None):
     known, starts = np.unique(radix[order], return_index=True)
     utility = np.zeros((n_paths, len(d.value_nodes)))
     for i, node in enumerate(d.value_nodes):
-        utility[:, i] = screenopt.diagram._dense(
-            d.values[node.node_id].table, d.info_shape(node))[
+        utility[:, i] = d.values[node.node_id].table[
             tuple(grid[:, pos[p]] for p in node.predecessors)]
     flats = tuple(entries(n)[order] for n in d.chance_nodes)
 
@@ -305,7 +304,8 @@ def compatible_path_probabilities(diagram, strategy):
             walk(depth + 1, prefix, prob)
             prefix.pop()
         else:
-            for state, p in enumerate(diagram.cpts[node.node_id][info]):
+            for state, p in enumerate(
+                    diagram.cpts[node.node_id][info].tolist()):
                 prefix.append(state)
                 walk(depth + 1, prefix, prob * p)
                 prefix.pop()

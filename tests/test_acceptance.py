@@ -301,14 +301,16 @@ def test_cpt_fidelity():
         d = build_segment_diagram(segment, bundle, psi)
 
         for nid, table in d.cpts.items():
-            for info, row in table.items():
+            assert table.shape[:-1] == d.info_shape(d.by_id[nid])
+            for info in np.ndindex(table.shape[:-1]):
+                row = table[info].tolist()
                 assert math.fsum(row) <= 1 + 1e-9
                 assert abs(math.fsum(row) - 1.0) <= 1e-9, (nid, info)
 
         ret_ok = bundle.participation.return_ok(segment)
-        assert d.cpts[SAMPLE][(1, 1)] == \
-            ((1.0 - ret_ok) / 2.0, ret_ok + (1.0 - ret_ok) / 2.0)
-        assert d.cpts[SAMPLE][(0, 1)] == (1.0 - ret_ok, ret_ok)
+        assert d.cpts[SAMPLE][1, 1].tolist() == \
+            [(1.0 - ret_ok) / 2.0, ret_ok + (1.0 - ret_ok) / 2.0]
+        assert d.cpts[SAMPLE][0, 1].tolist() == [1.0 - ret_ok, ret_ok]
 
         fit = bundle.fit
         col = bundle.colonoscopy
@@ -317,8 +319,7 @@ def test_cpt_fidelity():
             fpos = (1 - spec) * psi.normal + math.fsum(
                 fit.sensitivity_for(label, b) * getattr(psi, b.value)
                 for b in (BowelState.BENIGN, BowelState.LARGE, BowelState.CRC))
-            row = d.cpts[FIT_RESULT][(li, 1)]
-            assert abs(row[1] - fpos) <= 1e-12
+            assert abs(d.cpts[FIT_RESULT][li, 1, 1] - fpos) <= 1e-12
 
             if fpos <= 1e-12:
                 continue
@@ -339,7 +340,7 @@ def test_cpt_fidelity():
                      for b in (BowelState.BENIGN, BowelState.LARGE,
                                BowelState.CRC)]
             expected = (0.0, 1.0 - math.fsum(found), *found)
-            emitted = d.cpts[EXAM_RESULT][(li, 1, 1)]
+            emitted = d.cpts[EXAM_RESULT][li, 1, 1].tolist()
             assert all(abs(a - b) <= 1e-12
                        for a, b in zip(emitted, expected))
     report("conditional-probability-table fidelity (60 draws)")

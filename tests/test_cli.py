@@ -41,6 +41,7 @@ from screenopt.screening import (
 
 SIX_PERIODS = Path(__file__).resolve().parent / "data" / \
     "synthetic_6period.json"
+SEVEN_PERIODS = SIX_PERIODS.with_name("synthetic_7period.json")
 
 
 @pytest.fixture()
@@ -128,6 +129,26 @@ class TestValidate:
             self, tmp_path, default_doc, capsys, command, label):
         # either character splits or joins the CSV fields of every file
         # that writes the label
+        self.assert_label_fails_before_out(
+            tmp_path, default_doc, capsys, command, label,
+            f"{label!r} is empty or contains a reserved")
+
+    @pytest.mark.parametrize("label", ["10+i", "-"])
+    @pytest.mark.parametrize("command", [
+        ["validate"], ["segment", "--sex", "F", "--period", "1"],
+        ["pipeline", "--budgets", "8000"], ["baseline"]])
+    def test_policy_cell_marker_label_fails_before_out(
+            self, tmp_path, default_doc, capsys, command, label):
+        # with "10" and "10+i" both declared, "10 with incentive" and "10+i
+        # without" would render the same policy cell "10+i"; "-" is the
+        # cell of a period without invitation
+        self.assert_label_fails_before_out(
+            tmp_path, default_doc, capsys, command, label,
+            f'{label!r} is "-" or contains "+", the policy-table markers')
+
+    @staticmethod
+    def assert_label_fails_before_out(tmp_path, default_doc, capsys, command,
+                                      label, reason):
         text = json.dumps(default_doc).replace('"10"', json.dumps(label))
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -135,8 +156,7 @@ class TestValidate:
         extra = [] if command == ["validate"] else ["--out", str(out)]
         assert main([*command, "--params", str(bad), *extra]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"validation error: fit.cutoffs: label "
-                              f"{label!r} is empty or contains a reserved")
+        assert err.startswith(f"validation error: fit.cutoffs: label {reason}")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [
@@ -810,6 +830,66 @@ class TestPopulationScaling:
             assert not mismatches, mismatches[:5]
 
 
+class TestSexSwap:
+    """Metamorphic relation: swapping the women's and the men's starting
+    prevalence, transitions, cohort sizes, return and contact rates swaps
+    the two sexes in every output and changes no value. The sexes share
+    every other parameter, and a sum of the two sexes' values is the same
+    either way round."""
+
+    SWAPPED = {"F": "M", "M": "F"}
+
+    @staticmethod
+    def swapped(doc):
+        doc = json.loads(json.dumps(doc))
+        for section in (doc["prevalence0"], doc["transitions"],
+                        doc["population"], doc["participation"]["return"],
+                        doc["participation"]["contact"]):
+            section["F"], section["M"] = section["M"], section["F"]
+        return doc
+
+    @pytest.mark.parametrize("params", [
+        screenopt.cli.default_params_path(), SIX_PERIODS, SEVEN_PERIODS],
+        ids=["shipped", "six_periods", "seven_periods"])
+    def test_swapped_sexes_swap_every_output(self, tmp_path, params):
+        path = tmp_path / "swapped.json"
+        path.write_text(json.dumps(self.swapped(
+            json.loads(Path(params).read_text()))))
+        runs = {}
+        for name, doc in (("base", params), ("swap", path)):
+            runs[name] = tmp_path / name
+            assert main(["pipeline", "--params", str(doc), "--budgets",
+                         "8000,12000,16000,20000",
+                         "--out", str(runs[name])]) == 0
+        for sex, other in self.SWAPPED.items():
+            assert read_csv(runs["base"] / f"histories_{sex}.csv")[1:] == \
+                read_csv(runs["swap"] / f"histories_{other}.csv")[1:]
+
+        _, header, base = read_csv(runs["base"] / "selection.csv")
+        _, swap_header, swap = read_csv(runs["swap"] / "selection.csv")
+        assert swap_header == header and len(base) == 4
+        female = [header.index(c) for c in ("female_index", "female_key")]
+        male = [header.index(c) for c in ("male_index", "male_key")]
+        for a, b in zip(base, swap):
+            assert [a[c] for c in female] == [b[c] for c in male]
+            assert [a[c] for c in male] == [b[c] for c in female]
+            assert [x for c, x in enumerate(a) if c not in female + male] \
+                == [x for c, x in enumerate(b) if c not in female + male]
+
+        for name in ("policy_table.csv", "prevalence_series.csv"):
+            _, header, base = read_csv(runs["base"] / name)
+            _, swap_header, swap = read_csv(runs["swap"] / name)
+            assert swap_header == header and len(swap) == len(base)
+            at = header.index("sex")
+            for sex in {row[at] for row in base}:
+                rows = [[x for c, x in enumerate(row) if c != at]
+                        for row in base if row[at] == sex]
+                assert rows == [
+                    [x for c, x in enumerate(row) if c != at]
+                    for row in swap
+                    if row[at] == self.SWAPPED.get(sex, sex)], (name, sex)
+
+
 class TestStrategyClassChecks:
     """Every period evaluates one representative per strategy class: the
     base problem checks every member against it for free, its full-space
@@ -905,8 +985,9 @@ class TestZeroPositiveProbability:
         cpts = build_segment_diagram(Segment(Sex.F, 1), bundle,
                                      bundle.starting_prevalence(Sex.F)).cpts
         li = bundle.effective_cutoffs().index("50")
-        assert cpts[FIT_RESULT][(li, 1)] == (0.0, 0.0, 1.0)
-        assert cpts[EXAM_RESULT][(li, 1, 1)] == (0.0, 1.0, 0.0, 0.0, 0.0)
+        assert cpts[FIT_RESULT][li, 1].tolist() == [0.0, 0.0, 1.0]
+        assert cpts[EXAM_RESULT][li, 1, 1].tolist() == \
+            [0.0, 1.0, 0.0, 0.0, 0.0]
 
     def test_commands_exit_zero(self, params, tmp_path):
         assert main(["validate", "--params", str(params)]) == 0

@@ -58,9 +58,8 @@ def chain_diagram(p_row0=(0.7, 0.3), p_row1=(0.2, 0.8), values=(1.0, 5.0)):
         Node(1, NodeKind.CHANCE, "outcome", ("lo", "hi"), (0,)),
         Node(2, NodeKind.VALUE, "payoff", (), (1,)),
     )
-    cpts = {1: {(0,): p_row0, (1,): p_row1}}
-    specs = {2: ValueSpec(2, {(0,): values[0], (1,): values[1]},
-                          orientation="maximize")}
+    cpts = {1: np.array([p_row0, p_row1])}
+    specs = {2: ValueSpec(2, np.array(values), orientation="maximize")}
     return InfluenceDiagram(nodes, cpts, specs)
 
 
@@ -94,8 +93,7 @@ class TestValidation:
             Node(2, NodeKind.CHANCE, "early", ("x", "y"), (5,)),
             Node(5, NodeKind.CHANCE, "late", ("x", "y"), ()),
         )
-        d = InfluenceDiagram(nodes, {2: {(0,): (1.0, 0.0), (1,): (0.0, 1.0)},
-                                     5: {(): (0.5, 0.5)}},
+        d = InfluenceDiagram(nodes, {2: np.eye(2), 5: np.array([0.5, 0.5])},
                              {})
         rules = {v.rule for v in validate_diagram(d)}
         assert "topology" in rules
@@ -105,17 +103,60 @@ class TestValidation:
             Node(0, NodeKind.VALUE, "v", (), ()),
             Node(1, NodeKind.CHANCE, "c", ("x", "y"), (0,)),
         )
-        d = InfluenceDiagram(nodes, {1: {(0,): (1.0, 0.0)}},
-                             {0: ValueSpec(0, {(): 0.0})})
+        d = InfluenceDiagram(nodes, {1: np.array([[1.0, 0.0]])},
+                             {0: ValueSpec(0, np.array(0.0))})
         rules = {v.rule for v in validate_diagram(d)}
         assert "value-successor" in rules
 
     def test_missing_cpt_row(self):
         d = chain_diagram()
-        cpts = {1: {(0,): (0.7, 0.3)}}  # row for action b missing
+        cpts = {1: np.array([[0.7, 0.3]])}  # row for action b missing
         broken = InfluenceDiagram(d.nodes, cpts, d.values)
-        rules = {v.rule for v in validate_diagram(broken)}
-        assert "cpt-row-missing" in rules
+        violations = validate_diagram(broken)
+        assert [(v.rule, v.node_id, v.context) for v in violations] == \
+            [("cpt-shape", 1, None)]
+        assert "(1, 2)" in violations[0].message
+        assert upper_bound_probability(broken, (0, 1)) == 0.3
+        with pytest.raises(StructuralError):
+            upper_bound_probability(broken, (1, 0))
+
+    @pytest.mark.parametrize("cpt, value, rule", [
+        ([[0.7, 0.3]], [1.0, 5.0], "cpt-shape"),                # row missing
+        ([[0.7], [0.2]], [1.0, 5.0], "cpt-shape"),             # state missing
+        ([[[0.7, 0.3], [0.2, 0.8]]], [1.0, 5.0], "cpt-shape"),  # extra axis
+        ([[0.7, 0.3], [0.2, 0.8]], [1.0], "value-shape"),
+        ([[0.7, 0.3], [0.2, 0.8]], 1.0, "value-shape"),
+    ])
+    def test_wrong_shaped_table_is_one_violation(self, cpt, value, rule):
+        d = chain_diagram()
+        cpt, value = np.array(cpt), np.array(value)
+        broken = InfluenceDiagram(d.nodes, {1: cpt},
+                                  {2: ValueSpec(2, value)})
+        violations = validate_diagram(broken)
+        node, shape = (1, cpt.shape) if rule == "cpt-shape" else \
+            (2, value.shape)
+        assert [(v.rule, v.node_id, v.context) for v in violations] == \
+            [(rule, node, None)]
+        assert str(shape) in violations[0].message
+        if rule == "cpt-shape":  # the path walk meets the missing row
+            with pytest.raises(StructuralError):
+                expected_values(broken, pick(broken, act=1))
+
+    def test_row_violations_name_their_labels(self):
+        nodes = (
+            Node(0, NodeKind.DECISION, "d", ("a", "b")),
+            Node(1, NodeKind.CHANCE, "c", ("x", "y", "z")),
+            Node(2, NodeKind.CHANCE, "e", ("lo", "hi"), (0, 1)),
+        )
+        table = np.full((2, 3, 2), 0.5)
+        table[0, 1] = (0.5, 0.6)    # sums to 1.1
+        table[1, 2] = (1.5, -0.5)   # sums to 1, outside [0, 1]
+        d = InfluenceDiagram(nodes, {1: np.array([0.2, 0.3, 0.5]),
+                                     2: table}, {})
+        assert [(v.rule, v.node_id, v.context)
+                for v in validate_diagram(d)] == [
+            ("cpt-row-sum", 2, ("a", "y")),
+            ("cpt-prob-range", 2, ("b", "z"))]
 
     def test_probability_out_of_range(self):
         d = chain_diagram(p_row0=(1.3, -0.3))
@@ -134,13 +175,13 @@ class TestPaths:
             Node(0, NodeKind.CHANCE, "c0", ("x", "y")),
             Node(1, NodeKind.CHANCE, "c1", ("x", "y")),
         )
-        d = InfluenceDiagram(nodes, {0: {(): (0.5, 0.5)},
-                                     1: {(): (0.5, 0.5)}}, {})
+        d = InfluenceDiagram(nodes, {0: np.array([0.5, 0.5]),
+                                     1: np.array([0.5, 0.5])}, {})
         assert list(enumerate_paths(d)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_single_three_state_node(self):
         nodes = (Node(0, NodeKind.CHANCE, "c", ("a", "b", "c")),)
-        d = InfluenceDiagram(nodes, {0: {(): (0.2, 0.3, 0.5)}}, {})
+        d = InfluenceDiagram(nodes, {0: np.array([0.2, 0.3, 0.5])}, {})
         assert list(enumerate_paths(d)) == [(0,), (1,), (2,)]
 
     def test_capacity_ceiling(self, monkeypatch):
@@ -173,8 +214,8 @@ class TestUpperBound:
             Node(0, NodeKind.CHANCE, "c0", ("x", "y")),
             Node(1, NodeKind.CHANCE, "c1", ("x", "y")),
         )
-        d = InfluenceDiagram(nodes, {0: {(): (0.3, 0.7)},
-                                     1: {(): (0.5, 0.5)}}, {})
+        d = InfluenceDiagram(nodes, {0: np.array([0.3, 0.7]),
+                                     1: np.array([0.5, 0.5])}, {})
         assert upper_bound_probability(d, (0, 0)) == pytest.approx(0.15)
 
     def test_decisions_do_not_contribute(self):
@@ -185,7 +226,8 @@ class TestUpperBound:
 
     def test_missing_row_is_structural_error(self):
         d = chain_diagram()
-        broken = InfluenceDiagram(d.nodes, {1: {(0,): (0.7, 0.3)}}, d.values)
+        broken = InfluenceDiagram(d.nodes, {1: np.array([[0.7, 0.3]])},
+                                  d.values)
         with pytest.raises(StructuralError):
             upper_bound_probability(broken, (1, 0))
 
@@ -266,10 +308,23 @@ class TestExpectedValues:
                 dense_tables(d))[0, index]
             assert np.allclose(got.values, row, atol=1e-12)
 
+    def test_path_walk_returns_python_floats(self):
+        # the walk multiplies and adds Python floats in path order
+        d = chain_diagram()
+        got = expected_values(d, pick(d, act=0)).values
+        assert got == (0.0 + 1.0 * 0.7 * 1.0 + 1.0 * 0.3 * 5.0,)
+        rng = np.random.default_rng(59)
+        for _ in range(5):
+            d = random_diagram(rng, max_paths=500)
+            z = random_strategy(rng, d)
+            assert all(type(v) is float for v in expected_values(d, z).values)
+            for s in enumerate_paths(d):
+                assert type(upper_bound_probability(d, s)) is float
+                assert type(path_probability(d, s, z)) is float
+
     def test_linear_in_utility_scaling(self):
         d = chain_diagram()
-        scaled_spec = ValueSpec(2, {k: 3.5 * v for k, v in
-                                    d.values[2].table.items()},
+        scaled_spec = ValueSpec(2, 3.5 * d.values[2].table,
                                 orientation="maximize")
         scaled = InfluenceDiagram(d.nodes, d.cpts, {2: scaled_spec})
         z = pick(d, act=0)
@@ -299,7 +354,7 @@ class TestStrategyEnumeration:
             Node(0, NodeKind.DECISION, "d", ("a", "b")),
             Node(1, NodeKind.CHANCE, "c", ("x", "y"), ()),
         )
-        d = InfluenceDiagram(nodes, {1: {(): (0.5, 0.5)}}, {})
+        d = InfluenceDiagram(nodes, {1: np.array([0.5, 0.5])}, {})
         assert len(list(enumerate_strategies(d))) == 2
 
     def test_binary_decision_with_binary_predecessor(self):
@@ -307,7 +362,7 @@ class TestStrategyEnumeration:
             Node(0, NodeKind.CHANCE, "c", ("x", "y"), ()),
             Node(1, NodeKind.DECISION, "d", ("a", "b"), (0,)),
         )
-        d = InfluenceDiagram(nodes, {0: {(): (0.5, 0.5)}}, {})
+        d = InfluenceDiagram(nodes, {0: np.array([0.5, 0.5])}, {})
         strategies = list(enumerate_strategies(d))
         assert len(strategies) == 4
         keys = [z.key for z in strategies]
@@ -328,7 +383,7 @@ class TestStrategyEnumeration:
 
     def test_no_decisions_yields_empty_strategy(self):
         nodes = (Node(0, NodeKind.CHANCE, "c", ("x", "y")),)
-        d = InfluenceDiagram(nodes, {0: {(): (0.4, 0.6)}}, {})
+        d = InfluenceDiagram(nodes, {0: np.array([0.4, 0.6])}, {})
         strategies = list(enumerate_strategies(d))
         assert len(strategies) == 1
         assert strategies[0].rules == {}
@@ -352,8 +407,7 @@ class TestStrategyEnumeration:
             Node(1, NodeKind.DECISION, "d1", ("a", "b")),
             Node(2, NodeKind.CHANCE, "c", ("x", "y"), (1,)),
         )
-        d = InfluenceDiagram(nodes, {2: {(0,): (0.5, 0.5),
-                                         (1,): (0.5, 0.5)}}, {})
+        d = InfluenceDiagram(nodes, {2: np.full((2, 2), 0.5)}, {})
         monkeypatch.setattr(screenopt.diagram, ceiling, 3)
         with pytest.raises(CapacityError):
             StrategyEvaluator(d)

@@ -186,6 +186,11 @@ class TestColonoscopyRow:
         assert math.fsum(row) == pytest.approx(1.0, abs=1e-12)
 
 
+def row(table, *info) -> tuple[float, ...]:
+    """One CPT row of a diagram table, as a tuple of Python floats."""
+    return tuple(table[info].tolist())
+
+
 def constant_strategy(diagram, cutoff=0, incentive=0, invite=1,
                       exam_on_contact=1):
     rules = {
@@ -239,7 +244,9 @@ class TestPrevalenceTables:
                 got = build_segment_diagram(Segment(Sex.F, 1), bundle,
                                             psi).cpts
                 for node_id, table in want.items():
-                    assert list(got[node_id]) == list(table)
+                    assert got[node_id].shape == tables[node_id].shape[1:]
+                    assert sorted(table) == list(
+                        np.ndindex(got[node_id].shape[:-1]))
                     for info, row in table.items():
                         self.assert_same_bits(tables[node_id][(h,) + info],
                                               row)
@@ -316,9 +323,8 @@ class TestSegmentDiagram:
             assert sorted(d.values) == sorted(want)
             for node in d.value_nodes:
                 table = d.values[node.node_id].table
-                states = list(d.info_states(node))
-                assert sorted(table) == states
-                for info in states:
+                assert table.shape == d.info_shape(node)
+                for info in d.info_states(node):
                     assert table[info] == want[node.node_id](info), \
                         (node.node_id, info)
 
@@ -330,9 +336,9 @@ class TestSegmentDiagram:
         d = build_segment_diagram(Segment(Sex.F, 3), default_bundle,
                                   default_bundle.starting_prevalence(Sex.F))
         for nid, table in d.cpts.items():
-            for info, row in table.items():
-                assert math.fsum(row) == pytest.approx(1.0, abs=1e-9), \
-                    (nid, info)
+            for info in np.ndindex(table.shape[:-1]):
+                assert math.fsum(table[info].tolist()) == \
+                    pytest.approx(1.0, abs=1e-9), (nid, info)
 
     def test_sample_row_incentive_halves_non_return(self, default_doc):
         doc = json.loads(json.dumps(default_doc))
@@ -342,14 +348,15 @@ class TestSegmentDiagram:
         d = build_segment_diagram(Segment(Sex.F, 1), bundle,
                                   bundle.starting_prevalence(Sex.F))
         table = d.cpts[SAMPLE]
-        assert table[(0, 0)] == (1.0, 0.0)
-        assert table[(1, 0)] == (1.0, 0.0)
-        assert table[(0, 1)] == (1.0 - 0.6, 0.6)
-        assert table[(1, 1)] == (0.2, 0.8)
+        assert table.shape == (2, 2, 2)
+        assert row(table, 0, 0) == (1.0, 0.0)
+        assert row(table, 1, 0) == (1.0, 0.0)
+        assert row(table, 0, 1) == (1.0 - 0.6, 0.6)
+        assert row(table, 1, 1) == (0.2, 0.8)
         # the incentive row is exactly ((1-P)/2, P + (1-P)/2)
         p = 0.6
-        assert table[(1, 1)] == ((1 - p) / 2, p + (1 - p) / 2)
-        assert table[(1, 1)][1] - table[(0, 1)][1] == \
+        assert row(table, 1, 1) == ((1 - p) / 2, p + (1 - p) / 2)
+        assert table[1, 1, 1] - table[0, 1, 1] == \
             pytest.approx((1 - p) / 2, abs=1e-15)
 
     def test_fit_row_structure(self, small_bundle):
@@ -357,12 +364,9 @@ class TestSegmentDiagram:
         d = build_segment_diagram(Segment(Sex.M, 1), small_bundle, psi)
         cutoffs = small_bundle.effective_cutoffs()
         for li, label in enumerate(cutoffs):
-            assert d.cpts[FIT_RESULT][(li, 0)] == (1.0, 0.0, 0.0)
+            assert row(d.cpts[FIT_RESULT], li, 0) == (1.0, 0.0, 0.0)
             fpos = fit_positive_probability(small_bundle.fit, label, psi)
-            row = d.cpts[FIT_RESULT][(li, 1)]
-            assert row[0] == 0.0
-            assert row[1] == fpos
-            assert row[2] == 1.0 - fpos
+            assert row(d.cpts[FIT_RESULT], li, 1) == (0.0, fpos, 1.0 - fpos)
 
     def test_exam_row_only_on_contact_and_colonoscopy(self, small_bundle):
         psi = small_bundle.starting_prevalence(Sex.F)
@@ -372,28 +376,30 @@ class TestSegmentDiagram:
             expected = colonoscopy_result_row(
                 small_bundle.fit, small_bundle.colonoscopy, label, psi)
             for s6, s7 in itertools.product(range(2), range(2)):
-                row = d.cpts[EXAM_RESULT][(li, s6, s7)]
-                assert row == (expected if (s6, s7) == (1, 1) else na_row)
+                assert row(d.cpts[EXAM_RESULT], li, s6, s7) == \
+                    (expected if (s6, s7) == (1, 1) else na_row)
 
     def test_polyp_iff_growth(self, small_bundle):
         d = build_segment_diagram(Segment(Sex.F, 1), small_bundle,
                                   small_bundle.starting_prevalence(Sex.F))
         table = d.cpts[POLYP]
-        assert table[(0,)] == (1.0, 0.0, 0.0)   # no result
-        assert table[(1,)] == (0.0, 1.0, 0.0)   # normal: no polyp
+        assert table.shape == (5, 3)
+        assert row(table, 0) == (1.0, 0.0, 0.0)   # no result
+        assert row(table, 1) == (0.0, 1.0, 0.0)   # normal: no polyp
         for growth in (2, 3, 4):
-            assert table[(growth,)] == (0.0, 0.0, 1.0)
+            assert row(table, growth) == (0.0, 0.0, 1.0)
 
     def test_adverse_event_rows(self, small_bundle):
         d = build_segment_diagram(Segment(Sex.M, 2), small_bundle,
                                   small_bundle.starting_prevalence(Sex.M))
         col = small_bundle.colonoscopy
         table = d.cpts[ADVERSE]
-        assert table[(0,)] == (1.0, 0.0, 0.0)
-        assert table[(1,)] == (
+        assert table.shape == (3, 3)
+        assert row(table, 0) == (1.0, 0.0, 0.0)
+        assert row(table, 1) == (
             1.0 - col.bleed - col.perforation_without_polypectomy,
             col.bleed, col.perforation_without_polypectomy)
-        assert table[(2,)] == (
+        assert row(table, 2) == (
             1.0 - col.bleed - col.perforation_with_polypectomy,
             col.bleed, col.perforation_with_polypectomy)
 
@@ -635,6 +641,7 @@ _SECTIONS = (
 _NAN, _INF = float("nan"), float("inf")
 _RESERVED = ("label {!r} is empty or contains a reserved character "
              "(, | ; \" or a line break)")
+_MARKER = 'label {!r} is "-" or contains "+", the policy-table markers'
 
 # (edits, path, message); with several faults the first in load order wins.
 _LOADER_ERRORS = [
@@ -723,6 +730,10 @@ _LOADER_ERRORS = [
     ([(("fit", "cutoffs"), ["10", label])], "fit.cutoffs",
      _RESERVED.format(label))
     for label in ("", "20,5", "a|b", "a;b", "a\nb", 'a"b', "a\rb")
+] + [
+    ([(("fit", "cutoffs"), ["10", label])], "fit.cutoffs",
+     _MARKER.format(label))
+    for label in ("10+i", "+", "-")
 ] + [
     # boolean options and the cut-off subset
     ([(("options", "fix_exam_to_colonoscopy"), "yes")],
