@@ -54,6 +54,7 @@ from .phase2 import (
 )
 from .screening import (
     OBJECTIVE_NAMES,
+    BowelState,
     ParameterBundle,
     Segment,
     Sex,
@@ -270,14 +271,6 @@ def _emit(obj: Any, out: list[str]) -> None:
         out.append(json.dumps(str(obj)))
 
 
-def _rollout_prevalence(bundle: ParameterBundle, sex: Sex, period: int):
-    """Starting prevalence of ``period`` under no screening."""
-    rollout = natural_progression_rollout(
-        bundle.starting_prevalence(sex),
-        bundle.transitions[sex.value], period - 1)
-    return rollout[-1]
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -292,9 +285,11 @@ def _cmd_validate(args) -> int:
 
     failures = 0
     for sex in (Sex.F, Sex.M):
+        rollout = natural_progression_rollout(
+            bundle.starting_prevalence(sex), bundle.transitions[sex.value])
         for period in range(1, bundle.periods + 1):
-            psi = _rollout_prevalence(bundle, sex, period)
-            diagram = build_segment_diagram(Segment(sex, period), bundle, psi)
+            diagram = build_segment_diagram(Segment(sex, period), bundle,
+                                            rollout[period - 1])
             for violation in validate_diagram(diagram):
                 failures += 1
                 print(f"sex={sex.value} period={period}: {violation}",
@@ -314,8 +309,10 @@ def _cmd_segment(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     sex = Sex(args.sex)
     segment = Segment(sex, args.period)
-    psi = _rollout_prevalence(bundle, sex, args.period)
-    frontier = segment_frontier(bundle, segment, psi, mask, args.cross_check)
+    rollout = natural_progression_rollout(bundle.starting_prevalence(sex),
+                                          bundle.transitions[sex.value])
+    frontier = segment_frontier(bundle, segment, rollout[args.period - 1],
+                                mask, args.cross_check)
 
     problem, chosen = frontier.problem, frontier.candidates
     columns = [problem.names.index(name) for name in OBJECTIVE_NAMES]
@@ -450,7 +447,7 @@ def _write_histories(out: Path, digest: str, sex: Sex,
     for k in range(1, periods + 1):
         columns += [f"cutoff_{k}", f"incentive_{k}", f"invite_{k}", f"exam_{k}"]
     for k in range(1, periods + 1):
-        columns += [f"normal_{k}", f"benign_{k}", f"large_{k}", f"crc_{k}"]
+        columns += [f"{state.value}_{k}" for state in BowelState]
     columns += ["cumulative_colonoscopies", "total_cancer_prevalence",
                 "total_cost"]
     _write_csv(out / f"histories_{sex.value}.csv", digest, columns, lines)
@@ -474,8 +471,7 @@ def _write_cases(out: Path, digest: str, bundle, results, rows,
         return lines
 
     series = ["baseline,," + line for line in block(*(
-        [entry.total_prevalence.crc
-         for entry in baseline_trajectory(bundle, sex, periods)]
+        baseline_trajectory(bundle, sex, periods)[1][:, 3].tolist()
         for sex in (Sex.F, Sex.M)))]
     selection, policy, rendered = [], [], {}
     for case, res in enumerate(results, start=1):
@@ -510,20 +506,15 @@ def _cmd_baseline(args) -> int:
     bundle, _, _, digest = _load(args)
     periods = _periods(args, bundle)
     args.out.mkdir(parents=True, exist_ok=True)
-    columns = ("sex", "period", "age",
-               "start_normal", "start_benign", "start_large", "start_crc",
-               "normal", "benign", "large", "crc", "total_cancer_prevalence")
+    states = [state.value for state in BowelState]
+    columns = (["sex", "period", "age"] + [f"start_{s}" for s in states]
+               + states + ["total_cancer_prevalence"])
     rows = []
     for sex in (Sex.F, Sex.M):
-        for entry in baseline_trajectory(bundle, sex, periods):
-            start = entry.start_prevalence
-            psi = entry.updated_prevalence
-            rows.append([
-                sex.value, entry.period, Segment(sex, entry.period).age,
-                start.normal, start.benign, start.large, start.crc,
-                psi.normal, psi.benign, psi.large, psi.crc,
-                entry.total_prevalence.crc,
-            ])
+        rollout, totals = baseline_trajectory(bundle, sex, periods)
+        values = np.hstack([rollout[:-1], rollout[1:], totals[:, 3:]])
+        rows += [[sex.value, k, Segment(sex, k).age] + row
+                 for k, row in enumerate(values.tolist(), start=1)]
     out = args.out / "baseline.csv"
     _write_csv(out, digest, columns, rows)
     print(f"wrote {out}")

@@ -296,6 +296,15 @@ def _cpt_row(diagram: InfluenceDiagram, node: Node,
     return row.tolist()
 
 
+def _value_table(diagram: InfluenceDiagram, node: Node) -> np.ndarray:
+    """``node``'s value table, checked against its information shape."""
+    table, shape = diagram.values[node.node_id].table, diagram.info_shape(node)
+    if np.shape(table) != shape:
+        raise StructuralError(f"value table of node {node.node_id} has shape "
+                              f"{np.shape(table)}, not {shape}")
+    return table
+
+
 def enumerate_paths(diagram: InfluenceDiagram) -> Iterator[Path]:
     """Yield every path once, in lexicographic node-state order."""
     _check_ceiling(diagram.path_count(), PATH_CEILING, "paths")
@@ -397,6 +406,7 @@ def expected_values(diagram: InfluenceDiagram,
     """
     nodes = diagram.path_nodes
     totals = [0.0] * len(diagram.value_nodes)
+    tables = [_value_table(diagram, v) for v in diagram.value_nodes]
     pos = diagram.path_position
 
     def walk(depth: int, prefix: list[int], prob: float) -> None:
@@ -406,8 +416,7 @@ def expected_values(diagram: InfluenceDiagram,
             path = tuple(prefix)
             for i, vnode in enumerate(diagram.value_nodes):
                 info = diagram.info_state_of(vnode, path)
-                totals[i] += prob * float(
-                    diagram.values[vnode.node_id].table[info])
+                totals[i] += prob * float(tables[i][info])
             return
         node = nodes[depth]
         info = tuple(prefix[pos[p]] for p in node.predecessors)
@@ -515,7 +524,7 @@ class StrategyEvaluator:
                         for n in d.chance_nodes]
         utility = np.zeros((n_paths, len(d.value_nodes)))
         for i, node in enumerate(d.value_nodes):
-            utility[:, i] = d.values[node.node_id].table.ravel()[
+            utility[:, i] = _value_table(d, node).ravel()[
                 flat(node.predecessors)]
         # Paths in signature order: per chance node the flat index of each
         # path's entry, and each path's utility row.

@@ -29,8 +29,9 @@ absorbs the residual. Histories whose cumulative expected colonoscopies
 are filtered by exact dominance (the frontier module's ``skyline``
 kernel) on (total cancer prevalence, next-period cancer prevalence,
 next-period large-growth prevalence, cumulative colonoscopies).
-The recurrences run on the table's columns; the no-screening rollout and
-baseline run the same functions on one row.
+A prevalence is a (4,) float row in ``BowelState`` order, and many are the
+rows of an (N x 4) array: the recurrences run on the table's columns, and
+the no-screening rollout and baseline run the same functions on one row.
 ``run_phase1`` returns each sex's last table: phase 2 and the CLI read its
 columns and walk its rows' ancestors (:meth:`HistoryTable.lineage`), and
 only tests and the benchmark tracer read rows as :class:`StrategyHistory`
@@ -67,8 +68,8 @@ from .pareto import (
     sorted_runs,
 )
 from .screening import (
+    ABNORMAL,
     ParameterBundle,
-    PrevalenceVector,
     Segment,
     Sex,
     TransitionRates,
@@ -83,20 +84,21 @@ HISTORY_CAP = 10**6
 DETECTIONS = ("benign_found", "large_found", "crc_found")
 
 
-def natural_progression_rollout(psi0: PrevalenceVector,
+def natural_progression_rollout(psi0: np.ndarray,
                                 rates: Sequence[TransitionRates],
-                                periods: int | None = None
-                                ) -> list[PrevalenceVector]:
-    """Prevalence trajectory with no screening: [start, after period 1, ...]."""
+                                periods: int | None = None) -> np.ndarray:
+    """Prevalence trajectory with no screening, (periods + 1) x 4: row k is
+    the start of period k + 1, row 0 ``psi0``."""
     if periods is None:
         periods = len(rates)
     if periods > len(rates):
         raise ValueError(f"only {len(rates)} transition rows available")
-    out = [psi0]
-    psi = np.array([psi0.as_tuple()])
+    out = np.empty((periods + 1, 4))
+    out[0] = psi0
+    check_prevalence_rows(out[:1])
     for k in range(periods):
-        psi = update_prevalence_rows(psi, np.zeros((1, 3)), rates[k])
-        out.append(PrevalenceVector(*psi[0].tolist()))
+        out[k + 1] = update_prevalence_rows(out[None, k], np.zeros((1, 3)),
+                                            rates[k])[0]
     return out
 
 
@@ -108,9 +110,9 @@ def update_prevalence_rows(psi: np.ndarray, found: np.ndarray,
 
     Raises ``ValueError`` when a detected fraction is negative or exceeds
     its prevalence, which signals inconsistent inputs, or when a result
-    fails the :class:`PrevalenceVector` checks.
+    fails ``check_prevalence_rows``.
     """
-    for column, state in enumerate(("benign", "large", "crc")):
+    for column, state in enumerate(s.value for s in ABNORMAL):
         detected, prevalence = found[:, column], psi[:, column + 1]
         if np.any(detected < -DETECTION_TOL):
             raise ValueError(f"negative detected fraction for {state}")
@@ -136,7 +138,7 @@ def update_prevalence_rows(psi: np.ndarray, found: np.ndarray,
 def combined_total_rows(previous: np.ndarray, previous_weight: float,
                         psi: np.ndarray, weight: float) -> np.ndarray:
     """Population-size-weighted running average of the rows of two (N x 4)
-    prevalence arrays, with the :class:`PrevalenceVector` checks."""
+    prevalence arrays, checked as every prevalence is."""
     total = previous_weight + weight
     out = (previous * previous_weight + psi * weight) / total
     check_prevalence_rows(out)
@@ -150,8 +152,8 @@ class PeriodRecord:
     period: int
     strategy: GlobalStrategy
     objectives: ObjectiveVector          # per invitee, as computed
-    start_prevalence: PrevalenceVector
-    updated_prevalence: PrevalenceVector  # post screening + two-year progression
+    start_prevalence: np.ndarray         # (4,) row
+    updated_prevalence: np.ndarray       # after screening and progression
 
 
 @dataclass(frozen=True)
@@ -162,7 +164,7 @@ class StrategyHistory:
     records: tuple[PeriodRecord, ...]
     cumulative_colonoscopies: float      # absolute count, cohort-scaled
     cumulative_cost: float               # absolute euros, cohort-scaled
-    total_prevalence: PrevalenceVector   # weighted over periods so far
+    total_prevalence: np.ndarray         # weighted over periods so far
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -192,7 +194,7 @@ class HistoryTable:
     sex: Sex
     period: int
     weight: float
-    start: PrevalenceVector
+    start: np.ndarray
     problem: DiagramProblem
     parent: HistoryTable | None
     parent_row: np.ndarray
@@ -253,21 +255,20 @@ class HistoryTable:
                                            problem.names),
                 start_prevalence=(chains[i][-1].updated_prevalence
                                   if chains[i] else table.start),
-                updated_prevalence=PrevalenceVector(*psi))
+                updated_prevalence=psi)
                 for i, s, values, psi in zip(
                     first.tolist(), table.strategy[wanted].tolist(),
-                    table.reported[wanted].tolist(),
-                    table.updated[wanted].tolist())]
+                    table.reported[wanted].tolist(), table.updated[wanted])]
             chains = [chain + (made[j],)
                       for chain, j in zip(chains, inverse.tolist())]
         return [
             StrategyHistory(sex=self.sex, records=chain,
                             cumulative_colonoscopies=col,
                             cumulative_cost=cost,
-                            total_prevalence=PrevalenceVector(*total))
+                            total_prevalence=total)
             for chain, col, cost, total in zip(
                 chains, self.colonoscopies[rows].tolist(),
-                self.cost[rows].tolist(), self.total[rows].tolist())]
+                self.cost[rows].tolist(), self.total[rows])]
 
 
 def remove_dominated(histories: HistoryTable,
@@ -294,7 +295,7 @@ def remove_dominated(histories: HistoryTable,
 
 
 def segment_frontier(params: ParameterBundle, segment: Segment,
-                     psi: PrevalenceVector,
+                     psi: np.ndarray,
                      objective_mask: Sequence[str] | None = None,
                      cross_check: bool = False) -> ParetoFrontier:
     """Frontier of one segment's diagram problem at prevalence ``psi``
@@ -424,7 +425,7 @@ def _extend_period(params, sex, k, previous, budget, cross_check, start):
     base = start.problem
     if previous is None:
         psi = params.starting_prevalence(sex)
-        starts = np.array([psi.as_tuple()])
+        starts = psi[None]
         before_col = before_cost = np.zeros(1)
     else:
         psi, starts = previous.start, previous.updated
@@ -497,35 +498,21 @@ def _extend_period(params, sex, k, previous, budget, cross_check, start):
         cost=before_cost[parent] + values[:, names.index("cost")] * cohort)
 
 
-@dataclass(frozen=True)
-class BaselinePeriod:
-    period: int
-    start_prevalence: PrevalenceVector
-    updated_prevalence: PrevalenceVector
-    total_prevalence: PrevalenceVector
-
-
-def baseline_trajectory(params: ParameterBundle, sex: Sex,
-                        periods: int) -> list[BaselinePeriod]:
+def baseline_trajectory(params: ParameterBundle, sex: Sex, periods: int
+                        ) -> tuple[np.ndarray, np.ndarray]:
     """No-screening reference over ``periods`` periods: the same
     recurrences with zero detections, with the same population-weighted
-    total-prevalence bookkeeping."""
+    total-prevalence bookkeeping: the (periods + 1) x 4 rollout, whose rows
+    k - 1 and k are period k's start and updated prevalence, and the
+    periods x 4 totals, whose row k - 1 is the total through period k."""
     rollout = natural_progression_rollout(
         params.starting_prevalence(sex),
         params.transitions[sex.value], periods)
-    out = []
-    total = None
-    weight = 0.0
-    for k in range(1, periods + 1):
+    totals = rollout[1:].copy()
+    weight = params.cohort_size(Segment(sex, 1))
+    for k in range(2, periods + 1):
         cohort = params.cohort_size(Segment(sex, k))
-        psi = np.array([rollout[k].as_tuple()])
-        total = psi if total is None else \
-            combined_total_rows(total, weight, psi, cohort)
+        totals[k - 1] = combined_total_rows(totals[None, k - 2], weight,
+                                            rollout[None, k], cohort)[0]
         weight += cohort
-        out.append(BaselinePeriod(
-            period=k,
-            start_prevalence=rollout[k - 1],
-            updated_prevalence=rollout[k],
-            total_prevalence=PrevalenceVector(*total[0].tolist()),
-        ))
-    return out
+    return rollout, totals

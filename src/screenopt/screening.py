@@ -77,25 +77,10 @@ class Segment:
         return 60 + 2 * (self.period - 1)
 
 
-@dataclass(frozen=True)
-class PrevalenceVector:
-    """Distribution over the four bowel states for one segment."""
-
-    normal: float
-    benign: float
-    large: float
-    crc: float
-
-    def __post_init__(self):
-        check_prevalence_rows(np.array([self.as_tuple()], dtype=float))
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.normal, self.benign, self.large, self.crc)
-
-
 def check_prevalence_rows(rows: np.ndarray) -> None:
-    """The checks of :class:`PrevalenceVector` on every row of an (N x 4)
-    array in state order: sum 1 within SUM_TOL, no entry below -ZERO_TOL."""
+    """The one prevalence check, on every row of an (N x 4) array: a
+    prevalence is a row in :class:`BowelState` order that sums to 1 within
+    SUM_TOL and has no entry below -ZERO_TOL."""
     total = rows[:, 0] + rows[:, 1] + rows[:, 2] + rows[:, 3]
     off = np.flatnonzero(~(np.abs(total - 1.0) <= SUM_TOL))
     if off.size:
@@ -187,7 +172,7 @@ class ParameterBundle:
     colonoscopy: ColonoscopyCharacteristics
     participation: ParticipationParameters
     costs: CostSchedule
-    prevalence0: Mapping[str, PrevalenceVector]          # sex value -> vector
+    prevalence0: Mapping[str, np.ndarray]                # sex value -> row
     transitions: Mapping[str, tuple[TransitionRates, ...]]
     population: Mapping[str, tuple[float, ...]]          # cohort size per period
     options: ModelOptions = ModelOptions()
@@ -200,7 +185,7 @@ class ParameterBundle:
     def effective_cutoffs(self) -> tuple[str, ...]:
         return self.options.cutoff_set or self.fit.cutoffs
 
-    def starting_prevalence(self, sex: Sex) -> PrevalenceVector:
+    def starting_prevalence(self, sex: Sex) -> np.ndarray:
         return self.prevalence0[sex.value]
 
     def transition(self, segment: Segment) -> TransitionRates:
@@ -304,8 +289,8 @@ def segment_tables(params: ParameterBundle, segment: Segment,
 # ---------------------------------------------------------------------------
 
 def build_segment_diagram(segment: Segment, params: ParameterBundle,
-                          psi: PrevalenceVector) -> InfluenceDiagram:
-    """Influence diagram for one segment at prevalence ``psi``."""
+                          psi: np.ndarray) -> InfluenceDiagram:
+    """Influence diagram for one segment at prevalence ``psi``, a (4,) row."""
     cutoffs = params.effective_cutoffs()
     no_yes = ("no", "yes")
     nodes = (
@@ -333,7 +318,8 @@ def build_segment_diagram(segment: Segment, params: ParameterBundle,
         Node(LARGE_NODE, NodeKind.VALUE, "large_found", (), (EXAM_RESULT,)),
         Node(CRC_NODE, NodeKind.VALUE, "crc_found", (), (EXAM_RESULT,)),
     )
-    tables = segment_tables(params, segment, np.array([psi.as_tuple()]))
+    check_prevalence_rows(np.reshape(psi, (1, 4)))
+    tables = segment_tables(params, segment, np.reshape(psi, (1, 4)))
 
     # The cost of every (incentive, invite, sample, exam, exam result,
     # polyp, adverse event) state: the stage costs added in stage order,
@@ -416,8 +402,8 @@ _TOP_KEYS = {"description", "fit", "colonoscopy", "participation", "costs",
              "prevalence0", "transitions", "population", "options"}
 _REQUIRED = ("fit", "colonoscopy", "participation", "costs", "prevalence0",
              "transitions", "population")
-_STATE_KEYS = ("normal", "benign", "large", "crc")
-_ABNORMAL_KEYS = ("benign", "large", "crc")
+_STATE_KEYS = tuple(state.value for state in BowelState)
+_ABNORMAL_KEYS = tuple(state.value for state in ABNORMAL)
 
 
 def load_parameters(doc: Mapping[str, Any]) -> tuple[ParameterBundle, LoadReport]:
@@ -651,12 +637,15 @@ def _cost(value: Any, path: str) -> float:
     return value
 
 
-def _prevalence(section: Any, path: str) -> PrevalenceVector:
+def _prevalence(section: Any, path: str) -> np.ndarray:
     entries = _probabilities(section, path, _STATE_KEYS)
     total = math.fsum(entries.values())
     if abs(total - 1.0) > SUM_TOL:
         raise ParameterError(path, f"prevalences sum to {total!r}, not 1")
-    return PrevalenceVector(**entries)
+    psi = np.array(list(entries.values()))
+    check_prevalence_rows(psi[None])
+    psi.flags.writeable = False
+    return psi
 
 
 def _transitions(rows: Any, path: str,

@@ -330,6 +330,11 @@ def extreme_params_doc(rng: np.random.Generator, periods: int = 3,
     return doc
 
 
+def random_prevalence(rng) -> np.ndarray:
+    """A random prevalence row in state order, from :func:`_random_simplex`."""
+    return np.array(list(_random_simplex(rng).values()))
+
+
 def _random_simplex(rng) -> dict:
     abnormal = rng.uniform([0.02, 0.005, 0.0005], [0.14, 0.05, 0.01])
     normal = 1.0 - float(abnormal.sum())

@@ -128,6 +128,12 @@ MUTANTS = (
            "if True:",
            ("tests/test_diagram.py::TestValidation::"
             "test_wrong_shaped_table_is_one_violation",)),
+    # The evaluator reads a value table of any shape.
+    Mutant("src/screenopt/diagram.py",
+           "utility[:, i] = _value_table(d, node).ravel()[",
+           "utility[:, i] = d.values[node.node_id].table.ravel()[",
+           ("tests/test_diagram.py::TestValidation::"
+            "test_wrong_shaped_value_table_is_a_structural_error",)),
     # The path walk reads a CPT row as numpy scalars.
     Mutant("src/screenopt/diagram.py",
            "return row.tolist()",
@@ -212,6 +218,29 @@ MUTANTS = (
            "blocks.append([rendered[i] for i in at.tolist()])",
            "blocks.append([rendered[i] for i in inverse.tolist()])",
            ("tests/test_cli.py::TestObjectPathOracle",)),
+    # A rollout's start row is used unchecked.
+    Mutant("src/screenopt/phase1.py",
+           "check_prevalence_rows(out[:1])",
+           "None",
+           ("tests/test_phase1.py::TestNaNRejected::"
+            "test_rollout_start_and_diagram_prevalence",)),
+    # A segment diagram is built at an unchecked prevalence row.
+    Mutant("src/screenopt/screening.py",
+           "check_prevalence_rows(np.reshape(psi, (1, 4)))",
+           "None",
+           ("tests/test_phase1.py::TestNaNRejected::"
+            "test_rollout_start_and_diagram_prevalence",)),
+    # validate builds period k's diagram at rollout row k, the start of
+    # period k + 1.
+    Mutant("src/screenopt/cli.py",
+           "rollout[period - 1])",
+           "rollout[period])",
+           ("tests/test_cli.py::TestRolloutRows",)),
+    # segment --period k solves at rollout row k.
+    Mutant("src/screenopt/cli.py",
+           "rollout[args.period - 1],",
+           "rollout[args.period],",
+           ("tests/test_cli.py::TestRolloutRows",)),
     # The exhaustive oracle grows cancers from the next period's large
     # growths, not from those that screening left.
     Mutant("tests/oracles.py",

@@ -35,16 +35,19 @@ from screenopt.screening import (
     INCENTIVE,
     INVITE,
     BowelState,
-    PrevalenceVector,
     Segment,
     Sex,
     build_segment_diagram,
+    check_prevalence_rows,
     fixed_decision_rules,
     policy_cell,
 )
 
+#: The column of each bowel state in a prevalence row (``BowelState`` order).
+NORMAL, BENIGN, LARGE, CRC = range(4)
+
 #: The four simplex vertices, one bowel state each.
-VERTICES = tuple(PrevalenceVector(*row) for row in np.eye(4).tolist())
+VERTICES = tuple(np.eye(4))
 
 EPSILON_SCALE = 1e-4
 #: Smallest box width the box search's scalarization weights divide by.
@@ -60,44 +63,54 @@ class DetectedFractions:
     crc: float
 
 
+def share(psi, state: BowelState) -> float:
+    """The prevalence of ``state`` in the row ``psi``, as a Python float."""
+    return float(psi[list(BowelState).index(state)])
+
+
 def update_prevalences(psi, found, rates):
     """One detection-and-progression step of the prevalence recurrences,
-    one state at a time: the reference of ``phase1.update_prevalence_rows``.
+    one state at a time in Python floats: the reference of
+    ``phase1.update_prevalence_rows``. Returns a (4,) row.
 
     Raises ``ValueError`` when a detected fraction exceeds its prevalence,
-    which signals inconsistent inputs.
+    which signals inconsistent inputs, or when the result fails the
+    prevalence checks.
     """
-    for state, detected in (("benign", found.benign), ("large", found.large),
-                            ("crc", found.crc)):
+    normal, benign, large, crc = map(float, psi)
+    for state, detected, prevalence in (("benign", found.benign, benign),
+                                        ("large", found.large, large),
+                                        ("crc", found.crc, crc)):
         if detected < -DETECTION_TOL:
             raise ValueError(f"negative detected fraction for {state}")
-        if detected > getattr(psi, state) + DETECTION_TOL:
+        if detected > prevalence + DETECTION_TOL:
             raise ValueError(
                 f"detected fraction {detected!r} exceeds prevalence "
-                f"{getattr(psi, state)!r} for {state}")
+                f"{prevalence!r} for {state}")
 
-    benign = ((psi.benign - found.benign) * (1.0 - rates.benign_to_large)
-              + psi.normal * rates.normal_to_benign)
-    large = ((psi.large - found.large) * (1.0 - rates.large_to_crc)
-             + (psi.benign - found.benign) * rates.benign_to_large)
-    crc = (psi.crc - found.crc
-           + (psi.large - found.large) * rates.large_to_crc)
-    normal = 1.0 - benign - large - crc
-    return PrevalenceVector(normal=normal, benign=benign, large=large, crc=crc)
+    benign_out = ((benign - found.benign) * (1.0 - rates.benign_to_large)
+                  + normal * rates.normal_to_benign)
+    large_out = ((large - found.large) * (1.0 - rates.large_to_crc)
+                 + (benign - found.benign) * rates.benign_to_large)
+    crc_out = (crc - found.crc
+               + (large - found.large) * rates.large_to_crc)
+    out = np.array([1.0 - benign_out - large_out - crc_out, benign_out,
+                    large_out, crc_out])
+    check_prevalence_rows(out[None])
+    return out
 
 
 def combined_total_prevalence(previous, previous_weight, psi, weight):
-    """Population-size-weighted running average of prevalence vectors, one
-    state at a time: the reference of ``phase1.combined_total_rows``."""
+    """Population-size-weighted running average of two prevalence rows, one
+    state at a time in Python floats: the reference of
+    ``phase1.combined_total_rows``."""
     if previous is None:
         return psi
     total = previous_weight + weight
-    return PrevalenceVector(
-        normal=(previous.normal * previous_weight + psi.normal * weight) / total,
-        benign=(previous.benign * previous_weight + psi.benign * weight) / total,
-        large=(previous.large * previous_weight + psi.large * weight) / total,
-        crc=(previous.crc * previous_weight + psi.crc * weight) / total,
-    )
+    out = np.array([(a * previous_weight + b * weight) / total
+                    for a, b in zip(previous.tolist(), psi.tolist())])
+    check_prevalence_rows(out[None])
+    return out
 
 
 def fit_positive_probability(fit, cutoff, psi) -> float:
@@ -106,9 +119,9 @@ def fit_positive_probability(fit, cutoff, psi) -> float:
     Sensitivity-weighted abnormal prevalence plus the false-positive share
     of the normal prevalence.
     """
-    total = (1.0 - fit.specificity_for(cutoff)) * psi.normal
+    total = (1.0 - fit.specificity_for(cutoff)) * share(psi, BowelState.NORMAL)
     for state in ABNORMAL:
-        total += fit.sensitivity_for(cutoff, state) * getattr(psi, state.value)
+        total += fit.sensitivity_for(cutoff, state) * share(psi, state)
     return total
 
 
@@ -124,9 +137,9 @@ def posterior_given_positive(fit, cutoff, psi, state, fpos=None) -> float:
         raise ZeroDivisionError(
             f"positive-test probability is zero at cut-off {cutoff!r}")
     if state is BowelState.NORMAL:
-        numer = (1.0 - fit.specificity_for(cutoff)) * psi.normal
+        numer = (1.0 - fit.specificity_for(cutoff)) * share(psi, state)
     else:
-        numer = fit.sensitivity_for(cutoff, state) * getattr(psi, state.value)
+        numer = fit.sensitivity_for(cutoff, state) * share(psi, state)
     return numer / fpos
 
 
@@ -191,8 +204,8 @@ def dominance_key(history) -> tuple[float, float, float, float]:
     """All minimized: total cancer, next-start cancer, next-start large
     growths, cumulative colonoscopies."""
     last = history.records[-1].updated_prevalence
-    return (history.total_prevalence.crc, last.crc, last.large,
-            history.cumulative_colonoscopies)
+    return (float(history.total_prevalence[CRC]), float(last[CRC]),
+            float(last[LARGE]), history.cumulative_colonoscopies)
 
 
 def sort_key(history) -> tuple:
@@ -341,7 +354,8 @@ def all_two_period_outcomes(bundle, sex, objective_mask=None):
                                      bundle.transition(seg2))
             col = col1 + colonoscopies_of(p2) * n2
             total2 = combined_total_prevalence(total1, n1, up2, n2)
-            yield (total2.crc, up2.crc, up2.large, col)
+            yield (float(total2[CRC]), float(up2[CRC]), float(up2[LARGE]),
+                   col)
 
 
 def exhaustive_two_period(bundle, budget, objective_mask=None):
@@ -594,7 +608,7 @@ def exhaustive_phase1(bundle, sex, budget, periods):
     population of the periods) and cumulative colonoscopies.
     """
     fixed = fixed_decision_rules(bundle)
-    psi = np.array([bundle.starting_prevalence(sex).as_tuple()])
+    psi = bundle.starting_prevalence(sex)[None]
     col = np.zeros(1)
     total = None
     weight = 0.0
@@ -665,7 +679,7 @@ def history_key(history, cutoffs) -> str:
 
 def candidate_from_history(history, population) -> list[float]:
     """A history's (expected cancers, examinations, cost) selection row."""
-    return [history.total_prevalence.crc * population,
+    return [float(history.total_prevalence[CRC]) * population,
             population * (history.cumulative_colonoscopies / population),
             history.cumulative_cost]
 
@@ -688,7 +702,7 @@ def running_totals(bundle, sex, history) -> list:
 def _combined(bundle, psi_f, psi_m, k: int) -> float:
     wf = bundle.total_population(Sex.F, periods=k)
     wm = bundle.total_population(Sex.M, periods=k)
-    return (psi_f.crc * wf + psi_m.crc * wm) / (wf + wm)
+    return (float(psi_f[CRC]) * wf + float(psi_m[CRC]) * wm) / (wf + wm)
 
 
 def histories_rows(histories, keys, cutoffs) -> list:
@@ -703,9 +717,9 @@ def histories_rows(histories, keys, cutoffs) -> list:
                 "yes" if s.rules[INVITE].rule[()] == 1 else "no",
                 "colonoscopy" if s.rules[EXAM].rule[(1, 1)] == 1 else "none",
             ]
-            floats += rec.updated_prevalence.as_tuple()
-        floats += [hist.cumulative_colonoscopies, hist.total_prevalence.crc,
-                   hist.cumulative_cost]
+            floats += rec.updated_prevalence.tolist()
+        floats += [hist.cumulative_colonoscopies,
+                   float(hist.total_prevalence[CRC]), hist.cumulative_cost]
         rows.append([i, key] + cells + floats)
     return rows
 
@@ -722,15 +736,15 @@ def policy_rows(results, histories, cutoffs) -> list:
 
 def series_rows(bundle, results, histories, periods) -> list:
     rows = []
-    base = {sex: baseline_trajectory(bundle, sex, periods)
+    base = {sex: baseline_trajectory(bundle, sex, periods)[1]
             for sex in (Sex.F, Sex.M)}
     for k in range(1, periods + 1):
         for sex in (Sex.F, Sex.M):
             rows.append(["baseline", "", sex.value, k,
-                         base[sex][k - 1].total_prevalence.crc])
+                         float(base[sex][k - 1, CRC])])
         rows.append(["baseline", "", "combined", k,
-                     _combined(bundle, base[Sex.F][k - 1].total_prevalence,
-                               base[Sex.M][k - 1].total_prevalence, k)])
+                     _combined(bundle, base[Sex.F][k - 1],
+                               base[Sex.M][k - 1], k)])
     for case, res in enumerate(results, start=1):
         running = {
             Sex.F: running_totals(bundle, Sex.F,
@@ -740,7 +754,7 @@ def series_rows(bundle, results, histories, periods) -> list:
         for k in range(1, periods + 1):
             for sex in (Sex.F, Sex.M):
                 rows.append([f"case{case}", res.budget, sex.value, k,
-                             running[sex][k - 1].crc])
+                             float(running[sex][k - 1][CRC])])
             rows.append([f"case{case}", res.budget, "combined", k,
                          _combined(bundle, running[Sex.F][k - 1],
                                    running[Sex.M][k - 1], k)])

@@ -23,6 +23,7 @@ from conftest import (
     small_doc,
 )
 from oracles import (
+    CRC,
     assert_keys_match,
     box_search_frontier,
     exhaustive_two_period,
@@ -52,7 +53,6 @@ from screenopt.screening import (
     FIT_RESULT,
     SAMPLE,
     BowelState,
-    PrevalenceVector,
     Segment,
     Sex,
     TransitionRates,
@@ -187,20 +187,19 @@ def test_prevalence_update_correctness():
     for _ in range(10_000):
         raw = rng.uniform(0.001, 1.0, size=4)
         raw /= raw.sum()
-        psi = PrevalenceVector(*raw)
-        found = (psi.benign * rng.uniform(0, 1),
-                 psi.large * rng.uniform(0, 1),
-                 psi.crc * rng.uniform(0, 1))
+        normal, benign, large, crc = raw
+        found = (benign * rng.uniform(0, 1),
+                 large * rng.uniform(0, 1),
+                 crc * rng.uniform(0, 1))
         rates = TransitionRates(*rng.uniform(0, 1, size=3))
-        out = update_prevalence_rows(np.array([psi.as_tuple()]),
-                                     np.array([found]), rates)[0]
+        out = update_prevalence_rows(raw[None], np.array([found]), rates)[0]
 
-        b = (psi.benign - found[0]) * (1 - rates.benign_to_large) \
-            + psi.normal * rates.normal_to_benign
-        lg = (psi.large - found[1]) * (1 - rates.large_to_crc) \
-            + (psi.benign - found[0]) * rates.benign_to_large
-        r = psi.crc - found[2] \
-            + (psi.large - found[1]) * rates.large_to_crc
+        b = (benign - found[0]) * (1 - rates.benign_to_large) \
+            + normal * rates.normal_to_benign
+        lg = (large - found[1]) * (1 - rates.large_to_crc) \
+            + (benign - found[0]) * rates.benign_to_large
+        r = crc - found[2] \
+            + (large - found[1]) * rates.large_to_crc
         n = 1 - b - lg - r
         assert np.all(np.abs(out - (n, b, lg, r)) <= 1e-12)
         assert abs(out.sum() - 1.0) <= 1e-9
@@ -297,8 +296,8 @@ def test_cpt_fidelity():
         segment = Segment(sex, period)
         raw = rng.uniform(0.01, 1.0, size=4) * np.array([20, 2, 1, 0.3])
         raw /= raw.sum()
-        psi = PrevalenceVector(*raw)
-        d = build_segment_diagram(segment, bundle, psi)
+        psi = dict(zip(BowelState, raw))
+        d = build_segment_diagram(segment, bundle, raw)
 
         for nid, table in d.cpts.items():
             assert table.shape[:-1] == d.info_shape(d.by_id[nid])
@@ -316,24 +315,24 @@ def test_cpt_fidelity():
         col = bundle.colonoscopy
         for li, label in enumerate(bundle.effective_cutoffs()):
             spec = fit.specificity_for(label)
-            fpos = (1 - spec) * psi.normal + math.fsum(
-                fit.sensitivity_for(label, b) * getattr(psi, b.value)
+            fpos = (1 - spec) * psi[BowelState.NORMAL] + math.fsum(
+                fit.sensitivity_for(label, b) * psi[b]
                 for b in (BowelState.BENIGN, BowelState.LARGE, BowelState.CRC))
             assert abs(d.cpts[FIT_RESULT][li, 1, 1] - fpos) <= 1e-12
 
             if fpos <= 1e-12:
                 continue
             posterior = {
-                BowelState.NORMAL: (1 - spec) * psi.normal / fpos,
+                BowelState.NORMAL: (1 - spec) * psi[BowelState.NORMAL] / fpos,
                 BowelState.BENIGN:
                     fit.sensitivity_for(label, BowelState.BENIGN)
-                    * psi.benign / fpos,
+                    * psi[BowelState.BENIGN] / fpos,
                 BowelState.LARGE:
                     fit.sensitivity_for(label, BowelState.LARGE)
-                    * psi.large / fpos,
+                    * psi[BowelState.LARGE] / fpos,
                 BowelState.CRC:
                     fit.sensitivity_for(label, BowelState.CRC)
-                    * psi.crc / fpos,
+                    * psi[BowelState.CRC] / fpos,
             }
             assert abs(math.fsum(posterior.values()) - 1.0) <= 1e-9
             found = [col.sensitivity_for(b) * posterior[b]
@@ -398,7 +397,7 @@ def test_behavioral_sanity():
         best = []
         for budget in (tight, 4 * tight, 1e9):
             result = run_phase1(bundle, budget=budget, periods=2)
-            best.append(min(h.total_prevalence.crc
+            best.append(min(h.total_prevalence[CRC]
                             for sex in (Sex.F, Sex.M)
                             for h in result[sex]))
         assert best[0] >= best[1] >= best[2]

@@ -788,32 +788,57 @@ class TestOneProcess:
                     (fresh / name).read_bytes(), (run, name)
 
 
+#: Seeds of the ``random_params_doc`` draws the metamorphic relations run
+#: on, besides the committed documents.
+METAMORPHIC_SEEDS = (1, 2, 3)
+
+
+def metamorphic_case(params) -> tuple[dict, tuple[float, ...]]:
+    """The document and the four budgets of a metamorphic case: a committed
+    document at 8,000 to 20,000 examinations, or the three-period
+    ``random_params_doc`` draw of a seed at 500 to 4,000, where its
+    smaller cohorts make the budgets bind."""
+    if isinstance(params, int):
+        doc = random_params_doc(np.random.default_rng(params), periods=3,
+                                monotone=params % 2 == 1, fix_exam=False)
+        return doc, (500.0, 1000.0, 2000.0, 4000.0)
+    return (json.loads(Path(params).read_text()),
+            (8000.0, 12000.0, 16000.0, 20000.0))
+
+
 class TestPopulationScaling:
     """Metamorphic relation: doubling both cohort sizes and every budget
     doubles every colonoscopy, cost and budget value exactly and leaves
     every key, index and prevalence unchanged. Cohort sizes enter only as
-    factors and weights, and scaling by two is exact in binary floats."""
+    factors and weights, and scaling by two is exact in binary floats.
+
+    Where it is not exact: ``BUDGET_TOL`` is absolute, not scaled, so a
+    history whose examinations exceed a budget by between half the
+    tolerance and the tolerance is kept at the base scale and dropped at
+    twice it. The committed documents and the seeded draws have none."""
 
     NAMES = ("histories_F.csv", "histories_M.csv", "selection.csv",
              "policy_table.csv", "prevalence_series.csv")
     DOUBLED = {"budget", "cumulative_colonoscopies", "total_colonoscopies",
                "total_cost"}
-    BUDGETS = (8000.0, 12000.0, 16000.0, 20000.0)
 
     @pytest.mark.parametrize("params", [
-        screenopt.cli.default_params_path(), SIX_PERIODS],
-        ids=["shipped", "six_periods"])
+        screenopt.cli.default_params_path(), SIX_PERIODS, *METAMORPHIC_SEEDS],
+        ids=["shipped", "six_periods",
+             *(f"random_{seed}" for seed in METAMORPHIC_SEEDS)])
     def test_doubled_cohorts_and_budgets(self, tmp_path, params):
-        doc = json.loads(Path(params).read_text())
+        doc, budget_list = metamorphic_case(params)
+        source = tmp_path / "base.json"
+        source.write_text(json.dumps(doc))
         doc["population"] = {
             sex: [2 * s for s in size] if isinstance(size, list) else 2 * size
             for sex, size in doc["population"].items()}
         scaled = tmp_path / "scaled.json"
         scaled.write_text(json.dumps(doc))
         runs = {}
-        for name, path, scale in (("base", params, 1), ("twice", scaled, 2)):
+        for name, path, scale in (("base", source, 1), ("twice", scaled, 2)):
             runs[name] = tmp_path / name
-            budgets = ",".join(repr(scale * b) for b in self.BUDGETS)
+            budgets = ",".join(repr(scale * b) for b in budget_list)
             assert main(["pipeline", "--params", str(path), "--budgets",
                          budgets, "--out", str(runs[name])]) == 0
         for name in self.NAMES:
@@ -835,7 +860,12 @@ class TestSexSwap:
     prevalence, transitions, cohort sizes, return and contact rates swaps
     the two sexes in every output and changes no value. The sexes share
     every other parameter, and a sum of the two sexes' values is the same
-    either way round."""
+    either way round.
+
+    Where it is not exact: phase 2 breaks an exact tie between pairs on the
+    female index first, so two pairs equal in cancers, examinations and
+    cost can select differently once the sexes swap. The committed
+    documents and the seeded draws have no such tie."""
 
     SWAPPED = {"F": "M", "M": "F"}
 
@@ -849,17 +879,21 @@ class TestSexSwap:
         return doc
 
     @pytest.mark.parametrize("params", [
-        screenopt.cli.default_params_path(), SIX_PERIODS, SEVEN_PERIODS],
-        ids=["shipped", "six_periods", "seven_periods"])
+        screenopt.cli.default_params_path(), SIX_PERIODS, SEVEN_PERIODS,
+        *METAMORPHIC_SEEDS],
+        ids=["shipped", "six_periods", "seven_periods",
+             *(f"random_{seed}" for seed in METAMORPHIC_SEEDS)])
     def test_swapped_sexes_swap_every_output(self, tmp_path, params):
+        document, budgets = metamorphic_case(params)
+        source = tmp_path / "base.json"
+        source.write_text(json.dumps(document))
         path = tmp_path / "swapped.json"
-        path.write_text(json.dumps(self.swapped(
-            json.loads(Path(params).read_text()))))
+        path.write_text(json.dumps(self.swapped(document)))
         runs = {}
-        for name, doc in (("base", params), ("swap", path)):
+        for name, doc in (("base", source), ("swap", path)):
             runs[name] = tmp_path / name
             assert main(["pipeline", "--params", str(doc), "--budgets",
-                         "8000,12000,16000,20000",
+                         ",".join(map(repr, budgets)),
                          "--out", str(runs[name])]) == 0
         for sex, other in self.SWAPPED.items():
             assert read_csv(runs["base"] / f"histories_{sex}.csv")[1:] == \
@@ -1012,6 +1046,49 @@ class TestBaseline:
             by_sex.setdefault(r[0], []).append(float(r[crc_i]))
         for series in by_sex.values():
             assert all(a <= b + 1e-15 for a, b in zip(series, series[1:]))
+
+
+class TestRolloutRows:
+    """``validate`` and ``segment --period k`` build period k's diagram at
+    row k - 1 of the no-screening rollout that ``baseline.csv`` writes:
+    at that period's ``start_*`` prevalence, bit for bit."""
+
+    @pytest.mark.parametrize("params", [
+        screenopt.cli.default_params_path(), SIX_PERIODS],
+        ids=["shipped", "six_periods"])
+    def test_diagrams_start_at_the_baseline_rows(self, tmp_path, monkeypatch,
+                                                 params):
+        assert main(["baseline", "--params", str(params),
+                     "--out", str(tmp_path)]) == 0
+        _, header, rows = read_csv(tmp_path / "baseline.csv")
+        at = [header.index(f"start_{state}")
+              for state in ("normal", "benign", "large", "crc")]
+        want = {(row[0], int(row[1])): [row[c] for c in at] for row in rows}
+        assert len(want) == len(rows) >= 10
+
+        built, solved = {}, {}
+        build = screenopt.cli.build_segment_diagram
+        solve = screenopt.cli.segment_frontier
+
+        def building(segment, bundle, psi):
+            built[segment.sex.value, segment.period] = \
+                list(map(repr, psi.tolist()))
+            return build(segment, bundle, psi)
+
+        def solving(bundle, segment, psi, *args):
+            solved[segment.sex.value, segment.period] = \
+                list(map(repr, psi.tolist()))
+            return solve(bundle, segment, psi, *args)
+
+        monkeypatch.setattr(screenopt.cli, "build_segment_diagram", building)
+        monkeypatch.setattr(screenopt.cli, "segment_frontier", solving)
+        assert main(["validate", "--params", str(params)]) == 0
+        assert built == want
+        for sex, period in want:
+            assert main(["segment", "--params", str(params), "--sex", sex,
+                         "--period", str(period),
+                         "--out", str(tmp_path / "segment")]) == 0
+        assert solved == want
 
 
 class TestCommandLineErrors:

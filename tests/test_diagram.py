@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,19 @@ class TestValidation:
         if rule == "cpt-shape":  # the path walk meets the missing row
             with pytest.raises(StructuralError):
                 expected_values(broken, pick(broken, act=1))
+
+    @pytest.mark.parametrize("value", [[[1.0, 5.0], [2.0, 3.0]], [1.0], 1.0])
+    def test_wrong_shaped_value_table_is_a_structural_error(self, value):
+        # the evaluator and the path walk refuse the value table that
+        # validate_diagram reports, naming the node and both shapes
+        d = chain_diagram()
+        value = np.array(value)
+        broken = InfluenceDiagram(d.nodes, d.cpts, {2: ValueSpec(2, value)})
+        message = re.escape(f"node 2 has shape {value.shape}, not (2,)")
+        with pytest.raises(StructuralError, match=message):
+            StrategyEvaluator(broken)
+        with pytest.raises(StructuralError, match=message):
+            expected_values(broken, pick(broken, act=1))
 
     def test_row_violations_name_their_labels(self):
         nodes = (

@@ -497,17 +497,16 @@ class TestDiagramProblems:
         # first segment's evaluator, give that segment's own diagram's
         # values bit for bit, and the same frontier and strategies
         from screenopt.pareto import EnumeratedProblem
-        from screenopt.screening import (PrevalenceVector, Segment, Sex,
-                                         build_segment_diagram,
+        from screenopt.screening import (Segment, Sex, build_segment_diagram,
                                          segment_tables)
         base = diagram_problem(build_segment_diagram(
             Segment(Sex.F, 1), small_bundle,
             small_bundle.starting_prevalence(Sex.F)))
         seg = Segment(Sex.M, 2)
-        psi = PrevalenceVector(0.7, 0.2, 0.07, 0.03)
+        psi = np.array([0.7, 0.2, 0.07, 0.03])
         reweighted = EnumeratedProblem(
             base.evaluator.objective_matrix(segment_tables(
-                small_bundle, seg, np.array([psi.as_tuple()])))[0],
+                small_bundle, seg, psi[None]))[0],
             base.orientations, base.names)
         fresh = diagram_problem(build_segment_diagram(seg, small_bundle, psi))
         assert np.array_equal(reweighted.reported, fresh.reported)

@@ -26,9 +26,13 @@ from conftest import (
     extreme_params_doc,
     nudge_dense,
     random_params_doc,
+    random_prevalence,
     small_doc,
 )
 from oracles import (
+    BENIGN,
+    CRC,
+    LARGE,
     VERTICES,
     DetectedFractions,
     assert_keys_match,
@@ -74,7 +78,6 @@ from screenopt.phase2 import budget_sweep, selection_problem_from_histories
 from screenopt.screening import (
     EXAM_RESULT,
     FIT_RESULT,
-    PrevalenceVector,
     Segment,
     Sex,
     TransitionRates,
@@ -85,7 +88,7 @@ from screenopt.screening import (
     segment_tables,
 )
 
-WORKED_PSI = PrevalenceVector(normal=0.9, benign=0.06, large=0.03, crc=0.01)
+WORKED_PSI = np.array([0.9, 0.06, 0.03, 0.01])  # normal, benign, large, crc
 WORKED_FOUND = (0.03, 0.02, 0.008)   # benign, large, cancer detections
 WORKED_RATES = TransitionRates(normal_to_benign=0.02, benign_to_large=0.1,
                                large_to_crc=0.05)
@@ -96,7 +99,7 @@ NOTHING = (0.0, 0.0, 0.0)
 def update_one(psi, found, rates) -> list[float]:
     """:func:`update_prevalence_rows` of one prevalence vector and one
     (benign, large, cancer) detection triple."""
-    return update_prevalence_rows(np.array([psi.as_tuple()]),
+    return update_prevalence_rows(np.array([psi], dtype=float),
                                   np.array([found], dtype=float),
                                   rates)[0].tolist()
 
@@ -104,7 +107,7 @@ def update_one(psi, found, rates) -> list[float]:
 class TestUpdatePrevalences:
     def test_fixed_point(self):
         out = update_one(WORKED_PSI, NOTHING, NO_RATES)
-        assert out == pytest.approx(WORKED_PSI.as_tuple(), abs=1e-15)
+        assert out == pytest.approx(WORKED_PSI.tolist(), abs=1e-15)
 
     def test_worked_example(self):
         normal, benign, large, crc = update_one(WORKED_PSI, WORKED_FOUND,
@@ -115,12 +118,12 @@ class TestUpdatePrevalences:
         assert normal == pytest.approx(0.94, abs=1e-15)
 
     def test_full_detection_resets_to_normal(self):
-        found = (WORKED_PSI.benign, WORKED_PSI.large, WORKED_PSI.crc)
+        found = tuple(WORKED_PSI[1:].tolist())   # benign, large, cancer
         out = update_one(WORKED_PSI, found, NO_RATES)
         assert out == [1.0, 0.0, 0.0, 0.0]
 
     def test_detection_above_prevalence_rejected(self):
-        found = (WORKED_PSI.benign + 1e-3, 0.0, 0.0)
+        found = (WORKED_PSI[BENIGN] + 1e-3, 0.0, 0.0)
         with pytest.raises(ValueError):
             update_one(WORKED_PSI, found, NO_RATES)
 
@@ -129,22 +132,23 @@ class TestUpdatePrevalences:
         for _ in range(1000):
             raw = rng.uniform(0.01, 1.0, size=4)
             raw /= raw.sum()
-            psi = PrevalenceVector(*raw)
+            check_prevalence_rows(raw[None])
+            normal, benign, large, crc = raw
             found = DetectedFractions(
-                benign=psi.benign * rng.uniform(0, 1),
-                large=psi.large * rng.uniform(0, 1),
-                crc=psi.crc * rng.uniform(0, 1))
+                benign=benign * rng.uniform(0, 1),
+                large=large * rng.uniform(0, 1),
+                crc=crc * rng.uniform(0, 1))
             rates = TransitionRates(*rng.uniform(0, 1, size=3))
-            out = update_one(psi, (found.benign, found.large, found.crc),
+            out = update_one(raw, (found.benign, found.large, found.crc),
                              rates)
 
             # direct transcription of the difference equations
-            b = (psi.benign - found.benign) * (1 - rates.benign_to_large) \
-                + psi.normal * rates.normal_to_benign
-            lg = (psi.large - found.large) * (1 - rates.large_to_crc) \
-                + (psi.benign - found.benign) * rates.benign_to_large
-            r = psi.crc - found.crc \
-                + (psi.large - found.large) * rates.large_to_crc
+            b = (benign - found.benign) * (1 - rates.benign_to_large) \
+                + normal * rates.normal_to_benign
+            lg = (large - found.large) * (1 - rates.large_to_crc) \
+                + (benign - found.benign) * rates.benign_to_large
+            r = crc - found.crc \
+                + (large - found.large) * rates.large_to_crc
             n = 1 - b - lg - r
             assert out == pytest.approx((n, b, lg, r), abs=1e-12)
             assert sum(out) == pytest.approx(1.0, abs=1e-9)
@@ -158,10 +162,22 @@ class TestNaNRejected:
     def test_prevalence_vector_and_rows(self):
         nan = float("nan")
         with pytest.raises(ValueError, match="sum to nan"):
-            PrevalenceVector(nan, 0.0, 0.0, 1.0)
+            check_prevalence_rows(np.array([(nan, 0.0, 0.0, 1.0)]))
         with pytest.raises(ValueError, match="sum to nan"):
-            check_prevalence_rows(np.array([WORKED_PSI.as_tuple(),
+            check_prevalence_rows(np.array([WORKED_PSI,
                                             (nan, 0.0, 0.0, 1.0)]))
+
+    def test_rollout_start_and_diagram_prevalence(self, small_bundle):
+        # a library caller's row is checked where it enters, even when
+        # no recurrence step runs on it
+        row = np.array([float("nan"), 0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="sum to nan"):
+            natural_progression_rollout(row, [WORKED_RATES], 0)
+        with pytest.raises(ValueError, match="sum to nan"):
+            build_segment_diagram(Segment(Sex.F, 1), small_bundle, row)
+        with pytest.raises(ValueError, match="negative"):
+            segment_frontier(small_bundle, Segment(Sex.F, 1),
+                             np.array([0.6, 0.5, -0.1, 0.0]))
 
     @pytest.mark.parametrize("column", range(3))
     def test_nan_detection(self, column):
@@ -181,20 +197,20 @@ class TestNaNRejected:
 class TestRollout:
     def test_constant_without_transitions(self):
         rollout = natural_progression_rollout(WORKED_PSI, [NO_RATES] * 3)
-        assert len(rollout) == 4
+        assert rollout.shape == (4, 4)
         for psi in rollout:
-            assert psi.as_tuple() == pytest.approx(WORKED_PSI.as_tuple(),
-                                                   abs=1e-15)
+            assert psi.tolist() == pytest.approx(WORKED_PSI.tolist(),
+                                                 abs=1e-15)
 
     def test_single_step_matches_update(self):
         rollout = natural_progression_rollout(WORKED_PSI, [WORKED_RATES], 1)
         direct = update_one(WORKED_PSI, NOTHING, WORKED_RATES)
-        assert list(rollout[1].as_tuple()) == direct
+        assert rollout[1].tolist() == direct
 
     def test_cancer_weakly_increases_without_screening(self):
         rates = TransitionRates(0.01, 0.02, 0.05)
         rollout = natural_progression_rollout(WORKED_PSI, [rates] * 6)
-        crc = [psi.crc for psi in rollout]
+        crc = rollout[:, CRC].tolist()
         assert all(a <= b + 1e-15 for a, b in zip(crc, crc[1:]))
 
     def test_rollout_and_baseline_equal_scalar_chain(self):
@@ -219,23 +235,21 @@ class TestRollout:
                                                       chain[-1], cohort)
                     weight += cohort
                     totals.append(total)
-                base = baseline_trajectory(bundle, sex, K)
-                got = natural_progression_rollout(chain[0], rates, K) + [
-                    psi for entry in base
-                    for psi in (entry.start_prevalence,
-                                entry.updated_prevalence,
-                                entry.total_prevalence)]
+                rollout, base_totals = baseline_trajectory(bundle, sex, K)
+                got = list(natural_progression_rollout(chain[0], rates, K)) + [
+                    psi for k in range(K)
+                    for psi in (rollout[k], rollout[k + 1], base_totals[k])]
                 want = chain + [
                     psi for k in range(K)
                     for psi in (chain[k], chain[k + 1], totals[k])]
-                got_values = [v for psi in got for v in psi.as_tuple()]
-                want_values = [v for psi in want for v in psi.as_tuple()]
-                assert all(type(v) is float for v in got_values)
+                assert all(psi.dtype == np.float64 and psi.shape == (4,)
+                           for psi in got)
+                got_values = np.concatenate(got).tolist()
+                want_values = np.concatenate(want).tolist()
                 assert got_values == want_values
                 assert np.array_equal(np.signbit(got_values),
                                       np.signbit(want_values))
-                assert [entry.period for entry in base] == \
-                    list(range(1, K + 1))
+                assert (len(rollout), len(base_totals)) == (K + 1, K)
 
 
 class TestDetectedFractions:
@@ -285,9 +299,9 @@ class TestDetectedFractions:
         best = max(frontier.points,
                    key=lambda p: objective(p.objectives, "crc_found"))
         found = detected_fractions_of(best)
-        assert found.benign == pytest.approx(psi.benign, abs=1e-12)
-        assert found.large == pytest.approx(psi.large, abs=1e-12)
-        assert found.crc == pytest.approx(psi.crc, abs=1e-12)
+        assert found.benign == pytest.approx(psi[BENIGN], abs=1e-12)
+        assert found.large == pytest.approx(psi[LARGE], abs=1e-12)
+        assert found.crc == pytest.approx(psi[CRC], abs=1e-12)
 
 
 def key_table(keys, strategy_keys=None, parent=None, parent_row=None):
@@ -394,8 +408,10 @@ class TestArrayRecurrences:
 
     @staticmethod
     def simplex_rows(rng, n):
-        return np.array([PrevalenceVector(**_random_simplex(rng)).as_tuple()
+        rows = np.array([list(_random_simplex(rng).values())
                          for _ in range(n)])
+        check_prevalence_rows(rows)
+        return rows
 
     def test_rows_bit_identical_to_scalar_functions(self):
         rng = np.random.default_rng(307)
@@ -409,8 +425,7 @@ class TestArrayRecurrences:
             rates = TransitionRates(*rng.uniform(0, 0.1, size=3).tolist())
             rows = update_prevalence_rows(psi, found, rates)
             scalar = np.array([
-                update_prevalences(PrevalenceVector(*p),
-                                   DetectedFractions(*f), rates).as_tuple()
+                update_prevalences(np.array(p), DetectedFractions(*f), rates)
                 for p, f in zip(psi.tolist(), found.tolist())])
             assert np.array_equal(rows, scalar)
             assert np.array_equal(np.signbit(rows), np.signbit(scalar))
@@ -422,8 +437,7 @@ class TestArrayRecurrences:
                                              rows, weight)
                 scalar = np.array([
                     combined_total_prevalence(
-                        PrevalenceVector(*a), previous_weight,
-                        PrevalenceVector(*b), weight).as_tuple()
+                        np.array(a), previous_weight, np.array(b), weight)
                     for a, b in zip(previous.tolist(), rows.tolist())])
                 assert np.array_equal(totals, scalar)
                 assert np.array_equal(np.signbit(totals),
@@ -431,7 +445,7 @@ class TestArrayRecurrences:
 
     @pytest.mark.parametrize("column", [0, 1, 2])
     def test_bad_detections_raise(self, column):
-        psi = np.array([WORKED_PSI.as_tuple()] * 3)
+        psi = np.array([WORKED_PSI] * 3)
         good = WORKED_FOUND
         for bad in (-2 * DETECTION_TOL,
                     psi[1, column + 1] + 2 * DETECTION_TOL):
@@ -444,17 +458,17 @@ class TestArrayRecurrences:
                                    WORKED_RATES)
 
     def test_rows_breaking_the_prevalence_checks_raise(self):
-        psi = np.array([WORKED_PSI.as_tuple()] * 2)
+        psi = np.array([WORKED_PSI] * 2)
         # within the detection tolerance, but leaves negative cancer mass
         found = np.array([[0.0, 0.0, 0.0],
-                          [0.0, 0.0, WORKED_PSI.crc + DETECTION_TOL / 2]])
+                          [0.0, 0.0, WORKED_PSI[CRC] + DETECTION_TOL / 2]])
         with pytest.raises(ValueError, match="negative"):
             update_prevalence_rows(psi, found, NO_RATES)
         with pytest.raises(ValueError, match="negative"):
             update_prevalences(WORKED_PSI, DetectedFractions(*found[1]),
                                NO_RATES)
         # a previous total off the simplex
-        off = np.array([WORKED_PSI.as_tuple(), (0.5, 0.5, 0.5, 0.0)])
+        off = np.array([WORKED_PSI, (0.5, 0.5, 0.5, 0.0)])
         with pytest.raises(ValueError, match="sum"):
             combined_total_rows(off, 1.0, psi, 1.0)
         with pytest.raises(ValueError, match="sum"):
@@ -478,7 +492,7 @@ class TestRunPhase1:
         bundle = tiny_bundle(default_doc)
         segment, psi = Segment(Sex.F, 1), bundle.starting_prevalence(Sex.F)
         frontier = segment_frontier(bundle, segment, psi)
-        start = np.array([psi.as_tuple()])
+        start = psi[None]
         bound = LINEARITY_TOL * vertex_sum(start, np.abs(period_values(
             bundle, segment, frontier.problem.evaluator, start)[1]))[0]
         result = run_phase1(bundle, budget=1e9, periods=1)[Sex.F]
@@ -531,12 +545,10 @@ class TestRunPhase1:
             hist, = result[sex]
             assert hist.cumulative_colonoscopies == 0.0
             assert hist.cumulative_cost == 0.0
-            base = baseline_trajectory(bundle, sex, 2)
-            assert hist.total_prevalence.as_tuple() == \
-                base[-1].total_prevalence.as_tuple()
-            for rec, entry in zip(hist.records, base):
-                assert rec.updated_prevalence.as_tuple() == \
-                    entry.updated_prevalence.as_tuple()
+            rollout, totals = baseline_trajectory(bundle, sex, 2)
+            assert hist.total_prevalence.tolist() == totals[-1].tolist()
+            for rec, psi in zip(hist.records, rollout[1:], strict=True):
+                assert rec.updated_prevalence.tolist() == psi.tolist()
 
     def test_budget_relaxation_weakly_improves_cancer(self, default_doc):
         bundle = tiny_bundle(default_doc)
@@ -544,7 +556,7 @@ class TestRunPhase1:
         for budget in (0.0, 200.0, 500.0, 1000.0, 2500.0, 1e9):
             result = run_phase1(bundle, budget=budget, periods=2)
             best.append({
-                sex: min(h.total_prevalence.crc for h in result[sex])
+                sex: min(h.total_prevalence[CRC] for h in result[sex])
                 for sex in (Sex.F, Sex.M)
             })
         for sex in (Sex.F, Sex.M):
@@ -765,7 +777,7 @@ class TestPeriodTableOrder:
                 if parent is None:
                     psi, before = bundle.starting_prevalence(table.sex), 0.0
                 else:
-                    psi = PrevalenceVector(*parent.updated[p].tolist())
+                    psi = parent.updated[p]
                     before = float(parent.colonoscopies[p])
                 frontier = segment_frontier(bundle, segment, psi)
                 points = frontier.points
@@ -805,8 +817,7 @@ class TestLineage:
             for sex, table in tables.items():
                 got = np.stack([t.total[rows] for t, rows in
                                 table.lineage(np.arange(len(table)))], axis=1)
-                want = np.array([[total.as_tuple() for total in
-                                  running_totals(bundle, sex, history)]
+                want = np.array([running_totals(bundle, sex, history)
                                  for history in table])
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -835,13 +846,13 @@ class TestLineage:
                 assert record.objectives.orientations == \
                     t.problem.orientations
                 if k == 0:
-                    start = table.start.as_tuple()
+                    start = table.start.tolist()
                 else:
                     before, rows = lineage[k - 1]
-                    start = tuple(before.updated[rows[i]].tolist())
-                assert record.start_prevalence.as_tuple() == start
-                assert record.updated_prevalence.as_tuple() == \
-                    tuple(t.updated[a].tolist())
+                    start = before.updated[rows[i]].tolist()
+                assert record.start_prevalence.tolist() == start
+                assert record.updated_prevalence.tolist() == \
+                    t.updated[a].tolist()
             assert len({id(r) for r in records.values()}) == len(records)
             shared_somewhere |= len(records) < len(table)
         assert shared_somewhere
@@ -850,8 +861,7 @@ class TestLineage:
             assert h.sex is table.sex
             assert h.cumulative_colonoscopies == table.colonoscopies[r]
             assert h.cumulative_cost == table.cost[r]
-            assert h.total_prevalence.as_tuple() == \
-                tuple(table.total[r].tolist())
+            assert h.total_prevalence.tolist() == table.total[r].tolist()
 
     def test_row_view_shipped_parameters(self, default_bundle):
         tables = run_phase1(default_bundle, budget=20000.0, periods=3)
@@ -901,13 +911,12 @@ class TestReweightedSegments:
             # the evaluator of another segment, at another prevalence
             other = Segment(Sex.M if segment.sex is Sex.F else Sex.F,
                             int(rng.integers(1, 3)))
-            base = segment_frontier(bundle, other, PrevalenceVector(
-                **_random_simplex(rng))).problem
-            prevalences = [PrevalenceVector(**_random_simplex(rng))
-                           for _ in range(3)]
-            prevalences.append(PrevalenceVector(1.0, 0.0, 0.0, 0.0))
+            base = segment_frontier(bundle, other,
+                                    random_prevalence(rng)).problem
+            prevalences = [random_prevalence(rng) for _ in range(3)]
+            prevalences.append(VERTICES[0])
             # each row alone and all rows in one batch
-            rows = np.array([psi.as_tuple() for psi in prevalences])
+            rows = np.array(prevalences)
             batch = base.evaluator.objective_matrix(
                 segment_tables(bundle, segment, rows))
             for h, psi in enumerate(prevalences):
@@ -927,16 +936,16 @@ class TestReweightedSegments:
             bundle, segment = self.random_case(rng, trial)
             start = np.array(tuple(_random_simplex(rng).values()))
             base = segment_frontier(bundle, segment,
-                                    PrevalenceVector(*start)).problem
+                                    start).problem
             _, values = period_values(bundle, segment, base.evaluator, start)
             reps, _ = strategy_classes(values)
             n = base.n_candidates
             # the class representatives, and an unsorted draw with repeats
             picks = (reps, rng.integers(0, n, size=int(rng.integers(1, 40))))
             v = int(rng.integers(0, 4))
-            for psi in (PrevalenceVector(**_random_simplex(rng)),
+            for psi in (random_prevalence(rng),
                         VERTICES[v]):
-                row = np.array([psi.as_tuple()])
+                row = psi[None]
                 full = base.evaluator.objective_matrix(
                     segment_tables(bundle, segment, row))[0]
                 for strategies in picks:
@@ -969,14 +978,14 @@ class TestReweightedSegments:
             zero_positive = trial % 4 == 3
             bundle, segment = self.random_case(rng, trial,
                                                zero_positive=zero_positive)
-            base = segment_frontier(bundle, segment, PrevalenceVector(
-                **_random_simplex(rng))).problem
+            base = segment_frontier(bundle, segment,
+                                    random_prevalence(rng)).problem
             # random prevalences, one vertex and the normal vertex, where a
             # zero-positive cut-off zeroes entries in that row only
             rows = np.array(
                 [tuple(_random_simplex(rng).values()) for _ in range(5)]
-                + [VERTICES[int(rng.integers(1, 4))].as_tuple(),
-                   VERTICES[0].as_tuple()])
+                + [VERTICES[int(rng.integers(1, 4))],
+                   VERTICES[0]])
             self.assert_batched_equals_dense(bundle, segment, base, rows)
             # one evaluation and the diagram's own tables: the same routine
             for h in (0, -1):
@@ -1003,17 +1012,16 @@ class TestReweightedSegments:
         cases.append(self.random_case(rng, 3, zero_positive=True))
         for bundle, segment in cases:
             rows = np.array([tuple(_random_simplex(rng).values())
-                             for _ in range(2)] + [VERTICES[0].as_tuple()])
+                             for _ in range(2)] + [VERTICES[0]])
             base = segment_frontier(bundle, segment,
-                                    PrevalenceVector(*rows[0])).problem
+                                    rows[0]).problem
             evaluator, n = base.evaluator, base.n_candidates
             picks = [0, n // 2, n - 1] + rng.integers(0, n, size=20).tolist()
             tables = segment_tables(bundle, segment, rows)
             live = evaluator.objective_matrix(tables)
             dense = evaluator.dense_objective_matrix(tables)
-            for h, row in enumerate(rows.tolist()):
-                diagram = build_segment_diagram(segment, bundle,
-                                                PrevalenceVector(*row))
+            for h, row in enumerate(rows):
+                diagram = build_segment_diagram(segment, bundle, row)
                 want = np.array([expected_values(
                     diagram, evaluator.strategy(i)).values for i in picks])
                 for got in (live, dense):
@@ -1031,13 +1039,13 @@ class TestReweightedSegments:
             mask = masks[trial % 2]
             other = Segment(Sex.M if segment.sex is Sex.F else Sex.F,
                             int(rng.integers(1, 3)))
-            base = segment_frontier(bundle, other, PrevalenceVector(
-                **_random_simplex(rng)), mask).problem
-            psi = PrevalenceVector(**_random_simplex(rng))
+            base = segment_frontier(bundle, other,
+                                    random_prevalence(rng), mask).problem
+            psi = random_prevalence(rng)
             fresh = segment_frontier(bundle, segment, psi, mask)
             reused = compute_frontier(EnumeratedProblem(
                 base.evaluator.objective_matrix(segment_tables(
-                    bundle, segment, np.array([psi.as_tuple()])))[0],
+                    bundle, segment, psi[None]))[0],
                 base.orientations, base.names, base.active))
             assert np.array_equal(reused.candidates, fresh.candidates)
             assert [p.objectives.values for p in reused.points] == \
@@ -1057,11 +1065,11 @@ class TestReweightedSegments:
                   for trial in range(6)]
         for bundle, segment in cases:
             rows = np.array([tuple(_random_simplex(rng).values())
-                             for _ in range(4)] + [VERTICES[0].as_tuple()])
+                             for _ in range(4)] + [VERTICES[0]])
             tables = segment_tables(bundle, segment, rows)
-            for h, row in enumerate(rows.tolist()):
+            for h, row in enumerate(rows):
                 own = dense_tables(build_segment_diagram(
-                    segment, bundle, PrevalenceVector(*row)))
+                    segment, bundle, row))
                 assert sorted(tables) == sorted(own)
                 for node_id, table in tables.items():
                     assert_bits(table[h if len(table) > 1 else 0],
@@ -1072,8 +1080,8 @@ class TestReweightedSegments:
     def test_partial_table_set_rejected(self):
         rng = np.random.default_rng(229)
         bundle, segment = self.random_case(rng, 0)
-        base = segment_frontier(bundle, segment, PrevalenceVector(
-            **_random_simplex(rng))).problem
+        base = segment_frontier(bundle, segment,
+                                random_prevalence(rng)).problem
         tables = segment_tables(bundle, segment, np.eye(4))
         partial = {node_id: tables[node_id]
                    for node_id in (FIT_RESULT, EXAM_RESULT)}
@@ -1113,8 +1121,7 @@ class TestSharedEvaluator:
             for segment in (Segment(sex, k) for sex in (Sex.F, Sex.M)
                             for k in range(1, K + 1)):
                 start = np.array(tuple(_random_simplex(rng).values()))
-                diagram = build_segment_diagram(segment, bundle,
-                                                PrevalenceVector(*start))
+                diagram = build_segment_diagram(segment, bundle, start)
                 fresh = StrategyEvaluator(diagram, fixed)
                 own = fresh.objective_matrix(dense_tables(diagram))[0]
                 assert_bits(evaluator.objective_matrix(segment_tables(
@@ -1139,10 +1146,10 @@ class TestSharedEvaluator:
         rng = np.random.default_rng(283)
         doc = random_params_doc(rng, periods=2, n_cutoffs=4)
         bundle, _ = load_parameters(doc)
-        psi = PrevalenceVector(**_random_simplex(rng))
+        psi = random_prevalence(rng)
         evaluator = segment_frontier(bundle, Segment(Sex.F, 1),
                                      psi).problem.evaluator
-        row = np.array([psi.as_tuple()])
+        row = psi[None]
         # a cut-off subset: tables of another shape
         fewer = json.loads(json.dumps(doc))
         fewer["options"]["cutoff_set"] = doc["fit"]["cutoffs"][:3]
@@ -1177,29 +1184,29 @@ class TestStrategyClasses:
             if zero_positive:
                 fit = segment_tables(
                     bundle, segment,
-                    np.array([VERTICES[0].as_tuple()]))[FIT_RESULT]
+                    np.array([VERTICES[0]]))[FIT_RESULT]
                 assert fit[0, 0, 1, 1] == 0.0
             fixed = fixed_decision_rules(bundle)
             start = np.array(tuple(_random_simplex(rng).values()))
             base = segment_frontier(bundle, segment,
-                                    PrevalenceVector(*start)).problem
+                                    start).problem
             _, values = period_values(bundle, segment, base.evaluator, start)
             reps, class_of = strategy_classes(values)
             assert np.array_equal(class_of[reps], np.arange(len(reps)))
             assert np.all(reps[class_of] <= np.arange(len(class_of)))
             for _ in range(3):
-                psi = PrevalenceVector(**_random_simplex(rng))
+                psi = random_prevalence(rng)
                 diagram = build_segment_diagram(segment, bundle, psi)
                 direct = StrategyEvaluator(diagram, fixed).objective_matrix(
                     dense_tables(diagram))[0]
-                linear = values @ np.array(psi.as_tuple())
+                linear = values @ psi
                 assert np.all(np.abs(linear - direct)
                               <= 1e-12 * np.abs(direct))
                 # Not bit for bit: inviting without examining costs the
                 # same at every cut-off, summed over different test-result
                 # splits, so those members can differ in the last bit.
                 bound = LINEARITY_TOL * vertex_sum(
-                    np.array([psi.as_tuple()]), np.abs(values))[0]
+                    psi[None], np.abs(values))[0]
                 assert np.all(np.abs(direct - direct[reps[class_of]])
                               <= bound)
 
@@ -1222,7 +1229,7 @@ class TestStrategyClasses:
                     segment = Segment(sex, k)
                     start = np.array(tuple(_random_simplex(rng).values()))
                     problem = segment_frontier(
-                        bundle, segment, PrevalenceVector(*start)).problem
+                        bundle, segment, start).problem
                     self.assert_same_classes(period_values(
                         bundle, segment, problem.evaluator, start)[1])
         # planted exact ties, with zeros of either sign
@@ -1314,13 +1321,13 @@ class TestLinearityCertificate:
         for sex, table in run_phase1(bundle, budget).items():
             for period, _ in table.lineage(np.zeros(0, dtype=np.intp)):
                 segment = Segment(sex, period.period)
-                starts = (np.array([period.start.as_tuple()])
+                starts = (period.start[None]
                           if period.parent is None else period.parent.updated)
                 at_start, values = period_values(bundle, segment, evaluator,
                                                  starts[0])
                 # the first start's row has the bits of its own diagram's
                 base = segment_frontier(bundle, segment,
-                                        PrevalenceVector(*starts[0])).problem
+                                        starts[0]).problem
                 assert_bits(at_start, base.reported)
                 reps, _ = strategy_classes(values)
                 # every row's number is a class representative's, as its

@@ -21,8 +21,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import _random_simplex, random_params_doc
+from conftest import random_params_doc, random_prevalence
 from oracles import (
+    BENIGN,
+    CRC,
+    LARGE,
     colonoscopy_result_row,
     fit_positive_probability,
     objective,
@@ -55,7 +58,6 @@ from screenopt.screening import (
     SAMPLE,
     ColonoscopyCharacteristics,
     FitTestCharacteristics,
-    PrevalenceVector,
     Segment,
     Sex,
     build_segment_diagram,
@@ -65,7 +67,7 @@ from screenopt.screening import (
 )
 
 DATA = Path(__file__).resolve().parent / "data"
-DERIVED_PSI = PrevalenceVector(normal=0.9, benign=0.06, large=0.03, crc=0.01)
+DERIVED_PSI = np.array([0.9, 0.06, 0.03, 0.01])  # normal, benign, large, crc
 
 
 def fit_single(cutoff="25", benign=0.3, large=0.6, crc=0.8, specificity=0.95):
@@ -82,12 +84,12 @@ def fit_single(cutoff="25", benign=0.3, large=0.6, crc=0.8, specificity=0.95):
 class TestFitPositiveProbability:
     def test_all_normal_perfect_specificity(self):
         fit = fit_single(specificity=1.0)
-        psi = PrevalenceVector(1.0, 0.0, 0.0, 0.0)
+        psi = np.array([1.0, 0.0, 0.0, 0.0])
         assert fit_positive_probability(fit, "25", psi) == 0.0
 
     def test_all_cancer_perfect_sensitivity(self):
         fit = fit_single(crc=1.0)
-        psi = PrevalenceVector(0.0, 0.0, 0.0, 1.0)
+        psi = np.array([0.0, 0.0, 0.0, 1.0])
         assert fit_positive_probability(fit, "25", psi) == 1.0
 
     def test_hand_sum(self):
@@ -104,12 +106,12 @@ class TestFitPositiveProbability:
 class TestPosterior:
     def test_point_mass_cancer(self):
         fit = fit_single()
-        psi = PrevalenceVector(0.0, 0.0, 0.0, 1.0)
+        psi = np.array([0.0, 0.0, 0.0, 1.0])
         assert posterior_given_positive(fit, "25", psi, BowelState.CRC) == 1.0
 
     def test_symmetric_two_state(self):
         fit = fit_single(benign=0.6, large=0.6, specificity=1.0)
-        psi = PrevalenceVector(0.0, 0.5, 0.5, 0.0)
+        psi = np.array([0.0, 0.5, 0.5, 0.0])
         for state in (BowelState.BENIGN, BowelState.LARGE):
             assert posterior_given_positive(fit, "25", psi, state) == \
                 pytest.approx(0.5)
@@ -135,14 +137,14 @@ class TestPosterior:
                              specificity=rng.uniform(0.5, 0.999))
             raw = rng.uniform(0.01, 1.0, size=4)
             raw /= raw.sum()
-            psi = PrevalenceVector(*raw)
+            psi = raw
             total = math.fsum(
                 posterior_given_positive(fit, "25", psi, s) for s in BowelState)
             assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_positive_probability_guard(self):
         fit = fit_single(specificity=1.0)
-        psi = PrevalenceVector(1.0, 0.0, 0.0, 0.0)
+        psi = np.array([1.0, 0.0, 0.0, 0.0])
         with pytest.raises(ZeroDivisionError):
             posterior_given_positive(fit, "25", psi, BowelState.CRC)
 
@@ -233,12 +235,10 @@ class TestPrevalenceTables:
                     c for i, c in enumerate(cutoffs)
                     if i == zero_at or rng.random() < 0.5]
             bundle, _ = load_parameters(doc)
-            psis = [PrevalenceVector(**_random_simplex(rng))
-                    for _ in range(5)]
-            psis += [PrevalenceVector(*row) for row in np.eye(4).tolist()]
-            tables = segment_tables(
-                bundle, Segment(Sex.F, 1),
-                np.array([psi.as_tuple() for psi in psis]))
+            psis = [random_prevalence(rng) for _ in range(5)]
+            psis += list(np.eye(4))
+            tables = segment_tables(bundle, Segment(Sex.F, 1),
+                                    np.array(psis))
             for h, psi in enumerate(psis):
                 want = scalar_prevalence_cpts(bundle, psi)
                 got = build_segment_diagram(Segment(Sex.F, 1), bundle,
@@ -456,9 +456,9 @@ class TestSegmentDiagram:
         psi = default_bundle.starting_prevalence(Sex.F)
         d = build_segment_diagram(Segment(Sex.F, 1), default_bundle, psi)
         vals = expected_values(d, constant_strategy(d, cutoff=0, incentive=1))
-        assert 0.0 <= objective(vals, "benign_found") <= psi.benign
-        assert 0.0 <= objective(vals, "large_found") <= psi.large
-        assert 0.0 <= objective(vals, "crc_found") <= psi.crc
+        assert 0.0 <= objective(vals, "benign_found") <= psi[BENIGN]
+        assert 0.0 <= objective(vals, "large_found") <= psi[LARGE]
+        assert 0.0 <= objective(vals, "crc_found") <= psi[CRC]
 
     def test_fixed_rules(self, default_doc):
         doc = json.loads(json.dumps(default_doc))
