@@ -9,14 +9,19 @@ information state of every decision node; the probability of a path under a
 strategy is the product of chance probabilities along it when the path
 agrees with the strategy at every decision node, and zero otherwise.
 
+Every table is an array indexed by information state: a CPT (information
+state..., state), a value table (information state...), and a decision
+rule (information state...) of action ordinals. A :data:`Strategy` maps
+each decision node's id to its rule, so its action at ``info`` is
+``strategy[node_id][info]``.
+
 A :class:`StrategyEvaluator` is one strategy space: the strategies of a
 diagram with the decision rules given at construction pinned. It numbers
 them once (each free (decision node, information state) slot a mixed-radix
-digit, slot 0 most significant), decodes a number, and evaluates every
+digit, slot 0 most significant), decodes numbers, and evaluates every
 strategy at once under chance tables given as dense arrays, one batch row
 per table set; :func:`dense_tables` adds that batch axis to a diagram's own
-tables, which are arrays already: a CPT indexed (information state...,
-state), a value table (information state...).
+tables.
 
 Everything here is immutable after construction and all operations are pure,
 so diagrams can be shared freely across threads.
@@ -24,7 +29,6 @@ so diagrams can be shared freely across threads.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -57,6 +61,12 @@ Path = tuple[int, ...]
 #: An information state: state ordinals of a node's predecessors, in
 #: predecessor order.
 InfoState = tuple[int, ...]
+
+#: Decision node id -> its rule: an int array of action ordinals indexed
+#: (information state...), as the node's CPT would be without its state
+#: axis. A batch of strategies puts its batch axes before the information
+#: state axes of every rule.
+Strategy = Mapping[int, np.ndarray]
 
 
 class NodeKind(Enum):
@@ -139,7 +149,7 @@ class InfluenceDiagram:
 
     def info_states(self, node: Node) -> Iterator[InfoState]:
         """All information states of ``node`` in lexicographic order."""
-        return itertools.product(*map(range, self.info_shape(node)))
+        return np.ndindex(self.info_shape(node))
 
     def info_state_of(self, node: Node, path: Path) -> InfoState:
         pos = self.path_position
@@ -274,7 +284,7 @@ def _has_shape(out, diagram, node, table, rule, states=()) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Paths and probabilities
+# Tables and strategies
 # ---------------------------------------------------------------------------
 
 def _check_ceiling(count: int, ceiling: int, what: str) -> None:
@@ -305,78 +315,18 @@ def _value_table(diagram: InfluenceDiagram, node: Node) -> np.ndarray:
     return table
 
 
-def enumerate_paths(diagram: InfluenceDiagram) -> Iterator[Path]:
-    """Yield every path once, in lexicographic node-state order."""
-    _check_ceiling(diagram.path_count(), PATH_CEILING, "paths")
-    ranges = [range(len(n.states)) for n in diagram.path_nodes]
-    return itertools.product(*ranges)
-
-
-def upper_bound_probability(diagram: InfluenceDiagram, path: Path) -> float:
-    """p(s): product of chance-node CPT entries along ``path``."""
-    prob = 1.0
-    for node in diagram.chance_nodes:
-        row = _cpt_row(diagram, node, diagram.info_state_of(node, path))
-        prob *= row[path[diagram.path_position[node.node_id]]]
-    return prob
-
-
-# ---------------------------------------------------------------------------
-# Strategies
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class LocalStrategy:
-    """A decision rule: one action ordinal per information state."""
-
-    node_id: int
-    rule: Mapping[InfoState, int]
-
-    def key(self) -> tuple:
-        """Deterministic sortable content key."""
-        return (self.node_id, tuple(sorted(self.rule.items())))
-
-
-@dataclass(frozen=True, eq=False)
-class GlobalStrategy:
-    """One LocalStrategy per decision node."""
-
-    rules: Mapping[int, LocalStrategy]
-
-    @cached_property
-    def key(self) -> tuple:
-        return tuple(self.rules[nid].key() for nid in sorted(self.rules))
-
-    def action(self, node_id: int, info: InfoState) -> int:
-        return self.rules[node_id].rule[info]
-
-
-def strategy_encoding(diagram: InfluenceDiagram, strategy: GlobalStrategy) -> str:
+def strategy_encoding(diagram: InfluenceDiagram, strategy: Strategy) -> str:
     """Render a strategy as ``node:infostate->action`` triples, semicolon-joined."""
     parts = []
     for node in diagram.decision_nodes:
-        local = strategy.rules[node.node_id]
-        for info in sorted(local.rule):
+        rule = strategy[node.node_id]
+        for info in np.ndindex(rule.shape):
             labels = "|".join(
                 diagram.by_id[p].states[s]
                 for p, s in zip(node.predecessors, info)
             )
-            parts.append(f"{node.node_id}:{labels}->{node.states[local.rule[info]]}")
+            parts.append(f"{node.node_id}:{labels}->{node.states[rule[info]]}")
     return ";".join(parts)
-
-
-def path_probability(diagram: InfluenceDiagram, path: Path,
-                     strategy: GlobalStrategy) -> float:
-    """pi(s): p(s) when the path agrees with the strategy, else 0.
-
-    Mirrors the linear-program box on (pi, z): 0 <= pi <= p, pi <= z for
-    every decision node, and pi >= p + sum(z) - |D|.
-    """
-    for node in diagram.decision_nodes:
-        info = diagram.info_state_of(node, path)
-        if strategy.action(node.node_id, info) != path[diagram.path_position[node.node_id]]:
-            return 0.0
-    return upper_bound_probability(diagram, path)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +347,7 @@ class ObjectiveVector:
 
 
 def expected_values(diagram: InfluenceDiagram,
-                    strategy: GlobalStrategy) -> ObjectiveVector:
+                    strategy: Strategy) -> ObjectiveVector:
     """Sum pi(s) * U_v(s) over all paths, for every value node.
 
     Walks only strategy-compatible paths (decisions are forced by the
@@ -421,7 +371,7 @@ def expected_values(diagram: InfluenceDiagram,
         node = nodes[depth]
         info = tuple(prefix[pos[p]] for p in node.predecessors)
         if node.kind is NodeKind.DECISION:
-            prefix.append(strategy.action(node.node_id, info))
+            prefix.append(strategy[node.node_id][info])
             walk(depth + 1, prefix, prob)
             prefix.pop()
         else:
@@ -458,8 +408,9 @@ class StrategyEvaluator:
     A strategy is numbered by its free slots, one per (free decision node,
     information state) in node and then lexicographic order: its action at
     slot s is digit s of the mixed-radix index, slot 0 most significant.
-    This is the program's one strategy numbering: :meth:`strategy` decodes
-    an index, and rows of :meth:`objective_matrix` follow it.
+    This is the program's one strategy numbering: :meth:`strategy`, its one
+    decoder, turns numbers into rules, and rows of :meth:`objective_matrix`
+    follow it.
 
     Paths are condensed by their decision signature -- the tuple of
     (information state, action) pairs over decision nodes -- so evaluating a
@@ -474,7 +425,7 @@ class StrategyEvaluator:
     """
 
     def __init__(self, diagram: InfluenceDiagram,
-                 fixed: Mapping[int, LocalStrategy] | None = None):
+                 fixed: Strategy | None = None):
         self.diagram = d = diagram
         self.fixed = dict(fixed or {})
         sizes = [len(n.states) for n in d.path_nodes]
@@ -482,9 +433,8 @@ class StrategyEvaluator:
         _check_ceiling(n_paths, PATH_CEILING, "paths")
         count = d.strategy_count(fixed=tuple(self.fixed))
         _check_ceiling(count, STRATEGY_CEILING, "strategies")
-        self._free = tuple(n for n in d.decision_nodes
-                           if n.node_id not in self.fixed)
-        self._slots = tuple(len(n.states) for n in self._free
+        self._slots = tuple(len(n.states) for n in d.decision_nodes
+                            if n.node_id not in self.fixed
                             for _ in d.info_states(n))
 
         pos = d.path_position
@@ -532,32 +482,39 @@ class StrategyEvaluator:
         self._utility = utility[order]
 
         # The accumulation plan: per combination of the decision nodes'
-        # information states, the condensed row each strategy adds -- its
-        # compatible signature's, or the trailing zero row when it has none.
-        columns = iter(np.unravel_index(np.arange(count), self._slots)
-                       if self._slots else ())
-        terms = []
-        for node in d.decision_nodes:
-            k, rule = len(node.states), self.fixed.get(node.node_id)
-            terms.append([i * k + (rule.rule[info] if rule else next(columns))
-                          for i, info in enumerate(d.info_states(node))])
-        self._plan = []
-        for combo in itertools.product(*terms):
-            sig = np.zeros(count, dtype=np.int64)
-            for width, term in zip(widths, combo):
-                sig = sig * width + term
-            hit = np.minimum(np.searchsorted(known, sig), len(known) - 1)
-            self._plan.append(np.where(known[hit] == sig, hit, len(known)))
+        # information states, in product order, the condensed row each
+        # strategy adds -- its compatible signature's, or the trailing zero
+        # row when it has none. One axis per decision node, then strategies.
+        rules = self.strategy(np.arange(count))
+        sig = np.zeros(1, dtype=np.int64)
+        for node, width in zip(d.decision_nodes, widths):
+            actions = rules[node.node_id].reshape(count, -1).T
+            term = np.arange(len(actions))[:, None] * len(node.states) + actions
+            sig = sig[..., None, :] * width + term
+        sig = sig.reshape(-1, count)
+        hit = np.minimum(np.searchsorted(known, sig), len(known) - 1)
+        self._plan = np.where(known[hit] == sig, hit, len(known))
 
-    def strategy(self, index: int) -> GlobalStrategy:
-        """The strategy numbered ``index``: the fixed rules, and each free
-        slot's action the index's digit there."""
-        d, digits = self.diagram, iter(np.unravel_index(index, self._slots))
-        rules = dict(self.fixed)
-        for node in self._free:
-            rules[node.node_id] = LocalStrategy(node.node_id, {
-                info: int(next(digits)) for info in d.info_states(node)})
-        return GlobalStrategy(rules)
+    def strategy(self, index: int | np.ndarray) -> Strategy:
+        """The strategies numbered ``index``, an int or an array: each rule
+        indexed (``index``'s axes..., information state...), the fixed
+        rules broadcast and each free slot's action the number's digit
+        there."""
+        d, index = self.diagram, np.asarray(index)
+        if self._slots:  # index's axes..., slots
+            digits = np.stack(np.unravel_index(index, self._slots), axis=-1)
+        rules, at = {}, 0
+        for node in d.decision_nodes:
+            shape = d.info_shape(node)
+            if node.node_id in self.fixed:
+                rules[node.node_id] = np.broadcast_to(
+                    self.fixed[node.node_id], index.shape + shape)
+            else:
+                n = math.prod(shape)
+                rules[node.node_id] = digits[..., at:at + n].reshape(
+                    index.shape + shape)
+                at += n
+        return rules
 
     def _tables(self, tables: Mapping[int, np.ndarray]) -> list[np.ndarray]:
         """Every chance node's table as a (batch rows x entries) array, in

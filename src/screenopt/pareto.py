@@ -37,15 +37,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .diagram import (
-    GlobalStrategy,
     InfluenceDiagram,
-    LocalStrategy,
     ObjectiveVector,
+    Strategy,
     StrategyEvaluator,
     dense_tables,
 )
@@ -61,7 +60,7 @@ class FrontierPoint:
     computed, with orientation tags; its coordinates in minimization
     orientation are its row of :meth:`ParetoFrontier.vectors`."""
 
-    strategy: GlobalStrategy | str
+    strategy: Strategy | str
     objectives: ObjectiveVector
 
 
@@ -134,7 +133,7 @@ class EnumeratedProblem:
     def unique_vectors(self) -> np.ndarray:
         return self._unique[0]
 
-    def strategy(self, candidate: int) -> GlobalStrategy | str:
+    def strategy(self, candidate: int) -> Strategy | str:
         """What a frontier point reports as its strategy."""
         return f"candidate{candidate}"
 
@@ -156,7 +155,7 @@ class DiagramProblem(EnumeratedProblem):
 
     def __init__(self, diagram: InfluenceDiagram,
                  objective_mask: Sequence[str] | None = None,
-                 fixed: Mapping[int, LocalStrategy] | None = None):
+                 fixed: Strategy | None = None):
         self.diagram = diagram
         self.evaluator = StrategyEvaluator(diagram, fixed)
         reported = self.evaluator.objective_matrix(dense_tables(diagram))[0]
@@ -175,7 +174,7 @@ class DiagramProblem(EnumeratedProblem):
                 raise ValueError("objective mask selects nothing")
         super().__init__(reported, orientations, names, active=active)
 
-    def strategy(self, index: int) -> GlobalStrategy:
+    def strategy(self, index: int) -> Strategy:
         return self.evaluator.strategy(index)
 
 
@@ -196,7 +195,7 @@ def sorted_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def diagram_problem(diagram: InfluenceDiagram,
                     objective_mask: Sequence[str] | None = None,
-                    fixed: Mapping[int, LocalStrategy] | None = None
+                    fixed: Strategy | None = None
                     ) -> DiagramProblem:
     return DiagramProblem(diagram, objective_mask, fixed)
 

@@ -50,8 +50,8 @@ from .diagram import (
     BUDGET_TOL,
     DETECTION_TOL,
     LINEARITY_TOL,
-    GlobalStrategy,
     ObjectiveVector,
+    Strategy,
     StrategyEvaluator,
 )
 from .errors import CapacityError, InfeasibleBudgetError, OracleMismatchError
@@ -150,7 +150,7 @@ class PeriodRecord:
     """One period's slice of a strategy history."""
 
     period: int
-    strategy: GlobalStrategy
+    strategy: Strategy
     objectives: ObjectiveVector          # per invitee, as computed
     start_prevalence: np.ndarray         # (4,) row
     updated_prevalence: np.ndarray       # after screening and progression
@@ -182,8 +182,9 @@ class HistoryTable:
 
     ``strategy`` holds strategy numbers of ``problem``, the run-start
     problem that every table of a run shares: it decodes them and names and
-    orients the objectives. Ascending numbers are ascending
-    ``GlobalStrategy.key`` order.
+    orients the objectives. Ascending numbers are ascending free actions in
+    lexicographic order, slot 0 most significant
+    (:class:`~screenopt.diagram.StrategyEvaluator`).
 
     Iterated, the rows build their :class:`StrategyHistory` objects in one
     pass over :meth:`lineage`, the only walk of the parent rows, and share
@@ -280,7 +281,7 @@ def remove_dominated(histories: HistoryTable,
     tolerance (:func:`~screenopt.pareto.skyline`). ``cross_check`` compares
     that mask with the all-pairs filter of the same rule. Output order is
     deterministic: sorted by dominance key, then by the strategy numbers of
-    periods 1, 2, ..., which ascend with the strategy keys.
+    periods 1, 2, ..., which ascend with the strategies' free actions.
     """
     keys = histories.dominance_keys()
     mask = skyline(keys)

@@ -30,11 +30,10 @@ import numpy as np
 from .diagram import (
     SUM_TOL,
     ZERO_TOL,
-    GlobalStrategy,
     InfluenceDiagram,
-    LocalStrategy,
     Node,
     NodeKind,
+    Strategy,
     ValueSpec,
 )
 from .errors import ParameterError
@@ -240,7 +239,7 @@ def segment_tables(params: ParameterBundle, segment: Segment,
     fpos = (1.0 - spec) * psi[:, :1]
     for j in range(len(ABNORMAL)):
         fpos = fpos + numer[:, :, j]
-    reachable = fpos > ZERO_TOL
+    reachable = fpos > 0
     found = col_sens * (numer / np.where(reachable, fpos, 1.0)[:, :, None])
     normal = np.array([1.0 - math.fsum(row)
                        for row in found.reshape(-1, len(ABNORMAL)).tolist()]
@@ -352,46 +351,43 @@ def build_segment_diagram(segment: Segment, params: ParameterBundle,
     )
 
 
-def fixed_decision_rules(params: ParameterBundle) -> dict[int, LocalStrategy]:
-    """Decision nodes pinned by the model options.
+def fixed_decision_rules(params: ParameterBundle) -> Strategy:
+    """Decision rules pinned by the model options.
 
     Disabling incentives pins stage 2 to "no". Fixing the examination pins
-    stage 7 to "colonoscopy whenever contact was established".
+    stage 7, indexed (test result, contact), to "colonoscopy whenever
+    contact was established".
     """
-    fixed: dict[int, LocalStrategy] = {}
+    fixed = {}
     if not params.options.incentive_enabled:
-        fixed[INCENTIVE] = LocalStrategy(INCENTIVE, {(): 0})
+        fixed[INCENTIVE] = np.array(0)
     if params.options.fix_exam_to_colonoscopy:
-        rule = {}
-        for s5 in range(3):
-            for s6 in range(2):
-                rule[(s5, s6)] = 1 if s6 == 1 else 0
-        fixed[EXAM] = LocalStrategy(EXAM, rule)
+        fixed[EXAM] = np.tile([0, 1], (3, 1))
     return fixed
 
 
-def policy_cell(strategy: GlobalStrategy, cutoffs: Sequence[str]) -> str:
+def policy_cell(strategy: Strategy, cutoffs: Sequence[str]) -> str:
     """Policy-table cell for one period: cut-off label, "+i" when
     incentivized, "-" when not invited, "+noexam" when a positive test is
     not examined."""
-    if strategy.rules[INVITE].rule[()] == 0:
+    if strategy[INVITE][()] == 0:
         return "-"
-    cell = cutoffs[strategy.rules[CUTOFF].rule[()]]
-    if strategy.rules[INCENTIVE].rule[()] == 1:
+    cell = cutoffs[strategy[CUTOFF][()]]
+    if strategy[INCENTIVE][()] == 1:
         cell += "+i"
-    if strategy.rules[EXAM].rule[(1, 1)] == 0:
+    if strategy[EXAM][1, 1] == 0:
         cell += "+noexam"
     return cell
 
 
-def history_columns(strategy: GlobalStrategy, cutoffs: Sequence[str]) -> str:
+def history_columns(strategy: Strategy, cutoffs: Sequence[str]) -> str:
     """One period's four histories-CSV cells: cut-off label, incentive,
     invitation and examination of a positive test."""
     return ",".join([
-        cutoffs[strategy.rules[CUTOFF].rule[()]],
-        "yes" if strategy.rules[INCENTIVE].rule[()] == 1 else "no",
-        "yes" if strategy.rules[INVITE].rule[()] == 1 else "no",
-        "colonoscopy" if strategy.rules[EXAM].rule[(1, 1)] == 1 else "none"])
+        cutoffs[strategy[CUTOFF][()]],
+        "yes" if strategy[INCENTIVE][()] == 1 else "no",
+        "yes" if strategy[INVITE][()] == 1 else "no",
+        "colonoscopy" if strategy[EXAM][1, 1] == 1 else "none"])
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,10 @@ import pytest
 import screenopt.diagram
 import screenopt.phase1
 from screenopt.diagram import (
-    GlobalStrategy,
     InfluenceDiagram,
-    LocalStrategy,
     Node,
     NodeKind,
+    Strategy,
     ValueSpec,
 )
 from screenopt.pareto import EnumeratedProblem
@@ -175,15 +174,13 @@ def _info_shape(core_nodes, node):
 
 
 def random_strategy(rng: np.random.Generator,
-                    diagram: InfluenceDiagram) -> GlobalStrategy:
+                    diagram: InfluenceDiagram) -> Strategy:
     rules = {}
     for node in diagram.decision_nodes:
-        rule = {
-            info: int(rng.integers(0, len(node.states)))
-            for info in diagram.info_states(node)
-        }
-        rules[node.node_id] = LocalStrategy(node.node_id, rule)
-    return GlobalStrategy(rules)
+        rule = [int(rng.integers(0, len(node.states)))
+                for _ in diagram.info_states(node)]
+        rules[node.node_id] = np.array(rule).reshape(diagram.info_shape(node))
+    return rules
 
 
 # ---------------------------------------------------------------------------

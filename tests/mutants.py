@@ -35,6 +35,7 @@ ROW_BLOCKS = KERNELS + "test_row_blocks_equal_prefix_kernel_and_row_loop"
 FRONTIER = "tests/test_pareto.py::TestFrontier::"
 PIPELINE = "tests/test_cli.py::TestPipeline::"
 CERTIFICATE = "tests/test_phase1.py::TestLinearityCertificate::"
+DECODER = "tests/test_diagram.py::TestStrategyDecoder::"
 
 
 class Mutant(NamedTuple):
@@ -56,6 +57,20 @@ MUTANTS = (
            "for axis in [pos[node_id] for node_id in axes]:",
            ("tests/test_diagram.py::TestEvaluatorConstruction::"
             "test_run_start_diagram",)),
+    # The decoder takes a number's digits in reverse slot order, so slot 0
+    # is the least significant.
+    Mutant("src/screenopt/diagram.py",
+           "np.unravel_index(index, self._slots)",
+           "np.unravel_index(index, self._slots[::-1])[::-1]",
+           (DECODER + "test_ascending_numbers_ascend_free_actions",)),
+    # The accumulation plan takes its axes in reverse decision-node order.
+    Mutant("src/screenopt/diagram.py",
+           "for node, width in zip(d.decision_nodes, widths):\n"
+           "            actions = ",
+           "for node, width in zip(d.decision_nodes[::-1], widths[::-1]):\n"
+           "            actions = ",
+           ("tests/test_diagram.py::TestEvaluatorConstruction::"
+            "test_random_diagrams",)),
     # Each signature sums its live terms only, not its full-length row.
     Mutant("src/screenopt/diagram.py",
            """\
@@ -117,6 +132,12 @@ MUTANTS = (
            "return self.contact[segment.sex.value][segment.period - 1]",
            'return self.contact["F"][segment.period - 1]',
            ("tests/test_cli.py::TestSexSwap",)),
+    # An examination row counts as unreachable below the zero tolerance,
+    # so a tiny sensitivity loses its detections at its vertex.
+    Mutant("src/screenopt/screening.py",
+           "reachable = fpos > 0",
+           "reachable = fpos > ZERO_TOL",
+           ("tests/test_cli.py::TestTinySensitivity",)),
     # The loader checks bleed + the smaller perforation probability.
     Mutant("src/screenopt/screening.py",
            "if bleed + max(pw, pwo) > 1.0 + ZERO_TOL:",

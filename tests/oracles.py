@@ -13,9 +13,9 @@ from screenopt import cli
 from screenopt.diagram import (
     DETECTION_TOL,
     ZERO_TOL,
-    GlobalStrategy,
-    LocalStrategy,
     NodeKind,
+    _check_ceiling,
+    _cpt_row,
 )
 from screenopt.errors import CapacityError, ScreenOptError
 from screenopt.pareto import (
@@ -208,8 +208,16 @@ def dominance_key(history) -> tuple[float, float, float, float]:
             float(last[LARGE]), history.cumulative_colonoscopies)
 
 
+def strategy_key(strategy) -> tuple:
+    """A strategy's content as a sortable tuple: per decision node id in
+    ascending order, the id and its rule's actions in information-state
+    order."""
+    return tuple((node_id, tuple(strategy[node_id].ravel().tolist()))
+                 for node_id in sorted(strategy))
+
+
 def sort_key(history) -> tuple:
-    return tuple(r.strategy.key for r in history.records)
+    return tuple(strategy_key(r.strategy) for r in history.records)
 
 
 def dominates(a, b, tol=0.0):
@@ -242,9 +250,40 @@ def enumerate_strategies(diagram, fixed=None):
         rules = dict(fixed)
         digits = iter(assignment)
         for node in free:
-            rules[node.node_id] = LocalStrategy(node.node_id, {
-                info: next(digits) for info in diagram.info_states(node)})
-        yield GlobalStrategy(rules)
+            rules[node.node_id] = np.array(
+                [next(digits) for _ in diagram.info_states(node)]
+            ).reshape(diagram.info_shape(node))
+        yield rules
+
+
+def enumerate_paths(diagram):
+    """Yield every path once, in lexicographic node-state order."""
+    _check_ceiling(diagram.path_count(), screenopt.diagram.PATH_CEILING,
+                   "paths")
+    ranges = [range(len(n.states)) for n in diagram.path_nodes]
+    return itertools.product(*ranges)
+
+
+def upper_bound_probability(diagram, path) -> float:
+    """p(s): product of chance-node CPT entries along ``path``."""
+    prob = 1.0
+    for node in diagram.chance_nodes:
+        row = _cpt_row(diagram, node, diagram.info_state_of(node, path))
+        prob *= row[path[diagram.path_position[node.node_id]]]
+    return prob
+
+
+def path_probability(diagram, path, strategy) -> float:
+    """pi(s): p(s) when the path agrees with the strategy, else 0.
+
+    Mirrors the linear-program box on (pi, z): 0 <= pi <= p, pi <= z for
+    every decision node, and pi >= p + sum(z) - |D|.
+    """
+    for node in diagram.decision_nodes:
+        info = diagram.info_state_of(node, path)
+        if strategy[node.node_id][info] != path[diagram.path_position[node.node_id]]:
+            return 0.0
+    return upper_bound_probability(diagram, path)
 
 
 def path_grid_arrays(diagram, fixed=None):
@@ -286,7 +325,8 @@ def path_grid_arrays(diagram, fixed=None):
     terms = []
     for node in d.decision_nodes:
         k, rule = len(node.states), fixed.get(node.node_id)
-        terms.append([i * k + (rule.rule[info] if rule else next(columns))
+        terms.append([i * k + (rule[info] if rule is not None
+                               else next(columns))
                       for i, info in enumerate(d.info_states(node))])
     plan = []
     for combo in itertools.product(*terms):
@@ -313,7 +353,7 @@ def compatible_path_probabilities(diagram, strategy):
         node = nodes[depth]
         info = tuple(prefix[pos[p]] for p in node.predecessors)
         if node.kind is NodeKind.DECISION:
-            prefix.append(strategy.action(node.node_id, info))
+            prefix.append(strategy[node.node_id][info])
             walk(depth + 1, prefix, prob)
             prefix.pop()
         else:
@@ -712,10 +752,10 @@ def histories_rows(histories, keys, cutoffs) -> list:
         for rec in hist.records:
             s = rec.strategy
             cells += [
-                cutoffs[s.rules[CUTOFF].rule[()]],
-                "yes" if s.rules[INCENTIVE].rule[()] == 1 else "no",
-                "yes" if s.rules[INVITE].rule[()] == 1 else "no",
-                "colonoscopy" if s.rules[EXAM].rule[(1, 1)] == 1 else "none",
+                cutoffs[s[CUTOFF][()]],
+                "yes" if s[INCENTIVE][()] == 1 else "no",
+                "yes" if s[INVITE][()] == 1 else "no",
+                "colonoscopy" if s[EXAM][1, 1] == 1 else "none",
             ]
             floats += rec.updated_prevalence.tolist()
         floats += [hist.cumulative_colonoscopies,

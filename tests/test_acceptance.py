@@ -26,17 +26,15 @@ from oracles import (
     CRC,
     assert_keys_match,
     box_search_frontier,
+    enumerate_paths,
     exhaustive_two_period,
     objective,
-    reference_pair_scan,
-)
-from screenopt.cli import main
-from screenopt.diagram import (
-    enumerate_paths,
-    expected_values,
     path_probability,
+    reference_pair_scan,
     upper_bound_probability,
 )
+from screenopt.cli import main
+from screenopt.diagram import expected_values
 from screenopt.pareto import (
     brute_force_frontier,
     compute_frontier,
@@ -90,7 +88,7 @@ def test_milp_constraint_consistency():
         z = random_strategy(rng, d)
 
         for node in d.decision_nodes:
-            rule = z.rules[node.node_id].rule
+            rule = z[node.node_id]
             for info in d.info_states(node):
                 chosen = [a for a in range(len(node.states))
                           if rule[info] == a]
@@ -105,7 +103,7 @@ def test_milp_constraint_consistency():
             z_min = 1
             for node in d.decision_nodes:
                 info = d.info_state_of(node, s)
-                indicator = int(z.rules[node.node_id].rule[info]
+                indicator = int(z[node.node_id][info]
                                 == s[d.path_position[node.node_id]])
                 z_sum += indicator
                 z_min = min(z_min, indicator)
@@ -349,18 +347,12 @@ def test_behavioral_sanity():
     """On synthetic assay-like parameters: no invitation means exactly zero
     outcomes; lowering the cut-off weakly increases examinations and
     detections; loosening the budget weakly lowers achievable cancer."""
-    from screenopt.diagram import GlobalStrategy, LocalStrategy
     from screenopt.screening import CUTOFF, EXAM, INCENTIVE, INVITE
 
     def fixed_strategy(cutoff, incentive, invite):
-        return GlobalStrategy({
-            CUTOFF: LocalStrategy(CUTOFF, {(): cutoff}),
-            INCENTIVE: LocalStrategy(INCENTIVE, {(): incentive}),
-            INVITE: LocalStrategy(INVITE, {(): invite}),
-            EXAM: LocalStrategy(EXAM, {
-                (s5, s6): 1 if s6 == 1 else 0
-                for s5 in range(3) for s6 in range(2)}),
-        })
+        # the examination rule is indexed (test result, contact)
+        return {CUTOFF: np.array(cutoff), INCENTIVE: np.array(incentive),
+                INVITE: np.array(invite), EXAM: np.tile([0, 1], (3, 1))}
 
     rng = np.random.default_rng(616)
     for _ in range(50):

@@ -36,6 +36,7 @@ from screenopt.screening import (
     Sex,
     build_segment_diagram,
     load_parameters,
+    segment_tables,
 )
 
 
@@ -393,9 +394,11 @@ class TestPipeline:
 
     def test_decodes_only_the_strategies_written(self, default_bundle,
                                                  tmp_path, monkeypatch):
-        # phase 1 keeps strategy numbers, and the writers decode each
-        # distinct number that a period's written rows hold once: 80 on the
-        # shipped parameters, against 183 class representatives
+        # phase 1 keeps strategy numbers: its one decode is the run's
+        # evaluator decoding every number at once for its accumulation
+        # plan. The writers decode each distinct number that a period's
+        # written rows hold once: 80 on the shipped parameters, against
+        # 183 class representatives
         decode = screenopt.diagram.StrategyEvaluator.strategy
         calls = []
 
@@ -406,13 +409,17 @@ class TestPipeline:
         monkeypatch.setattr(screenopt.diagram.StrategyEvaluator, "strategy",
                             counting)
         tables = screenopt.phase1.run_phase1(default_bundle, budget=20000.0)
-        assert calls == []
+        every = np.arange(tables[Sex.F].problem.n_candidates)
+        assert len(calls) == 1 and np.array_equal(calls[0], every)
         written = sum(len(np.unique(t.strategy[rows]))
                       for table in tables.values()
                       for t, rows in table.lineage(np.arange(len(table))))
+        calls.clear()
         assert main(["pipeline", "--budgets", "8000,12000,16000,20000",
                      "--out", str(tmp_path / "x")]) == 0
-        assert len(calls) == written <= 87
+        assert np.array_equal(calls[0], every)
+        assert all(type(number) is int for number in calls[1:])
+        assert len(calls) - 1 == written <= 87
 
     def test_renders_each_written_ancestor_row_once(self, tmp_path,
                                                     monkeypatch):
@@ -1031,6 +1038,66 @@ class TestZeroPositiveProbability:
         assert main(["pipeline", "--budgets", "500,1500,4000",
                      "--params", str(params), "--out", str(tmp_path / "p"),
                      "--cross-check"]) == 0
+
+
+class TestStrategyEncodings:
+    """The strategy column of the shipped segment frontiers, pinned as
+    text: every rule rendered in node and information-state order."""
+
+    GOLDEN = Path(__file__).resolve().parent / "data" / \
+        "strategy_encodings.csv"
+
+    @pytest.mark.parametrize("flags", [
+        "", "--fix-exam", "--no-incentive", "--fix-exam --no-incentive"])
+    def test_strategy_column_matches_golden(self, tmp_path, flags):
+        lines = self.GOLDEN.read_text().splitlines()
+        assert lines[0] == "flags,file,strategy"
+        for sex, period in (("F", "1"), ("M", "5")):
+            name = f"frontier_{sex}_{period}.csv"
+            assert main(["segment", "--sex", sex, "--period", period,
+                         *flags.split(), "--out", str(tmp_path)]) == 0
+            _, _, rows = read_csv(tmp_path / name)
+            want = [line.split(",")[2] for line in lines[1:]
+                    if line.split(",")[:2] == [flags, name]]
+            assert want and [row[0] for row in rows] == want, (flags, name)
+
+
+class TestTinySensitivity:
+    """A test sensitivity far below the tolerances at one cut-off: at the
+    state's simplex vertex a positive test has just that probability, and
+    its examination row must still be computed, or the vertex sum loses
+    that state's detections and the linearity certificate stops the run."""
+
+    @pytest.fixture(params=["benign", "large", "crc"])
+    def state(self, request):
+        return request.param
+
+    @pytest.fixture(params=[1e-15, 1e-300])
+    def params(self, tmp_path, default_doc, state, request):
+        doc = small_doc(default_doc)
+        doc["fit"]["sensitivity"][state]["50"] = request.param
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_vertex_row_finds_the_state(self, params, state):
+        bundle, _ = load_parameters(json.loads(params.read_text()))
+        column = 1 + ["benign", "large", "crc"].index(state)
+        exam = segment_tables(bundle, Segment(Sex.F, 1),
+                              np.eye(4)[None, column])[EXAM_RESULT]
+        li = bundle.effective_cutoffs().index("50")
+        want = bundle.colonoscopy.sensitivity[state]
+        assert exam[0, li, 1, 1, 1 + column] == want
+        assert exam[0, li, 1, 1, 1] == 1.0 - want
+
+    def test_commands_exit_zero(self, params, tmp_path):
+        assert main(["validate", "--params", str(params)]) == 0
+        assert main(["segment", "--sex", "F", "--period", "1",
+                     "--params", str(params), "--out", str(tmp_path / "s"),
+                     "--cross-check"]) == 0
+        assert main(["pipeline", "--budgets", "500,1500,4000",
+                     "--params", str(params),
+                     "--out", str(tmp_path / "p")]) == 0
 
 
 class TestBaseline:

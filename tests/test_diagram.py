@@ -23,20 +23,22 @@ import pytest
 
 import screenopt.diagram
 from conftest import random_diagram, random_strategy
-from oracles import enumerate_strategies, path_grid_arrays
+from oracles import (
+    enumerate_paths,
+    enumerate_strategies,
+    path_grid_arrays,
+    path_probability,
+    strategy_key,
+    upper_bound_probability,
+)
 from screenopt.diagram import (
-    GlobalStrategy,
     InfluenceDiagram,
-    LocalStrategy,
     Node,
     NodeKind,
     StrategyEvaluator,
     ValueSpec,
     dense_tables,
-    enumerate_paths,
     expected_values,
-    path_probability,
-    upper_bound_probability,
     validate_diagram,
 )
 from screenopt.errors import CapacityError, StructuralError
@@ -65,14 +67,9 @@ def chain_diagram(p_row0=(0.7, 0.3), p_row1=(0.2, 0.8), values=(1.0, 5.0)):
 
 
 def pick(diagram, **actions):
-    """GlobalStrategy with one constant action per decision node."""
-    rules = {}
-    for node in diagram.decision_nodes:
-        act = actions[node.name]
-        rules[node.node_id] = LocalStrategy(
-            node.node_id,
-            {info: act for info in diagram.info_states(node)})
-    return GlobalStrategy(rules)
+    """Strategy with one constant action per decision node."""
+    return {node.node_id: np.full(diagram.info_shape(node), actions[node.name])
+            for node in diagram.decision_nodes}
 
 
 class TestValidation:
@@ -317,7 +314,7 @@ class TestExpectedValues:
             for node in d.decision_nodes:
                 for info in d.info_states(node):
                     index = (index * len(node.states)
-                             + z.action(node.node_id, info))
+                             + z[node.node_id][info])
             row = StrategyEvaluator(d).objective_matrix(
                 dense_tables(d))[0, index]
             assert np.allclose(got.values, row, atol=1e-12)
@@ -379,7 +376,7 @@ class TestStrategyEnumeration:
         d = InfluenceDiagram(nodes, {0: np.array([0.5, 0.5])}, {})
         strategies = list(enumerate_strategies(d))
         assert len(strategies) == 4
-        keys = [z.key for z in strategies]
+        keys = [strategy_key(z) for z in strategies]
         assert len(set(keys)) == 4
         assert keys == sorted(keys)
 
@@ -400,7 +397,7 @@ class TestStrategyEnumeration:
         d = InfluenceDiagram(nodes, {0: np.array([0.4, 0.6])}, {})
         strategies = list(enumerate_strategies(d))
         assert len(strategies) == 1
-        assert strategies[0].rules == {}
+        assert strategies[0] == {}
 
     def test_capacity_ceiling(self, monkeypatch):
         nodes = (
@@ -425,13 +422,13 @@ class TestStrategyEnumeration:
         monkeypatch.setattr(screenopt.diagram, ceiling, 3)
         with pytest.raises(CapacityError):
             StrategyEvaluator(d)
-        pinned = {0: LocalStrategy(0, {(): 1})}
+        pinned = {0: np.array(1)}
         if ceiling == "PATH_CEILING":
             with pytest.raises(CapacityError):
                 StrategyEvaluator(d, pinned)
         else:
-            assert StrategyEvaluator(d, pinned).strategy(1).key == \
-                ((0, (((), 1),)), (1, (((), 1),)))
+            assert strategy_key(StrategyEvaluator(d, pinned).strategy(1)) \
+                == ((0, (1,)), (1, (1,)))
 
     def test_fixed_rules_pin_node(self):
         nodes = (
@@ -439,10 +436,9 @@ class TestStrategyEnumeration:
             Node(1, NodeKind.DECISION, "d1", ("a", "b")),
         )
         d = InfluenceDiagram(nodes, {}, {})
-        pinned = LocalStrategy(0, {(): 1})
-        strategies = list(enumerate_strategies(d, fixed={0: pinned}))
+        strategies = list(enumerate_strategies(d, fixed={0: np.array(1)}))
         assert len(strategies) == 2
-        assert all(z.rules[0].rule[()] == 1 for z in strategies)
+        assert all(z[0][()] == 1 for z in strategies)
 
     def test_objective_matrix_rows_follow_enumeration_order(self):
         rng = np.random.default_rng(43)
@@ -482,6 +478,86 @@ class TestStrategyEnumeration:
         for act in (0, 1):
             assert got[0, act, 0] == pytest.approx(
                 expected_values(other, pick(other, act=act)).values[0])
+
+
+class TestStrategyDecoder:
+    """``StrategyEvaluator.strategy``, the one decoder: a batch of numbers
+    decodes as each number alone, numbers ascend with the free actions, and
+    fixed rules pass through unchanged."""
+
+    @pytest.fixture()
+    def cases(self, default_doc):
+        """(evaluator, fixed rules) pairs: random diagrams, free and with
+        one node pinned to a random rule, and the shipped run-start diagram
+        free and with both model options set."""
+        rng = np.random.default_rng(61)
+        out = []
+        for _ in range(15):
+            d = random_diagram(rng, max_paths=800, max_strategies=300)
+            out.append((d, {}))
+            if d.decision_nodes:
+                node = d.decision_nodes[int(rng.integers(
+                    len(d.decision_nodes)))]
+                out.append((d, {node.node_id: rng.integers(
+                    len(node.states), size=d.info_shape(node))}))
+        bundle, _ = load_parameters(default_doc)
+        for pinned in (False, True):
+            if pinned:
+                bundle = dataclasses.replace(
+                    bundle, options=dataclasses.replace(
+                        bundle.options, fix_exam_to_colonoscopy=True,
+                        incentive_enabled=False))
+            d = build_segment_diagram(Segment(Sex.F, 1), bundle,
+                                      bundle.starting_prevalence(Sex.F))
+            out.append((d, fixed_decision_rules(bundle)))
+        assert any(len(fixed) == 2 for _, fixed in out)
+        return [(StrategyEvaluator(d, fixed), fixed) for d, fixed in out]
+
+    def test_batch_equals_each_number(self, cases):
+        for ev, fixed in cases:
+            d = ev.diagram
+            n = d.strategy_count(fixed=tuple(fixed))
+            batch = ev.strategy(np.arange(n))
+            assert list(batch) == [node.node_id for node in d.decision_nodes]
+            for i in range(n):
+                one = ev.strategy(i)
+                assert list(one) == list(batch)
+                for node in d.decision_nodes:
+                    rule = batch[node.node_id]
+                    assert rule.shape == (n,) + d.info_shape(node)
+                    assert one[node.node_id].shape == d.info_shape(node)
+                    assert np.array_equal(rule[i], one[node.node_id])
+
+    def test_ascending_numbers_ascend_free_actions(self, cases):
+        # the free actions, decision nodes in order and each rule in
+        # information-state order, read as one tuple: slot 0 most
+        # significant, so numbers ascend with the tuples and every tuple
+        # of action ordinals appears once
+        for ev, fixed in cases:
+            d = ev.diagram
+            n = d.strategy_count(fixed=tuple(fixed))
+            batch = ev.strategy(np.arange(n))
+            free = [node for node in d.decision_nodes
+                    if node.node_id not in fixed]
+            actions = [batch[node.node_id].reshape(n, -1) for node in free]
+            slots = [(len(node.states), column.shape[1])
+                     for node, column in zip(free, actions)]
+            tuples = [tuple(row) for row in np.concatenate(
+                [np.zeros((n, 0), dtype=int)] + actions, axis=1).tolist()]
+            assert all(a < b for a, b in zip(tuples, tuples[1:]))
+            assert n == math.prod(k ** width for k, width in slots)
+            assert all(0 <= a < k for column, (k, _) in zip(actions, slots)
+                       for a in column.ravel().tolist())
+
+    def test_fixed_rules_appear_unchanged(self, cases):
+        for ev, fixed in cases:
+            n = ev.diagram.strategy_count(fixed=tuple(fixed))
+            batch = ev.strategy(np.arange(n))
+            for node_id, rule in fixed.items():
+                assert np.array_equal(batch[node_id],
+                                      np.broadcast_to(rule, (n,) + rule.shape))
+                for i in (0, n // 2, n - 1):
+                    assert np.array_equal(ev.strategy(i)[node_id], rule)
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -525,5 +601,5 @@ class TestEvaluatorConstruction:
             self.assert_grid_arrays(d)
             if d.decision_nodes:
                 node = d.decision_nodes[0]
-                self.assert_grid_arrays(d, {node.node_id: LocalStrategy(
-                    node.node_id, {info: 0 for info in d.info_states(node)})})
+                self.assert_grid_arrays(d, {node.node_id: np.zeros(
+                    d.info_shape(node), dtype=int)})

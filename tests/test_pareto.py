@@ -30,11 +30,9 @@ from oracles import (
     nondominated_prefix,
     objective,
     representative,
+    strategy_key,
 )
-from screenopt.diagram import (
-    LocalStrategy,
-    expected_values,
-)
+from screenopt.diagram import expected_values
 from screenopt.pareto import (
     _exact_skyline,
     brute_force_frontier,
@@ -238,7 +236,8 @@ class TestFrontier:
                     strategy = p.strategy(c)
                     assert (point.strategy == strategy
                             if isinstance(strategy, str)
-                            else point.strategy.key == strategy.key)
+                            else strategy_key(point.strategy)
+                            == strategy_key(strategy))
                     assert np.array_equal(
                         p.minimize(np.array(point.objectives.values)),
                         p.matrix_min[c])
@@ -515,7 +514,8 @@ class TestDiagramProblems:
         got, want = compute_frontier(reweighted), compute_frontier(fresh)
         assert np.array_equal(got.candidates, want.candidates)
         last = int(got.candidates[-1])
-        assert base.strategy(last).key == fresh.strategy(last).key
+        assert strategy_key(base.strategy(last)) == \
+            strategy_key(fresh.strategy(last))
         assert compatible_path_probabilities(fresh.diagram,
                                              base.strategy(last)) == \
             compatible_path_probabilities(fresh.diagram, fresh.strategy(last))
@@ -530,17 +530,17 @@ class TestDiagramProblems:
             if d.decision_nodes:
                 node = d.decision_nodes[int(rng.integers(
                     len(d.decision_nodes)))]
-                rule = {info: int(rng.integers(len(node.states)))
-                        for info in d.info_states(node)}
-                fixings.append({node.node_id: LocalStrategy(node.node_id,
-                                                            rule)})
+                rule = [int(rng.integers(len(node.states)))
+                        for _ in d.info_states(node)]
+                fixings.append({node.node_id: np.array(rule).reshape(
+                    d.info_shape(node))})
             for fixed in fixings:
                 p = diagram_problem(d, fixed=fixed)
-                enumerated = [z.key for z in
+                enumerated = [strategy_key(z) for z in
                               enumerate_strategies(d, fixed=fixed)]
-                assert [p.strategy(i).key for i in range(p.n_candidates)] \
-                    == enumerated
-                assert [p.evaluator.strategy(i).key
+                assert [strategy_key(p.strategy(i))
+                        for i in range(p.n_candidates)] == enumerated
+                assert [strategy_key(p.evaluator.strategy(i))
                         for i in range(p.n_candidates)] == enumerated
 
     def test_objective_mask_restricts_dominance(self, small_bundle):

@@ -49,6 +49,7 @@ from oracles import (
     running_totals,
     sort_key,
     strategy_classes_unique,
+    strategy_key,
     update_prevalences,
 )
 from screenopt.diagram import StrategyEvaluator, dense_tables, expected_values
@@ -264,7 +265,7 @@ class TestDetectedFractions:
         assert colonoscopies_of(null_points[0]) == 0.0
 
     def test_fractions_match_path_enumeration(self, small_bundle):
-        from screenopt.diagram import enumerate_paths, path_probability
+        from oracles import enumerate_paths, path_probability
         from screenopt.screening import EXAM_RESULT
 
         psi = small_bundle.starting_prevalence(Sex.M)
@@ -307,17 +308,17 @@ class TestDetectedFractions:
 def key_table(keys, strategy_keys=None, parent=None, parent_row=None):
     """A history table whose rows have the given dominance keys.
 
-    Its problem decodes strategy number i to a stub with the ith of the
-    given distinct keys (one per row by default), which must ascend with
-    the number as a run's strategy keys do; ``parent`` makes it a period-2
-    table over those parent rows.
+    Its problem decodes strategy number i to a one-rule strategy whose
+    actions are the ith of the given distinct keys (one per row by
+    default), which must ascend with the number as a run's strategies do;
+    ``parent`` makes it a period-2 table over those parent rows.
     """
     keys = np.asarray(keys, dtype=float).reshape(-1, 4)
     n = len(keys)
     if strategy_keys is None:
         strategy_keys = [(i,) for i in range(n)]
     problem = SimpleNamespace(
-        strategy=lambda i: SimpleNamespace(key=strategy_keys[i]),
+        strategy=lambda i: {0: np.array(strategy_keys[i])},
         names=("cost",), orientations=("minimize",))
     zero = np.zeros(n)
     updated = np.stack([1.0 - keys[:, 1] - keys[:, 2], zero, keys[:, 2],
@@ -505,7 +506,8 @@ class TestRunPhase1:
             assert np.all(np.abs(np.subtract(hist.records[0].objectives.values,
                                              point.objectives.values))
                           <= bound[candidate])
-            assert hist.records[0].strategy.key == point.strategy.key
+            assert strategy_key(hist.records[0].strategy) == \
+                strategy_key(point.strategy)
             assert abs(hist.cumulative_colonoscopies
                        - colonoscopies_of(point) * cohort) \
                 <= bound[candidate, column] * cohort
@@ -839,7 +841,8 @@ class TestLineage:
                 number = int(t.strategy[a])
                 assert decoded.setdefault(number, record.strategy) is \
                     record.strategy
-                assert record.strategy.key == t.problem.strategy(number).key
+                assert strategy_key(record.strategy) == \
+                    strategy_key(t.problem.strategy(number))
                 assert record.objectives.values == \
                     tuple(t.reported[a].tolist())
                 assert record.objectives.names == t.problem.names
@@ -1050,9 +1053,9 @@ class TestReweightedSegments:
             assert np.array_equal(reused.candidates, fresh.candidates)
             assert [p.objectives.values for p in reused.points] == \
                 [p.objectives.values for p in fresh.points]
-            assert [base.strategy(c).key for c in
+            assert [strategy_key(base.strategy(c)) for c in
                     reused.candidates.tolist()] == \
-                [p.strategy.key for p in fresh.points]
+                [strategy_key(p.strategy) for p in fresh.points]
 
     def test_segment_tables_are_the_diagrams_tables(self, default_bundle):
         # every chance table at each of H rows, against the diagram built at
@@ -1334,8 +1337,9 @@ class TestLinearityCertificate:
                 # segment's own diagram numbers it
                 numbers = np.unique(period.strategy).tolist()
                 assert np.isin(numbers, reps).all()
-                assert [period.problem.strategy(n).key for n in numbers] == \
-                    [base.strategy(n).key for n in numbers]
+                assert [strategy_key(period.problem.strategy(n))
+                        for n in numbers] == \
+                    [strategy_key(base.strategy(n)) for n in numbers]
                 rows = vertex_sum(starts, values[reps])
                 assert_bits(period.reported, rows[
                     period.parent_row, np.searchsorted(reps, period.strategy)])
@@ -1369,7 +1373,7 @@ class TestStrategyOrder:
     @staticmethod
     def assert_keys_ascend(last):
         problem = last.problem
-        keys = [problem.strategy(n).key
+        keys = [strategy_key(problem.strategy(n))
                 for n in range(problem.n_candidates)]
         assert all(a < b for a, b in zip(keys, keys[1:]))
         table = last
@@ -1462,8 +1466,9 @@ class TestFrontierInvariance:
             want, got = every_segment_frontier(doc), \
                 every_segment_frontier(scaled)
             for segment, frontier in want.items():
-                assert [p.strategy.key for p in frontier.points] == \
-                    [p.strategy.key for p in got[segment].points], segment
+                assert [strategy_key(p.strategy) for p in frontier.points] \
+                    == [strategy_key(p.strategy)
+                        for p in got[segment].points], segment
                 old = np.array([p.objectives.values for p in frontier.points])
                 new = np.array([p.objectives.values
                                 for p in got[segment].points])

@@ -32,12 +32,7 @@ from oracles import (
     posterior_given_positive,
     scalar_prevalence_cpts,
 )
-from screenopt.diagram import (
-    GlobalStrategy,
-    LocalStrategy,
-    expected_values,
-    validate_diagram,
-)
+from screenopt.diagram import expected_values, validate_diagram
 from screenopt.errors import ParameterError
 from screenopt.screening import (
     ADVERSE,
@@ -195,16 +190,10 @@ def row(table, *info) -> tuple[float, ...]:
 
 def constant_strategy(diagram, cutoff=0, incentive=0, invite=1,
                       exam_on_contact=1):
-    rules = {
-        CUTOFF: LocalStrategy(CUTOFF, {(): cutoff}),
-        INCENTIVE: LocalStrategy(INCENTIVE, {(): incentive}),
-        INVITE: LocalStrategy(INVITE, {(): invite}),
-        EXAM: LocalStrategy(EXAM, {
-            (s5, s6): exam_on_contact if s6 == 1 else 0
-            for s5 in range(3) for s6 in range(2)
-        }),
-    }
-    return GlobalStrategy(rules)
+    # the examination rule is indexed (test result, contact)
+    return {CUTOFF: np.array(cutoff), INCENTIVE: np.array(incentive),
+            INVITE: np.array(invite),
+            EXAM: np.tile([0, exam_on_contact], (3, 1))}
 
 
 class TestPrevalenceTables:
@@ -441,7 +430,7 @@ class TestSegmentDiagram:
             previous = (cols, detections)
 
     def test_cutoff_mismatch_zeroes_path(self, default_bundle):
-        from screenopt.diagram import path_probability
+        from oracles import path_probability
         d = build_segment_diagram(Segment(Sex.F, 1), default_bundle,
                                   default_bundle.starting_prevalence(Sex.F))
         cutoffs = default_bundle.effective_cutoffs()
@@ -466,9 +455,8 @@ class TestSegmentDiagram:
                           "incentive_enabled": False}
         bundle, _ = load_parameters(doc)
         fixed = fixed_decision_rules(bundle)
-        assert fixed[INCENTIVE].rule == {(): 0}
-        assert fixed[EXAM].rule[(1, 1)] == 1
-        assert fixed[EXAM].rule[(1, 0)] == 0
+        assert fixed[INCENTIVE].shape == () and fixed[INCENTIVE] == 0
+        assert fixed[EXAM].tolist() == [[0, 1], [0, 1], [0, 1]]
         d = build_segment_diagram(Segment(Sex.F, 1), bundle,
                                   bundle.starting_prevalence(Sex.F))
         assert d.strategy_count(fixed=tuple(fixed)) == 5 * 2
