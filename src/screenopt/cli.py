@@ -10,7 +10,8 @@ All outputs are deterministic: identical inputs produce identical bytes.
 Every CSV starts with comment lines carrying the tool version and the
 SHA-256 of the parameter file; the manifest carries them as JSON fields.
 
-Exit codes: 0 success (also --help and --version), 1 validation failure,
+Exit codes: 0 success (also --help and --version), 1 validation failure
+(an unreadable or unparsable parameter file too: one line naming the file),
 usage error or unusable --out, 2 infeasible or over capacity, 3 internal
 check mismatch (each period's first history is checked in every run, the
 rest under --cross-check). ``--out`` is created after the argument checks
@@ -181,8 +182,13 @@ def _load(args) -> tuple[ParameterBundle, list[str], list[str], str]:
             obj[key] = value
         return obj
 
-    bundle, report = load_parameters(json.loads(
-        raw.decode("utf-8"), object_pairs_hook=without_repeats))
+    # a ValueError is bytes that are not UTF-8, a JSON syntax error or an
+    # integer past the interpreter's digit limit
+    try:
+        doc = json.loads(raw.decode("utf-8"), object_pairs_hook=without_repeats)
+    except (RecursionError, ValueError) as exc:
+        raise ParameterError(str(path), f"not a JSON document: {exc}") from None
+    bundle, report = load_parameters(doc)
     bundle = _apply_flags(bundle, args)
     return bundle, report.defaults, report.warnings, digest
 
@@ -368,7 +374,7 @@ def _cmd_pipeline(args) -> int:
         # pair of an infeasible one) are kept for the case files
         rows[sex] = dict.fromkeys(getattr(res, index) for res in results)
         _write_histories(args.out, digest, sex, _history_rows(
-            histories[sex], bundle.effective_cutoffs(), rows[sex]), periods)
+            histories[sex], bundle.fit.cutoffs, rows[sex]), periods)
     _write_cases(args.out, digest, bundle, results, rows, periods)
     print(f"wrote pipeline outputs to {args.out}")
     return 0
@@ -398,7 +404,7 @@ def _write_manifest(args, bundle, budgets, periods, digest) -> None:
         "objective_mask": _mask(args) or list(OBJECTIVE_NAMES),
         "fix_exam_to_colonoscopy": bundle.options.fix_exam_to_colonoscopy,
         "incentive_enabled": bundle.options.incentive_enabled,
-        "cutoffs": list(bundle.effective_cutoffs()),
+        "cutoffs": list(bundle.fit.cutoffs),
         "cross_check": bool(args.cross_check),
     }
     (args.out / "manifest.json").write_text(dumps_canonical(manifest),

@@ -99,22 +99,17 @@ class TransitionRates:
 
 @dataclass(frozen=True)
 class FitTestCharacteristics:
-    """Stool-test sensitivity per cut-off and abnormal state, and specificity."""
+    """Stool-test sensitivity per cut-off and abnormal state, and specificity.
+
+    ``cutoffs`` is the state space of the cut-off decision, in declared
+    order; that order numbers the strategies. Read the tables directly:
+    ``sensitivity[state][label]`` and ``specificity[label]``.
+    """
 
     unit: str
     cutoffs: tuple[str, ...]
     sensitivity: Mapping[str, Mapping[str, float]]  # state key -> cutoff -> value
     specificity: Mapping[str, float]                # cutoff -> value
-
-    def sensitivity_for(self, cutoff: str, state: BowelState) -> float:
-        if cutoff not in self.specificity:
-            raise KeyError(f"unknown cut-off {cutoff!r}")
-        return self.sensitivity[state.value][cutoff]
-
-    def specificity_for(self, cutoff: str) -> float:
-        if cutoff not in self.specificity:
-            raise KeyError(f"unknown cut-off {cutoff!r}")
-        return self.specificity[cutoff]
 
 
 @dataclass(frozen=True)
@@ -125,9 +120,6 @@ class ColonoscopyCharacteristics:
     bleed: float
     perforation_with_polypectomy: float
     perforation_without_polypectomy: float
-
-    def sensitivity_for(self, state: BowelState) -> float:
-        return self.sensitivity[state.value]
 
 
 @dataclass(frozen=True)
@@ -162,11 +154,13 @@ class CostSchedule:
 class ModelOptions:
     fix_exam_to_colonoscopy: bool = False
     incentive_enabled: bool = True
-    cutoff_set: tuple[str, ...] | None = None
 
 
 @dataclass(frozen=True)
 class ParameterBundle:
+    """A validated parameter document. ``fit.cutoffs`` alone states the
+    cut-offs a run optimizes over, and their order."""
+
     fit: FitTestCharacteristics
     colonoscopy: ColonoscopyCharacteristics
     participation: ParticipationParameters
@@ -180,9 +174,6 @@ class ParameterBundle:
     @property
     def periods(self) -> int:
         return len(self.transitions[Sex.F.value])
-
-    def effective_cutoffs(self) -> tuple[str, ...]:
-        return self.options.cutoff_set or self.fit.cutoffs
 
     def starting_prevalence(self, sex: Sex) -> np.ndarray:
         return self.prevalence0[sex.value]
@@ -228,12 +219,11 @@ def segment_tables(params: ParameterBundle, segment: Segment,
     one. Rows without contact or without a colonoscopy are the "NA" result.
     """
     psi = np.asarray(psi_rows, dtype=float)
-    cutoffs = params.effective_cutoffs()
     fit, col = params.fit, params.colonoscopy
-    spec = np.array([fit.specificity_for(c) for c in cutoffs])
-    sens = np.array([[fit.sensitivity_for(c, s) for s in ABNORMAL]
-                     for c in cutoffs])
-    col_sens = np.array([col.sensitivity_for(s) for s in ABNORMAL])
+    spec = np.array([fit.specificity[c] for c in fit.cutoffs])
+    sens = np.array([[fit.sensitivity[s.value][c] for s in ABNORMAL]
+                     for c in fit.cutoffs])
+    col_sens = np.array([col.sensitivity[s.value] for s in ABNORMAL])
 
     numer = sens * psi[:, None, 1:]          # rows x cut-offs x abnormal
     fpos = (1.0 - spec) * psi[:, :1]
@@ -290,10 +280,9 @@ def segment_tables(params: ParameterBundle, segment: Segment,
 def build_segment_diagram(segment: Segment, params: ParameterBundle,
                           psi: np.ndarray) -> InfluenceDiagram:
     """Influence diagram for one segment at prevalence ``psi``, a (4,) row."""
-    cutoffs = params.effective_cutoffs()
     no_yes = ("no", "yes")
     nodes = (
-        Node(CUTOFF, NodeKind.DECISION, "cutoff", cutoffs),
+        Node(CUTOFF, NodeKind.DECISION, "cutoff", params.fit.cutoffs),
         Node(INCENTIVE, NodeKind.DECISION, "incentive", no_yes),
         Node(INVITE, NodeKind.DECISION, "invite", no_yes),
         Node(SAMPLE, NodeKind.CHANCE, "sample_returned", no_yes,
@@ -434,7 +423,7 @@ def load_parameters(doc: Mapping[str, Any]) -> tuple[ParameterBundle, LoadReport
                              periods),
         population=_per_sex(doc["population"], "population", _cohort_sizes,
                             periods),
-        options=_load_options(doc.get("options"), fit, report),
+        options=_load_options(doc.get("options"), report),
         description=_string(doc.get("description", ""), "description"),
     )
     _check_totals(bundle)
@@ -668,35 +657,16 @@ def _cohort_sizes(value: Any, path: str, periods: int) -> tuple[float, ...]:
     return sizes
 
 
-def _load_options(section: Any, fit: FitTestCharacteristics,
-                  report: LoadReport) -> ModelOptions:
+def _load_options(section: Any, report: LoadReport) -> ModelOptions:
     if section is None:
         report.defaults.append("options = {} (all defaults)")
         section = {}
     _require_keys(section, "options", (),
-                  optional=("fix_exam_to_colonoscopy", "incentive_enabled",
-                            "cutoff_set"))
-    fix_exam = _flag(section, "fix_exam_to_colonoscopy", False, report)
-    incentive = _flag(section, "incentive_enabled", True, report)
-    cutoff_set = None
-    if "cutoff_set" in section:
-        subset = section["cutoff_set"]
-        if not isinstance(subset, list) or not subset:
-            raise ParameterError("options.cutoff_set",
-                                 "must be a non-empty list")
-        for label in subset:
-            if label not in fit.cutoffs:
-                raise ParameterError("options.cutoff_set",
-                                     f"cut-off {label!r} is not declared in "
-                                     f"fit.cutoffs")
-        if len(set(subset)) != len(subset):
-            raise ParameterError("options.cutoff_set",
-                                 "duplicate cut-off labels")
-        cutoff_set = tuple(subset)
+                  optional=("fix_exam_to_colonoscopy", "incentive_enabled"))
     return ModelOptions(
-        fix_exam_to_colonoscopy=fix_exam,
-        incentive_enabled=incentive,
-        cutoff_set=cutoff_set,
+        fix_exam_to_colonoscopy=_flag(section, "fix_exam_to_colonoscopy",
+                                      False, report),
+        incentive_enabled=_flag(section, "incentive_enabled", True, report),
     )
 
 

@@ -45,8 +45,18 @@ def small_doc(default_doc, periods=2, cutoffs=("10", "25", "50"),
         k: v[:periods] for k, v in doc["participation"]["contact"].items()}
     doc["transitions"] = {k: v[:periods] for k, v in doc["transitions"].items()}
     doc.setdefault("options", {})
-    doc["options"]["cutoff_set"] = list(cutoffs)
     doc["options"]["fix_exam_to_colonoscopy"] = fix_exam
+    return with_cutoffs(doc, cutoffs)
+
+
+def with_cutoffs(doc, labels):
+    """``doc`` with ``fit`` cut down to the declared ``labels``, in that
+    order, each keeping its own sensitivities and specificity."""
+    fit = doc["fit"]
+    fit["cutoffs"] = list(labels)
+    fit["sensitivity"] = {state: {c: row[c] for c in labels}
+                          for state, row in fit["sensitivity"].items()}
+    fit["specificity"] = {c: fit["specificity"][c] for c in labels}
     return doc
 
 

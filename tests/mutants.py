@@ -268,6 +268,28 @@ MUTANTS = (
            'crc = crc - found["crc"] + left_large * rates.large_to_crc',
            'crc = crc - found["crc"] + large * rates.large_to_crc',
            ("tests/test_phase1.py::TestExhaustivePhase1",)),
+    # A parameter file nested too deep for the JSON decoder escapes main
+    # as a traceback.
+    Mutant("src/screenopt/cli.py",
+           "except (RecursionError, ValueError)",
+           "except ValueError",
+           ("tests/test_cli.py::TestValidate::"
+            "test_unparsable_params_file_fails_before_out",)),
+    # The chance tables take the test characteristics in sorted label
+    # order, while the diagram names the cut-off states in declared order.
+    Mutant("src/screenopt/screening.py",
+           """\
+    spec = np.array([fit.specificity[c] for c in fit.cutoffs])
+    sens = np.array([[fit.sensitivity[s.value][c] for s in ABNORMAL]
+                     for c in fit.cutoffs])
+""",
+           """\
+    spec = np.array([fit.specificity[c] for c in sorted(fit.cutoffs)])
+    sens = np.array([[fit.sensitivity[s.value][c] for s in ABNORMAL]
+                     for c in sorted(fit.cutoffs)])
+""",
+           ("tests/test_screening.py::TestPrevalenceTables::"
+            "test_reversed_shipped_cutoffs_keep_their_characteristics",)),
 )
 
 

@@ -119,9 +119,9 @@ def fit_positive_probability(fit, cutoff, psi) -> float:
     Sensitivity-weighted abnormal prevalence plus the false-positive share
     of the normal prevalence.
     """
-    total = (1.0 - fit.specificity_for(cutoff)) * share(psi, BowelState.NORMAL)
+    total = (1.0 - fit.specificity[cutoff]) * share(psi, BowelState.NORMAL)
     for state in ABNORMAL:
-        total += fit.sensitivity_for(cutoff, state) * share(psi, state)
+        total += fit.sensitivity[state.value][cutoff] * share(psi, state)
     return total
 
 
@@ -137,9 +137,9 @@ def posterior_given_positive(fit, cutoff, psi, state, fpos=None) -> float:
         raise ZeroDivisionError(
             f"positive-test probability is zero at cut-off {cutoff!r}")
     if state is BowelState.NORMAL:
-        numer = (1.0 - fit.specificity_for(cutoff)) * share(psi, state)
+        numer = (1.0 - fit.specificity[cutoff]) * share(psi, state)
     else:
-        numer = fit.sensitivity_for(cutoff, state) * share(psi, state)
+        numer = fit.sensitivity[state.value][cutoff] * share(psi, state)
     return numer / fpos
 
 
@@ -153,7 +153,7 @@ def colonoscopy_result_row(fit, col, cutoff, psi, fpos=None) -> tuple:
     if fpos is None:
         fpos = fit_positive_probability(fit, cutoff, psi)
     found = [
-        col.sensitivity_for(state)
+        col.sensitivity[state.value]
         * posterior_given_positive(fit, cutoff, psi, state, fpos)
         for state in ABNORMAL
     ]
@@ -167,7 +167,7 @@ def scalar_prevalence_cpts(params, psi) -> dict:
     fit_cpt = {}
     exam_cpt = {}
     na_row = (1.0, 0.0, 0.0, 0.0, 0.0)
-    for li, cutoff in enumerate(params.effective_cutoffs()):
+    for li, cutoff in enumerate(params.fit.cutoffs):
         fpos = fit_positive_probability(params.fit, cutoff, psi)
         fit_cpt[(li, 0)] = (1.0, 0.0, 0.0)
         fit_cpt[(li, 1)] = (0.0, fpos, 1.0 - fpos)
@@ -824,7 +824,7 @@ def object_pipeline(argv, out) -> None:
     tables = run_phase1(bundle, budget=max(budgets), periods=periods,
                         objective_mask=cli._mask(args))
     histories = {sex: list(table) for sex, table in tables.items()}
-    cutoffs = bundle.effective_cutoffs()
+    cutoffs = bundle.fit.cutoffs
     keys = {sex: cli._unique_keys([history_key(h, cutoffs) for h in hs])
             for sex, hs in histories.items()}
     pop = {sex: bundle.total_population(sex, periods=periods)

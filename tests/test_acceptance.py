@@ -311,10 +311,10 @@ def test_cpt_fidelity():
 
         fit = bundle.fit
         col = bundle.colonoscopy
-        for li, label in enumerate(bundle.effective_cutoffs()):
-            spec = fit.specificity_for(label)
+        for li, label in enumerate(bundle.fit.cutoffs):
+            spec = fit.specificity[label]
             fpos = (1 - spec) * psi[BowelState.NORMAL] + math.fsum(
-                fit.sensitivity_for(label, b) * psi[b]
+                fit.sensitivity[b.value][label] * psi[b]
                 for b in (BowelState.BENIGN, BowelState.LARGE, BowelState.CRC))
             assert abs(d.cpts[FIT_RESULT][li, 1, 1] - fpos) <= 1e-12
 
@@ -323,17 +323,17 @@ def test_cpt_fidelity():
             posterior = {
                 BowelState.NORMAL: (1 - spec) * psi[BowelState.NORMAL] / fpos,
                 BowelState.BENIGN:
-                    fit.sensitivity_for(label, BowelState.BENIGN)
+                    fit.sensitivity[BowelState.BENIGN.value][label]
                     * psi[BowelState.BENIGN] / fpos,
                 BowelState.LARGE:
-                    fit.sensitivity_for(label, BowelState.LARGE)
+                    fit.sensitivity[BowelState.LARGE.value][label]
                     * psi[BowelState.LARGE] / fpos,
                 BowelState.CRC:
-                    fit.sensitivity_for(label, BowelState.CRC)
+                    fit.sensitivity[BowelState.CRC.value][label]
                     * psi[BowelState.CRC] / fpos,
             }
             assert abs(math.fsum(posterior.values()) - 1.0) <= 1e-9
-            found = [col.sensitivity_for(b) * posterior[b]
+            found = [col.sensitivity[b.value] * posterior[b]
                      for b in (BowelState.BENIGN, BowelState.LARGE,
                                BowelState.CRC)]
             expected = (0.0, 1.0 - math.fsum(found), *found)
@@ -368,7 +368,7 @@ def test_behavioral_sanity():
         assert null.values == (0.0,) * 5
 
         previous = None
-        for cutoff in reversed(range(len(bundle.effective_cutoffs()))):
+        for cutoff in reversed(range(len(bundle.fit.cutoffs))):
             vals = expected_values(d, fixed_strategy(cutoff, 0, invite=1))
             cols = -objective(vals, "colonoscopy")
             detections = (objective(vals, "benign_found"),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -104,6 +105,31 @@ class TestValidate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"validation error: {path}: ")
+
+    @pytest.mark.parametrize("content", [
+        b'{"description": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+        b'{"description": "x",}',
+        b'{"description": "\xe9"}',
+        b'{"description": ' + b"1" * 5000 + b"}"],
+        ids=["nesting", "syntax", "utf8", "digits"])
+    @pytest.mark.parametrize("command", [
+        ["validate"], ["segment", "--sex", "F", "--period", "1"],
+        ["pipeline", "--budgets", "8000"], ["baseline"]])
+    def test_unparsable_params_file_fails_before_out(self, tmp_path, capsys,
+                                                     command, content):
+        # nesting too deep for the decoder, a syntax error, a file that is
+        # not UTF-8 and an integer past the interpreter's digit limit each
+        # give one validation line naming the file, not a traceback or an
+        # unnamed "invalid input"
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        out = tmp_path / "out"
+        extra = [] if command == ["validate"] else ["--out", str(out)]
+        assert main([*command, "--params", str(bad), *extra]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"validation error: {bad}: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [
         ["validate"], ["segment", "--sex", "F", "--period", "1"],
@@ -1025,7 +1051,7 @@ class TestZeroPositiveProbability:
         bundle, _ = load_parameters(json.loads(params.read_text()))
         cpts = build_segment_diagram(Segment(Sex.F, 1), bundle,
                                      bundle.starting_prevalence(Sex.F)).cpts
-        li = bundle.effective_cutoffs().index("50")
+        li = bundle.fit.cutoffs.index("50")
         assert cpts[FIT_RESULT][li, 1].tolist() == [0.0, 0.0, 1.0]
         assert cpts[EXAM_RESULT][li, 1, 1].tolist() == \
             [0.0, 1.0, 0.0, 0.0, 0.0]
@@ -1062,6 +1088,40 @@ class TestStrategyEncodings:
             assert want and [row[0] for row in rows] == want, (flags, name)
 
 
+class TestOutputDigests:
+    """The SHA-256 of every CSV that ``pipeline``, ``segment`` and
+    ``baseline`` write on the shipped and 7-period documents, pinned byte
+    for byte."""
+
+    GOLDEN = Path(__file__).resolve().parent / "data" / "output_digests.csv"
+    DOCUMENTS = {"synthetic_default.json": None,
+                 "synthetic_7period.json": SEVEN_PERIODS}
+
+    @pytest.mark.parametrize("flags", ["", "--fix-exam --no-incentive"])
+    @pytest.mark.parametrize("document", sorted(DOCUMENTS))
+    def test_outputs_match_golden_digests(self, tmp_path, document, flags):
+        lines = self.GOLDEN.read_text().splitlines()
+        assert lines[0] == "command,document,flags,file,sha256"
+        path = self.DOCUMENTS[document]
+        params = [] if path is None else ["--params", str(path)]
+        runs = [("pipeline", ["--budgets", "8000,12000,16000,20000"]),
+                ("segment", ["--sex", "F", "--period", "1"]),
+                ("segment", ["--sex", "M", "--period", "5"])]
+        if not flags:  # baseline takes no model flags
+            runs.append(("baseline", []))
+        for command, argv in runs:
+            assert main([command, *params, *flags.split(), *argv,
+                         "--out", str(tmp_path / command)]) == 0
+        got = set()
+        for out in tmp_path.iterdir():
+            for csv in out.glob("*.csv"):
+                digest = hashlib.sha256(csv.read_bytes()).hexdigest()
+                got.add(f"{out.name},{document},{flags},{csv.name},{digest}")
+        want = {line for line in lines[1:]
+                if line.split(",")[1:3] == [document, flags]}
+        assert want and got == want
+
+
 class TestTinySensitivity:
     """A test sensitivity far below the tolerances at one cut-off: at the
     state's simplex vertex a positive test has just that probability, and
@@ -1085,7 +1145,7 @@ class TestTinySensitivity:
         column = 1 + ["benign", "large", "crc"].index(state)
         exam = segment_tables(bundle, Segment(Sex.F, 1),
                               np.eye(4)[None, column])[EXAM_RESULT]
-        li = bundle.effective_cutoffs().index("50")
+        li = bundle.fit.cutoffs.index("50")
         want = bundle.colonoscopy.sensitivity[state]
         assert exam[0, li, 1, 1, 1 + column] == want
         assert exam[0, li, 1, 1, 1] == 1.0 - want

@@ -28,6 +28,7 @@ from conftest import (
     random_params_doc,
     random_prevalence,
     small_doc,
+    with_cutoffs,
 )
 from oracles import (
     BENIGN,
@@ -900,7 +901,7 @@ class TestReweightedSegments:
             cutoffs = doc["fit"]["cutoffs"]
             chosen = rng.choice(len(cutoffs), size=n_cutoffs - 1,
                                 replace=False)
-            doc["options"]["cutoff_set"] = [cutoffs[i] for i in sorted(chosen)]
+            with_cutoffs(doc, [cutoffs[i] for i in sorted(chosen)])
         bundle, _ = load_parameters(doc)
         segment = Segment(Sex.F if rng.random() < 0.5 else Sex.M,
                           int(rng.integers(1, 3)))
@@ -1155,7 +1156,7 @@ class TestSharedEvaluator:
         row = psi[None]
         # a cut-off subset: tables of another shape
         fewer = json.loads(json.dumps(doc))
-        fewer["options"]["cutoff_set"] = doc["fit"]["cutoffs"][:3]
+        with_cutoffs(fewer, doc["fit"]["cutoffs"][:3])
         tables = segment_tables(load_parameters(fewer)[0], Segment(Sex.M, 2),
                                 row)
         for evaluate in (evaluator.objective_matrix,
@@ -1385,10 +1386,12 @@ class TestStrategyOrder:
 
     @pytest.mark.parametrize("change", [
         {}, {"fix_exam_to_colonoscopy": True}, {"incentive_enabled": False},
-        {"cutoff_set": ["50", "40", "25", "20", "10"]}])
+        {"cutoffs": ["50", "40", "25", "20", "10"]}])
     def test_shipped_parameters(self, default_doc, change):
         doc = json.loads(json.dumps(default_doc))
-        doc["options"].update(change)
+        options = dict(change)
+        with_cutoffs(doc, options.pop("cutoffs", doc["fit"]["cutoffs"]))
+        doc["options"].update(options)
         bundle, _ = load_parameters(doc)
         for table in run_phase1(bundle, budget=20000.0).values():
             self.assert_keys_ascend(table)

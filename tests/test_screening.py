@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_params_doc, random_prevalence
+from conftest import random_params_doc, random_prevalence, with_cutoffs
 from oracles import (
     BENIGN,
     CRC,
@@ -220,32 +220,45 @@ class TestPrevalenceTables:
                 # its positive-test probability is zero
                 doc["fit"]["specificity"][cutoffs[zero_at]] = 1.0
             if trial % 4 == 1:
-                doc["options"]["cutoff_set"] = [
-                    c for i, c in enumerate(cutoffs)
-                    if i == zero_at or rng.random() < 0.5]
+                with_cutoffs(doc, [c for i, c in enumerate(cutoffs)
+                                   if i == zero_at or rng.random() < 0.5])
             bundle, _ = load_parameters(doc)
             psis = [random_prevalence(rng) for _ in range(5)]
             psis += list(np.eye(4))
-            tables = segment_tables(bundle, Segment(Sex.F, 1),
-                                    np.array(psis))
-            for h, psi in enumerate(psis):
-                want = scalar_prevalence_cpts(bundle, psi)
-                got = build_segment_diagram(Segment(Sex.F, 1), bundle,
-                                            psi).cpts
-                for node_id, table in want.items():
-                    assert got[node_id].shape == tables[node_id].shape[1:]
-                    assert sorted(table) == list(
-                        np.ndindex(got[node_id].shape[:-1]))
-                    for info, row in table.items():
-                        self.assert_same_bits(tables[node_id][(h,) + info],
-                                              row)
-                        self.assert_same_bits(got[node_id][info], row)
+            tables = self.assert_rows_equal_scalar_formulas(bundle, psis)
             if trial % 3 == 0:
-                li = bundle.effective_cutoffs().index(cutoffs[zero_at])
+                li = bundle.fit.cutoffs.index(cutoffs[zero_at])
                 normal = len(psis) - 4
                 assert tables[FIT_RESULT][normal, li, 1, 1] == 0.0
                 self.assert_same_bits(tables[EXAM_RESULT][normal, li, 1, 1],
                                       (0.0, 1.0, 0.0, 0.0, 0.0))
+
+    def test_reversed_shipped_cutoffs_keep_their_characteristics(
+            self, default_doc):
+        # the scalar oracle reads each label's own sensitivities and
+        # specificity, so a table that took them in another order than the
+        # declared one differs from it
+        doc = json.loads(json.dumps(default_doc))
+        with_cutoffs(doc, doc["fit"]["cutoffs"][::-1])
+        bundle, _ = load_parameters(doc)
+        psis = [bundle.starting_prevalence(sex) for sex in (Sex.F, Sex.M)]
+        self.assert_rows_equal_scalar_formulas(bundle, psis + list(np.eye(4)))
+
+    def assert_rows_equal_scalar_formulas(self, bundle, psis):
+        """The segment tables of ``psis``, checked row by row against the
+        scalar oracle and a fresh diagram's tables."""
+        tables = segment_tables(bundle, Segment(Sex.F, 1), np.array(psis))
+        for h, psi in enumerate(psis):
+            want = scalar_prevalence_cpts(bundle, psi)
+            got = build_segment_diagram(Segment(Sex.F, 1), bundle, psi).cpts
+            for node_id, table in want.items():
+                assert got[node_id].shape == tables[node_id].shape[1:]
+                assert sorted(table) == list(
+                    np.ndindex(got[node_id].shape[:-1]))
+                for info, row in table.items():
+                    self.assert_same_bits(tables[node_id][(h,) + info], row)
+                    self.assert_same_bits(got[node_id][info], row)
+        return tables
 
 
 class TestSegmentDiagram:
@@ -351,7 +364,7 @@ class TestSegmentDiagram:
     def test_fit_row_structure(self, small_bundle):
         psi = small_bundle.starting_prevalence(Sex.M)
         d = build_segment_diagram(Segment(Sex.M, 1), small_bundle, psi)
-        cutoffs = small_bundle.effective_cutoffs()
+        cutoffs = small_bundle.fit.cutoffs
         for li, label in enumerate(cutoffs):
             assert row(d.cpts[FIT_RESULT], li, 0) == (1.0, 0.0, 0.0)
             fpos = fit_positive_probability(small_bundle.fit, label, psi)
@@ -361,7 +374,7 @@ class TestSegmentDiagram:
         psi = small_bundle.starting_prevalence(Sex.F)
         d = build_segment_diagram(Segment(Sex.F, 2), small_bundle, psi)
         na_row = (1.0, 0.0, 0.0, 0.0, 0.0)
-        for li, label in enumerate(small_bundle.effective_cutoffs()):
+        for li, label in enumerate(small_bundle.fit.cutoffs):
             expected = colonoscopy_result_row(
                 small_bundle.fit, small_bundle.colonoscopy, label, psi)
             for s6, s7 in itertools.product(range(2), range(2)):
@@ -396,7 +409,7 @@ class TestSegmentDiagram:
         d = build_segment_diagram(Segment(Sex.F, 1), small_bundle,
                                   small_bundle.starting_prevalence(Sex.F))
         for incentive in (0, 1):
-            for cutoff in range(len(small_bundle.effective_cutoffs())):
+            for cutoff in range(len(small_bundle.fit.cutoffs)):
                 z = constant_strategy(d, cutoff=cutoff, incentive=incentive,
                                       invite=0)
                 assert expected_values(d, z).values == (0.0,) * 5
@@ -417,7 +430,7 @@ class TestSegmentDiagram:
         d = build_segment_diagram(Segment(Sex.M, 1), default_bundle, psi)
         previous = None
         # declared order is ascending threshold: walk from high to low
-        for cutoff in reversed(range(len(default_bundle.effective_cutoffs()))):
+        for cutoff in reversed(range(len(default_bundle.fit.cutoffs))):
             vals = expected_values(d, constant_strategy(d, cutoff=cutoff))
             cols = -objective(vals, "colonoscopy")
             detections = (objective(vals, "benign_found"),
@@ -433,7 +446,7 @@ class TestSegmentDiagram:
         from oracles import path_probability
         d = build_segment_diagram(Segment(Sex.F, 1), default_bundle,
                                   default_bundle.starting_prevalence(Sex.F))
-        cutoffs = default_bundle.effective_cutoffs()
+        cutoffs = default_bundle.fit.cutoffs
         z = constant_strategy(d, cutoff=cutoffs.index("25"))
         # a path that chose cut-off 50 cannot occur under a 25-cut-off rule
         path = (cutoffs.index("50"), 0, 1, 1, 1, 1, 1, 2, 2, 0)
@@ -533,13 +546,6 @@ class TestLoader:
             load_parameters(doc)
         assert err.value.path.startswith("participation.contact")
 
-    def test_cutoff_subset_must_be_declared(self, default_doc):
-        doc = json.loads(json.dumps(default_doc))
-        doc["options"]["cutoff_set"] = ["10", "77"]
-        with pytest.raises(ParameterError) as err:
-            load_parameters(doc)
-        assert err.value.path == "options.cutoff_set"
-
     def test_custom_fixed_cutoff_labels_accepted(self, default_doc):
         # a deployed programme's fixed per-sex thresholds as a custom label set
         doc = json.loads(json.dumps(default_doc))
@@ -547,8 +553,6 @@ class TestLoader:
         for state in doc["fit"]["sensitivity"]:
             doc["fit"]["sensitivity"][state] = {"25": 0.6, "70": 0.4}
         doc["fit"]["specificity"] = {"25": 0.94, "70": 0.97}
-        if "cutoff_set" in doc.get("options", {}):
-            del doc["options"]["cutoff_set"]
         bundle, _ = load_parameters(doc)
         assert bundle.fit.cutoffs == ("25", "70")
 
@@ -723,19 +727,13 @@ _LOADER_ERRORS = [
      _MARKER.format(label))
     for label in ("10+i", "+", "-")
 ] + [
-    # boolean options and the cut-off subset
+    # boolean options; fit.cutoffs alone states the cut-offs
     ([(("options", "fix_exam_to_colonoscopy"), "yes")],
      "options.fix_exam_to_colonoscopy", "must be a boolean"),
     ([(("options", "incentive_enabled"), 1)],
      "options.incentive_enabled", "must be a boolean"),
-    ([(("options", "cutoff_set"), "10")],
-     "options.cutoff_set", "must be a non-empty list"),
-    ([(("options", "cutoff_set"), [])],
-     "options.cutoff_set", "must be a non-empty list"),
-    ([(("options", "cutoff_set"), ["10", "77"])],
-     "options.cutoff_set", "cut-off '77' is not declared in fit.cutoffs"),
-    ([(("options", "cutoff_set"), ["10", "10"])],
-     "options.cutoff_set", "duplicate cut-off labels"),
+    ([(("options", "cutoff_set"), ["10", "25"])],
+     "options.cutoff_set", "unknown key"),
     # several faults at once
     ([(("costs", "invitation"), -1),
       (("costs", "exam_result", "normal"), _DELETE)],
@@ -764,8 +762,6 @@ _LOADER_ERRORS = [
     ([(("colonoscopy", "adverse_events", "bleed"), 0.9995),
       (("participation", "sample_ok"), 2)],
      "colonoscopy.adverse_events", "bleed + perforation exceeds 1"),
-    ([(("options", "cutoff_set"), ["77", "77"])],
-     "options.cutoff_set", "cut-off '77' is not declared in fit.cutoffs"),
     # totals that overflow, checked once every field is read
     ([(("population",), {"F": 1e308, "M": 1e308})], "population",
      "total cohort size over both sexes and all periods is not finite"),
