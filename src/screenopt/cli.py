@@ -380,19 +380,6 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
-def _unique_keys(keys: list[str]) -> list[str]:
-    seen: dict[str, int] = {}
-    out = []
-    for key in keys:
-        if key in seen:
-            seen[key] += 1
-            out.append(f"{key}#{seen[key]}")
-        else:
-            seen[key] = 0
-            out.append(key)
-    return out
-
-
 def _write_manifest(args, bundle, budgets, periods, digest) -> None:
     manifest = {
         "tool": "screenopt",
@@ -435,8 +422,10 @@ def _history_rows(table: HistoryTable, cutoffs,
         totals.append(t.total[rows, 3])
     totals = np.stack(totals)
     # Cut-off labels hold neither "," nor "|", so a history's key is its
-    # policy cells joined by "|" instead of ",".
-    keys = _unique_keys(list(map("|".join, zip(*policy))))
+    # policy cells joined by "|" instead of ",". Keys are unique: a policy
+    # cell names one strategy class, and rows are distinct lineages of
+    # class representatives.
+    keys = map("|".join, zip(*policy))
     for i, (key, c, psi, col, running, cost) in enumerate(zip(
             keys, map(",".join, zip(*columns)), map(",".join, zip(*blocks)),
             table.colonoscopies.tolist(), totals[-1].tolist(),

@@ -95,13 +95,11 @@ class ValueSpec:
     """Value-node payload: the value of every information state, as an
     array indexed (information state...).
 
-    ``orientation`` tags how the resulting objective is to be optimized and
-    ``unit`` documents its dimension (``euros`` / ``count`` / ``indicator``).
+    ``orientation`` tags how the resulting objective is to be optimized.
     """
 
     node_id: int
     table: np.ndarray
-    unit: str = "count"
     orientation: str = "minimize"
 
 
@@ -154,9 +152,6 @@ class InfluenceDiagram:
     def info_state_of(self, node: Node, path: Path) -> InfoState:
         pos = self.path_position
         return tuple(path[pos[p]] for p in node.predecessors)
-
-    def path_count(self) -> int:
-        return math.prod(len(n.states) for n in self.path_nodes)
 
     def strategy_count(self, fixed: Sequence[int] = ()) -> int:
         """Number of global strategies, excluding decision nodes in ``fixed``."""

@@ -2,13 +2,15 @@
 
 For each sex the search walks screening periods in order and holds each
 period's histories as one :class:`HistoryTable`: columns of parent rows,
-strategy numbers, objectives, prevalences and running accounting, with no
-per-history objects. One segment diagram per run, women's period 1, gives
+strategy numbers, prevalences and running accounting, with no per-history
+objects. One segment diagram per run, women's period 1, gives
 the evaluator of every segment, as segments differ only in chance tables,
 and that period's full-space frontier; each period evaluates its
 ``segment_tables`` arrays once, at the first history's prevalence and the
 four simplex vertices. A history's objectives are its classes' vertex sum;
-one mask holds every frontier.
+one mask holds every frontier. A table keeps only what the objectives
+move: the detections update the prevalence, and the colonoscopies and the
+cost add to the running totals.
 
 Linearity lemma: the start prevalence psi enters a segment only through
 the test-result and examination-result tables, and the positive-test
@@ -50,7 +52,6 @@ from .diagram import (
     BUDGET_TOL,
     DETECTION_TOL,
     LINEARITY_TOL,
-    ObjectiveVector,
     Strategy,
     StrategyEvaluator,
 )
@@ -147,12 +148,12 @@ def combined_total_rows(previous: np.ndarray, previous_weight: float,
 
 @dataclass(frozen=True)
 class PeriodRecord:
-    """One period's slice of a strategy history."""
+    """One period's slice of a strategy history. Its start prevalence is
+    the previous record's ``updated_prevalence``, or at period 1 the sex's
+    starting prevalence."""
 
     period: int
     strategy: Strategy
-    objectives: ObjectiveVector          # per invitee, as computed
-    start_prevalence: np.ndarray         # (4,) row
     updated_prevalence: np.ndarray       # after screening and progression
 
 
@@ -173,12 +174,11 @@ class HistoryTable:
 
     Row i extends row ``parent_row[i]`` of ``parent``, the previous
     period's table, by strategy ``strategy[i]``; at period 1 ``parent`` is
-    None and every row extends the empty history at ``start``. The other
-    columns are that period's reported objectives (rows x objectives, per
-    invitee), the updated and the population-weighted total prevalence
-    (rows x 4, state order), and the cumulative colonoscopies and cost
-    (cohort-scaled). ``weight`` is the cohort size summed over periods
-    1..``period``.
+    None and every row extends the empty history at the sex's starting
+    prevalence. The other columns are the updated and the
+    population-weighted total prevalence (rows x 4, state order), and the
+    cumulative colonoscopies and cost (cohort-scaled). ``weight`` is the
+    cohort size summed over periods 1..``period``.
 
     ``strategy`` holds strategy numbers of ``problem``, the run-start
     problem that every table of a run shares: it decodes them and names and
@@ -195,12 +195,10 @@ class HistoryTable:
     sex: Sex
     period: int
     weight: float
-    start: np.ndarray
     problem: DiagramProblem
     parent: HistoryTable | None
     parent_row: np.ndarray
     strategy: np.ndarray
-    reported: np.ndarray
     updated: np.ndarray
     total: np.ndarray
     colonoscopies: np.ndarray
@@ -216,9 +214,9 @@ class HistoryTable:
         """The table of the given rows, in that order."""
         return dataclasses.replace(
             self, parent_row=self.parent_row[rows],
-            strategy=self.strategy[rows], reported=self.reported[rows],
-            updated=self.updated[rows], total=self.total[rows],
-            colonoscopies=self.colonoscopies[rows], cost=self.cost[rows])
+            strategy=self.strategy[rows], updated=self.updated[rows],
+            total=self.total[rows], colonoscopies=self.colonoscopies[rows],
+            cost=self.cost[rows])
 
     def dominance_keys(self) -> np.ndarray:
         """(rows x 4), all minimized: total cancer, next-start cancer,
@@ -244,22 +242,12 @@ class HistoryTable:
         rows = np.asarray(rows, dtype=np.intp)
         chains = [()] * len(rows)
         for table, at in self.lineage(rows):
-            wanted, first, inverse = np.unique(at, return_index=True,
-                                               return_inverse=True)
-            problem = table.problem
-            decoded = {s: problem.strategy(s)
-                       for s in set(table.strategy[wanted].tolist())}
-            made = [PeriodRecord(
-                period=table.period,
-                strategy=decoded[s],
-                objectives=ObjectiveVector(tuple(values), problem.orientations,
-                                           problem.names),
-                start_prevalence=(chains[i][-1].updated_prevalence
-                                  if chains[i] else table.start),
-                updated_prevalence=psi)
-                for i, s, values, psi in zip(
-                    first.tolist(), table.strategy[wanted].tolist(),
-                    table.reported[wanted].tolist(), table.updated[wanted])]
+            wanted, inverse = np.unique(at, return_inverse=True)
+            numbers = table.strategy[wanted].tolist()
+            decoded = {s: table.problem.strategy(s) for s in set(numbers)}
+            made = [PeriodRecord(period=table.period, strategy=decoded[s],
+                                 updated_prevalence=psi)
+                    for s, psi in zip(numbers, table.updated[wanted])]
             chains = [chain + (made[j],)
                       for chain, j in zip(chains, inverse.tolist())]
         return [
@@ -425,11 +413,10 @@ def _extend_period(params, sex, k, previous, budget, cross_check, start):
     label = f"for sex={sex.value} period={k}"
     base = start.problem
     if previous is None:
-        psi = params.starting_prevalence(sex)
-        starts = psi[None]
+        starts = params.starting_prevalence(sex)[None]
         before_col = before_cost = np.zeros(1)
     else:
-        psi, starts = previous.start, previous.updated
+        starts = previous.updated
         before_col, before_cost = previous.colonoscopies, previous.cost
 
     at_start, vertex = period_values(params, segment, base.evaluator,
@@ -492,10 +479,9 @@ def _extend_period(params, sex, k, previous, budget, cross_check, start):
                                     updated, cohort)
         weight = previous.weight + cohort
     return HistoryTable(
-        sex=sex, period=k, weight=weight, start=psi, problem=base,
-        parent=previous, parent_row=parent, strategy=reps[position],
-        reported=values, updated=updated, total=total,
-        colonoscopies=col[parent, position],
+        sex=sex, period=k, weight=weight, problem=base, parent=previous,
+        parent_row=parent, strategy=reps[position], updated=updated,
+        total=total, colonoscopies=col[parent, position],
         cost=before_cost[parent] + values[:, names.index("cost")] * cohort)
 
 

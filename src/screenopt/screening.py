@@ -325,18 +325,16 @@ def build_segment_diagram(segment: Segment, params: ParameterBundle,
             + np.where(s9 == 2, c.polypectomy, 0.0)
             + np.array([0.0, c.adverse_event["bleed"],
                         c.adverse_event["perforation"]])[s10])
-    values = {COST_NODE: (cost, "euros", "minimize"),
-              COL_NODE: (np.array([[0.0, 0.0], [0.0, -1.0]]), "count",
-                         "maximize")}
+    values = {COST_NODE: (cost, "minimize"),
+              COL_NODE: (np.array([[0.0, 0.0], [0.0, -1.0]]), "maximize")}
     for node_id, found in ((BENIGN_NODE, 2), (LARGE_NODE, 3), (CRC_NODE, 4)):
-        values[node_id] = (np.eye(5)[found], "indicator", "maximize")
+        values[node_id] = (np.eye(5)[found], "maximize")
 
     return InfluenceDiagram(
         nodes=nodes,
         cpts={node_id: table[0] for node_id, table in tables.items()},
-        values={node_id: ValueSpec(node_id, array, unit=unit,
-                                   orientation=orientation)
-                for node_id, (array, unit, orientation) in values.items()},
+        values={node_id: ValueSpec(node_id, array, orientation=orientation)
+                for node_id, (array, orientation) in values.items()},
     )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -127,7 +128,8 @@ def random_diagram(rng: np.random.Generator, max_paths: int = 10_000,
     """A random well-formed diagram within the given enumeration caps."""
     while True:
         diagram = _draw_diagram(rng, max_core_nodes)
-        if diagram.path_count() <= max_paths and \
+        if math.prod(len(n.states) for n in diagram.path_nodes) \
+                <= max_paths and \
                 diagram.strategy_count() <= max_strategies:
             return diagram
 
@@ -172,7 +174,7 @@ def _draw_diagram(rng, max_core_nodes):
         for info in np.ndindex(table.shape):
             table[info] = rng.normal()
         values[vid] = ValueSpec(
-            vid, table, unit="count",
+            vid, table,
             orientation="maximize" if rng.random() < 0.5 else "minimize")
 
     return InfluenceDiagram(nodes=tuple(nodes) + tuple(value_nodes),

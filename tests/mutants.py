@@ -290,6 +290,12 @@ MUTANTS = (
 """,
            ("tests/test_screening.py::TestPrevalenceTables::"
             "test_reversed_shipped_cutoffs_keep_their_characteristics",)),
+    # A policy cell drops its incentive marker, so two histories that
+    # differ only in incentives share a key.
+    Mutant("src/screenopt/screening.py",
+           'cell += "+i"',
+           'cell += ""',
+           ("tests/test_cli.py::TestHistoryKeys",)),
 )
 
 

@@ -258,8 +258,8 @@ def enumerate_strategies(diagram, fixed=None):
 
 def enumerate_paths(diagram):
     """Yield every path once, in lexicographic node-state order."""
-    _check_ceiling(diagram.path_count(), screenopt.diagram.PATH_CEILING,
-                   "paths")
+    _check_ceiling(math.prod(len(n.states) for n in diagram.path_nodes),
+                   screenopt.diagram.PATH_CEILING, "paths")
     ranges = [range(len(n.states)) for n in diagram.path_nodes]
     return itertools.product(*ranges)
 
@@ -825,7 +825,7 @@ def object_pipeline(argv, out) -> None:
                         objective_mask=cli._mask(args))
     histories = {sex: list(table) for sex, table in tables.items()}
     cutoffs = bundle.fit.cutoffs
-    keys = {sex: cli._unique_keys([history_key(h, cutoffs) for h in hs])
+    keys = {sex: [history_key(h, cutoffs) for h in hs]
             for sex, hs in histories.items()}
     pop = {sex: bundle.total_population(sex, periods=periods)
            for sex in (Sex.F, Sex.M)}

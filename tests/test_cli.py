@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -44,6 +45,7 @@ from screenopt.screening import (
 SIX_PERIODS = Path(__file__).resolve().parent / "data" / \
     "synthetic_6period.json"
 SEVEN_PERIODS = SIX_PERIODS.with_name("synthetic_7period.json")
+BOX_SEARCH_LIMIT = SIX_PERIODS.with_name("box_search_limit.json")
 
 
 @pytest.fixture()
@@ -1090,21 +1092,38 @@ class TestStrategyEncodings:
 
 class TestOutputDigests:
     """The SHA-256 of every CSV that ``pipeline``, ``segment`` and
-    ``baseline`` write on the shipped and 7-period documents, pinned byte
-    for byte."""
+    ``baseline`` write on the shipped and 7-period documents, and that two
+    more ``pipeline`` runs write on the shipped document, pinned byte for
+    byte: the benchmark's budget curve and an objective mask."""
 
     GOLDEN = Path(__file__).resolve().parent / "data" / "output_digests.csv"
     DOCUMENTS = {"synthetic_default.json": None,
                  "synthetic_7period.json": SEVEN_PERIODS}
+    BUDGETS = "8000,12000,16000,20000"
+    #: The benchmark's budget curve: 1,000 budgets from 4,000 to 20,000.
+    CURVE = ",".join(repr(4000.0 + 16000.0 * i / 999) for i in range(1000))
+
+    def golden(self, document, flags) -> set[tuple[str, ...]]:
+        with self.GOLDEN.open(newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["command", "document", "flags", "file", "sha256"]
+        want = {tuple(row) for row in rows[1:]
+                if row[1:3] == [document, flags]}
+        assert want
+        return want
+
+    @staticmethod
+    def digests(tmp_path, document, flags) -> set[tuple[str, ...]]:
+        return {(out.name, document, flags, path.name,
+                 hashlib.sha256(path.read_bytes()).hexdigest())
+                for out in tmp_path.iterdir() for path in out.glob("*.csv")}
 
     @pytest.mark.parametrize("flags", ["", "--fix-exam --no-incentive"])
     @pytest.mark.parametrize("document", sorted(DOCUMENTS))
     def test_outputs_match_golden_digests(self, tmp_path, document, flags):
-        lines = self.GOLDEN.read_text().splitlines()
-        assert lines[0] == "command,document,flags,file,sha256"
         path = self.DOCUMENTS[document]
         params = [] if path is None else ["--params", str(path)]
-        runs = [("pipeline", ["--budgets", "8000,12000,16000,20000"]),
+        runs = [("pipeline", ["--budgets", self.BUDGETS]),
                 ("segment", ["--sex", "F", "--period", "1"]),
                 ("segment", ["--sex", "M", "--period", "5"])]
         if not flags:  # baseline takes no model flags
@@ -1112,14 +1131,60 @@ class TestOutputDigests:
         for command, argv in runs:
             assert main([command, *params, *flags.split(), *argv,
                          "--out", str(tmp_path / command)]) == 0
-        got = set()
-        for out in tmp_path.iterdir():
-            for csv in out.glob("*.csv"):
-                digest = hashlib.sha256(csv.read_bytes()).hexdigest()
-                got.add(f"{out.name},{document},{flags},{csv.name},{digest}")
-        want = {line for line in lines[1:]
-                if line.split(",")[1:3] == [document, flags]}
-        assert want and got == want
+        assert self.digests(tmp_path, document, flags) == \
+            self.golden(document, flags)
+
+    @pytest.mark.parametrize("flags, budgets", [
+        ("--periods 4", CURVE),
+        ("--objective-mask cost,colonoscopy,crc_found", BUDGETS)],
+        ids=["budget_curve", "objective_mask"])
+    def test_shipped_pipeline_runs_match_golden_digests(self, tmp_path, flags,
+                                                        budgets):
+        assert main(["pipeline", *flags.split(), "--budgets", budgets,
+                     "--out", str(tmp_path / "pipeline")]) == 0
+        document = "synthetic_default.json"
+        assert self.digests(tmp_path, document, flags) == \
+            self.golden(document, flags)
+
+
+#: Seeds of the random documents whose histories keys are checked.
+KEY_SEEDS = (401, 402, 403)
+
+
+class TestHistoryKeys:
+    """Every row of a histories file has a key of its own. A policy cell
+    names one (cut-off, incentive, invitation, examination of a positive
+    test) choice; only that examination decision is reachable, so the
+    strategies of one cell evaluate to the same bits and form one class.
+    Each row is a distinct lineage of class representatives, so no two
+    rows share their cells."""
+
+    @pytest.mark.parametrize("flags", [
+        "", "--fix-exam", "--no-incentive", "--fix-exam --no-incentive"])
+    @pytest.mark.parametrize("params", [
+        screenopt.cli.default_params_path(), SIX_PERIODS, SEVEN_PERIODS,
+        BOX_SEARCH_LIMIT], ids=["shipped", "six_periods", "seven_periods",
+                                "box_search_limit"])
+    def test_committed_documents(self, tmp_path, params, flags):
+        self.assert_keys_distinct(tmp_path, params, flags.split())
+
+    @pytest.mark.parametrize("seed", KEY_SEEDS)
+    def test_random_documents(self, tmp_path, seed):
+        doc = random_params_doc(np.random.default_rng(seed), periods=3,
+                                n_cutoffs=4, monotone=False, fix_exam=False)
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(doc))
+        self.assert_keys_distinct(tmp_path, path, [])
+
+    @staticmethod
+    def assert_keys_distinct(tmp_path, params, flags):
+        out = tmp_path / "run"
+        assert main(["pipeline", "--params", str(params), *flags,
+                     "--budgets", "1e9", "--out", str(out)]) == 0
+        for sex in ("F", "M"):
+            _, header, rows = read_csv(out / f"histories_{sex}.csv")
+            keys = [row[header.index("key")] for row in rows]
+            assert len(set(keys)) == len(keys) > 1
 
 
 class TestTinySensitivity:

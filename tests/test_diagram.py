@@ -206,7 +206,7 @@ class TestPaths:
         d = random_diagram(rng, max_paths=200)
         paths = list(enumerate_paths(d))
         assert paths == sorted(paths)
-        assert len(paths) == d.path_count()
+        assert len(paths) == math.prod(len(n.states) for n in d.path_nodes)
         assert len(set(paths)) == len(paths)
 
 

@@ -327,11 +327,11 @@ def key_table(keys, strategy_keys=None, parent=None, parent_row=None):
     total = np.stack([1.0 - keys[:, 0], zero, zero, keys[:, 0]], axis=1)
     return HistoryTable(
         sex=Sex.F, period=1 if parent is None else parent.period + 1,
-        weight=1.0, start=WORKED_PSI, problem=problem, parent=parent,
+        weight=1.0, problem=problem, parent=parent,
         parent_row=(np.zeros(n, dtype=np.intp) if parent_row is None
                     else np.asarray(parent_row, dtype=np.intp)),
         strategy=np.arange(n) % max(len(strategy_keys), 1),
-        reported=np.zeros((n, 1)), updated=updated, total=total,
+        updated=updated, total=total,
         colonoscopies=keys[:, 3].copy(), cost=zero)
 
 
@@ -490,22 +490,26 @@ def tiny_bundle(default_doc, periods=2):
 
 class TestRunPhase1:
     def test_single_period_equals_wrapped_frontier(self, default_doc):
-        # the same strategies, with values within the linearity bound
+        # the same strategies, whose vertex sums lie within the linearity
+        # bound of the frontier's values and give the table's columns
         bundle = tiny_bundle(default_doc)
         segment, psi = Segment(Sex.F, 1), bundle.starting_prevalence(Sex.F)
         frontier = segment_frontier(bundle, segment, psi)
         start = psi[None]
-        bound = LINEARITY_TOL * vertex_sum(start, np.abs(period_values(
-            bundle, segment, frontier.problem.evaluator, start)[1]))[0]
+        vertex = period_values(bundle, segment, frontier.problem.evaluator,
+                               start)[1]
+        bound = LINEARITY_TOL * vertex_sum(start, np.abs(vertex))[0]
         result = run_phase1(bundle, budget=1e9, periods=1)[Sex.F]
         assert len(result) == len(frontier.points)
+        values = vertex_sum(start, vertex[result.strategy])[0]
+        assert_derived_columns(bundle, result, values)
         cohort = bundle.cohort_size(segment)
         column = frontier.problem.names.index("colonoscopy")
-        for hist, point, candidate in zip(result, frontier.points,
-                                          frontier.candidates):
+        for hist, row, point, candidate in zip(result, values,
+                                               frontier.points,
+                                               frontier.candidates):
             assert len(hist.records) == 1
-            assert np.all(np.abs(np.subtract(hist.records[0].objectives.values,
-                                             point.objectives.values))
+            assert np.all(np.abs(row - point.objectives.values)
                           <= bound[candidate])
             assert strategy_key(hist.records[0].strategy) == \
                 strategy_key(point.strategy)
@@ -827,9 +831,10 @@ class TestLineage:
 
     @staticmethod
     def assert_rows_are_the_lineage(table):
-        # each row's records are its ancestors' columns, rows with a
-        # common ancestor share that period's record object, and records
-        # of one strategy number share its one decode
+        # each row's records are its ancestors' columns (a record's start
+        # is the previous record's updated row), rows with a common
+        # ancestor share that period's record object, and records of one
+        # strategy number share its one decode
         histories = list(table)
         lineage = table.lineage(np.arange(len(table)))
         shared_somewhere = False
@@ -844,17 +849,6 @@ class TestLineage:
                     record.strategy
                 assert strategy_key(record.strategy) == \
                     strategy_key(t.problem.strategy(number))
-                assert record.objectives.values == \
-                    tuple(t.reported[a].tolist())
-                assert record.objectives.names == t.problem.names
-                assert record.objectives.orientations == \
-                    t.problem.orientations
-                if k == 0:
-                    start = table.start.tolist()
-                else:
-                    before, rows = lineage[k - 1]
-                    start = before.updated[rows[i]].tolist()
-                assert record.start_prevalence.tolist() == start
                 assert record.updated_prevalence.tolist() == \
                     t.updated[a].tolist()
             assert len({id(r) for r in records.values()}) == len(records)
@@ -1103,6 +1097,29 @@ def assert_bits(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def assert_derived_columns(bundle, table, values):
+    """The table's columns have the bits that phase 1 derives from each
+    row's objectives, ``values`` (rows x objectives, per invitee): the
+    updated prevalence from its start's detections, and the cumulative
+    colonoscopies and cost, cohort-scaled."""
+    segment = Segment(table.sex, table.period)
+    names, cohort = table.problem.names, bundle.cohort_size(segment)
+    if table.parent is None:
+        starts = bundle.starting_prevalence(table.sex)[None]
+        col = cost = np.zeros(1)
+    else:
+        starts = table.parent.updated
+        col, cost = table.parent.colonoscopies, table.parent.cost
+    at = table.parent_row
+    found = [names.index(n) for n in ("benign_found", "large_found",
+                                      "crc_found")]
+    assert_bits(table.updated, update_prevalence_rows(
+        starts[at], values[:, found], bundle.transition(segment)))
+    assert_bits(table.colonoscopies,
+                col[at] + -values[:, names.index("colonoscopy")] * cohort)
+    assert_bits(table.cost, cost[at] + values[:, names.index("cost")] * cohort)
+
+
 class TestSharedEvaluator:
     """One evaluator serves every segment of a run: each segment evaluated
     through it, with its own chance tables, has the bits of a fresh
@@ -1318,14 +1335,14 @@ class TestLinearityCertificate:
     def assert_rows_within_bound(bundle, budget):
         """Every history's vertex-sum rows, of every class, lie within the
         linearity bound of the dense evaluation at its start, and its
-        table's rows are those sums' bits."""
+        table's columns have the bits derived from its class's sum."""
         evaluator = segment_frontier(
             bundle, Segment(Sex.F, 1),
             bundle.starting_prevalence(Sex.F)).problem.evaluator
         for sex, table in run_phase1(bundle, budget).items():
             for period, _ in table.lineage(np.zeros(0, dtype=np.intp)):
                 segment = Segment(sex, period.period)
-                starts = (period.start[None]
+                starts = (bundle.starting_prevalence(sex)[None]
                           if period.parent is None else period.parent.updated)
                 at_start, values = period_values(bundle, segment, evaluator,
                                                  starts[0])
@@ -1342,7 +1359,7 @@ class TestLinearityCertificate:
                         for n in numbers] == \
                     [strategy_key(base.strategy(n)) for n in numbers]
                 rows = vertex_sum(starts, values[reps])
-                assert_bits(period.reported, rows[
+                assert_derived_columns(bundle, period, rows[
                     period.parent_row, np.searchsorted(reps, period.strategy)])
                 bound = LINEARITY_TOL * vertex_sum(starts,
                                                    np.abs(values[reps]))

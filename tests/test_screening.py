@@ -280,10 +280,7 @@ class TestSegmentDiagram:
                                   default_bundle.starting_prevalence(Sex.M))
         sizes = [len(n.states) for n in d.path_nodes]
         assert sizes == [5, 2, 2, 2, 3, 2, 2, 5, 3, 3]
-        product = 1
-        for s in sizes:
-            product *= s
-        assert d.path_count() == product == 21600
+        assert math.prod(sizes) == 21600
         # decisions 1-3 carry no information; the examination sees 3*2 states
         assert d.strategy_count() == 5 * 2 * 2 * 2 ** 6 == 1280
 
